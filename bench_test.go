@@ -22,9 +22,12 @@
 //	BenchmarkStrategies          — quality (δM, δmax) and speed per
 //	                               registered scheduling strategy.
 //	BenchmarkTabuInner           — one tabu improvement run per path.
+//	BenchmarkSolutionCodec       — encoding and writing the v1 solution
+//	                               document of a 120-node, 32-path result.
 package repro
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -41,6 +44,7 @@ import (
 	"repro/internal/listsched"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/textio"
 )
 
 // mustFigure1 builds the worked example once per benchmark.
@@ -263,6 +267,32 @@ func BenchmarkScheduleRunParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkSolutionCodec measures the solution codec of /v1/schedule on a
+// 120-node, 32-path result: textio.EncodeSolution (the table document and
+// the Table-1 text rendering) plus textio.WriteSolution (the indented JSON),
+// the work every response pays, memo hit or not. It reports the document
+// size as response-KB.
+func BenchmarkSolutionCodec(b *testing.B) {
+	inst, err := gen.Generate(gen.Config{Seed: 42, Nodes: 120, TargetPaths: 32, Processors: 8, Hardware: 1, Buses: 4})
+	if err != nil {
+		b.Fatalf("Generate: %v", err)
+	}
+	res, err := core.Schedule(inst.Graph, inst.Arch, core.Options{Workers: 1})
+	if err != nil {
+		b.Fatalf("Schedule: %v", err)
+	}
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := textio.WriteSolution(&buf, textio.EncodeSolution(res)); err != nil {
+			b.Fatalf("WriteSolution: %v", err)
+		}
+	}
+	b.ReportMetric(float64(buf.Len())/1024, "response-KB")
 }
 
 // BenchmarkListschedInner measures one run of the heap-based list scheduler

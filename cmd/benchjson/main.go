@@ -11,7 +11,12 @@
 // their full slash-separated name), the iteration count and a metric map
 // containing ns/op, B/op, allocs/op and any custom b.ReportMetric values
 // (deltaM, increase-%, merge-ms, ...). Context lines (goos, goarch, cpu,
-// pkg) are captured into the header.
+// pkg) are captured into the header, together with the host context needed
+// to read the numbers: the GOMAXPROCS the benchmarks ran at (the -N suffix
+// go test appends to every name, absent when it is 1, and stripped from the
+// recorded names) and the number of CPUs of the host. Lines run at
+// different GOMAXPROCS (a -cpu list) are rejected, since their names would
+// collide once the suffix is stripped.
 //
 // With -prev <file>, the fresh results are additionally diffed against a
 // previous snapshot: every benchmark whose ns/op grew by more than
@@ -46,6 +51,8 @@ type Results struct {
 	GOOS       string      `json:"goos"`
 	GOARCH     string      `json:"goarch"`
 	CPU        string      `json:"cpu,omitempty"`
+	GOMAXPROCS int         `json:"gomaxprocs"`
+	NumCPU     int         `json:"num_cpu"`
 	Note       string      `json:"note,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
@@ -61,6 +68,7 @@ func main() {
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
+		NumCPU:    runtime.NumCPU(),
 		Note:      *note,
 	}
 
@@ -83,7 +91,14 @@ func main() {
 		if err != nil {
 			continue
 		}
-		b := Benchmark{Name: trimProcSuffix(fields[0]), Runs: runs, Metrics: map[string]float64{}}
+		name, procs := splitProcSuffix(fields[0])
+		if res.GOMAXPROCS == 0 {
+			res.GOMAXPROCS = procs
+		} else if procs != res.GOMAXPROCS {
+			fmt.Fprintf(os.Stderr, "benchjson: benchmark lines ran at GOMAXPROCS %d and %d; record one -cpu value per snapshot\n", res.GOMAXPROCS, procs)
+			os.Exit(1)
+		}
+		b := Benchmark{Name: name, Runs: runs, Metrics: map[string]float64{}}
 		// The remainder is a sequence of "<value> <unit>" pairs.
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
@@ -159,14 +174,15 @@ func diffAgainst(path string, cur Results, threshold float64) {
 	}
 }
 
-// trimProcSuffix drops the -<GOMAXPROCS> suffix go test appends to benchmark
-// names ("BenchmarkFoo-8" -> "BenchmarkFoo"), which is machine-dependent
-// noise for committed results.
-func trimProcSuffix(name string) string {
+// splitProcSuffix splits the -<GOMAXPROCS> suffix go test appends to
+// benchmark names ("BenchmarkFoo-8" -> "BenchmarkFoo", 8), which is
+// machine-dependent noise in committed names. go test omits the suffix at
+// GOMAXPROCS 1.
+func splitProcSuffix(name string) (string, int) {
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			return name[:i]
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			return name[:i], n
 		}
 	}
-	return name
+	return name, 1
 }

@@ -26,7 +26,7 @@ package cond
 import (
 	"fmt"
 	"math/bits"
-	"strings"
+	"strconv"
 )
 
 // Cond identifies a condition within a graph. Conditions are small
@@ -73,17 +73,15 @@ func (l Lit) Negate() Lit { return Lit{Cond: l.Cond, Val: !l.Val} }
 // A nil Namer falls back to "c<id>".
 type Namer func(Cond) string
 
-func defaultName(c Cond) string { return fmt.Sprintf("c%d", int(c)) }
-
-func nameOf(n Namer, c Cond) string {
-	if n == nil {
-		return defaultName(c)
+// appendName appends the name of condition c to dst: n(c), or "c<id>" when
+// n is nil or returns "".
+func appendName(dst []byte, n Namer, c Cond) []byte {
+	if n != nil {
+		if s := n(c); s != "" {
+			return append(dst, s...)
+		}
 	}
-	s := n(c)
-	if s == "" {
-		return defaultName(c)
-	}
-	return s
+	return strconv.AppendInt(append(dst, 'c'), int64(c), 10)
 }
 
 // Cube is a conjunction of condition literals. The zero value is the constant
@@ -311,17 +309,28 @@ func (c Cube) Format(n Namer) string {
 	if c.IsTrue() {
 		return "true"
 	}
-	parts := make([]string, 0, c.Len())
-	for m := c.pos | c.neg; m != 0; m &= m - 1 {
-		x := Cond(bits.TrailingZeros64(m))
-		name := nameOf(n, x)
-		if c.pos&(uint64(1)<<uint(x)) != 0 {
-			parts = append(parts, name)
-		} else {
-			parts = append(parts, "!"+name)
-		}
+	var buf [64]byte
+	return string(c.AppendFormat(buf[:0], n))
+}
+
+// AppendFormat appends the Format rendering of the cube to dst and returns
+// the extended buffer, so callers rendering many cubes can share one buffer.
+func (c Cube) AppendFormat(dst []byte, n Namer) []byte {
+	if c.IsTrue() {
+		return append(dst, "true"...)
 	}
-	return strings.Join(parts, "&")
+	all := c.pos | c.neg
+	for m := all; m != 0; m &= m - 1 {
+		x := Cond(bits.TrailingZeros64(m))
+		if m != all {
+			dst = append(dst, '&')
+		}
+		if c.neg&(uint64(1)<<uint(x)) != 0 {
+			dst = append(dst, '!')
+		}
+		dst = appendName(dst, n, x)
+	}
+	return dst
 }
 
 // Compare orders cubes lexicographically by their (condition, value) literal

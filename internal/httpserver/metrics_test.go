@@ -353,6 +353,43 @@ func TestConcurrentOverload(t *testing.T) {
 	}
 }
 
+// probeWriter is a ResponseWriter that runs probe when the body is written.
+type probeWriter struct {
+	*httptest.ResponseRecorder
+	probe func()
+}
+
+func (p *probeWriter) Write(b []byte) (int, error) {
+	p.probe()
+	return p.ResponseRecorder.Write(b)
+}
+
+// TestRequestFinishedBeforeBody pins the order that lets a client trust the
+// server's gauges once it has read a response. A body with a Content-Length
+// can reach the client before the handler returns, so the middleware counts
+// the request and frees its class slot before the write that sends it.
+func TestRequestFinishedBeforeBody(t *testing.T) {
+	srv := mustServer(t)
+	ok := srv.reqCodes.With("/v1/schedule", "2xx")
+	var inflight, counted int64 = -1, -1
+	w := &probeWriter{ResponseRecorder: httptest.NewRecorder()}
+	w.probe = func() { inflight, counted = srv.light.inflight.Value(), ok.Value() }
+	req := httptest.NewRequest(http.MethodPost, "/v1/schedule", strings.NewReader(string(figure1Doc(t))))
+	srv.Routes(nil).ServeHTTP(w, req)
+	if w.Code != http.StatusOK {
+		t.Fatalf("schedule status %d: %s", w.Code, w.Body)
+	}
+	if inflight != 0 || counted != 1 {
+		t.Errorf("at the body write: in-flight gauge %d, 2xx counter %d; want 0 and 1", inflight, counted)
+	}
+	if got := srv.light.inflight.Value(); got != 0 {
+		t.Errorf("in-flight gauge %d after the request, want 0", got)
+	}
+	if got := ok.Value(); got != 1 {
+		t.Errorf("2xx counter %d after the request, want 1 (counted once)", got)
+	}
+}
+
 // TestMiddlewareAllocs pins the hot-path contract of the middleware itself:
 // wrapping a no-op handler, a warmed request through instrument() allocates
 // nothing beyond what net/http does — measured here with a recorder and a

@@ -294,20 +294,61 @@ func (s *Server) instrument(path string, cls *epClass, next http.HandlerFunc) ht
 	return e
 }
 
-// statusWriter captures the response status for the request counter. Pooled:
-// the middleware must not allocate on the hot path.
+// statusWriter captures the response status for the request counter and
+// finishes the request's bookkeeping. Pooled: the middleware must not
+// allocate on the hot path.
 type statusWriter struct {
-	w       http.ResponseWriter
-	flusher http.Flusher
-	code    int
+	w        http.ResponseWriter
+	flusher  http.Flusher
+	code     int
+	e        *endpoint
+	start    time.Time
+	finished bool
 }
 
 var swPool = sync.Pool{New: func() any { return new(statusWriter) }}
 
-func (sw *statusWriter) reset(w http.ResponseWriter) {
+func (sw *statusWriter) reset(w http.ResponseWriter, e *endpoint, start time.Time) {
 	sw.w = w
 	sw.flusher, _ = w.(http.Flusher)
 	sw.code = 0
+	sw.e = e
+	sw.start = start
+	sw.finished = false
+}
+
+// finish records the request's duration and status class and frees its
+// class slot, once. The middleware calls it when the handler returns, and
+// writeJSON just before the write that completes a Content-Length body:
+// a client can read such a body to its end before the handler returns, and
+// must not see the server still counting the request as in flight.
+func (sw *statusWriter) finish() {
+	if sw.finished {
+		return
+	}
+	sw.finished = true
+	e := sw.e
+	e.dur.Observe(e.s.clock.Now().Sub(sw.start).Seconds())
+	code := sw.code
+	if code == 0 {
+		code = http.StatusOK
+	}
+	if i := code / 100; i >= 1 && i <= 5 {
+		e.codes[i].Inc()
+	}
+	if e.cls != nil {
+		e.cls.inflight.Dec()
+	}
+}
+
+// release returns the writer to the pool. A handler that panicked never
+// finished: its class slot is freed, and nothing is recorded.
+func (sw *statusWriter) release() {
+	if !sw.finished && sw.e.cls != nil {
+		sw.e.cls.inflight.Dec()
+	}
+	sw.reset(nil, nil, time.Time{})
+	swPool.Put(sw)
 }
 
 func (sw *statusWriter) Header() http.Header { return sw.w.Header() }
@@ -354,22 +395,12 @@ func (e *endpoint) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				"server overloaded: endpoint-class concurrency bound reached, retry after the hinted delay")
 			return
 		}
-		defer e.cls.inflight.Dec()
 	}
 	sw := swPool.Get().(*statusWriter)
-	sw.reset(w)
-	start := s.clock.Now()
+	sw.reset(w, e, s.clock.Now())
+	defer sw.release()
 	e.next(sw, r)
-	e.dur.Observe(s.clock.Now().Sub(start).Seconds())
-	code := sw.code
-	if code == 0 {
-		code = http.StatusOK
-	}
-	if i := code / 100; i >= 1 && i <= 5 {
-		e.codes[i].Inc()
-	}
-	sw.reset(nil)
-	swPool.Put(sw)
+	sw.finish()
 }
 
 // shed rejects a request at the admission gate: Retry-After plus the usual
@@ -415,12 +446,28 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, &doc)
 }
 
+// writeJSON renders v before it commits the status, so a value
+// encoding/json rejects is answered with a 500 error envelope instead of an
+// empty or truncated body under the intended status, and the body goes out
+// in one write under a Content-Length taken from the rendering. The
+// middleware finishes the request just before that write.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	err := textio.RenderJSON(v, func(body []byte) error {
+		h := w.Header()
+		h.Set("Content-Type", "application/json")
+		h.Set("Content-Length", strconv.Itoa(len(body)))
+		w.WriteHeader(status)
+		if sw, ok := w.(*statusWriter); ok {
+			sw.finish()
+		}
+		// The status is sent: a failed write means the client has gone
+		// and there is nobody left to report it to.
+		_, _ = w.Write(body)
+		return nil
+	})
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("rendering the response: %w", err))
+	}
 }
 
 // workersParam parses the optional ?workers= per-request limit.

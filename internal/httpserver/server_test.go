@@ -3,9 +3,11 @@ package httpserver
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -68,6 +70,9 @@ func TestScheduleEndpointMatchesInProcess(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
+	if got, want := resp.Header.Get("Content-Length"), strconv.Itoa(len(body)); got != want {
+		t.Fatalf("Content-Length = %q for a %s-byte body", got, want)
+	}
 	var sol textio.SolutionDoc
 	if err := json.Unmarshal(body, &sol); err != nil {
 		t.Fatalf("unmarshal: %v", err)
@@ -108,6 +113,27 @@ func TestScheduleEndpointMatchesInProcess(t *testing.T) {
 	}
 	if again.Cache.ProblemHash != sol.Cache.ProblemHash {
 		t.Fatalf("problem hash changed between identical requests")
+	}
+}
+
+// TestWriteJSONRenderFailure pins writeJSON's error path: a value
+// encoding/json rejects is answered with a 500 error envelope under a
+// matching Content-Length, never an empty body under the intended status.
+func TestWriteJSONRenderFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"x": math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500: %s", rec.Code, rec.Body)
+	}
+	var env errorDoc
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+		t.Fatalf("error envelope not JSON: %v in %s", err, rec.Body)
+	}
+	if env.Error.Status != http.StatusInternalServerError || !strings.Contains(env.Error.Message, "NaN") {
+		t.Fatalf("error envelope unexpected: %+v", env.Error)
+	}
+	if got, want := rec.Header().Get("Content-Length"), strconv.Itoa(rec.Body.Len()); got != want {
+		t.Fatalf("Content-Length = %q for a %s-byte body", got, want)
 	}
 }
 

@@ -19,8 +19,11 @@ package table
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/cond"
 	"repro/internal/cpg"
@@ -90,23 +93,35 @@ func (t *Table) NumEntries() int {
 // Columns returns the distinct column expressions used anywhere in the table,
 // ordered deterministically (fewer literals first, then lexicographically).
 func (t *Table) Columns() []cond.Cube {
-	seen := map[cond.Cube]struct{}{}
-	var out []cond.Cube
+	cols, _ := t.ColumnIndex()
+	return cols
+}
+
+// ColumnIndex returns the columns in Columns order together with the
+// position of each column expression in that order.
+func (t *Table) ColumnIndex() ([]cond.Cube, map[cond.Cube]int) {
+	pos := map[cond.Cube]int{}
 	for _, r := range t.rows {
 		for _, e := range r.entries {
-			if _, ok := seen[e.Expr]; !ok {
-				seen[e.Expr] = struct{}{}
-				out = append(out, e.Expr)
+			if _, ok := pos[e.Expr]; !ok {
+				pos[e.Expr] = 0
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Len() != out[j].Len() {
-			return out[i].Len() < out[j].Len()
+	cols := make([]cond.Cube, 0, len(pos))
+	for c := range pos {
+		cols = append(cols, c)
+	}
+	slices.SortFunc(cols, func(a, b cond.Cube) int {
+		if a.Len() != b.Len() {
+			return a.Len() - b.Len()
 		}
-		return out[i].Compare(out[j]) < 0
+		return a.Compare(b)
 	})
-	return out
+	for i, c := range cols {
+		pos[c] = i
+	}
+	return cols, pos
 }
 
 // Conflict describes a violation of requirement 2: two activation times of
@@ -343,61 +358,147 @@ type RenderOptions struct {
 
 // Render produces a fixed-width text table in the style of Table 1 of the
 // paper: one column per expression, one row per process and per condition.
+//
+// It makes two passes over the table. The first measures the column widths
+// from the headings, the row names and the digit counts of the activation
+// times; the second writes every line into one builder, sized exactly unless
+// a width is above fmt's limit. Cells are padded exactly as fmt's "%-*s"
+// pads them, so the text stays byte-identical to the fmt rendering the
+// goldens were made with: widths are measured in bytes but padding counts
+// runes, so a non-ASCII name is over-padded, and a width above fmt's limit
+// of 10^6 writes "%!(BADWIDTH)" and the cell unpadded.
 func (t *Table) Render(opt RenderOptions) string {
 	name := opt.RowName
 	if name == nil {
-		name = func(k sched.Key) string { return k.String() }
+		name = sched.Key.String
 	}
-	cols := t.Columns()
-	header := make([]string, 0, len(cols)+1)
-	header = append(header, "process")
+	cols, pos := t.ColumnIndex()
+	// The heading line, formatted once into one string: cell i of it is
+	// head[ends[i]:ends[i+1]].
+	buf := append(make([]byte, 0, len("process")+16*len(cols)), "process"...)
+	ends := make([]int, 0, len(cols)+2)
+	ends = append(ends, 0, len(buf))
 	for _, c := range cols {
-		header = append(header, c.Format(opt.Namer))
+		buf = c.AppendFormat(buf, opt.Namer)
+		ends = append(ends, len(buf))
 	}
-	rows := [][]string{header}
+	head := string(buf)
+
+	// Pass 1: widths and the bytes that rune padding adds beyond them.
+	widths := make([]int, len(cols)+1)
+	extra := 0
+	for i := range widths {
+		cell := head[ends[i]:ends[i+1]]
+		widths[i] = len(cell)
+		extra += len(cell) - utf8.RuneCountInString(cell)
+	}
+	var digits [20]byte
+	lines := 2 // the heading and the rule
 	for _, k := range t.keys {
 		entries := t.rows[k].entries
 		if opt.SkipEmptyRows && len(entries) == 0 {
 			continue
 		}
-		row := make([]string, len(cols)+1)
-		row[0] = name(k)
-		for i, c := range cols {
-			for _, e := range entries {
-				if e.Expr.Equal(c) {
-					row[i+1] = fmt.Sprintf("%d", e.Start)
-					break
-				}
-			}
-		}
-		rows = append(rows, row)
-	}
-	// Column widths.
-	widths := make([]int, len(cols)+1)
-	for _, r := range rows {
-		for i, cell := range r {
-			if len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
+		lines++
+		n := name(k)
+		widths[0] = max(widths[0], len(n))
+		extra += len(n) - utf8.RuneCountInString(n)
+		for _, e := range entries {
+			i := pos[e.Expr] + 1
+			widths[i] = max(widths[i], len(strconv.AppendInt(digits[:0], e.Start, 10)))
 		}
 	}
+	lineLen := 3*len(cols) + 1
+	for _, w := range widths {
+		lineLen += w
+	}
+
+	// Pass 2, into a builder of the exact output size. Above fmt's limit a
+	// column is not padded, so its width says nothing about the size; there
+	// the builder grows with what is written instead.
 	var b strings.Builder
-	for ri, r := range rows {
-		for i, cell := range r {
-			if i > 0 {
-				b.WriteString(" | ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], cell)
+	if slices.Max(widths) <= maxFmtWidth {
+		b.Grow(lines*lineLen + extra)
+	}
+	for i, w := range widths {
+		if i > 0 {
+			b.WriteString(" | ")
 		}
+		writeCell(&b, head[ends[i]:ends[i+1]], w)
+	}
+	b.WriteByte('\n')
+	writeRun(&b, dashes, lineLen-1)
+	b.WriteByte('\n')
+	// Empty cells are copied from blank, the data cells of a row without
+	// entries: the cell of column i, its separator included, is
+	// blank[at[i]:at[i+1]].
+	var bb strings.Builder
+	bb.Grow(lineLen - widths[0] - 1)
+	at := make([]int, len(cols)+1)
+	for i, w := range widths[1:] {
+		at[i] = bb.Len()
+		bb.WriteString(" | ")
+		writeCell(&bb, "", w)
+	}
+	at[len(cols)] = bb.Len()
+	blank := bb.String()
+	slot := make([]int, len(cols)) // 1 + index of the row's entry in each column, 0 if none
+	for _, k := range t.keys {
+		entries := t.rows[k].entries
+		if opt.SkipEmptyRows && len(entries) == 0 {
+			continue
+		}
+		for j, e := range entries {
+			slot[pos[e.Expr]] = j + 1
+		}
+		writeCell(&b, name(k), widths[0])
+		done := 0
+		for i, s := range slot {
+			if s == 0 {
+				continue
+			}
+			slot[i] = 0
+			b.WriteString(blank[done:at[i]])
+			b.WriteString(" | ")
+			writeCell(&b, string(strconv.AppendInt(digits[:0], entries[s-1].Start, 10)), widths[i+1])
+			done = at[i+1]
+		}
+		b.WriteString(blank[done:])
 		b.WriteByte('\n')
-		if ri == 0 {
-			total := 0
-			for _, w := range widths {
-				total += w
-			}
-			b.WriteString(strings.Repeat("-", total+3*len(cols)))
-			b.WriteByte('\n')
-		}
 	}
 	return b.String()
+}
+
+// maxFmtWidth is the largest width fmt accepts; beyond it fmt writes
+// badWidth and leaves the cell unpadded.
+const (
+	maxFmtWidth = 1e6
+	badWidth    = "%!(BADWIDTH)"
+)
+
+// writeCell writes cell left-aligned in a field of width w the way fmt's
+// "%-*s" does: padded to w runes.
+func writeCell(b *strings.Builder, cell string, w int) {
+	if w > maxFmtWidth {
+		b.WriteString(badWidth)
+		w = 0
+	}
+	b.WriteString(cell)
+	writeRun(b, spaces, w-utf8.RuneCountInString(cell))
+}
+
+const (
+	spaces = "                                "
+	dashes = "--------------------------------"
+)
+
+// writeRun writes n bytes of run, a string of one repeated byte, or nothing
+// if n <= 0.
+func writeRun(b *strings.Builder, run string, n int) {
+	for ; n > len(run); n -= len(run) {
+		b.WriteString(run)
+	}
+	if n > 0 {
+		b.WriteString(run[:n])
+	}
 }

@@ -293,14 +293,6 @@ func readStrict(r io.Reader, v any) error {
 	return requireEOF(dec)
 }
 
-// writeIndented writes v as indented JSON, the rendering shared by every
-// document writer.
-func writeIndented(w io.Writer, v any) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
-}
-
 // ReadProblemOrLegacy parses either a v1 problem document or — as a
 // deprecated fallback for the pre-versioned CLI format — a bare Document
 // without a "version" field, which is upgraded to v1 with default options.

@@ -44,18 +44,27 @@ func rowName(g *cpg.Graph, k sched.Key) string {
 	return k.String()
 }
 
-// EncodeTable converts a schedule table into its JSON document form.
+// EncodeTable converts a schedule table into its JSON document form. Each
+// column expression is formatted once; its string is shared by Columns and
+// by the When of every entry in that column. An empty table keeps nil
+// Columns and Entries, which encode as null.
 func EncodeTable(g *cpg.Graph, tbl *table.Table) *TableDoc {
 	doc := &TableDoc{Graph: g.Name()}
-	for _, c := range tbl.Columns() {
-		doc.Columns = append(doc.Columns, c.Format(g.CondName))
+	cols, pos := tbl.ColumnIndex()
+	if len(cols) > 0 {
+		doc.Columns = make([]string, len(cols))
+		doc.Entries = make([]TableEntryDoc, 0, tbl.NumEntries())
 	}
-	for _, k := range tbl.Keys() {
-		for _, e := range tbl.Row(k) {
+	for i, c := range cols {
+		doc.Columns[i] = c.Format(g.CondName)
+	}
+	for _, k := range tbl.KeysView() {
+		row := rowName(g, k)
+		for _, e := range tbl.RowView(k) {
 			doc.Entries = append(doc.Entries, TableEntryDoc{
-				Row:       rowName(g, k),
+				Row:       row,
 				Broadcast: k.IsCond,
-				When:      e.Expr.Format(g.CondName),
+				When:      doc.Columns[pos[e.Expr]],
 				Start:     e.Start,
 			})
 		}
