@@ -116,14 +116,15 @@ func printTrace(out io.Writer, g *cpg.Graph, tr *sim.Trace) {
 		start, end int64
 	}
 	var lines []line
-	for k, s := range tr.Start {
+	for _, act := range tr.Activations {
+		k := act.Key
 		name := k.String()
 		if k.IsCond {
 			name = "broadcast " + g.CondName(k.Cond)
 		} else if p := g.Process(k.Proc); p != nil {
 			name = p.Name
 		}
-		lines = append(lines, line{name: name, start: s, end: tr.End[k]})
+		lines = append(lines, line{name: name, start: act.Start, end: act.End})
 	}
 	sort.Slice(lines, func(i, j int) bool {
 		if lines[i].start != lines[j].start {

@@ -26,7 +26,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -246,7 +246,23 @@ type pathInfo struct {
 	path    *cpg.Path
 	sub     *cpg.Subgraph
 	optimal *sched.PathSchedule
-	order   map[sched.Key]int64
+	// order holds the fixed-order priorities of the path's reschedules:
+	// the start times of its optimal schedule, by ProcID.
+	order []int64
+}
+
+// newPathInfo pairs a path with its optimal schedule and takes both sorted
+// views of the schedule, so that the schedule is only read from here on: a
+// warm start shares it with later runs.
+func newPathInfo(i int, p *cpg.Path, sub *cpg.Subgraph, optimal *sched.PathSchedule) *pathInfo {
+	order := make([]int64, sub.G.NumProcs())
+	for _, e := range optimal.Entries() {
+		if !e.Key.IsCond {
+			order[e.Key.Proc] = e.Start
+		}
+	}
+	optimal.Conds()
+	return &pathInfo{index: i, path: p, sub: sub, optimal: optimal, order: order}
 }
 
 type merger struct {
@@ -325,7 +341,7 @@ func schedulePhased(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt
 	if err != nil {
 		return nil, err
 	}
-	m := &merger{ctx: ctx, g: g, a: a, opt: opt, tbl: table.New()}
+	m := &merger{ctx: ctx, g: g, a: a, opt: opt, tbl: table.New(g.NumProcs())}
 	var deltaM int64
 	var reuse []warmReuse
 	if warm != nil {
@@ -365,7 +381,7 @@ func schedulePhased(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt
 	if start == nil {
 		return nil, errors.New("core: no alternative path found")
 	}
-	if err := m.explore(start, start.optimal.Clone(), map[sched.Key]listsched.Lock{}, cond.True()); err != nil {
+	if err := m.explore(start, start.optimal.Clone(), listsched.NewLocks(g.NumProcs()), cond.True()); err != nil {
 		return nil, err
 	}
 	m.stats.MergeTime = time.Since(tMerge)
@@ -449,12 +465,7 @@ func schedulePaths(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt 
 			// Warm start: the previous run's schedule for this path is
 			// byte-identical to what a fresh run would produce, so skip the
 			// (dominant) per-path strategy run and the subgraph extraction.
-			ps := reuse[i].optimal
-			order := make(map[sched.Key]int64, len(ps.Entries()))
-			for _, e := range ps.Entries() {
-				order[e.Key] = e.Start
-			}
-			infos[i] = &pathInfo{index: i, path: p, sub: reuse[i].sub, optimal: ps, order: order}
+			infos[i] = newPathInfo(i, p, reuse[i].sub, reuse[i].optimal)
 			return
 		}
 		sub := g.Subgraph(p)
@@ -470,11 +481,7 @@ func schedulePaths(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt 
 			failed.Store(true)
 			return
 		}
-		order := make(map[sched.Key]int64, len(ps.Entries()))
-		for _, e := range ps.Entries() {
-			order[e.Key] = e.Start
-		}
-		infos[i] = &pathInfo{index: i, path: p, sub: sub, optimal: ps, order: order}
+		infos[i] = newPathInfo(i, p, sub, ps)
 	})
 
 	// Report the lowest-indexed recorded error (later paths may have been
@@ -525,8 +532,8 @@ func (m *merger) selectPath(decided cond.Cube) *pathInfo {
 // whose activation time is already fixed in a column that mentions only
 // conditions decided before the branching node (and is consistent with their
 // values) keeps that activation time.
-func (m *merger) deriveLocks(pi *pathInfo, decided cond.Cube) map[sched.Key]listsched.Lock {
-	locks := map[sched.Key]listsched.Lock{}
+func (m *merger) deriveLocks(pi *pathInfo, decided cond.Cube) *listsched.Locks {
+	locks := listsched.NewLocks(m.g.NumProcs())
 	for _, key := range m.tbl.KeysView() {
 		if key.IsCond {
 			def := m.g.Condition(key.Cond)
@@ -548,7 +555,7 @@ func (m *merger) deriveLocks(pi *pathInfo, decided cond.Cube) map[sched.Key]list
 					lock.Bus = bb[0]
 				}
 			}
-			locks[key] = lock
+			locks.Set(key, lock)
 			m.stats.Locks++
 			break
 		}
@@ -560,7 +567,7 @@ func (m *merger) deriveLocks(pi *pathInfo, decided cond.Cube) map[sched.Key]list
 // at their fixed activation times, the other activities are rescheduled to
 // their earliest allowed moment keeping the relative priorities of the
 // original (optimal) schedule.
-func (m *merger) reschedule(pi *pathInfo, locks map[sched.Key]listsched.Lock) (*sched.PathSchedule, error) {
+func (m *merger) reschedule(pi *pathInfo, locks *listsched.Locks) (*sched.PathSchedule, error) {
 	ps, diag, err := m.scratch.Schedule(pi.sub, m.a, listsched.Options{
 		Priority: listsched.PriorityFixedOrder,
 		Order:    pi.order,
@@ -586,7 +593,7 @@ func lockFor(e sched.Entry) listsched.Lock {
 // with the condition values in decided already fixed. fixed accumulates the
 // activation times of cur that are (or become) locked, so that conflict
 // readjustments keep everything already placed.
-func (m *merger) explore(pi *pathInfo, cur *sched.PathSchedule, fixed map[sched.Key]listsched.Lock, decided cond.Cube) error {
+func (m *merger) explore(pi *pathInfo, cur *sched.PathSchedule, fixed *listsched.Locks, decided cond.Cube) error {
 	for {
 		m.steps++
 		if m.steps > 10000*(len(m.paths)+1) {
@@ -651,7 +658,7 @@ func (m *merger) explore(pi *pathInfo, cur *sched.PathSchedule, fixed map[sched.
 // that start before limit. It returns changed == true when a conflict forced
 // a readjustment of the current schedule (in which case *curp points to the
 // new schedule and the caller restarts the segment).
-func (m *merger) placeSegment(pi *pathInfo, curp **sched.PathSchedule, fixed map[sched.Key]listsched.Lock, limit int64) (bool, error) {
+func (m *merger) placeSegment(pi *pathInfo, curp **sched.PathSchedule, fixed *listsched.Locks, limit int64) (bool, error) {
 	cur := *curp
 	m.stats.SegmentsPlaced++
 	for _, e := range cur.Entries() {
@@ -672,7 +679,7 @@ func (m *merger) placeSegment(pi *pathInfo, curp **sched.PathSchedule, fixed map
 		// Skip when an applicable entry with the same activation time is
 		// already in the table (the previously handled path fixed it).
 		if covered(m.tbl.RowView(key), pi.path.Label, e.Start) {
-			fixed[key] = lockFor(e)
+			fixed.Set(key, lockFor(e))
 			continue
 		}
 		conflicts := m.tbl.Conflicts(key, expr, e.Start)
@@ -680,7 +687,7 @@ func (m *merger) placeSegment(pi *pathInfo, curp **sched.PathSchedule, fixed map
 			if err := m.tbl.Place(key, expr, e.Start); err != nil {
 				return false, err
 			}
-			fixed[key] = lockFor(e)
+			fixed.Set(key, lockFor(e))
 			continue
 		}
 		// Requirement-2 conflict: resolve it.
@@ -696,13 +703,13 @@ func (m *merger) placeSegment(pi *pathInfo, curp **sched.PathSchedule, fixed map
 				// earlier time to keep the table well-formed.
 				continue
 			}
-			fixed[key] = lockFor(e)
+			fixed.Set(key, lockFor(e))
 			continue
 		}
 		m.stats.ConflictsResolved++
 		lock := lockFor(e)
 		lock.Start = newStart
-		fixed[key] = lock
+		fixed.Set(key, lock)
 		ncur, err := m.reschedule(pi, fixed)
 		if err != nil {
 			return false, err
@@ -733,14 +740,11 @@ func (m *merger) resolveConflict(pi *pathInfo, cur *sched.PathSchedule, key sche
 	earliest := m.earliestFeasible(pi, cur, key, e)
 
 	candidateTimes := make([]int64, 0, len(conflicts))
-	seen := map[int64]bool{}
 	for _, c := range conflicts {
-		if !seen[c.Start] {
-			seen[c.Start] = true
-			candidateTimes = append(candidateTimes, c.Start)
-		}
+		candidateTimes = append(candidateTimes, c.Start)
 	}
-	sort.Slice(candidateTimes, func(i, j int) bool { return candidateTimes[i] < candidateTimes[j] })
+	slices.Sort(candidateTimes)
+	candidateTimes = slices.Compact(candidateTimes)
 
 	if m.opt.ConflictPolicy == ConflictDelayToLatest {
 		latest := e.Start

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"sync"
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/cpg"
 	"repro/internal/listsched"
 	"repro/internal/table"
@@ -90,5 +92,64 @@ func TestScheduleWarmFallsBackOnMismatchedPrev(t *testing.T) {
 	}
 	if got, want := render(warm), render(cold); got != want {
 		t.Fatalf("fallback table differs from cold:\nwarm:\n%s\ncold:\n%s", got, want)
+	}
+}
+
+// TestScheduleWarmConcurrentSharedPrev warm-starts several runs at once from
+// one previous result, the way concurrent requests share a memoized result:
+// every run reads the reused per-path schedules, so under -race this pins
+// that nothing writes a schedule once a result holds it.
+func TestScheduleWarmConcurrentSharedPrev(t *testing.T) {
+	opt := Options{Workers: 2}
+	g1, a1 := crossProblem(t)
+	prev, err := Schedule(g1, a1, opt)
+	if err != nil {
+		t.Fatalf("cold Schedule: %v", err)
+	}
+	edited := func() (*cpg.Graph, *arch.Architecture, cpg.ProcID) {
+		g, a := crossProblem(t)
+		id, ok := g.FindByName("T2")
+		if !ok {
+			t.Fatalf("T2 not found")
+		}
+		g.Process(id).Exec += 4
+		return g, a, id
+	}
+	gc, ac, _ := edited()
+	cold, err := Schedule(gc, ac, opt)
+	if err != nil {
+		t.Fatalf("cold Schedule (edited): %v", err)
+	}
+	const runs = 4
+	type problem struct {
+		g  *cpg.Graph
+		a  *arch.Architecture
+		id cpg.ProcID
+	}
+	problems := make([]problem, runs)
+	for i := range problems {
+		problems[i].g, problems[i].a, problems[i].id = edited()
+	}
+	results := make([]*Result, runs)
+	errs := make([]error, runs)
+	var wg sync.WaitGroup
+	for i, p := range problems {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = ScheduleWarm(context.Background(), prev, p.g, p.a, opt, []cpg.ProcID{p.id})
+		}()
+	}
+	wg.Wait()
+	for i, warm := range results {
+		if errs[i] != nil {
+			t.Fatalf("ScheduleWarm %d: %v", i, errs[i])
+		}
+		if warm.Stats.WarmReusedPaths == 0 {
+			t.Fatalf("warm run %d reused no paths", i)
+		}
+		if got, want := render(warm), render(cold); got != want {
+			t.Fatalf("warm run %d differs from cold:\nwarm:\n%s\ncold:\n%s", i, got, want)
+		}
 	}
 }

@@ -782,14 +782,15 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		for _, v := range tr.Violations {
 			td.Violations = append(td.Violations, v.String())
 		}
-		for k, start := range tr.Start {
+		for _, act := range tr.Activations {
+			k := act.Key
 			name := k.String()
 			if k.IsCond {
 				name = "broadcast " + g.CondName(k.Cond)
 			} else if p := g.Process(k.Proc); p != nil {
 				name = p.Name
 			}
-			td.Activations = append(td.Activations, activationDoc{Name: name, Start: start, End: tr.End[k]})
+			td.Activations = append(td.Activations, activationDoc{Name: name, Start: act.Start, End: act.End})
 		}
 		sortActivations(td.Activations)
 		out.Traces = append(out.Traces, td)

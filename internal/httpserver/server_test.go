@@ -164,11 +164,14 @@ func TestScheduleEndpointWorkersParam(t *testing.T) {
 
 func TestScheduleEndpointRejectsBadDocuments(t *testing.T) {
 	ts := testServer(t)
+	longName := strings.Replace(string(figure1Doc(t)), `"name": "figure1"`,
+		`"name": "`+strings.Repeat("n", textio.MaxNameBytes+1)+`"`, 1)
 	for name, body := range map[string]string{
 		"not json":        "{",
 		"wrong version":   `{"version":"v9"}`,
 		"unknown field":   `{"version":"v1","bogus":1}`,
 		"missing version": `{"name":"x"}`,
+		"name too long":   longName,
 	} {
 		resp, out := postJSON(t, ts.URL+"/v1/schedule", []byte(body))
 		if resp.StatusCode != http.StatusBadRequest {

@@ -11,9 +11,9 @@ import (
 
 // TestScheduleAllocsRegression pins the per-run allocation count of the list
 // scheduler on the worked example of the paper. The scratch-reusing form only
-// allocates the resulting PathSchedule (plus the per-entry map buckets); the
-// convenience form adds the throwaway scratch buffers. If either bound
-// regresses, an allocation crept back into the scheduling hot path.
+// allocates the resulting PathSchedule, whose state is dense slices sized
+// once; the convenience form adds the throwaway scratch buffers. If either
+// bound regresses, an allocation crept back into the scheduling hot path.
 func TestScheduleAllocsRegression(t *testing.T) {
 	g, a, err := expr.Figure1()
 	if err != nil {
@@ -29,17 +29,22 @@ func TestScheduleAllocsRegression(t *testing.T) {
 		t.Fatalf("Schedule: %v", err)
 	}
 
+	// The resulting PathSchedule (struct, dense index, entries and condition
+	// records), the diagnostics and the architecture's element lists. The
+	// convenience form adds the throwaway scratch slices.
+	maxReused, maxFresh := 9.0, 40.0
+	if raceEnabled {
+		// The race runtime may allocate where a normal build does not;
+		// keep the pins exact for normal builds only.
+		maxReused, maxFresh = 12, 43
+	}
 	reused := testing.AllocsPerRun(200, func() {
 		if _, _, err := sc.Schedule(sub, a, listsched.Options{}); err != nil {
 			t.Fatalf("Schedule: %v", err)
 		}
 	})
-	// One PathSchedule (struct + two maps + map growth for ~40 entries) and
-	// the broadcast CondTiming records. The bitset cube representation keeps
-	// guard evaluation allocation-free, roughly halving the old bound of 30.
-	const maxReused = 16
 	if reused > maxReused {
-		t.Errorf("Scratch.Schedule allocates %.0f times per run, want <= %d", reused, maxReused)
+		t.Errorf("Scratch.Schedule allocates %.0f times per run, want <= %.0f", reused, maxReused)
 	}
 
 	fresh := testing.AllocsPerRun(200, func() {
@@ -47,10 +52,8 @@ func TestScheduleAllocsRegression(t *testing.T) {
 			t.Fatalf("Schedule: %v", err)
 		}
 	})
-	// Adds the throwaway scratch slices.
-	const maxFresh = 45
 	if fresh > maxFresh {
-		t.Errorf("Schedule allocates %.0f times per run, want <= %d", fresh, maxFresh)
+		t.Errorf("Schedule allocates %.0f times per run, want <= %.0f", fresh, maxFresh)
 	}
 }
 

@@ -26,12 +26,15 @@
 // indegrees drop, and all per-process state lives in dense slices indexed by
 // ProcID. A Scratch value makes the buffers reusable across runs, so callers
 // that schedule many paths (the table generator, the sweep) stay
-// (near-)allocation-free in the inner loop.
+// (near-)allocation-free in the inner loop. The inputs of a run are dense
+// too: Options.Order is a ProcID-indexed slice and Options.Locked a Locks
+// set over the activity index of package sched, ranged in key order.
 package listsched
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math"
 	"math/bits"
 
@@ -86,13 +89,62 @@ type Lock struct {
 // Options configures one scheduling run.
 type Options struct {
 	Priority Priority
-	// Order supplies the fixed-order priority values (smaller first). It is
-	// ignored by PriorityCriticalPath.
-	Order map[sched.Key]int64
-	// Locked fixes activation times of activities; locked activities are
-	// placed exactly at their lock time and other activities are scheduled
-	// around them.
-	Locked map[sched.Key]Lock
+	// Order supplies the fixed-order priority values (smaller first),
+	// indexed by ProcID. A process at or beyond len(Order) has no value and
+	// follows every process that has one, by critical path. Order is
+	// ignored by the other priority functions.
+	Order []int64
+	// Locked fixes activation times of activities (nil locks nothing);
+	// locked activities are placed exactly at their lock time and other
+	// activities are scheduled around them.
+	Locked *Locks
+}
+
+// Locks is a set of locked activation times over the dense activity index
+// of package sched (see sched.Key.Slot) of one graph.
+type Locks struct {
+	numProcs int
+	slots    []lockSlot
+}
+
+type lockSlot struct {
+	lock Lock
+	set  bool
+}
+
+// NewLocks returns an empty lock set for a graph with numProcs processes.
+func NewLocks(numProcs int) *Locks {
+	return &Locks{numProcs: numProcs, slots: make([]lockSlot, sched.NumSlots(numProcs))}
+}
+
+// Set locks the activity k, replacing any earlier lock of k.
+func (l *Locks) Set(k sched.Key, lock Lock) {
+	l.slots[k.Slot(l.numProcs)] = lockSlot{lock: lock, set: true}
+}
+
+// Get returns the lock of activity k. A nil set locks nothing.
+func (l *Locks) Get(k sched.Key) (Lock, bool) {
+	if l == nil {
+		return Lock{}, false
+	}
+	if s := k.Slot(l.numProcs); s >= 0 {
+		return l.slots[s].lock, l.slots[s].set
+	}
+	return Lock{}, false
+}
+
+// All ranges over the locks in key order (sched.Key.Less).
+func (l *Locks) All() iter.Seq2[sched.Key, Lock] {
+	return func(yield func(sched.Key, Lock) bool) {
+		if l == nil {
+			return
+		}
+		for s, ls := range l.slots {
+			if ls.set && !yield(sched.SlotKey(s, l.numProcs), ls.lock) {
+				return
+			}
+		}
+	}
 }
 
 // LockViolation records a locked activation time that is not feasible with
@@ -249,7 +301,8 @@ func (sc *Scratch) Schedule(sub *cpg.Subgraph, a *arch.Architecture, opt Options
 	g := sub.G
 	diag := &Diagnostics{}
 	active := sub.ActiveProcs()
-	ps := sched.NewPathScheduleSized(sub.Label, len(active))
+	decided := sub.DecidedConds()
+	ps := sched.NewPathSchedule(sub.Label, g.NumProcs(), len(active)+len(decided), len(decided))
 	if len(active) == 0 {
 		return ps, diag, nil
 	}
@@ -261,7 +314,7 @@ func (sc *Scratch) Schedule(sub *cpg.Subgraph, a *arch.Architecture, opt Options
 
 	// Deciders of the conditions decided on this path (needed both by the
 	// urgency priority below and by the broadcast scheduling later).
-	for _, c := range sub.DecidedConds() {
+	for _, c := range decided {
 		def := g.Condition(c)
 		if len(sc.deciders[def.Decider]) == 0 {
 			sc.decTouched = append(sc.decTouched, def.Decider)
@@ -283,8 +336,8 @@ func (sc *Scratch) Schedule(sub *cpg.Subgraph, a *arch.Architecture, opt Options
 	for _, p := range active {
 		switch opt.Priority {
 		case PriorityFixedOrder:
-			if v, ok := opt.Order[sched.ProcKey(p)]; ok {
-				sc.prio[p] = float64(v)
+			if int(p) < len(opt.Order) {
+				sc.prio[p] = float64(opt.Order[p])
 			} else {
 				// Fall back to critical path (negated so longer paths come
 				// first) for activities absent from the reference order.
@@ -299,7 +352,7 @@ func (sc *Scratch) Schedule(sub *cpg.Subgraph, a *arch.Architecture, opt Options
 
 	// Per-sequential-resource timelines; locked activities reserve upfront.
 	timeline := func(pe arch.PEID) *sched.Timeline { return &sc.timelines[pe] }
-	for key, lock := range opt.Locked {
+	for key, lock := range opt.Locked.All() {
 		if key.IsCond {
 			if a.Valid(lock.Bus) && a.IsSequential(lock.Bus) {
 				timeline(lock.Bus).Reserve(lock.Start, a.CondTime)
@@ -337,7 +390,7 @@ func (sc *Scratch) Schedule(sub *cpg.Subgraph, a *arch.Architecture, opt Options
 	scheduleBroadcast := func(def *cpg.CondDef, decEnd int64, deciderPE arch.PEID) {
 		value, _ := sub.Label.Value(def.ID)
 		key := sched.CondKey(def.ID)
-		if lock, ok := opt.Locked[key]; ok {
+		if lock, ok := opt.Locked.Get(key); ok {
 			bus := lock.Bus
 			end := lock.Start + a.CondTime
 			if !a.Valid(bus) {
@@ -418,7 +471,7 @@ func (sc *Scratch) Schedule(sub *cpg.Subgraph, a *arch.Architecture, opt Options
 		}
 
 		var start int64
-		if lock, locked := opt.Locked[sched.ProcKey(p)]; locked {
+		if lock, locked := opt.Locked.Get(sched.ProcKey(p)); locked {
 			start = lock.Start
 			if est > start {
 				diag.LockViolations = append(diag.LockViolations, LockViolation{Key: sched.ProcKey(p), Locked: start, Earliest: est})

@@ -75,7 +75,8 @@ func TestLockedBroadcastRespected(t *testing.T) {
 	g, ids, c := condGraph(t, a, 2)
 	bus := a.Buses()[0]
 	label := cond.MustCube(cond.Lit{Cond: c, Val: true})
-	locked := map[sched.Key]Lock{sched.CondKey(c): {Start: 9, Bus: bus}}
+	locked := NewLocks(g.NumProcs())
+	locked.Set(sched.CondKey(c), Lock{Start: 9, Bus: bus})
 	ps, diag, err := Schedule(g.SubgraphFor(label), a, Options{Locked: locked})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)

@@ -70,7 +70,18 @@ func (t *refTimeline) Overlaps() bool {
 func referenceSchedule(sub *cpg.Subgraph, a *arch.Architecture, opt listsched.Options) (*sched.PathSchedule, *listsched.Diagnostics, error) {
 	g := sub.G
 	diag := &listsched.Diagnostics{}
-	ps := sched.NewPathSchedule(sub.Label)
+	ps := sched.NewPathSchedule(sub.Label, g.NumProcs(), 0, 0)
+
+	// The reference keeps its map state: read the dense options back into
+	// maps keyed by activity.
+	order := map[sched.Key]int64{}
+	for p, v := range opt.Order {
+		order[sched.ProcKey(cpg.ProcID(p))] = v
+	}
+	locked := map[sched.Key]listsched.Lock{}
+	for k, l := range opt.Locked.All() {
+		locked[k] = l
+	}
 
 	active := sub.ActiveProcs()
 	if len(active) == 0 {
@@ -85,7 +96,7 @@ func referenceSchedule(sub *cpg.Subgraph, a *arch.Architecture, opt listsched.Op
 	prio := func(p cpg.ProcID) float64 {
 		switch opt.Priority {
 		case listsched.PriorityFixedOrder:
-			if v, ok := opt.Order[sched.ProcKey(p)]; ok {
+			if v, ok := order[sched.ProcKey(p)]; ok {
 				return float64(v)
 			}
 			return math.MaxFloat64/2 - float64(cp[p])
@@ -103,7 +114,7 @@ func referenceSchedule(sub *cpg.Subgraph, a *arch.Architecture, opt listsched.Op
 		}
 		return tl
 	}
-	for key, lock := range opt.Locked {
+	for key, lock := range locked {
 		if key.IsCond {
 			if a.Valid(lock.Bus) && a.IsSequential(lock.Bus) {
 				timeline(lock.Bus).Reserve(lock.Start, a.CondTime)
@@ -142,7 +153,7 @@ func referenceSchedule(sub *cpg.Subgraph, a *arch.Architecture, opt listsched.Op
 	scheduleBroadcast := func(def *cpg.CondDef, decEnd int64, deciderPE arch.PEID) {
 		value, _ := sub.Label.Value(def.ID)
 		key := sched.CondKey(def.ID)
-		if lock, ok := opt.Locked[key]; ok {
+		if lock, ok := locked[key]; ok {
 			bus := lock.Bus
 			end := lock.Start + a.CondTime
 			if !a.Valid(bus) {
@@ -234,7 +245,7 @@ func referenceSchedule(sub *cpg.Subgraph, a *arch.Architecture, opt listsched.Op
 		}
 
 		var start int64
-		if lock, locked := opt.Locked[sched.ProcKey(p)]; locked {
+		if lock, isLocked := locked[sched.ProcKey(p)]; isLocked {
 			start = lock.Start
 			if est > start {
 				diag.LockViolations = append(diag.LockViolations, listsched.LockViolation{Key: sched.ProcKey(p), Locked: start, Earliest: est})
@@ -343,16 +354,18 @@ func compareGraph(t *testing.T, name string, g *cpg.Graph, a *arch.Architecture)
 		}
 		// Fixed-order rescheduling with every third activity locked at its
 		// optimal time — the shape the merging algorithm produces.
-		order := map[sched.Key]int64{}
-		locked := map[sched.Key]listsched.Lock{}
+		order := make([]int64, g.NumProcs())
+		locked := listsched.NewLocks(g.NumProcs())
 		for j, e := range optimal.Entries() {
-			order[e.Key] = e.Start
+			if !e.Key.IsCond {
+				order[e.Key.Proc] = e.Start
+			}
 			if j%3 == 0 {
 				l := listsched.Lock{Start: e.Start, Bus: arch.NoPE}
 				if e.Key.IsCond {
 					l.Bus = e.PE
 				}
-				locked[e.Key] = l
+				locked.Set(e.Key, l)
 			}
 		}
 		compareRun(t, name+"/locked", sub, a, sc, listsched.Options{

@@ -319,7 +319,8 @@ func TestLockedProcessRespected(t *testing.T) {
 	a := twoProcArch()
 	g, ids := chainGraph(t, a)
 	// Lock B at time 10 (later than its earliest start 3); C must follow.
-	locked := map[sched.Key]Lock{sched.ProcKey(ids[1]): {Start: 10}}
+	locked := NewLocks(g.NumProcs())
+	locked.Set(sched.ProcKey(ids[1]), Lock{Start: 10})
 	ps, diag, err := Schedule(singlePath(t, g), a, Options{Locked: locked})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
@@ -344,7 +345,8 @@ func TestLockedViolationReported(t *testing.T) {
 	a := twoProcArch()
 	g, ids := chainGraph(t, a)
 	// Locking B before its predecessor ends is infeasible.
-	locked := map[sched.Key]Lock{sched.ProcKey(ids[1]): {Start: 1}}
+	locked := NewLocks(g.NumProcs())
+	locked.Set(sched.ProcKey(ids[1]), Lock{Start: 1})
 	ps, diag, err := Schedule(singlePath(t, g), a, Options{Locked: locked})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
@@ -371,7 +373,8 @@ func TestUnlockedProcessesScheduleAroundLocks(t *testing.T) {
 		t.Fatalf("Finalize: %v", err)
 	}
 	// Lock Y to start at 1; X (unlocked, same processor) must not overlap it.
-	locked := map[sched.Key]Lock{sched.ProcKey(y): {Start: 1}}
+	locked := NewLocks(g.NumProcs())
+	locked.Set(sched.ProcKey(y), Lock{Start: 1})
 	ps, _, err := Schedule(singlePath(t, g), a, Options{Locked: locked})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
@@ -398,7 +401,9 @@ func TestFixedOrderPriorityKeepsRelativeOrder(t *testing.T) {
 	sub := singlePath(t, g)
 	// With the fixed order "Y before X" the scheduler must start Y first
 	// even though the default tie-break would pick X.
-	order := map[sched.Key]int64{sched.ProcKey(y): 0, sched.ProcKey(x): 5}
+	// The dummy source and sink have no value and follow by critical path.
+	order := make([]int64, max(x, y)+1)
+	order[y], order[x] = 0, 5
 	ps, _, err := Schedule(sub, a, Options{Priority: PriorityFixedOrder, Order: order})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)

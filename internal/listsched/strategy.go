@@ -205,8 +205,8 @@ func (tabuStrategy) SchedulePath(sc *Scratch, sub *cpg.Subgraph, a *arch.Archite
 
 	g := sub.G
 	cur := best
-	order := make(map[sched.Key]int64, cur.Len())
-	tabuUntil := make(map[cpg.ProcID]int, neighbors)
+	order := make([]int64, g.NumProcs())
+	tabuUntil := make([]int, g.NumProcs())
 	cands := make([]tabuCandidate, 0, cur.Len())
 	stagnant := 0
 	for it := 0; it < iters && stagnant < DefaultTabuStagnation; it++ {
@@ -220,10 +220,10 @@ func (tabuStrategy) SchedulePath(sc *Scratch, sub *cpg.Subgraph, a *arch.Archite
 		// deterministic, so the whole loop is reproducible.
 		cands = cands[:0]
 		for _, e := range cur.Entries() {
-			order[e.Key] = e.Start
 			if e.Key.IsCond {
 				continue
 			}
+			order[e.Key.Proc] = e.Start
 			if proc := g.Process(e.Key.Proc); proc == nil || proc.IsDummy() {
 				continue
 			}
@@ -244,11 +244,10 @@ func (tabuStrategy) SchedulePath(sc *Scratch, sub *cpg.Subgraph, a *arch.Archite
 				break
 			}
 			tried++
-			key := sched.ProcKey(c.proc)
-			saved := order[key]
-			order[key] = -1 // promote: schedule as soon as it becomes ready
+			saved := order[c.proc]
+			order[c.proc] = -1 // promote: schedule as soon as it becomes ready
 			trial, _, err := sc.Schedule(sub, a, Options{Priority: PriorityFixedOrder, Order: order})
-			order[key] = saved
+			order[c.proc] = saved
 			if err != nil {
 				return nil, diag, err
 			}

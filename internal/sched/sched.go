@@ -2,6 +2,13 @@
 // the schedule table and the merging algorithm: schedule keys (ordinary or
 // communication processes, and condition broadcasts), per-path schedules with
 // condition-availability information, and resource timelines.
+//
+// Keys have one dense activity index (Key.Slot): a process sits at its
+// ProcID, and the broadcast of condition c at the graph's process count plus
+// c, so a graph's index has NumSlots(numProcs) slots, cond.MaxConds of them
+// for broadcasts. Per-path schedules, the list scheduler's lock sets, the
+// schedule table and the simulator keep their per-key state in slices over
+// this index instead of maps.
 package sched
 
 import (
@@ -54,6 +61,36 @@ func (k Key) Less(o Key) bool {
 	return k.Proc < o.Proc
 }
 
+// NumSlots returns the size of the dense activity index of a graph with
+// numProcs processes: one slot per process, then one per condition.
+func NumSlots(numProcs int) int { return numProcs + cond.MaxConds }
+
+// Slot returns the position of the key in the dense activity index of a
+// graph with numProcs processes: the ProcID of a process, numProcs plus the
+// condition of a broadcast, or -1 for a key outside the index. Slots order
+// keys as Less does.
+func (k Key) Slot(numProcs int) int {
+	if k.IsCond {
+		if k.Cond < 0 || k.Cond >= cond.MaxConds {
+			return -1
+		}
+		return numProcs + int(k.Cond)
+	}
+	if k.Proc < 0 || int(k.Proc) >= numProcs {
+		return -1
+	}
+	return int(k.Proc)
+}
+
+// SlotKey returns the key at a position of the dense activity index of a
+// graph with numProcs processes; it inverts Slot.
+func SlotKey(slot, numProcs int) Key {
+	if slot >= numProcs {
+		return CondKey(cond.Cond(slot - numProcs))
+	}
+	return ProcKey(cpg.ProcID(slot))
+}
+
 // Entry is one scheduled activity: the key, its start and end time, and the
 // processing element it occupies.
 type Entry struct {
@@ -88,106 +125,125 @@ type CondTiming struct {
 
 // PathSchedule is the (optimal or adjusted) schedule of one alternative path:
 // start and end times for every active process plus the condition broadcasts.
+//
+// A schedule is built with Set and SetCond and then only read. Entries and
+// Conds sort the records in place the first time they are called after a
+// change, so a schedule shared between goroutines must have both views taken
+// before it is shared; listsched's callers in package core do that.
 type PathSchedule struct {
 	// Label is the path label Lk.
 	Label cond.Cube
 	// Delay is the activation time of the sink process (δk).
 	Delay int64
 
-	entries map[Key]Entry
-	conds   map[cond.Cond]CondTiming
-
-	// sorted and sortedConds cache the results of Entries and Conds; they
-	// are invalidated by Set/SetCond and shared with callers.
-	sorted      []Entry
-	sortedConds []CondTiming
+	numProcs int
+	// at maps the dense activity index (Key.Slot) to 1 + the position of the
+	// key's entry in entries, 0 when there is none; condAt does the same for
+	// the condition records in conds.
+	at      []int32
+	condAt  [cond.MaxConds]uint8
+	entries []Entry
+	conds   []CondTiming
+	// entriesSorted and condsSorted are set while entries and conds are in
+	// the order Entries and Conds return.
+	entriesSorted bool
+	condsSorted   bool
 }
 
-// NewPathSchedule returns an empty schedule for the given path label.
-func NewPathSchedule(label cond.Cube) *PathSchedule {
-	return NewPathScheduleSized(label, 0)
-}
-
-// NewPathScheduleSized returns an empty schedule with capacity for about n
-// entries, avoiding map growth when the caller knows the activity count.
-func NewPathScheduleSized(label cond.Cube, n int) *PathSchedule {
-	return &PathSchedule{
-		Label:   label,
-		entries: make(map[Key]Entry, n),
-		conds:   map[cond.Cond]CondTiming{},
+// NewPathSchedule returns an empty schedule of a path through a graph with
+// numProcs processes, with room for n entries and c condition records.
+func NewPathSchedule(label cond.Cube, numProcs, n, c int) *PathSchedule {
+	ps := &PathSchedule{
+		Label:    label,
+		numProcs: numProcs,
+		at:       make([]int32, NumSlots(numProcs)),
+		entries:  make([]Entry, 0, n),
 	}
+	if c > 0 {
+		ps.conds = make([]CondTiming, 0, c)
+	}
+	return ps
 }
 
 // Set records (or replaces) the entry for a key.
 func (ps *PathSchedule) Set(e Entry) {
-	ps.entries[e.Key] = e
-	ps.sorted = nil
+	s := e.Key.Slot(ps.numProcs)
+	if i := ps.at[s]; i != 0 {
+		ps.entries[i-1] = e
+	} else {
+		ps.entries = append(ps.entries, e)
+		ps.at[s] = int32(len(ps.entries))
+	}
+	ps.entriesSorted = false
 }
 
 // SetCond records the availability of a condition value.
 func (ps *PathSchedule) SetCond(t CondTiming) {
-	ps.conds[t.Cond] = t
-	ps.sortedConds = nil
+	if i := ps.condAt[t.Cond]; i != 0 {
+		ps.conds[i-1] = t
+	} else {
+		ps.conds = append(ps.conds, t)
+		ps.condAt[t.Cond] = uint8(len(ps.conds))
+	}
+	ps.condsSorted = false
 }
 
 // Entry returns the entry for the key.
 func (ps *PathSchedule) Entry(k Key) (Entry, bool) {
-	e, ok := ps.entries[k]
-	return e, ok
+	if s := k.Slot(ps.numProcs); s >= 0 {
+		if i := ps.at[s]; i != 0 {
+			return ps.entries[i-1], true
+		}
+	}
+	return Entry{}, false
 }
 
 // Cond returns the availability record of a condition.
 func (ps *PathSchedule) Cond(c cond.Cond) (CondTiming, bool) {
-	t, ok := ps.conds[c]
-	return t, ok
+	if c >= 0 && c < cond.MaxConds {
+		if i := ps.condAt[c]; i != 0 {
+			return ps.conds[i-1], true
+		}
+	}
+	return CondTiming{}, false
 }
 
 // Conds returns the availability records sorted by decision time (ties by
 // condition identifier). This is the order in which the decision tree of the
 // merging algorithm branches along this schedule. The returned slice is
-// cached and shared; callers must not modify it.
+// shared; callers must not modify it.
 func (ps *PathSchedule) Conds() []CondTiming {
-	if ps.sortedConds != nil || len(ps.conds) == 0 {
-		return ps.sortedConds
-	}
-	out := make([]CondTiming, 0, len(ps.conds))
-	for _, t := range ps.conds {
-		out = append(out, t)
-	}
-	slices.SortFunc(out, func(a, b CondTiming) int {
-		if a.DecidedAt != b.DecidedAt {
-			return cmp.Compare(a.DecidedAt, b.DecidedAt)
+	if !ps.condsSorted {
+		slices.SortFunc(ps.conds, func(a, b CondTiming) int {
+			if a.DecidedAt != b.DecidedAt {
+				return cmp.Compare(a.DecidedAt, b.DecidedAt)
+			}
+			return cmp.Compare(a.Cond, b.Cond)
+		})
+		for i, t := range ps.conds {
+			ps.condAt[t.Cond] = uint8(i + 1)
 		}
-		return cmp.Compare(a.Cond, b.Cond)
-	})
-	ps.sortedConds = out
-	return out
+		ps.condsSorted = true
+	}
+	return ps.conds
 }
 
 // Entries returns all entries sorted by start time (ties by key). The
-// returned slice is cached and shared; callers must not modify it.
+// returned slice is shared; callers must not modify it.
 func (ps *PathSchedule) Entries() []Entry {
-	if ps.sorted != nil || len(ps.entries) == 0 {
-		return ps.sorted
+	if !ps.entriesSorted {
+		slices.SortFunc(ps.entries, func(a, b Entry) int {
+			if a.Start != b.Start {
+				return cmp.Compare(a.Start, b.Start)
+			}
+			return cmp.Compare(a.Key.Slot(ps.numProcs), b.Key.Slot(ps.numProcs))
+		})
+		for i, e := range ps.entries {
+			ps.at[e.Key.Slot(ps.numProcs)] = int32(i + 1)
+		}
+		ps.entriesSorted = true
 	}
-	out := make([]Entry, 0, len(ps.entries))
-	for _, e := range ps.entries {
-		out = append(out, e)
-	}
-	slices.SortFunc(out, func(a, b Entry) int {
-		if a.Start != b.Start {
-			return cmp.Compare(a.Start, b.Start)
-		}
-		if a.Key.Less(b.Key) {
-			return -1
-		}
-		if b.Key.Less(a.Key) {
-			return 1
-		}
-		return 0
-	})
-	ps.sorted = out
-	return out
+	return ps.entries
 }
 
 // Len returns the number of entries.
@@ -199,10 +255,7 @@ func (ps *PathSchedule) Len() int { return len(ps.entries) }
 // process terminates, and on every other element (including buses) from the
 // end of its broadcast.
 func (ps *PathSchedule) KnownAt(pe arch.PEID, t int64) cond.Cube {
-	if len(ps.conds) == 0 {
-		return cond.True()
-	}
-	// The cube is a canonical bitset, so the map's iteration order cannot
+	// The cube is a canonical bitset, so the order of the records cannot
 	// reach the output, and each condition appears at most once, so MustWith
 	// cannot contradict.
 	c := cond.True()
@@ -226,7 +279,7 @@ func (ps *PathSchedule) KnownAt(pe arch.PEID, t int64) cond.Cube {
 // KnownTime returns the moment condition c becomes known on processing
 // element pe, or false when the condition is not decided on this path.
 func (ps *PathSchedule) KnownTime(c cond.Cond, pe arch.PEID) (int64, bool) {
-	ct, ok := ps.conds[c]
+	ct, ok := ps.Cond(c)
 	if !ok {
 		return 0, false
 	}
@@ -241,15 +294,11 @@ func (ps *PathSchedule) KnownTime(c cond.Cond, pe arch.PEID) (int64, bool) {
 
 // Clone returns a deep copy of the schedule.
 func (ps *PathSchedule) Clone() *PathSchedule {
-	n := NewPathSchedule(ps.Label)
-	n.Delay = ps.Delay
-	for k, v := range ps.entries {
-		n.entries[k] = v
-	}
-	for k, v := range ps.conds {
-		n.conds[k] = v
-	}
-	return n
+	n := *ps
+	n.at = slices.Clone(ps.at)
+	n.entries = slices.Clone(ps.entries)
+	n.conds = slices.Clone(ps.conds)
+	return &n
 }
 
 // Gantt renders the schedule as a per-processing-element time chart, mainly

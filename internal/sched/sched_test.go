@@ -46,7 +46,7 @@ func TestEntryDuration(t *testing.T) {
 }
 
 func TestPathScheduleEntriesSorted(t *testing.T) {
-	ps := NewPathSchedule(cond.True())
+	ps := NewPathSchedule(cond.True(), 4, 0, 0)
 	ps.Set(Entry{Key: ProcKey(2), Start: 10, End: 12, PE: 0})
 	ps.Set(Entry{Key: ProcKey(1), Start: 0, End: 3, PE: 0})
 	ps.Set(Entry{Key: CondKey(0), Start: 3, End: 4, PE: 1})
@@ -76,7 +76,7 @@ func TestPathScheduleEntriesSorted(t *testing.T) {
 }
 
 func TestCondTimingOrderAndLookup(t *testing.T) {
-	ps := NewPathSchedule(cond.True())
+	ps := NewPathSchedule(cond.True(), 4, 0, 0)
 	ps.SetCond(CondTiming{Cond: 1, Value: false, DecidedAt: 9, DeciderPE: 0, BroadcastStart: 9, BroadcastEnd: 10, Bus: 3})
 	ps.SetCond(CondTiming{Cond: 0, Value: true, DecidedAt: 6, DeciderPE: 1, BroadcastStart: 6, BroadcastEnd: 7, Bus: 3})
 	ps.SetCond(CondTiming{Cond: 2, Value: true, DecidedAt: 9, DeciderPE: 1, BroadcastStart: 10, BroadcastEnd: 11, Bus: 3})
@@ -93,7 +93,7 @@ func TestCondTimingOrderAndLookup(t *testing.T) {
 }
 
 func TestKnownAt(t *testing.T) {
-	ps := NewPathSchedule(cond.True())
+	ps := NewPathSchedule(cond.True(), 4, 0, 0)
 	// Condition 0 decided by PE 1 at t=6, broadcast on bus 3 during [6,7).
 	ps.SetCond(CondTiming{Cond: 0, Value: true, DecidedAt: 6, DeciderPE: 1, BroadcastStart: 6, BroadcastEnd: 7, Bus: 3})
 	// On the decider it is known from t=6.
@@ -128,7 +128,7 @@ func TestKnownAt(t *testing.T) {
 func TestKnownAtWithoutBroadcast(t *testing.T) {
 	// A single-processor system needs no broadcast: Bus == NoPE means the
 	// value is globally known from the decision moment.
-	ps := NewPathSchedule(cond.True())
+	ps := NewPathSchedule(cond.True(), 4, 0, 0)
 	ps.SetCond(CondTiming{Cond: 0, Value: false, DecidedAt: 4, DeciderPE: 0, Bus: arch.NoPE})
 	if k := ps.KnownAt(0, 4); !k.Has(0) {
 		t.Fatalf("value must be known on the decider")
@@ -142,7 +142,7 @@ func TestKnownAtWithoutBroadcast(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	ps := NewPathSchedule(cond.MustCube(cond.Lit{Cond: 0, Val: true}))
+	ps := NewPathSchedule(cond.MustCube(cond.Lit{Cond: 0, Val: true}), 4, 0, 0)
 	ps.Set(Entry{Key: ProcKey(1), Start: 0, End: 2, PE: 0})
 	ps.SetCond(CondTiming{Cond: 0, Value: true, DecidedAt: 2, DeciderPE: 0, BroadcastStart: 2, BroadcastEnd: 3, Bus: 1})
 	ps.Delay = 17
@@ -163,7 +163,7 @@ func TestGanttRendering(t *testing.T) {
 	bus := a.AddBus("bus", true)
 	g := cpg.New("g")
 	p := g.AddProcess("P1", 2, pe1)
-	ps := NewPathSchedule(cond.True())
+	ps := NewPathSchedule(cond.True(), 4, 0, 0)
 	ps.Set(Entry{Key: ProcKey(p), Start: 0, End: 2, PE: pe1})
 	ps.Set(Entry{Key: CondKey(0), Start: 2, End: 3, PE: bus})
 	ps.Delay = 3

@@ -19,13 +19,19 @@
 // independent, so WorstCaseSubgraphs fans them out over a bounded worker
 // pool and collects the traces in path order, reusing the active subgraphs
 // already built during path scheduling.
+//
+// A Trace lists its activations as a slice; a re-enactment looks them up
+// through the dense activity index of package sched and reports resource
+// overlaps one processing element at a time, in PEID order, so a trace and
+// its violations are the same on every run.
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/cond"
@@ -46,12 +52,20 @@ func (v Violation) String() string {
 	return fmt.Sprintf("path %s, %s: %s", v.Path, v.Key, v.Reason)
 }
 
+// Activation is one activity of a re-enactment: the process or broadcast
+// and the interval it executes in.
+type Activation struct {
+	Key        sched.Key
+	Start, End int64
+}
+
 // Trace is the re-enactment of one alternative path.
 type Trace struct {
 	Label cond.Cube
-	// Start and End of every activated activity.
-	Start map[sched.Key]int64
-	End   map[sched.Key]int64
+	// Activations lists every activated activity: the processes in the
+	// topological order of the path, then the condition broadcasts by
+	// condition.
+	Activations []Activation
 	// Delay is the completion time of the path (activation time of the
 	// sink, i.e. the time the last active process terminates).
 	Delay      int64
@@ -80,10 +94,24 @@ func RunSubgraph(sub *cpg.Subgraph, a *arch.Architecture, tbl *table.Table) (*Tr
 	g := sub.G
 	label := sub.Label
 	active := sub.ActiveProcs()
+	decided := sub.DecidedConds()
+	np := g.NumProcs()
 	tr := &Trace{
-		Label: label,
-		Start: make(map[sched.Key]int64, len(active)),
-		End:   make(map[sched.Key]int64, len(active)),
+		Label:       label,
+		Activations: make([]Activation, 0, len(active)+len(decided)),
+	}
+	// pos maps the dense activity index to 1 + the position of the key's
+	// activation, 0 for an activity that was not activated.
+	pos := make([]int32, sched.NumSlots(np))
+	activate := func(k sched.Key, start, end int64) {
+		tr.Activations = append(tr.Activations, Activation{Key: k, Start: start, End: end})
+		pos[k.Slot(np)] = int32(len(tr.Activations))
+	}
+	activation := func(k sched.Key) (Activation, bool) {
+		if i := pos[k.Slot(np)]; i != 0 {
+			return tr.Activations[i-1], true
+		}
+		return Activation{}, false
 	}
 
 	addViolation := func(k sched.Key, format string, args ...interface{}) {
@@ -93,11 +121,11 @@ func RunSubgraph(sub *cpg.Subgraph, a *arch.Architecture, tbl *table.Table) (*Tr
 	// Resolve the activation time of a key from the table; app is a shared
 	// scratch buffer for the applicable entries.
 	var app []table.Entry
-	resolve := func(k sched.Key) (int64, cond.Cube, bool) {
+	resolve := func(k sched.Key) (int64, bool) {
 		app = tbl.AppendApplicable(app[:0], k, label)
 		if len(app) == 0 {
 			addViolation(k, "no applicable activation time (requirement 3)")
-			return 0, cond.True(), false
+			return 0, false
 		}
 		first := app[0]
 		for _, e := range app[1:] {
@@ -105,16 +133,7 @@ func RunSubgraph(sub *cpg.Subgraph, a *arch.Architecture, tbl *table.Table) (*Tr
 				addViolation(k, "ambiguous activation times %d and %d (requirement 2)", first.Start, e.Start)
 			}
 		}
-		// Use the most specific applicable expression for the knowledge
-		// check (the run-time scheduler fires as soon as any applicable
-		// column is known true; they all agree on the time).
-		best := first
-		for _, e := range app {
-			if e.Expr.Len() > best.Expr.Len() {
-				best = e
-			}
-		}
-		return first.Start, best.Expr, true
+		return first.Start, true
 	}
 
 	// Activate processes.
@@ -124,35 +143,36 @@ func RunSubgraph(sub *cpg.Subgraph, a *arch.Architecture, tbl *table.Table) (*Tr
 			continue
 		}
 		k := sched.ProcKey(p)
-		start, expr, ok := resolve(k)
+		start, ok := resolve(k)
 		if !ok {
 			continue
 		}
-		tr.Start[k] = start
-		tr.End[k] = start + a.EffectiveExec(proc.Exec, proc.PE)
-		_ = expr
+		activate(k, start, start+a.EffectiveExec(proc.Exec, proc.PE))
 	}
-	// Activate condition broadcasts (when present in the table).
-	broadcastEnd := map[cond.Cond]int64{}
-	deciderEnd := map[cond.Cond]int64{}
-	for _, c := range sub.DecidedConds() {
+	// Activate condition broadcasts (when present in the table). A
+	// condition without a decider activation keeps deciderEnd 0; hasBcast
+	// marks the conditions with a broadcast end.
+	var broadcastEnd, deciderEnd [cond.MaxConds]int64
+	var hasBcast uint64
+	for _, c := range decided {
 		def := g.Condition(c)
-		if e, ok := tr.End[sched.ProcKey(def.Decider)]; ok {
-			deciderEnd[c] = e
+		if act, ok := activation(sched.ProcKey(def.Decider)); ok {
+			deciderEnd[c] = act.End
 		}
 		k := sched.CondKey(c)
 		if len(tbl.RowView(k)) == 0 {
 			// Single-processor systems do not broadcast.
 			broadcastEnd[c] = deciderEnd[c]
+			hasBcast |= 1 << uint(c)
 			continue
 		}
-		start, _, ok := resolve(k)
+		start, ok := resolve(k)
 		if !ok {
 			continue
 		}
-		tr.Start[k] = start
-		tr.End[k] = start + a.CondTime
-		broadcastEnd[c] = tr.End[k]
+		activate(k, start, start+a.CondTime)
+		broadcastEnd[c] = start + a.CondTime
+		hasBcast |= 1 << uint(c)
 		if start < deciderEnd[c] {
 			addViolation(k, "broadcast starts at %d before the disjunction process terminates at %d", start, deciderEnd[c])
 		}
@@ -164,8 +184,8 @@ func RunSubgraph(sub *cpg.Subgraph, a *arch.Architecture, tbl *table.Table) (*Tr
 		if def != nil && pe != arch.NoPE && g.Process(def.Decider).PE == pe {
 			return deciderEnd[c]
 		}
-		if end, ok := broadcastEnd[c]; ok {
-			return end
+		if hasBcast&(1<<uint(c)) != 0 {
+			return broadcastEnd[c]
 		}
 		return deciderEnd[c]
 	}
@@ -177,20 +197,21 @@ func RunSubgraph(sub *cpg.Subgraph, a *arch.Architecture, tbl *table.Table) (*Tr
 			continue
 		}
 		k := sched.ProcKey(p)
-		start, ok := tr.Start[k]
+		act, ok := activation(k)
 		if !ok {
 			continue
 		}
+		start := act.Start
 		for _, q := range sub.Preds(p) {
 			if g.Process(q).IsDummy() {
 				continue
 			}
-			qEnd, ok := tr.End[sched.ProcKey(q)]
+			qAct, ok := activation(sched.ProcKey(q))
 			if !ok {
 				continue
 			}
-			if start < qEnd {
-				addViolation(k, "starts at %d before predecessor %s terminates at %d", start, g.Process(q).Name, qEnd)
+			if start < qAct.End {
+				addViolation(k, "starts at %d before predecessor %s terminates at %d", start, g.Process(q).Name, qAct.End)
 			}
 		}
 		// Requirement 4: every condition of the applicable column must be
@@ -213,59 +234,54 @@ func RunSubgraph(sub *cpg.Subgraph, a *arch.Architecture, tbl *table.Table) (*Tr
 		}
 	}
 
-	// Resource exclusivity on sequential processing elements.
+	// Resource exclusivity on sequential processing elements, checked one
+	// element at a time in PEID order. The bus carrying a broadcast is
+	// recorded in the path schedule, not in the table; for the simulation we
+	// only check that the broadcasts on the (single) broadcast bus set do not
+	// overlap when exactly one all-connecting bus exists.
+	bcastBus := arch.NoPE
+	if buses := a.BroadcastBuses(); len(buses) == 1 {
+		bcastBus = buses[0]
+	}
 	type slot struct {
-		key        sched.Key
-		start, end int64
+		pe  arch.PEID
+		act int // position in tr.Activations
 	}
-	byPE := map[arch.PEID][]slot{}
-	addSlot := func(k sched.Key, pe arch.PEID) {
-		if pe == arch.NoPE || !a.IsSequential(pe) {
-			return
+	slots := make([]slot, 0, len(tr.Activations))
+	for i, act := range tr.Activations {
+		pe := bcastBus
+		if !act.Key.IsCond {
+			pe = g.Process(act.Key.Proc).PE
 		}
-		s, okS := tr.Start[k]
-		e, okE := tr.End[k]
-		if !okS || !okE || s == e {
-			return
-		}
-		byPE[pe] = append(byPE[pe], slot{key: k, start: s, end: e})
-	}
-	for _, p := range active {
-		if g.Process(p).IsDummy() {
-			continue
-		}
-		addSlot(sched.ProcKey(p), g.Process(p).PE)
-	}
-	for _, c := range sub.DecidedConds() {
-		k := sched.CondKey(c)
-		if _, ok := tr.Start[k]; !ok {
-			continue
-		}
-		// The bus carrying the broadcast is recorded in the path schedule,
-		// not in the table; for the simulation we only check that the
-		// broadcasts on the (single) broadcast bus set do not overlap when
-		// exactly one all-connecting bus exists.
-		buses := a.BroadcastBuses()
-		if len(buses) == 1 {
-			addSlot(k, buses[0])
+		if pe != arch.NoPE && a.IsSequential(pe) && act.Start != act.End {
+			slots = append(slots, slot{pe, i})
 		}
 	}
-	for pe, slots := range byPE {
-		sort.Slice(slots, func(i, j int) bool { return slots[i].start < slots[j].start })
-		for i := 1; i < len(slots); i++ {
-			if slots[i-1].end > slots[i].start {
-				addViolation(slots[i].key, "overlaps %s on sequential element %s", slots[i-1].key, peName(a, pe))
+	// Group by element keeping the activation order within each group, then
+	// order each group by start time.
+	slices.SortStableFunc(slots, func(x, y slot) int { return cmp.Compare(x.pe, y.pe) })
+	for len(slots) > 0 {
+		n := 1
+		for n < len(slots) && slots[n].pe == slots[0].pe {
+			n++
+		}
+		group := slots[:n]
+		slots = slots[n:]
+		slices.SortFunc(group, func(x, y slot) int {
+			return cmp.Compare(tr.Activations[x.act].Start, tr.Activations[y.act].Start)
+		})
+		for i := 1; i < len(group); i++ {
+			prev, cur := tr.Activations[group[i-1].act], tr.Activations[group[i].act]
+			if prev.End > cur.Start {
+				addViolation(cur.Key, "overlaps %s on sequential element %s", prev.Key, peName(a, group[i].pe))
 			}
 		}
 	}
 
 	// Delay: completion time of the last active process.
-	for _, p := range active {
-		if g.Process(p).IsDummy() {
-			continue
-		}
-		if e, ok := tr.End[sched.ProcKey(p)]; ok && e > tr.Delay {
-			tr.Delay = e
+	for _, act := range tr.Activations {
+		if !act.Key.IsCond && act.End > tr.Delay {
+			tr.Delay = act.End
 		}
 	}
 	return tr, nil

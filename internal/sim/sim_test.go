@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -75,8 +78,8 @@ func fixture(t *testing.T) (*cpg.Graph, *arch.Architecture, map[string]cpg.ProcI
 //	T: 6 under C ; F: 3 under !C
 //	comm T->J: 10 under C
 //	J: 12 under C, 5 under !C
-func goodTable(ids map[string]cpg.ProcID, c cond.Cond) *table.Table {
-	tbl := table.New()
+func goodTable(g *cpg.Graph, ids map[string]cpg.ProcID, c cond.Cond) *table.Table {
+	tbl := table.New(g.NumProcs())
 	cT := cond.MustCube(cond.Lit{Cond: c, Val: true})
 	cF := cond.MustCube(cond.Lit{Cond: c, Val: false})
 	_ = tbl.Place(sched.ProcKey(ids["D"]), cond.True(), 0)
@@ -101,9 +104,19 @@ func pathWith(t *testing.T, paths []*cpg.Path, c cond.Cond, val bool) *cpg.Path 
 	return nil
 }
 
+// activation returns the activation of k in the trace.
+func activation(tr *Trace, k sched.Key) (Activation, bool) {
+	for _, act := range tr.Activations {
+		if act.Key == k {
+			return act, true
+		}
+	}
+	return Activation{}, false
+}
+
 func TestRunCleanExecution(t *testing.T) {
 	g, a, ids, c, paths := fixture(t)
-	tbl := goodTable(ids, c)
+	tbl := goodTable(g, ids, c)
 
 	trTrue, err := Run(g, a, tbl, pathWith(t, paths, c, true))
 	if err != nil {
@@ -115,8 +128,8 @@ func TestRunCleanExecution(t *testing.T) {
 	if trTrue.Delay != 13 {
 		t.Fatalf("delay on path C = %d, want 13", trTrue.Delay)
 	}
-	if trTrue.Start[sched.ProcKey(ids["T"])] != 6 || trTrue.End[sched.ProcKey(ids["T"])] != 10 {
-		t.Fatalf("T timing wrong: %d..%d", trTrue.Start[sched.ProcKey(ids["T"])], trTrue.End[sched.ProcKey(ids["T"])])
+	if act, ok := activation(trTrue, sched.ProcKey(ids["T"])); !ok || act.Start != 6 || act.End != 10 {
+		t.Fatalf("T timing wrong: %+v, %v", act, ok)
 	}
 
 	trFalse, err := Run(g, a, tbl, pathWith(t, paths, c, false))
@@ -130,14 +143,14 @@ func TestRunCleanExecution(t *testing.T) {
 		t.Fatalf("delay on path !C = %d, want 6", trFalse.Delay)
 	}
 	// F and the comm processes for the true branch must not be activated.
-	if _, ok := trFalse.Start[sched.ProcKey(ids["T"])]; ok {
+	if _, ok := activation(trFalse, sched.ProcKey(ids["T"])); ok {
 		t.Fatalf("inactive process T must not be activated on path !C")
 	}
 }
 
 func TestWorstCase(t *testing.T) {
 	g, a, ids, c, paths := fixture(t)
-	tbl := goodTable(ids, c)
+	tbl := goodTable(g, ids, c)
 	res, err := WorstCase(g, a, tbl, paths)
 	if err != nil {
 		t.Fatalf("WorstCase: %v", err)
@@ -155,9 +168,9 @@ func TestWorstCase(t *testing.T) {
 
 func TestMissingCoverageDetected(t *testing.T) {
 	g, a, ids, c, paths := fixture(t)
-	tbl := goodTable(ids, c)
+	tbl := goodTable(g, ids, c)
 	// Build a table without an entry for F: path !C has no applicable time.
-	bad := table.New()
+	bad := table.New(g.NumProcs())
 	for _, k := range tbl.Keys() {
 		if k == sched.ProcKey(ids["F"]) {
 			continue
@@ -186,8 +199,8 @@ func TestMissingCoverageDetected(t *testing.T) {
 
 func TestDependencyViolationDetected(t *testing.T) {
 	g, a, ids, c, paths := fixture(t)
-	tbl := goodTable(ids, c)
-	bad := table.New()
+	tbl := goodTable(g, ids, c)
+	bad := table.New(g.NumProcs())
 	for _, k := range tbl.Keys() {
 		for _, e := range tbl.Row(k) {
 			start := e.Start
@@ -216,8 +229,8 @@ func TestDependencyViolationDetected(t *testing.T) {
 
 func TestRequirement4ViolationDetected(t *testing.T) {
 	g, a, ids, c, paths := fixture(t)
-	tbl := goodTable(ids, c)
-	bad := table.New()
+	tbl := goodTable(g, ids, c)
+	bad := table.New(g.NumProcs())
 	for _, k := range tbl.Keys() {
 		for _, e := range tbl.Row(k) {
 			start := e.Start
@@ -246,8 +259,8 @@ func TestRequirement4ViolationDetected(t *testing.T) {
 
 func TestResourceOverlapDetected(t *testing.T) {
 	g, a, ids, c, paths := fixture(t)
-	tbl := goodTable(ids, c)
-	bad := table.New()
+	tbl := goodTable(g, ids, c)
+	bad := table.New(g.NumProcs())
 	for _, k := range tbl.Keys() {
 		for _, e := range tbl.Row(k) {
 			start := e.Start
@@ -275,7 +288,7 @@ func TestResourceOverlapDetected(t *testing.T) {
 
 func TestAmbiguousActivationDetected(t *testing.T) {
 	g, a, ids, c, paths := fixture(t)
-	tbl := goodTable(ids, c)
+	tbl := goodTable(g, ids, c)
 	// Add a second, different activation time for D that also applies.
 	_ = tbl.Place(sched.ProcKey(ids["D"]), cond.MustCube(cond.Lit{Cond: c, Val: true}), 2)
 	tr, err := Run(g, a, tbl, pathWith(t, paths, c, true))
@@ -296,5 +309,58 @@ func TestAmbiguousActivationDetected(t *testing.T) {
 func TestRunNilArguments(t *testing.T) {
 	if _, err := Run(nil, nil, nil, nil); err == nil {
 		t.Fatalf("nil arguments must be rejected")
+	}
+}
+
+// TestOverlapViolationsInPEOrder places two independent processes on each of
+// three processors, all at time 0, so every processor reports one overlap.
+// The violations must come out in processing-element order, identically on
+// every run.
+func TestOverlapViolationsInPEOrder(t *testing.T) {
+	a := arch.New()
+	pes := []arch.PEID{a.AddProcessor("pe0", 1), a.AddProcessor("pe1", 1), a.AddProcessor("pe2", 1)}
+	g := cpg.New("overlap-order")
+	var procs []cpg.ProcID
+	for i := 0; i < 6; i++ {
+		procs = append(procs, g.AddProcess(fmt.Sprintf("P%d", i), 2, pes[i%len(pes)]))
+	}
+	if err := g.Finalize(a); err != nil {
+		t.Fatalf("Finalize: %v", err)
+	}
+	paths, err := g.AlternativePaths(0)
+	if err != nil {
+		t.Fatalf("AlternativePaths: %v", err)
+	}
+	tbl := table.New(g.NumProcs())
+	for _, p := range procs {
+		if err := tbl.Place(sched.ProcKey(p), cond.True(), 0); err != nil {
+			t.Fatalf("Place: %v", err)
+		}
+	}
+	var want []string
+	for run := 0; run < 200; run++ {
+		tr, err := Run(g, a, tbl, paths[0])
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		var got []string
+		for _, v := range tr.Violations {
+			got = append(got, v.String())
+		}
+		if want == nil {
+			want = got
+			if len(want) != len(pes) {
+				t.Fatalf("got %d violations, want one per processor: %q", len(want), want)
+			}
+			for i, v := range want {
+				if pe := fmt.Sprintf("pe%d", i); !strings.HasSuffix(v, "element "+pe) {
+					t.Fatalf("violation %d = %q, want the overlap on %s", i, v, pe)
+				}
+			}
+			continue
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("run %d reports violations in a different order:\n got %q\nwant %q", run, got, want)
+		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 // conflict (the overwhelmingly common case), Conflicts must not allocate at
 // all, and a conflicting placement allocates only the result slice.
 func TestConflictsAllocsRegression(t *testing.T) {
-	tbl := New()
+	tbl := New(16)
 	k := sched.ProcKey(1)
 	c0 := cond.MustCube(cond.Lit{Cond: 0, Val: true})
 	notC0 := cond.MustCube(cond.Lit{Cond: 0, Val: false})

@@ -112,7 +112,7 @@ func TestRenderMatchesReference(t *testing.T) {
 			t.Fatalf("%s: Render differs from the fmt rendering:\n--- got\n%q\n--- want\n%q", label, got, want)
 		}
 	}
-	check("empty", table.New(), table.RenderOptions{})
+	check("empty", table.New(0), table.RenderOptions{})
 	for _, c := range []struct{ nodes, paths int }{{0, 0}, {60, 10}, {120, 32}} {
 		tbl, opt := scheduled(t, c.nodes, c.paths, 1)
 		check(fmt.Sprintf("%d nodes, %d paths", c.nodes, c.paths), tbl, opt)
@@ -120,7 +120,7 @@ func TestRenderMatchesReference(t *testing.T) {
 	names := []string{"P", "τ1", "Ü", "\xff\xfe", "日本語", "a|b", ""}
 	r := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
-		tbl := table.New()
+		tbl := table.New(8)
 		for k := 0; k < 1+r.Intn(6); k++ {
 			key := sched.ProcKey(cpg.ProcID(k))
 			if r.Intn(4) == 0 {
@@ -154,7 +154,7 @@ func TestRenderMatchesReference(t *testing.T) {
 	}
 	// fmt refuses widths above 10^6: a name that long makes every cell of
 	// its column "%!(BADWIDTH)" plus the cell, unpadded.
-	tbl := table.New()
+	tbl := table.New(8)
 	long := strings.Repeat("x", 1_000_001)
 	_ = tbl.Place(sched.ProcKey(1), cond.True(), 7)
 	_ = tbl.Place(sched.ProcKey(2), cond.MustCube(cond.Lit{Cond: 0, Val: true}), 12)
@@ -174,7 +174,7 @@ func TestRenderMatchesReference(t *testing.T) {
 // column is not padded, so a reservation sized from the widths would be a
 // megabyte for each of the 200 rows here, 200 MB for 2 MB of output.
 func TestRenderAboveWidthLimitAllocates(t *testing.T) {
-	tbl := table.New()
+	tbl := table.New(200)
 	names := map[sched.Key]string{}
 	for k := 0; k < 200; k++ {
 		key := sched.ProcKey(cpg.ProcID(k))
@@ -203,7 +203,7 @@ func TestRenderAboveWidthLimitAllocates(t *testing.T) {
 // and "!Ü" overshoot their columns by one byte. Aligning them would be an
 // output change of its own.
 func TestRenderNonASCIIPadding(t *testing.T) {
-	tbl := table.New()
+	tbl := table.New(8)
 	u := cond.Cond(0)
 	tau, p2 := sched.ProcKey(1), sched.ProcKey(2)
 	for _, e := range []struct {

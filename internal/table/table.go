@@ -10,11 +10,11 @@
 // per-path part optionally fanned over a worker pool) and a text rendering in
 // the style of Table 1.
 //
-// Rows keep their entries sorted by (activation time, expression) and carry a
-// per-row index keyed by the expression cube itself (cond.Cube is a
-// comparable 16-byte bitset), so the merging algorithm's inner loop
-// (deriveLocks, covered, Conflicts, Place) reads rows without copying and
-// looks expressions up in constant time with no key encoding at all.
+// Rows sit in a slice indexed by the dense activity index of package sched
+// (sched.Key.Slot) and keep their entries sorted by (activation time,
+// expression). Rows are short, so the merging algorithm's inner loop
+// (deriveLocks, covered, Conflicts, Place) scans them in place, without
+// hashing or copying.
 package table
 
 import (
@@ -38,23 +38,34 @@ type Entry struct {
 	Start int64
 }
 
-// row stores the entries of one table row sorted by (Start, Expr) plus an
-// index from expression cube to entry.
+// row stores the entries of one table row sorted by (Start, Expr).
 type row struct {
 	entries []Entry
-	byExpr  map[cond.Cube]Entry
+	listed  bool // the row is in keys
 }
 
 // Table is a schedule table under construction or completed. Mutating methods
 // are not safe for concurrent use (the read-only validation fan-out is).
 type Table struct {
-	rows map[sched.Key]*row
-	keys []sched.Key // insertion order of rows
+	numProcs int
+	rows     []row       // by sched.Key.Slot
+	keys     []sched.Key // insertion order of the listed rows
 }
 
-// New returns an empty schedule table.
-func New() *Table {
-	return &Table{rows: map[sched.Key]*row{}}
+// New returns an empty schedule table for a graph with numProcs processes.
+func New(numProcs int) *Table {
+	return &Table{numProcs: numProcs, rows: make([]row, sched.NumSlots(numProcs))}
+}
+
+// listedRow returns the row of k, listing it in insertion order if it is
+// new. k must be in the table's index.
+func (t *Table) listedRow(k sched.Key) *row {
+	r := &t.rows[k.Slot(t.numProcs)]
+	if !r.listed {
+		r.listed = true
+		t.keys = append(t.keys, k)
+	}
+	return r
 }
 
 // Keys returns a copy of the row keys in insertion order.
@@ -71,11 +82,10 @@ func (t *Table) Row(k sched.Key) []Entry { return append([]Entry(nil), t.RowView
 // copying. The returned slice is shared with the table and must not be
 // modified; it is invalidated by the next Place on the same row.
 func (t *Table) RowView(k sched.Key) []Entry {
-	r := t.rows[k]
-	if r == nil {
-		return nil
+	if s := k.Slot(t.numProcs); s >= 0 {
+		return t.rows[s].entries
 	}
-	return r.entries
+	return nil
 }
 
 // NumRows returns the number of rows.
@@ -140,12 +150,12 @@ func (c Conflict) Error() string {
 
 // Lookup returns the entry of row k with exactly the given expression.
 func (t *Table) Lookup(k sched.Key, expr cond.Cube) (Entry, bool) {
-	r := t.rows[k]
-	if r == nil {
-		return Entry{}, false
+	for _, e := range t.RowView(k) {
+		if e.Expr == expr {
+			return e, true
+		}
 	}
-	e, ok := r.byExpr[expr]
-	return e, ok
+	return Entry{}, false
 }
 
 // Applicable returns the entries of row k whose expression is implied by the
@@ -158,11 +168,7 @@ func (t *Table) Applicable(k sched.Key, label cond.Cube) []Entry {
 // AppendApplicable appends the applicable entries of row k to dst and returns
 // it, letting callers that resolve many keys reuse one buffer.
 func (t *Table) AppendApplicable(dst []Entry, k sched.Key, label cond.Cube) []Entry {
-	r := t.rows[k]
-	if r == nil {
-		return dst
-	}
-	for _, e := range r.entries {
+	for _, e := range t.RowView(k) {
 		if label.Implies(e.Expr) {
 			dst = append(dst, e)
 		}
@@ -174,12 +180,8 @@ func (t *Table) AppendApplicable(dst []Entry, k sched.Key, label cond.Cube) []En
 // an activation time start under expression expr: entries with a compatible
 // expression but a different activation time (requirement 2).
 func (t *Table) Conflicts(k sched.Key, expr cond.Cube, start int64) []Entry {
-	r := t.rows[k]
-	if r == nil {
-		return nil
-	}
 	var out []Entry
-	for _, e := range r.entries {
+	for _, e := range t.RowView(k) {
 		if e.Start != start && e.Expr.Compatible(expr) {
 			out = append(out, e)
 		}
@@ -191,15 +193,13 @@ func (t *Table) Conflicts(k sched.Key, expr cond.Cube, start int64) []Entry {
 // resolve conflicts first, see the merging algorithm). Placing an entry that
 // already exists with the same expression and time is a no-op; placing a
 // different time under an identical expression replaces nothing and returns a
-// Conflict error.
+// Conflict error. k must be an activity of the graph the table was made for.
 func (t *Table) Place(k sched.Key, expr cond.Cube, start int64) error {
-	r := t.rows[k]
-	if r == nil {
-		r = &row{byExpr: map[cond.Cube]Entry{}}
-		t.rows[k] = r
-		t.keys = append(t.keys, k)
-	}
-	if existing, ok := r.byExpr[expr]; ok {
+	r := t.listedRow(k)
+	for _, existing := range r.entries {
+		if existing.Expr != expr {
+			continue
+		}
 		if existing.Start == start {
 			return nil
 		}
@@ -216,18 +216,12 @@ func (t *Table) Place(k sched.Key, expr cond.Cube, start int64) error {
 	r.entries = append(r.entries, Entry{})
 	copy(r.entries[idx+1:], r.entries[idx:])
 	r.entries[idx] = e
-	r.byExpr[expr] = e
 	return nil
 }
 
 // EnsureRow creates an empty row for the key if it does not exist yet, so
 // that rendering lists every process even when (unusually) it has no entry.
-func (t *Table) EnsureRow(k sched.Key) {
-	if _, ok := t.rows[k]; !ok {
-		t.rows[k] = &row{byExpr: map[cond.Cube]Entry{}}
-		t.keys = append(t.keys, k)
-	}
-}
+func (t *Table) EnsureRow(k sched.Key) { t.listedRow(k) }
 
 // Violation is one validation finding.
 type Violation struct {
@@ -269,7 +263,7 @@ func (t *Table) ValidateParallel(g *cpg.Graph, paths []*cpg.Path, workers int) [
 			continue
 		}
 		guard := g.Guard(k.Proc)
-		for _, e := range t.rows[k].entries {
+		for _, e := range t.RowView(k) {
 			if !guard.ImpliedByCube(e.Expr) {
 				out = append(out, Violation{
 					Requirement: 1,
@@ -281,7 +275,7 @@ func (t *Table) ValidateParallel(g *cpg.Graph, paths []*cpg.Path, workers int) [
 	}
 	// Requirement 2.
 	for _, k := range t.keys {
-		row := t.rows[k].entries
+		row := t.RowView(k)
 		for i := 0; i < len(row); i++ {
 			for j := i + 1; j < len(row); j++ {
 				if row[i].Start != row[j].Start && row[i].Expr.Compatible(row[j].Expr) {
@@ -395,7 +389,7 @@ func (t *Table) Render(opt RenderOptions) string {
 	var digits [20]byte
 	lines := 2 // the heading and the rule
 	for _, k := range t.keys {
-		entries := t.rows[k].entries
+		entries := t.RowView(k)
 		if opt.SkipEmptyRows && len(entries) == 0 {
 			continue
 		}
@@ -444,7 +438,7 @@ func (t *Table) Render(opt RenderOptions) string {
 	blank := bb.String()
 	slot := make([]int, len(cols)) // 1 + index of the row's entry in each column, 0 if none
 	for _, k := range t.keys {
-		entries := t.rows[k].entries
+		entries := t.RowView(k)
 		if opt.SkipEmptyRows && len(entries) == 0 {
 			continue
 		}

@@ -13,7 +13,7 @@ import (
 func lit(c int, v bool) cond.Lit { return cond.Lit{Cond: cond.Cond(c), Val: v} }
 
 func TestPlaceAndLookup(t *testing.T) {
-	tbl := New()
+	tbl := New(16)
 	k := sched.ProcKey(1)
 	if err := tbl.Place(k, cond.True(), 5); err != nil {
 		t.Fatalf("Place: %v", err)
@@ -37,7 +37,7 @@ func TestPlaceAndLookup(t *testing.T) {
 }
 
 func TestRowSortedByStart(t *testing.T) {
-	tbl := New()
+	tbl := New(16)
 	k := sched.ProcKey(2)
 	mustPlace(t, tbl, k, cond.MustCube(lit(0, true)), 20)
 	mustPlace(t, tbl, k, cond.MustCube(lit(0, false)), 10)
@@ -55,7 +55,7 @@ func mustPlace(t *testing.T, tbl *Table, k sched.Key, e cond.Cube, start int64) 
 }
 
 func TestApplicable(t *testing.T) {
-	tbl := New()
+	tbl := New(16)
 	k := sched.ProcKey(3)
 	d := cond.MustCube(lit(0, true))
 	dc := cond.MustCube(lit(0, true), lit(1, true))
@@ -77,7 +77,7 @@ func TestApplicable(t *testing.T) {
 }
 
 func TestConflicts(t *testing.T) {
-	tbl := New()
+	tbl := New(16)
 	k := sched.ProcKey(4)
 	dck := cond.MustCube(lit(0, true), lit(1, true), lit(2, true))
 	mustPlace(t, tbl, k, dck, 26)
@@ -102,7 +102,7 @@ func TestConflicts(t *testing.T) {
 }
 
 func TestColumnsDeduplicatedAndOrdered(t *testing.T) {
-	tbl := New()
+	tbl := New(16)
 	d := cond.MustCube(lit(0, true))
 	dc := cond.MustCube(lit(0, true), lit(1, false))
 	mustPlace(t, tbl, sched.ProcKey(1), cond.True(), 0)
@@ -122,7 +122,7 @@ func TestColumnsDeduplicatedAndOrdered(t *testing.T) {
 }
 
 func TestEnsureRowAndKeys(t *testing.T) {
-	tbl := New()
+	tbl := New(16)
 	tbl.EnsureRow(sched.ProcKey(9))
 	tbl.EnsureRow(sched.ProcKey(9))
 	mustPlace(t, tbl, sched.CondKey(0), cond.True(), 4)
@@ -164,7 +164,7 @@ func validationFixture(t *testing.T) (*cpg.Graph, []*cpg.Path, map[string]cpg.Pr
 
 func goodTable(t *testing.T, ids map[string]cpg.ProcID, c cond.Cond) *Table {
 	t.Helper()
-	tbl := New()
+	tbl := New(16)
 	cTrue := cond.MustCube(cond.Lit{Cond: c, Val: true})
 	cFalse := cond.MustCube(cond.Lit{Cond: c, Val: false})
 	mustPlace(t, tbl, sched.ProcKey(ids["P1"]), cond.True(), 0)
@@ -230,7 +230,7 @@ func TestValidateRequirement3Coverage(t *testing.T) {
 	g, paths, ids, c := validationFixture(t)
 	tbl := goodTable(t, ids, c)
 	// Remove coverage for P3 by rebuilding the table without its entry.
-	tbl2 := New()
+	tbl2 := New(16)
 	cTrue := cond.MustCube(cond.Lit{Cond: c, Val: true})
 	mustPlace(t, tbl2, sched.ProcKey(ids["P1"]), cond.True(), 0)
 	mustPlace(t, tbl2, sched.ProcKey(ids["P2"]), cTrue, 2)

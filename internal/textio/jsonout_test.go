@@ -192,7 +192,7 @@ func TestRenderJSONConcurrent(t *testing.T) {
 func TestEncodeTableEmpty(t *testing.T) {
 	res := figure1Result(t)
 	var buf bytes.Buffer
-	if err := WriteTableJSON(&buf, res.Graph, table.New()); err != nil {
+	if err := WriteTableJSON(&buf, res.Graph, table.New(res.Graph.NumProcs())); err != nil {
 		t.Fatalf("WriteTableJSON: %v", err)
 	}
 	if want := "{\n  \"graph\": \"figure1\",\n  \"columns\": null,\n  \"entries\": null\n}\n"; buf.String() != want {

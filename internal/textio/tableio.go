@@ -122,7 +122,7 @@ func ReadTableJSON(r io.Reader, g *cpg.Graph) (*table.Table, error) {
 	for _, cd := range g.Conditions() {
 		conds[cd.Name] = cd.ID
 	}
-	tbl := table.New()
+	tbl := table.New(g.NumProcs())
 	for _, e := range doc.Entries {
 		expr, err := parseCube(e.When, conds)
 		if err != nil {

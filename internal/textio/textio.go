@@ -104,8 +104,60 @@ func Encode(g *cpg.Graph, a *arch.Architecture) *Document {
 	return doc
 }
 
+// MaxNameBytes bounds the length in bytes of every name a document
+// declares: the problem's, and those of its processing elements, processes
+// and conditions. The text table pads every row to the longest name, so one
+// huge name would cost a copy of its length per row.
+const MaxNameBytes = 1 << 10
+
+// NameTooLongError reports a declared name longer than MaxNameBytes.
+type NameTooLongError struct {
+	// Kind is what the name names: "problem", "processing element",
+	// "process" or "condition".
+	Kind string
+	// Len is the length of the name in bytes.
+	Len int
+}
+
+func (e *NameTooLongError) Error() string {
+	return fmt.Sprintf("textio: %s name of %d bytes is longer than the limit of %d bytes", e.Kind, e.Len, MaxNameBytes)
+}
+
+// checkNames rejects a document declaring a name longer than MaxNameBytes.
+func checkNames(doc *Document) error {
+	check := func(kind, name string) error {
+		if len(name) > MaxNameBytes {
+			return &NameTooLongError{Kind: kind, Len: len(name)}
+		}
+		return nil
+	}
+	if err := check("problem", doc.Name); err != nil {
+		return err
+	}
+	for _, pe := range doc.Elements {
+		if err := check("processing element", pe.Name); err != nil {
+			return err
+		}
+	}
+	for _, p := range doc.Processes {
+		if err := check("process", p.Name); err != nil {
+			return err
+		}
+	}
+	for _, cd := range doc.Conditions {
+		if err := check("condition", cd.Name); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Decode rebuilds the architecture and the (finalized) graph from a Document.
+// Names longer than MaxNameBytes are rejected with a *NameTooLongError.
 func Decode(doc *Document) (*cpg.Graph, *arch.Architecture, error) {
+	if err := checkNames(doc); err != nil {
+		return nil, nil, err
+	}
 	a := arch.New()
 	if doc.CondTime > 0 {
 		a.SetCondTime(doc.CondTime)

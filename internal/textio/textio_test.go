@@ -2,6 +2,7 @@ package textio
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -141,6 +142,65 @@ func TestDOT(t *testing.T) {
 	for _, want := range []string{"digraph", "diamond", "doublecircle", `label="C"`, `label="!C"`, "box", "->"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("DOT output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestDecodeNameLimit decodes a document whose every declared name kind is
+// in turn exactly MaxNameBytes long, which is accepted, and one byte
+// longer, which is rejected with a NameTooLongError naming the kind.
+func TestDecodeNameLimit(t *testing.T) {
+	for _, kind := range []string{"problem", "processing element", "process", "condition"} {
+		for _, n := range []int{MaxNameBytes, MaxNameBytes + 1} {
+			g, a := problem(t)
+			doc := Encode(g, a)
+			long := strings.Repeat("n", n)
+			switch kind {
+			case "problem":
+				doc.Name = long
+			case "processing element":
+				for i := range doc.Processes {
+					if doc.Processes[i].PE == doc.Elements[0].Name {
+						doc.Processes[i].PE = long
+					}
+				}
+				doc.Elements[0].Name = long
+			case "process":
+				old := doc.Processes[0].Name
+				doc.Processes[0].Name = long
+				for i := range doc.Edges {
+					if doc.Edges[i].From == old {
+						doc.Edges[i].From = long
+					}
+					if doc.Edges[i].To == old {
+						doc.Edges[i].To = long
+					}
+				}
+				for i := range doc.Conditions {
+					if doc.Conditions[i].Decider == old {
+						doc.Conditions[i].Decider = long
+					}
+				}
+			case "condition":
+				old := doc.Conditions[0].Name
+				doc.Conditions[0].Name = long
+				for i := range doc.Edges {
+					if doc.Edges[i].Condition == old {
+						doc.Edges[i].Condition = long
+					}
+				}
+			}
+			_, _, err := Decode(doc)
+			if n == MaxNameBytes {
+				if err != nil {
+					t.Errorf("%s name of %d bytes: %v", kind, n, err)
+				}
+				continue
+			}
+			var tooLong *NameTooLongError
+			if !errors.As(err, &tooLong) || tooLong.Kind != kind || tooLong.Len != n {
+				t.Errorf("%s name of %d bytes: got %v, want a NameTooLongError for the %s", kind, n, err, kind)
+			}
 		}
 	}
 }

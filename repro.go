@@ -102,6 +102,8 @@ type (
 
 	// Trace is the re-enactment of one path against a schedule table.
 	Trace = sim.Trace
+	// Activation is one activity of a Trace and the interval it executes in.
+	Activation = sim.Activation
 
 	// GenConfig configures the random graph generator.
 	GenConfig = gen.Config
