@@ -30,20 +30,16 @@
 // same seed (wall-clock columns aside; -zero-times zeroes them for diffing).
 // -probe-interval D probes every backend's /healthz periodically, evicting
 // dead backends from dispatch and re-admitting them when they recover;
-// -journal DIR spools every completed shard to disk so a killed coordinator,
-// restarted with the same flags, re-dispatches only the missing shards.
-// Backends stream their shards graph by graph (POST /v1/sweep?stream=1;
-// servers that predate streaming transparently fall back to whole-shard
-// responses), so a backend dying mid-shard costs only the unreceived graphs
-// on retry — and with -journal, the received ones survive a coordinator
-// restart in per-shard partial spools. -stream=false forces whole-shard
-// (unary) responses everywhere. For
-// offline sharding, -shard i/N runs one shard and writes its partial result
-// document to stdout, and -merge a.json,b.json,... recombines saved
-// partials. -metrics-addr ADDR serves the coordinator's counters (shard
-// attempts, retries, backpressure sheds, steals, evictions, ...) as a
-// Prometheus GET /metrics endpoint for the duration of the run, so a long
-// sweep is scrapeable from outside.
+// Backends stream their shards graph by graph as NDJSON frames (POST
+// /v1/sweep), so a backend dying mid-shard costs only the unreceived graphs
+// on retry; -journal DIR spools every shard in that same frame format as it
+// arrives, so a killed coordinator, restarted with the same flags,
+// re-dispatches only the missing graphs. For offline sharding, -shard i/N
+// runs one shard and writes its frame stream to stdout, and -merge
+// a.ndjson,b.ndjson,... recombines saved shards. -metrics-addr ADDR serves
+// the coordinator's counters (shard attempts, retries, backpressure sheds,
+// steals, evictions, ...) as a Prometheus GET /metrics endpoint for the
+// duration of the run, so a long sweep is scrapeable from outside.
 //
 // Experiments that share generated instances reuse them instead of
 // regenerating: fig1 and fig4 share one worked-example run, and the ablation
@@ -96,12 +92,11 @@ func run(args []string, out io.Writer) error {
 	shards := fs.Int("shards", 0, "split the sweep into N shards and run them through the coordinator (0 = single-process)")
 	remote := fs.String("remote", "", "comma-separated cpgserve base URLs executing sweep shards (empty = in-process)")
 	shardTimeout := fs.Duration("shard-timeout", distrib.DefaultShardTimeout, "per-attempt time limit of one shard on one backend before it fails over (negative = unbounded)")
-	journalDir := fs.String("journal", "", "spool completed sweep shards to this directory and resume from it on restart (coordinator mode)")
-	stream := fs.Bool("stream", true, "stream shard results graph by graph from the backends (false = whole-shard unary responses)")
+	journalDir := fs.String("journal", "", "spool sweep shards graph by graph to this directory and resume from it on restart (coordinator mode)")
 	probeInterval := fs.Duration("probe-interval", 0, "health-probe period of the coordinator's backend registry (0 = probe only via shard attempts)")
 	metricsAddr := fs.String("metrics-addr", "", "serve the sweep coordinator's Prometheus metrics on this address (e.g. :9090) for the duration of the run")
-	shardSpec := fs.String("shard", "", "run only shard i/N of the sweep and write its partial result document to stdout (offline sharding)")
-	mergeFiles := fs.String("merge", "", "merge saved partial shard result documents (comma-separated files) instead of scheduling; renders only the sweep figures/CSV")
+	shardSpec := fs.String("shard", "", "run only shard i/N of the sweep and write its NDJSON frame stream to stdout (offline sharding)")
+	mergeFiles := fs.String("merge", "", "merge saved shard streams (comma-separated files) instead of scheduling; renders only the sweep figures/CSV")
 	csvPath := fs.String("csv", "", "also write the sweep cells as CSV to this path (- = stdout)")
 	zeroTimes := fs.Bool("zero-times", false, "zero the wall-clock columns of sweep outputs (deterministic output for diffing)")
 	if err := fs.Parse(args); err != nil {
@@ -174,9 +169,9 @@ func run(args []string, out io.Writer) error {
 		return cfg, nil
 	}
 
-	// -shard writes a machine-readable partial result document: it runs
-	// exclusively, before any experiment, so no figure text can interleave
-	// with the JSON on stdout.
+	// -shard writes a machine-readable frame stream: it runs exclusively,
+	// before any experiment, so no figure text can interleave with the
+	// frames on stdout.
 	if *shardSpec != "" {
 		cfg, err := sweepConfig(baseOpts)
 		if err != nil {
@@ -217,7 +212,6 @@ func run(args []string, out io.Writer) error {
 			journalDir:    *journalDir,
 			probeInterval: *probeInterval,
 			progress:      *progress,
-			stream:        *stream,
 			metrics:       serveSweepMetrics(*metricsAddr),
 		})
 		if err != nil {
@@ -326,7 +320,6 @@ type sweepRunOpts struct {
 	journalDir    string
 	probeInterval time.Duration
 	progress      bool
-	stream        bool
 	metrics       *distrib.Metrics // nil = unobserved
 }
 
@@ -376,9 +369,9 @@ func runSweepCells(cfg expr.SweepConfig, opts sweepRunOpts) ([]expr.Cell, error)
 // backends are registered in a health-tracked registry — optionally probed
 // periodically via /healthz — failed shards retry with backoff on the live
 // members, idle backends steal the slowest in-flight shard, and with
-// -journal every completed shard is spooled so a restarted run re-dispatches
-// only the missing ones. Ctrl-C cancels the in-flight shard requests
-// promptly (the journal keeps what finished).
+// -journal every shard is spooled graph by graph so a restarted run
+// re-dispatches only the missing graphs. Ctrl-C cancels the in-flight shard
+// requests promptly (the journal keeps what arrived).
 func runCoordinated(cfg expr.SweepConfig, opts sweepRunOpts) ([]expr.Cell, error) {
 	var backends []distrib.Backend
 	for _, u := range opts.remotes {
@@ -392,11 +385,6 @@ func runCoordinated(cfg expr.SweepConfig, opts sweepRunOpts) ([]expr.Cell, error
 			return nil, err
 		}
 		backends = []distrib.Backend{distrib.InProcess{Service: svc}}
-	}
-	if !opts.stream {
-		for i, b := range backends {
-			backends[i] = unaryOnly{b}
-		}
 	}
 	shards := opts.shards
 	if shards < 1 {
@@ -444,50 +432,40 @@ func runCoordinated(cfg expr.SweepConfig, opts sweepRunOpts) ([]expr.Cell, error
 	return co.Run(ctx, cfg)
 }
 
-// unaryOnly hides a backend's streaming side (-stream=false): the embedded
-// interface promotes only Name and RunShard, so the coordinator's
-// StreamBackend assertion fails and every shard arrives as one whole
-// response. Health probes still pass through.
-type unaryOnly struct{ distrib.Backend }
-
-// Probe implements distrib.HealthProber by delegation (a backend without its
-// own prober reports alive with unknown capacity — the registry's default
-// for unprobeable backends).
-func (u unaryOnly) Probe(ctx context.Context) (distrib.ProbeInfo, error) {
-	if p, ok := u.Backend.(distrib.HealthProber); ok {
-		return p.Probe(ctx)
-	}
-	if err := ctx.Err(); err != nil {
-		return distrib.ProbeInfo{}, err
-	}
-	return distrib.ProbeInfo{}, nil
-}
-
 // writeShardPartial runs one shard of the sweep (the "i/N" spec) and writes
-// its v1 partial result document, ready for a later -merge.
+// its NDJSON frame stream, graph by graph as they complete, ready for a
+// later -merge.
 func writeShardPartial(out io.Writer, cfg expr.SweepConfig, spec string) error {
 	var i, n int
 	if _, err := fmt.Sscanf(spec, "%d/%d", &i, &n); err != nil || fmt.Sprintf("%d/%d", i, n) != spec {
 		return fmt.Errorf("malformed -shard %q (want i/N, e.g. 0/2)", spec)
 	}
 	cfg.ShardIndex, cfg.ShardCount = i, n
-	sh, err := expr.RunSweepShard(cfg)
-	if err != nil {
+	cfg = cfg.Normalize()
+	if err := cfg.ValidateShard(); err != nil {
 		return err
 	}
 	hash, err := textio.SweepHash(textio.EncodeSweepRequest(cfg))
 	if err != nil {
 		return err
 	}
-	return textio.WriteSweepResponse(out, textio.EncodeSweepResponse(hash, sh))
+	sw := textio.NewSweepStreamWriter(out)
+	if err := sw.Header(hash, i, n, cfg.ShardSize()); err != nil {
+		return err
+	}
+	if _, err := expr.RunSweepShardStream(context.Background(), cfg, sw.Graph); err != nil {
+		return err
+	}
+	return sw.Summary(nil)
 }
 
-// mergePartialFiles reads saved partial result documents and merges them
-// into cells, verifying that every partial belongs to the configured sweep
-// (content hash) and that together they cover it exactly.
+// mergePartialFiles reads saved shard streams through the strict stream
+// reader and merges them into cells, verifying that every stream is whole
+// and belongs to the configured sweep (content hash), and that together
+// they cover it exactly.
 func mergePartialFiles(cfg expr.SweepConfig, files []string) ([]expr.Cell, error) {
 	if len(files) == 0 {
-		return nil, fmt.Errorf("-merge needs at least one partial result file")
+		return nil, fmt.Errorf("-merge needs at least one shard file")
 	}
 	wantHash, err := textio.SweepHash(textio.EncodeSweepRequest(cfg))
 	if err != nil {
@@ -495,28 +473,42 @@ func mergePartialFiles(cfg expr.SweepConfig, files []string) ([]expr.Cell, error
 	}
 	var shardResults []*expr.ShardResult
 	for _, name := range files {
-		f, err := os.Open(name)
-		if err != nil {
-			return nil, err
-		}
-		doc, sh, err := textio.ReadSweepResponse(f)
-		f.Close()
+		sh, err := readShardFile(cfg, wantHash, name)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		// Coordinate overlap alone cannot tell a partial of a different
-		// seed or options apart, so an absent hash is as unmergeable as a
-		// mismatched one: silently wrong figures are worse than an error.
-		if doc.SweepHash == "" {
-			return nil, fmt.Errorf("%s: partial result carries no sweepHash; cannot verify it belongs to this sweep", name)
-		}
-		if doc.SweepHash != wantHash {
-			return nil, fmt.Errorf("%s: partial result belongs to a different sweep (hash %s, want %s — check -nodes/-paths/-graphs/-seed)",
-				name, doc.SweepHash, wantHash)
 		}
 		shardResults = append(shardResults, sh)
 	}
 	return expr.MergeCells(cfg, shardResults)
+}
+
+// readShardFile reads one saved shard stream of the sweep whose content
+// hash is wantHash.
+func readShardFile(cfg expr.SweepConfig, wantHash, name string) (*expr.ShardResult, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	got := make(map[expr.GraphKey]expr.GraphResult)
+	h, _, err := textio.ReadSweepStream(f, func(g expr.GraphResult) error {
+		got[g.Key()] = g
+		return nil
+	})
+	switch {
+	// Coordinate overlap alone cannot tell a shard of a different seed or
+	// options apart, so an absent hash is as unmergeable as a mismatched
+	// one: silently wrong figures are worse than an error.
+	case h != nil && h.SweepHash == "":
+		return nil, fmt.Errorf("shard stream carries no sweepHash; cannot verify it belongs to this sweep")
+	case h != nil && h.SweepHash != wantHash:
+		return nil, fmt.Errorf("shard stream belongs to a different sweep (hash %s, want %s — check -nodes/-paths/-graphs/-seed)",
+			h.SweepHash, wantHash)
+	case err != nil:
+		return nil, err
+	}
+	cfg.ShardIndex, cfg.ShardCount = h.ShardIndex, h.ShardCount
+	return cfg.AssembleShardResult(got)
 }
 
 // writeCellsCSV writes the sweep CSV to a file, or to the command output for

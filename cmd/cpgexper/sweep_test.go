@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
@@ -89,9 +90,9 @@ func TestSweepCSVGoldenHTTP(t *testing.T) {
 }
 
 // TestSweepOfflineShardMerge exercises the offline flow: run every shard
-// separately with -shard i/N, save the partial documents, recombine them
-// with -merge, and compare against the golden CSV. A merge of an incomplete
-// or mismatched set must fail instead of truncating.
+// separately with -shard i/N, save the NDJSON frame streams, recombine them
+// with -merge, and compare against the golden CSV. A merge of an incomplete,
+// torn, unidentified or mismatched set must fail instead of truncating.
 func TestSweepOfflineShardMerge(t *testing.T) {
 	golden := readGolden(t)
 	dir := t.TempDir()
@@ -102,7 +103,7 @@ func TestSweepOfflineShardMerge(t *testing.T) {
 		if err := run(goldenArgs("-shard", spec), &out); err != nil {
 			t.Fatalf("run(-shard %s): %v", spec, err)
 		}
-		name := filepath.Join(dir, "part"+strconv.Itoa(i)+".json")
+		name := filepath.Join(dir, "part"+strconv.Itoa(i)+".ndjson")
 		if err := os.WriteFile(name, out.Bytes(), 0o644); err != nil {
 			t.Fatalf("writing partial: %v", err)
 		}
@@ -113,13 +114,36 @@ func TestSweepOfflineShardMerge(t *testing.T) {
 	}
 
 	// -shard runs exclusively: even with the default -exp all, stdout is a
-	// single parseable JSON document with no figure text around it.
+	// single whole frame stream with no figure text around it.
 	var solo bytes.Buffer
 	if err := run([]string{"-nodes", "60,80", "-paths", "10,12", "-graphs", "3", "-seed", "7", "-progress=false", "-shard", "0/2"}, &solo); err != nil {
 		t.Fatalf("run(-shard with default -exp): %v", err)
 	}
-	if _, _, err := textio.ReadSweepResponse(&solo); err != nil {
-		t.Errorf("-shard stdout must be a bare partial result document: %v", err)
+	if _, _, err := textio.ReadSweepStream(&solo, nil); err != nil {
+		t.Errorf("-shard stdout must be a bare shard frame stream: %v", err)
+	}
+
+	// A torn stream (the summary line lost) and a stream without a sweep
+	// hash are both unmergeable.
+	data, err := os.ReadFile(files[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	torn := filepath.Join(dir, "torn.ndjson")
+	if err := os.WriteFile(torn, []byte(strings.Join(lines[:len(lines)-2], "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	anon := filepath.Join(dir, "anon.ndjson")
+	hash := regexp.MustCompile(`"sweepHash":"[0-9a-f]+",`)
+	if err := os.WriteFile(anon, hash.ReplaceAll(data, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for file, want := range map[string]string{torn: "torn sweep stream", anon: "carries no sweepHash"} {
+		var out bytes.Buffer
+		if err := run(goldenArgs("-merge", files[0]+","+file), &out); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("merging %s = %v, want an error containing %q", filepath.Base(file), err, want)
+		}
 	}
 
 	var out bytes.Buffer
@@ -186,7 +210,7 @@ func TestMergeRunsExclusively(t *testing.T) {
 	if err := run(goldenArgs("-shard", "0/1"), &solo); err != nil {
 		t.Fatalf("run(-shard 0/1): %v", err)
 	}
-	part := filepath.Join(dir, "part.json")
+	part := filepath.Join(dir, "part.ndjson")
 	if err := os.WriteFile(part, solo.Bytes(), 0o644); err != nil {
 		t.Fatalf("writing partial: %v", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -77,6 +78,13 @@ func TestParseRetryAfter(t *testing.T) {
 		{"Wed, 21 Oct 2015 07:28:00 GMT", 0},
 		{"Wed, 21 Oct 2015 07:00:00 GMT", 0},
 		{"Wed, 32 Oct 2015 07:28:00 GMT", 0},
+		// Delays past time.Duration's range saturate instead of wrapping
+		// into a wrong (or, past 2^63 ns, negative and so lost) hint.
+		{"99999999999", math.MaxInt64},
+		{"9300000000", math.MaxInt64},
+		{"99999999999999999999", math.MaxInt64},
+		{"-99999999999999999999", 0},
+		{"Mon, 01 Jan 2990 00:00:00 GMT", math.MaxInt64},
 	} {
 		if got := parseRetryAfter(tc.in, clock); got != tc.want {
 			t.Errorf("parseRetryAfter(%q) = %v, want %v", tc.in, got, tc.want)
@@ -100,11 +108,11 @@ func TestShedsDoNotCountTowardEviction(t *testing.T) {
 	reg.Metrics = metrics
 
 	var calls atomic.Int64
-	b := &scriptedBackend{name: "sheddy", run: func(ctx context.Context, cfg expr.SweepConfig) (*expr.ShardResult, error) {
+	b := &scriptedBackend{name: "sheddy", run: func(ctx context.Context, cfg expr.SweepConfig, yield func(expr.GraphResult) error) (*expr.ShardResult, error) {
 		if calls.Add(1) == 1 {
 			return nil, &BackpressureError{Status: 429, RetryAfter: time.Millisecond, Msg: "overloaded"}
 		}
-		return expr.RunSweepShardContext(ctx, cfg)
+		return expr.RunSweepShardStream(ctx, cfg, yield)
 	}}
 	if err := reg.Register(b); err != nil {
 		t.Fatal(err)
@@ -138,12 +146,12 @@ func TestShedsDoNotCountTowardEviction(t *testing.T) {
 // cannot be imported here).
 type scriptedBackend struct {
 	name string
-	run  func(ctx context.Context, cfg expr.SweepConfig) (*expr.ShardResult, error)
+	run  func(ctx context.Context, cfg expr.SweepConfig, yield func(expr.GraphResult) error) (*expr.ShardResult, error)
 }
 
 func (b *scriptedBackend) Name() string { return b.name }
-func (b *scriptedBackend) RunShard(ctx context.Context, cfg expr.SweepConfig) (*expr.ShardResult, error) {
-	return b.run(ctx, cfg)
+func (b *scriptedBackend) RunShardStream(ctx context.Context, cfg expr.SweepConfig, yield func(expr.GraphResult) error) (*expr.ShardResult, error) {
+	return b.run(ctx, cfg, yield)
 }
 
 // TestRetryAfterFloorsBackoff pins the pacing contract: the backend's
@@ -152,11 +160,11 @@ func (b *scriptedBackend) RunShard(ctx context.Context, cfg expr.SweepConfig) (*
 func TestRetryAfterFloorsBackoff(t *testing.T) {
 	metrics := NewMetrics(obs.NewRegistry())
 	var calls atomic.Int64
-	b := &scriptedBackend{name: "floor", run: func(ctx context.Context, cfg expr.SweepConfig) (*expr.ShardResult, error) {
+	b := &scriptedBackend{name: "floor", run: func(ctx context.Context, cfg expr.SweepConfig, yield func(expr.GraphResult) error) (*expr.ShardResult, error) {
 		if calls.Add(1) == 1 {
 			return nil, &BackpressureError{Status: 503, RetryAfter: 120 * time.Millisecond, Msg: "draining"}
 		}
-		return expr.RunSweepShardContext(ctx, cfg)
+		return expr.RunSweepShardStream(ctx, cfg, yield)
 	}}
 	co := &Coordinator{
 		Shards:         1,
@@ -172,6 +180,52 @@ func TestRetryAfterFloorsBackoff(t *testing.T) {
 	// (120ms), not the 1–2ms configured backoff.
 	if got := metrics.backoffMs.Value(); got < 120 {
 		t.Errorf("cumulative backoff = %dms, want >= 120ms (Retry-After floor)", got)
+	}
+}
+
+// TestRetryAfterFloorIsCapped pins the cap on the Retry-After floor: a
+// backend sheds one shard with a delay-seconds hint far past any sane wait
+// while a second backend sits idle. A cooling shard has no attempt in
+// flight, so neither a steal nor stall detection can move it (stealing is
+// off so no steal races the shed), and nothing but the capped floor — one
+// attempt's time limit — lets the retry happen: the sweep must finish
+// promptly with the golden cells.
+func TestRetryAfterFloorIsCapped(t *testing.T) {
+	golden := goldenCSV(t)
+	var calls atomic.Int64
+	shedOnce := &scriptedBackend{name: "shed-once", run: func(ctx context.Context, cfg expr.SweepConfig, yield func(expr.GraphResult) error) (*expr.ShardResult, error) {
+		if calls.Add(1) == 1 {
+			return nil, &BackpressureError{Status: 429, RetryAfter: parseRetryAfter("99999999999", nil), Msg: "overloaded"}
+		}
+		return expr.RunSweepShardStream(ctx, cfg, yield)
+	}}
+	idle := &scriptedBackend{name: "idle", run: func(ctx context.Context, cfg expr.SweepConfig, yield func(expr.GraphResult) error) (*expr.ShardResult, error) {
+		return expr.RunSweepShardStream(ctx, cfg, yield)
+	}}
+	const limit = 300 * time.Millisecond
+	co := &Coordinator{
+		Shards:          3,
+		Backends:        []Backend{shedOnce, idle},
+		ShardTimeout:    limit,
+		RetryBaseDelay:  time.Millisecond,
+		RetryMaxDelay:   2 * time.Millisecond,
+		DisableStealing: true,
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	start := time.Now()
+	cells, err := co.Run(ctx, expr.GoldenSweep())
+	if err != nil {
+		t.Fatalf("sweep after an absurd Retry-After: %v (after %v)", err, time.Since(start))
+	}
+	if got := cellsCSV(t, cells); got != golden {
+		t.Errorf("CSV differs from golden:\n--- golden\n%s\n--- got\n%s", golden, got)
+	}
+	if calls.Load() == 0 {
+		t.Fatal("the shedding backend was never dispatched to; the scenario tests nothing")
+	}
+	if elapsed := time.Since(start); elapsed < limit {
+		t.Errorf("retry came after %v, sooner than the capped %v floor", elapsed, limit)
 	}
 }
 

@@ -27,15 +27,14 @@ const (
 // the partial results. Failed shards are retried with bounded exponential
 // backoff on the live members only; idle backends steal the slowest in-flight
 // shard (first finisher wins, the duplicate is discarded before merging); and
-// with a Journal attached, completed shards are spooled to disk and reused on
-// the next run of the same sweep.
+// with a Journal attached, every shard is spooled to disk as it arrives and
+// reused on the next run of the same sweep.
 //
-// Backends that implement StreamBackend deliver their shard graph by graph,
-// and the coordinator accounts (and, with a Journal, spools) each graph as
-// it arrives: when a backend dies mid-shard, the retry carries a skip list
-// of the graphs already received, so only the unreceived remainder is
-// recomputed — on the retry backend and, via the partial spool, even across
-// a coordinator restart.
+// Backends deliver their shard graph by graph, and the coordinator accounts
+// (and, with a Journal, spools) each graph as it arrives: when a backend
+// dies mid-shard, the retry carries a skip list of the graphs already
+// received, so only the unreceived remainder is recomputed — on the retry
+// backend and, via the journal, even across a coordinator restart.
 type Coordinator struct {
 	// Shards is the number of shards to split the sweep into (<= 1 means a
 	// single shard covering the whole sweep).
@@ -65,9 +64,9 @@ type Coordinator struct {
 	// between retries of one shard (0 = the defaults above).
 	RetryBaseDelay time.Duration
 	RetryMaxDelay  time.Duration
-	// Journal, when non-nil, spools every completed shard and seeds the run
-	// with previously spooled shards of the same sweep, so a restarted
-	// coordinator re-dispatches only the missing ones.
+	// Journal, when non-nil, spools every shard graph by graph and seeds the
+	// run with what an earlier run of the same sweep spooled, so a restarted
+	// coordinator re-dispatches only the missing graphs.
 	Journal *Journal
 	// DisableStealing turns off speculative re-dispatch of slow in-flight
 	// shards (stealing is on by default).
@@ -208,11 +207,11 @@ type shardState struct {
 	// cooling marks a shard waiting out its retry backoff.
 	cooling bool
 	// got holds the graphs already received for the shard — streamed by
-	// attempts that later died, or reloaded from a partial spool. Dispatch
-	// turns its keys into the attempt's skip list.
+	// attempts that later died, or reloaded from the journal. Dispatch turns
+	// its keys into the attempt's skip list.
 	got map[expr.GraphKey]expr.GraphResult
-	// sink is the shard's open partial spool (nil without a Journal).
-	sink *partialSink
+	// sink is the shard's open journal file (nil without a Journal).
+	sink *shardSpool
 }
 
 // sweepRun is the state of one RunShards execution: a single event loop owns
@@ -291,68 +290,41 @@ func (r *sweepRun) run(ctx context.Context) ([]*expr.ShardResult, error) {
 	return r.results, nil
 }
 
-// preload seeds the run with the journal's spooled shards, so only the
-// missing ones are dispatched.
+// preload seeds the run with the journal: complete shards are not
+// dispatched at all, and the graphs spooled for unfinished ones become their
+// skip lists.
 func (r *sweepRun) preload() error {
 	if r.c.Journal == nil {
 		return nil
 	}
-	loaded, err := r.c.Journal.Load(r.hash, r.count)
+	done, partial, err := r.c.Journal.Load(r.hash, r.cfg, r.count)
 	if err != nil {
 		return err
 	}
-	for i := 0; i < r.count; i++ {
-		sh := loaded[i]
-		if sh == nil {
-			continue
-		}
-		scfg := r.cfg
-		scfg.ShardIndex, scfg.ShardCount = i, r.count
-		if err := scfg.ValidateShardResult(sh); err != nil {
-			return fmt.Errorf("distrib: journal entry for shard %d/%d: %w", i, r.count, err)
-		}
+	for i, sh := range done {
 		r.results[i] = sh
-		r.done++
 	}
+	r.done = len(done)
 	if r.done > 0 {
 		r.c.Metrics.journalReuse(r.done)
 		r.logf("journal: reusing %d/%d completed shards, re-dispatching %d", r.done, r.count, r.count-r.done)
 	}
-	partial := 0
-	for i := 0; i < r.count; i++ {
-		if r.results[i] != nil {
-			continue
-		}
-		graphs, err := r.c.Journal.LoadPartial(r.hash, i, r.count)
-		if err != nil {
-			return err
-		}
-		if len(graphs) == 0 {
-			continue
-		}
-		got := make(map[expr.GraphKey]expr.GraphResult, len(graphs))
-		keys := make([]expr.GraphKey, 0, len(graphs))
+	reused := 0
+	for i, graphs := range partial {
+		r.state[i].got = make(map[expr.GraphKey]expr.GraphResult, len(graphs))
 		for _, g := range graphs {
-			got[g.Key()] = g
-			keys = append(keys, g.Key())
+			r.state[i].got[g.Key()] = g
 		}
-		scfg := r.cfg
-		scfg.ShardIndex, scfg.ShardCount = i, r.count
-		scfg.Skip = keys
-		if err := scfg.Normalize().ValidateSkip(); err != nil {
-			return fmt.Errorf("distrib: journal partial spool for shard %d/%d: %w", i, r.count, err)
-		}
-		r.state[i].got = got
-		partial += len(graphs)
+		reused += len(graphs)
 	}
-	if partial > 0 {
-		r.c.Metrics.partialReuse(partial)
-		r.logf("journal: reusing %d streamed graphs from partial spools", partial)
+	if reused > 0 {
+		r.c.Metrics.partialReuse(reused)
+		r.logf("journal: reusing %d streamed graphs from partial spools", reused)
 	}
 	return nil
 }
 
-// closeSinks releases every open partial spool when the run returns (the
+// closeSinks releases every open journal file when the run returns (the
 // files stay on disk for the shards that did not finish).
 func (r *sweepRun) closeSinks() {
 	for i := range r.state {
@@ -452,8 +424,8 @@ func (r *sweepRun) stealVictim(thief string) int {
 }
 
 // start launches one attempt of a shard on a backend. Graphs already held
-// for the shard (streamed by a dead attempt, or reloaded from a partial
-// spool) become the attempt's skip list, so the backend computes only the
+// for the shard (streamed by a dead attempt, or reloaded from the journal)
+// become the attempt's skip list, so the backend computes only the
 // unreceived remainder.
 func (r *sweepRun) start(shard int, m memberView) {
 	st := &r.state[shard]
@@ -468,8 +440,7 @@ func (r *sweepRun) start(shard int, m memberView) {
 	r.busy[m.name]++
 	r.inflightTotal++
 	r.c.Metrics.attempt()
-	scfg := r.cfg
-	scfg.ShardIndex, scfg.ShardCount = shard, r.count
+	scfg := r.shardCfg(shard)
 	if len(st.got) > 0 {
 		keys := make([]expr.GraphKey, 0, len(st.got))
 		for k := range st.got {
@@ -479,9 +450,9 @@ func (r *sweepRun) start(shard int, m memberView) {
 		scfg.Skip = append(slices.Clone(r.cfg.Skip), keys...)
 	}
 	if r.c.Journal != nil && st.sink == nil {
-		sink, err := r.c.Journal.openPartial(r.hash, shard, r.count, keysOf(st.got))
+		sink, err := r.c.Journal.openShard(r.hash, r.shardCfg(shard))
 		if err != nil {
-			r.logf("shard %d/%d: partial spool unavailable, streaming without it: %v", shard, r.count, err)
+			r.logf("shard %d/%d: journal file unavailable, streaming without it: %v", shard, r.count, err)
 		} else {
 			st.sink = sink
 		}
@@ -489,30 +460,25 @@ func (r *sweepRun) start(shard int, m memberView) {
 	go r.attempt(shard, m.name, m.backend, scfg, st.sink)
 }
 
-// keysOf returns the key set of a received-graph map.
-func keysOf(got map[expr.GraphKey]expr.GraphResult) map[expr.GraphKey]bool {
-	if len(got) == 0 {
-		return nil
-	}
-	keys := make(map[expr.GraphKey]bool, len(got))
-	for k := range got {
-		keys[k] = true
-	}
-	return keys
+// shardCfg returns the sweep config selecting one whole shard of the run.
+func (r *sweepRun) shardCfg(shard int) expr.SweepConfig {
+	scfg := r.cfg
+	scfg.ShardIndex, scfg.ShardCount = shard, r.count
+	return scfg
 }
 
 // attempt runs one shard on one backend (bounded by the shard timeout),
-// validates the result and reports the outcome to the run loop. Streaming
-// backends deliver graph by graph; every received graph is spooled to the
-// shard's sink (when journaling) and reported with the outcome, so a failed
-// attempt still salvages the work it finished.
-func (r *sweepRun) attempt(shard int, name string, b Backend, scfg expr.SweepConfig, sink *partialSink) {
+// validates the result and reports the outcome to the run loop. Every graph
+// the backend streams is spooled to the shard's sink (when journaling) and
+// reported with the outcome, so a failed attempt still salvages the work it
+// finished.
+func (r *sweepRun) attempt(shard int, name string, b Backend, scfg expr.SweepConfig, sink *shardSpool) {
 	actx, cancel := r.runCtx, context.CancelFunc(func() {})
 	if r.timeout > 0 {
 		actx, cancel = context.WithTimeout(r.runCtx, r.timeout)
 	}
 	var got []expr.GraphResult
-	sh, err := RunShardOn(actx, b, scfg, func(g expr.GraphResult) error {
+	sh, err := b.RunShardStream(actx, scfg, func(g expr.GraphResult) error {
 		got = append(got, g)
 		r.c.Metrics.graphStreamed()
 		if sink != nil {
@@ -555,14 +521,7 @@ func (r *sweepRun) handle(ctx context.Context, out attemptOutcome) error {
 		r.results[out.shard] = sh
 		r.done++
 		if r.c.Journal != nil {
-			if err := r.c.Journal.Record(r.hash, sh); err != nil {
-				return err
-			}
-			if st.sink != nil {
-				st.sink.close()
-				st.sink = nil
-			}
-			if err := r.c.Journal.removePartial(r.hash, out.shard, r.count); err != nil {
+			if err := r.journalShard(out.shard, sh); err != nil {
 				return err
 			}
 		}
@@ -627,9 +586,16 @@ func (r *sweepRun) handle(ctx context.Context, out attemptOutcome) error {
 	if bp != nil {
 		kind = "shed (backpressure)"
 		// The backend's Retry-After is a floor under the computed backoff:
-		// retrying sooner than asked would just be shed again.
-		if bp.RetryAfter > delay {
-			delay = bp.RetryAfter
+		// retrying sooner than asked would just be shed again. The floor is
+		// capped at one attempt's time limit, because while the shard cools
+		// down no attempt is in flight, so neither stealing nor a stall can
+		// move it: an absurd hint would park the shard indefinitely.
+		limit := r.timeout
+		if limit <= 0 {
+			limit = DefaultShardTimeout
+		}
+		if floor := min(bp.RetryAfter, limit); floor > delay {
+			delay = floor
 		}
 	}
 	r.c.Metrics.retry(delay)
@@ -648,10 +614,26 @@ func (r *sweepRun) handle(ctx context.Context, out attemptOutcome) error {
 	return nil
 }
 
+// journalShard completes the shard's journal file (opening it now if it
+// could not be opened at dispatch) so the shard counts as journaled.
+func (r *sweepRun) journalShard(shard int, sh *expr.ShardResult) error {
+	st := &r.state[shard]
+	if st.sink == nil {
+		sink, err := r.c.Journal.openShard(r.hash, r.shardCfg(shard))
+		if err != nil {
+			return err
+		}
+		st.sink = sink
+	}
+	err := st.sink.finish(sh)
+	st.sink = nil
+	return err
+}
+
 // completeShard combines a finished attempt's (possibly skip-reduced) shard
-// result with the graphs salvaged from earlier attempts and spools into the
-// full shard, reassembled in canonical order. Without salvage the attempt's
-// result already is the full shard.
+// result with the graphs salvaged from earlier attempts and the journal into
+// the full shard, reassembled in canonical order. Without salvage the
+// attempt's result already is the full shard.
 func (r *sweepRun) completeShard(shard int, sh *expr.ShardResult) (*expr.ShardResult, error) {
 	st := &r.state[shard]
 	if len(st.got) == 0 {
@@ -664,9 +646,7 @@ func (r *sweepRun) completeShard(shard int, sh *expr.ShardResult) (*expr.ShardRe
 	for _, g := range sh.Results {
 		union[g.Key()] = g
 	}
-	fullCfg := r.cfg
-	fullCfg.ShardIndex, fullCfg.ShardCount = shard, r.count
-	full, err := fullCfg.Normalize().AssembleShardResult(union)
+	full, err := r.shardCfg(shard).AssembleShardResult(union)
 	if err != nil {
 		return nil, fmt.Errorf("distrib: shard %d/%d: assembling salvaged graphs: %w", shard, r.count, err)
 	}
@@ -676,9 +656,7 @@ func (r *sweepRun) completeShard(shard int, sh *expr.ShardResult) (*expr.ShardRe
 // shardGraphs returns one shard's total graph count (after any sweep-level
 // skip list), for log lines.
 func (r *sweepRun) shardGraphs(shard int) int {
-	scfg := r.cfg
-	scfg.ShardIndex, scfg.ShardCount = shard, r.count
-	return scfg.Normalize().ShardSize()
+	return r.shardCfg(shard).ShardSize()
 }
 
 // backoff returns the delay before retry number attempt (1-based) of a

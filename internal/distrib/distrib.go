@@ -5,13 +5,18 @@
 // and merges the partial results into the exact cells a single-process run
 // produces, byte for byte.
 //
+// Every backend streams its shard graph by graph, and the one shard format
+// is textio's NDJSON frame stream (header, graph frames, summary): it is the
+// body of a POST /v1/sweep response and the content of a journal file alike.
+//
 // The fleet is fault-tolerant: a Registry tracks backend liveness via
 // periodic /healthz probes (eviction after consecutive failures, re-admission
 // when a probe succeeds again, graceful drain), the Coordinator retries
-// failed shards with bounded exponential backoff across live backends and
-// steals the slowest in-flight shard for idle backends (first finisher wins),
-// and a Journal spools completed shard results to disk so an interrupted
-// sweep resumes by re-dispatching only the missing shards.
+// failed shards with bounded exponential backoff across live backends —
+// dispatching only the graphs no earlier attempt delivered — and steals the
+// slowest in-flight shard for idle backends (first finisher wins), and a
+// Journal spools every shard to disk as it streams in, so an interrupted
+// sweep resumes by re-dispatching only the missing graphs.
 package distrib
 
 import (
@@ -21,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -65,12 +71,16 @@ func IsBackpressure(err error) bool {
 // delay-seconds (what this repo's servers emit) or an HTTP-date (what
 // proxies and other servers may substitute). A date is converted to a delay
 // against clock.Now (nil means wall clock); negative or past values clamp to
-// zero, and anything unparseable maps to zero, meaning "no hint".
+// zero, anything unparseable maps to zero, meaning "no hint", and a delay
+// too large for a time.Duration saturates at the largest one.
 func parseRetryAfter(h string, clock obs.Clock) time.Duration {
 	h = strings.TrimSpace(h)
-	if secs, err := strconv.Atoi(h); err == nil {
-		if secs < 0 {
+	if secs, err := strconv.ParseInt(h, 10, 64); err == nil || errors.Is(err, strconv.ErrRange) {
+		switch {
+		case secs <= 0:
 			return 0
+		case secs > int64(math.MaxInt64/time.Second):
+			return math.MaxInt64
 		}
 		return time.Duration(secs) * time.Second
 	}
@@ -127,10 +137,9 @@ const DefaultShardTimeout = 15 * time.Minute
 // defaultClient is the package-level HTTP client shared by every HTTP
 // backend whose Client field is nil. Unlike http.DefaultClient it pools
 // connections explicitly and bounds the phases that can hang on a dead peer:
-// dialing and response headers. The response-header timeout is sized to
-// DefaultShardTimeout because a sweep server computes the whole shard before
-// writing its response headers — a coordinator running with a larger (or
-// unbounded) ShardTimeout should supply its own Client.
+// dialing and response headers. A sweep server sends its response headers
+// before it computes the shard, so the response-header timeout (sized to
+// DefaultShardTimeout) only ever fires on a wedged peer.
 var defaultClient = &http.Client{
 	Transport: &http.Transport{
 		Proxy: http.ProxyFromEnvironment,
@@ -147,13 +156,18 @@ var defaultClient = &http.Client{
 	},
 }
 
-// Backend executes one shard of a sweep.
+// Backend executes one shard of a sweep, streaming it graph by graph. The
+// coordinator journals and merges each graph as it arrives, so when a backend
+// dies mid-shard only the unreceived graphs are re-dispatched (via
+// SweepConfig.Skip).
 type Backend interface {
 	// Name identifies the backend in error messages and logs.
 	Name() string
-	// RunShard executes the shard selected by cfg and returns its raw
-	// per-graph results. Implementations must honour ctx cancellation.
-	RunShard(ctx context.Context, cfg expr.SweepConfig) (*expr.ShardResult, error)
+	// RunShardStream executes the shard selected by cfg, calling yield (when
+	// non-nil) once per completed graph — serialized, never concurrently —
+	// and returns the assembled shard result. A yield error aborts the run.
+	// Implementations must honour ctx cancellation.
+	RunShardStream(ctx context.Context, cfg expr.SweepConfig, yield func(expr.GraphResult) error) (*expr.ShardResult, error)
 }
 
 // ProbeInfo is what a health probe learns about a backend.
@@ -176,8 +190,9 @@ type HealthProber interface {
 
 // InProcess executes shards in this process. With a Service attached the
 // shard runs under the service's global worker budget and shard memo
-// (recommended when several shards run concurrently); without one it calls
-// expr.RunSweepShardContext directly with the config's own worker count.
+// (recommended when several shards run concurrently; a memo hit replays the
+// cached graphs); without one it streams from expr.RunSweepShardStream with
+// the config's own worker count.
 type InProcess struct {
 	Service *service.Service
 }
@@ -185,16 +200,16 @@ type InProcess struct {
 // Name implements Backend.
 func (InProcess) Name() string { return "in-process" }
 
-// RunShard implements Backend.
-func (b InProcess) RunShard(ctx context.Context, cfg expr.SweepConfig) (*expr.ShardResult, error) {
+// RunShardStream implements Backend.
+func (b InProcess) RunShardStream(ctx context.Context, cfg expr.SweepConfig, yield func(expr.GraphResult) error) (*expr.ShardResult, error) {
 	if b.Service != nil {
-		sol, err := b.Service.SweepShard(ctx, cfg)
+		sol, err := b.Service.SweepShardStream(ctx, cfg, yield)
 		if err != nil {
 			return nil, err
 		}
 		return sol.Shard, nil
 	}
-	return expr.RunSweepShardContext(ctx, cfg)
+	return expr.RunSweepShardStream(ctx, cfg, yield)
 }
 
 // Probe implements HealthProber: an in-process backend is alive by
@@ -241,12 +256,13 @@ func (b HTTP) baseURL() string {
 	return strings.TrimRight(b.BaseURL, "/")
 }
 
-// RunShard implements Backend: it posts the strict v1 sweep request document
-// and parses the strict v1 response, verifying that the served shard carries
-// the requested coordinates and belongs to the requested sweep (same
-// SweepHash) — a misconfigured proxy or a stale server answering for a
-// different sweep is rejected here, before its cells can reach MergeCells.
-func (b HTTP) RunShard(ctx context.Context, cfg expr.SweepConfig) (*expr.ShardResult, error) {
+// RunShardStream implements Backend over POST /v1/sweep: it posts the strict
+// v1 sweep request document and reads the NDJSON frame stream back. The
+// header's sweep hash and shard coordinates are verified before the first
+// graph is yielded — a misconfigured proxy or a stale server answering for a
+// different sweep is rejected before anything it says can be journaled —
+// and the strict stream reader turns a torn stream into a loud error.
+func (b HTTP) RunShardStream(ctx context.Context, cfg expr.SweepConfig, yield func(expr.GraphResult) error) (*expr.ShardResult, error) {
 	cfg = cfg.Normalize()
 	reqDoc := textio.EncodeSweepRequest(cfg)
 	wantHash, err := textio.SweepHash(reqDoc)
@@ -270,20 +286,47 @@ func (b HTTP) RunShard(ctx context.Context, cfg expr.SweepConfig) (*expr.ShardRe
 	if resp.StatusCode != http.StatusOK {
 		return nil, b.errorFor(resp)
 	}
-	doc, sh, err := textio.ReadSweepResponse(resp.Body)
+	sr, err := textio.NewSweepStreamReader(resp.Body)
 	if err != nil {
 		return nil, err
 	}
-	drainBody(resp.Body)
-	if doc.SweepHash != wantHash {
+	h := sr.Header()
+	if h.SweepHash != wantHash {
 		return nil, fmt.Errorf("server returned sweep %s for requested sweep %s (shard %d/%d): response rejected",
-			doc.SweepHash, wantHash, cfg.ShardIndex, cfg.ShardCount)
+			h.SweepHash, wantHash, cfg.ShardIndex, cfg.ShardCount)
 	}
-	if sh.ShardIndex != cfg.ShardIndex || sh.ShardCount != cfg.ShardCount {
+	if h.ShardIndex != cfg.ShardIndex || h.ShardCount != cfg.ShardCount {
 		return nil, fmt.Errorf("server returned shard %d/%d for requested shard %d/%d",
-			sh.ShardIndex, sh.ShardCount, cfg.ShardIndex, cfg.ShardCount)
+			h.ShardIndex, h.ShardCount, cfg.ShardIndex, cfg.ShardCount)
+	}
+	got := make(map[expr.GraphKey]expr.GraphResult, h.Graphs)
+	for {
+		g, err := sr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		got[g.Key()] = g
+		if yield != nil {
+			if err := yield(g); err != nil {
+				return nil, err
+			}
+		}
+	}
+	drainBody(resp.Body)
+	sh, err := cfg.AssembleShardResult(got)
+	if err != nil {
+		return nil, fmt.Errorf("streamed shard %d/%d: %w", cfg.ShardIndex, cfg.ShardCount, err)
 	}
 	return sh, nil
+}
+
+// RunShard executes the shard for callers that want only the finished
+// result: RunShardStream without a per-graph callback.
+func (b HTTP) RunShard(ctx context.Context, cfg expr.SweepConfig) (*expr.ShardResult, error) {
+	return b.RunShardStream(ctx, cfg, nil)
 }
 
 // errorFor turns a non-200 sweep response into the backend error for it —

@@ -73,8 +73,8 @@ func fastRetries(co *distrib.Coordinator) *distrib.Coordinator {
 	return co
 }
 
-// TestGoldenBackendKilledMidShard: a backend computes its first shard and
-// dies before delivering it (then refuses every connection, like a killed
+// TestGoldenBackendKilledMidShard: a backend dies in its first shard before
+// delivering a single graph (then refuses every connection, like a killed
 // process). Its shards fail over to the survivor and the merged CSV is still
 // byte-identical to the golden file.
 func TestGoldenBackendKilledMidShard(t *testing.T) {
@@ -430,7 +430,7 @@ func TestGoldenSweepUnderShedding(t *testing.T) {
 	}
 }
 
-// TestGoldenStreamTornMidShard: a streaming backend dies after delivering k
+// TestGoldenStreamTornMidShard: a backend dies after delivering k
 // of its shard's n graph frames. The retry must carry a skip list of exactly
 // the k received graphs — so only the n−k unreceived ones are recomputed —
 // and the merged CSV is still byte-identical to the golden file.
@@ -444,7 +444,7 @@ func TestGoldenStreamTornMidShard(t *testing.T) {
 	}
 	k := n / 2
 
-	flaky := &Backend{BackendName: "flaky", Streaming: true, Decide: func(shard, attempt int) Action {
+	flaky := &Backend{BackendName: "flaky", Decide: func(shard, attempt int) Action {
 		if shard == 0 && attempt == 0 {
 			return Action{Kind: Die, AfterGraphs: k, Err: errors.New("connection reset mid-stream")}
 		}
@@ -477,11 +477,11 @@ func TestGoldenStreamTornMidShard(t *testing.T) {
 	}
 }
 
-// TestGoldenStreamPartialSpoolResume: a streaming backend tears its shard
-// after k frames and then the whole fleet dies, failing the sweep — but the
-// journal holds the k graphs in a partial spool. A restarted coordinator
-// with a fresh fleet must reload them, dispatch the shard with a skip list
-// of exactly k, and produce the golden CSV.
+// TestGoldenStreamPartialSpoolResume: a backend tears its shard after k
+// frames and then the whole fleet dies, failing the sweep — but the
+// journal holds the k graphs in the shard's unfinished file. A restarted
+// coordinator with a fresh fleet must reload them, dispatch the shard with a
+// skip list of exactly k, and produce the golden CSV.
 func TestGoldenStreamPartialSpoolResume(t *testing.T) {
 	golden := goldenCSV(t)
 	scfg := expr.GoldenSweep().Normalize()
@@ -497,7 +497,7 @@ func TestGoldenStreamPartialSpoolResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	doomed := &Backend{BackendName: "doomed", Streaming: true, Decide: func(shard, attempt int) Action {
+	doomed := &Backend{BackendName: "doomed", Decide: func(shard, attempt int) Action {
 		if shard == 0 && attempt == 0 {
 			return Action{Kind: Die, AfterGraphs: k, Err: errors.New("connection reset mid-stream")}
 		}
@@ -515,7 +515,7 @@ func TestGoldenStreamPartialSpoolResume(t *testing.T) {
 		t.Fatalf("first run must fail (fleet scripted to die)\nlog:\n%s", rec1.all())
 	}
 
-	healthy := &Backend{BackendName: "healthy", Streaming: true}
+	healthy := &Backend{BackendName: "healthy"}
 	rec2 := &logRec{}
 	co2 := fastRetries(&distrib.Coordinator{
 		Shards:   2,

@@ -3,8 +3,8 @@
 // run, fail, hang on a gate, or die mid-shard — is decided by the test, so
 // churn scenarios (backends dying, joining late, being stolen from,
 // coordinators restarting) replay exactly, with no wall-clock coupling. The
-// computation itself is real (expr.RunSweepShardContext or a shared
-// service), so golden tests over these backends pin the merged CSV
+// computation itself is real (an in-process backend, with or without a
+// shared service), so golden tests over these backends pin the merged CSV
 // byte-for-byte under every scenario.
 package distribtest
 
@@ -47,15 +47,14 @@ func (g *Gate) Wait(ctx context.Context) error {
 type Kind int
 
 const (
-	// Run computes the shard and returns it (the healthy path).
+	// Run computes the shard, streaming every graph, and returns it (the
+	// healthy path).
 	Run Kind = iota
 	// Fail returns an error immediately, without computing — a dead or
 	// refusing backend.
 	Fail
-	// Die computes the shard (the work is really done) and then returns an
-	// error — a backend killed mid-shard, after burning the time but before
-	// delivering the result. On a Streaming backend a Die tears the stream
-	// instead: AfterGraphs frames are delivered, then the attempt errors.
+	// Die tears the stream — a backend killed mid-shard: Action.AfterGraphs
+	// graphs are delivered, then the attempt errors without a result.
 	Die
 )
 
@@ -69,10 +68,8 @@ type Action struct {
 	Gate *Gate
 	// Err overrides the error returned by Fail and Die.
 	Err error
-	// AfterGraphs is how many graph frames a Die on a Streaming backend
-	// delivers before the attempt dies (0 = before the first frame). Ignored
-	// for other kinds and for non-streaming backends, whose Die delivers
-	// nothing.
+	// AfterGraphs is how many graph frames a Die delivers before the
+	// attempt dies (0 = before the first frame). Ignored for other kinds.
 	AfterGraphs int
 }
 
@@ -90,12 +87,6 @@ type Backend struct {
 	// Decide picks the action of attempt number attempt (0-based, counted
 	// per shard on this backend). Nil means every attempt Runs.
 	Decide func(shard, attempt int) Action
-	// Streaming switches RunShardStream from the compatibility path (compute
-	// unary, then replay the finished shard) to true incremental streaming:
-	// graphs are yielded as they complete, and a scripted Die tears the
-	// stream after Action.AfterGraphs frames. Off by default so existing
-	// scripted scenarios keep their pre-streaming semantics exactly.
-	Streaming bool
 	// Capacity and draining state reported by Probe (see SetProbe).
 	mu          sync.Mutex
 	attempts    map[int]int
@@ -138,7 +129,7 @@ func (b *Backend) Completions(shard int) int {
 }
 
 // GraphsStreamed reports how many graph frames this backend delivered for
-// the shard — streamed live, or replayed after a unary run.
+// the shard.
 func (b *Backend) GraphsStreamed(shard int) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -224,40 +215,15 @@ func (b *Backend) scriptedErr(act Action, shard, attempt int) error {
 	return fmt.Errorf("distribtest: scripted failure of %s (shard %d, attempt %d)", b.BackendName, shard, attempt)
 }
 
-// RunShard implements distrib.Backend: it resolves the scripted action of
-// this attempt and really computes the shard for Run and Die.
-func (b *Backend) RunShard(ctx context.Context, cfg expr.SweepConfig) (*expr.ShardResult, error) {
-	act, attempt, err := b.begin(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if act.Kind == Fail {
-		return nil, b.scriptedErr(act, cfg.ShardIndex, attempt)
-	}
-	sh, err := b.compute(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if act.Kind == Die {
-		return nil, b.scriptedErr(act, cfg.ShardIndex, attempt)
-	}
-	b.mu.Lock()
-	b.completions[cfg.ShardIndex]++
-	b.mu.Unlock()
-	return sh, nil
-}
-
 // errStreamTorn aborts the shard computation when a scripted Die has
 // delivered its quota of frames; RunShardStream replaces it with the
 // scripted error.
 var errStreamTorn = errors.New("distribtest: stream torn by scripted death")
 
-// RunShardStream implements distrib.StreamBackend. On a non-streaming
-// backend it computes the shard exactly like RunShard and replays the
-// finished result through yield — pacing aside, scripted scenarios observe
-// their pre-streaming semantics (a Die still delivers nothing). On a
-// Streaming backend graphs are yielded as they complete, and a scripted Die
-// stops the stream after Action.AfterGraphs frames.
+// RunShardStream implements distrib.Backend: it resolves the scripted action
+// of this attempt and, for Run and Die, really computes the shard, yielding
+// graphs as they complete — a Die stops the stream after
+// Action.AfterGraphs frames.
 func (b *Backend) RunShardStream(ctx context.Context, cfg expr.SweepConfig, yield func(expr.GraphResult) error) (*expr.ShardResult, error) {
 	act, attempt, err := b.begin(ctx, cfg)
 	if err != nil {
@@ -267,29 +233,8 @@ func (b *Backend) RunShardStream(ctx context.Context, cfg expr.SweepConfig, yiel
 	if act.Kind == Fail {
 		return nil, b.scriptedErr(act, shard, attempt)
 	}
-	if !b.Streaming {
-		sh, err := b.compute(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if act.Kind == Die {
-			return nil, b.scriptedErr(act, shard, attempt)
-		}
-		for _, g := range sh.Results {
-			b.countGraph(shard)
-			if yield != nil {
-				if err := yield(g); err != nil {
-					return nil, err
-				}
-			}
-		}
-		b.mu.Lock()
-		b.completions[shard]++
-		b.mu.Unlock()
-		return sh, nil
-	}
 	delivered := 0
-	sh, err := b.computeStream(ctx, cfg, func(g expr.GraphResult) error {
+	sh, err := distrib.InProcess{Service: b.Service}.RunShardStream(ctx, cfg, func(g expr.GraphResult) error {
 		if act.Kind == Die && delivered >= act.AfterGraphs {
 			return errStreamTorn
 		}
@@ -318,28 +263,4 @@ func (b *Backend) countGraph(shard int) {
 	b.mu.Lock()
 	b.graphs[shard]++
 	b.mu.Unlock()
-}
-
-// compute really runs the shard.
-func (b *Backend) compute(ctx context.Context, cfg expr.SweepConfig) (*expr.ShardResult, error) {
-	if b.Service != nil {
-		sol, err := b.Service.SweepShard(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return sol.Shard, nil
-	}
-	return expr.RunSweepShardContext(ctx, cfg)
-}
-
-// computeStream really runs the shard, yielding each graph as it completes.
-func (b *Backend) computeStream(ctx context.Context, cfg expr.SweepConfig, yield func(expr.GraphResult) error) (*expr.ShardResult, error) {
-	if b.Service != nil {
-		sol, err := b.Service.SweepShardStream(ctx, cfg, yield)
-		if err != nil {
-			return nil, err
-		}
-		return sol.Shard, nil
-	}
-	return expr.RunSweepShardStream(ctx, cfg, yield)
 }

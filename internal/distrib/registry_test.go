@@ -2,9 +2,10 @@ package distrib
 
 import (
 	"context"
-	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -110,8 +111,9 @@ func TestCoordinatorDuplicateBackends(t *testing.T) {
 func TestCoordinatorRejectsForeignSweepHash(t *testing.T) {
 	inner := testBackendServer(t, 1)
 	// A mangling proxy: forwards to the real handler, then rewrites the
-	// response's sweepHash — exactly what a server answering for some other
-	// sweep would look like.
+	// stream header's sweepHash — exactly what a server answering for some
+	// other sweep would look like.
+	sweepHash := regexp.MustCompile(`"sweepHash":"[0-9a-f]+"`)
 	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		req, err := http.NewRequestWithContext(r.Context(), r.Method, inner.URL+r.URL.Path, r.Body)
 		if err != nil {
@@ -124,16 +126,14 @@ func TestCoordinatorRejectsForeignSweepHash(t *testing.T) {
 			return
 		}
 		defer resp.Body.Close()
-		var doc map[string]any
-		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadGateway)
 			return
 		}
-		if _, ok := doc["sweepHash"]; ok {
-			doc["sweepHash"] = strings.Repeat("0", 16)
-		}
+		w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
 		w.WriteHeader(resp.StatusCode)
-		json.NewEncoder(w).Encode(doc)
+		w.Write(sweepHash.ReplaceAll(data, []byte(`"sweepHash":"`+strings.Repeat("0", 16)+`"`)))
 	}))
 	t.Cleanup(proxy.Close)
 

@@ -1,9 +1,7 @@
 package distrib
 
 import (
-	"bytes"
 	"context"
-	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
@@ -11,7 +9,6 @@ import (
 	"repro/internal/expr"
 	"repro/internal/httpserver"
 	"repro/internal/service"
-	"repro/internal/textio"
 )
 
 // zeroGraphTimes strips the wall-clock fields from a shard clone so
@@ -26,10 +23,11 @@ func zeroGraphTimes(sh *expr.ShardResult) *expr.ShardResult {
 	return &c
 }
 
-// TestHTTPRunShardStreamMatchesUnary pins the streaming backend against the
-// production handler: the yielded graphs and the assembled shard match the
-// unary RunShard byte for byte (timings aside).
-func TestHTTPRunShardStreamMatchesUnary(t *testing.T) {
+// TestHTTPRunShardStreamMatchesInProcess pins the HTTP backend against the
+// production handler: every graph is yielded once, and the assembled shard
+// — streamed, or through RunShard without a callback — matches an
+// in-process expr.RunSweepShard byte for byte (timings aside).
+func TestHTTPRunShardStreamMatchesInProcess(t *testing.T) {
 	srv, err := httpserver.New(service.Config{Workers: 2}, 8<<20)
 	if err != nil {
 		t.Fatalf("httpserver.New: %v", err)
@@ -39,6 +37,10 @@ func TestHTTPRunShardStreamMatchesUnary(t *testing.T) {
 	b := HTTP{BaseURL: ts.URL}
 	cfg := expr.GoldenSweep()
 	cfg.ShardIndex, cfg.ShardCount = 1, 2
+	want, err := expr.RunSweepShard(cfg)
+	if err != nil {
+		t.Fatalf("RunSweepShard: %v", err)
+	}
 
 	var yields []expr.GraphResult
 	streamed, err := b.RunShardStream(context.Background(), cfg, func(g expr.GraphResult) error {
@@ -48,69 +50,17 @@ func TestHTTPRunShardStreamMatchesUnary(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunShardStream: %v", err)
 	}
-	unary, err := b.RunShard(context.Background(), cfg)
+	whole, err := b.RunShard(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("RunShard: %v", err)
 	}
-	if !reflect.DeepEqual(zeroGraphTimes(streamed), zeroGraphTimes(unary)) {
-		t.Fatal("streamed shard differs from unary shard")
-	}
-	if len(yields) != len(streamed.Results) {
-		t.Fatalf("yielded %d graphs, shard has %d", len(yields), len(streamed.Results))
-	}
-}
-
-// TestHTTPRunShardStreamFallsBack pins backward compatibility with servers
-// that predate ?stream=1: a 404 for the parameterized URL and a 200 that
-// ignores the parameter (unary JSON body) must both transparently serve the
-// shard, replaying the graphs through yield.
-func TestHTTPRunShardStreamFallsBack(t *testing.T) {
-	cfg := expr.GoldenSweep().Normalize()
-	cfg.ShardCount = 4
-	want, err := expr.RunSweepShard(cfg)
-	if err != nil {
-		t.Fatalf("RunSweepShard: %v", err)
-	}
-	unaryResponse := func(w http.ResponseWriter) {
-		doc := textio.EncodeSweepResponse(mustSweepHash(t, cfg), want)
-		var buf bytes.Buffer
-		if err := textio.WriteSweepResponse(&buf, doc); err != nil {
-			t.Errorf("WriteSweepResponse: %v", err)
+	for name, sh := range map[string]*expr.ShardResult{"streamed": streamed, "RunShard": whole} {
+		if !reflect.DeepEqual(zeroGraphTimes(sh), zeroGraphTimes(want)) {
+			t.Errorf("%s shard differs from the in-process shard", name)
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(buf.Bytes())
 	}
-	for name, handler := range map[string]http.HandlerFunc{
-		"rejects stream param with 404": func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Query().Get("stream") != "" {
-				http.Error(w, "not found", http.StatusNotFound)
-				return
-			}
-			unaryResponse(w)
-		},
-		"ignores stream param": func(w http.ResponseWriter, r *http.Request) {
-			unaryResponse(w)
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
-			ts := httptest.NewServer(handler)
-			t.Cleanup(ts.Close)
-			b := HTTP{BaseURL: ts.URL}
-			n := 0
-			sh, err := b.RunShardStream(context.Background(), cfg, func(expr.GraphResult) error {
-				n++
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("RunShardStream: %v", err)
-			}
-			if !reflect.DeepEqual(zeroGraphTimes(sh), zeroGraphTimes(want)) {
-				t.Fatal("fallback shard differs from in-process shard")
-			}
-			if n != len(want.Results) {
-				t.Fatalf("fallback replayed %d graphs, want %d", n, len(want.Results))
-			}
-		})
+	if len(yields) != len(want.Results) {
+		t.Fatalf("yielded %d graphs, shard has %d", len(yields), len(want.Results))
 	}
 }
 
@@ -139,13 +89,4 @@ func TestInProcessRunShardStream(t *testing.T) {
 			t.Fatalf("%s: yielded %d graphs, shard has %d", name, n, len(sh.Results))
 		}
 	}
-}
-
-func mustSweepHash(t *testing.T, cfg expr.SweepConfig) string {
-	t.Helper()
-	h, err := textio.SweepHash(textio.EncodeSweepRequest(cfg))
-	if err != nil {
-		t.Fatalf("SweepHash: %v", err)
-	}
-	return h
 }

@@ -16,9 +16,8 @@
 //	POST /v1/generate             generate a random problem document from
 //	                              the paper's structural parameters
 //	POST /v1/sweep?workers=N      execute one shard of a Fig. 5/6 sweep and
-//	                              return the raw per-graph results; &stream=1
-//	                              switches the response to an NDJSON frame
-//	                              stream (header, one frame per completed
+//	                              stream its raw per-graph results as NDJSON
+//	                              frames (header, one frame per completed
 //	                              graph, trailing summary) so coordinators
 //	                              can journal and merge graph by graph
 //	GET  /v1/sweep/progress       completion counts of the sweeps this server
@@ -368,7 +367,8 @@ func (sw *statusWriter) Write(b []byte) (int, error) {
 }
 
 // Flush forwards to the underlying writer when it supports flushing (the
-// NDJSON progress stream needs it); flushable reports whether it does.
+// NDJSON sweep and progress streams need it); flushable reports whether it
+// does.
 func (sw *statusWriter) Flush() {
 	if sw.flusher != nil {
 		sw.flusher.Flush()
@@ -542,12 +542,14 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSweep executes one shard of a Fig. 5/6 sweep under the service's
-// global worker budget and returns the raw per-graph results, so a
-// coordinator can merge shards from many servers into the exact cells of a
-// single-process run. With ?stream=1 the results leave incrementally as an
-// NDJSON frame stream (header, one graph frame per completed graph, trailing
-// summary) instead of one blocking response, so a coordinator can journal
-// and merge graph by graph.
+// global worker budget and streams the raw per-graph results as an NDJSON
+// frame stream (header, one graph frame per completed graph, trailing
+// summary), so a coordinator can journal each graph as it arrives and merge
+// shards from many servers into the exact cells of a single-process run.
+// Request errors get the usual envelope; once the 200 and the header frame
+// are committed, a failure travels in-band as an error frame — the strict
+// stream reader turns a missing or mismatched summary into a loud
+// torn-stream error, never a silently short shard.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	_, cfg, err := textio.ReadSweepRequest(http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err != nil {
@@ -560,33 +562,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	} else if ok {
 		cfg.Workers = n
 	}
-	if r.URL.Query().Get("stream") != "" {
-		s.streamSweep(w, r, cfg)
-		return
-	}
-	sol, err := s.svc.SweepShard(r.Context(), cfg)
-	if err != nil {
-		writeError(w, scheduleErrorStatus(err), err)
-		return
-	}
-	out := textio.EncodeSweepResponse(sol.SweepHash, sol.Shard)
-	st := s.svc.Stats()
-	out.Cache = &textio.CacheDoc{
-		Hit:         sol.CacheHit,
-		Hits:        st.SweepCacheHits,
-		Misses:      st.SweepCacheMisses,
-		ProblemHash: sol.SweepHash,
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// streamSweep is the ?stream=1 path of handleSweep: the same shard execution,
-// with every completed graph flushed to the client as soon as it exists. The
-// 200 header is committed before the first frame, so failures after that
-// point travel in-band as an error frame — the strict stream reader turns a
-// missing or mismatched summary into a loud torn-stream error, never a
-// silently short shard.
-func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, cfg expr.SweepConfig) {
 	fl, ok := w.(http.Flusher)
 	if sw, isSW := w.(*statusWriter); isSW && !sw.flushable() {
 		ok = false

@@ -4,15 +4,14 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"testing"
 
 	"repro/internal/expr"
 	"repro/internal/textio"
 )
 
-// postStream POSTs a sweep request with ?stream=1 and returns the raw
-// response without draining it, so tests can read the NDJSON frames.
+// postStream POSTs a sweep request and returns the raw response without
+// draining it, so tests can read the NDJSON frames.
 func postStream(t *testing.T, url string, body []byte) *http.Response {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
@@ -20,100 +19,6 @@ func postStream(t *testing.T, url string, body []byte) *http.Response {
 		t.Fatalf("POST %s: %v", url, err)
 	}
 	return resp
-}
-
-// TestSweepStreamEndpointMatchesUnary pins the tentpole acceptance property
-// of ?stream=1: the graph frames of a streamed shard reassemble into exactly
-// the shard the unary endpoint serves (wall-clock timing aside), under the
-// same sweep hash, and a retried streamed shard replays from the memo.
-func TestSweepStreamEndpointMatchesUnary(t *testing.T) {
-	ts := testServer(t)
-	cfg := expr.GoldenSweep()
-	cfg.ShardIndex, cfg.ShardCount = 1, 2
-	body := sweepRequestBody(t, cfg)
-
-	want, err := expr.RunSweepShard(cfg)
-	if err != nil {
-		t.Fatalf("RunSweepShard: %v", err)
-	}
-
-	sresp := postStream(t, ts.URL+"/v1/sweep?stream=1", body)
-	defer sresp.Body.Close()
-	if sresp.StatusCode != http.StatusOK {
-		t.Fatalf("stream status %d", sresp.StatusCode)
-	}
-	if ct := sresp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("stream Content-Type = %q, want application/x-ndjson", ct)
-	}
-	got := map[expr.GraphKey]expr.GraphResult{}
-	header, summary, err := textio.ReadSweepStream(sresp.Body, func(g expr.GraphResult) error {
-		got[g.Key()] = g
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("ReadSweepStream: %v", err)
-	}
-	if header.ShardIndex != cfg.ShardIndex || header.ShardCount != cfg.ShardCount {
-		t.Fatalf("stream header coords %d/%d, want %d/%d",
-			header.ShardIndex, header.ShardCount, cfg.ShardIndex, cfg.ShardCount)
-	}
-	if header.Graphs != len(want.Results) || summary.Graphs != len(want.Results) {
-		t.Fatalf("stream announced %d / summarized %d graphs, want %d",
-			header.Graphs, summary.Graphs, len(want.Results))
-	}
-	asm, err := cfg.Normalize().AssembleShardResult(got)
-	if err != nil {
-		t.Fatalf("AssembleShardResult: %v", err)
-	}
-	zero := func(sh *expr.ShardResult) *expr.ShardResult {
-		c := *sh
-		c.Results = append([]expr.GraphResult(nil), sh.Results...)
-		for i := range c.Results {
-			c.Results[i].MergeNs = 0
-			c.Results[i].PathSchedNs = 0
-		}
-		return &c
-	}
-	if !reflect.DeepEqual(zero(asm), zero(want)) {
-		t.Fatal("streamed shard differs from unary shard")
-	}
-	if summary.Cache == nil || summary.Cache.Hit {
-		t.Fatalf("first streamed shard must miss the memo: %+v", summary.Cache)
-	}
-
-	// The unary endpoint must hit the memo the stream filled, under the same
-	// sweep hash the stream announced — the two wire shapes share one cache.
-	resp, out := postJSON(t, ts.URL+"/v1/sweep", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("unary status %d: %s", resp.StatusCode, out)
-	}
-	doc, _, err := textio.ReadSweepResponse(bytes.NewReader(out))
-	if err != nil {
-		t.Fatalf("ReadSweepResponse: %v", err)
-	}
-	if doc.SweepHash != header.SweepHash {
-		t.Fatalf("stream header hash %q != unary sweep hash %q", header.SweepHash, doc.SweepHash)
-	}
-	if doc.Cache == nil || !doc.Cache.Hit {
-		t.Fatalf("unary request after streamed shard must hit the memo: %+v", doc.Cache)
-	}
-
-	again := postStream(t, ts.URL+"/v1/sweep?stream=1", body)
-	defer again.Body.Close()
-	n := 0
-	_, sum2, err := textio.ReadSweepStream(again.Body, func(expr.GraphResult) error {
-		n++
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("ReadSweepStream(retry): %v", err)
-	}
-	if sum2.Cache == nil || !sum2.Cache.Hit {
-		t.Fatalf("retried streamed shard must replay from the memo: %+v", sum2.Cache)
-	}
-	if n != len(want.Results) {
-		t.Fatalf("memo replay streamed %d graphs, want %d", n, len(want.Results))
-	}
 }
 
 // TestSweepStreamEndpointSkip pins that a skip list travels through the
@@ -129,7 +34,7 @@ func TestSweepStreamEndpointSkip(t *testing.T) {
 	}
 	cfg.Skip = mine[:1]
 
-	resp := postStream(t, ts.URL+"/v1/sweep?stream=1", sweepRequestBody(t, cfg))
+	resp := postStream(t, ts.URL+"/v1/sweep", sweepRequestBody(t, cfg))
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stream status %d", resp.StatusCode)
@@ -151,29 +56,33 @@ func TestSweepStreamEndpointSkip(t *testing.T) {
 	}
 }
 
-// TestSweepStreamEndpointRejects pins that request validation still happens
-// before the stream commits a 200: bad documents get the ordinary JSON error
-// envelope, and a non-flushable writer gets 501.
+// TestSweepStreamEndpointRejects pins that request validation happens
+// before the stream commits a 200: a bad document gets the ordinary JSON
+// error envelope, never a frame.
 func TestSweepStreamEndpointRejects(t *testing.T) {
 	ts := testServer(t)
-	resp, out := postJSON(t, ts.URL+"/v1/sweep?stream=1", []byte(`{"version":"v1","bogus":1}`))
+	resp, out := postJSON(t, ts.URL+"/v1/sweep", []byte(`{"version":"v1","bogus":1}`))
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad doc over stream = %d, want 400: %s", resp.StatusCode, out)
+		t.Fatalf("bad doc = %d, want 400: %s", resp.StatusCode, out)
 	}
-	if !bytes.Contains(out, []byte(`"error"`)) {
-		t.Fatalf("missing error envelope: %s", out)
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("bad doc answered with Content-Type %q, want the application/json envelope", ct)
+	}
+	if !bytes.Contains(out, []byte(`"error"`)) || bytes.Contains(out, []byte(`"frame"`)) {
+		t.Fatalf("want an error envelope and no frame: %s", out)
 	}
 }
 
 // TestSweepStreamStillDetectsFlusher pins that the statusWriter middleware
 // does not mask flushability from the sweep stream: a plain (non-flushable)
-// writer must be rejected with 501 so clients fall back to the unary path.
+// writer, which could not deliver the graphs as they complete, is rejected
+// with 501 before any frame is written.
 func TestSweepStreamStillDetectsFlusher(t *testing.T) {
 	srv := mustServer(t)
 	h := srv.Routes(nil)
 	cfg := expr.GoldenSweep()
 	cfg.ShardCount = 2
-	req := httptest.NewRequest("POST", "/v1/sweep?stream=1", bytes.NewReader(sweepRequestBody(t, cfg)))
+	req := httptest.NewRequest("POST", "/v1/sweep", bytes.NewReader(sweepRequestBody(t, cfg)))
 	w := &nopRecorder{}
 	h.ServeHTTP(w, req)
 	if w.code != http.StatusNotImplemented {

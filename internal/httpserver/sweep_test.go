@@ -21,26 +21,46 @@ func sweepRequestBody(t *testing.T, cfg expr.SweepConfig) []byte {
 }
 
 // TestSweepEndpointMatchesInProcess pins the acceptance property of the
-// sweep endpoint: the shard served over HTTP carries exactly the per-graph
-// results of an in-process expr.RunSweepShard (wall-clock timing aside), and
-// a retried identical shard request is answered from the shard memo.
+// sweep endpoint: the NDJSON frames of a served shard reassemble into
+// exactly the per-graph results of an in-process expr.RunSweepShard
+// (wall-clock timing aside), and a retried identical shard request replays
+// from the shard memo under the same sweep hash.
 func TestSweepEndpointMatchesInProcess(t *testing.T) {
 	ts := testServer(t)
 	cfg := expr.GoldenSweep()
 	cfg.ShardIndex, cfg.ShardCount = 1, 2
 	body := sweepRequestBody(t, cfg)
+	want, err := expr.RunSweepShard(cfg)
+	if err != nil {
+		t.Fatalf("RunSweepShard: %v", err)
+	}
 
 	resp, out := postJSON(t, ts.URL+"/v1/sweep", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, out)
 	}
-	doc, got, err := textio.ReadSweepResponse(bytes.NewReader(out))
-	if err != nil {
-		t.Fatalf("ReadSweepResponse: %v", err)
+	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+		t.Fatalf("Content-Type = %q, want application/x-ndjson", ct)
 	}
-	want, err := expr.RunSweepShard(cfg)
+	got := map[expr.GraphKey]expr.GraphResult{}
+	header, summary, err := textio.ReadSweepStream(bytes.NewReader(out), func(g expr.GraphResult) error {
+		got[g.Key()] = g
+		return nil
+	})
 	if err != nil {
-		t.Fatalf("RunSweepShard: %v", err)
+		t.Fatalf("ReadSweepStream: %v", err)
+	}
+	if header.ShardIndex != cfg.ShardIndex || header.ShardCount != cfg.ShardCount {
+		t.Fatalf("stream header coords %d/%d, want %d/%d",
+			header.ShardIndex, header.ShardCount, cfg.ShardIndex, cfg.ShardCount)
+	}
+	if header.Graphs != len(want.Results) || summary.Graphs != len(want.Results) {
+		t.Fatalf("stream announced %d / summarized %d graphs, want %d",
+			header.Graphs, summary.Graphs, len(want.Results))
+	}
+	asm, err := cfg.Normalize().AssembleShardResult(got)
+	if err != nil {
+		t.Fatalf("AssembleShardResult: %v", err)
 	}
 	zero := func(sh *expr.ShardResult) *expr.ShardResult {
 		c := *sh
@@ -51,25 +71,32 @@ func TestSweepEndpointMatchesInProcess(t *testing.T) {
 		}
 		return &c
 	}
-	if !reflect.DeepEqual(zero(got), zero(want)) {
-		t.Fatalf("served shard differs from in-process shard:\n%+v\nvs\n%+v", got, want)
+	if !reflect.DeepEqual(zero(asm), zero(want)) {
+		t.Fatalf("served shard differs from in-process shard:\n%+v\nvs\n%+v", asm, want)
 	}
-	if doc.Cache == nil || doc.Cache.Hit {
-		t.Fatalf("first shard request must miss the memo: %+v", doc.Cache)
+	if summary.Cache == nil || summary.Cache.Hit {
+		t.Fatalf("first shard request must miss the memo: %+v", summary.Cache)
 	}
 
 	resp, out = postJSON(t, ts.URL+"/v1/sweep?workers=1", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("retry status %d: %s", resp.StatusCode, out)
 	}
-	again, _, err := textio.ReadSweepResponse(bytes.NewReader(out))
+	n := 0
+	again, sum2, err := textio.ReadSweepStream(bytes.NewReader(out), func(expr.GraphResult) error {
+		n++
+		return nil
+	})
 	if err != nil {
-		t.Fatalf("ReadSweepResponse(retry): %v", err)
+		t.Fatalf("ReadSweepStream(retry): %v", err)
 	}
-	if again.Cache == nil || !again.Cache.Hit {
-		t.Fatalf("retried shard (even with another worker wish) must hit the memo: %+v", again.Cache)
+	if sum2.Cache == nil || !sum2.Cache.Hit {
+		t.Fatalf("retried shard (even with another worker wish) must replay from the memo: %+v", sum2.Cache)
 	}
-	if again.SweepHash != doc.SweepHash {
+	if n != len(want.Results) {
+		t.Fatalf("memo replay streamed %d graphs, want %d", n, len(want.Results))
+	}
+	if again.SweepHash != header.SweepHash || sum2.Cache.ProblemHash != header.SweepHash {
 		t.Fatalf("sweep hash changed between identical requests")
 	}
 }

@@ -12,10 +12,10 @@ import (
 const defaultStrictDecodePkgs = "textio,httpserver,distrib"
 
 // defaultStrictDecodeExcept are the functions allowed to construct decoders:
-// textio's readStrict (one strict document) and newStreamDecoder (the NDJSON
-// frame decoder behind the sweep stream codec) — both set
-// DisallowUnknownFields, and both own their format's trailing-data policy.
-const defaultStrictDecodeExcept = "readStrict,newStreamDecoder"
+// textio's readStrict, which sets DisallowUnknownFields and owns the
+// trailing-data check. It decodes whole documents and, line by line, the
+// frames of the NDJSON sweep stream.
+const defaultStrictDecodeExcept = "readStrict"
 
 var (
 	strictDecodeScope  = newPkgScope(defaultStrictDecodePkgs)
@@ -23,12 +23,11 @@ var (
 )
 
 // StrictDecode flags json.Unmarshal and json.NewDecoder calls in the
-// document/transport packages that bypass textio's strict helpers
-// (readStrict for whole documents, newStreamDecoder for NDJSON frame
-// streams). The helpers are the only places that set DisallowUnknownFields
-// and enforce a trailing-data policy; any other decode path silently
-// reintroduces lenient parsing of wire input, which the v1 API contract
-// forbids.
+// document/transport packages that bypass textio's strict helper readStrict
+// (whole documents, and each line of an NDJSON frame stream). The helper is
+// the only place that sets DisallowUnknownFields and enforces the
+// trailing-data check; any other decode path silently reintroduces lenient
+// parsing of wire input, which the v1 API contract forbids.
 var StrictDecode = &analysis.Analyzer{
 	Name: "strictdecode",
 	Doc: "flag JSON decoding that bypasses the shared strict decode helpers\n\n" +

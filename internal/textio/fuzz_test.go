@@ -2,15 +2,14 @@ package textio
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"reflect"
 	"testing"
+
+	"repro/internal/expr"
 )
 
-// FuzzReadProblem throws arbitrary bytes at the strict v1 reader: parsing
-// must never panic, and any input that survives ReadProblem+DecodeProblem
-// must re-encode to a document that decodes to the same model (idempotent
-// round-trip). Run with `go test -fuzz FuzzReadProblem ./internal/textio`.
 // FuzzReadSweepRequest throws arbitrary bytes at the strict sweep-request
 // reader: parsing must never panic, and any input that survives must decode
 // to a config whose re-encoding is accepted and idempotent — the property the
@@ -51,6 +50,10 @@ func FuzzReadSweepRequest(f *testing.F) {
 	})
 }
 
+// FuzzReadProblem throws arbitrary bytes at the strict v1 reader: parsing
+// must never panic, and any input that survives ReadProblem+DecodeProblem
+// must re-encode to a document that decodes to the same model (idempotent
+// round-trip). Run with `go test -fuzz FuzzReadProblem ./internal/textio`.
 func FuzzReadProblem(f *testing.F) {
 	if golden, err := os.ReadFile("../../testdata/figure1_v1.json"); err == nil {
 		f.Add(golden)
@@ -80,6 +83,73 @@ func FuzzReadProblem(f *testing.F) {
 		doc3 := EncodeProblem(g2, a2, opts2)
 		if !reflect.DeepEqual(doc2, doc3) {
 			t.Fatalf("encode/decode not idempotent")
+		}
+	})
+}
+
+// FuzzReadSweepStream throws arbitrary bytes at the strict sweep stream
+// reader: it must never panic, io.EOF must come only after a summary whose
+// count matches both the header and the graph frames received, and whatever
+// the reader accepted must round-trip through the writer. Run with
+// `go test -fuzz FuzzReadSweepStream ./internal/textio`.
+func FuzzReadSweepStream(f *testing.F) {
+	head := `{"frame":"header","header":{"version":"v1","sweepHash":"h","shardIndex":0,"shardCount":1,"graphs":1}}` + "\n"
+	graph := `{"frame":"graph","graph":{"nodes":40,"paths":10,"index":0,"increasePct":1.5,"mergeNs":2,"pathSchedNs":3}}` + "\n"
+	summary := `{"frame":"summary","summary":{"graphs":1}}` + "\n"
+	f.Add([]byte(head + graph + summary))
+	f.Add([]byte(head + graph))
+	f.Add([]byte(head + graph + summary[:10]))
+	f.Add([]byte(head + graph + summary + graph))
+	f.Add([]byte(head + `{"frame":"error","error":{"message":"x"}}` + "\n"))
+	f.Add([]byte(``))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sr, err := NewSweepStreamReader(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		h := sr.Header()
+		var graphs []expr.GraphResult
+		for {
+			g, err := sr.Next()
+			if err == io.EOF {
+				sum := sr.Summary()
+				if sum == nil || sum.Graphs != h.Graphs || sum.Graphs != len(graphs) {
+					t.Fatalf("clean end with summary %+v after %d graph frames, header announced %d", sum, len(graphs), h.Graphs)
+				}
+				break
+			}
+			if err != nil {
+				if sr.Summary() != nil {
+					t.Fatalf("failed stream exposes a summary: %v", err)
+				}
+				break
+			}
+			graphs = append(graphs, g)
+		}
+		var buf bytes.Buffer
+		sw := NewSweepStreamWriter(&buf)
+		if err := sw.Header(h.SweepHash, h.ShardIndex, h.ShardCount, len(graphs)); err != nil {
+			t.Fatalf("Header: %v", err)
+		}
+		for _, g := range graphs {
+			if err := sw.Graph(g); err != nil {
+				t.Fatalf("Graph: %v", err)
+			}
+		}
+		if err := sw.Summary(nil); err != nil {
+			t.Fatalf("Summary: %v", err)
+		}
+		var again []expr.GraphResult
+		h2, sum2, err := ReadSweepStream(&buf, func(g expr.GraphResult) error {
+			again = append(again, g)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("writer output rejected: %v", err)
+		}
+		if h2.SweepHash != h.SweepHash || h2.ShardIndex != h.ShardIndex || h2.ShardCount != h.ShardCount ||
+			sum2.Graphs != len(graphs) || !reflect.DeepEqual(again, graphs) {
+			t.Fatalf("stream drifted through write/read: %+v %+v, %d vs %d graphs", h2, sum2, len(again), len(graphs))
 		}
 	})
 }

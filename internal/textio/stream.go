@@ -1,9 +1,11 @@
 package textio
 
-// This file defines the v1 NDJSON stream format for sweep shards: the wire
-// form of POST /v1/sweep?stream=1 and of the coordinator's per-graph journal
-// spool. A stream is a sequence of GraphResultDoc frames, one compact JSON
-// object per line:
+// This file defines the v1 NDJSON stream format for sweep shards — the one
+// shard format, wherever a shard travels or rests: the body of a POST
+// /v1/sweep response, the coordinator's per-shard journal file and the
+// output of an offline `cpgexper -shard i/N`. A stream is a sequence of
+// GraphResultDoc frames, one compact JSON object per newline-terminated
+// line:
 //
 //	{"frame":"header","header":{...}}    exactly once, first
 //	{"frame":"graph","graph":{...}}      once per completed graph
@@ -12,15 +14,18 @@ package textio
 //
 // The header carries the sweep hash, the shard coordinates and the expected
 // graph count; the trailing summary repeats the count of graph frames
-// actually sent. Decoding is strict (unknown fields and unknown frame kinds
+// actually sent. Decoding is strict line by line (every line must hold
+// exactly one frame; unknown fields, trailing data and unknown frame kinds
 // are rejected) and coverage is accounted frame by frame: a stream that ends
 // without a summary, or whose summary disagrees with the frames before it,
 // is a torn stream and fails loudly — a reader can trust that io.EOF from
 // Next means the shard arrived whole.
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -96,10 +101,9 @@ func DecodeGraphResult(d *SweepGraphDoc) expr.GraphResult {
 	}
 }
 
-// MarshalFrame renders one frame as a single NDJSON line (compact JSON plus
-// a trailing newline) — the encoding shared by the HTTP stream and the
-// journal's per-graph spool files.
-func MarshalFrame(d *GraphResultDoc) ([]byte, error) {
+// marshalFrame renders one frame as a single NDJSON line (compact JSON plus
+// a trailing newline), the unit SweepStreamWriter writes.
+func marshalFrame(d *GraphResultDoc) ([]byte, error) {
 	b, err := json.Marshal(d)
 	if err != nil {
 		return nil, fmt.Errorf("textio: %w", err)
@@ -107,16 +111,12 @@ func MarshalFrame(d *GraphResultDoc) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// UnmarshalFrame parses one NDJSON line back into a frame, with the same
-// strictness as the stream reader (unknown fields, trailing data and
-// malformed unions rejected). Journal loaders use this line by line.
-func UnmarshalFrame(line []byte) (*GraphResultDoc, error) {
-	dec := newStreamDecoder(bytes.NewReader(line))
+// unmarshalFrame parses one NDJSON line back into a frame, strictly
+// (unknown fields, trailing data and malformed unions rejected) — the unit
+// SweepStreamReader reads.
+func unmarshalFrame(line []byte) (*GraphResultDoc, error) {
 	var d GraphResultDoc
-	if err := dec.Decode(&d); err != nil {
-		return nil, fmt.Errorf("textio: %w", err)
-	}
-	if err := requireEOF(dec); err != nil {
+	if err := readStrict(bytes.NewReader(line), &d); err != nil {
 		return nil, err
 	}
 	if err := validateFrame(&d); err != nil {
@@ -156,8 +156,10 @@ func validateFrame(d *GraphResultDoc) error {
 // SweepStreamWriter emits the frames of one sweep shard stream in order.
 // It enforces the protocol shape (header first, exactly one terminal frame)
 // and counts graph frames so the summary cannot disagree with the stream.
+// Every frame is one Write of one whole line, so a crash mid-write can tear
+// at most the last line of a file.
 type SweepStreamWriter struct {
-	enc    *json.Encoder
+	w      io.Writer
 	opened bool
 	closed bool
 	graphs int
@@ -166,14 +168,25 @@ type SweepStreamWriter struct {
 // NewSweepStreamWriter returns a writer emitting NDJSON frames to w. The
 // caller flushes w between frames when streaming over HTTP.
 func NewSweepStreamWriter(w io.Writer) *SweepStreamWriter {
-	return &SweepStreamWriter{enc: json.NewEncoder(w)}
+	return &SweepStreamWriter{w: w}
+}
+
+// ResumeSweepStreamWriter continues a stream of which w already holds the
+// header and the given number of graph frames (a journal file reopened by a
+// restarted coordinator); the summary it writes counts those frames too.
+func ResumeSweepStreamWriter(w io.Writer, graphs int) *SweepStreamWriter {
+	return &SweepStreamWriter{w: w, opened: true, graphs: graphs}
 }
 
 func (sw *SweepStreamWriter) emit(d *GraphResultDoc) error {
 	if sw.closed {
 		return fmt.Errorf("textio: sweep stream already closed by a summary or error frame")
 	}
-	if err := sw.enc.Encode(d); err != nil {
+	line, err := marshalFrame(d)
+	if err != nil {
+		return err
+	}
+	if _, err := sw.w.Write(line); err != nil {
 		return fmt.Errorf("textio: %w", err)
 	}
 	return nil
@@ -228,10 +241,18 @@ func (sw *SweepStreamWriter) Error(msg string) error {
 	return err
 }
 
+// ErrTornStream marks a sweep stream that ended before its summary frame:
+// a connection cut mid-shard, or the journal file of an unfinished shard.
+var ErrTornStream = errors.New("textio: torn sweep stream")
+
+// maxFrameLine bounds one frame line. A graph frame takes about 150 bytes,
+// so only a runaway error message or a hostile peer comes near it.
+const maxFrameLine = 64 << 10
+
 // SweepStreamReader consumes the frames of one sweep shard stream,
 // validating the protocol shape and the coverage accounting as it goes.
 type SweepStreamReader struct {
-	dec     *json.Decoder
+	br      *bufio.Reader
 	header  *StreamHeaderDoc
 	summary *StreamSummaryDoc
 	graphs  int
@@ -241,7 +262,7 @@ type SweepStreamReader struct {
 // NewSweepStreamReader reads and validates the header frame of a sweep
 // stream from r.
 func NewSweepStreamReader(r io.Reader) (*SweepStreamReader, error) {
-	sr := &SweepStreamReader{dec: newStreamDecoder(r)}
+	sr := &SweepStreamReader{br: bufio.NewReaderSize(r, maxFrameLine)}
 	d, err := sr.nextFrame()
 	if err != nil {
 		if err == io.EOF {
@@ -266,20 +287,22 @@ func NewSweepStreamReader(r io.Reader) (*SweepStreamReader, error) {
 	return sr, nil
 }
 
-// nextFrame decodes and shape-validates one frame; io.EOF passes through
-// untouched so callers can tell a clean end from a decode error.
+// nextFrame reads one line and decodes it as a frame; io.EOF passes through
+// untouched at a line boundary, so callers can tell a clean end from a torn
+// or malformed line.
 func (sr *SweepStreamReader) nextFrame() (*GraphResultDoc, error) {
-	var d GraphResultDoc
-	if err := sr.dec.Decode(&d); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
+	line, err := sr.br.ReadSlice('\n')
+	switch {
+	case err == io.EOF && len(line) == 0:
+		return nil, io.EOF
+	case err == io.EOF:
+		return nil, fmt.Errorf("%w: unterminated final line", ErrTornStream)
+	case err == bufio.ErrBufferFull:
+		return nil, fmt.Errorf("textio: sweep stream frame longer than %d bytes", maxFrameLine)
+	case err != nil:
 		return nil, fmt.Errorf("textio: %w", err)
 	}
-	if err := validateFrame(&d); err != nil {
-		return nil, err
-	}
-	return &d, nil
+	return unmarshalFrame(line)
 }
 
 // Header returns the validated header frame.
@@ -302,8 +325,8 @@ func (sr *SweepStreamReader) Next() (expr.GraphResult, error) {
 	}
 	d, err := sr.nextFrame()
 	if err == io.EOF {
-		return zero, fmt.Errorf("textio: torn sweep stream: EOF after %d of %d graphs without a summary frame",
-			sr.graphs, sr.header.Graphs)
+		return zero, fmt.Errorf("%w: EOF after %d of %d graphs without a summary frame",
+			ErrTornStream, sr.graphs, sr.header.Graphs)
 	}
 	if err != nil {
 		return zero, err
@@ -319,8 +342,10 @@ func (sr *SweepStreamReader) Next() (expr.GraphResult, error) {
 			return zero, fmt.Errorf("textio: torn sweep stream: summary claims %d graphs, header announced %d, received %d",
 				d.Summary.Graphs, sr.header.Graphs, sr.graphs)
 		}
-		if err := requireEOF(sr.dec); err != nil {
+		if _, err := sr.br.ReadByte(); err == nil {
 			return zero, fmt.Errorf("textio: sweep stream continues after its summary frame")
+		} else if err != io.EOF {
+			return zero, fmt.Errorf("textio: %w", err)
 		}
 		sr.summary = d.Summary
 		sr.done = true
@@ -355,15 +380,4 @@ func ReadSweepStream(r io.Reader, onGraph func(expr.GraphResult) error) (*Stream
 			}
 		}
 	}
-}
-
-// newStreamDecoder constructs the strict frame decoder of the NDJSON sweep
-// stream: unknown fields are rejected on every frame. Alongside readStrict,
-// this is one of the two functions allowed to build a json.Decoder in the
-// codec and transport packages (cpglint's strictdecode -except list); all
-// stream decoding must route through it.
-func newStreamDecoder(r io.Reader) *json.Decoder {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	return dec
 }

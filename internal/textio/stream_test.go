@@ -2,6 +2,7 @@ package textio
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"reflect"
 	"strings"
@@ -12,7 +13,7 @@ import (
 
 func testGraphs() []expr.GraphResult {
 	return []expr.GraphResult{
-		{Nodes: 40, Paths: 10, Index: 0, IncreasePct: 12.5, MergeNs: 100, PathSchedNs: 10},
+		{Nodes: 40, Paths: 10, Index: 0, IncreasePct: 12.345678901234567, MergeNs: 1.5e6, PathSchedNs: 3.25e5},
 		{Nodes: 40, Paths: 10, Index: 1, IncreasePct: 0, MergeNs: 90, PathSchedNs: 9, Violation: true},
 		{Nodes: 60, Paths: 12, Index: 0, IncreasePct: 3.25, MergeNs: 80, PathSchedNs: 8},
 	}
@@ -39,8 +40,8 @@ func writeTestStream(t *testing.T, graphs []expr.GraphResult) []byte {
 }
 
 // TestSweepStreamRoundTrip pins the stream contract: every graph comes back
-// in order, Next ends with io.EOF exactly once the summary validated, and
-// the header carries the request identity.
+// in order with float-exact measurements, Next ends with io.EOF exactly once
+// the summary validated, and the header carries the request identity.
 func TestSweepStreamRoundTrip(t *testing.T) {
 	graphs := testGraphs()
 	data := writeTestStream(t, graphs)
@@ -111,16 +112,16 @@ func TestSweepStreamTorn(t *testing.T) {
 		if err == nil || sum != nil {
 			t.Fatalf("cut after %d frames: torn stream read as complete", cut)
 		}
-		if !strings.Contains(err.Error(), "torn") && !strings.Contains(err.Error(), "textio:") {
-			t.Fatalf("cut after %d frames: unexpected error %v", cut, err)
+		if !errors.Is(err, ErrTornStream) {
+			t.Fatalf("cut after %d frames: error %v does not wrap ErrTornStream", cut, err)
 		}
 		if want := cut - 1; len(got) != min(want, len(graphs)) {
 			t.Fatalf("cut after %d frames: delivered %d graphs, want %d", cut, len(got), min(want, len(graphs)))
 		}
 	}
-	// Cut mid-line: the decoder fails, never silently completes.
-	if _, sum, err := ReadSweepStream(bytes.NewReader(data[:len(data)-3]), nil); err == nil || sum != nil {
-		t.Fatal("mid-line truncation read as complete")
+	// Cut mid-line: the unterminated line is torn, never silently complete.
+	if _, sum, err := ReadSweepStream(bytes.NewReader(data[:len(data)-3]), nil); !errors.Is(err, ErrTornStream) || sum != nil {
+		t.Fatalf("mid-line truncation = %v, want a torn-stream error", err)
 	}
 }
 
@@ -145,6 +146,10 @@ func TestSweepStreamRejects(t *testing.T) {
 		"second header midway": head + head,
 		"error frame surfaces": head + graph + `{"frame":"error","error":{"message":"backend on fire"}}` + "\n",
 		"eof without summary":  head + graph,
+		"two frames one line":  head + strings.TrimSuffix(graph, "\n") + `{"frame":"summary","summary":{"graphs":1}}` + "\n",
+		"frame split in two":   head + strings.Replace(graph, `"graph":`, "\n"+`"graph":`, 1) + `{"frame":"summary","summary":{"graphs":1}}` + "\n",
+		"blank line":           head + "\n" + graph + `{"frame":"summary","summary":{"graphs":1}}` + "\n",
+		"summary unterminated": head + graph + `{"frame":"summary","summary":{"graphs":1}}`,
 	} {
 		_, sum, err := ReadSweepStream(strings.NewReader(body), nil)
 		if err == nil || sum != nil {
@@ -156,22 +161,21 @@ func TestSweepStreamRejects(t *testing.T) {
 	}
 }
 
-// TestFrameLineRoundTrip pins the per-line codec the journal spool shares
-// with the stream: marshal → one NDJSON line → unmarshal is lossless and
-// strict.
+// TestFrameLineRoundTrip pins the per-line codec under the stream writer
+// and reader: marshal → one NDJSON line → unmarshal is lossless and strict.
 func TestFrameLineRoundTrip(t *testing.T) {
 	g := testGraphs()[1]
 	frame := &GraphResultDoc{Frame: FrameGraph, Graph: EncodeGraphResult(g)}
-	line, err := MarshalFrame(frame)
+	line, err := marshalFrame(frame)
 	if err != nil {
-		t.Fatalf("MarshalFrame: %v", err)
+		t.Fatalf("marshalFrame: %v", err)
 	}
 	if n := bytes.Count(line, []byte("\n")); n != 1 || line[len(line)-1] != '\n' {
 		t.Fatalf("frame line must be exactly one newline-terminated line; got %q", line)
 	}
-	back, err := UnmarshalFrame(line)
+	back, err := unmarshalFrame(line)
 	if err != nil {
-		t.Fatalf("UnmarshalFrame: %v", err)
+		t.Fatalf("unmarshalFrame: %v", err)
 	}
 	if !reflect.DeepEqual(back, frame) {
 		t.Fatalf("frame drifted: %+v vs %+v", back, frame)
@@ -186,7 +190,7 @@ func TestFrameLineRoundTrip(t *testing.T) {
 		"unknown kind":  `{"frame":"wat","graph":{"nodes":1,"paths":1,"index":0}}`,
 		"torn line":     `{"frame":"graph","graph":{"nodes":1,`,
 	} {
-		if _, err := UnmarshalFrame([]byte(bad)); err == nil {
+		if _, err := unmarshalFrame([]byte(bad)); err == nil {
 			t.Errorf("%s: must be rejected", name)
 		}
 	}

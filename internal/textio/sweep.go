@@ -1,14 +1,15 @@
 package textio
 
-// This file defines the versioned v1 sweep shard documents: the wire format
-// of the distributed Fig. 5 / Fig. 6 experiment. A SweepRequestDoc asks a
-// server for one shard of a sweep; a SweepResponseDoc carries the shard's raw
-// per-graph measurements back so the coordinator can merge them into the
-// exact cells of a single-process run. Like the problem documents, decoding
-// is strict (unknown fields, unsupported versions, out-of-range shard
-// coordinates and malformed parameters are rejected) and the encoding is
-// lossless: the wire always carries the fully normalized configuration, so a
-// coordinator and its workers can never disagree about defaults.
+// This file defines the versioned v1 sweep documents of the distributed
+// Fig. 5 / Fig. 6 experiment. A SweepRequestDoc asks a server for one shard
+// of a sweep; the shard's raw per-graph measurements (SweepGraphDoc) travel
+// back in the NDJSON frame stream of stream.go, so the coordinator can merge
+// them into the exact cells of a single-process run. Like the problem
+// documents, decoding is strict (unknown fields, unsupported versions,
+// out-of-range shard coordinates and malformed parameters are rejected) and
+// the encoding is lossless: the wire always carries the fully normalized
+// configuration, so a coordinator and its workers can never disagree about
+// defaults.
 
 import (
 	"fmt"
@@ -228,77 +229,6 @@ type SweepGraphDoc struct {
 	MergeNs     float64 `json:"mergeNs"`
 	PathSchedNs float64 `json:"pathSchedNs"`
 	Violation   bool    `json:"violation,omitempty"`
-}
-
-// SweepResponseDoc is the versioned result of one executed shard: the shard
-// coordinates it covered (the coordinator's coverage accounting) and the raw
-// per-graph results.
-type SweepResponseDoc struct {
-	Version    string          `json:"version"`
-	SweepHash  string          `json:"sweepHash,omitempty"`
-	ShardIndex int             `json:"shardIndex"`
-	ShardCount int             `json:"shardCount"`
-	Graphs     []SweepGraphDoc `json:"graphs"`
-	Cache      *CacheDoc       `json:"cache,omitempty"`
-}
-
-// EncodeSweepResponse converts a shard result into its v1 document form.
-func EncodeSweepResponse(hash string, sh *expr.ShardResult) *SweepResponseDoc {
-	d := &SweepResponseDoc{
-		Version:    ProblemVersion,
-		SweepHash:  hash,
-		ShardIndex: sh.ShardIndex,
-		ShardCount: sh.ShardCount,
-		Graphs:     make([]SweepGraphDoc, 0, len(sh.Results)),
-	}
-	for _, g := range sh.Results {
-		d.Graphs = append(d.Graphs, *EncodeGraphResult(g))
-	}
-	return d
-}
-
-// DecodeSweepResponse validates a sweep response document and rebuilds the
-// shard result.
-func DecodeSweepResponse(d *SweepResponseDoc) (*expr.ShardResult, error) {
-	if d.Version != ProblemVersion {
-		return nil, fmt.Errorf("textio: unsupported sweep version %q (this build understands %q)", d.Version, ProblemVersion)
-	}
-	if d.ShardCount < 1 {
-		return nil, fmt.Errorf("textio: sweep response shardCount must be >= 1; got %d", d.ShardCount)
-	}
-	if d.ShardIndex < 0 || d.ShardIndex >= d.ShardCount {
-		return nil, fmt.Errorf("textio: sweep response shardIndex %d out of range [0, %d)", d.ShardIndex, d.ShardCount)
-	}
-	sh := &expr.ShardResult{
-		ShardIndex: d.ShardIndex,
-		ShardCount: d.ShardCount,
-		Results:    make([]expr.GraphResult, 0, len(d.Graphs)),
-	}
-	for _, g := range d.Graphs {
-		sh.Results = append(sh.Results, DecodeGraphResult(&g))
-	}
-	return sh, nil
-}
-
-// ReadSweepResponse parses a v1 sweep response, rejecting unknown fields,
-// unsupported versions, out-of-range shard coordinates and trailing data. It
-// returns both the document and the decoded shard result (validation is the
-// decode), so callers never parse twice.
-func ReadSweepResponse(r io.Reader) (*SweepResponseDoc, *expr.ShardResult, error) {
-	var d SweepResponseDoc
-	if err := readStrict(r, &d); err != nil {
-		return nil, nil, err
-	}
-	sh, err := DecodeSweepResponse(&d)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &d, sh, nil
-}
-
-// WriteSweepResponse writes a sweep response as indented JSON.
-func WriteSweepResponse(w io.Writer, d *SweepResponseDoc) error {
-	return writeIndented(w, d)
 }
 
 // SweepProgressEntryDoc is the completion state of one sweep a service has

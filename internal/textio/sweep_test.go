@@ -137,46 +137,3 @@ func TestSweepHashExcludesExecutionKnobs(t *testing.T) {
 		}
 	}
 }
-
-// TestSweepResponseRoundTrip checks the response codec: a shard result
-// survives encode → write → read → decode with float-exact graph
-// measurements.
-func TestSweepResponseRoundTrip(t *testing.T) {
-	sh := &expr.ShardResult{
-		ShardIndex: 1,
-		ShardCount: 3,
-		Results: []expr.GraphResult{
-			{Nodes: 40, Paths: 10, Index: 0, IncreasePct: 12.345678901234567, MergeNs: 1.5e6, PathSchedNs: 3.25e5},
-			{Nodes: 60, Paths: 12, Index: 1, IncreasePct: 0, Violation: true},
-		},
-	}
-	doc := EncodeSweepResponse("abc123", sh)
-	var buf bytes.Buffer
-	if err := WriteSweepResponse(&buf, doc); err != nil {
-		t.Fatalf("WriteSweepResponse: %v", err)
-	}
-	read, _, err := ReadSweepResponse(&buf)
-	if err != nil {
-		t.Fatalf("ReadSweepResponse: %v", err)
-	}
-	if read.SweepHash != "abc123" {
-		t.Errorf("sweep hash drifted: %q", read.SweepHash)
-	}
-	got, err := DecodeSweepResponse(read)
-	if err != nil {
-		t.Fatalf("DecodeSweepResponse: %v", err)
-	}
-	if !reflect.DeepEqual(got, sh) {
-		t.Fatalf("shard result drifted through the wire:\n%+v\nvs\n%+v", got, sh)
-	}
-
-	for name, body := range map[string]string{
-		"wrong version": `{"version":"v2","shardIndex":0,"shardCount":1,"graphs":[]}`,
-		"bad shard":     `{"version":"v1","shardIndex":3,"shardCount":2,"graphs":[]}`,
-		"unknown field": `{"version":"v1","shardIndex":0,"shardCount":1,"graphs":[],"extra":1}`,
-	} {
-		if _, _, err := ReadSweepResponse(strings.NewReader(body)); err == nil {
-			t.Errorf("%s: must be rejected", name)
-		}
-	}
-}

@@ -98,7 +98,7 @@ cat > "$OUT/sweep_big.json" <<'JSON'
 JSON
 
 curl -fsS -X POST --data-binary @"$OUT/sweep_big.json" \
-  "http://$ADDR2/v1/sweep" > "$OUT/sweep_big_out.json" &
+  "http://$ADDR2/v1/sweep" > "$OUT/sweep_big_out.ndjson" &
 SWEEP_PID=$!
 
 # Scrape /metrics until the sweep is visibly in flight.
@@ -179,8 +179,17 @@ wait "$SWEEP_PID" || {
   echo "serve smoke FAILED: the in-flight sweep did not complete with 200" >&2
   exit 1
 }
-python3 -c 'import json,sys; d=json.load(open(sys.argv[1])); sys.exit(0 if len(d["graphs"])==20 else "wrong graph count")' \
-  "$OUT/sweep_big_out.json"
+# Its response is the NDJSON frame stream: a header, 20 graph frames and a
+# summary, both announcing 20 graphs.
+python3 - "$OUT/sweep_big_out.ndjson" <<'PY'
+import json, sys
+frames = [json.loads(line) for line in open(sys.argv[1])]
+kinds = [f["frame"] for f in frames]
+if kinds != ["header"] + ["graph"] * 20 + ["summary"]:
+    sys.exit(f"occupying sweep streamed frames {kinds}, want a header, 20 graphs and a summary")
+if frames[0]["header"]["graphs"] != 20 or frames[-1]["summary"]["graphs"] != 20:
+    sys.exit("occupying sweep stream does not announce and summarize 20 graphs")
+PY
 
 # Settled state: the shed was counted and every in-flight gauge is back to 0.
 curl -fsS "http://$ADDR2/metrics" > "$OUT/metrics_after.txt"

@@ -7,16 +7,16 @@
 #      mid-sweep, and require the merged CSV to still be byte-identical to
 #      testdata/sweep_golden.csv (retry + health probes carry the sweep).
 #   2. Coordinator restart: run the sweep with a journal, then replay a
-#      coordinator that was killed mid-sweep by deleting two spooled shards
+#      coordinator that was killed mid-sweep by deleting two shard files
 #      and rerunning the same command — the restart must report reusing the
 #      journaled shards, re-dispatch only the missing ones, and reproduce
 #      the golden CSV.
 #   3. Kill mid-stream: replay a coordinator killed while a shard's graph
-#      stream was still in flight — one shard document is missing and its
-#      partial spool holds only the graphs streamed before the kill (taken
-#      from a real /v1/sweep?stream=1 response, so the spool format is pinned
-#      to the wire format). The restart must report reusing those streamed
-#      graphs, re-dispatch only the remainder, and reproduce the golden CSV.
+#      stream was still in flight — the shard's journal file holds only the
+#      header and the graphs streamed before the kill (the first lines of a
+#      real POST /v1/sweep response, so the journal format is pinned to the
+#      wire format). The restart must report reusing those streamed graphs,
+#      re-dispatch only the remainder, and reproduce the golden CSV.
 #
 # The deterministic versions of these scenarios (plus work-stealing and
 # late-joining backends) live in internal/distrib/distribtest; this script
@@ -88,7 +88,7 @@ diff -u testdata/sweep_golden.csv "$OUT/full.csv" || {
 }
 # Replay a coordinator killed mid-sweep: two shards never made it into the
 # journal. The rerun must reuse the other two and re-dispatch only these.
-rm "$JDIR"/*/shard-00002-of-00004.json "$JDIR"/*/shard-00003-of-00004.json
+rm "$JDIR"/*/shard-00002-of-00004.ndjson "$JDIR"/*/shard-00003-of-00004.ndjson
 "$BIN/cpgexper" "${SWEEP_FLAGS[@]}" -shards 4 -remote "http://$ADDR_A" \
   -journal "$JDIR" > "$OUT/resumed.csv" 2> "$OUT/resume.log"
 grep -q "journal: reusing 2/4" "$OUT/resume.log" || {
@@ -101,25 +101,23 @@ diff -u testdata/sweep_golden.csv "$OUT/resumed.csv" || {
   exit 1
 }
 
-# --- Phase 3: coordinator killed mid-stream; resume from a partial spool. --
-# After phase 2 the journal again holds all 4 shard documents. Fabricate a
-# coordinator that died while shard 1's stream was in flight: drop the shard
-# document and leave a partial spool with only the first 2 of its graphs. The
-# spool lines come from the backend's real NDJSON stream, so this also pins
-# that the on-disk spool format and the wire frame format stay identical.
+# --- Phase 3: coordinator killed mid-stream; resume from a partial file. ---
+# After phase 2 the journal again holds all 4 shard files. Fabricate a
+# coordinator that died while shard 1's stream was in flight: its journal
+# file keeps only the header and the first 2 graph frames. Those lines are
+# the first 3 lines of the backend's real POST /v1/sweep response, so this
+# also pins that the journal format and the wire format stay identical.
 curl -fsS -X POST -H 'Content-Type: application/json' \
   -d '{"version":"v1","nodes":[60,80],"paths":[10,12],"graphsPerCell":3,"seed":7,"shardIndex":1,"shardCount":4}' \
-  "http://$ADDR_A/v1/sweep?stream=1" > "$OUT/shard1.ndjson"
-grep '"frame":"graph"' "$OUT/shard1.ndjson" > "$OUT/frames.ndjson"
-[ "$(wc -l < "$OUT/frames.ndjson")" -gt 2 ] || {
+  "http://$ADDR_A/v1/sweep" > "$OUT/shard1.ndjson"
+[ "$(grep -c '"frame":"graph"' "$OUT/shard1.ndjson")" -gt 2 ] || {
   echo "chaos smoke FAILED: shard 1/4 stream too short to tear meaningfully" >&2
   cat "$OUT/shard1.ndjson" >&2
   exit 1
 }
 HASHDIRS=("$JDIR"/*/)
 HASHDIR="${HASHDIRS[0]}"
-rm "$HASHDIR/shard-00001-of-00004.json"
-head -2 "$OUT/frames.ndjson" > "$HASHDIR/partial-00001-of-00004.ndjson"
+head -3 "$OUT/shard1.ndjson" > "$HASHDIR/shard-00001-of-00004.ndjson"
 "$BIN/cpgexper" "${SWEEP_FLAGS[@]}" -shards 4 -remote "http://$ADDR_A" \
   -journal "$JDIR" > "$OUT/partial.csv" 2> "$OUT/partial.log"
 grep -q "journal: reusing 3/4" "$OUT/partial.log" || {
@@ -137,4 +135,4 @@ diff -u testdata/sweep_golden.csv "$OUT/partial.csv" || {
   exit 1
 }
 
-echo "chaos smoke OK: golden CSV survives a backend kill+restart mid-sweep, a coordinator restart from the journal, and a mid-stream kill resumed from a partial spool"
+echo "chaos smoke OK: golden CSV survives a backend kill+restart mid-sweep, a coordinator restart from the journal, and a mid-stream kill resumed from a partial journal file"

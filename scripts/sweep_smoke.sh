@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Smoke-test the distributed sweep end to end: build cpgserve and cpgexper,
-# start TWO local cpgserve instances, run the golden mini-sweep (1) in a
-# single process, (2) sharded 3 ways across both servers over the default
-# graph-by-graph streaming path, and (3) sharded the same way with
-# -stream=false (whole-shard unary responses), and require all three CSVs to
-# be byte-identical — and identical to testdata/sweep_golden.csv.
+# start TWO local cpgserve instances, and produce the golden mini-sweep by
+# three independent routes: (1) in a single process, (2) sharded 3 ways
+# across both servers, streamed graph by graph, and (3) offline, each of the
+# 3 shards written to its own NDJSON file with -shard i/3 and recombined with
+# -merge. All three CSVs must be byte-identical to the golden file
+# testdata/sweep_golden.csv.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,19 +37,16 @@ SWEEP_FLAGS=(-exp sweep -nodes 60,80 -paths 10,12 -graphs 3 -seed 7 -zero-times 
 "$BIN/cpgexper" "${SWEEP_FLAGS[@]}" > "$OUT/single.csv"
 "$BIN/cpgexper" "${SWEEP_FLAGS[@]}" -shards 3 \
   -remote "http://$ADDR_A,http://$ADDR_B" > "$OUT/sharded.csv"
-"$BIN/cpgexper" "${SWEEP_FLAGS[@]}" -shards 3 -stream=false \
-  -remote "http://$ADDR_A,http://$ADDR_B" > "$OUT/unary.csv"
+for I in 0 1 2; do
+  "$BIN/cpgexper" "${SWEEP_FLAGS[@]}" -shard "$I/3" > "$OUT/shard$I.ndjson"
+done
+"$BIN/cpgexper" "${SWEEP_FLAGS[@]}" \
+  -merge "$OUT/shard0.ndjson,$OUT/shard1.ndjson,$OUT/shard2.ndjson" > "$OUT/offline.csv"
 
-diff -u "$OUT/single.csv" "$OUT/sharded.csv" || {
-  echo "sweep smoke FAILED: streamed sharded CSV differs from single-process CSV" >&2
-  exit 1
-}
-diff -u "$OUT/sharded.csv" "$OUT/unary.csv" || {
-  echo "sweep smoke FAILED: -stream=false CSV differs from the streamed run" >&2
-  exit 1
-}
-diff -u testdata/sweep_golden.csv "$OUT/sharded.csv" || {
-  echo "sweep smoke FAILED: sharded CSV differs from testdata/sweep_golden.csv" >&2
-  exit 1
-}
-echo "sweep smoke OK: 3-shard, 2-server sweep CSV (streamed and unary) is byte-identical to the single-process run and the golden file"
+for LEG in single sharded offline; do
+  diff -u testdata/sweep_golden.csv "$OUT/$LEG.csv" || {
+    echo "sweep smoke FAILED: $LEG CSV differs from testdata/sweep_golden.csv" >&2
+    exit 1
+  }
+done
+echo "sweep smoke OK: single-process, 3-shard 2-server and offline -shard/-merge sweep CSVs are byte-identical to the golden file"
