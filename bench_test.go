@@ -169,13 +169,15 @@ func BenchmarkFig6MergeTime(b *testing.B) {
 
 // sweepWorkerCounts are the worker counts exercised by the parallel sweep
 // benchmarks: sequential baseline, fixed points for cross-machine
-// comparability, and all CPUs (sorted, deduplicated).
+// comparability, and all CPUs (sorted, deduplicated). Counts above
+// GOMAXPROCS are dropped: they would only measure oversubscription.
 var sweepWorkerCounts = func() []int {
-	counts := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
+	procs := runtime.GOMAXPROCS(0)
+	counts := []int{1, 2, 4, procs}
 	sort.Ints(counts)
 	out := counts[:1]
 	for _, w := range counts[1:] {
-		if w != out[len(out)-1] {
+		if w != out[len(out)-1] && w <= procs {
 			out = append(out, w)
 		}
 	}

@@ -193,17 +193,31 @@ func (a *Architecture) ComputePEs() []PEID { return a.byKind(KindProcessor, Kind
 // memory access processes may be mapped to).
 func (a *Architecture) TransferPEs() []PEID { return a.byKind(KindBus, KindMemory) }
 
+// NumComputePEs returns the number of processors and ASICs.
+func (a *Architecture) NumComputePEs() int {
+	n := 0
+	for _, pe := range a.pes {
+		if pe.Kind == KindProcessor || pe.Kind == KindHardware {
+			n++
+		}
+	}
+	return n
+}
+
 // BroadcastBuses returns the buses that connect all processors, ordered by
 // identifier. Condition values are broadcast on the first such bus that
 // becomes available.
-func (a *Architecture) BroadcastBuses() []PEID {
-	var out []PEID
+func (a *Architecture) BroadcastBuses() []PEID { return a.AppendBroadcastBuses(nil) }
+
+// AppendBroadcastBuses appends the BroadcastBuses to dst and returns the
+// extended slice, so a caller can reuse one buffer.
+func (a *Architecture) AppendBroadcastBuses(dst []PEID) []PEID {
 	for _, pe := range a.pes {
 		if pe.Kind == KindBus && pe.ConnectsAll {
-			out = append(out, pe.ID)
+			dst = append(dst, pe.ID)
 		}
 	}
-	return out
+	return dst
 }
 
 // IsSequential reports whether the element executes one process at a time.

@@ -58,8 +58,8 @@ func TestKindGroups(t *testing.T) {
 	if got := len(a.Memories()); got != 1 {
 		t.Fatalf("Memories = %d, want 1", got)
 	}
-	if got := len(a.ComputePEs()); got != 3 {
-		t.Fatalf("ComputePEs = %d, want 3", got)
+	if got := len(a.ComputePEs()); got != 3 || a.NumComputePEs() != got {
+		t.Fatalf("ComputePEs = %d, NumComputePEs = %d, want 3", got, a.NumComputePEs())
 	}
 	if got := len(a.TransferPEs()); got != 2 {
 		t.Fatalf("TransferPEs = %d, want 2", got)
@@ -82,6 +82,10 @@ func TestBroadcastBusesExcludesLocalBusesAndMemories(t *testing.T) {
 	bb := a.BroadcastBuses()
 	if len(bb) != 1 || bb[0] != b {
 		t.Fatalf("BroadcastBuses = %v, want [%d]", bb, b)
+	}
+	// AppendBroadcastBuses extends the buffer it is given.
+	if got := a.AppendBroadcastBuses([]PEID{NoPE}); len(got) != 2 || got[0] != NoPE || got[1] != b {
+		t.Fatalf("AppendBroadcastBuses = %v, want [%d %d]", got, NoPE, b)
 	}
 }
 

@@ -13,8 +13,9 @@ import (
 
 // TestScheduleAllocs pins the allocations of one sequential core.Schedule
 // run: path scheduling, the merge, validation and simulation. An allocation
-// that creeps back into the dense schedule state (per-path schedules, lock
-// sets, table rows, traces) shows up here first.
+// that creeps back into the dense schedule state (per-path schedules, the
+// merge's recycled schedules and lock set, subgraphs, table rows, traces)
+// shows up here first.
 func TestScheduleAllocs(t *testing.T) {
 	fig1G, fig1A, err := expr.Figure1()
 	if err != nil {
@@ -30,8 +31,8 @@ func TestScheduleAllocs(t *testing.T) {
 		a       *arch.Architecture
 		ceiling float64
 	}{
-		{"figure1", fig1G, fig1A, 460},
-		{"generated 120 nodes, 32 paths", inst.Graph, inst.Arch, 3000},
+		{"figure1", fig1G, fig1A, 330},
+		{"generated 120 nodes, 32 paths", inst.Graph, inst.Arch, 1830},
 	} {
 		if raceEnabled {
 			// The race runtime may allocate where a normal build does

@@ -205,8 +205,10 @@ type Result struct {
 	// validation and simulation stages; callers re-enacting paths against
 	// the table can reuse them too.
 	Subgraphs []*cpg.Subgraph
-	// DeltaM is the largest optimal path delay (the lower bound of the
-	// worst-case delay).
+	// DeltaM is the largest delay among the per-path schedules in
+	// Schedules. Those come from the list scheduler (or the selected
+	// strategy), a heuristic, so DeltaM is not a proven lower bound: it can
+	// exceed the largest truly optimal path delay.
 	DeltaM int64
 	// DeltaMax is the worst-case delay of the generated table.
 	DeltaMax int64
@@ -251,9 +253,8 @@ type pathInfo struct {
 	order []int64
 }
 
-// newPathInfo pairs a path with its optimal schedule and takes both sorted
-// views of the schedule, so that the schedule is only read from here on: a
-// warm start shares it with later runs.
+// newPathInfo pairs a path with its optimal schedule and the fixed-order
+// priorities derived from it.
 func newPathInfo(i int, p *cpg.Path, sub *cpg.Subgraph, optimal *sched.PathSchedule) *pathInfo {
 	order := make([]int64, sub.G.NumProcs())
 	for _, e := range optimal.Entries() {
@@ -261,7 +262,6 @@ func newPathInfo(i int, p *cpg.Path, sub *cpg.Subgraph, optimal *sched.PathSched
 			order[e.Key.Proc] = e.Start
 		}
 	}
-	optimal.Conds()
 	return &pathInfo{index: i, path: p, sub: sub, optimal: optimal, order: order}
 }
 
@@ -276,6 +276,17 @@ type merger struct {
 	steps int
 	// scratch is reused by every reschedule of the (sequential) merge.
 	scratch listsched.Scratch
+	// The merge has one live current schedule and one live lock set: a frame
+	// of explore never reads its cur or fixed again once its recursive call
+	// on the current branch returns, it only back-steps. So every reschedule
+	// writes into one of the two recycled schedules in bufs, alternately (a
+	// reschedule never overwrites the schedule it replaces), and every
+	// back-step refills locks in place. The root follows the start path's
+	// optimal schedule itself, which is never written: schedules are only
+	// read once built, and bufs never hold a published one.
+	bufs  [2]*sched.PathSchedule
+	next  int
+	locks *listsched.Locks
 }
 
 // Schedule generates the schedule table for the graph on the given
@@ -381,7 +392,8 @@ func schedulePhased(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt
 	if start == nil {
 		return nil, errors.New("core: no alternative path found")
 	}
-	if err := m.explore(start, start.optimal.Clone(), listsched.NewLocks(g.NumProcs()), cond.True()); err != nil {
+	m.locks = listsched.NewLocks(g.NumProcs())
+	if err := m.explore(start, start.optimal, m.locks, cond.True()); err != nil {
 		return nil, err
 	}
 	m.stats.MergeTime = time.Since(tMerge)
@@ -497,43 +509,36 @@ func schedulePaths(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt 
 // selectPath picks, among the paths reachable from the decision-tree node
 // described by decided, the one the merging follows next.
 func (m *merger) selectPath(decided cond.Cube) *pathInfo {
-	var candidates []*pathInfo
+	var best *pathInfo
 	for _, pi := range m.paths {
-		if pi.path.Label.Implies(decided) {
-			candidates = append(candidates, pi)
+		if !pi.path.Label.Implies(decided) {
+			continue
 		}
-	}
-	if len(candidates) == 0 {
-		return nil
-	}
-	switch m.opt.PathSelection {
-	case SelectFirst:
-		return candidates[0]
-	case SelectSmallestDelay:
-		best := candidates[0]
-		for _, c := range candidates[1:] {
-			if c.optimal.Delay < best.optimal.Delay {
-				best = c
+		switch {
+		case best == nil:
+			best = pi
+		case m.opt.PathSelection == SelectFirst:
+			return best
+		case m.opt.PathSelection == SelectSmallestDelay:
+			if pi.optimal.Delay < best.optimal.Delay {
+				best = pi
+			}
+		default:
+			if pi.optimal.Delay > best.optimal.Delay {
+				best = pi
 			}
 		}
-		return best
-	default:
-		best := candidates[0]
-		for _, c := range candidates[1:] {
-			if c.optimal.Delay > best.optimal.Delay {
-				best = c
-			}
-		}
-		return best
 	}
+	return best
 }
 
 // deriveLocks applies rule 3 of section 5.1: every activity of the new path
 // whose activation time is already fixed in a column that mentions only
 // conditions decided before the branching node (and is consistent with their
-// values) keeps that activation time.
+// values) keeps that activation time. It refills the merge's one lock set.
 func (m *merger) deriveLocks(pi *pathInfo, decided cond.Cube) *listsched.Locks {
-	locks := listsched.NewLocks(m.g.NumProcs())
+	locks := m.locks
+	locks.Reset()
 	for _, key := range m.tbl.KeysView() {
 		if key.IsCond {
 			def := m.g.Condition(key.Cond)
@@ -568,7 +573,7 @@ func (m *merger) deriveLocks(pi *pathInfo, decided cond.Cube) *listsched.Locks {
 // their earliest allowed moment keeping the relative priorities of the
 // original (optimal) schedule.
 func (m *merger) reschedule(pi *pathInfo, locks *listsched.Locks) (*sched.PathSchedule, error) {
-	ps, diag, err := m.scratch.Schedule(pi.sub, m.a, listsched.Options{
+	ps, diag, err := m.scratch.ScheduleInto(m.bufs[m.next], pi.sub, m.a, listsched.Options{
 		Priority: listsched.PriorityFixedOrder,
 		Order:    pi.order,
 		Locked:   locks,
@@ -576,6 +581,8 @@ func (m *merger) reschedule(pi *pathInfo, locks *listsched.Locks) (*sched.PathSc
 	if err != nil {
 		return nil, err
 	}
+	m.bufs[m.next] = ps
+	m.next ^= 1
 	m.stats.LockViolations += len(diag.LockViolations)
 	return ps, nil
 }

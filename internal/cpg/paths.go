@@ -98,27 +98,36 @@ func (g *Graph) PathFor(label cond.Cube) *Path {
 }
 
 // Subgraph is the part of the graph active under one alternative path, with
-// adjacency restricted to active processes and edges. The active adjacency
-// (predecessors, successors, topological order, decided conditions) is
-// precomputed at extraction time into slices backed by shared arrays, so the
-// per-call accessors used inside the scheduler's inner loop never allocate.
+// adjacency restricted to active processes and edges. The active adjacency is
+// precomputed at extraction time in compressed sparse row form: one offsets
+// array and one backing array hold the predecessors and then the successors
+// of every process, so the per-call accessors used inside the scheduler's
+// inner loop never allocate, and a subgraph takes a fixed number of
+// allocations whatever the size of the graph.
 type Subgraph struct {
 	G          *Graph
 	Label      cond.Cube
 	active     []bool
 	activeEdge []bool
 	topo       []ProcID
-	preds      [][]ProcID // active predecessors by ProcID, shared backing array
-	succs      [][]ProcID // active successors by ProcID, shared backing array
-	decided    []cond.Cond
+	// adjOff has 2n+1 offsets into adj for a graph with n processes: the
+	// active predecessors of p are adj[adjOff[p]:adjOff[p+1]], its active
+	// successors adj[adjOff[n+p]:adjOff[n+p+1]].
+	adjOff  []int32
+	adj     []ProcID
+	decided []cond.Cond
 }
 
 // Subgraph extracts the active subgraph Gk for a path.
 func (g *Graph) Subgraph(p *Path) *Subgraph {
 	g.mustBeFinalized()
-	s := &Subgraph{G: g, Label: p.Label, active: append([]bool(nil), p.Active...)}
-	s.activeEdge = make([]bool, len(g.edges))
-	activeEdges := 0
+	n := len(g.procs)
+	s := &Subgraph{G: g, Label: p.Label}
+	flags := make([]bool, n+len(g.edges))
+	s.active = flags[:n:n]
+	s.activeEdge = flags[n:]
+	copy(s.active, p.Active)
+	activeEdges, activeProcs := 0, 0
 	for _, e := range g.edges {
 		if !s.active[e.From] || !s.active[e.To] {
 			continue
@@ -132,39 +141,51 @@ func (g *Graph) Subgraph(p *Path) *Subgraph {
 		s.activeEdge[e.ID] = true
 		activeEdges++
 	}
-	topo := make([]ProcID, 0, len(g.topo))
+	for _, a := range s.active {
+		if a {
+			activeProcs++
+		}
+	}
+	// One backing array holds the topological order, then the predecessor
+	// and successor lists; the per-process ordering of the lists matches the
+	// edge insertion order of g.in / g.out.
+	back := make([]ProcID, 0, activeProcs+2*activeEdges)
 	for _, id := range g.topo {
 		if s.active[id] {
-			topo = append(topo, id)
+			back = append(back, id)
 		}
 	}
-	s.topo = topo
-	// Precompute the active adjacency with two shared backing arrays; the
-	// per-process ordering matches the edge insertion order of g.in / g.out.
-	n := len(g.procs)
-	s.preds = make([][]ProcID, n)
-	s.succs = make([][]ProcID, n)
-	predBack := make([]ProcID, 0, activeEdges)
-	succBack := make([]ProcID, 0, activeEdges)
+	s.topo = back[:activeProcs:activeProcs]
+	s.adjOff = make([]int32, 2*n+1)
 	for i := 0; i < n; i++ {
-		start := len(predBack)
 		for _, eid := range g.in[i] {
 			if s.activeEdge[eid] {
-				predBack = append(predBack, g.edges[eid].From)
+				back = append(back, g.edges[eid].From)
 			}
 		}
-		s.preds[i] = predBack[start:len(predBack):len(predBack)]
-		start = len(succBack)
+		s.adjOff[i+1] = int32(len(back) - activeProcs)
+	}
+	for i := 0; i < n; i++ {
 		for _, eid := range g.out[i] {
 			if s.activeEdge[eid] {
-				succBack = append(succBack, g.edges[eid].To)
+				back = append(back, g.edges[eid].To)
 			}
 		}
-		s.succs[i] = succBack[start:len(succBack):len(succBack)]
+		s.adjOff[n+i+1] = int32(len(back) - activeProcs)
 	}
+	s.adj = back[activeProcs:]
+	decided := 0
 	for _, cd := range g.conds {
 		if s.active[cd.Decider] {
-			s.decided = append(s.decided, cd.ID)
+			decided++
+		}
+	}
+	if decided > 0 {
+		s.decided = make([]cond.Cond, 0, decided)
+		for _, cd := range g.conds {
+			if s.active[cd.Decider] {
+				s.decided = append(s.decided, cd.ID)
+			}
 		}
 	}
 	return s
@@ -194,11 +215,18 @@ func (s *Subgraph) NumActive() int { return len(s.topo) }
 
 // Preds returns the active predecessors of p (through active edges), in edge
 // insertion order. The returned slice is shared and must not be modified.
-func (s *Subgraph) Preds(p ProcID) []ProcID { return s.preds[p] }
+func (s *Subgraph) Preds(p ProcID) []ProcID {
+	lo, hi := s.adjOff[p], s.adjOff[p+1]
+	return s.adj[lo:hi:hi]
+}
 
 // Succs returns the active successors of p (through active edges), in edge
 // insertion order. The returned slice is shared and must not be modified.
-func (s *Subgraph) Succs(p ProcID) []ProcID { return s.succs[p] }
+func (s *Subgraph) Succs(p ProcID) []ProcID {
+	n := ProcID(len(s.G.procs))
+	lo, hi := s.adjOff[n+p], s.adjOff[n+p+1]
+	return s.adj[lo:hi:hi]
+}
 
 // DecidedConds returns the conditions decided on this path (those whose
 // disjunction process is active), sorted by identifier. The returned slice is
@@ -227,7 +255,7 @@ func (s *Subgraph) CriticalPathLengthsInto(dst []int64, exec func(ProcID) int64)
 	for i := len(s.topo) - 1; i >= 0; i-- {
 		p := s.topo[i]
 		best := int64(0)
-		for _, q := range s.succs[p] {
+		for _, q := range s.Succs(p) {
 			if dst[q] > best {
 				best = dst[q]
 			}

@@ -30,13 +30,26 @@ func TestScheduleAllocsRegression(t *testing.T) {
 	}
 
 	// The resulting PathSchedule (struct, dense index, entries and condition
-	// records), the diagnostics and the architecture's element lists. The
-	// convenience form adds the throwaway scratch slices.
-	maxReused, maxFresh := 9.0, 40.0
+	// records) and the diagnostics; ScheduleInto a recycled schedule keeps
+	// only the diagnostics. The convenience form adds the throwaway scratch
+	// slices.
+	maxInto, maxReused, maxFresh := 1.0, 5.0, 38.0
 	if raceEnabled {
 		// The race runtime may allocate where a normal build does not;
 		// keep the pins exact for normal builds only.
-		maxReused, maxFresh = 12, 43
+		maxInto, maxReused, maxFresh = 4, 8, 41
+	}
+	dst, _, err := sc.Schedule(sub, a, listsched.Options{})
+	if err != nil {
+		t.Fatalf("Schedule: %v", err)
+	}
+	into := testing.AllocsPerRun(200, func() {
+		if _, _, err := sc.ScheduleInto(dst, sub, a, listsched.Options{}); err != nil {
+			t.Fatalf("ScheduleInto: %v", err)
+		}
+	})
+	if into > maxInto {
+		t.Errorf("Scratch.ScheduleInto allocates %.0f times per run, want <= %.0f", into, maxInto)
 	}
 	reused := testing.AllocsPerRun(200, func() {
 		if _, _, err := sc.Schedule(sub, a, listsched.Options{}); err != nil {

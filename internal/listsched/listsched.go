@@ -26,9 +26,12 @@
 // indegrees drop, and all per-process state lives in dense slices indexed by
 // ProcID. A Scratch value makes the buffers reusable across runs, so callers
 // that schedule many paths (the table generator, the sweep) stay
-// (near-)allocation-free in the inner loop. The inputs of a run are dense
-// too: Options.Order is a ProcID-indexed slice and Options.Locked a Locks
-// set over the activity index of package sched, ranged in key order.
+// (near-)allocation-free in the inner loop, and ScheduleInto recycles a
+// schedule its caller no longer reads. Every schedule comes back sorted
+// (sched.PathSchedule.Sort, with the sort keys in the scratch), so it is
+// only read from then on. The inputs of a run are dense too: Options.Order
+// is a ProcID-indexed slice and Options.Locked a Locks set over the activity
+// index of package sched, ranged in key order.
 package listsched
 
 import (
@@ -101,25 +104,28 @@ type Options struct {
 }
 
 // Locks is a set of locked activation times over the dense activity index
-// of package sched (see sched.Key.Slot) of one graph.
+// of package sched (see sched.Key.Slot) of one graph. A bitset marks the
+// locked slots, so All visits only them and Reset clears one bit per slot.
 type Locks struct {
 	numProcs int
-	slots    []lockSlot
-}
-
-type lockSlot struct {
-	lock Lock
-	set  bool
+	locks    []Lock   // by slot; meaningful where the slot's bit is set
+	set      []uint64 // bit s%64 of word s/64 marks slot s as locked
 }
 
 // NewLocks returns an empty lock set for a graph with numProcs processes.
 func NewLocks(numProcs int) *Locks {
-	return &Locks{numProcs: numProcs, slots: make([]lockSlot, sched.NumSlots(numProcs))}
+	n := sched.NumSlots(numProcs)
+	return &Locks{numProcs: numProcs, locks: make([]Lock, n), set: make([]uint64, (n+63)/64)}
 }
+
+// Reset unlocks every activity, keeping the set's buffers.
+func (l *Locks) Reset() { clear(l.set) }
 
 // Set locks the activity k, replacing any earlier lock of k.
 func (l *Locks) Set(k sched.Key, lock Lock) {
-	l.slots[k.Slot(l.numProcs)] = lockSlot{lock: lock, set: true}
+	s := k.Slot(l.numProcs)
+	l.locks[s] = lock
+	l.set[s/64] |= 1 << (s % 64)
 }
 
 // Get returns the lock of activity k. A nil set locks nothing.
@@ -127,8 +133,8 @@ func (l *Locks) Get(k sched.Key) (Lock, bool) {
 	if l == nil {
 		return Lock{}, false
 	}
-	if s := k.Slot(l.numProcs); s >= 0 {
-		return l.slots[s].lock, l.slots[s].set
+	if s := k.Slot(l.numProcs); s >= 0 && l.set[s/64]&(1<<(s%64)) != 0 {
+		return l.locks[s], true
 	}
 	return Lock{}, false
 }
@@ -139,9 +145,12 @@ func (l *Locks) All() iter.Seq2[sched.Key, Lock] {
 		if l == nil {
 			return
 		}
-		for s, ls := range l.slots {
-			if ls.set && !yield(sched.SlotKey(s, l.numProcs), ls.lock) {
-				return
+		for w, word := range l.set {
+			for ; word != 0; word &= word - 1 {
+				s := w*64 + bits.TrailingZeros64(word)
+				if !yield(sched.SlotKey(s, l.numProcs), l.locks[s]) {
+					return
+				}
 			}
 		}
 	}
@@ -167,11 +176,12 @@ func (d *Diagnostics) OK() bool {
 	return len(d.LockViolations) == 0 && len(d.ResourceOverlaps) == 0
 }
 
-// Scratch holds the dense per-process state and the ready heap of one
-// scheduling run. The buffers are reused across runs, so a caller scheduling
-// many paths (or rescheduling one path many times, like the merging
-// algorithm) allocates only the resulting PathSchedule per run. A Scratch is
-// not safe for concurrent use; give each worker goroutine its own.
+// Scratch holds the dense per-process state, the ready heap and the sort keys
+// of one scheduling run. The buffers are reused across runs, so a caller
+// scheduling many paths allocates only the resulting PathSchedule per run,
+// and one rescheduling a path many times (like the merging algorithm) can
+// recycle that too with ScheduleInto. A Scratch is not safe for concurrent
+// use; give each worker goroutine its own.
 //
 // The zero value is ready to use.
 type Scratch struct {
@@ -188,6 +198,10 @@ type Scratch struct {
 	// decTouched tracks which slots are dirty so reset stays O(active).
 	deciders   [][]*cpg.CondDef
 	decTouched []cpg.ProcID
+
+	buses []arch.PEID // the architecture's broadcast buses
+	// keys holds the packed sort keys of the schedule being sealed.
+	keys []uint64
 }
 
 // NewScratch returns an empty scratch. Buffers grow on first use.
@@ -293,8 +307,16 @@ func Schedule(sub *cpg.Subgraph, a *arch.Architecture, opt Options) (*sched.Path
 }
 
 // Schedule builds a schedule for the active subgraph sub on architecture a,
-// reusing the scratch buffers.
+// reusing the scratch buffers. The schedule comes back sorted (see
+// sched.PathSchedule.Sort), so it is only read from here on.
 func (sc *Scratch) Schedule(sub *cpg.Subgraph, a *arch.Architecture, opt Options) (*sched.PathSchedule, *Diagnostics, error) {
+	return sc.ScheduleInto(nil, sub, a, opt)
+}
+
+// ScheduleInto is Schedule writing the schedule into dst, which it resets
+// first, and returning it; a nil dst gets a new schedule. A caller that no
+// longer reads its previous schedule recycles it this way.
+func (sc *Scratch) ScheduleInto(dst *sched.PathSchedule, sub *cpg.Subgraph, a *arch.Architecture, opt Options) (*sched.PathSchedule, *Diagnostics, error) {
 	if sub == nil || a == nil {
 		return nil, nil, errors.New("listsched: nil subgraph or architecture")
 	}
@@ -302,8 +324,14 @@ func (sc *Scratch) Schedule(sub *cpg.Subgraph, a *arch.Architecture, opt Options
 	diag := &Diagnostics{}
 	active := sub.ActiveProcs()
 	decided := sub.DecidedConds()
-	ps := sched.NewPathSchedule(sub.Label, g.NumProcs(), len(active)+len(decided), len(decided))
+	ps := dst
+	if ps == nil {
+		ps = sched.NewPathSchedule(sub.Label, g.NumProcs(), len(active)+len(decided), len(decided))
+	} else {
+		ps.Reset(sub.Label, g.NumProcs(), len(active)+len(decided), len(decided))
+	}
 	if len(active) == 0 {
+		sc.keys = ps.Sort(sc.keys)
 		return ps, diag, nil
 	}
 	sc.reset(g.NumProcs(), a.NumPEs())
@@ -371,8 +399,9 @@ func (sc *Scratch) Schedule(sub *cpg.Subgraph, a *arch.Architecture, opt Options
 		}
 	}
 
-	broadcastBuses := a.BroadcastBuses()
-	needBroadcast := len(a.ComputePEs()) > 1 && len(broadcastBuses) > 0
+	sc.buses = a.AppendBroadcastBuses(sc.buses[:0])
+	broadcastBuses := sc.buses
+	needBroadcast := a.NumComputePEs() > 1 && len(broadcastBuses) > 0
 
 	// guardCube[p] is the cube of the process guard satisfied by this path;
 	// the process may not start on its processing element before every
@@ -501,6 +530,7 @@ func (sc *Scratch) Schedule(sub *cpg.Subgraph, a *arch.Architecture, opt Options
 	}
 
 	// Delay is the activation time of the sink.
+	sc.keys = ps.Sort(sc.keys)
 	if e, ok := ps.Entry(sched.ProcKey(g.Sink())); ok {
 		ps.Delay = e.Start
 	} else {

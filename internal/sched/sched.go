@@ -9,11 +9,16 @@
 // for broadcasts. Per-path schedules, the list scheduler's lock sets, the
 // schedule table and the simulator keep their per-key state in slices over
 // this index instead of maps.
+//
+// A per-path schedule is sealed by PathSchedule.Sort once built, which orders
+// its entries by one packed integer key (start, then slot), and is only read
+// from then on; Reset recycles one for the next schedule.
 package sched
 
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -126,10 +131,12 @@ type CondTiming struct {
 // PathSchedule is the (optimal or adjusted) schedule of one alternative path:
 // start and end times for every active process plus the condition broadcasts.
 //
-// A schedule is built with Set and SetCond and then only read. Entries and
-// Conds sort the records in place the first time they are called after a
-// change, so a schedule shared between goroutines must have both views taken
-// before it is shared; listsched's callers in package core do that.
+// A schedule is built with Set and SetCond and then sealed with Sort, which
+// puts the records in the order Entries and Conds return; the list scheduler
+// returns every schedule sealed. Reading a schedule never changes it, so a
+// sealed schedule can be shared between goroutines as it is. Entries and
+// Conds of a schedule changed since its last Sort return sorted copies. Reset
+// empties a schedule for reuse, keeping its buffers.
 type PathSchedule struct {
 	// Label is the path label Lk.
 	Label cond.Cube
@@ -144,10 +151,9 @@ type PathSchedule struct {
 	condAt  [cond.MaxConds]uint8
 	entries []Entry
 	conds   []CondTiming
-	// entriesSorted and condsSorted are set while entries and conds are in
-	// the order Entries and Conds return.
-	entriesSorted bool
-	condsSorted   bool
+	// sorted is set while entries and conds are in the order Entries and
+	// Conds return.
+	sorted bool
 }
 
 // NewPathSchedule returns an empty schedule of a path through a graph with
@@ -165,6 +171,30 @@ func NewPathSchedule(label cond.Cube, numProcs, n, c int) *PathSchedule {
 	return ps
 }
 
+// Reset empties the schedule for a path through a graph with numProcs
+// processes, with room for n entries and c condition records, reusing the
+// buffers of the previous content. Lookups of the previous content's keys
+// miss afterwards.
+func (ps *PathSchedule) Reset(label cond.Cube, numProcs, n, c int) {
+	if numProcs == ps.numProcs {
+		for _, e := range ps.entries {
+			ps.at[e.Key.Slot(numProcs)] = 0
+		}
+	} else {
+		ps.at = slices.Grow(ps.at[:0], NumSlots(numProcs))[:NumSlots(numProcs)]
+		clear(ps.at)
+		ps.numProcs = numProcs
+	}
+	for _, t := range ps.conds {
+		ps.condAt[t.Cond] = 0
+	}
+	ps.Label = label
+	ps.Delay = 0
+	ps.entries = slices.Grow(ps.entries[:0], n)
+	ps.conds = slices.Grow(ps.conds[:0], c)
+	ps.sorted = false
+}
+
 // Set records (or replaces) the entry for a key.
 func (ps *PathSchedule) Set(e Entry) {
 	s := e.Key.Slot(ps.numProcs)
@@ -174,7 +204,7 @@ func (ps *PathSchedule) Set(e Entry) {
 		ps.entries = append(ps.entries, e)
 		ps.at[s] = int32(len(ps.entries))
 	}
-	ps.entriesSorted = false
+	ps.sorted = false
 }
 
 // SetCond records the availability of a condition value.
@@ -185,7 +215,7 @@ func (ps *PathSchedule) SetCond(t CondTiming) {
 		ps.conds = append(ps.conds, t)
 		ps.condAt[t.Cond] = uint8(len(ps.conds))
 	}
-	ps.condsSorted = false
+	ps.sorted = false
 }
 
 // Entry returns the entry for the key.
@@ -213,37 +243,104 @@ func (ps *PathSchedule) Cond(c cond.Cond) (CondTiming, bool) {
 // merging algorithm branches along this schedule. The returned slice is
 // shared; callers must not modify it.
 func (ps *PathSchedule) Conds() []CondTiming {
-	if !ps.condsSorted {
-		slices.SortFunc(ps.conds, func(a, b CondTiming) int {
-			if a.DecidedAt != b.DecidedAt {
-				return cmp.Compare(a.DecidedAt, b.DecidedAt)
-			}
-			return cmp.Compare(a.Cond, b.Cond)
-		})
-		for i, t := range ps.conds {
-			ps.condAt[t.Cond] = uint8(i + 1)
-		}
-		ps.condsSorted = true
+	if ps.sorted {
+		return ps.conds
 	}
-	return ps.conds
+	out := slices.Clone(ps.conds)
+	slices.SortFunc(out, compareConds)
+	return out
 }
 
 // Entries returns all entries sorted by start time (ties by key). The
 // returned slice is shared; callers must not modify it.
 func (ps *PathSchedule) Entries() []Entry {
-	if !ps.entriesSorted {
-		slices.SortFunc(ps.entries, func(a, b Entry) int {
-			if a.Start != b.Start {
-				return cmp.Compare(a.Start, b.Start)
-			}
-			return cmp.Compare(a.Key.Slot(ps.numProcs), b.Key.Slot(ps.numProcs))
-		})
-		for i, e := range ps.entries {
-			ps.at[e.Key.Slot(ps.numProcs)] = int32(i + 1)
-		}
-		ps.entriesSorted = true
+	if ps.sorted {
+		return ps.entries
 	}
-	return ps.entries
+	out := slices.Clone(ps.entries)
+	slices.SortFunc(out, ps.compareEntries)
+	return out
+}
+
+// Sort seals the schedule: it puts the entries in start order (ties by key)
+// and the condition records in decision order, the orders Entries and Conds
+// return. keys is scratch memory for the entry sort keys; Sort returns it,
+// grown as needed, for the next call.
+//
+// An entry's sort key packs its start above its activity slot into one
+// integer, which orders the keys exactly as compareEntries orders the
+// entries: slots are unique within a schedule. Starts that do not fit (or are
+// negative) fall back to sorting with compareEntries.
+func (ps *PathSchedule) Sort(keys []uint64) []uint64 {
+	slices.SortFunc(ps.conds, compareConds)
+	for i, t := range ps.conds {
+		ps.condAt[t.Cond] = uint8(i + 1)
+	}
+	keys, packed := ps.appendSortKeys(slices.Grow(keys[:0], len(ps.entries)))
+	if packed {
+		mask := uint64(1)<<slotBits(ps.numProcs) - 1
+		slices.Sort(keys)
+		// Move each entry to its sorted position in place: positions before
+		// i are final, so the entry wanted at i sits at or after it.
+		for i, k := range keys {
+			s := int(k & mask)
+			if j := int(ps.at[s]) - 1; j != i {
+				ps.entries[i], ps.entries[j] = ps.entries[j], ps.entries[i]
+				ps.at[ps.entries[j].Key.Slot(ps.numProcs)] = int32(j + 1)
+			}
+			ps.at[s] = int32(i + 1)
+		}
+	} else {
+		ps.sortEntriesFunc()
+	}
+	ps.sorted = true
+	return keys
+}
+
+// slotBits is the number of low bits an entry sort key gives the activity
+// slot in a graph with numProcs processes.
+func slotBits(numProcs int) uint { return uint(bits.Len(uint(NumSlots(numProcs) - 1))) }
+
+// appendSortKeys appends the packed sort key of every entry to keys, in
+// entry order. It reports false, with keys truncated, when a start is
+// negative or too large to pack.
+func (ps *PathSchedule) appendSortKeys(keys []uint64) ([]uint64, bool) {
+	shift := slotBits(ps.numProcs)
+	limit := uint64(1) << (64 - shift)
+	for _, e := range ps.entries {
+		if uint64(e.Start) >= limit {
+			return keys[:0], false
+		}
+		keys = append(keys, uint64(e.Start)<<shift|uint64(e.Key.Slot(ps.numProcs)))
+	}
+	return keys, true
+}
+
+// sortEntriesFunc sorts the entries with compareEntries and rebuilds the
+// index.
+func (ps *PathSchedule) sortEntriesFunc() {
+	slices.SortFunc(ps.entries, ps.compareEntries)
+	for i, e := range ps.entries {
+		ps.at[e.Key.Slot(ps.numProcs)] = int32(i + 1)
+	}
+}
+
+// compareEntries orders entries by start time, ties by activity slot (which
+// orders keys as Key.Less does).
+func (ps *PathSchedule) compareEntries(a, b Entry) int {
+	if a.Start != b.Start {
+		return cmp.Compare(a.Start, b.Start)
+	}
+	return cmp.Compare(a.Key.Slot(ps.numProcs), b.Key.Slot(ps.numProcs))
+}
+
+// compareConds orders condition records by decision time, ties by
+// condition.
+func compareConds(a, b CondTiming) int {
+	if a.DecidedAt != b.DecidedAt {
+		return cmp.Compare(a.DecidedAt, b.DecidedAt)
+	}
+	return cmp.Compare(a.Cond, b.Cond)
 }
 
 // Len returns the number of entries.

@@ -18,12 +18,15 @@
 // time over all alternative paths. The per-path re-enactments are
 // independent, so WorstCaseSubgraphs fans them out over a bounded worker
 // pool and collects the traces in path order, reusing the active subgraphs
-// already built during path scheduling.
+// already built during path scheduling. Each worker keeps one scratch for
+// all its paths, so a re-enactment allocates only its Trace and Activations.
 //
 // A Trace lists its activations as a slice; a re-enactment looks them up
 // through the dense activity index of package sched and reports resource
 // overlaps one processing element at a time, in PEID order, so a trace and
-// its violations are the same on every run.
+// its violations are the same on every run. The activations on sequential
+// elements are grouped by element with a counting sort, which keeps their
+// activation order within each element before the sort by start time.
 package sim
 
 import (
@@ -88,6 +91,40 @@ func Run(g *cpg.Graph, a *arch.Architecture, tbl *table.Table, path *cpg.Path) (
 // performs. It only reads the subgraph and the table, so concurrent calls
 // are safe.
 func RunSubgraph(sub *cpg.Subgraph, a *arch.Architecture, tbl *table.Table) (*Trace, error) {
+	var sc scratch
+	return sc.run(sub, a, tbl)
+}
+
+// scratch holds the buffers of one re-enactment, reused by the next: the
+// position index, the applicable table entries, the broadcast buses and the
+// resource slots with their counting sort. A re-enactment with a warm
+// scratch allocates only its Trace and Activations (and the text of any
+// violation). A scratch is not safe for concurrent use.
+type scratch struct {
+	// pos maps the dense activity index to 1 + the position of the key's
+	// activation, 0 for an activity that was not activated; it is all zero
+	// between runs.
+	pos   []int32
+	app   []table.Entry
+	buses []arch.PEID
+	// slots lists the activations on sequential elements in activation
+	// order, and byPE the same grouped by element; groupStart[pe] is where
+	// element pe's group begins in byPE, and groupStart[NumPEs] is
+	// len(byPE).
+	slots      []resourceSlot
+	byPE       []resourceSlot
+	groupStart []int
+}
+
+// resourceSlot is an activation occupying a sequential processing element.
+type resourceSlot struct {
+	pe    arch.PEID
+	start int64
+	act   int // position in the trace's activations
+}
+
+// run is RunSubgraph reusing the scratch buffers.
+func (sc *scratch) run(sub *cpg.Subgraph, a *arch.Architecture, tbl *table.Table) (*Trace, error) {
 	if sub == nil || a == nil || tbl == nil {
 		return nil, errors.New("sim: nil argument")
 	}
@@ -100,9 +137,10 @@ func RunSubgraph(sub *cpg.Subgraph, a *arch.Architecture, tbl *table.Table) (*Tr
 		Label:       label,
 		Activations: make([]Activation, 0, len(active)+len(decided)),
 	}
-	// pos maps the dense activity index to 1 + the position of the key's
-	// activation, 0 for an activity that was not activated.
-	pos := make([]int32, sched.NumSlots(np))
+	if len(sc.pos) < sched.NumSlots(np) {
+		sc.pos = make([]int32, sched.NumSlots(np))
+	}
+	pos := sc.pos
 	activate := func(k sched.Key, start, end int64) {
 		tr.Activations = append(tr.Activations, Activation{Key: k, Start: start, End: end})
 		pos[k.Slot(np)] = int32(len(tr.Activations))
@@ -118,11 +156,11 @@ func RunSubgraph(sub *cpg.Subgraph, a *arch.Architecture, tbl *table.Table) (*Tr
 		tr.Violations = append(tr.Violations, Violation{Path: label, Key: k, Reason: fmt.Sprintf(format, args...)})
 	}
 
-	// Resolve the activation time of a key from the table; app is a shared
-	// scratch buffer for the applicable entries.
-	var app []table.Entry
+	// Resolve the activation time of a key from the table, collecting the
+	// applicable entries in the scratch buffer.
 	resolve := func(k sched.Key) (int64, bool) {
-		app = tbl.AppendApplicable(app[:0], k, label)
+		sc.app = tbl.AppendApplicable(sc.app[:0], k, label)
+		app := sc.app
 		if len(app) == 0 {
 			addViolation(k, "no applicable activation time (requirement 3)")
 			return 0, false
@@ -216,8 +254,8 @@ func RunSubgraph(sub *cpg.Subgraph, a *arch.Architecture, tbl *table.Table) (*Tr
 		}
 		// Requirement 4: every condition of the applicable column must be
 		// known on the executing processing element at the start time.
-		app = tbl.AppendApplicable(app[:0], k, label)
-		if len(app) > 0 {
+		sc.app = tbl.AppendApplicable(sc.app[:0], k, label)
+		if app := sc.app; len(app) > 0 {
 			expr := app[0].Expr
 			for _, e := range app {
 				if e.Expr.Len() > expr.Len() {
@@ -240,36 +278,25 @@ func RunSubgraph(sub *cpg.Subgraph, a *arch.Architecture, tbl *table.Table) (*Tr
 	// only check that the broadcasts on the (single) broadcast bus set do not
 	// overlap when exactly one all-connecting bus exists.
 	bcastBus := arch.NoPE
-	if buses := a.BroadcastBuses(); len(buses) == 1 {
-		bcastBus = buses[0]
+	if sc.buses = a.AppendBroadcastBuses(sc.buses[:0]); len(sc.buses) == 1 {
+		bcastBus = sc.buses[0]
 	}
-	type slot struct {
-		pe  arch.PEID
-		act int // position in tr.Activations
-	}
-	slots := make([]slot, 0, len(tr.Activations))
+	sc.slots = slices.Grow(sc.slots[:0], len(tr.Activations))
 	for i, act := range tr.Activations {
 		pe := bcastBus
 		if !act.Key.IsCond {
 			pe = g.Process(act.Key.Proc).PE
 		}
 		if pe != arch.NoPE && a.IsSequential(pe) && act.Start != act.End {
-			slots = append(slots, slot{pe, i})
+			sc.slots = append(sc.slots, resourceSlot{pe: pe, start: act.Start, act: i})
 		}
 	}
 	// Group by element keeping the activation order within each group, then
 	// order each group by start time.
-	slices.SortStableFunc(slots, func(x, y slot) int { return cmp.Compare(x.pe, y.pe) })
-	for len(slots) > 0 {
-		n := 1
-		for n < len(slots) && slots[n].pe == slots[0].pe {
-			n++
-		}
-		group := slots[:n]
-		slots = slots[n:]
-		slices.SortFunc(group, func(x, y slot) int {
-			return cmp.Compare(tr.Activations[x.act].Start, tr.Activations[y.act].Start)
-		})
+	sc.groupByPE(a.NumPEs())
+	for pe := 0; pe+1 < len(sc.groupStart); pe++ {
+		group := sc.byPE[sc.groupStart[pe]:sc.groupStart[pe+1]]
+		slices.SortFunc(group, func(x, y resourceSlot) int { return cmp.Compare(x.start, y.start) })
 		for i := 1; i < len(group); i++ {
 			prev, cur := tr.Activations[group[i-1].act], tr.Activations[group[i].act]
 			if prev.End > cur.Start {
@@ -278,13 +305,37 @@ func RunSubgraph(sub *cpg.Subgraph, a *arch.Architecture, tbl *table.Table) (*Tr
 		}
 	}
 
-	// Delay: completion time of the last active process.
+	// Delay: completion time of the last active process. Clear the
+	// position index for the next run on the way.
 	for _, act := range tr.Activations {
 		if !act.Key.IsCond && act.End > tr.Delay {
 			tr.Delay = act.End
 		}
+		pos[act.Key.Slot(np)] = 0
 	}
 	return tr, nil
+}
+
+// groupByPE fills byPE and groupStart from slots with a counting sort over
+// the numPEs processing elements, which is stable by construction.
+func (sc *scratch) groupByPE(numPEs int) {
+	sc.groupStart = slices.Grow(sc.groupStart[:0], numPEs+1)[:numPEs+1]
+	clear(sc.groupStart)
+	for _, s := range sc.slots {
+		sc.groupStart[s.pe]++
+	}
+	// Running sums turn the counts into the ends of the groups; filling
+	// each group from its end backwards then leaves groupStart[pe] at its
+	// start.
+	for pe := 1; pe <= numPEs; pe++ {
+		sc.groupStart[pe] += sc.groupStart[pe-1]
+	}
+	sc.byPE = slices.Grow(sc.byPE[:0], len(sc.slots))[:len(sc.slots)]
+	for i := len(sc.slots) - 1; i >= 0; i-- {
+		s := sc.slots[i]
+		sc.groupStart[s.pe]--
+		sc.byPE[sc.groupStart[s.pe]] = s
+	}
 }
 
 func peName(a *arch.Architecture, id arch.PEID) string {
@@ -323,8 +374,9 @@ func WorstCase(g *cpg.Graph, a *arch.Architecture, tbl *table.Table, paths []*cp
 func WorstCaseSubgraphs(a *arch.Architecture, tbl *table.Table, subs []*cpg.Subgraph, workers int) (*Result, error) {
 	traces := make([]*Trace, len(subs))
 	errs := make([]error, len(subs))
-	pool.ForEachIndex(len(subs), workers, func(i int) {
-		traces[i], errs[i] = RunSubgraph(subs[i], a, tbl)
+	scratches := make([]scratch, pool.Clamp(len(subs), workers))
+	pool.ForEachIndexWorker(len(subs), workers, func(worker, i int) {
+		traces[i], errs[i] = scratches[worker].run(subs[i], a, tbl)
 	})
 	res := &Result{Traces: traces}
 	for i, tr := range traces {

@@ -22,11 +22,17 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 ADDR="127.0.0.1:${CPGSERVE_PORT:-8377}"
-BIN="$(mktemp -d)/cpgserve"
+# One temp root holds the binary and every output; the EXIT trap stops the
+# running server and removes it.
+TMP="$(mktemp -d)"
+PID=""
+trap 'kill "$PID" 2>/dev/null || true; rm -rf "$TMP"' EXIT
+BIN="$TMP/cpgserve"
+OUT="$TMP/out"
+mkdir "$OUT"
 go build -o "$BIN" ./cmd/cpgserve
 "$BIN" -addr "$ADDR" &
 PID=$!
-trap 'kill "$PID" 2>/dev/null || true' EXIT
 
 for _ in $(seq 1 50); do
   if curl -fsS "http://$ADDR/healthz" >/dev/null 2>&1; then
@@ -36,7 +42,6 @@ for _ in $(seq 1 50); do
 done
 curl -fsS "http://$ADDR/healthz" | grep -q '"status": "ok"'
 
-OUT="$(mktemp -d)"
 curl -fsS -X POST --data-binary @testdata/figure1_v1.json \
   "http://$ADDR/v1/schedule" > "$OUT/sol1.json"
 curl -fsS -X POST --data-binary @testdata/figure1_v1.json \

@@ -26,12 +26,17 @@ cd "$(dirname "$0")/.."
 
 ADDR_A="127.0.0.1:${CPGCHAOS_PORT_A:-8380}"
 ADDR_B="127.0.0.1:${CPGCHAOS_PORT_B:-8381}"
-BIN="$(mktemp -d)"
+# One temp root holds the binaries, the outputs and the journal; the EXIT
+# trap stops the servers and removes it.
+TMP="$(mktemp -d)"
+PIDS=()
+trap 'kill "${PIDS[@]}" 2>/dev/null || true; rm -rf "$TMP"' EXIT
+BIN="$TMP/bin"
+OUT="$TMP/out"
+JDIR="$TMP/journal"
+mkdir "$BIN" "$OUT" "$JDIR"
 go build -o "$BIN/cpgserve" ./cmd/cpgserve
 go build -o "$BIN/cpgexper" ./cmd/cpgexper
-
-PIDS=()
-trap 'kill "${PIDS[@]}" 2>/dev/null || true' EXIT
 
 start_backend() { # addr -> pid on stdout
   # Detach the server from this function's stdout, or the command
@@ -51,7 +56,6 @@ wait_healthy() { # addr
   exit 1
 }
 
-OUT="$(mktemp -d)"
 SWEEP_FLAGS=(-exp sweep -nodes 60,80 -paths 10,12 -graphs 3 -seed 7 -zero-times)
 
 # --- Phase 1: hard-kill and restart a live backend mid-sweep. -------------
@@ -79,7 +83,6 @@ diff -u testdata/sweep_golden.csv "$OUT/churn.csv" || {
 }
 
 # --- Phase 2: restart the coordinator from its journal. -------------------
-JDIR="$(mktemp -d)"
 "$BIN/cpgexper" "${SWEEP_FLAGS[@]}" -shards 4 -remote "http://$ADDR_A" \
   -journal "$JDIR" > "$OUT/full.csv" 2> /dev/null
 diff -u testdata/sweep_golden.csv "$OUT/full.csv" || {

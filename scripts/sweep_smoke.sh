@@ -11,7 +11,14 @@ cd "$(dirname "$0")/.."
 
 ADDR_A="127.0.0.1:${CPGSWEEP_PORT_A:-8378}"
 ADDR_B="127.0.0.1:${CPGSWEEP_PORT_B:-8379}"
-BIN="$(mktemp -d)"
+# One temp root holds the binaries and every output; the EXIT trap stops
+# the servers and removes it.
+TMP="$(mktemp -d)"
+PID_A="" PID_B=""
+trap 'kill "$PID_A" "$PID_B" 2>/dev/null || true; rm -rf "$TMP"' EXIT
+BIN="$TMP/bin"
+OUT="$TMP/out"
+mkdir "$BIN" "$OUT"
 go build -o "$BIN/cpgserve" ./cmd/cpgserve
 go build -o "$BIN/cpgexper" ./cmd/cpgexper
 
@@ -19,7 +26,6 @@ go build -o "$BIN/cpgexper" ./cmd/cpgexper
 PID_A=$!
 "$BIN/cpgserve" -addr "$ADDR_B" -workers 2 &
 PID_B=$!
-trap 'kill "$PID_A" "$PID_B" 2>/dev/null || true' EXIT
 
 for ADDR in "$ADDR_A" "$ADDR_B"; do
   for _ in $(seq 1 50); do
@@ -31,7 +37,6 @@ for ADDR in "$ADDR_A" "$ADDR_B"; do
   curl -fsS "http://$ADDR/healthz" | grep -q '"status": "ok"'
 done
 
-OUT="$(mktemp -d)"
 SWEEP_FLAGS=(-exp sweep -nodes 60,80 -paths 10,12 -graphs 3 -seed 7 -zero-times -progress=false)
 
 "$BIN/cpgexper" "${SWEEP_FLAGS[@]}" > "$OUT/single.csv"
