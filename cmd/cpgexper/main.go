@@ -456,7 +456,7 @@ func writeShardPartial(out io.Writer, cfg expr.SweepConfig, spec string) error {
 	if _, err := expr.RunSweepShardStream(context.Background(), cfg, sw.Graph); err != nil {
 		return err
 	}
-	return sw.Summary(nil)
+	return sw.Summary()
 }
 
 // mergePartialFiles reads saved shard streams through the strict stream

@@ -2,15 +2,19 @@ package main
 
 import (
 	"bytes"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/expr"
 	"repro/internal/httpserver"
 	"repro/internal/service"
 	"repro/internal/textio"
@@ -73,9 +77,9 @@ func TestSweepCSVGoldenHTTP(t *testing.T) {
 	golden := readGolden(t)
 	var urls string
 	for i := 0; i < 2; i++ {
-		srv, err := httpserver.New(service.Config{Workers: 2}, 8<<20)
+		srv, err := httpserver.NewServer(httpserver.Options{Service: service.Config{Workers: 2}})
 		if err != nil {
-			t.Fatalf("httpserver.New: %v", err)
+			t.Fatalf("httpserver.NewServer: %v", err)
 		}
 		ts := httptest.NewServer(srv.Routes(nil))
 		t.Cleanup(ts.Close)
@@ -87,6 +91,94 @@ func TestSweepCSVGoldenHTTP(t *testing.T) {
 	if got := runGolden(t, goldenArgs("-shards", "3", "-remote", urls)); got != golden {
 		t.Errorf("HTTP-sharded CSV differs from golden:\n--- golden\n%s\n--- got\n%s", golden, got)
 	}
+}
+
+// TestShardTransportFrames pins the one sweep transport at the frame level:
+// shard 0/2 of the golden sweep written by -shard 0/2, served by POST
+// /v1/sweep and spooled by a coordinator's -journal is one frame stream —
+// byte-identical header and summary lines, and the same graph frames once
+// the wall-clock fields are zeroed (graphs arrive in completion order, so
+// they are compared as a sorted set).
+func TestShardTransportFrames(t *testing.T) {
+	var offline bytes.Buffer
+	if err := run(goldenArgs("-shard", "0/2"), &offline); err != nil {
+		t.Fatalf("run(-shard 0/2): %v", err)
+	}
+
+	srv, err := httpserver.NewServer(httpserver.Options{Service: service.Config{Workers: 2}})
+	if err != nil {
+		t.Fatalf("httpserver.NewServer: %v", err)
+	}
+	ts := httptest.NewServer(srv.Routes(nil))
+	t.Cleanup(ts.Close)
+	cfg := expr.GoldenSweep()
+	cfg.ShardIndex, cfg.ShardCount = 0, 2
+	var req bytes.Buffer
+	if err := textio.WriteSweepRequest(&req, textio.EncodeSweepRequest(cfg)); err != nil {
+		t.Fatalf("WriteSweepRequest: %v", err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", &req)
+	if err != nil {
+		t.Fatalf("POST /v1/sweep: %v", err)
+	}
+	served, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /v1/sweep: status %d, %v: %s", resp.StatusCode, err, served)
+	}
+
+	dir := t.TempDir()
+	runGolden(t, goldenArgs("-shards", "2", "-journal", dir))
+	spools, err := filepath.Glob(filepath.Join(dir, "*", "shard-00000-of-00002.ndjson"))
+	if err != nil || len(spools) != 1 {
+		t.Fatalf("journal holds %v (%v), want one file for shard 0/2", spools, err)
+	}
+	journaled, err := os.ReadFile(spools[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	want := splitFrames(t, offline.Bytes())
+	for name, data := range map[string][]byte{"served": served, "journaled": journaled} {
+		got := splitFrames(t, data)
+		if got.header != want.header {
+			t.Errorf("%s header line differs from -shard stdout:\n%s\nvs\n%s", name, got.header, want.header)
+		}
+		if got.summary != want.summary {
+			t.Errorf("%s summary line differs from -shard stdout:\n%s\nvs\n%s", name, got.summary, want.summary)
+		}
+		if !slices.Equal(got.graphs, want.graphs) {
+			t.Errorf("%s graph frames differ from -shard stdout:\n%s\nvs\n%s", name,
+				strings.Join(got.graphs, "\n"), strings.Join(want.graphs, "\n"))
+		}
+	}
+}
+
+// shardFrames is a shard frame stream split into its lines.
+type shardFrames struct {
+	header, summary string
+	// graphs are the graph frame lines with mergeNs and pathSchedNs zeroed,
+	// sorted.
+	graphs []string
+}
+
+var wallClockField = regexp.MustCompile(`"(mergeNs|pathSchedNs)":[^,}]+`)
+
+// splitFrames splits a whole shard frame stream: a header line, graph lines
+// and a summary line.
+func splitFrames(t *testing.T, data []byte) shardFrames {
+	t.Helper()
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(lines) < 2 || !strings.HasPrefix(lines[0], `{"frame":"header"`) ||
+		!strings.HasPrefix(lines[len(lines)-1], `{"frame":"summary"`) {
+		t.Fatalf("not a whole shard frame stream:\n%s", data)
+	}
+	f := shardFrames{header: lines[0], summary: lines[len(lines)-1]}
+	for _, line := range lines[1 : len(lines)-1] {
+		f.graphs = append(f.graphs, wallClockField.ReplaceAllString(line, `"$1":0`))
+	}
+	slices.Sort(f.graphs)
+	return f
 }
 
 // TestSweepOfflineShardMerge exercises the offline flow: run every shard

@@ -1,7 +1,6 @@
 // Command cpgsched generates the schedule table for a conditional process
-// graph described in the versioned v1 problem document format (cpggen and
-// `cpgserve /v1/generate` emit it; the pre-versioned format is still read as
-// a deprecated fallback).
+// graph described in the versioned v1 problem document format (cpggen emits
+// it; the pre-versioned format is still read as a deprecated fallback).
 //
 // Usage:
 //

@@ -1,8 +1,8 @@
 // Command cpgserve is a long-running HTTP scheduling server: it accepts v1
 // problem documents and returns schedule tables, and executes shards of the
 // Fig. 5/6 experiment sweep on behalf of a distributed coordinator, sharing
-// one scheduling service (global worker budget + solved-problem and
-// sweep-shard memos) across all requests.
+// one scheduling service (global worker budget, solved-problem memo and
+// warm-start cache) across all requests.
 //
 // Usage:
 //
@@ -12,7 +12,7 @@
 // The handlers live in internal/httpserver (see its package documentation
 // for the endpoint list, the /metrics exposition and the admission-control
 // conventions); this command only adds flags, logging and graceful shutdown.
-// -limit-light bounds concurrent schedule/simulate/generate requests and
+// -limit-light bounds concurrent schedule/simulate requests and
 // -limit-heavy concurrent sweep shards; requests over a bound are shed with
 // 429 + Retry-After (0 = budget-derived defaults, negative = unlimited).
 package main
@@ -36,9 +36,9 @@ func main() {
 	fs := flag.NewFlagSet("cpgserve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	workers := fs.Int("workers", 0, "global worker budget shared by all requests (0 = all CPUs)")
-	cache := fs.Int("cache", service.DefaultCacheSize, "solved-problem memo capacity (negative disables)")
+	cache := fs.Int("cache", service.DefaultCacheSize, "capacity of the solved-problem memo and of the warm-start cache (negative disables both)")
 	maxBody := fs.Int64("max-body", 8<<20, "maximum request body size in bytes")
-	limitLight := fs.Int("limit-light", 0, "max concurrent schedule/simulate/generate requests before shedding 429 (0 = budget-derived default, negative = unlimited)")
+	limitLight := fs.Int("limit-light", 0, "max concurrent schedule/simulate requests before shedding 429 (0 = budget-derived default, negative = unlimited)")
 	limitHeavy := fs.Int("limit-heavy", 0, "max concurrent sweep shards before shedding 429 (0 = budget-derived default, negative = unlimited)")
 	fs.Parse(os.Args[1:])
 

@@ -11,12 +11,13 @@
 //
 // The fleet is fault-tolerant: a Registry tracks backend liveness via
 // periodic /healthz probes (eviction after consecutive failures, re-admission
-// when a probe succeeds again, graceful drain), the Coordinator retries
-// failed shards with bounded exponential backoff across live backends —
-// dispatching only the graphs no earlier attempt delivered — and steals the
-// slowest in-flight shard for idle backends (first finisher wins), and a
-// Journal spools every shard to disk as it streams in, so an interrupted
-// sweep resumes by re-dispatching only the missing graphs.
+// when a probe succeeds again, no new shards while a backend reports
+// draining), the Coordinator retries failed shards with bounded exponential
+// backoff across live backends — dispatching only the graphs no earlier
+// attempt delivered — and steals the slowest in-flight shard for idle
+// backends (first finisher wins), and a Journal spools every shard to disk as
+// it streams in, so an interrupted sweep resumes by re-dispatching only the
+// missing graphs.
 package distrib
 
 import (
@@ -189,10 +190,9 @@ type HealthProber interface {
 }
 
 // InProcess executes shards in this process. With a Service attached the
-// shard runs under the service's global worker budget and shard memo
-// (recommended when several shards run concurrently; a memo hit replays the
-// cached graphs); without one it streams from expr.RunSweepShardStream with
-// the config's own worker count.
+// shard runs under the service's global worker budget (recommended when
+// several shards run concurrently); without one it streams from
+// expr.RunSweepShardStream with the config's own worker count.
 type InProcess struct {
 	Service *service.Service
 }
@@ -203,7 +203,7 @@ func (InProcess) Name() string { return "in-process" }
 // RunShardStream implements Backend.
 func (b InProcess) RunShardStream(ctx context.Context, cfg expr.SweepConfig, yield func(expr.GraphResult) error) (*expr.ShardResult, error) {
 	if b.Service != nil {
-		sol, err := b.Service.SweepShardStream(ctx, cfg, yield)
+		sol, err := b.Service.SweepShard(ctx, cfg, yield)
 		if err != nil {
 			return nil, err
 		}

@@ -82,7 +82,7 @@ type Backend struct {
 	// in a fleet).
 	BackendName string
 	// Service, when non-nil, runs shards under a shared service (worker
-	// budget + shard memo); otherwise shards run via expr directly.
+	// budget); otherwise shards run via expr directly.
 	Service *service.Service
 	// Decide picks the action of attempt number attempt (0-based, counted
 	// per shard on this backend). Nil means every attempt Runs.

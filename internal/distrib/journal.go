@@ -52,9 +52,6 @@ func OpenJournal(dir string) (*Journal, error) {
 	return &Journal{root: dir}, nil
 }
 
-// Root returns the journal's root directory.
-func (j *Journal) Root() string { return j.root }
-
 // dir returns the spool directory of one sweep. SweepHash is lowercase hex,
 // so it is filename-safe on every platform.
 func (j *Journal) dir(hash string) string { return filepath.Join(j.root, hash) }
@@ -265,7 +262,7 @@ func (s *shardSpool) finish(sh *expr.ShardResult) error {
 		}
 	}
 	if err == nil {
-		err = s.w.Summary(nil)
+		err = s.w.Summary()
 	}
 	if err == nil {
 		err = s.f.Sync()

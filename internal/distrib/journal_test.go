@@ -56,7 +56,7 @@ func spool(t testing.TB, j *Journal, hash string, cfg expr.SweepConfig, graphs [
 
 // shardPath is the journal file of cfg's shard.
 func shardPath(j *Journal, hash string, cfg expr.SweepConfig) string {
-	return filepath.Join(j.Root(), hash, shardFile(cfg.ShardIndex, cfg.ShardCount))
+	return filepath.Join(j.root, hash, shardFile(cfg.ShardIndex, cfg.ShardCount))
 }
 
 func TestJournalRecordLoadRoundTrip(t *testing.T) {
@@ -109,7 +109,7 @@ func TestJournalIgnoresTempFiles(t *testing.T) {
 	// Files of other names — leftovers, backups, older layouts — are not
 	// journal files; loads must skip them.
 	for _, name := range []string{"tmp-shard-123456", "shard-00001-of-00002.json", "shard-00001-of-00002.ndjson.bak", "shard-1-of-2.ndjson"} {
-		if err := os.WriteFile(filepath.Join(jr.Root(), hash, name), []byte("torn\n"), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(jr.root, hash, name), []byte("torn\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -171,8 +171,8 @@ func TestOpenJournalValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenJournal must create nested directories: %v", err)
 	}
-	if jr.Root() != dir {
-		t.Errorf("Root() = %q, want %q", jr.Root(), dir)
+	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() || jr.root != dir {
+		t.Errorf("journal root %q (stat %v), want the created directory %q", jr.root, err, dir)
 	}
 	if _, err := jr.openShard("", expr.GoldenSweep()); err == nil {
 		t.Errorf("openShard with an empty sweep hash must fail")

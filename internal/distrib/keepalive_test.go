@@ -11,8 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/expr"
-	"repro/internal/httpserver"
-	"repro/internal/service"
 )
 
 // countingClient returns an HTTP client whose transport counts dials — the
@@ -36,12 +34,7 @@ func countingClient(dials *atomic.Int64) *http.Client {
 // real production handler must share a single dialed connection, because
 // every path now drains the response body to EOF before closing it.
 func TestHTTPBackendReusesConnection(t *testing.T) {
-	srv, err := httpserver.New(service.Config{Workers: 2}, 8<<20)
-	if err != nil {
-		t.Fatalf("httpserver.New: %v", err)
-	}
-	ts := httptest.NewServer(srv.Routes(nil))
-	t.Cleanup(ts.Close)
+	ts := testBackendServer(t, 2)
 
 	var dials atomic.Int64
 	b := HTTP{BaseURL: ts.URL, Client: countingClient(&dials)}

@@ -26,7 +26,7 @@ import (
 //	cpg_distrib_probe_failures_total  failed health probes
 //	cpg_distrib_evictions_total       backends evicted after consecutive failures
 //	cpg_distrib_readmissions_total    evicted backends re-admitted
-//	cpg_distrib_drains_total          backends entering a draining state
+//	cpg_distrib_drains_total          backends whose probe reported draining
 type Metrics struct {
 	attempts      *obs.Counter
 	retries       *obs.Counter
@@ -73,7 +73,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		readmissions: reg.Counter("cpg_distrib_readmissions_total",
 			"Evicted backends re-admitted after a successful probe or attempt."),
 		drains: reg.Counter("cpg_distrib_drains_total",
-			"Backends entering a draining state (manual or probe-reported)."),
+			"Backends whose health probe reported them draining."),
 	}
 }
 

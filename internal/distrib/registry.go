@@ -26,7 +26,9 @@ const (
 	// StateActive members receive new shards.
 	StateActive MemberState = "active"
 	// StateDraining members finish their in-flight shards but receive no
-	// new ones (manual Drain, or the backend's own /healthz said so).
+	// new ones: the backend's own health document said so (an operator's
+	// POST /v1/drain, or cpgserve shutting down). The next probe that
+	// reports it active again returns it to dispatch.
 	StateDraining MemberState = "draining"
 	// StateDown members were evicted after consecutive failures; a
 	// successful probe (or shard) re-admits them.
@@ -43,20 +45,19 @@ type MemberInfo struct {
 
 // member is the registry's record of one backend.
 type member struct {
-	backend     Backend
-	index       int // registration order, for deterministic iteration
-	down        bool
-	manualDrain bool // set by Drain, cleared only by Resume
-	probeDrain  bool // reported by the backend's own health document
-	failures    int  // consecutive probe/attempt failures
-	capacity    int  // advertised worker budget (0 = unknown)
+	backend  Backend
+	index    int // registration order, for deterministic iteration
+	down     bool
+	draining bool // reported by the backend's own health document
+	failures int  // consecutive probe/attempt failures
+	capacity int  // advertised worker budget (0 = unknown)
 }
 
 func (m *member) state() MemberState {
 	switch {
 	case m.down:
 		return StateDown
-	case m.manualDrain || m.probeDrain:
+	case m.draining:
 		return StateDraining
 	default:
 		return StateActive
@@ -168,65 +169,6 @@ func (r *Registry) Register(b Backend) error {
 	return nil
 }
 
-// Deregister removes a backend from the fleet (in-flight shards on it are
-// not cancelled; their results are still accepted). Reports whether the name
-// was registered.
-func (r *Registry) Deregister(name string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.members[name]; !ok {
-		return false
-	}
-	delete(r.members, name)
-	for i, n := range r.order {
-		if n == name {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
-	r.broadcastLocked()
-	return true
-}
-
-// Drain marks a backend as draining: it finishes in-flight shards but
-// receives no new ones until Resume. Draining survives probes (a healthy
-// probe does not undo an operator's drain).
-func (r *Registry) Drain(name string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m, ok := r.members[name]
-	if !ok {
-		return fmt.Errorf("distrib: drain: backend %q not registered", name)
-	}
-	if !m.manualDrain {
-		m.manualDrain = true
-		r.Metrics.drain()
-		r.logf("registry: draining backend %s", name)
-		r.broadcastLocked()
-	}
-	return nil
-}
-
-// Resume undoes Drain and clears an eviction, returning the backend to
-// active dispatch immediately (the next probe or attempt failure can evict
-// it again).
-func (r *Registry) Resume(name string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m, ok := r.members[name]
-	if !ok {
-		return fmt.Errorf("distrib: resume: backend %q not registered", name)
-	}
-	if m.manualDrain || m.down {
-		m.manualDrain = false
-		m.down = false
-		m.failures = 0
-		r.logf("registry: resumed backend %s", name)
-		r.broadcastLocked()
-	}
-	return nil
-}
-
 // Members returns an observability snapshot of the fleet in registration
 // order.
 func (r *Registry) Members() []MemberInfo {
@@ -262,16 +204,14 @@ func (r *Registry) eligible() []memberView {
 	return out
 }
 
-// reportFailure records a failed shard attempt (or probe) against a backend;
-// FailAfter consecutive failures evict it from dispatch until a probe or
-// attempt succeeds again. Unknown names (deregistered mid-flight) are
-// ignored.
+// reportFailure records a failed shard attempt against a backend; FailAfter
+// consecutive failures (attempts or probes) evict it from dispatch until a
+// probe or attempt succeeds again. Members are never removed, so every name
+// the coordinator dispatched to is still registered.
 func (r *Registry) reportFailure(name string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m, ok := r.members[name]; ok {
-		r.recordFailureLocked(name, m)
-	}
+	r.recordFailureLocked(name, r.members[name])
 }
 
 func (r *Registry) recordFailureLocked(name string, m *member) {
@@ -289,10 +229,7 @@ func (r *Registry) recordFailureLocked(name string, m *member) {
 func (r *Registry) reportSuccess(name string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	m, ok := r.members[name]
-	if !ok {
-		return
-	}
+	m := r.members[name]
 	m.failures = 0
 	if m.down {
 		m.down = false
@@ -347,10 +284,7 @@ func (r *Registry) ProbeOnce(ctx context.Context) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, res := range results {
-		m, ok := r.members[res.name]
-		if !ok {
-			continue // deregistered while probing
-		}
+		m := r.members[res.name]
 		if res.err != nil {
 			r.Metrics.probeFailure()
 			r.logf("registry: probe of %s failed: %v", res.name, res.err)
@@ -365,8 +299,8 @@ func (r *Registry) ProbeOnce(ctx context.Context) {
 			r.logf("registry: re-admitting backend %s (probe ok)", res.name)
 			r.broadcastLocked()
 		}
-		if res.info.Draining != m.probeDrain {
-			m.probeDrain = res.info.Draining
+		if res.info.Draining != m.draining {
+			m.draining = res.info.Draining
 			if res.info.Draining {
 				r.Metrics.drain()
 				r.logf("registry: backend %s reports draining", res.name)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/expr"
+	"repro/internal/obs"
 )
 
 func TestRegistryRegisterValidation(t *testing.T) {
@@ -38,41 +39,46 @@ func TestRegistryRegisterValidation(t *testing.T) {
 	if got := len(reg.Members()); got != 2 {
 		t.Errorf("fleet size %d after duplicate rejections, want 2", got)
 	}
-	if !reg.Deregister("http://a:1") {
-		t.Errorf("Deregister of a registered backend = false")
-	}
-	if reg.Deregister("http://a:1") {
-		t.Errorf("Deregister of an absent backend = true")
-	}
 }
 
+// TestRegistryDrainResume drives a drain the way an operator does: POST
+// /v1/drain on a real backend parks it in the registry at the next probe
+// (no new shards, and draining is not a failure), and POST
+// /v1/drain?resume=1 returns it to dispatch at the probe after.
 func TestRegistryDrainResume(t *testing.T) {
+	ts := testBackendServer(t, 2)
 	reg := NewRegistry()
-	if err := reg.Register(InProcess{}); err != nil {
+	reg.Metrics = NewMetrics(obs.NewRegistry())
+	if err := reg.Register(HTTP{BaseURL: ts.URL}); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Drain("nope"); err == nil {
-		t.Errorf("Drain of unknown backend must fail")
+	probe := func(path string, want MemberState) {
+		t.Helper()
+		if path != "" {
+			resp, err := http.Post(ts.URL+path, "application/json", nil)
+			if err != nil {
+				t.Fatalf("POST %s: %v", path, err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("POST %s: status %d", path, resp.StatusCode)
+			}
+		}
+		reg.ProbeOnce(context.Background())
+		m := reg.Members()[0]
+		if m.State != want || m.Failures != 0 {
+			t.Fatalf("after %q and a probe: %+v, want %s with no failures", path, m, want)
+		}
+		if got := len(reg.eligible()); (got == 1) != (want == StateActive) {
+			t.Fatalf("after %q: %d eligible members in state %s", path, got, want)
+		}
 	}
-	if err := reg.Resume("nope"); err == nil {
-		t.Errorf("Resume of unknown backend must fail")
-	}
-	if err := reg.Drain("in-process"); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Members()[0].State; got != StateDraining {
-		t.Fatalf("state after Drain = %v, want draining", got)
-	}
-	// A manual drain must survive a healthy probe.
-	reg.ProbeOnce(context.Background())
-	if got := reg.Members()[0].State; got != StateDraining {
-		t.Fatalf("state after Drain + healthy probe = %v, want still draining", got)
-	}
-	if err := reg.Resume("in-process"); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Members()[0].State; got != StateActive {
-		t.Fatalf("state after Resume = %v, want active", got)
+	probe("", StateActive)
+	probe("/v1/drain", StateDraining)
+	probe("", StateDraining) // the drain holds until the backend lifts it
+	probe("/v1/drain?resume=1", StateActive)
+	if got := reg.Metrics.drains.Value(); got != 1 {
+		t.Fatalf("drains counted %d, want 1", got)
 	}
 }
 

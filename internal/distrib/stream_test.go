@@ -2,12 +2,10 @@ package distrib
 
 import (
 	"context"
-	"net/http/httptest"
 	"reflect"
 	"testing"
 
 	"repro/internal/expr"
-	"repro/internal/httpserver"
 	"repro/internal/service"
 )
 
@@ -28,12 +26,7 @@ func zeroGraphTimes(sh *expr.ShardResult) *expr.ShardResult {
 // — streamed, or through RunShard without a callback — matches an
 // in-process expr.RunSweepShard byte for byte (timings aside).
 func TestHTTPRunShardStreamMatchesInProcess(t *testing.T) {
-	srv, err := httpserver.New(service.Config{Workers: 2}, 8<<20)
-	if err != nil {
-		t.Fatalf("httpserver.New: %v", err)
-	}
-	ts := httptest.NewServer(srv.Routes(nil))
-	t.Cleanup(ts.Close)
+	ts := testBackendServer(t, 2)
 	b := HTTP{BaseURL: ts.URL}
 	cfg := expr.GoldenSweep()
 	cfg.ShardIndex, cfg.ShardCount = 1, 2

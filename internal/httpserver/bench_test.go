@@ -13,7 +13,7 @@ import (
 // benchServer builds a server for the middleware benchmarks.
 func benchServer(b *testing.B) *Server {
 	b.Helper()
-	srv, err := New(service.Config{Workers: 2}, 8<<20)
+	srv, err := NewServer(Options{Service: service.Config{Workers: 2}})
 	if err != nil {
 		b.Fatalf("NewServer: %v", err)
 	}

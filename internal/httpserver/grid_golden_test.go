@@ -73,7 +73,7 @@ func TestGridResponsesGolden(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		// One server per worker count: the memo ignores ?workers=, so a
 		// shared server would answer the second count from its cache.
-		srv, err := New(service.Config{Workers: 2, WarmMaxDirty: -1}, 8<<20)
+		srv, err := NewServer(Options{Service: service.Config{Workers: 2, WarmMaxDirty: -1}})
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}

@@ -69,16 +69,8 @@ func TestMetricsGoldenFamilies(t *testing.T) {
 		"cpg_service_memo_misses_total",
 		"cpg_service_warm_starts_total",
 		"cpg_service_memo_entries",
-		"cpg_service_sweep_memo_hits_total",
-		"cpg_service_sweep_memo_misses_total",
-		"cpg_service_sweep_memo_entries",
 		"cpg_service_worker_budget",
 		"cpg_service_workers_busy",
-		"cpg_service_sweeps_tracked",
-		"cpg_service_sweep_shards_running",
-		"cpg_service_sweep_shards_done",
-		"cpg_service_sweep_graphs_done",
-		"cpg_service_sweep_graphs_total",
 	} {
 		if !strings.Contains(first, "# TYPE "+family+" ") {
 			t.Errorf("first scrape missing family %s", family)
@@ -417,20 +409,6 @@ type nopResponseWriter struct{ h http.Header }
 func (w *nopResponseWriter) Header() http.Header         { return w.h }
 func (w *nopResponseWriter) WriteHeader(int)             {}
 func (w *nopResponseWriter) Write(b []byte) (int, error) { return len(b), nil }
-
-// TestSweepProgressStreamStillDetectsFlusher pins the 501 fallback: a plain
-// (non-flushable) writer wrapped by the middleware must still be detected as
-// non-flushable by the ?watch=1 stream.
-func TestSweepProgressStreamStillDetectsFlusher(t *testing.T) {
-	srv := mustServer(t)
-	h := srv.Routes(nil)
-	req := httptest.NewRequest("GET", "/v1/sweep/progress?watch=1", nil)
-	w := &nopRecorder{}
-	h.ServeHTTP(w, req)
-	if w.code != http.StatusNotImplemented {
-		t.Fatalf("watch over non-flushable writer = %d, want 501", w.code)
-	}
-}
 
 // nopRecorder records only the status and is deliberately NOT a Flusher.
 type nopRecorder struct {

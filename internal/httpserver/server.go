@@ -13,23 +13,17 @@
 //	                              tabu, ...); unknown names get a 400 envelope
 //	POST /v1/simulate?cond=C=1    schedule, then re-enact the matching
 //	                              alternative paths against the table
-//	POST /v1/generate             generate a random problem document from
-//	                              the paper's structural parameters
 //	POST /v1/sweep?workers=N      execute one shard of a Fig. 5/6 sweep and
 //	                              stream its raw per-graph results as NDJSON
 //	                              frames (header, one frame per completed
 //	                              graph, trailing summary) so coordinators
 //	                              can journal and merge graph by graph
-//	GET  /v1/sweep/progress       completion counts of the sweeps this server
-//	                              worked on; &watch=1 streams one compact JSON
-//	                              snapshot per change (NDJSON) until the client
-//	                              disconnects
 //	POST /v1/drain                stop admitting schedulable work: new
-//	                              schedule/simulate/generate/sweep requests
-//	                              are shed with 503 + Retry-After while
-//	                              in-flight ones finish, and /healthz
-//	                              advertises "draining" so registries stop
-//	                              dispatching here; &resume=1 reverts
+//	                              schedule/simulate/sweep requests are shed
+//	                              with 503 + Retry-After while in-flight ones
+//	                              finish, and /healthz advertises "draining"
+//	                              so registries stop dispatching here;
+//	                              &resume=1 reverts
 //	GET  /metrics                 Prometheus text exposition of the request,
 //	                              admission, service and cache metrics
 //	GET  /healthz                 liveness plus service counters ("draining"
@@ -41,20 +35,19 @@
 //
 // # Admission control
 //
-// Endpoints are grouped into two classes — "light" (schedule, simulate,
-// generate: one problem each) and "heavy" (sweep: a whole shard of graphs) —
-// each with a bounded concurrency and a live in-flight gauge. A request over
-// the bound is shed immediately with 429, a Retry-After hint and the JSON
-// error envelope, instead of stacking goroutines behind the worker-token
-// budget until the client times out; during a drain window both classes shed
-// with 503 so a loaded-or-leaving backend is distinguishable from a dead
-// one. Observability endpoints (/metrics, /healthz, /v1/sweep/progress,
-// /v1/drain) are never shed — an overloaded server must stay diagnosable.
+// Endpoints are grouped into two classes — "light" (schedule, simulate: one
+// problem each) and "heavy" (sweep: a whole shard of graphs) — each with a
+// bounded concurrency and a live in-flight gauge. A request over the bound
+// is shed immediately with 429, a Retry-After hint and the JSON error
+// envelope, instead of stacking goroutines behind the worker-token budget
+// until the client times out; during a drain window both classes shed with
+// 503 so a loaded-or-leaving backend is distinguishable from a dead one.
+// Observability endpoints (/metrics, /healthz, /v1/drain) are never shed —
+// an overloaded server must stay diagnosable.
 package httpserver
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -66,9 +59,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/expr"
-	"repro/internal/gen"
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/sim"
@@ -86,9 +77,9 @@ const (
 	DefaultDrainRetryAfter = 5 * time.Second
 )
 
-// DefaultLightLimit is the light-class (schedule/simulate/generate)
-// concurrency bound for a given worker budget: generous, because light
-// requests queue briefly on the token pool and memo hits bypass it entirely.
+// DefaultLightLimit is the light-class (schedule/simulate) concurrency bound
+// for a given worker budget: generous, because light requests queue briefly
+// on the token pool and memo hits bypass it entirely.
 func DefaultLightLimit(budget int) int { return max(32, 8*budget) }
 
 // DefaultHeavyLimit is the heavy-class (sweep shard) concurrency bound for a
@@ -107,7 +98,7 @@ type Options struct {
 	Metrics *obs.Registry
 	// Clock is the latency-measurement time source (nil = obs.WallClock).
 	Clock obs.Clock
-	// LightLimit bounds concurrent schedule/simulate/generate requests
+	// LightLimit bounds concurrent schedule/simulate requests
 	// (0 = DefaultLightLimit of the budget, negative = unlimited).
 	LightLimit int
 	// HeavyLimit bounds concurrent sweep-shard requests
@@ -129,11 +120,10 @@ type epClass struct {
 }
 
 // Server holds the shared state of the HTTP handlers: one scheduling service
-// (global worker budget, solved-problem and sweep-shard memos), one
-// generator cache, and the metrics registry with the admission state.
+// (global worker budget, problem memo and warm-start cache) and the metrics
+// registry with the admission state.
 type Server struct {
 	svc      *service.Service
-	genCache *gen.Cache
 	maxBody  int64
 	start    time.Time
 	draining atomic.Bool
@@ -147,13 +137,6 @@ type Server struct {
 	// Pre-rendered Retry-After header values (whole seconds, rounded up).
 	retryAfterOverload string
 	retryAfterDrain    string
-}
-
-// New builds a Server around a fresh service. maxBody bounds the accepted
-// request body size in bytes. Admission bounds, metrics registry and clock
-// take their defaults; use NewServer to set them.
-func New(cfg service.Config, maxBody int64) (*Server, error) {
-	return NewServer(Options{Service: cfg, MaxBody: maxBody})
 }
 
 // NewServer builds a Server from Options.
@@ -184,7 +167,6 @@ func NewServer(opts Options) (*Server, error) {
 	}
 	s := &Server{
 		svc:                svc,
-		genCache:           gen.NewCache(0),
 		maxBody:            maxBody,
 		metrics:            reg,
 		clock:              clock,
@@ -254,9 +236,7 @@ func (s *Server) Routes(logger *log.Logger) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("POST /v1/schedule", s.instrument("/v1/schedule", s.light, s.handleSchedule))
 	mux.Handle("POST /v1/simulate", s.instrument("/v1/simulate", s.light, s.handleSimulate))
-	mux.Handle("POST /v1/generate", s.instrument("/v1/generate", s.light, s.handleGenerate))
 	mux.Handle("POST /v1/sweep", s.instrument("/v1/sweep", s.heavy, s.handleSweep))
-	mux.Handle("GET /v1/sweep/progress", s.instrument("/v1/sweep/progress", nil, s.handleSweepProgress))
 	mux.Handle("POST /v1/drain", s.instrument("/v1/drain", nil, s.handleDrain))
 	mux.Handle("GET /healthz", s.instrument("/healthz", nil, s.handleHealthz))
 	mux.Handle("GET /metrics", s.instrument("/metrics", nil, obs.Handler(s.metrics).ServeHTTP))
@@ -367,8 +347,7 @@ func (sw *statusWriter) Write(b []byte) (int, error) {
 }
 
 // Flush forwards to the underlying writer when it supports flushing (the
-// NDJSON sweep and progress streams need it); flushable reports whether it
-// does.
+// NDJSON sweep stream needs it); flushable reports whether it does.
 func (sw *statusWriter) Flush() {
 	if sw.flusher != nil {
 		sw.flusher.Flush()
@@ -571,8 +550,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The stream header needs the sweep hash and the shard's coverage before
-	// the service returns, so derive both from the normalized config here;
-	// the service computes the identical hash from the identical encoding.
+	// the first graph completes, so derive both from the normalized config.
 	cfg = cfg.Normalize()
 	hash, err := textio.SweepHash(textio.EncodeSweepRequest(cfg))
 	if err != nil {
@@ -586,7 +564,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fl.Flush()
-	sol, err := s.svc.SweepShardStream(r.Context(), cfg, func(g expr.GraphResult) error {
+	_, err = s.svc.SweepShard(r.Context(), cfg, func(g expr.GraphResult) error {
 		if err := out.Graph(g); err != nil {
 			return err
 		}
@@ -600,72 +578,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		fl.Flush()
 		return
 	}
-	st := s.svc.Stats()
-	out.Summary(&textio.CacheDoc{
-		Hit:         sol.CacheHit,
-		Hits:        st.SweepCacheHits,
-		Misses:      st.SweepCacheMisses,
-		ProblemHash: sol.SweepHash,
-	})
+	out.Summary()
 	fl.Flush()
-}
-
-// progressDoc snapshots the service's sweep progress in document form.
-func (s *Server) progressDoc() *textio.SweepProgressDoc {
-	doc := &textio.SweepProgressDoc{
-		Version: textio.ProblemVersion,
-		Sweeps:  []textio.SweepProgressEntryDoc{},
-	}
-	for _, p := range s.svc.SweepProgress() {
-		doc.Sweeps = append(doc.Sweeps, textio.SweepProgressEntryDoc{
-			SweepHash:     p.SweepHash,
-			ShardCount:    p.ShardCount,
-			ShardsRunning: p.ShardsRunning,
-			ShardsDone:    p.ShardsDone,
-			GraphsDone:    p.GraphsDone,
-			GraphsTotal:   p.GraphsTotal,
-		})
-	}
-	return doc
-}
-
-// handleSweepProgress reports the completion counts of the sweeps this server
-// has worked on. Without parameters it returns one snapshot; with ?watch=1 it
-// streams a compact JSON snapshot per progress change (newline-delimited)
-// until the client disconnects — the tail a coordinator or operator follows
-// during a long sweep.
-func (s *Server) handleSweepProgress(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("watch") == "" {
-		writeJSON(w, http.StatusOK, s.progressDoc())
-		return
-	}
-	// The middleware's statusWriter always has a Flush method, so probe the
-	// underlying connection through it rather than a bare type assertion.
-	fl, ok := w.(http.Flusher)
-	if sw, isSW := w.(*statusWriter); isSW && !sw.flushable() {
-		ok = false
-	}
-	if !ok {
-		writeError(w, http.StatusNotImplemented, errors.New("streaming requires a flushable connection"))
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	for {
-		// Fetch the change channel before snapshotting, so an update landing
-		// between snapshot and select wakes the loop instead of being missed.
-		change := s.svc.SweepProgressChanged()
-		if err := enc.Encode(s.progressDoc()); err != nil {
-			return
-		}
-		fl.Flush()
-		select {
-		case <-r.Context().Done():
-			return
-		case <-change:
-		}
-	}
 }
 
 // drainDoc is the response of POST /v1/drain.
@@ -791,25 +705,6 @@ func sortActivations(acts []activationDoc) {
 	})
 }
 
-func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
-	doc, err := textio.ReadGenDoc(http.MaxBytesReader(w, r.Body, s.maxBody))
-	if err != nil {
-		writeError(w, requestErrorStatus(err), err)
-		return
-	}
-	cfg, err := textio.DecodeGenConfig(doc)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	inst, err := s.genCache.Generate(cfg)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, textio.EncodeProblem(inst.Graph, inst.Arch, core.Options{}))
-}
-
 // healthDoc is the /healthz response.
 type healthDoc struct {
 	Status   string `json:"status"`
@@ -823,9 +718,6 @@ type healthDoc struct {
 	} `json:"cache"`
 	Sweeps struct {
 		Requests int64 `json:"requests"`
-		Hits     int64 `json:"hits"`
-		Misses   int64 `json:"misses"`
-		Entries  int   `json:"entries"`
 	} `json:"sweeps"`
 }
 
@@ -845,8 +737,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	doc.Cache.Misses = st.CacheMisses
 	doc.Cache.Entries = st.CacheLen
 	doc.Sweeps.Requests = st.SweepRequests
-	doc.Sweeps.Hits = st.SweepCacheHits
-	doc.Sweeps.Misses = st.SweepCacheMisses
-	doc.Sweeps.Entries = st.SweepCacheLen
 	writeJSON(w, http.StatusOK, doc)
 }

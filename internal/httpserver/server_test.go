@@ -20,9 +20,9 @@ import (
 
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv, err := New(service.Config{Workers: 2}, 8<<20)
+	srv, err := NewServer(Options{Service: service.Config{Workers: 2}})
 	if err != nil {
-		t.Fatalf("newServer: %v", err)
+		t.Fatalf("NewServer: %v", err)
 	}
 	ts := httptest.NewServer(srv.Routes(nil))
 	t.Cleanup(ts.Close)
@@ -30,7 +30,7 @@ func testServer(t *testing.T) *httptest.Server {
 }
 
 func TestNewServerNegativeBudget(t *testing.T) {
-	if _, err := New(service.Config{Workers: -4}, 8<<20); err == nil {
+	if _, err := NewServer(Options{Service: service.Config{Workers: -4}}); err == nil {
 		t.Fatalf("negative -workers budget must be rejected")
 	}
 }
@@ -232,31 +232,6 @@ func TestSimulateEndpoint(t *testing.T) {
 	}
 }
 
-func TestGenerateEndpointRoundTrips(t *testing.T) {
-	ts := testServer(t)
-	resp, body := postJSON(t, ts.URL+"/v1/generate", []byte(`{"seed":3,"nodes":30,"paths":4,"processors":2,"hardware":1,"buses":1}`))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var prob textio.ProblemDoc
-	if err := json.Unmarshal(body, &prob); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if prob.Version != textio.ProblemVersion {
-		t.Fatalf("generated problem version %q", prob.Version)
-	}
-	// The generated problem schedules through the same server.
-	resp, body = postJSON(t, ts.URL+"/v1/schedule", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("scheduling generated problem: status %d: %s", resp.StatusCode, body)
-	}
-
-	resp, body = postJSON(t, ts.URL+"/v1/generate", []byte(`{"dist":"weird"}`))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad distribution must yield 400, got %d: %s", resp.StatusCode, body)
-	}
-}
-
 func TestHealthz(t *testing.T) {
 	ts := testServer(t)
 	resp, err := http.Get(ts.URL + "/healthz")
@@ -273,6 +248,47 @@ func TestHealthz(t *testing.T) {
 	}
 	if doc.Status != "ok" || doc.Workers < 1 {
 		t.Fatalf("health unexpected: %+v", doc)
+	}
+}
+
+// TestDrainEndpoint: POST /v1/drain flips /healthz to "draining" (what the
+// sweep registry's prober watches), and ?resume=1 flips it back.
+func TestDrainEndpoint(t *testing.T) {
+	ts := testServer(t)
+	health := func() string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatalf("GET /healthz: %v", err)
+		}
+		defer resp.Body.Close()
+		var doc healthDoc
+		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+			t.Fatalf("decode healthz: %v", err)
+		}
+		return doc.Status
+	}
+	if got := health(); got != "ok" {
+		t.Fatalf("initial health = %q", got)
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/drain", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("drain status %d: %s", resp.StatusCode, body)
+	}
+	var dd struct {
+		Status string `json:"status"`
+	}
+	if err := json.Unmarshal(body, &dd); err != nil || dd.Status != "draining" {
+		t.Fatalf("drain response = %s (%v), want status draining", body, err)
+	}
+	if got := health(); got != "draining" {
+		t.Fatalf("health after drain = %q, want draining", got)
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/drain?resume=1", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("resume status %d: %s", resp.StatusCode, body)
+	}
+	if got := health(); got != "ok" {
+		t.Fatalf("health after resume = %q, want ok", got)
 	}
 }
 
@@ -341,9 +357,9 @@ func TestScheduleEndpointStrategyParam(t *testing.T) {
 }
 
 func TestOversizedBodyGets413(t *testing.T) {
-	srv, err := New(service.Config{Workers: 1}, 64)
+	srv, err := NewServer(Options{Service: service.Config{Workers: 1}, MaxBody: 64})
 	if err != nil {
-		t.Fatalf("newServer: %v", err)
+		t.Fatalf("NewServer: %v", err)
 	}
 	ts := httptest.NewServer(srv.Routes(nil))
 	t.Cleanup(ts.Close)

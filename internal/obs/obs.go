@@ -171,9 +171,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveDuration records a duration in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 

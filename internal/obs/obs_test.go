@@ -32,7 +32,7 @@ func TestGoldenRender(t *testing.T) {
 	h := reg.Histogram("test_latency_seconds", "Request latency.", []float64{0.01, 0.1, 1})
 	start := clock.Now()
 	clock.Advance(50 * time.Millisecond)
-	h.ObserveDuration(clock.Now().Sub(start))
+	h.Observe(clock.Now().Sub(start).Seconds())
 	h.Observe(0.005)
 	h.Observe(5)
 

@@ -14,14 +14,8 @@ import "repro/internal/obs"
 //	cpg_service_sweep_requests_total  sweep shards handled
 //	cpg_service_memo_hits_total       problem-memo hits (memo_misses_total, memo_entries likewise)
 //	cpg_service_warm_starts_total     runs warm-started from a near-miss memo entry
-//	cpg_service_sweep_memo_*          the sweep-shard memo's equivalents
 //	cpg_service_worker_budget         the fixed global worker-token budget
 //	cpg_service_workers_busy          tokens currently lent out
-//	cpg_service_sweeps_tracked        sweeps with live progress state
-//	cpg_service_sweep_shards_running  shards in flight across tracked sweeps
-//	cpg_service_sweep_shards_done     shards finished across tracked sweeps
-//	cpg_service_sweep_graphs_done     graphs solved across tracked sweeps
-//	cpg_service_sweep_graphs_total    graphs expected across tracked sweeps
 //
 // Idempotent per registry: registering the same service twice is a no-op by
 // the registry's identical-registration rule.
@@ -42,44 +36,10 @@ func (s *Service) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("cpg_service_memo_entries",
 		"Problems currently memoised.",
 		func() int64 { return int64(s.cache.Len()) })
-	reg.CounterFunc("cpg_service_sweep_memo_hits_total",
-		"Sweep-shard memo hits.", s.sweeps.Hits)
-	reg.CounterFunc("cpg_service_sweep_memo_misses_total",
-		"Sweep-shard memo misses.", s.sweeps.Misses)
-	reg.GaugeFunc("cpg_service_sweep_memo_entries",
-		"Sweep shards currently memoised.",
-		func() int64 { return int64(s.sweeps.Len()) })
 	reg.GaugeFunc("cpg_service_worker_budget",
 		"The global worker-token budget.",
 		func() int64 { return int64(s.budget) })
 	reg.GaugeFunc("cpg_service_workers_busy",
 		"Worker tokens currently lent out to in-flight work.",
 		func() int64 { return int64(s.budget - len(s.tokens)) })
-	reg.GaugeFunc("cpg_service_sweeps_tracked",
-		"Sweeps with live progress state.",
-		func() int64 { return int64(len(s.progress.snapshot())) })
-	reg.GaugeFunc("cpg_service_sweep_shards_running",
-		"Shards in flight, summed across tracked sweeps.",
-		s.sweepGaugeSum(func(p SweepProgress) int { return p.ShardsRunning }))
-	reg.GaugeFunc("cpg_service_sweep_shards_done",
-		"Shards finished, summed across tracked sweeps.",
-		s.sweepGaugeSum(func(p SweepProgress) int { return p.ShardsDone }))
-	reg.GaugeFunc("cpg_service_sweep_graphs_done",
-		"Graphs solved, summed across tracked sweeps.",
-		s.sweepGaugeSum(func(p SweepProgress) int { return p.GraphsDone }))
-	reg.GaugeFunc("cpg_service_sweep_graphs_total",
-		"Graphs expected, summed across tracked sweeps.",
-		s.sweepGaugeSum(func(p SweepProgress) int { return p.GraphsTotal }))
-}
-
-// sweepGaugeSum folds one SweepProgress field over the tracker snapshot at
-// scrape time.
-func (s *Service) sweepGaugeSum(field func(SweepProgress) int) func() int64 {
-	return func() int64 {
-		var sum int64
-		for _, p := range s.progress.snapshot() {
-			sum += int64(field(p))
-		}
-		return sum
-	}
 }

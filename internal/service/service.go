@@ -4,13 +4,15 @@
 //
 // A Service adds three things on top of core.ScheduleContext:
 //
-//   - a global worker budget: every concurrent request draws its scheduling
-//     goroutines from one token pool, so a burst of requests cannot
-//     oversubscribe the machine no matter what each request asks for (the
-//     budget overrides core.Options.Workers);
-//   - an LRU memo keyed by the problem content hash (textio.ProblemHash), so
-//     repeated requests for the same problem — retries, ablation loops,
-//     design-space sweeps — are served without rescheduling; and
+//   - a global worker budget: every concurrent request — a problem or a
+//     sweep shard — draws its goroutines from one token pool, so a burst of
+//     requests cannot oversubscribe the machine no matter what each request
+//     asks for (the budget overrides core.Options.Workers);
+//   - two caches over problems: an LRU memo keyed by the problem content
+//     hash (textio.ProblemHash), so repeated requests for the same problem —
+//     retries, ablation loops, design-space sweeps — are served without
+//     rescheduling, and an LRU of recent problems keyed by their structural
+//     shape, from which a τ-only edit is warm-started; and
 //   - context cancellation: a cancelled request aborts its path fan-out and
 //     merge promptly and releases its worker tokens.
 package service
@@ -50,8 +52,8 @@ type Config struct {
 	// many scheduling goroutines, and the grants of all in-flight requests
 	// never exceed it in total.
 	Workers int
-	// CacheSize bounds the solved-problem memo (0 = DefaultCacheSize,
-	// negative = caching disabled).
+	// CacheSize is the capacity of the solved-problem memo and of the
+	// warm-start cache (0 = DefaultCacheSize, negative = both disabled).
 	CacheSize int
 	// WarmMaxDirty bounds the number of processes whose execution time may
 	// differ from a memoized problem for the service to warm-start the run
@@ -109,12 +111,8 @@ type Stats struct {
 	CacheLen int
 	// WarmStarts counts runs warm-started from a memoized near-miss result.
 	WarmStarts int64
-	// SweepRequests counts SweepShard calls, and the SweepCache fields are
-	// the shard-result memo counters.
-	SweepRequests    int64
-	SweepCacheHits   int64
-	SweepCacheMisses int64
-	SweepCacheLen    int
+	// SweepRequests counts SweepShard calls.
+	SweepRequests int64
 	// Workers is the global worker budget.
 	Workers int
 }
@@ -125,13 +123,11 @@ type Service struct {
 	budget    int
 	tokens    chan struct{}
 	cache     *memo.LRU[*core.Result]
-	sweeps    *memo.LRU[*expr.ShardResult]
 	warm      *memo.LRU[*warmEntry]
 	warmMax   int // largest τ-only diff eligible for warm-start; < 0 disables
 	requests  atomic.Int64
 	warmHits  atomic.Int64
 	sweepReqs atomic.Int64
-	progress  sweepTracker
 }
 
 // warmEntry pairs a memoized result with the canonical document it was
@@ -168,7 +164,6 @@ func New(cfg Config) (*Service, error) {
 		budget:  budget,
 		tokens:  make(chan struct{}, budget),
 		cache:   memo.NewLRU[*core.Result](size),
-		sweeps:  memo.NewLRU[*expr.ShardResult](size),
 		warm:    memo.NewLRU[*warmEntry](size),
 		warmMax: warmMax,
 	}
@@ -181,31 +176,14 @@ func New(cfg Config) (*Service, error) {
 // Stats returns a snapshot of the service counters.
 func (s *Service) Stats() Stats {
 	return Stats{
-		Requests:         s.requests.Load(),
-		CacheHits:        s.cache.Hits(),
-		CacheMisses:      s.cache.Misses(),
-		CacheLen:         s.cache.Len(),
-		WarmStarts:       s.warmHits.Load(),
-		SweepRequests:    s.sweepReqs.Load(),
-		SweepCacheHits:   s.sweeps.Hits(),
-		SweepCacheMisses: s.sweeps.Misses(),
-		SweepCacheLen:    s.sweeps.Len(),
-		Workers:          s.budget,
+		Requests:      s.requests.Load(),
+		CacheHits:     s.cache.Hits(),
+		CacheMisses:   s.cache.Misses(),
+		CacheLen:      s.cache.Len(),
+		WarmStarts:    s.warmHits.Load(),
+		SweepRequests: s.sweepReqs.Load(),
+		Workers:       s.budget,
 	}
-}
-
-// Hash returns the content hash of a problem (the memo key): the hash of its
-// canonical v1 document with the worker count cleared, since workers never
-// change the produced table. Every result-shaping deterministic option —
-// path selection, conflict policy, scheduling priority and strategy with
-// its tabu bounds — is part of the document and therefore of the key, so
-// solutions computed under one strategy are never served for another. The
-// wall-clock tabu budget of listsched.StrategyParams is not part of the
-// document (a truncated loop is timing-dependent), so Schedule bypasses the
-// memo entirely for budgeted requests: they neither read stale entries nor
-// poison the cache with run-to-run-varying schedules.
-func (s *Service) Hash(p *Problem) (string, error) {
-	return textio.ProblemHash(textio.EncodeProblem(p.Graph, p.Arch, p.Options))
 }
 
 // Schedule generates (or recalls) the schedule table for one problem. The
@@ -218,7 +196,16 @@ func (s *Service) Hash(p *Problem) (string, error) {
 // Identical problems (same content hash) are answered from the memo; two
 // concurrent first requests for the same problem may both compute, and the
 // later one wins the memo slot — results are deterministic, so both are
-// correct and byte-identical.
+// correct and byte-identical. The memo key is the hash of the problem's
+// canonical v1 document with the worker count cleared, since workers never
+// change the produced table. Every result-shaping deterministic option —
+// path selection, conflict policy, scheduling priority and strategy with its
+// tabu bounds — is part of the document and therefore of the key, so
+// solutions computed under one strategy are never served for another. The
+// wall-clock tabu budget of listsched.StrategyParams is not part of the
+// document (a truncated loop is timing-dependent), so budgeted requests
+// bypass the memo and the warm-start cache entirely: they neither read stale
+// entries nor poison the caches with run-to-run-varying schedules.
 func (s *Service) Schedule(ctx context.Context, p *Problem) (*Solution, error) {
 	if p == nil || p.Graph == nil || p.Arch == nil {
 		return nil, errors.New("service: nil problem, graph or architecture")
@@ -385,52 +372,17 @@ func (s *Service) ScheduleBatch(ctx context.Context, problems []*Problem) ([]*So
 type SweepSolution struct {
 	// Shard holds the raw per-graph results of the executed shard.
 	Shard *expr.ShardResult
-	// SweepHash is the content hash of the sweep the shard belongs to
-	// (textio.SweepHash: workers and shard coordinates excluded), so every
-	// shard of one sweep shares it. The memo key is (SweepHash, shard).
-	SweepHash string
-	// CacheHit reports whether the shard came from the memo instead of a
-	// fresh run.
-	CacheHit bool
-	// Workers is the number of worker tokens the request was granted
-	// (zero on cache hits).
+	// Workers is the number of worker tokens the request was granted.
 	Workers int
 }
 
 // SweepShard executes one shard of a Fig. 5/6 sweep under the service's
 // global worker budget: the config's Workers field is a wish clamped to the
 // budget, to the tokens free at admission and to the shard's graph count.
-// Identical shard requests (same sweep content hash and shard coordinates)
-// are answered from the shard memo, so a coordinator retrying a shard —
-// possibly with a different worker wish — reuses the completed work.
-// Cancelling ctx aborts the shard run promptly and returns ctx.Err().
-func (s *Service) SweepShard(ctx context.Context, cfg expr.SweepConfig) (*SweepSolution, error) {
-	return s.SweepShardStream(ctx, cfg, nil)
-}
-
-// sweepMemoKey derives the shard-memo key of a normalized config:
-// (SweepHash, shard coordinates) plus — when the request skips
-// already-received graphs — a digest of the canonical skip list. A
-// skip-subset result covers fewer graphs than the full shard, so filing it
-// under the full-shard key (or vice versa) would poison the memo.
-func sweepMemoKey(hash string, cfg expr.SweepConfig) (string, error) {
-	key := fmt.Sprintf("%s:%d/%d", hash, cfg.ShardIndex, cfg.ShardCount)
-	if len(cfg.Skip) == 0 {
-		return key, nil
-	}
-	skipHash, err := memo.HashJSON(textio.EncodeGraphKeys(cfg.Skip))
-	if err != nil {
-		return "", err
-	}
-	return key + ":skip:" + skipHash, nil
-}
-
-// SweepShardStream executes one shard like SweepShard and additionally calls
-// yield (when non-nil) once per completed graph, in completion order —
-// including on memo hits, where the cached shard's graphs are replayed in
-// canonical order so a streaming transport serves identical frames either
-// way. A yield error aborts the run and is returned.
-func (s *Service) SweepShardStream(ctx context.Context, cfg expr.SweepConfig, yield func(expr.GraphResult) error) (*SweepSolution, error) {
+// It calls yield (when non-nil) once per completed graph, in completion
+// order; a yield error aborts the run and is returned. Cancelling ctx aborts
+// the shard run promptly and returns ctx.Err().
+func (s *Service) SweepShard(ctx context.Context, cfg expr.SweepConfig, yield func(expr.GraphResult) error) (*SweepSolution, error) {
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("%w; got %d", core.ErrNegativeWorkers, cfg.Workers)
 	}
@@ -442,31 +394,6 @@ func (s *Service) SweepShardStream(ctx context.Context, cfg expr.SweepConfig, yi
 		return nil, err
 	}
 	s.sweepReqs.Add(1)
-	hash, err := textio.SweepHash(textio.EncodeSweepRequest(cfg))
-	if err != nil {
-		return nil, err
-	}
-	key, err := sweepMemoKey(hash, cfg)
-	if err != nil {
-		return nil, err
-	}
-	total := cfg.ShardSize()
-	// Like Schedule: a wall-clock tabu budget makes results timing-dependent,
-	// so budgeted runs stay out of the memo in both directions.
-	memoizable := cfg.Options.StrategyParams.Budget <= 0
-	if memoizable {
-		if sh, ok := s.sweeps.Get(key); ok {
-			if yield != nil {
-				for _, g := range sh.Results {
-					if err := yield(g); err != nil {
-						return nil, err
-					}
-				}
-			}
-			s.progress.completed(hash, cfg.ShardIndex, cfg.ShardCount, total)
-			return &SweepSolution{Shard: sh, SweepHash: hash, CacheHit: true}, nil
-		}
-	}
 	want := cfg.Workers
 	if want <= 0 || want > s.budget {
 		want = s.budget
@@ -474,7 +401,7 @@ func (s *Service) SweepShardStream(ctx context.Context, cfg expr.SweepConfig, yi
 	// Tokens beyond the shard's graph count would sit idle while starving
 	// concurrent requests, so don't grab them in the first place (one token
 	// minimum: every admitted request holds at least one).
-	if want > total {
+	if total := cfg.ShardSize(); want > total {
 		want = max(total, 1)
 	}
 	granted, err := s.acquire(ctx, want)
@@ -483,40 +410,11 @@ func (s *Service) SweepShardStream(ctx context.Context, cfg expr.SweepConfig, yi
 	}
 	defer s.releaseTokens(granted)
 	cfg.Workers = granted
-	s.progress.start(hash, cfg.ShardIndex, cfg.ShardCount, total)
-	finished := false
-	defer func() { s.progress.finish(hash, cfg.ShardIndex, finished) }()
-	prev, shardIdx := cfg.Progress, cfg.ShardIndex
-	cfg.Progress = func(done, total int) {
-		s.progress.graph(hash, shardIdx, done, total)
-		if prev != nil {
-			prev(done, total)
-		}
-	}
 	sh, err := expr.RunSweepShardStream(ctx, cfg, yield)
 	if err != nil {
 		return nil, err
 	}
-	finished = true
-	if memoizable {
-		s.sweeps.Add(key, sh)
-	}
-	return &SweepSolution{Shard: sh, SweepHash: hash, Workers: granted}, nil
-}
-
-// SweepProgress returns the completion state of every sweep this service has
-// worked on, oldest first (at most maxTrackedSweeps entries; older sweeps are
-// dropped).
-func (s *Service) SweepProgress() []SweepProgress {
-	return s.progress.snapshot()
-}
-
-// SweepProgressChanged returns a channel closed at the next sweep progress
-// update, so a streaming endpoint can push fresh snapshots without polling.
-// Fetch the channel before calling SweepProgress: an update after the fetch
-// closes the returned channel, so no change is missed.
-func (s *Service) SweepProgressChanged() <-chan struct{} {
-	return s.progress.Changed()
+	return &SweepSolution{Shard: sh, Workers: granted}, nil
 }
 
 // maxUsefulWorkers bounds the parallelism a problem can exploit: the path

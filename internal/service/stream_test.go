@@ -10,22 +10,17 @@ import (
 )
 
 // TestSweepShardStreamMatchesUnary pins the service streaming contract: the
-// yields of a streamed shard reassemble into the unary shard result, and a
-// memo hit replays the same graphs in canonical order — a streaming
-// transport serves identical frames either way.
+// yields of a streamed shard reassemble into the returned shard result.
 func TestSweepShardStreamMatchesUnary(t *testing.T) {
 	svc := mustNew(t, Config{Workers: 2})
 	cfg := sweepConfig()
 	var streamed []expr.GraphResult
-	sol, err := svc.SweepShardStream(context.Background(), cfg, func(g expr.GraphResult) error {
+	sol, err := svc.SweepShard(context.Background(), cfg, func(g expr.GraphResult) error {
 		streamed = append(streamed, g)
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("SweepShardStream: %v", err)
-	}
-	if sol.CacheHit {
-		t.Fatal("first streamed request must miss the memo")
+		t.Fatalf("SweepShard: %v", err)
 	}
 	got := map[expr.GraphKey]expr.GraphResult{}
 	for _, g := range streamed {
@@ -38,82 +33,28 @@ func TestSweepShardStreamMatchesUnary(t *testing.T) {
 	if !reflect.DeepEqual(zeroShardTimes(asm), zeroShardTimes(sol.Shard)) {
 		t.Fatal("streamed graphs differ from the returned shard result")
 	}
-
-	var replayed []expr.GraphResult
-	hit, err := svc.SweepShardStream(context.Background(), cfg, func(g expr.GraphResult) error {
-		replayed = append(replayed, g)
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("SweepShardStream (memo): %v", err)
-	}
-	if !hit.CacheHit {
-		t.Fatal("second streamed request must hit the memo")
-	}
-	if !reflect.DeepEqual(replayed, sol.Shard.Results) {
-		t.Fatal("memo replay must yield the cached graphs in canonical order")
-	}
 }
 
 // TestSweepShardStreamYieldError pins that a failing yield aborts the run
-// and never poisons the memo.
+// with the yield's error and releases the run's worker tokens, so the next
+// request of the same shard runs to completion.
 func TestSweepShardStreamYieldError(t *testing.T) {
 	svc := mustNew(t, Config{Workers: 2})
 	cfg := sweepConfig()
 	boom := errors.New("client went away")
-	if _, err := svc.SweepShardStream(context.Background(), cfg, func(expr.GraphResult) error {
+	if _, err := svc.SweepShard(context.Background(), cfg, func(expr.GraphResult) error {
 		return boom
 	}); !errors.Is(err, boom) {
-		t.Fatalf("SweepShardStream error = %v, want wrapped %v", err, boom)
+		t.Fatalf("SweepShard error = %v, want wrapped %v", err, boom)
 	}
-	sol, err := svc.SweepShard(context.Background(), cfg)
+	if busy := svc.budget - len(svc.tokens); busy != 0 {
+		t.Fatalf("%d worker tokens still lent out after the aborted stream", busy)
+	}
+	sol, err := svc.SweepShard(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatalf("SweepShard after aborted stream: %v", err)
 	}
-	if sol.CacheHit {
-		t.Fatal("aborted stream must not have filled the memo")
-	}
-}
-
-// TestSweepShardSkipMemoKey pins the skip digest in the memo key: a
-// skip-subset result and the full-shard result are distinct entries, so
-// neither is ever served for the other.
-func TestSweepShardSkipMemoKey(t *testing.T) {
-	svc := mustNew(t, Config{Workers: 2})
-	cfg := sweepConfig()
-	mine := cfg.ShardGraphs()
-	if len(mine) < 2 {
-		t.Fatalf("test shard too small: %d graphs", len(mine))
-	}
-	partial := cfg
-	partial.Skip = []expr.GraphKey{mine[0]}
-	psol, err := svc.SweepShard(context.Background(), partial)
-	if err != nil {
-		t.Fatalf("SweepShard(skip): %v", err)
-	}
-	if psol.CacheHit || len(psol.Shard.Results) != len(mine)-1 {
-		t.Fatalf("skip request: hit=%v graphs=%d, want miss with %d graphs",
-			psol.CacheHit, len(psol.Shard.Results), len(mine)-1)
-	}
-	full, err := svc.SweepShard(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("SweepShard(full): %v", err)
-	}
-	if full.CacheHit {
-		t.Fatal("full shard after skip-subset must be a distinct memo entry (miss)")
-	}
-	if len(full.Shard.Results) != len(mine) {
-		t.Fatalf("full shard covers %d graphs, want %d", len(full.Shard.Results), len(mine))
-	}
-	again, err := svc.SweepShard(context.Background(), partial)
-	if err != nil {
-		t.Fatalf("SweepShard(skip, again): %v", err)
-	}
-	if !again.CacheHit || len(again.Shard.Results) != len(mine)-1 {
-		t.Fatalf("repeated skip request: hit=%v graphs=%d, want hit with %d graphs",
-			again.CacheHit, len(again.Shard.Results), len(mine)-1)
-	}
-	if psol.SweepHash != full.SweepHash {
-		t.Fatal("skip list must not change the sweep hash")
+	if got, want := len(sol.Shard.Results), cfg.ShardSize(); got != want {
+		t.Fatalf("shard after aborted stream covers %d graphs, want %d", got, want)
 	}
 }

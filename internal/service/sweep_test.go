@@ -18,12 +18,12 @@ func sweepConfig() expr.SweepConfig {
 }
 
 // TestSweepShardMatchesInProcess pins the service path against the direct
-// expr run: the budgeted, memoized service execution returns the exact
-// per-graph results of expr.RunSweepShard.
+// expr run: the budgeted service execution returns the exact per-graph
+// results of expr.RunSweepShard.
 func TestSweepShardMatchesInProcess(t *testing.T) {
 	svc := mustNew(t, Config{Workers: 2})
 	cfg := sweepConfig()
-	sol, err := svc.SweepShard(context.Background(), cfg)
+	sol, err := svc.SweepShard(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatalf("SweepShard: %v", err)
 	}
@@ -33,9 +33,6 @@ func TestSweepShardMatchesInProcess(t *testing.T) {
 	}
 	if !reflect.DeepEqual(zeroShardTimes(sol.Shard), zeroShardTimes(want)) {
 		t.Fatalf("service shard differs from in-process shard:\n%+v\nvs\n%+v", sol.Shard, want)
-	}
-	if sol.CacheHit {
-		t.Fatalf("first shard request must miss the memo")
 	}
 	if sol.Workers < 1 || sol.Workers > 2 {
 		t.Fatalf("granted workers %d outside budget", sol.Workers)
@@ -52,55 +49,18 @@ func zeroShardTimes(sh *expr.ShardResult) *expr.ShardResult {
 	return &out
 }
 
-// TestSweepShardMemo checks the shard memo: an identical shard request —
-// even with a different worker wish — is a cache hit, while another shard of
-// the same sweep is its own entry under the shared sweep hash.
-func TestSweepShardMemo(t *testing.T) {
-	svc := mustNew(t, Config{Workers: 2})
-	cfg := sweepConfig()
-	first, err := svc.SweepShard(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("SweepShard: %v", err)
-	}
-	retry := cfg
-	retry.Workers = 1
-	second, err := svc.SweepShard(context.Background(), retry)
-	if err != nil {
-		t.Fatalf("SweepShard(retry): %v", err)
-	}
-	if !second.CacheHit || second.Shard != first.Shard {
-		t.Fatalf("retried shard must be served from the memo")
-	}
-	other := cfg
-	other.ShardIndex = 1
-	third, err := svc.SweepShard(context.Background(), other)
-	if err != nil {
-		t.Fatalf("SweepShard(other shard): %v", err)
-	}
-	if third.CacheHit {
-		t.Fatalf("a different shard must be a fresh memo miss")
-	}
-	if third.SweepHash != first.SweepHash {
-		t.Fatalf("shards of one sweep must share the sweep hash: %q vs %q", third.SweepHash, first.SweepHash)
-	}
-	st := svc.Stats()
-	if st.SweepRequests != 3 || st.SweepCacheHits != 1 || st.SweepCacheMisses != 2 {
-		t.Fatalf("sweep counters unexpected: %+v", st)
-	}
-}
-
 // TestSweepShardValidation covers the request validation: negative workers
 // and out-of-range shard coordinates are rejected before any work.
 func TestSweepShardValidation(t *testing.T) {
 	svc := mustNew(t, Config{})
 	cfg := sweepConfig()
 	cfg.Workers = -1
-	if _, err := svc.SweepShard(context.Background(), cfg); !errors.Is(err, core.ErrNegativeWorkers) {
+	if _, err := svc.SweepShard(context.Background(), cfg, nil); !errors.Is(err, core.ErrNegativeWorkers) {
 		t.Fatalf("negative workers must be rejected with ErrNegativeWorkers; got %v", err)
 	}
 	cfg = sweepConfig()
 	cfg.ShardIndex = 5
-	if _, err := svc.SweepShard(context.Background(), cfg); err == nil {
+	if _, err := svc.SweepShard(context.Background(), cfg, nil); err == nil {
 		t.Fatalf("out-of-range shard index must be rejected")
 	}
 }
@@ -111,7 +71,7 @@ func TestSweepShardCancelled(t *testing.T) {
 	svc := mustNew(t, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := svc.SweepShard(ctx, sweepConfig()); !errors.Is(err, context.Canceled) {
+	if _, err := svc.SweepShard(ctx, sweepConfig(), nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled context must abort; got %v", err)
 	}
 }
@@ -132,7 +92,7 @@ func TestSweepShardConcurrent(t *testing.T) {
 			defer wg.Done()
 			c := cfg
 			c.ShardIndex, c.ShardCount = i, count
-			sol, err := svc.SweepShard(context.Background(), c)
+			sol, err := svc.SweepShard(context.Background(), c, nil)
 			if err != nil {
 				errs[i] = err
 				return

@@ -136,7 +136,7 @@ func FuzzReadSweepStream(f *testing.F) {
 				t.Fatalf("Graph: %v", err)
 			}
 		}
-		if err := sw.Summary(nil); err != nil {
+		if err := sw.Summary(); err != nil {
 			t.Fatalf("Summary: %v", err)
 		}
 		var again []expr.GraphResult

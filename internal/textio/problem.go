@@ -24,7 +24,6 @@ import (
 	"repro/internal/cond"
 	"repro/internal/core"
 	"repro/internal/cpg"
-	"repro/internal/gen"
 	"repro/internal/listsched"
 	"repro/internal/memo"
 	"repro/internal/table"
@@ -465,52 +464,6 @@ func EncodeSolution(res *core.Result) *SolutionDoc {
 // WriteSolution writes a solution document as indented JSON.
 func WriteSolution(w io.Writer, d *SolutionDoc) error {
 	return writeIndented(w, d)
-}
-
-// GenDoc is the JSON request of the problem generator endpoint: the
-// structural parameters of the paper's synthetic experiments.
-type GenDoc struct {
-	Seed       int64  `json:"seed"`
-	Nodes      int    `json:"nodes"`
-	Paths      int    `json:"paths"`
-	Processors int    `json:"processors"`
-	Hardware   int    `json:"hardware"`
-	Buses      int    `json:"buses"`
-	CondTime   int64  `json:"condTime,omitempty"`
-	Dist       string `json:"dist,omitempty"`
-}
-
-// ReadGenDoc parses a generator request, rejecting unknown fields and
-// trailing data.
-func ReadGenDoc(r io.Reader) (*GenDoc, error) {
-	var d GenDoc
-	if err := readStrict(r, &d); err != nil {
-		return nil, err
-	}
-	return &d, nil
-}
-
-// DecodeGenConfig converts a generator request into a gen.Config, validating
-// the distribution name; bounds are validated by gen.Generate itself.
-func DecodeGenConfig(d *GenDoc) (gen.Config, error) {
-	cfg := gen.Config{
-		Seed:        d.Seed,
-		Nodes:       d.Nodes,
-		TargetPaths: d.Paths,
-		Processors:  d.Processors,
-		Hardware:    d.Hardware,
-		Buses:       d.Buses,
-		CondTime:    d.CondTime,
-	}
-	switch d.Dist {
-	case "", "uniform":
-		cfg.ExecDist = gen.DistUniform
-	case "exponential":
-		cfg.ExecDist = gen.DistExponential
-	default:
-		return cfg, fmt.Errorf("textio: unknown execution-time distribution %q (want uniform or exponential)", d.Dist)
-	}
-	return cfg, nil
 }
 
 // ParseConds parses a comma-separated condition assignment such as

@@ -353,26 +353,6 @@ func TestReadProblemOrLegacy(t *testing.T) {
 	}
 }
 
-func TestGenDoc(t *testing.T) {
-	doc, err := ReadGenDoc(strings.NewReader(`{"seed": 5, "nodes": 30, "paths": 4, "processors": 2, "buses": 1, "dist": "exponential"}`))
-	if err != nil {
-		t.Fatalf("ReadGenDoc: %v", err)
-	}
-	cfg, err := DecodeGenConfig(doc)
-	if err != nil {
-		t.Fatalf("DecodeGenConfig: %v", err)
-	}
-	if cfg.Seed != 5 || cfg.Nodes != 30 || cfg.ExecDist != gen.DistExponential {
-		t.Fatalf("config unexpected: %+v", cfg)
-	}
-	if _, err := ReadGenDoc(strings.NewReader(`{"bogus": 1}`)); err == nil {
-		t.Fatalf("unknown field must be rejected")
-	}
-	if _, err := DecodeGenConfig(&GenDoc{Dist: "weird"}); err == nil {
-		t.Fatalf("unknown distribution must be rejected")
-	}
-}
-
 func TestParseConds(t *testing.T) {
 	g, _, err := expr.Figure1()
 	if err != nil {
@@ -430,9 +410,6 @@ func TestReadProblemRejectsTrailingData(t *testing.T) {
 		if _, err := ReadProblem(bytes.NewReader(append(append([]byte{}, data...), trailing...))); err == nil {
 			t.Fatalf("trailing %q must be rejected", trailing)
 		}
-	}
-	if _, err := ReadGenDoc(strings.NewReader(`{"seed": 1}{"seed": 2}`)); err == nil {
-		t.Fatalf("concatenated generator requests must be rejected")
 	}
 	if _, _, err := ReadProblemOrLegacy(strings.NewReader(`{"name": "x"} trailing`)); err == nil {
 		t.Fatalf("trailing data after a legacy document must be rejected")

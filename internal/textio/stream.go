@@ -65,8 +65,7 @@ type StreamHeaderDoc struct {
 // header's announced count and the number of graph frames actually sent —
 // any disagreement marks the stream torn.
 type StreamSummaryDoc struct {
-	Graphs int       `json:"graphs"`
-	Cache  *CacheDoc `json:"cache,omitempty"`
+	Graphs int `json:"graphs"`
 }
 
 // StreamErrorDoc aborts a sweep stream: the server failed after the 200
@@ -222,11 +221,11 @@ func (sw *SweepStreamWriter) Graph(g expr.GraphResult) error {
 }
 
 // Summary closes the stream, asserting the count of graph frames sent.
-func (sw *SweepStreamWriter) Summary(cache *CacheDoc) error {
+func (sw *SweepStreamWriter) Summary() error {
 	if !sw.opened {
 		return fmt.Errorf("textio: sweep stream summary before header")
 	}
-	err := sw.emit(&GraphResultDoc{Frame: FrameSummary, Summary: &StreamSummaryDoc{Graphs: sw.graphs, Cache: cache}})
+	err := sw.emit(&GraphResultDoc{Frame: FrameSummary, Summary: &StreamSummaryDoc{Graphs: sw.graphs}})
 	sw.closed = err == nil
 	return err
 }

@@ -33,7 +33,7 @@ func writeTestStream(t *testing.T, graphs []expr.GraphResult) []byte {
 			t.Fatalf("Graph: %v", err)
 		}
 	}
-	if err := sw.Summary(&CacheDoc{Hit: true, ProblemHash: "h123"}); err != nil {
+	if err := sw.Summary(); err != nil {
 		t.Fatalf("Summary: %v", err)
 	}
 	return buf.Bytes()
@@ -67,7 +67,7 @@ func TestSweepStreamRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, graphs) {
 		t.Fatalf("graphs drifted through the stream:\n%+v\nvs\n%+v", got, graphs)
 	}
-	if sum := sr.Summary(); sum == nil || sum.Graphs != len(graphs) || sum.Cache == nil || !sum.Cache.Hit {
+	if sum := sr.Summary(); sum == nil || sum.Graphs != len(graphs) {
 		t.Fatalf("summary drifted: %+v", sr.Summary())
 	}
 	// Next after a clean end stays io.EOF.
@@ -253,7 +253,7 @@ func TestSweepStreamWriterShape(t *testing.T) {
 	if err := sw.Graph(expr.GraphResult{}); err == nil {
 		t.Error("graph before header must fail")
 	}
-	if err := sw.Summary(nil); err == nil {
+	if err := sw.Summary(); err == nil {
 		t.Error("summary before header must fail")
 	}
 	if err := sw.Header("h", 0, 1, 1); err != nil {
@@ -265,7 +265,7 @@ func TestSweepStreamWriterShape(t *testing.T) {
 	if err := sw.Graph(expr.GraphResult{Nodes: 40, Paths: 10}); err != nil {
 		t.Fatalf("Graph: %v", err)
 	}
-	if err := sw.Summary(nil); err != nil {
+	if err := sw.Summary(); err != nil {
 		t.Fatalf("Summary: %v", err)
 	}
 	if err := sw.Graph(expr.GraphResult{}); err == nil {

@@ -50,8 +50,8 @@ type GraphKeyDoc struct {
 	Index int `json:"index"`
 }
 
-// EncodeGraphKeys renders cell coordinates in document form.
-func EncodeGraphKeys(keys []expr.GraphKey) []GraphKeyDoc {
+// encodeGraphKeys renders cell coordinates in document form.
+func encodeGraphKeys(keys []expr.GraphKey) []GraphKeyDoc {
 	if len(keys) == 0 {
 		return nil
 	}
@@ -62,8 +62,8 @@ func EncodeGraphKeys(keys []expr.GraphKey) []GraphKeyDoc {
 	return docs
 }
 
-// DecodeGraphKeys rebuilds cell coordinates from their document form.
-func DecodeGraphKeys(docs []GraphKeyDoc) []expr.GraphKey {
+// decodeGraphKeys rebuilds cell coordinates from their document form.
+func decodeGraphKeys(docs []GraphKeyDoc) []expr.GraphKey {
 	if len(docs) == 0 {
 		return nil
 	}
@@ -94,7 +94,7 @@ func EncodeSweepRequest(cfg expr.SweepConfig) *SweepRequestDoc {
 		ShardCount:    cfg.ShardCount,
 		Workers:       cfg.Workers,
 		Options:       EncodeOptions(cfg.Options),
-		Skip:          EncodeGraphKeys(cfg.Skip),
+		Skip:          encodeGraphKeys(cfg.Skip),
 	}
 }
 
@@ -164,7 +164,7 @@ func DecodeSweepRequest(d *SweepRequestDoc) (expr.SweepConfig, error) {
 		Options:       opts,
 		ShardIndex:    d.ShardIndex,
 		ShardCount:    d.ShardCount,
-		Skip:          DecodeGraphKeys(d.Skip),
+		Skip:          decodeGraphKeys(d.Skip),
 	}
 	// A skip entry outside the shard means the sender and this server would
 	// disagree about the shard's coverage; reject it at the wire like the
@@ -200,9 +200,9 @@ func WriteSweepRequest(w io.Writer, d *SweepRequestDoc) error {
 // to: the sha256 of the canonical JSON encoding with the execution knobs —
 // Workers, options.workers, the shard coordinates and the skip list —
 // cleared, because none of them change the per-graph results. Every shard of
-// one sweep therefore shares one hash, and a service memo can key cached
-// shard work by (SweepHash, shard) so a retried shard is reused across
-// worker counts.
+// one sweep therefore shares one hash: it opens every shard stream, names
+// the sweep's journal directory and lets -merge reject a shard of another
+// sweep.
 func SweepHash(d *SweepRequestDoc) (string, error) {
 	c := *d
 	c.Workers = 0
@@ -229,49 +229,4 @@ type SweepGraphDoc struct {
 	MergeNs     float64 `json:"mergeNs"`
 	PathSchedNs float64 `json:"pathSchedNs"`
 	Violation   bool    `json:"violation,omitempty"`
-}
-
-// SweepProgressEntryDoc is the completion state of one sweep a service has
-// seen, keyed by its content hash. Graph counts are cumulative over every
-// shard of the sweep the service worked on; a coordinator polling several
-// backends sums entries with the same hash.
-type SweepProgressEntryDoc struct {
-	SweepHash string `json:"sweepHash"`
-	// ShardCount is the partition the sweep's shard requests declared.
-	ShardCount int `json:"shardCount"`
-	// ShardsRunning and ShardsDone count this server's in-flight and
-	// completed shard requests for the sweep (failed or cancelled shards
-	// leave both).
-	ShardsRunning int `json:"shardsRunning"`
-	ShardsDone    int `json:"shardsDone"`
-	// GraphsDone and GraphsTotal aggregate per-graph progress across this
-	// server's shards of the sweep, so a watcher sees movement inside
-	// long-running shards, not just at their boundaries.
-	GraphsDone  int `json:"graphsDone"`
-	GraphsTotal int `json:"graphsTotal"`
-}
-
-// SweepProgressDoc is the versioned response of GET /v1/sweep/progress: one
-// entry per sweep the server has worked on, oldest first.
-type SweepProgressDoc struct {
-	Version string                  `json:"version"`
-	Sweeps  []SweepProgressEntryDoc `json:"sweeps"`
-}
-
-// ReadSweepProgress parses a v1 sweep progress document, rejecting unknown
-// fields, unsupported versions and trailing data.
-func ReadSweepProgress(r io.Reader) (*SweepProgressDoc, error) {
-	var d SweepProgressDoc
-	if err := readStrict(r, &d); err != nil {
-		return nil, err
-	}
-	if d.Version != ProblemVersion {
-		return nil, fmt.Errorf("textio: unsupported sweep progress version %q (this build understands %q)", d.Version, ProblemVersion)
-	}
-	return &d, nil
-}
-
-// WriteSweepProgress writes a sweep progress document as indented JSON.
-func WriteSweepProgress(w io.Writer, d *SweepProgressDoc) error {
-	return writeIndented(w, d)
 }

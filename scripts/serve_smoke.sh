@@ -23,10 +23,10 @@ cd "$(dirname "$0")/.."
 
 ADDR="127.0.0.1:${CPGSERVE_PORT:-8377}"
 # One temp root holds the binary and every output; the EXIT trap stops the
-# running server and removes it.
+# running server, waits until it has exited and removes the root.
 TMP="$(mktemp -d)"
 PID=""
-trap 'kill "$PID" 2>/dev/null || true; rm -rf "$TMP"' EXIT
+trap 'kill "$PID" 2>/dev/null || true; wait "$PID" 2>/dev/null || true; rm -rf "$TMP"' EXIT
 BIN="$TMP/cpgserve"
 OUT="$TMP/out"
 mkdir "$OUT"
@@ -135,7 +135,7 @@ for family in [
     "cpg_service_requests_total",
     "cpg_service_memo_hits_total",
     "cpg_service_worker_budget",
-    "cpg_service_sweep_shards_running",
+    "cpg_service_workers_busy",
 ]:
     if f"# TYPE {family} " not in text:
         sys.exit(f"mid-sweep /metrics is missing family {family}")

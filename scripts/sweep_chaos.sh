@@ -2,10 +2,14 @@
 # Chaos smoke for the fault-tolerant sweep fleet, end to end over real
 # processes:
 #
-#   1. Backend churn: run the golden mini-sweep against two cpgserve
-#      backends, hard-kill one right after the sweep starts, restart it
-#      mid-sweep, and require the merged CSV to still be byte-identical to
-#      testdata/sweep_golden.csv (retry + health probes carry the sweep).
+#   1. Backend churn: hard-kill one of two cpgserve backends, launch the
+#      golden mini-sweep against both once its port refuses, and restart it
+#      after the launch. The coordinator must log the failed attempts on the
+#      dead backend and their retries, and the merged CSV must still be
+#      byte-identical to testdata/sweep_golden.csv (retry + health probes
+#      carry the sweep). The mini-sweep takes tens of milliseconds, so the
+#      backend is killed before the launch: a kill after it would land once
+#      the sweep is over and test nothing.
 #   2. Coordinator restart: run the sweep with a journal, then replay a
 #      coordinator that was killed mid-sweep by deleting two shard files
 #      and rerunning the same command — the restart must report reusing the
@@ -27,10 +31,10 @@ cd "$(dirname "$0")/.."
 ADDR_A="127.0.0.1:${CPGCHAOS_PORT_A:-8380}"
 ADDR_B="127.0.0.1:${CPGCHAOS_PORT_B:-8381}"
 # One temp root holds the binaries, the outputs and the journal; the EXIT
-# trap stops the servers and removes it.
+# trap stops the servers, waits until they have exited and removes the root.
 TMP="$(mktemp -d)"
 PIDS=()
-trap 'kill "${PIDS[@]}" 2>/dev/null || true; rm -rf "$TMP"' EXIT
+trap 'kill "${PIDS[@]}" 2>/dev/null || true; wait "${PIDS[@]}" 2>/dev/null || true; rm -rf "$TMP"' EXIT
 BIN="$TMP/bin"
 OUT="$TMP/out"
 JDIR="$TMP/journal"
@@ -38,11 +42,10 @@ mkdir "$BIN" "$OUT" "$JDIR"
 go build -o "$BIN/cpgserve" ./cmd/cpgserve
 go build -o "$BIN/cpgexper" ./cmd/cpgexper
 
-start_backend() { # addr -> pid on stdout
-  # Detach the server from this function's stdout, or the command
-  # substitution at the call site would wait for the server to exit.
+start_backend() { # addr -> the server's pid in PID (a child of this shell)
   "$BIN/cpgserve" -addr "$1" -workers 2 >/dev/null 2>&1 &
-  echo $!
+  PID=$!
+  PIDS+=("$PID")
 }
 
 wait_healthy() { # addr
@@ -56,22 +59,39 @@ wait_healthy() { # addr
   exit 1
 }
 
+wait_refused() { # addr
+  for _ in $(seq 1 50); do
+    if ! curl -fsS "http://$1/healthz" >/dev/null 2>&1; then
+      return 0
+    fi
+    sleep 0.1
+  done
+  echo "chaos smoke FAILED: backend $1 still answers after a kill" >&2
+  exit 1
+}
+
 SWEEP_FLAGS=(-exp sweep -nodes 60,80 -paths 10,12 -graphs 3 -seed 7 -zero-times)
 
-# --- Phase 1: hard-kill and restart a live backend mid-sweep. -------------
-PID_A=$(start_backend "$ADDR_A"); PIDS+=("$PID_A")
-PID_B=$(start_backend "$ADDR_B"); PIDS+=("$PID_B")
+# --- Phase 1: a backend crashes before the sweep and comes back. --------
+start_backend "$ADDR_A"
+start_backend "$ADDR_B"
 wait_healthy "$ADDR_A"
 wait_healthy "$ADDR_B"
+kill -9 "$PID" # B, with no drain: simulate a crashed process
+{ wait "$PID" || true; } 2>/dev/null
+wait_refused "$ADDR_B"
 
 "$BIN/cpgexper" "${SWEEP_FLAGS[@]}" -shards 6 \
   -remote "http://$ADDR_A,http://$ADDR_B" -probe-interval 100ms \
   > "$OUT/churn.csv" 2> "$OUT/churn.log" &
 EXPER=$!
-sleep 0.05
-kill -9 "$PID_B" 2>/dev/null || true # no drain: simulate a crashed process
-sleep 0.2
-PID_B=$(start_backend "$ADDR_B"); PIDS+=("$PID_B") # and it comes back
+# B comes back once an attempt on it has failed: restarted any sooner, it
+# could be up again before the coordinator first dispatches to it.
+for _ in $(seq 1 100); do
+  grep -qF "failed on http://$ADDR_B" "$OUT/churn.log" && break
+  sleep 0.05
+done
+start_backend "$ADDR_B"
 if ! wait "$EXPER"; then
   echo "chaos smoke FAILED: sweep did not survive a backend kill+restart" >&2
   sed 's/^/  coordinator: /' "$OUT/churn.log" >&2
@@ -81,6 +101,13 @@ diff -u testdata/sweep_golden.csv "$OUT/churn.csv" || {
   echo "chaos smoke FAILED: CSV after backend churn differs from golden" >&2
   exit 1
 }
+for WANT in "failed on http://$ADDR_B" "retrying in"; do
+  grep -qF "$WANT" "$OUT/churn.log" || {
+    echo "chaos smoke FAILED: coordinator log lacks \"$WANT\": no attempt failed on the dead backend" >&2
+    sed 's/^/  coordinator: /' "$OUT/churn.log" >&2
+    exit 1
+  }
+done
 
 # --- Phase 2: restart the coordinator from its journal. -------------------
 "$BIN/cpgexper" "${SWEEP_FLAGS[@]}" -shards 4 -remote "http://$ADDR_A" \

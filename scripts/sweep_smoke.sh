@@ -12,10 +12,10 @@ cd "$(dirname "$0")/.."
 ADDR_A="127.0.0.1:${CPGSWEEP_PORT_A:-8378}"
 ADDR_B="127.0.0.1:${CPGSWEEP_PORT_B:-8379}"
 # One temp root holds the binaries and every output; the EXIT trap stops
-# the servers and removes it.
+# the servers, waits until they have exited and removes the root.
 TMP="$(mktemp -d)"
 PID_A="" PID_B=""
-trap 'kill "$PID_A" "$PID_B" 2>/dev/null || true; rm -rf "$TMP"' EXIT
+trap 'kill "$PID_A" "$PID_B" 2>/dev/null || true; wait "$PID_A" "$PID_B" 2>/dev/null || true; rm -rf "$TMP"' EXIT
 BIN="$TMP/bin"
 OUT="$TMP/out"
 mkdir "$BIN" "$OUT"
