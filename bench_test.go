@@ -20,7 +20,7 @@
 //	                               rule, list-scheduling priority, conflict
 //	                               resolution policy).
 //	BenchmarkStrategies          — quality (δM, δmax) and speed per
-//	                               registered scheduling strategy.
+//	                               scheduling strategy.
 //	BenchmarkTabuInner           — one tabu improvement run per path.
 //	BenchmarkSolutionCodec       — encoding and writing the v1 solution
 //	                               document of a 120-node, 32-path result.
@@ -444,7 +444,8 @@ func BenchmarkAblationPathSelection(b *testing.B) {
 
 // BenchmarkAblationPathPriority compares the critical-path list-scheduling
 // priority used for the individual paths against a plain fixed-order
-// priority.
+// priority, which without Order values picks ready processes in ProcID
+// order.
 func BenchmarkAblationPathPriority(b *testing.B) {
 	inst := ablationInstance(b)
 	for _, prio := range []listsched.Priority{listsched.PriorityCriticalPath, listsched.PriorityFixedOrder} {
@@ -464,7 +465,7 @@ func BenchmarkAblationPathPriority(b *testing.B) {
 	}
 }
 
-// BenchmarkStrategies compares every registered per-path scheduling strategy
+// BenchmarkStrategies compares every per-path scheduling strategy
 // on the shared ablation instance: ns/op is the cost axis of the tradeoff,
 // and the reported deltaM/deltaMax/increase-% metrics are the quality axis
 // (worst-case δ), so BENCH_results.json records one quality-and-speed
@@ -507,7 +508,7 @@ func BenchmarkTabuInner(b *testing.B) {
 	}
 	tabu, ok := listsched.LookupStrategy("tabu")
 	if !ok {
-		b.Fatalf("tabu strategy not registered")
+		b.Fatalf("tabu strategy not found")
 	}
 	sc := listsched.NewScratch()
 	b.ReportAllocs()

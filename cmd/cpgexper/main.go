@@ -8,7 +8,7 @@
 //	cpgexper -exp sweep    # the Fig. 5/6 sweep as CSV only (implies -csv -)
 //	cpgexper -exp table2   # ATM OAM worst-case delays
 //	cpgexper -exp ablate   # sweep under every path-selection policy and
-//	                       # every registered scheduling strategy
+//	                       # every scheduling strategy
 //	cpgexper -exp all      # everything above except sweep and ablate
 //
 // The Fig. 5 / Fig. 6 sweep uses a reduced number of graphs per cell by
@@ -80,14 +80,14 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("cpgexper", flag.ContinueOnError)
 	fs.SetOutput(out)
-	exp := fs.String("exp", "all", "experiment to run: fig1, fig4, fig5, fig6, sweep, table2 or all")
+	exp := fs.String("exp", "all", "experiment to run: fig1, fig4, fig5, fig6, sweep, table2, ablate or all")
 	full := fs.Bool("full", false, "run the full 1080-graph sweep of the paper (slower)")
 	graphs := fs.Int("graphs", 4, "graphs per (size, paths) cell of the Fig. 5/6 sweep")
 	nodesFlag := fs.String("nodes", "", "comma-separated graph sizes of the sweep (empty = 60,80,120)")
 	pathsFlag := fs.String("paths", "", "comma-separated path counts of the sweep (empty = 10,12,18,24,32)")
 	seed := fs.Int64("seed", expr.DefaultSeed, "random seed of the sweep")
 	workers := fs.Int("workers", 0, "worker goroutines for the sweep (0 = all CPUs, 1 = sequential)")
-	strategy := fs.String("strategy", "", "per-path scheduling strategy for the experiments: critical-path, urgency or tabu (-exp ablate sweeps all of them)")
+	strategy := fs.String("strategy", "", "per-path scheduling strategy for the experiments: critical-path or tabu (-exp ablate sweeps both)")
 	progress := fs.Bool("progress", true, "report sweep progress on stderr")
 	shards := fs.Int("shards", 0, "split the sweep into N shards and run them through the coordinator (0 = single-process)")
 	remote := fs.String("remote", "", "comma-separated cpgserve base URLs executing sweep shards (empty = in-process)")
@@ -529,7 +529,7 @@ func writeCellsCSV(out io.Writer, path string, cells []expr.Cell) error {
 }
 
 // runAblation reruns the Fig. 5 sweep under every path-selection policy and
-// then under every registered scheduling strategy. All the sweeps share one
+// then under every scheduling strategy. All the sweeps share one
 // instance cache sized to hold the whole sweep (an undersized LRU would
 // evict every entry before the next re-scan gets back to it), so the graphs
 // are generated once and only the scheduling differs — the cache hit counts

@@ -88,7 +88,7 @@ func TestExperimentAblation(t *testing.T) {
 	if !strings.Contains(s, "by scheduling strategy") {
 		t.Fatalf("strategy ablation header missing:\n%s", s)
 	}
-	for _, strategy := range []string{"critical-path", "urgency", "tabu"} {
+	for _, strategy := range []string{"critical-path", "tabu"} {
 		if !strings.Contains(s, strategy) {
 			t.Fatalf("ablation output missing strategy %q:\n%s", strategy, s)
 		}
@@ -96,16 +96,16 @@ func TestExperimentAblation(t *testing.T) {
 }
 
 // TestExperimentStrategyFlag pins the -strategy end of cpgexper: the sweep
-// accepts every registered strategy and rejects unknown names.
+// accepts a non-default strategy and rejects unknown names.
 func TestExperimentStrategyFlag(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-exp", "fig5", "-graphs", "1", "-seed", "3", "-strategy", "urgency", "-progress=false"}, &out); err != nil {
-		t.Fatalf("run(-strategy urgency): %v", err)
+	if err := run([]string{"-exp", "fig5", "-graphs", "1", "-seed", "3", "-strategy", "tabu", "-progress=false"}, &out); err != nil {
+		t.Fatalf("run(-strategy tabu): %v", err)
 	}
 	if !strings.Contains(out.String(), "Fig. 5") {
 		t.Fatalf("fig5 output unexpected:\n%s", out.String())
 	}
 	if err := run([]string{"-exp", "fig5", "-strategy", "bogus"}, &out); err == nil || !strings.Contains(err.Error(), "unknown scheduling strategy") {
-		t.Fatalf("unknown -strategy must fail with the registered list; got %v", err)
+		t.Fatalf("unknown -strategy must fail with the known list; got %v", err)
 	}
 }

@@ -1,12 +1,12 @@
 // Command cpgsched generates the schedule table for a conditional process
 // graph described in the versioned v1 problem document format (cpggen emits
-// it; the pre-versioned format is still read as a deprecated fallback).
+// it).
 //
 // Usage:
 //
 //	cpgsched -in problem.json [-selection largest|smallest|first]
 //	         [-priority cp|order] [-conflicts move|delay] [-workers N]
-//	         [-strategy critical-path|urgency|tabu] [-tabu-iters N]
+//	         [-strategy critical-path|tabu] [-tabu-iters N]
 //	         [-gantt] [-dot out.dot] [-solution out.json] [-quiet]
 //
 // Scheduling options embedded in the document (its "options" member) are the
@@ -44,9 +44,9 @@ func run(args []string, out io.Writer) error {
 	fs.SetOutput(out)
 	in := fs.String("in", "", "problem JSON file (default: stdin)")
 	selection := fs.String("selection", "", "path selection after back-steps: largest, smallest or first (default: document options)")
-	priority := fs.String("priority", "", "list scheduling priority for individual paths: cp (critical path), order or urgency (default: document options)")
+	priority := fs.String("priority", "", "list scheduling priority for individual paths: cp (critical path) or order (default: document options)")
 	conflicts := fs.String("conflicts", "", "conflict resolution: move (Theorem 2) or delay (default: document options)")
-	strategy := fs.String("strategy", "", "per-path scheduling strategy: critical-path, urgency or tabu (default: document options)")
+	strategy := fs.String("strategy", "", "per-path scheduling strategy: critical-path or tabu (default: document options)")
 	tabuIters := fs.Int("tabu-iters", 0, "tabu strategy: improvement iterations per path (0 = default)")
 	gantt := fs.Bool("gantt", false, "print the optimal schedule of every path as a time chart")
 	dispatch := fs.Bool("dispatch", false, "print the per-processing-element dispatch tables")
@@ -71,12 +71,9 @@ func run(args []string, out io.Writer) error {
 		defer f.Close()
 		r = f
 	}
-	doc, legacy, err := textio.ReadProblemOrLegacy(r)
+	doc, err := textio.ReadProblem(r)
 	if err != nil {
 		return err
-	}
-	if legacy {
-		fmt.Fprintln(os.Stderr, "cpgsched: note: input uses the deprecated unversioned format; regenerate it with cpggen to get a v1 problem document")
 	}
 	g, a, opts, err := textio.DecodeProblem(doc)
 	if err != nil {

@@ -13,8 +13,9 @@ import (
 	"repro/internal/textio"
 )
 
-// writeProblem generates a small problem file for the command tests.
-func writeProblem(t *testing.T) string {
+// writeProblem writes a small generated v1 problem document with the given
+// embedded options for the command tests.
+func writeProblem(t *testing.T, opts core.Options) string {
 	t.Helper()
 	inst, err := gen.Generate(gen.Config{Seed: 3, Nodes: 30, TargetPaths: 4, Processors: 2, Hardware: 1, Buses: 1})
 	if err != nil {
@@ -26,14 +27,14 @@ func writeProblem(t *testing.T) string {
 		t.Fatalf("Create: %v", err)
 	}
 	defer f.Close()
-	if err := textio.Write(f, inst.Graph, inst.Arch); err != nil {
-		t.Fatalf("Write: %v", err)
+	if err := textio.WriteProblem(f, textio.EncodeProblem(inst.Graph, inst.Arch, opts)); err != nil {
+		t.Fatalf("WriteProblem: %v", err)
 	}
 	return path
 }
 
 func TestScheduleCommand(t *testing.T) {
-	path := writeProblem(t)
+	path := writeProblem(t, core.Options{})
 	var out bytes.Buffer
 	if err := run([]string{"-in", path, "-gantt"}, &out); err != nil {
 		t.Fatalf("run: %v", err)
@@ -47,7 +48,7 @@ func TestScheduleCommand(t *testing.T) {
 }
 
 func TestScheduleCommandOptionsAndDot(t *testing.T) {
-	path := writeProblem(t)
+	path := writeProblem(t, core.Options{})
 	dir := t.TempDir()
 	dot := filepath.Join(dir, "g.dot")
 	csv := filepath.Join(dir, "t.csv")
@@ -73,7 +74,7 @@ func TestScheduleCommandOptionsAndDot(t *testing.T) {
 }
 
 func TestScheduleCommandDispatch(t *testing.T) {
-	path := writeProblem(t)
+	path := writeProblem(t, core.Options{})
 	var out bytes.Buffer
 	if err := run([]string{"-in", path, "-dispatch"}, &out); err != nil {
 		t.Fatalf("run: %v", err)
@@ -88,7 +89,7 @@ func TestScheduleCommandErrors(t *testing.T) {
 	if err := run([]string{"-in", "/does/not/exist.json"}, &out); err == nil {
 		t.Fatalf("missing input file must fail")
 	}
-	path := writeProblem(t)
+	path := writeProblem(t, core.Options{})
 	if err := run([]string{"-in", path, "-selection", "weird"}, &out); err == nil {
 		t.Fatalf("unknown selection must fail")
 	}
@@ -99,16 +100,25 @@ func TestScheduleCommandErrors(t *testing.T) {
 		t.Fatalf("unknown conflict policy must fail")
 	}
 	if err := run([]string{"-in", path, "-strategy", "weird"}, &out); err == nil || !strings.Contains(err.Error(), "unknown scheduling strategy") {
-		t.Fatalf("unknown strategy must fail with the registered list; got %v", err)
+		t.Fatalf("unknown strategy must fail with the known list; got %v", err)
+	}
+	// The pre-v1 format had no "version" member.
+	legacy := filepath.Join(t.TempDir(), "pre-v1.json")
+	doc := `{"name":"pre-v1","condTime":1,"processingElements":[{"name":"cpu","kind":"processor"}],"processes":[{"name":"A","exec":2,"pe":"cpu"}],"edges":[]}`
+	if err := os.WriteFile(legacy, []byte(doc), 0o644); err != nil {
+		t.Fatalf("WriteFile: %v", err)
+	}
+	if err := run([]string{"-in", legacy}, &out); err == nil || !strings.Contains(err.Error(), "unsupported problem version") {
+		t.Fatalf("a document without a version must fail with the unsupported-version error; got %v", err)
 	}
 }
 
 // TestScheduleCommandStrategyFlag pins the -strategy end of the strategy
-// subsystem: every registered strategy schedules the problem to a
-// deterministic table, and the tabu bounds are adjustable via -tabu-iters.
+// subsystem: every strategy schedules the problem to a deterministic table,
+// and the tabu bounds are adjustable via -tabu-iters.
 func TestScheduleCommandStrategyFlag(t *testing.T) {
-	path := writeProblem(t)
-	for _, strategy := range []string{"critical-path", "urgency", "tabu"} {
+	path := writeProblem(t, core.Options{})
+	for _, strategy := range []string{"critical-path", "tabu"} {
 		var out bytes.Buffer
 		if err := run([]string{"-in", path, "-strategy", strategy, "-quiet"}, &out); err != nil {
 			t.Fatalf("run(-strategy %s): %v", strategy, err)
@@ -126,28 +136,8 @@ func TestScheduleCommandStrategyFlag(t *testing.T) {
 	}
 }
 
-// writeProblemV1 writes a v1 problem document with embedded options.
-func writeProblemV1(t *testing.T, workers int) string {
-	t.Helper()
-	inst, err := gen.Generate(gen.Config{Seed: 3, Nodes: 30, TargetPaths: 4, Processors: 2, Hardware: 1, Buses: 1})
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	doc := textio.EncodeProblem(inst.Graph, inst.Arch, core.Options{PathSelection: core.SelectSmallestDelay, Workers: workers})
-	path := filepath.Join(t.TempDir(), "problem_v1.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	defer f.Close()
-	if err := textio.WriteProblem(f, doc); err != nil {
-		t.Fatalf("WriteProblem: %v", err)
-	}
-	return path
-}
-
 func TestScheduleCommandV1DocumentOptions(t *testing.T) {
-	path := writeProblemV1(t, 1)
+	path := writeProblem(t, core.Options{PathSelection: core.SelectSmallestDelay, Workers: 1})
 	var out bytes.Buffer
 	if err := run([]string{"-in", path}, &out); err != nil {
 		t.Fatalf("run: %v", err)
@@ -162,7 +152,7 @@ func TestScheduleCommandV1DocumentOptions(t *testing.T) {
 }
 
 func TestScheduleCommandSolutionOutput(t *testing.T) {
-	path := writeProblemV1(t, 1)
+	path := writeProblem(t, core.Options{PathSelection: core.SelectSmallestDelay, Workers: 1})
 	sol := filepath.Join(t.TempDir(), "solution.json")
 	var out bytes.Buffer
 	if err := run([]string{"-in", path, "-quiet", "-solution", sol}, &out); err != nil {
@@ -182,7 +172,7 @@ func TestScheduleCommandSolutionOutput(t *testing.T) {
 }
 
 func TestScheduleCommandNegativeWorkers(t *testing.T) {
-	path := writeProblem(t)
+	path := writeProblem(t, core.Options{})
 	var out bytes.Buffer
 	if err := run([]string{"-in", path, "-workers", "-1"}, &out); err == nil {
 		t.Fatalf("negative -workers must fail")

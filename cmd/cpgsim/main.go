@@ -53,12 +53,9 @@ func run(args []string, out io.Writer) error {
 		defer f.Close()
 		r = f
 	}
-	doc, legacy, err := textio.ReadProblemOrLegacy(r)
+	doc, err := textio.ReadProblem(r)
 	if err != nil {
 		return err
-	}
-	if legacy {
-		fmt.Fprintln(os.Stderr, "cpgsim: note: input uses the deprecated unversioned format; regenerate it with cpggen to get a v1 problem document")
 	}
 	g, a, opts, err := textio.DecodeProblem(doc)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/textio"
 )
@@ -24,8 +25,8 @@ func figure1File(t *testing.T) string {
 		t.Fatalf("Create: %v", err)
 	}
 	defer f.Close()
-	if err := textio.Write(f, g, a); err != nil {
-		t.Fatalf("Write: %v", err)
+	if err := textio.WriteProblem(f, textio.EncodeProblem(g, a, core.Options{})); err != nil {
+		t.Fatalf("WriteProblem: %v", err)
 	}
 	return path
 }
@@ -77,5 +78,14 @@ func TestSimulateErrors(t *testing.T) {
 	}
 	if err := run([]string{"-in", path, "-cond", "C=1,C=0"}, &out); err == nil {
 		t.Fatalf("contradictory assignment must fail")
+	}
+	// The pre-v1 format had no "version" member.
+	legacy := filepath.Join(t.TempDir(), "pre-v1.json")
+	doc := `{"name":"pre-v1","condTime":1,"processingElements":[{"name":"cpu","kind":"processor"}],"processes":[{"name":"A","exec":2,"pe":"cpu"}],"edges":[]}`
+	if err := os.WriteFile(legacy, []byte(doc), 0o644); err != nil {
+		t.Fatalf("WriteFile: %v", err)
+	}
+	if err := run([]string{"-in", legacy}, &out); err == nil || !strings.Contains(err.Error(), "unsupported problem version") {
+		t.Fatalf("a document without a version must fail with the unsupported-version error; got %v", err)
 	}
 }

@@ -102,16 +102,16 @@ type Options struct {
 	// schedule of each alternative path (critical path by default). It is
 	// ignored when Strategy is set.
 	PathPriority listsched.Priority
-	// Strategy names the per-path scheduling strategy from the listsched
-	// strategy registry ("critical-path", "urgency", "tabu", ...). Empty
-	// selects the classic PathPriority-driven list scheduler. Unknown names
-	// are rejected by Schedule with ErrUnknownStrategy. Strategies only
-	// shape the optimal per-path schedules; the merge itself (and its
-	// fixed-order rescheduling) is strategy-independent, so every strategy
-	// yields a table satisfying requirements 1-4.
+	// Strategy names the per-path scheduling strategy of package listsched
+	// ("critical-path" or "tabu"). Empty selects the classic
+	// PathPriority-driven list scheduler. Unknown names are rejected by
+	// Schedule with ErrUnknownStrategy. Strategies only shape the optimal
+	// per-path schedules; the merge itself (and its fixed-order
+	// rescheduling) is strategy-independent, so every strategy yields a
+	// table satisfying requirements 1-4.
 	Strategy string
 	// StrategyParams tunes the selected strategy (tabu iteration and
-	// neighborhood bounds, optional wall-clock budget).
+	// neighborhood bounds).
 	StrategyParams listsched.StrategyParams
 	// PathSelection is the rule used to pick the current schedule after a
 	// back-step (largest delay by default, as in the paper).
@@ -139,10 +139,10 @@ type Options struct {
 var ErrNegativeWorkers = errors.New("core: Options.Workers must be >= 0 (0 = GOMAXPROCS)")
 
 // ErrUnknownStrategy is returned by Schedule when Options.Strategy names no
-// registered scheduling strategy.
+// scheduling strategy.
 var ErrUnknownStrategy = errors.New("core: unknown scheduling strategy")
 
-// resolveStrategy maps Options.Strategy to a registered strategy; empty
+// resolveStrategy maps Options.Strategy to a strategy; empty
 // selects the legacy PathPriority-driven scheduler (nil strategy).
 func resolveStrategy(opt Options) (listsched.Strategy, error) {
 	if opt.Strategy == "" {
@@ -150,7 +150,7 @@ func resolveStrategy(opt Options) (listsched.Strategy, error) {
 	}
 	s, ok := listsched.LookupStrategy(opt.Strategy)
 	if !ok {
-		return nil, fmt.Errorf("%w %q (registered: %s)",
+		return nil, fmt.Errorf("%w %q (known: %s)",
 			ErrUnknownStrategy, opt.Strategy, strings.Join(listsched.StrategyNames(), ", "))
 	}
 	return s, nil

@@ -57,7 +57,7 @@ func warmRoundTrip(t *testing.T, cfg gen.Config, strategy string, prev *Result) 
 }
 
 // FuzzMergeRequirements drives whole randomly generated problems through the
-// full pipeline — generation, per-path scheduling under every registered
+// full pipeline — generation, per-path scheduling under every
 // strategy, schedule merging — and asserts the merged table always satisfies
 // the requirements of section 3 of the paper: requirements 1-3 via the
 // structural validator (table.Validate) and requirement 4 via the execution

@@ -15,7 +15,7 @@ import (
 func render(r *Result) string { return r.Table.Render(table.RenderOptions{}) }
 
 // TestScheduleWarmByteIdentical pins the warm-start contract on the
-// three-path cross problem, for every registered strategy: after a τ edit to
+// three-path cross problem, for every strategy: after a τ edit to
 // a process active on only one path, ScheduleWarm must reuse the untouched
 // paths yet render the exact table a cold run of the edited problem renders.
 func TestScheduleWarmByteIdentical(t *testing.T) {

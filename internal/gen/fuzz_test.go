@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/textio"
 )
@@ -39,10 +40,10 @@ func FuzzGenerateDeterminism(f *testing.F) {
 			t.Fatalf("second Generate failed where first succeeded: %v", err)
 		}
 		var b1, b2 bytes.Buffer
-		if err := textio.Write(&b1, first.Graph, first.Arch); err != nil {
+		if err := textio.WriteProblem(&b1, textio.EncodeProblem(first.Graph, first.Arch, core.Options{})); err != nil {
 			t.Fatalf("encoding first instance: %v", err)
 		}
-		if err := textio.Write(&b2, second.Graph, second.Arch); err != nil {
+		if err := textio.WriteProblem(&b2, textio.EncodeProblem(second.Graph, second.Arch, core.Options{})); err != nil {
 			t.Fatalf("encoding second instance: %v", err)
 		}
 		if !bytes.Equal(b1.Bytes(), b2.Bytes()) {

@@ -23,14 +23,14 @@ import (
 // TestGridResponsesGolden). A change here means a /v1/schedule solution, a
 // /v1/simulate trace or a per-path schedule of some grid problem changed.
 const (
-	gridGoldenShort = "64bdbfe255d4d9bc852aada39f649e1e265d0cc83d36ce679bca71a49a7b3915" // 3 problems (-short)
-	gridGolden      = "d1b677cb7fc0df77f5983ce9f64ed8c6bdfd86d65e8f9e7e9d317408695d37f0" // 45 problems
+	gridGoldenShort = "964c668edc75efa4c5fdffaa11d04faaa58ffe438b96c603f703eef202bc43f5" // 3 problems (-short)
+	gridGolden      = "9293ae7d940b95f3b5d552eaa1194324abf43e98589a379642a035ab02f221bc" // 45 problems
 )
 
 // TestGridResponsesGolden pins, byte for byte, what the server answers for
 // problems of the benchmark's sizes: nodes 60, 80 and 120 × paths 10, 12,
 // 18, 24 and 32, three seeds per cell (one seed of three cells under -short),
-// under the critical-path, urgency and tabu strategies at workers 1 and 2.
+// under the critical-path and tabu strategies at workers 1 and 2.
 // It hashes the /v1/schedule solution document (wall-clock timings zeroed,
 // cache block dropped), the /v1/simulate response and the optimal per-path
 // schedules, entries and condition timings, of the served result.
@@ -78,7 +78,7 @@ func TestGridResponsesGolden(t *testing.T) {
 			t.Fatalf("New: %v", err)
 		}
 		routes := srv.Routes(nil)
-		for _, strategy := range []string{"critical-path", "urgency", "tabu"} {
+		for _, strategy := range []string{"critical-path", "tabu"} {
 			for _, p := range problems {
 				query := fmt.Sprintf("?strategy=%s&workers=%d", strategy, workers)
 				fmt.Fprintf(h, "%s %s\n", p.name, query)

@@ -9,8 +9,8 @@
 //	POST /v1/schedule?workers=N   schedule a problem document, return the
 //	                              solution document (cache-aware); an optional
 //	                              &strategy= overrides the document's per-path
-//	                              scheduling strategy (critical-path, urgency,
-//	                              tabu, ...); unknown names get a 400 envelope
+//	                              scheduling strategy (critical-path or
+//	                              tabu); unknown names get a 400 envelope
 //	POST /v1/simulate?cond=C=1    schedule, then re-enact the matching
 //	                              alternative paths against the table
 //	POST /v1/sweep?workers=N      execute one shard of a Fig. 5/6 sweep and

@@ -293,36 +293,56 @@ func TestDrainEndpoint(t *testing.T) {
 }
 
 // TestScheduleEndpointStrategyParam pins the per-request strategy override:
-// an unknown ?strategy= is rejected with a 400 JSON error envelope before
-// any scheduling work, and two requests for the same problem under two
-// different strategies are two independent memo entries (two misses, two
-// hashes — cached solutions never cross strategies).
+// an unknown strategy, in ?strategy= or in the document's options, is
+// rejected with a 400 JSON error envelope listing the known strategies
+// before any scheduling work, and two requests for the same problem under
+// two different strategies are two independent memo entries (two misses,
+// two hashes — cached solutions never cross strategies).
 func TestScheduleEndpointStrategyParam(t *testing.T) {
 	ts := testServer(t)
 	doc := figure1Doc(t)
 
-	resp, body := postJSON(t, ts.URL+"/v1/schedule?strategy=simulated-annealing", doc)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown strategy must yield 400, got %d: %s", resp.StatusCode, body)
+	var withStrategy textio.ProblemDoc
+	if err := json.Unmarshal(doc, &withStrategy); err != nil {
+		t.Fatalf("unmarshal problem: %v", err)
 	}
-	var envelope errorDoc
-	if err := json.Unmarshal(body, &envelope); err != nil {
-		t.Fatalf("unknown strategy error is not a JSON envelope: %v: %s", err, body)
+	withStrategy.Options = &textio.OptionsDoc{Strategy: "urgency"}
+	urgencyDoc, err := json.Marshal(&withStrategy)
+	if err != nil {
+		t.Fatalf("marshal problem: %v", err)
 	}
-	if envelope.Error.Status != http.StatusBadRequest || !strings.Contains(envelope.Error.Message, "unknown scheduling strategy") {
-		t.Fatalf("unexpected error envelope: %+v", envelope)
+	for _, bad := range []struct {
+		target string
+		body   []byte
+	}{
+		{"/v1/schedule?strategy=simulated-annealing", doc},
+		{"/v1/schedule?strategy=urgency", doc},
+		{"/v1/schedule", urgencyDoc},
+	} {
+		resp, body := postJSON(t, ts.URL+bad.target, bad.body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: unknown strategy must yield 400, got %d: %s", bad.target, resp.StatusCode, body)
+		}
+		var envelope errorDoc
+		if err := json.Unmarshal(body, &envelope); err != nil {
+			t.Fatalf("%s: unknown strategy error is not a JSON envelope: %v: %s", bad.target, err, body)
+		}
+		if envelope.Error.Status != http.StatusBadRequest || !strings.Contains(envelope.Error.Message, "unknown scheduling strategy") ||
+			!strings.Contains(envelope.Error.Message, "critical-path, tabu") {
+			t.Fatalf("%s: unexpected error envelope: %+v", bad.target, envelope)
+		}
 	}
 
-	resp, body = postJSON(t, ts.URL+"/v1/schedule?strategy=urgency", doc)
+	resp, body := postJSON(t, ts.URL+"/v1/schedule?strategy=critical-path", doc)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("strategy=urgency: status %d: %s", resp.StatusCode, body)
+		t.Fatalf("strategy=critical-path: status %d: %s", resp.StatusCode, body)
 	}
-	var urgency textio.SolutionDoc
-	if err := json.Unmarshal(body, &urgency); err != nil {
+	var cp textio.SolutionDoc
+	if err := json.Unmarshal(body, &cp); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if urgency.Cache == nil || urgency.Cache.Hit {
-		t.Fatalf("first urgency request must miss the cache: %+v", urgency.Cache)
+	if cp.Cache == nil || cp.Cache.Hit {
+		t.Fatalf("first critical-path request must miss the cache: %+v", cp.Cache)
 	}
 
 	resp, body = postJSON(t, ts.URL+"/v1/schedule?strategy=tabu", doc)
@@ -339,20 +359,20 @@ func TestScheduleEndpointStrategyParam(t *testing.T) {
 	if tabu.Cache.Misses != 2 {
 		t.Fatalf("two strategies must be two memo misses, got %d", tabu.Cache.Misses)
 	}
-	if tabu.Cache.ProblemHash == urgency.Cache.ProblemHash {
+	if tabu.Cache.ProblemHash == cp.Cache.ProblemHash {
 		t.Fatalf("strategy must be part of the problem hash")
 	}
 	// Each strategy hits its own entry on repeat.
-	resp, body = postJSON(t, ts.URL+"/v1/schedule?strategy=urgency", doc)
+	resp, body = postJSON(t, ts.URL+"/v1/schedule?strategy=critical-path", doc)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("repeat urgency: status %d: %s", resp.StatusCode, body)
+		t.Fatalf("repeat critical-path: status %d: %s", resp.StatusCode, body)
 	}
 	var again textio.SolutionDoc
 	if err := json.Unmarshal(body, &again); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
 	if again.Cache == nil || !again.Cache.Hit {
-		t.Fatalf("repeated urgency request must hit its memo entry: %+v", again.Cache)
+		t.Fatalf("repeated critical-path request must hit its memo entry: %+v", again.Cache)
 	}
 }
 

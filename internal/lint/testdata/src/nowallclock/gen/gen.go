@@ -3,12 +3,9 @@
 //
 // Regression notes — tree violations found on the first run, and how they
 // were resolved:
-//   - internal/listsched strategy.go used time.Now for the tabu wall-clock
-//     Budget; inherently timing-dependent and memo-bypassed, so it carries a
-//     documented allow (mirrored by BudgetAllowed).
 //   - internal/core core.go used time.Now for phase telemetry; the timings
 //     are operator-facing and excluded from deterministic output, so they
-//     carry documented allows.
+//     carry documented allows (DeadlineAllowed covers that path).
 package gen
 
 import (
@@ -44,10 +41,10 @@ func Env() string {
 	return os.Getenv("CPG_MODE") // want "os.Getenv in the deterministic core"
 }
 
-// BudgetAllowed mirrors the tabu-search wall-clock budget: the only
-// legitimately timing-dependent feature, documented at the call site.
-func BudgetAllowed(budget time.Duration) bool {
-	//lint:allow nowallclock tabu Budget is wall-clock by contract and bypasses the deterministic memo
+// DeadlineAllowed reads the wall clock where a documented allow at the call
+// site says why the time never reaches deterministic output.
+func DeadlineAllowed(budget time.Duration) bool {
+	//lint:allow nowallclock the deadline only paces work and never reaches deterministic output
 	deadline := time.Now().Add(budget)
 	return time.Until(deadline) > 0
 }

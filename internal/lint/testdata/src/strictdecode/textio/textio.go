@@ -1,10 +1,7 @@
 // Package textio is a strictdecode fixture named after the real codec
-// package.
-//
-// Regression notes: on first run the analyzer confirmed the tree's only
-// non-helper decode was ReadProblemOrLegacy's version probe, which must
-// tolerate unknown fields by design — it carries the documented allow that
-// ProbeAllowed below mirrors.
+// package. ProbeAllowed below covers the documented allow: a decode that
+// must tolerate unknown fields by design carries one instead of being
+// rewritten.
 package textio
 
 import (
@@ -61,9 +58,9 @@ func ReadDoc(r io.Reader) (*doc, error) {
 	return &d, nil
 }
 
-// ProbeAllowed mirrors the tree's legacy-format version probe: it must
-// tolerate unknown fields (it reads one field out of an arbitrary document),
-// so the bypass is documented instead of rewritten.
+// ProbeAllowed is a version probe: it must tolerate unknown fields (it reads
+// one field out of an arbitrary document), so the bypass is documented
+// instead of rewritten.
 func ProbeAllowed(data []byte) (string, error) {
 	var probe struct {
 		Version string `json:"version"`

@@ -59,13 +59,6 @@ const (
 	// computed schedule), which keeps relative priorities during schedule
 	// adjustment.
 	PriorityFixedOrder
-	// PriorityUrgency is the partial-critical-path priority: the remaining
-	// chain of every process is extended with the condition broadcast time
-	// τ0 for each condition decided along it, so chains that gate other
-	// processing elements through condition knowledge (requirement 4) are
-	// scheduled more urgently. Communication latency is already part of the
-	// chain because communication processes are explicit graph nodes.
-	PriorityUrgency
 )
 
 // String returns the name of the priority function.
@@ -75,8 +68,6 @@ func (p Priority) String() string {
 		return "critical-path"
 	case PriorityFixedOrder:
 		return "fixed-order"
-	case PriorityUrgency:
-		return "urgency"
 	default:
 		return fmt.Sprintf("priority(%d)", int(p))
 	}
@@ -94,14 +85,19 @@ type Options struct {
 	Priority Priority
 	// Order supplies the fixed-order priority values (smaller first),
 	// indexed by ProcID. A process at or beyond len(Order) has no value and
-	// follows every process that has one, by critical path. Order is
-	// ignored by the other priority functions.
+	// follows every process that has one, in ProcID order; so a nil Order
+	// schedules the ready processes in ProcID order. Order is ignored by the
+	// other priority functions.
 	Order []int64
 	// Locked fixes activation times of activities (nil locks nothing);
 	// locked activities are placed exactly at their lock time and other
 	// activities are scheduled around them.
 	Locked *Locks
 }
+
+// unordered is the fixed-order priority value of a process without an
+// Options.Order value. It is above every start time a reference order holds.
+const unordered = math.MaxInt64
 
 // Locks is a set of locked activation times over the dense activity index
 // of package sched (see sched.Key.Slot) of one graph. A bitset marks the
@@ -186,7 +182,7 @@ func (d *Diagnostics) OK() bool {
 // The zero value is ready to use.
 type Scratch struct {
 	cp        []int64     // critical-path length to the sink, by ProcID
-	prio      []float64   // priority value (smaller schedules first), by ProcID
+	prio      []int64     // priority value (smaller schedules first), by ProcID
 	remaining []int32     // unscheduled active predecessors, by ProcID
 	scheduled []bool      // already placed, by ProcID
 	endOf     []int64     // end time of placed processes, by ProcID
@@ -218,7 +214,7 @@ func (sc *Scratch) reset(n, pes int) {
 	sc.decTouched = sc.decTouched[:0]
 	if cap(sc.cp) < n {
 		sc.cp = make([]int64, n)
-		sc.prio = make([]float64, n)
+		sc.prio = make([]int64, n)
 		sc.remaining = make([]int32, n)
 		sc.scheduled = make([]bool, n)
 		sc.endOf = make([]int64, n)
@@ -340,8 +336,8 @@ func (sc *Scratch) ScheduleInto(dst *sched.PathSchedule, sub *cpg.Subgraph, a *a
 		return a.EffectiveExec(g.Process(p).Exec, g.Process(p).PE)
 	}
 
-	// Deciders of the conditions decided on this path (needed both by the
-	// urgency priority below and by the broadcast scheduling later).
+	// Deciders of the conditions decided on this path, whose broadcasts are
+	// scheduled as soon as they terminate.
 	for _, c := range decided {
 		def := g.Condition(c)
 		if len(sc.deciders[def.Decider]) == 0 {
@@ -352,29 +348,22 @@ func (sc *Scratch) ScheduleInto(dst *sched.PathSchedule, sub *cpg.Subgraph, a *a
 
 	// Priority values (smaller is picked first, matching the reference
 	// implementation's ascending sort of the ready list).
-	execPrio := exec
-	if opt.Priority == PriorityUrgency {
-		// The chain below a disjunction process is gated by the broadcast of
-		// the condition it decides: weight it with τ0 per decided condition.
-		execPrio = func(p cpg.ProcID) int64 {
-			return exec(p) + a.CondTime*int64(len(sc.deciders[p]))
-		}
-	}
-	sc.cp = sub.CriticalPathLengthsInto(sc.cp, execPrio)
+	sc.cp = sub.CriticalPathLengthsInto(sc.cp, exec)
 	for _, p := range active {
 		switch opt.Priority {
 		case PriorityFixedOrder:
 			if int(p) < len(opt.Order) {
-				sc.prio[p] = float64(opt.Order[p])
+				sc.prio[p] = opt.Order[p]
 			} else {
-				// Fall back to critical path (negated so longer paths come
-				// first) for activities absent from the reference order.
-				sc.prio[p] = math.MaxFloat64/2 - float64(sc.cp[p])
+				// Activities absent from the reference order share one
+				// value after every ordered one, so the heap's ProcID
+				// tie-break orders them.
+				sc.prio[p] = unordered
 			}
 		default:
-			// Larger critical path means higher priority; invert so that
+			// Larger critical path means higher priority; negate so that
 			// smaller values are picked first uniformly.
-			sc.prio[p] = -float64(sc.cp[p])
+			sc.prio[p] = -sc.cp[p]
 		}
 	}
 

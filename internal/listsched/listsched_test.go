@@ -401,7 +401,7 @@ func TestFixedOrderPriorityKeepsRelativeOrder(t *testing.T) {
 	sub := singlePath(t, g)
 	// With the fixed order "Y before X" the scheduler must start Y first
 	// even though the default tie-break would pick X.
-	// The dummy source and sink have no value and follow by critical path.
+	// The dummy source and sink have no value and follow in ProcID order.
 	order := make([]int64, max(x, y)+1)
 	order[y], order[x] = 0, 5
 	ps, _, err := Schedule(sub, a, Options{Priority: PriorityFixedOrder, Order: order})
@@ -412,6 +412,48 @@ func TestFixedOrderPriorityKeepsRelativeOrder(t *testing.T) {
 	ey, _ := ps.Entry(sched.ProcKey(y))
 	if !(ey.Start == 0 && ex.Start == 2) {
 		t.Fatalf("fixed order not respected: X=%v Y=%v", ex, ey)
+	}
+}
+
+// TestFixedOrderWithoutValuesFollowsProcID pins the fixed-order fallback:
+// processes without an Order value are picked after every ordered one, in
+// ProcID order and not by critical path.
+func TestFixedOrderWithoutValuesFollowsProcID(t *testing.T) {
+	a := twoProcArch()
+	pe1, pe2 := a.Processors()[0], a.Processors()[1]
+	g := cpg.New("unordered")
+	// Three processes compete for pe1. A(2)->B(9) has the longest remaining
+	// path, so the critical-path priority runs A first.
+	cProc := g.AddProcess("C", 2, pe1)
+	dProc := g.AddProcess("D", 2, pe1)
+	aProc := g.AddProcess("A", 2, pe1)
+	b := g.AddProcess("B", 9, pe2)
+	g.AddEdge(aProc, b)
+	if err := g.Finalize(a); err != nil {
+		t.Fatalf("Finalize: %v", err)
+	}
+	sub := singlePath(t, g)
+	starts := func(order []int64) [3]int64 {
+		t.Helper()
+		ps, _, err := Schedule(sub, a, Options{Priority: PriorityFixedOrder, Order: order})
+		if err != nil {
+			t.Fatalf("Schedule: %v", err)
+		}
+		var out [3]int64
+		for i, p := range []cpg.ProcID{cProc, dProc, aProc} {
+			e, _ := ps.Entry(sched.ProcKey(p))
+			out[i] = e.Start
+		}
+		return out
+	}
+	if got, want := starts(nil), [3]int64{0, 2, 4}; got != want {
+		t.Fatalf("nil order: starts of C, D, A = %v, want %v (ProcID order)", got, want)
+	}
+	// C and D have values (D first); A has none and follows both.
+	order := make([]int64, dProc+1)
+	order[cProc], order[dProc] = 5, 0
+	if got, want := starts(order), [3]int64{2, 0, 4}; got != want {
+		t.Fatalf("partial order: starts of C, D, A = %v, want %v", got, want)
 	}
 }
 

@@ -1,36 +1,26 @@
-// Strategy registry: pluggable per-path scheduling strategies on top of the
-// list scheduler. A strategy produces the (optimal) schedule of one
-// alternative path; the merging algorithm of package core consumes the
-// resulting schedules unchanged, so every strategy opens a quality-vs-time
-// tradeoff without touching the table generation.
+// Per-path scheduling strategies on top of the list scheduler. A strategy
+// produces the (optimal) schedule of one alternative path; the merging
+// algorithm of package core consumes the resulting schedules unchanged, so a
+// strategy opens a quality-vs-time tradeoff without touching the table
+// generation.
 //
-// Built-in strategies:
+// The strategies are a fixed table, selected by name from documents, HTTP
+// requests and command-line flags:
 //
 //   - "critical-path" (the default): one list-scheduling run with the
 //     longest-remaining-path priority, exactly the scheduler of the paper;
-//   - "urgency": one run with the partial-critical-path priority, which
-//     extends every remaining chain with the condition broadcast time τ0 per
-//     condition decided along it (communication latency is already in the
-//     chain because communication processes are explicit nodes);
 //   - "tabu": a tabu-search improvement loop in the spirit of the heuristic
 //     mapping/scheduling work the paper cites: starting from the
 //     critical-path schedule, it repeatedly promotes late-finishing processes
 //     to the front of the priority order, re-evaluates each move with a
 //     PriorityFixedOrder run on the zero-alloc Scratch, keeps a tabu list of
 //     recently moved processes, and returns the best schedule found. The
-//     loop is bounded by iterations (and optionally wall-clock budget) and
+//     loop is bounded by iterations, so its result is deterministic, and it
 //     never returns a schedule worse than the critical-path baseline.
-//
-// Strategies are registered under a string key so documents, HTTP requests
-// and command-line flags can select them by name; RegisterStrategy lets
-// downstream code plug in more.
 package listsched
 
 import (
-	"fmt"
 	"sort"
-	"sync"
-	"time"
 
 	"repro/internal/arch"
 	"repro/internal/cpg"
@@ -67,107 +57,57 @@ type StrategyParams struct {
 	// TabuNeighbors bounds the candidate moves evaluated per iteration
 	// (0 = DefaultTabuNeighbors).
 	TabuNeighbors int
-	// Budget bounds the wall-clock time of the improvement loop per path
-	// (0 = unbounded). A positive budget trades determinism for latency:
-	// two runs may cut the loop at different iterations, so leave it zero
-	// whenever reproducible output matters (it is deliberately not part of
-	// the problem document).
-	Budget time.Duration
 }
 
-// Strategy produces the schedule of one alternative path. Implementations
-// must be stateless (or internally synchronized): one Strategy value is
-// shared by every worker goroutine of a scheduling run, with per-worker
-// Scratch values carrying all mutable state.
+// Strategy produces the schedule of one alternative path. One Strategy
+// value is shared by every worker goroutine of a scheduling run, with
+// per-worker Scratch values carrying all mutable state.
 type Strategy interface {
-	// Name is the registry key ("critical-path", "urgency", "tabu", ...).
-	Name() string
-	// Describe returns a one-line human-readable description.
-	Describe() string
 	// SchedulePath builds a schedule for the active subgraph sub on
 	// architecture a, reusing the scratch buffers.
 	SchedulePath(sc *Scratch, sub *cpg.Subgraph, a *arch.Architecture, p StrategyParams) (*sched.PathSchedule, *Diagnostics, error)
 }
 
-var (
-	strategyMu sync.RWMutex
-	strategies = map[string]Strategy{}
-)
-
-// RegisterStrategy adds a strategy to the registry. It panics on an empty
-// name or a duplicate registration — strategy names are part of the document
-// format and must be unambiguous.
-func RegisterStrategy(s Strategy) {
-	name := s.Name()
-	if name == "" {
-		panic("listsched: RegisterStrategy with empty name")
-	}
-	strategyMu.Lock()
-	defer strategyMu.Unlock()
-	if _, dup := strategies[name]; dup {
-		panic(fmt.Sprintf("listsched: strategy %q registered twice", name))
-	}
-	strategies[name] = s
+// strategies is the fixed table of strategies, sorted by name.
+var strategies = [...]struct {
+	name string
+	s    Strategy
+}{
+	{DefaultStrategy, criticalPathStrategy{}},
+	{"tabu", tabuStrategy{}},
 }
 
-// LookupStrategy returns the registered strategy with the given name.
+// LookupStrategy returns the strategy with the given name.
 func LookupStrategy(name string) (Strategy, bool) {
-	strategyMu.RLock()
-	defer strategyMu.RUnlock()
-	s, ok := strategies[name]
-	return s, ok
+	for _, e := range strategies {
+		if e.name == name {
+			return e.s, true
+		}
+	}
+	return nil, false
 }
 
-// StrategyNames returns the names of all registered strategies, sorted
-// alphabetically (so ablations and documentation are deterministic).
+// StrategyNames returns the names of all strategies, sorted alphabetically
+// (so ablations and documentation are deterministic).
 func StrategyNames() []string {
-	strategyMu.RLock()
-	defer strategyMu.RUnlock()
-	out := make([]string, 0, len(strategies))
-	for name := range strategies {
-		out = append(out, name)
+	out := make([]string, len(strategies))
+	for i, e := range strategies {
+		out[i] = e.name
 	}
-	sort.Strings(out)
 	return out
 }
 
-func init() {
-	RegisterStrategy(priorityStrategy{
-		name: DefaultStrategy,
-		desc: "longest-remaining-path list scheduling (the paper's scheduler)",
-		prio: PriorityCriticalPath,
-	})
-	RegisterStrategy(priorityStrategy{
-		name: "urgency",
-		desc: "partial-critical-path priority weighting condition-broadcast latency (τ0 per decided condition)",
-		prio: PriorityUrgency,
-	})
-	RegisterStrategy(tabuStrategy{})
-}
+// criticalPathStrategy is one list-scheduling run under the critical-path
+// priority.
+type criticalPathStrategy struct{}
 
-// priorityStrategy is a single list-scheduling run under a fixed priority
-// function.
-type priorityStrategy struct {
-	name string
-	desc string
-	prio Priority
-}
-
-func (s priorityStrategy) Name() string     { return s.name }
-func (s priorityStrategy) Describe() string { return s.desc }
-
-func (s priorityStrategy) SchedulePath(sc *Scratch, sub *cpg.Subgraph, a *arch.Architecture, _ StrategyParams) (*sched.PathSchedule, *Diagnostics, error) {
-	return sc.Schedule(sub, a, Options{Priority: s.prio})
+func (criticalPathStrategy) SchedulePath(sc *Scratch, sub *cpg.Subgraph, a *arch.Architecture, _ StrategyParams) (*sched.PathSchedule, *Diagnostics, error) {
+	return sc.Schedule(sub, a, Options{Priority: PriorityCriticalPath})
 }
 
 // tabuStrategy improves the critical-path schedule of a path by tabu search
 // over priority orders.
 type tabuStrategy struct{}
-
-func (tabuStrategy) Name() string { return "tabu" }
-func (tabuStrategy) Describe() string {
-	return "tabu-search improvement of the critical-path schedule (promote-late-finishers neighborhood)"
-}
 
 // tabuCandidate is one move of the neighborhood: promote the process to the
 // front of the priority order.
@@ -197,11 +137,6 @@ func (tabuStrategy) SchedulePath(sc *Scratch, sub *cpg.Subgraph, a *arch.Archite
 	if sub.NumActive() <= 3 || best.Delay == 0 {
 		return best, diag, nil
 	}
-	var deadline time.Time
-	if p.Budget > 0 {
-		//lint:allow nowallclock Budget is a wall-clock cutoff by contract; budgeted runs bypass the deterministic memo
-		deadline = time.Now().Add(p.Budget)
-	}
 
 	g := sub.G
 	cur := best
@@ -210,10 +145,6 @@ func (tabuStrategy) SchedulePath(sc *Scratch, sub *cpg.Subgraph, a *arch.Archite
 	cands := make([]tabuCandidate, 0, cur.Len())
 	stagnant := 0
 	for it := 0; it < iters && stagnant < DefaultTabuStagnation; it++ {
-		//lint:allow nowallclock Budget is a wall-clock cutoff by contract; budgeted runs bypass the deterministic memo
-		if p.Budget > 0 && time.Now().After(deadline) {
-			break
-		}
 		// Fixed order of the current schedule, and the candidate moves:
 		// real processes sorted by end time descending (the late finishers
 		// bound the makespan), ties by identifier ascending — fully

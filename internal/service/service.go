@@ -198,14 +198,10 @@ func (s *Service) Stats() Stats {
 // later one wins the memo slot — results are deterministic, so both are
 // correct and byte-identical. The memo key is the hash of the problem's
 // canonical v1 document with the worker count cleared, since workers never
-// change the produced table. Every result-shaping deterministic option —
-// path selection, conflict policy, scheduling priority and strategy with its
-// tabu bounds — is part of the document and therefore of the key, so
-// solutions computed under one strategy are never served for another. The
-// wall-clock tabu budget of listsched.StrategyParams is not part of the
-// document (a truncated loop is timing-dependent), so budgeted requests
-// bypass the memo and the warm-start cache entirely: they neither read stale
-// entries nor poison the caches with run-to-run-varying schedules.
+// change the produced table. Every result-shaping option — path selection,
+// conflict policy, scheduling priority and strategy with its tabu bounds —
+// is part of the document and therefore of the key, so solutions computed
+// under one strategy are never served for another.
 func (s *Service) Schedule(ctx context.Context, p *Problem) (*Solution, error) {
 	if p == nil || p.Graph == nil || p.Arch == nil {
 		return nil, errors.New("service: nil problem, graph or architecture")
@@ -219,25 +215,18 @@ func (s *Service) Schedule(ctx context.Context, p *Problem) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A wall-clock tabu budget truncates the improvement loop at a
-	// timing-dependent iteration, so the result is not a pure function of
-	// the hash: keep such runs out of the memo in both directions.
-	memoizable := p.Options.StrategyParams.Budget <= 0
-	if memoizable {
-		if res, ok := s.cache.Get(hash); ok {
-			return &Solution{Result: res, ProblemHash: hash, CacheHit: true}, nil
-		}
+	if res, ok := s.cache.Get(hash); ok {
+		return &Solution{Result: res, ProblemHash: hash, CacheHit: true}, nil
 	}
 	// Exact miss: look for a near-miss to warm-start from — a memoized
 	// problem with the same structural shape whose diff is a τ-time edit of
 	// at most warmMax processes. Anything else (conditions, edges, mappings,
 	// elements, options) lands on a different shape hash or fails the diff
-	// and runs cold. Timing-dependent (budgeted) runs are excluded in both
-	// directions, like the exact memo.
+	// and runs cold.
 	var warmPrev *core.Result
 	var warmDirty []cpg.ProcID
 	var shapeKey string
-	if memoizable && s.warmMax >= 0 {
+	if s.warmMax >= 0 {
 		shapeKey, err = textio.ProblemShapeHash(doc)
 		if err != nil {
 			return nil, err
@@ -300,11 +289,9 @@ func (s *Service) Schedule(ctx context.Context, p *Problem) (*Solution, error) {
 	if warmStarted {
 		s.warmHits.Add(1)
 	}
-	if memoizable {
-		s.cache.Add(hash, res)
-		if s.warmMax >= 0 {
-			s.warm.Add(shapeKey, &warmEntry{doc: doc, res: res})
-		}
+	s.cache.Add(hash, res)
+	if s.warmMax >= 0 {
+		s.warm.Add(shapeKey, &warmEntry{doc: doc, res: res})
 	}
 	return &Solution{Result: res, ProblemHash: hash, Workers: granted, WarmStart: warmStarted}, nil
 }

@@ -5,8 +5,7 @@ package textio
 // architecture and the scheduling options (ProblemDoc), and the matching
 // result document (SolutionDoc). The documents are the wire format of the
 // cpgserve scheduling server and the on-disk format written by cpggen and
-// consumed by cpgsched/cpgsim; the unversioned Document remains readable as
-// a deprecated legacy input.
+// consumed by cpgsched/cpgsim.
 //
 // Decoding is strict: unknown fields, unsupported versions, dangling
 // processor/bus/condition references, duplicate process names and cyclic
@@ -14,7 +13,6 @@ package textio
 // the same document (lossless round-trip).
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -40,24 +38,20 @@ type OptionsDoc struct {
 	// (default, the paper's rule), "smallest" or "first".
 	Selection string `json:"selection,omitempty"`
 	// Priority is the list-scheduling priority: "cp" (critical path,
-	// default), "order" or "urgency".
+	// default) or "order".
 	Priority string `json:"priority,omitempty"`
 	// Conflicts selects the conflict resolution: "move" (Theorem 2,
 	// default) or "delay".
 	Conflicts string `json:"conflicts,omitempty"`
-	// Strategy names the per-path scheduling strategy from the listsched
-	// strategy registry ("critical-path", "urgency", "tabu"; empty selects
-	// the classic critical-path scheduler). Unknown names are rejected by
-	// DecodeOptions.
+	// Strategy names the per-path scheduling strategy of package listsched
+	// ("critical-path" or "tabu"; empty selects the classic critical-path
+	// scheduler). Unknown names are rejected by DecodeOptions.
 	Strategy string `json:"strategy,omitempty"`
 	// TabuIterations and TabuNeighbors tune the "tabu" strategy with the
 	// listsched.StrategyParams semantics: 0 selects the defaults, negative
 	// iterations disable the improvement loop (critical-path baseline),
 	// non-positive neighbors select the default; other strategies ignore
-	// them. The values round-trip verbatim. The wall-clock budget of
-	// listsched.StrategyParams is deliberately not part of the document:
-	// it makes results timing-dependent, so it stays a programmatic,
-	// per-process knob.
+	// them. The values round-trip verbatim.
 	TabuIterations int `json:"tabuIterations,omitempty"`
 	TabuNeighbors  int `json:"tabuNeighbors,omitempty"`
 	// MaxPaths bounds the number of alternative paths (0 = default bound).
@@ -86,8 +80,6 @@ func priorityName(p listsched.Priority) string {
 	switch p {
 	case listsched.PriorityFixedOrder:
 		return "order"
-	case listsched.PriorityUrgency:
-		return "urgency"
 	default:
 		return "cp"
 	}
@@ -114,18 +106,16 @@ func ParseSelection(s string) (core.PathSelection, error) {
 	return 0, fmt.Errorf("textio: unknown path selection %q (want largest, smallest or first)", s)
 }
 
-// ParsePriority parses a list-scheduling priority name ("cp", "order",
-// "urgency"; "" selects the default).
+// ParsePriority parses a list-scheduling priority name ("cp", "order"; ""
+// selects the default).
 func ParsePriority(s string) (listsched.Priority, error) {
 	switch s {
 	case "", "cp", listsched.PriorityCriticalPath.String():
 		return listsched.PriorityCriticalPath, nil
 	case "order", listsched.PriorityFixedOrder.String():
 		return listsched.PriorityFixedOrder, nil
-	case listsched.PriorityUrgency.String():
-		return listsched.PriorityUrgency, nil
 	}
-	return 0, fmt.Errorf("textio: unknown scheduling priority %q (want cp, order or urgency)", s)
+	return 0, fmt.Errorf("textio: unknown scheduling priority %q (want cp or order)", s)
 }
 
 // ParseConflicts parses a conflict-policy name ("move", "delay"; "" selects
@@ -140,15 +130,15 @@ func ParseConflicts(s string) (core.ConflictPolicy, error) {
 	return 0, fmt.Errorf("textio: unknown conflict policy %q (want move or delay)", s)
 }
 
-// ParseStrategy validates a scheduling strategy name against the listsched
-// strategy registry ("" selects the default classic scheduler and is
+// ParseStrategy validates a scheduling strategy name against the strategies
+// of package listsched ("" selects the default classic scheduler and is
 // returned unchanged).
 func ParseStrategy(s string) (string, error) {
 	if s == "" {
 		return "", nil
 	}
 	if _, ok := listsched.LookupStrategy(s); !ok {
-		return "", fmt.Errorf("textio: unknown scheduling strategy %q (registered: %s)",
+		return "", fmt.Errorf("textio: unknown scheduling strategy %q (known: %s)",
 			s, strings.Join(listsched.StrategyNames(), ", "))
 	}
 	return s, nil
@@ -205,31 +195,57 @@ type ProblemDoc struct {
 }
 
 // EncodeProblem bundles a graph, its architecture and scheduling options
-// into a v1 problem document.
+// into a v1 problem document. Dummy source and sink processes are omitted
+// (they are reconstructed on load).
 func EncodeProblem(g *cpg.Graph, a *arch.Architecture, opts core.Options) *ProblemDoc {
-	doc := Encode(g, a)
-	return &ProblemDoc{
-		Version:    ProblemVersion,
-		Name:       doc.Name,
-		CondTime:   doc.CondTime,
-		Elements:   doc.Elements,
-		Conditions: doc.Conditions,
-		Processes:  doc.Processes,
-		Edges:      doc.Edges,
-		Options:    EncodeOptions(opts),
+	doc := &ProblemDoc{
+		Version:  ProblemVersion,
+		Name:     g.Name(),
+		CondTime: a.CondTime,
+		Options:  EncodeOptions(opts),
 	}
-}
-
-// document strips the version envelope, yielding the legacy graph+arch part.
-func (d *ProblemDoc) document() *Document {
-	return &Document{
-		Name:       d.Name,
-		CondTime:   d.CondTime,
-		Elements:   d.Elements,
-		Conditions: d.Conditions,
-		Processes:  d.Processes,
-		Edges:      d.Edges,
+	for _, pe := range a.PEs() {
+		doc.Elements = append(doc.Elements, PEDoc{
+			Name:        pe.Name,
+			Kind:        pe.Kind.String(),
+			Speed:       pe.Speed,
+			ConnectsAll: pe.ConnectsAll,
+		})
 	}
+	for _, cd := range g.Conditions() {
+		doc.Conditions = append(doc.Conditions, CondDoc{
+			Name:    cd.Name,
+			Decider: g.Process(cd.Decider).Name,
+		})
+	}
+	for _, p := range g.Procs() {
+		if p.IsDummy() {
+			continue
+		}
+		peName := ""
+		if pe := a.PE(p.PE); pe != nil {
+			peName = pe.Name
+		}
+		doc.Processes = append(doc.Processes, ProcDoc{
+			Name: p.Name,
+			Kind: p.Kind.String(),
+			Exec: p.Exec,
+			PE:   peName,
+		})
+	}
+	for _, e := range g.Edges() {
+		from, to := g.Process(e.From), g.Process(e.To)
+		if from.IsDummy() || to.IsDummy() {
+			continue
+		}
+		ed := EdgeDoc{From: from.Name, To: to.Name}
+		if e.HasCond {
+			ed.Condition = g.CondName(e.Cond)
+			ed.Value = e.CondVal
+		}
+		doc.Edges = append(doc.Edges, ed)
+	}
+	return doc
 }
 
 // DecodeProblem validates a problem document and rebuilds the in-memory
@@ -245,7 +261,7 @@ func DecodeProblem(d *ProblemDoc) (*cpg.Graph, *arch.Architecture, core.Options,
 	if err != nil {
 		return nil, nil, zero, err
 	}
-	g, a, err := Decode(d.document())
+	g, a, err := decodeGraph(d)
 	if err != nil {
 		return nil, nil, zero, err
 	}
@@ -290,42 +306,6 @@ func readStrict(r io.Reader, v any) error {
 		return fmt.Errorf("textio: %w", err)
 	}
 	return requireEOF(dec)
-}
-
-// ReadProblemOrLegacy parses either a v1 problem document or — as a
-// deprecated fallback for the pre-versioned CLI format — a bare Document
-// without a "version" field, which is upgraded to v1 with default options.
-// The second result reports whether the legacy path was taken, so callers
-// can print a deprecation notice.
-func ReadProblemOrLegacy(r io.Reader) (*ProblemDoc, bool, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, false, fmt.Errorf("textio: %w", err)
-	}
-	var probe struct {
-		Version string `json:"version"`
-	}
-	//lint:allow strictdecode the probe reads one field of an arbitrary document to pick the format; the winning branch re-reads strictly
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil, false, fmt.Errorf("textio: %w", err)
-	}
-	if probe.Version != "" {
-		d, err := ReadProblem(bytes.NewReader(data))
-		return d, false, err
-	}
-	var legacy Document
-	if err := readStrict(bytes.NewReader(data), &legacy); err != nil {
-		return nil, false, err
-	}
-	return &ProblemDoc{
-		Version:    ProblemVersion,
-		Name:       legacy.Name,
-		CondTime:   legacy.CondTime,
-		Elements:   legacy.Elements,
-		Conditions: legacy.Conditions,
-		Processes:  legacy.Processes,
-		Edges:      legacy.Edges,
-	}, true, nil
 }
 
 // ProblemHash returns the content hash identifying a problem for caching:

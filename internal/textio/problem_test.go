@@ -58,13 +58,13 @@ func TestProblemRoundTripRandom(t *testing.T) {
 		}
 		opts := core.Options{
 			PathSelection:  core.PathSelection(seed % 3),
-			PathPriority:   listsched.Priority(seed % 3),
+			PathPriority:   listsched.Priority(seed % 2),
 			ConflictPolicy: core.ConflictPolicy(seed % 2),
-			Strategy:       []string{"", "critical-path", "urgency", "tabu"}[seed%4],
+			Strategy:       []string{"", "critical-path", "tabu"}[seed%3],
 			MaxPaths:       int(seed),
 		}
 		if opts.Strategy == "tabu" {
-			// seed 3 exercises the negative "loop disabled" value, which
+			// seed 2 exercises the negative "loop disabled" value, which
 			// must survive the round-trip like any other bound.
 			opts.StrategyParams = listsched.StrategyParams{TabuIterations: int(seed)*3 - 10, TabuNeighbors: int(seed)}
 		}
@@ -243,12 +243,12 @@ func TestProblemHashWorkersInsensitive(t *testing.T) {
 	if hSel == h0 {
 		t.Fatalf("path selection must change the problem hash")
 	}
-	hPrio, err := ProblemHash(EncodeProblem(g, a, core.Options{PathPriority: listsched.PriorityUrgency}))
+	hPrio, err := ProblemHash(EncodeProblem(g, a, core.Options{PathPriority: listsched.PriorityFixedOrder}))
 	if err != nil {
 		t.Fatalf("ProblemHash: %v", err)
 	}
 	if hPrio == h0 {
-		t.Fatalf("path priority must change the problem hash (urgency vs cp)")
+		t.Fatalf("path priority must change the problem hash (order vs cp)")
 	}
 	hStrat, err := ProblemHash(EncodeProblem(g, a, core.Options{Strategy: "tabu"}))
 	if err != nil {
@@ -286,13 +286,13 @@ func TestParseStrategy(t *testing.T) {
 		}
 	}
 	if _, err := ParseStrategy("branch-and-bound"); err == nil || !strings.Contains(err.Error(), "unknown scheduling strategy") {
-		t.Fatalf("unknown name must be rejected with the registered list; got %v", err)
+		t.Fatalf("unknown name must be rejected with the known list; got %v", err)
 	}
 }
 
 func TestOptionsRoundTrip(t *testing.T) {
 	for _, sel := range []core.PathSelection{core.SelectLargestDelay, core.SelectSmallestDelay, core.SelectFirst} {
-		for _, prio := range []listsched.Priority{listsched.PriorityCriticalPath, listsched.PriorityFixedOrder, listsched.PriorityUrgency} {
+		for _, prio := range []listsched.Priority{listsched.PriorityCriticalPath, listsched.PriorityFixedOrder} {
 			for _, conf := range []core.ConflictPolicy{core.ConflictMoveToExisting, core.ConflictDelayToLatest} {
 				in := core.Options{PathSelection: sel, PathPriority: prio, ConflictPolicy: conf, MaxPaths: 3, Workers: 2}
 				out, err := DecodeOptions(EncodeOptions(in))
@@ -311,45 +311,6 @@ func TestOptionsRoundTrip(t *testing.T) {
 	}
 	if opts, err := DecodeOptions(&OptionsDoc{}); err != nil || opts != (core.Options{}) {
 		t.Fatalf("DecodeOptions(empty) = %+v, %v", opts, err)
-	}
-}
-
-func TestReadProblemOrLegacy(t *testing.T) {
-	g, a, err := expr.Figure1()
-	if err != nil {
-		t.Fatalf("Figure1: %v", err)
-	}
-	var legacy bytes.Buffer
-	if err := Write(&legacy, g, a); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	doc, wasLegacy, err := ReadProblemOrLegacy(bytes.NewReader(legacy.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadProblemOrLegacy(legacy): %v", err)
-	}
-	if !wasLegacy {
-		t.Fatalf("legacy input not reported as legacy")
-	}
-	if doc.Version != ProblemVersion || doc.Options != nil {
-		t.Fatalf("legacy upgrade unexpected: version %q, options %+v", doc.Version, doc.Options)
-	}
-	if _, _, _, err := DecodeProblem(doc); err != nil {
-		t.Fatalf("DecodeProblem(upgraded legacy): %v", err)
-	}
-
-	var v1 bytes.Buffer
-	if err := WriteProblem(&v1, EncodeProblem(g, a, core.Options{})); err != nil {
-		t.Fatalf("WriteProblem: %v", err)
-	}
-	doc2, wasLegacy, err := ReadProblemOrLegacy(bytes.NewReader(v1.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadProblemOrLegacy(v1): %v", err)
-	}
-	if wasLegacy {
-		t.Fatalf("v1 input misreported as legacy")
-	}
-	if doc2.Options == nil {
-		t.Fatalf("v1 options lost")
 	}
 }
 
@@ -410,8 +371,5 @@ func TestReadProblemRejectsTrailingData(t *testing.T) {
 		if _, err := ReadProblem(bytes.NewReader(append(append([]byte{}, data...), trailing...))); err == nil {
 			t.Fatalf("trailing %q must be rejected", trailing)
 		}
-	}
-	if _, _, err := ReadProblemOrLegacy(strings.NewReader(`{"name": "x"} trailing`)); err == nil {
-		t.Fatalf("trailing data after a legacy document must be rejected")
 	}
 }

@@ -19,7 +19,7 @@ func testSweepConfig() expr.SweepConfig {
 		Workers:       3,
 		ShardIndex:    1,
 		ShardCount:    3,
-		Options:       core.Options{Strategy: "urgency"},
+		Options:       core.Options{Strategy: "tabu"},
 	}
 }
 
@@ -128,7 +128,7 @@ func TestSweepHashExcludesExecutionKnobs(t *testing.T) {
 		"seed":     func(c *expr.SweepConfig) { c.Seed = 7 },
 		"nodes":    func(c *expr.SweepConfig) { c.Nodes = []int{80} },
 		"graphs":   func(c *expr.SweepConfig) { c.GraphsPerCell = 9 },
-		"strategy": func(c *expr.SweepConfig) { c.Options.Strategy = "tabu" },
+		"strategy": func(c *expr.SweepConfig) { c.Options.Strategy = "critical-path" },
 	} {
 		c := base
 		mutate(&c)

@@ -1,11 +1,11 @@
 // Package textio serializes conditional process graphs and architectures to
-// a JSON interchange format (used by the command line tools) and exports
-// graphs to Graphviz DOT for visual inspection.
+// the versioned v1 JSON document format (used by the command line tools and
+// the scheduling server) and exports graphs to Graphviz DOT for visual
+// inspection.
 package textio
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
@@ -45,65 +45,6 @@ type EdgeDoc struct {
 	Value     bool   `json:"value,omitempty"`
 }
 
-// Document is a complete problem instance: an architecture plus a mapped
-// conditional process graph.
-type Document struct {
-	Name       string    `json:"name"`
-	CondTime   int64     `json:"condTime"`
-	Elements   []PEDoc   `json:"processingElements"`
-	Conditions []CondDoc `json:"conditions,omitempty"`
-	Processes  []ProcDoc `json:"processes"`
-	Edges      []EdgeDoc `json:"edges"`
-}
-
-// Encode converts a graph and architecture into a Document. Dummy source and
-// sink processes are omitted (they are reconstructed on load).
-func Encode(g *cpg.Graph, a *arch.Architecture) *Document {
-	doc := &Document{Name: g.Name(), CondTime: a.CondTime}
-	for _, pe := range a.PEs() {
-		doc.Elements = append(doc.Elements, PEDoc{
-			Name:        pe.Name,
-			Kind:        pe.Kind.String(),
-			Speed:       pe.Speed,
-			ConnectsAll: pe.ConnectsAll,
-		})
-	}
-	for _, cd := range g.Conditions() {
-		doc.Conditions = append(doc.Conditions, CondDoc{
-			Name:    cd.Name,
-			Decider: g.Process(cd.Decider).Name,
-		})
-	}
-	for _, p := range g.Procs() {
-		if p.IsDummy() {
-			continue
-		}
-		peName := ""
-		if pe := a.PE(p.PE); pe != nil {
-			peName = pe.Name
-		}
-		doc.Processes = append(doc.Processes, ProcDoc{
-			Name: p.Name,
-			Kind: p.Kind.String(),
-			Exec: p.Exec,
-			PE:   peName,
-		})
-	}
-	for _, e := range g.Edges() {
-		from, to := g.Process(e.From), g.Process(e.To)
-		if from.IsDummy() || to.IsDummy() {
-			continue
-		}
-		ed := EdgeDoc{From: from.Name, To: to.Name}
-		if e.HasCond {
-			ed.Condition = g.CondName(e.Cond)
-			ed.Value = e.CondVal
-		}
-		doc.Edges = append(doc.Edges, ed)
-	}
-	return doc
-}
-
 // MaxNameBytes bounds the length in bytes of every name a document
 // declares: the problem's, and those of its processing elements, processes
 // and conditions. The text table pads every row to the longest name, so one
@@ -124,7 +65,7 @@ func (e *NameTooLongError) Error() string {
 }
 
 // checkNames rejects a document declaring a name longer than MaxNameBytes.
-func checkNames(doc *Document) error {
+func checkNames(doc *ProblemDoc) error {
 	check := func(kind, name string) error {
 		if len(name) > MaxNameBytes {
 			return &NameTooLongError{Kind: kind, Len: len(name)}
@@ -152,9 +93,10 @@ func checkNames(doc *Document) error {
 	return nil
 }
 
-// Decode rebuilds the architecture and the (finalized) graph from a Document.
-// Names longer than MaxNameBytes are rejected with a *NameTooLongError.
-func Decode(doc *Document) (*cpg.Graph, *arch.Architecture, error) {
+// decodeGraph rebuilds the architecture and the (finalized) graph of a
+// problem document. Names longer than MaxNameBytes are rejected with a
+// *NameTooLongError.
+func decodeGraph(doc *ProblemDoc) (*cpg.Graph, *arch.Architecture, error) {
 	if err := checkNames(doc); err != nil {
 		return nil, nil, err
 	}
@@ -244,22 +186,6 @@ func Decode(doc *Document) (*cpg.Graph, *arch.Architecture, error) {
 		return nil, nil, err
 	}
 	return g, a, nil
-}
-
-// Write serializes the problem as indented JSON.
-func Write(w io.Writer, g *cpg.Graph, a *arch.Architecture) error {
-	return writeIndented(w, Encode(g, a))
-}
-
-// Read parses a problem document and rebuilds the graph and architecture.
-// Like every reader of this package it is strict: unknown fields and
-// trailing data after the document are rejected.
-func Read(r io.Reader) (*cpg.Graph, *arch.Architecture, error) {
-	var doc Document
-	if err := readStrict(r, &doc); err != nil {
-		return nil, nil, err
-	}
-	return Decode(&doc)
 }
 
 // DOT renders the graph in Graphviz DOT format: disjunction processes are

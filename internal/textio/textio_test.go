@@ -3,10 +3,12 @@ package textio
 import (
 	"bytes"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/core"
 	"repro/internal/cpg"
 	"repro/internal/gen"
 )
@@ -41,15 +43,25 @@ func problem(t *testing.T) (*cpg.Graph, *arch.Architecture) {
 	return g, a
 }
 
+// readGraph reads and decodes a problem document, dropping its options.
+func readGraph(r io.Reader) (*cpg.Graph, *arch.Architecture, error) {
+	doc, err := ReadProblem(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	g, a, _, err := DecodeProblem(doc)
+	return g, a, err
+}
+
 func TestJSONRoundTrip(t *testing.T) {
 	g, a := problem(t)
 	var buf bytes.Buffer
-	if err := Write(&buf, g, a); err != nil {
-		t.Fatalf("Write: %v", err)
+	if err := WriteProblem(&buf, EncodeProblem(g, a, core.Options{})); err != nil {
+		t.Fatalf("WriteProblem: %v", err)
 	}
-	g2, a2, err := Read(&buf)
+	g2, a2, err := readGraph(&buf)
 	if err != nil {
-		t.Fatalf("Read: %v", err)
+		t.Fatalf("readGraph: %v", err)
 	}
 	if g2.Name() != g.Name() {
 		t.Fatalf("name lost: %q vs %q", g2.Name(), g.Name())
@@ -99,12 +111,12 @@ func TestRoundTripGeneratedInstance(t *testing.T) {
 		t.Fatalf("Generate: %v", err)
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, inst.Graph, inst.Arch); err != nil {
-		t.Fatalf("Write: %v", err)
+	if err := WriteProblem(&buf, EncodeProblem(inst.Graph, inst.Arch, core.Options{})); err != nil {
+		t.Fatalf("WriteProblem: %v", err)
 	}
-	g2, _, err := Read(&buf)
+	g2, _, err := readGraph(&buf)
 	if err != nil {
-		t.Fatalf("Read: %v", err)
+		t.Fatalf("readGraph: %v", err)
 	}
 	paths, err := g2.AlternativePaths(0)
 	if err != nil {
@@ -117,20 +129,20 @@ func TestRoundTripGeneratedInstance(t *testing.T) {
 
 func TestDecodeErrors(t *testing.T) {
 	cases := map[string]string{
-		"bad json":          `{"name": `,
-		"unknown field":     `{"name":"x","bogus":1,"processingElements":[],"processes":[],"edges":[]}`,
-		"unknown pe kind":   `{"name":"x","condTime":1,"processingElements":[{"name":"a","kind":"gpu"}],"processes":[],"edges":[]}`,
-		"unknown mapping":   `{"name":"x","condTime":1,"processingElements":[{"name":"p","kind":"processor"}],"processes":[{"name":"A","exec":1,"pe":"zzz"}],"edges":[]}`,
-		"duplicate process": `{"name":"x","condTime":1,"processingElements":[{"name":"p","kind":"processor"}],"processes":[{"name":"A","exec":1,"pe":"p"},{"name":"A","exec":2,"pe":"p"}],"edges":[]}`,
-		"dummy process":     `{"name":"x","condTime":1,"processingElements":[{"name":"p","kind":"processor"}],"processes":[{"name":"A","kind":"source","pe":"p"}],"edges":[]}`,
-		"unknown edge from": `{"name":"x","condTime":1,"processingElements":[{"name":"p","kind":"processor"}],"processes":[{"name":"A","exec":1,"pe":"p"}],"edges":[{"from":"Z","to":"A"}]}`,
-		"unknown edge to":   `{"name":"x","condTime":1,"processingElements":[{"name":"p","kind":"processor"}],"processes":[{"name":"A","exec":1,"pe":"p"}],"edges":[{"from":"A","to":"Z"}]}`,
-		"unknown condition": `{"name":"x","condTime":1,"processingElements":[{"name":"p","kind":"processor"}],"processes":[{"name":"A","exec":1,"pe":"p"},{"name":"B","exec":1,"pe":"p"}],"edges":[{"from":"A","to":"B","condition":"C","value":true}]}`,
-		"unknown decider":   `{"name":"x","condTime":1,"processingElements":[{"name":"p","kind":"processor"}],"conditions":[{"name":"C","decider":"Z"}],"processes":[{"name":"A","exec":1,"pe":"p"}],"edges":[]}`,
-		"bad process kind":  `{"name":"x","condTime":1,"processingElements":[{"name":"p","kind":"processor"}],"processes":[{"name":"A","kind":"weird","exec":1,"pe":"p"}],"edges":[]}`,
+		"bad json":          `{"version":"v1","name": `,
+		"unknown field":     `{"version":"v1","name":"x","bogus":1,"processingElements":[],"processes":[],"edges":[]}`,
+		"unknown pe kind":   `{"version":"v1","name":"x","condTime":1,"processingElements":[{"name":"a","kind":"gpu"}],"processes":[],"edges":[]}`,
+		"unknown mapping":   `{"version":"v1","name":"x","condTime":1,"processingElements":[{"name":"p","kind":"processor"}],"processes":[{"name":"A","exec":1,"pe":"zzz"}],"edges":[]}`,
+		"duplicate process": `{"version":"v1","name":"x","condTime":1,"processingElements":[{"name":"p","kind":"processor"}],"processes":[{"name":"A","exec":1,"pe":"p"},{"name":"A","exec":2,"pe":"p"}],"edges":[]}`,
+		"dummy process":     `{"version":"v1","name":"x","condTime":1,"processingElements":[{"name":"p","kind":"processor"}],"processes":[{"name":"A","kind":"source","pe":"p"}],"edges":[]}`,
+		"unknown edge from": `{"version":"v1","name":"x","condTime":1,"processingElements":[{"name":"p","kind":"processor"}],"processes":[{"name":"A","exec":1,"pe":"p"}],"edges":[{"from":"Z","to":"A"}]}`,
+		"unknown edge to":   `{"version":"v1","name":"x","condTime":1,"processingElements":[{"name":"p","kind":"processor"}],"processes":[{"name":"A","exec":1,"pe":"p"}],"edges":[{"from":"A","to":"Z"}]}`,
+		"unknown condition": `{"version":"v1","name":"x","condTime":1,"processingElements":[{"name":"p","kind":"processor"}],"processes":[{"name":"A","exec":1,"pe":"p"},{"name":"B","exec":1,"pe":"p"}],"edges":[{"from":"A","to":"B","condition":"C","value":true}]}`,
+		"unknown decider":   `{"version":"v1","name":"x","condTime":1,"processingElements":[{"name":"p","kind":"processor"}],"conditions":[{"name":"C","decider":"Z"}],"processes":[{"name":"A","exec":1,"pe":"p"}],"edges":[]}`,
+		"bad process kind":  `{"version":"v1","name":"x","condTime":1,"processingElements":[{"name":"p","kind":"processor"}],"processes":[{"name":"A","kind":"weird","exec":1,"pe":"p"}],"edges":[]}`,
 	}
 	for name, doc := range cases {
-		if _, _, err := Read(strings.NewReader(doc)); err == nil {
+		if _, _, err := readGraph(strings.NewReader(doc)); err == nil {
 			t.Fatalf("case %q: expected an error", name)
 		}
 	}
@@ -153,7 +165,7 @@ func TestDecodeNameLimit(t *testing.T) {
 	for _, kind := range []string{"problem", "processing element", "process", "condition"} {
 		for _, n := range []int{MaxNameBytes, MaxNameBytes + 1} {
 			g, a := problem(t)
-			doc := Encode(g, a)
+			doc := EncodeProblem(g, a, core.Options{})
 			long := strings.Repeat("n", n)
 			switch kind {
 			case "problem":
@@ -190,7 +202,7 @@ func TestDecodeNameLimit(t *testing.T) {
 					}
 				}
 			}
-			_, _, err := Decode(doc)
+			_, _, _, err := DecodeProblem(doc)
 			if n == MaxNameBytes {
 				if err != nil {
 					t.Errorf("%s name of %d bytes: %v", kind, n, err)

@@ -141,32 +141,27 @@ const (
 
 	PriorityCriticalPath = listsched.PriorityCriticalPath
 	PriorityFixedOrder   = listsched.PriorityFixedOrder
-	PriorityUrgency      = listsched.PriorityUrgency
 )
 
-// Strategy is a pluggable per-path scheduling strategy (see
-// listsched.Strategy); StrategyParams tunes a strategy run.
+// Strategy is a per-path scheduling strategy (see listsched.Strategy);
+// StrategyParams tunes a strategy run.
 type (
 	Strategy       = listsched.Strategy
 	StrategyParams = listsched.StrategyParams
 )
 
-// DefaultStrategy is the name of the paper's own per-path scheduler in the
-// strategy registry; Options.Strategy selects a registered strategy by name.
+// DefaultStrategy is the name of the paper's own per-path scheduler;
+// Options.Strategy selects a strategy by name.
 const DefaultStrategy = listsched.DefaultStrategy
 
-// RegisterStrategy adds a per-path scheduling strategy to the registry, so
-// documents, the HTTP server and the CLIs can select it by name.
-func RegisterStrategy(s Strategy) { listsched.RegisterStrategy(s) }
-
-// LookupStrategy returns the registered strategy with the given name.
+// LookupStrategy returns the strategy with the given name.
 func LookupStrategy(name string) (Strategy, bool) { return listsched.LookupStrategy(name) }
 
-// StrategyNames lists the registered strategies in sorted order.
+// StrategyNames lists the strategies in sorted order.
 func StrategyNames() []string { return listsched.StrategyNames() }
 
-// ErrUnknownStrategy is returned when Options.Strategy names no registered
-// scheduling strategy.
+// ErrUnknownStrategy is returned when Options.Strategy names no scheduling
+// strategy.
 var ErrUnknownStrategy = core.ErrUnknownStrategy
 
 // NewGraph returns an empty conditional process graph.
@@ -257,20 +252,6 @@ func WriteTableCSV(w io.Writer, g *Graph, tbl *ScheduleTable) error {
 func ReadTableJSON(r io.Reader, g *Graph) (*ScheduleTable, error) {
 	return textio.ReadTableJSON(r, g)
 }
-
-// WriteJSON serializes a problem (graph and architecture) as JSON.
-//
-// Deprecated: use the versioned document model (EncodeProblem and
-// WriteProblem), which bundles the scheduling options and carries a format
-// version.
-func WriteJSON(w io.Writer, g *Graph, a *Architecture) error { return textio.Write(w, g, a) }
-
-// ReadJSON parses a problem from JSON and returns the finalized graph and
-// architecture.
-//
-// Deprecated: use ReadProblem and DecodeProblem, which validate a versioned
-// document.
-func ReadJSON(r io.Reader) (*Graph, *Architecture, error) { return textio.Read(r) }
 
 // Versioned document model (v1). A ProblemDoc is a single JSON document
 // bundling the graph, the architecture and the scheduling options; a

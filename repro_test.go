@@ -82,14 +82,18 @@ func TestPublicAPIJSONRoundTrip(t *testing.T) {
 		t.Fatalf("Finalize: %v", err)
 	}
 	var buf bytes.Buffer
-	if err := repro.WriteJSON(&buf, g, a); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
+	if err := repro.WriteProblem(&buf, repro.EncodeProblem(g, a, repro.Options{})); err != nil {
+		t.Fatalf("WriteProblem: %v", err)
 	}
-	g2, a2, err := repro.ReadJSON(&buf)
+	doc, err := repro.ReadProblem(&buf)
 	if err != nil {
-		t.Fatalf("ReadJSON: %v", err)
+		t.Fatalf("ReadProblem: %v", err)
 	}
-	res, err := repro.Schedule(g2, a2, repro.Options{})
+	g2, a2, opts, err := repro.DecodeProblem(doc)
+	if err != nil {
+		t.Fatalf("DecodeProblem: %v", err)
+	}
+	res, err := repro.Schedule(g2, a2, opts)
 	if err != nil {
 		t.Fatalf("Schedule after round trip: %v", err)
 	}

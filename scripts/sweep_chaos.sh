@@ -21,6 +21,13 @@
 #      real POST /v1/sweep response, so the journal format is pinned to the
 #      wire format). The restart must report reusing those streamed graphs,
 #      re-dispatch only the remainder, and reproduce the golden CSV.
+#   4. Probe re-admission: run the paper's full 1080-graph sweep, which
+#      lasts seconds, with a 50 ms probe interval and one backend dead at
+#      the launch. The coordinator must evict it, and once it is restarted
+#      a health probe must re-admit it before the sweep ends; the CSV must
+#      equal the same sweep run in-process. The mini-sweep of phase 1 ends
+#      before any probe could run, so only this phase drives the probe
+#      path over real processes.
 #
 # The deterministic versions of these scenarios (plus work-stealing and
 # late-joining backends) live in internal/distrib/distribtest; this script
@@ -88,10 +95,11 @@ EXPER=$!
 # B comes back once an attempt on it has failed: restarted any sooner, it
 # could be up again before the coordinator first dispatches to it.
 for _ in $(seq 1 100); do
-  grep -qF "failed on http://$ADDR_B" "$OUT/churn.log" && break
+  grep -qsF "failed on http://$ADDR_B" "$OUT/churn.log" && break
   sleep 0.05
 done
 start_backend "$ADDR_B"
+PID_B=$PID
 if ! wait "$EXPER"; then
   echo "chaos smoke FAILED: sweep did not survive a backend kill+restart" >&2
   sed 's/^/  coordinator: /' "$OUT/churn.log" >&2
@@ -165,4 +173,38 @@ diff -u testdata/sweep_golden.csv "$OUT/partial.csv" || {
   exit 1
 }
 
-echo "chaos smoke OK: golden CSV survives a backend kill+restart mid-sweep, a coordinator restart from the journal, and a mid-stream kill resumed from a partial journal file"
+# --- Phase 4: evicted backend re-admitted by a health probe. ---------------
+FULL_FLAGS=(-exp sweep -full -seed 7 -zero-times)
+"$BIN/cpgexper" "${FULL_FLAGS[@]}" > "$OUT/full-inproc.csv" 2> /dev/null
+kill -9 "$PID_B"
+{ wait "$PID_B" || true; } 2>/dev/null
+wait_refused "$ADDR_B"
+"$BIN/cpgexper" "${FULL_FLAGS[@]}" -shards 8 \
+  -remote "http://$ADDR_A,http://$ADDR_B" -probe-interval 50ms \
+  > "$OUT/readmit.csv" 2> "$OUT/readmit.log" &
+EXPER=$!
+# Restart B only once it is evicted: a probe can re-admit only a member
+# that is down.
+for _ in $(seq 1 100); do
+  grep -qsF "evicting backend http://$ADDR_B" "$OUT/readmit.log" && break
+  sleep 0.05
+done
+start_backend "$ADDR_B"
+if ! wait "$EXPER"; then
+  echo "chaos smoke FAILED: full sweep did not survive a backend eviction+restart" >&2
+  sed 's/^/  coordinator: /' "$OUT/readmit.log" >&2
+  exit 1
+fi
+diff -u "$OUT/full-inproc.csv" "$OUT/readmit.csv" || {
+  echo "chaos smoke FAILED: CSV after eviction and re-admission differs from the in-process sweep" >&2
+  exit 1
+}
+for WANT in "evicting backend http://$ADDR_B" "re-admitting backend http://$ADDR_B (probe ok)"; do
+  grep -qF "$WANT" "$OUT/readmit.log" || {
+    echo "chaos smoke FAILED: coordinator log lacks \"$WANT\"" >&2
+    sed 's/^/  coordinator: /' "$OUT/readmit.log" >&2
+    exit 1
+  }
+done
+
+echo "chaos smoke OK: golden CSV survives a backend kill+restart mid-sweep, a coordinator restart from the journal, and a mid-stream kill resumed from a partial journal file; a probe re-admits an evicted backend during the full sweep"
