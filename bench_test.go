@@ -213,23 +213,49 @@ func BenchmarkFig5Sweep(b *testing.B) {
 // BenchmarkFig6SweepMergeTime is the Fig. 6 companion of BenchmarkFig5Sweep:
 // it reports the average merge time measured inside the sweep while the sweep
 // itself runs on N workers (merge time is per-graph work, so it should stay
-// flat while wall-clock ns/op shrinks).
+// flat while wall-clock ns/op shrinks). It also reports, per graph, the
+// merge's reschedules and those among them that followed the path's optimal
+// schedule as it is (core.Stats.ReusedReschedules); both repeat exactly for
+// the seed.
 func BenchmarkFig6SweepMergeTime(b *testing.B) {
+	cfg := expr.SweepConfig{GraphsPerCell: 2, Seed: 1998}.Normalize()
 	for _, w := range sweepWorkerCounts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			cfg.Workers = w
 			var cells []expr.Cell
 			for i := 0; i < b.N; i++ {
 				var err error
-				cells, err = expr.RunSweep(expr.SweepConfig{GraphsPerCell: 2, Seed: 1998, Workers: w})
+				cells, err = expr.RunSweep(cfg)
 				if err != nil {
 					b.Fatalf("RunSweep: %v", err)
 				}
 			}
+			b.StopTimer()
 			var mergeNs []float64
 			for _, c := range cells {
 				mergeNs = append(mergeNs, float64(c.AvgMergeTime))
 			}
 			b.ReportMetric(stats.Mean(mergeNs)/1e6, "merge-ms")
+			var graphs, reschedules, reused int
+			for _, n := range cfg.Nodes {
+				for _, p := range cfg.Paths {
+					for i := 0; i < cfg.GraphsPerCell; i++ {
+						inst, err := gen.Generate(expr.GraphConfig(cfg.Seed, n, p, i))
+						if err != nil {
+							b.Fatalf("Generate: %v", err)
+						}
+						res, err := core.Schedule(inst.Graph, inst.Arch, core.Options{Workers: 1})
+						if err != nil {
+							b.Fatalf("Schedule: %v", err)
+						}
+						graphs++
+						reschedules += res.Stats.Reschedules
+						reused += res.Stats.ReusedReschedules
+					}
+				}
+			}
+			b.ReportMetric(float64(reschedules)/float64(graphs), "reschedules/graph")
+			b.ReportMetric(float64(reused)/float64(graphs), "reused-reschedules/graph")
 		})
 	}
 }

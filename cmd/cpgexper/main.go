@@ -17,7 +17,8 @@
 // -nodes/-paths to choose the cell grid. The sweep runs on all CPUs by
 // default (-workers N bounds it; the figures printed on stdout are
 // byte-identical for every worker count), and progress is reported on stderr
-// (-progress=false silences it).
+// (-progress=false silences it; a coordinated sweep reports failed attempts,
+// retries, evictions and re-admissions there either way).
 //
 // The sweep can also run distributed. The coordinator mode splits it into
 // -shards N shard jobs (stable per-graph assignment), fans them concurrently
@@ -70,9 +71,13 @@ import (
 	"repro/internal/textio"
 )
 
+// stderr receives progress, timing and fault lines; stdout stays
+// byte-identical for every worker count.
+var stderr io.Writer = os.Stderr
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "cpgexper:", err)
+		fmt.Fprintln(stderr, "cpgexper:", err)
 		os.Exit(1)
 	}
 }
@@ -88,7 +93,7 @@ func run(args []string, out io.Writer) error {
 	seed := fs.Int64("seed", expr.DefaultSeed, "random seed of the sweep")
 	workers := fs.Int("workers", 0, "worker goroutines for the sweep (0 = all CPUs, 1 = sequential)")
 	strategy := fs.String("strategy", "", "per-path scheduling strategy for the experiments: critical-path or tabu (-exp ablate sweeps both)")
-	progress := fs.Bool("progress", true, "report sweep progress on stderr")
+	progress := fs.Bool("progress", true, "report sweep progress on stderr (coordinator faults are reported either way)")
 	shards := fs.Int("shards", 0, "split the sweep into N shards and run them through the coordinator (0 = single-process)")
 	remote := fs.String("remote", "", "comma-separated cpgserve base URLs executing sweep shards (empty = in-process)")
 	shardTimeout := fs.Duration("shard-timeout", distrib.DefaultShardTimeout, "per-attempt time limit of one shard on one backend before it fails over (negative = unbounded)")
@@ -160,9 +165,9 @@ func run(args []string, out io.Writer) error {
 		cfg.Options = opts
 		if *progress {
 			cfg.Progress = func(done, total int) {
-				fmt.Fprintf(os.Stderr, "\rsweep: %d/%d graphs", done, total)
+				fmt.Fprintf(stderr, "\rsweep: %d/%d graphs", done, total)
 				if done == total {
-					fmt.Fprintln(os.Stderr)
+					fmt.Fprintln(stderr)
 				}
 			}
 		}
@@ -338,10 +343,10 @@ func serveSweepMetrics(addr string) *distrib.Metrics {
 	go func() {
 		srv := &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 		if err := srv.ListenAndServe(); err != nil {
-			fmt.Fprintf(os.Stderr, "cpgexper: -metrics-addr %s: %v\n", addr, err)
+			fmt.Fprintf(stderr, "cpgexper: -metrics-addr %s: %v\n", addr, err)
 		}
 	}()
-	fmt.Fprintf(os.Stderr, "cpgexper: serving sweep metrics on %s/metrics\n", addr)
+	fmt.Fprintf(stderr, "cpgexper: serving sweep metrics on %s/metrics\n", addr)
 	return metrics
 }
 
@@ -353,7 +358,7 @@ func runSweepCells(cfg expr.SweepConfig, opts sweepRunOpts) ([]expr.Cell, error)
 	defer func() {
 		// Timing goes to stderr so stdout is byte-identical for every
 		// -workers value (and every machine).
-		fmt.Fprintf(os.Stderr, "sweep: total time %v\n", time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stderr, "sweep: total time %v\n", time.Since(start).Round(time.Millisecond))
 	}()
 	if opts.mergeFiles != "" {
 		return mergePartialFiles(cfg, splitList(opts.mergeFiles))
@@ -390,11 +395,14 @@ func runCoordinated(cfg expr.SweepConfig, opts sweepRunOpts) ([]expr.Cell, error
 	if shards < 1 {
 		shards = max(1, len(backends))
 	}
-	var logf func(format string, args ...any)
+	// Faults (failures, retries, evictions, re-admissions) always reach
+	// stderr; -progress gates only the progress lines.
+	logf := func(format string, args ...any) {
+		fmt.Fprintf(stderr, "sweep: "+format+"\n", args...)
+	}
+	progressf := func(string, ...any) {}
 	if opts.progress {
-		logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "sweep: "+format+"\n", args...)
-		}
+		progressf = logf
 	}
 	reg := distrib.NewRegistry()
 	reg.ProbeInterval = opts.probeInterval
@@ -413,6 +421,7 @@ func runCoordinated(cfg expr.SweepConfig, opts sweepRunOpts) ([]expr.Cell, error
 		Registry:     reg,
 		ShardTimeout: opts.shardTimeout,
 		Log:          logf,
+		Progress:     progressf,
 		Metrics:      opts.metrics,
 	}
 	if opts.journalDir != "" {
@@ -581,7 +590,7 @@ func runAblation(out io.Writer, sweepConfig func(core.Options) expr.SweepConfig)
 		}
 		printLine(name, cells)
 	}
-	fmt.Fprintf(os.Stderr, "instance cache: %d generated, %d reused across ablations\n",
+	fmt.Fprintf(stderr, "instance cache: %d generated, %d reused across ablations\n",
 		cache.Misses(), cache.Hits())
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/expr"
@@ -270,6 +271,44 @@ func TestSweepFlagValidation(t *testing.T) {
 	}
 	if err := run([]string{"-exp", "sweep", "-seed", "-9223372036854775808"}, &out); err == nil {
 		t.Errorf("the reserved seed value must fail")
+	}
+}
+
+// lockedBuffer is a bytes.Buffer safe for the coordinator's concurrent log
+// lines.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestProgressFalseKeepsFaults pins that -progress=false silences progress
+// only: a coordinated sweep against a dead backend still reports the failed
+// attempts, the retries and the eviction on stderr.
+func TestProgressFalseKeepsFaults(t *testing.T) {
+	var log lockedBuffer
+	stderr = &log
+	defer func() { stderr = os.Stderr }()
+	var out bytes.Buffer
+	if err := run(goldenArgs("-remote", "http://127.0.0.1:1"), &out); err == nil {
+		t.Fatalf("a sweep whose only backend is dead must fail")
+	}
+	got := log.String()
+	for _, want := range []string{"failed on http://127.0.0.1:1", "retrying in", "evicting backend http://127.0.0.1:1"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("stderr of a -progress=false sweep lacks %q:\n%s", want, got)
+		}
 	}
 }
 

@@ -15,7 +15,9 @@ import (
 // run: path scheduling, the merge, validation and simulation. An allocation
 // that creeps back into the dense schedule state (per-path schedules, the
 // merge's recycled schedules and lock set, subgraphs, table rows, traces)
-// shows up here first.
+// shows up here first. The scratches come from pools shared across runs; the
+// ceilings hold when the pools are empty too (about 281 and 1,633
+// allocations), and a pool hit only lowers the count.
 func TestScheduleAllocs(t *testing.T) {
 	fig1G, fig1A, err := expr.Figure1()
 	if err != nil {
@@ -31,8 +33,8 @@ func TestScheduleAllocs(t *testing.T) {
 		a       *arch.Architecture
 		ceiling float64
 	}{
-		{"figure1", fig1G, fig1A, 330},
-		{"generated 120 nodes, 32 paths", inst.Graph, inst.Arch, 1830},
+		{"figure1", fig1G, fig1A, 295},
+		{"generated 120 nodes, 32 paths", inst.Graph, inst.Arch, 1700},
 	} {
 		if raceEnabled {
 			// The race runtime may allocate where a normal build does

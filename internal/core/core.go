@@ -18,6 +18,20 @@
 //     activation times for the same process) are resolved by moving the
 //     process to one of the previously fixed activation times (Theorem 2) and
 //     readjusting the schedule.
+//
+// The adjustment of rule 3 is often the identity. When every lock already
+// sits where the path's optimal schedule starts the activity (and a
+// broadcast lock on the bus that schedule uses), and every broadcast the
+// locks leave free starts when its decider ends on the first broadcast bus,
+// rescheduling in fixed order reproduces the optimal schedule exactly; the
+// merge then follows that schedule without running the list scheduler
+// (merger.agrees has the proof, and Stats.ReusedReschedules counts these
+// reschedules). On the paper's grid this holds for about 62% of the
+// reschedules.
+//
+// Each schedule is walked once: the segments placed along one schedule
+// resume where the previous segment stopped, since the activities before
+// that point are already in the table.
 package core
 
 import (
@@ -28,6 +42,7 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -171,6 +186,13 @@ type Stats struct {
 	// WarmReusedPaths counts the alternative paths whose optimal schedule
 	// was reused from a previous result by ScheduleWarm (0 on cold runs).
 	WarmReusedPaths int
+	// Reschedules counts the adjustments of the merge (rule 3 after a
+	// back-step, and the readjustments after a resolved conflict), and
+	// ReusedReschedules those among them whose locks agreed with the path's
+	// optimal schedule, which the merge then followed as it is. Neither is
+	// part of the solution document.
+	Reschedules       int
+	ReusedReschedules int
 	// PathSchedulingTime is the wall-clock time spent scheduling the
 	// individual alternative paths (the figure of section 6 that quotes
 	// "less than 0.003 seconds" per graph).
@@ -274,16 +296,20 @@ type merger struct {
 	paths []*pathInfo
 	stats Stats
 	steps int
+	// bus0 is the architecture's first broadcast bus (NoPE when it has
+	// none), the bus a broadcast takes when every bus is free.
+	bus0 arch.PEID
 	// scratch is reused by every reschedule of the (sequential) merge.
-	scratch listsched.Scratch
+	scratch *listsched.Scratch
 	// The merge has one live current schedule and one live lock set: a frame
 	// of explore never reads its cur or fixed again once its recursive call
 	// on the current branch returns, it only back-steps. So every reschedule
 	// writes into one of the two recycled schedules in bufs, alternately (a
 	// reschedule never overwrites the schedule it replaces), and every
-	// back-step refills locks in place. The root follows the start path's
-	// optimal schedule itself, which is never written: schedules are only
-	// read once built, and bufs never hold a published one.
+	// back-step refills locks in place. The root, and every reschedule whose
+	// locks agree with the path's optimal schedule, follow that optimal
+	// schedule itself, which is never written: schedules are only read once
+	// built, and bufs never hold a published one.
 	bufs  [2]*sched.PathSchedule
 	next  int
 	locks *listsched.Locks
@@ -393,7 +419,14 @@ func schedulePhased(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt
 		return nil, errors.New("core: no alternative path found")
 	}
 	m.locks = listsched.NewLocks(g.NumProcs())
-	if err := m.explore(start, start.optimal, m.locks, cond.True()); err != nil {
+	m.bus0 = arch.NoPE
+	if bb := a.BroadcastBuses(); len(bb) > 0 {
+		m.bus0 = bb[0]
+	}
+	m.scratch = scratchPool.Get().(*listsched.Scratch)
+	err = m.explore(start, start.optimal, m.locks, cond.True(), 0)
+	scratchPool.Put(m.scratch)
+	if err != nil {
 		return nil, err
 	}
 	m.stats.MergeTime = time.Since(tMerge)
@@ -444,6 +477,12 @@ func schedulePhased(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt
 	return res, nil
 }
 
+// scratchPool recycles list-scheduling scratches across Schedule calls: the
+// per-worker scratches of the path phase and the merge's. A scratch keeps the
+// buffers of the largest graph it scheduled, and every run resets what it
+// reads.
+var scratchPool = sync.Pool{New: func() any { return new(listsched.Scratch) }}
+
 // schedulePaths produces the optimal schedule of every alternative path,
 // fanning the independent per-path strategy runs out over a bounded worker
 // pool — for the improvement strategies (tabu), the expensive per-path
@@ -462,7 +501,15 @@ func schedulePaths(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt 
 	var failed atomic.Bool
 	// Each worker owns one listsched.Scratch, so the many per-path runs
 	// reuse the same buffers instead of reallocating the scheduler state.
-	scratches := make([]listsched.Scratch, pool.Clamp(len(paths), opt.Workers))
+	scratches := make([]*listsched.Scratch, pool.Clamp(len(paths), opt.Workers))
+	for w := range scratches {
+		scratches[w] = scratchPool.Get().(*listsched.Scratch)
+	}
+	defer func() {
+		for _, sc := range scratches {
+			scratchPool.Put(sc)
+		}
+	}()
 	pool.ForEachIndexWorker(len(paths), opt.Workers, func(worker, i int) {
 		if failed.Load() {
 			return // another path already failed; skip the remaining work
@@ -484,7 +531,7 @@ func schedulePaths(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt 
 		var ps *sched.PathSchedule
 		var err error
 		if strategy != nil {
-			ps, _, err = strategy.SchedulePath(&scratches[worker], sub, a, opt.StrategyParams)
+			ps, _, err = strategy.SchedulePath(scratches[worker], sub, a, opt.StrategyParams)
 		} else {
 			ps, _, err = scratches[worker].Schedule(sub, a, listsched.Options{Priority: opt.PathPriority})
 		}
@@ -556,8 +603,8 @@ func (m *merger) deriveLocks(pi *pathInfo, decided cond.Cube) *listsched.Locks {
 			if key.IsCond {
 				if ct, ok := pi.optimal.Cond(key.Cond); ok && ct.Bus != arch.NoPE {
 					lock.Bus = ct.Bus
-				} else if bb := m.a.BroadcastBuses(); len(bb) > 0 {
-					lock.Bus = bb[0]
+				} else {
+					lock.Bus = m.bus0
 				}
 			}
 			locks.Set(key, lock)
@@ -571,8 +618,14 @@ func (m *merger) deriveLocks(pi *pathInfo, decided cond.Cube) *listsched.Locks {
 // reschedule produces the adjusted schedule of a path: locked activities stay
 // at their fixed activation times, the other activities are rescheduled to
 // their earliest allowed moment keeping the relative priorities of the
-// original (optimal) schedule.
+// original (optimal) schedule. When the locks agree with the optimal schedule
+// the adjustment is the identity, and the optimal schedule itself is returned.
 func (m *merger) reschedule(pi *pathInfo, locks *listsched.Locks) (*sched.PathSchedule, error) {
+	m.stats.Reschedules++
+	if m.agrees(pi, locks) {
+		m.stats.ReusedReschedules++
+		return pi.optimal, nil
+	}
 	ps, diag, err := m.scratch.ScheduleInto(m.bufs[m.next], pi.sub, m.a, listsched.Options{
 		Priority: listsched.PriorityFixedOrder,
 		Order:    pi.order,
@@ -587,6 +640,56 @@ func (m *merger) reschedule(pi *pathInfo, locks *listsched.Locks) (*sched.PathSc
 	return ps, nil
 }
 
+// agrees reports whether rescheduling path pi under locks would reproduce
+// its optimal schedule S exactly. That holds when
+//
+//   - every lock on an activity of the path sits at the activity's start in
+//     S, and a broadcast lock is on S's bus too (a lock on a broadcast S does
+//     not make fails: its reservation could delay another activity), and
+//   - every broadcast of S that is not locked starts when its decider ends,
+//     on the first broadcast bus.
+//
+// Proof. S was built by a list-scheduling run without locks, and reschedule
+// runs the list scheduler in fixed order with priorities equal to the S
+// starts (ties by ProcID). By induction over its pops, every activity placed
+// so far starts at its S start. The scheduler pops the ready process p with
+// the smallest S start, and every process starting before p in S is placed
+// by then: its earliest unplaced ancestor would be ready and start no later
+// in S. So are p's active predecessors and the deciders of its guard's
+// conditions, which are ancestors of p, so p gets the same earliest start
+// from data and condition knowledge as in the run that built S. Every
+// interval reserved on p's element belongs to a placed or locked activity,
+// so it is an interval of S and leaves p's S interval free; and each interval
+// that kept that run from starting p earlier started before p, so it is
+// reserved too. So p starts at its S start; a locked p starts at its lock,
+// which is its S start, without a lock violation. An unlocked broadcast finds
+// the first broadcast bus free when its decider ends, for the same reason,
+// and the scheduler takes the first bus among equal starts; a locked one
+// takes its lock. The run thus sets the same entries and condition records as
+// S, and they sort into S.
+func (m *merger) agrees(pi *pathInfo, locks *listsched.Locks) bool {
+	s := pi.optimal
+	for key, lock := range locks.All() {
+		if !key.IsCond && !pi.sub.Active(key.Proc) {
+			continue // the scheduler ignores the locks of inactive processes
+		}
+		e, ok := s.Entry(key)
+		if !ok || e.Start != lock.Start || (key.IsCond && e.PE != lock.Bus) {
+			return false
+		}
+	}
+	for _, ct := range s.Conds() {
+		if ct.Bus == arch.NoPE {
+			continue // no broadcast: the architecture has one computation element
+		}
+		if _, locked := locks.Get(sched.CondKey(ct.Cond)); !locked &&
+			(ct.BroadcastStart != ct.DecidedAt || ct.Bus != m.bus0) {
+			return false
+		}
+	}
+	return true
+}
+
 // lockFor converts a schedule entry into a lock at its current start time.
 func lockFor(e sched.Entry) listsched.Lock {
 	l := listsched.Lock{Start: e.Start, Bus: arch.NoPE}
@@ -599,8 +702,9 @@ func lockFor(e sched.Entry) listsched.Lock {
 // explore walks the decision tree along the current schedule cur of path pi,
 // with the condition values in decided already fixed. fixed accumulates the
 // activation times of cur that are (or become) locked, so that conflict
-// readjustments keep everything already placed.
-func (m *merger) explore(pi *pathInfo, cur *sched.PathSchedule, fixed *listsched.Locks, decided cond.Cube) error {
+// readjustments keep everything already placed. The entries of cur before
+// from are placed already (see placeSegment).
+func (m *merger) explore(pi *pathInfo, cur *sched.PathSchedule, fixed *listsched.Locks, decided cond.Cube, from int) error {
 	for {
 		m.steps++
 		if m.steps > 10000*(len(m.paths)+1) {
@@ -625,13 +729,14 @@ func (m *merger) explore(pi *pathInfo, cur *sched.PathSchedule, fixed *listsched
 		if next != nil {
 			limit = next.DecidedAt
 		}
-		changed, err := m.placeSegment(pi, &cur, fixed, limit)
+		resume, changed, err := m.placeSegment(pi, &cur, fixed, from, limit)
 		if err != nil {
 			return err
 		}
 		if changed {
 			// The current schedule was readjusted; recompute the next
-			// decision point before continuing.
+			// decision point and place the new schedule from its start.
+			from = 0
 			continue
 		}
 		if next == nil {
@@ -640,7 +745,7 @@ func (m *merger) explore(pi *pathInfo, cur *sched.PathSchedule, fixed *listsched
 		// Continue along the current schedule (the branch whose condition
 		// value matches the current path).
 		d1 := decided.MustWith(next.Cond, next.Value)
-		if err := m.explore(pi, cur, fixed, d1); err != nil {
+		if err := m.explore(pi, cur, fixed, d1, resume); err != nil {
 			return err
 		}
 		// Back-step: take the opposite branch with a new current schedule.
@@ -657,74 +762,92 @@ func (m *merger) explore(pi *pathInfo, cur *sched.PathSchedule, fixed *listsched
 		if err != nil {
 			return err
 		}
-		return m.explore(npi, ncur, nfixed, d2)
+		return m.explore(npi, ncur, nfixed, d2, 0)
 	}
 }
 
 // placeSegment places into the table the activities of the current schedule
-// that start before limit. It returns changed == true when a conflict forced
-// a readjustment of the current schedule (in which case *curp points to the
-// new schedule and the caller restarts the segment).
-func (m *merger) placeSegment(pi *pathInfo, curp **sched.PathSchedule, fixed *listsched.Locks, limit int64) (bool, error) {
-	cur := *curp
+// that start before limit, from its entry from on. It returns changed ==
+// true when a conflict forced a readjustment of the current schedule (in
+// which case *curp points to the new schedule and the caller restarts the
+// segment). Otherwise it returns where the next segment of the same schedule
+// resumes: the segments of one schedule have growing limits and nothing
+// changes the table between them, so an entry the walk left in the table
+// would be found covered again, with its lock already set. Only an entry left
+// out of the table (an unresolved conflict whose time the table refuses) is
+// walked again, with the entries after it.
+func (m *merger) placeSegment(pi *pathInfo, curp **sched.PathSchedule, fixed *listsched.Locks, from int, limit int64) (resume int, changed bool, err error) {
 	m.stats.SegmentsPlaced++
-	for _, e := range cur.Entries() {
-		if e.Start >= limit {
-			break
+	entries := (*curp).Entries()
+	resume = from
+	for i := from; i < len(entries) && entries[i].Start < limit; i++ {
+		var placed bool
+		if placed, changed, err = m.placeEntry(pi, curp, fixed, entries[i]); err != nil || changed {
+			return 0, changed, err
 		}
-		key := e.Key
-		if !key.IsCond {
-			if p := m.g.Process(key.Proc); p == nil || p.IsDummy() {
-				continue
-			}
+		if placed && resume == i {
+			resume++
 		}
-		// Column expression: conjunction of the condition values known at
-		// the activation time on the processing element executing the
-		// activity, according to the current schedule (rule 2).
-		expr := cur.KnownAt(e.PE, e.Start)
-
-		// Skip when an applicable entry with the same activation time is
-		// already in the table (the previously handled path fixed it).
-		if covered(m.tbl.RowView(key), pi.path.Label, e.Start) {
-			fixed.Set(key, lockFor(e))
-			continue
-		}
-		conflicts := m.tbl.Conflicts(key, expr, e.Start)
-		if len(conflicts) == 0 {
-			if err := m.tbl.Place(key, expr, e.Start); err != nil {
-				return false, err
-			}
-			fixed.Set(key, lockFor(e))
-			continue
-		}
-		// Requirement-2 conflict: resolve it.
-		m.stats.Conflicts++
-		newStart, resolved := m.resolveConflict(pi, cur, key, e, conflicts)
-		if !resolved {
-			// Best effort: keep the activation time and record that the
-			// table is not fully deterministic; the validator will report
-			// the residual conflict.
-			m.stats.UnresolvedConflicts++
-			if err := m.tbl.Place(key, expr, e.Start); err != nil {
-				// An identical expression with a different time: force the
-				// earlier time to keep the table well-formed.
-				continue
-			}
-			fixed.Set(key, lockFor(e))
-			continue
-		}
-		m.stats.ConflictsResolved++
-		lock := lockFor(e)
-		lock.Start = newStart
-		fixed.Set(key, lock)
-		ncur, err := m.reschedule(pi, fixed)
-		if err != nil {
-			return false, err
-		}
-		*curp = ncur
-		return true, nil
 	}
-	return false, nil
+	return resume, false, nil
+}
+
+// placeEntry places one activity of the current schedule into the table. It
+// reports placed == false when the activity is left out of the table, and
+// changed == true when it readjusted the current schedule (see
+// placeSegment). Dummy processes count as placed: they have no row.
+func (m *merger) placeEntry(pi *pathInfo, curp **sched.PathSchedule, fixed *listsched.Locks, e sched.Entry) (placed, changed bool, err error) {
+	cur := *curp
+	key := e.Key
+	if !key.IsCond {
+		if p := m.g.Process(key.Proc); p == nil || p.IsDummy() {
+			return true, false, nil
+		}
+	}
+	// Skip when an applicable entry with the same activation time is already
+	// in the table (the previously handled path fixed it).
+	if covered(m.tbl.RowView(key), pi.path.Label, e.Start) {
+		fixed.Set(key, lockFor(e))
+		return true, false, nil
+	}
+	// Column expression: conjunction of the condition values known at the
+	// activation time on the processing element executing the activity,
+	// according to the current schedule (rule 2).
+	expr := cur.KnownAt(e.PE, e.Start)
+	conflicts := m.tbl.Conflicts(key, expr, e.Start)
+	if len(conflicts) == 0 {
+		if err := m.tbl.Place(key, expr, e.Start); err != nil {
+			return false, false, err
+		}
+		fixed.Set(key, lockFor(e))
+		return true, false, nil
+	}
+	// Requirement-2 conflict: resolve it.
+	m.stats.Conflicts++
+	newStart, resolved := m.resolveConflict(pi, cur, key, e, conflicts)
+	if !resolved {
+		// Best effort: keep the activation time and record that the table is
+		// not fully deterministic; the validator will report the residual
+		// conflict.
+		m.stats.UnresolvedConflicts++
+		if err := m.tbl.Place(key, expr, e.Start); err != nil {
+			// An identical expression with a different time: force the
+			// earlier time to keep the table well-formed.
+			return false, false, nil
+		}
+		fixed.Set(key, lockFor(e))
+		return true, false, nil
+	}
+	m.stats.ConflictsResolved++
+	lock := lockFor(e)
+	lock.Start = newStart
+	fixed.Set(key, lock)
+	ncur, err := m.reschedule(pi, fixed)
+	if err != nil {
+		return false, false, err
+	}
+	*curp = ncur
+	return false, true, nil
 }
 
 // covered reports whether the row already contains an entry that applies on

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
 	"repro/internal/cpg"
@@ -64,8 +65,9 @@ func warmRoundTrip(t *testing.T, cfg gen.Config, strategy string, prev *Result) 
 // simulator, both already folded into Result. This is the merger complement
 // of FuzzGenerateDeterminism and FuzzCube: whatever instance the fuzzer
 // invents and whichever strategy shaped the per-path schedules, the merge
-// must produce a logically and temporally deterministic table. Run with
-// `go test -fuzz FuzzMergeRequirements ./internal/core`.
+// must produce a logically and temporally deterministic table. Each result
+// also goes through checkReuseRule, the property of the merge's reuse rule.
+// Run with `go test -fuzz FuzzMergeRequirements ./internal/core`.
 func FuzzMergeRequirements(f *testing.F) {
 	// Seed corpus drawn from the structural parameters of the gen configs
 	// used by the paper's sweep (scaled down so a fuzz iteration stays
@@ -109,6 +111,7 @@ func FuzzMergeRequirements(f *testing.F) {
 			if res.DeltaMax < res.DeltaM {
 				t.Fatalf("strategy %s on %+v: δmax %d below δM %d", name, cfg, res.DeltaMax, res.DeltaM)
 			}
+			checkReuseRule(t, rand.New(rand.NewSource(seed)), res, 2, &reuseCounts{})
 			warmRoundTrip(t, cfg, name, res)
 		}
 	})

@@ -48,9 +48,13 @@ type Coordinator struct {
 	// liveness, capacity and drain state can change mid-sweep and dispatch
 	// follows. Mutually exclusive with Backends.
 	Registry *Registry
-	// Log, when non-nil, receives one line per shard completion, failure,
-	// steal and journal reuse.
+	// Log, when non-nil, receives one line per shard failure, retry and
+	// salvage, and the progress lines too unless Progress is set.
 	Log func(format string, args ...any)
+	// Progress, when non-nil, receives the progress lines in place of Log:
+	// one per shard completion, steal, discarded duplicate and journal
+	// reuse.
+	Progress func(format string, args ...any)
 	// ShardTimeout bounds one shard attempt on one backend, so a hung
 	// backend fails over instead of stalling the sweep (0 =
 	// DefaultShardTimeout, negative = unbounded).
@@ -77,10 +81,19 @@ type Coordinator struct {
 	Metrics *Metrics
 }
 
-// logf emits a coordinator progress line, if logging is attached.
+// logf emits a coordinator fault line, if logging is attached.
 func (c *Coordinator) logf(format string, args ...any) {
 	if c.Log != nil {
 		c.Log(format, args...)
+	}
+}
+
+// progressf emits a coordinator progress line to Progress, or else to Log.
+func (c *Coordinator) progressf(format string, args ...any) {
+	if c.Progress != nil {
+		c.Progress(format, args...)
+	} else {
+		c.logf(format, args...)
 	}
 }
 
@@ -243,7 +256,8 @@ type sweepRun struct {
 	quit   chan struct{} // closed when the run returns; unblocks stray sends
 }
 
-func (r *sweepRun) logf(format string, args ...any) { r.c.logf(format, args...) }
+func (r *sweepRun) logf(format string, args ...any)      { r.c.logf(format, args...) }
+func (r *sweepRun) progressf(format string, args ...any) { r.c.progressf(format, args...) }
 
 func (r *sweepRun) run(ctx context.Context) ([]*expr.ShardResult, error) {
 	defer close(r.quit)
@@ -307,7 +321,7 @@ func (r *sweepRun) preload() error {
 	r.done = len(done)
 	if r.done > 0 {
 		r.c.Metrics.journalReuse(r.done)
-		r.logf("journal: reusing %d/%d completed shards, re-dispatching %d", r.done, r.count, r.count-r.done)
+		r.progressf("journal: reusing %d/%d completed shards, re-dispatching %d", r.done, r.count, r.count-r.done)
 	}
 	reused := 0
 	for i, graphs := range partial {
@@ -319,7 +333,7 @@ func (r *sweepRun) preload() error {
 	}
 	if reused > 0 {
 		r.c.Metrics.partialReuse(reused)
-		r.logf("journal: reusing %d streamed graphs from partial spools", reused)
+		r.progressf("journal: reusing %d streamed graphs from partial spools", reused)
 	}
 	return nil
 }
@@ -369,7 +383,7 @@ func (r *sweepRun) dispatch() {
 			return
 		}
 		r.c.Metrics.steal()
-		r.logf("shard %d/%d stolen for idle %s (slowest in flight; first finisher wins)", victim, r.count, m.name)
+		r.progressf("shard %d/%d stolen for idle %s (slowest in flight; first finisher wins)", victim, r.count, m.name)
 		r.start(victim, m)
 	}
 }
@@ -511,7 +525,7 @@ func (r *sweepRun) handle(ctx context.Context, out attemptOutcome) error {
 		r.reg.reportSuccess(out.backend)
 		if r.results[out.shard] != nil {
 			r.c.Metrics.duplicate()
-			r.logf("shard %d/%d duplicate completion on %s discarded (lost the steal race)", out.shard, r.count, out.backend)
+			r.progressf("shard %d/%d duplicate completion on %s discarded (lost the steal race)", out.shard, r.count, out.backend)
 			return nil
 		}
 		sh, err := r.completeShard(out.shard, out.sh)
@@ -526,7 +540,7 @@ func (r *sweepRun) handle(ctx context.Context, out attemptOutcome) error {
 			}
 		}
 		st.got = nil
-		r.logf("shard %d/%d done on %s (%d graphs, %d salvaged earlier)",
+		r.progressf("shard %d/%d done on %s (%d graphs, %d salvaged earlier)",
 			out.shard, r.count, out.backend, len(sh.Results), len(sh.Results)-len(out.sh.Results))
 		return nil
 	}

@@ -82,20 +82,30 @@ func TestCoordinatorGoldenAcrossBackendMixes(t *testing.T) {
 
 // TestCoordinatorRetriesDeadBackend pins the failover property: with one
 // backend killed (connection refused on every request), its shards migrate
-// to the surviving server and the sweep still reproduces the golden CSV.
+// to the surviving server and the sweep still reproduces the golden CSV. The
+// retries reach Log, and the shard completions reach Progress alone.
 func TestCoordinatorRetriesDeadBackend(t *testing.T) {
 	golden := goldenCSV(t)
 	alive := testBackendServer(t, 2)
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close() // kill it: every request now fails to connect
 
-	var retries atomic.Int32
+	var retries, logDone, progressDone atomic.Int32
 	co := &Coordinator{
 		Shards:   3,
 		Backends: []Backend{HTTP{BaseURL: dead.URL}, HTTP{BaseURL: alive.URL}},
 		Log: func(format string, args ...any) {
-			if bytes.Contains([]byte(fmt.Sprintf(format, args...)), []byte("retrying")) {
+			line := []byte(fmt.Sprintf(format, args...))
+			if bytes.Contains(line, []byte("retrying")) {
 				retries.Add(1)
+			}
+			if bytes.Contains(line, []byte(" done on ")) {
+				logDone.Add(1)
+			}
+		},
+		Progress: func(format string, args ...any) {
+			if bytes.Contains([]byte(fmt.Sprintf(format, args...)), []byte(" done on ")) {
+				progressDone.Add(1)
 			}
 		},
 	}
@@ -108,6 +118,9 @@ func TestCoordinatorRetriesDeadBackend(t *testing.T) {
 	}
 	if retries.Load() == 0 {
 		t.Errorf("expected at least one shard retry off the dead backend")
+	}
+	if logDone.Load() != 0 || progressDone.Load() != 3 {
+		t.Errorf("shard completions: %d on Log, %d on Progress; want 0 and 3", logDone.Load(), progressDone.Load())
 	}
 
 	// With every backend dead the sweep must fail loudly, not truncate.

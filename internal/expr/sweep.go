@@ -202,6 +202,13 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// GraphConfig returns the generator configuration of graph i of the (nodes,
+// paths) cell of a sweep with the given seed: the graph every run of that
+// sweep schedules there.
+func GraphConfig(seed int64, nodes, paths, i int) gen.Config {
+	return gen.RandomConfig(rand.New(rand.NewSource(cellSeed(seed, nodes, paths, i))), nodes, paths)
+}
+
 // cellSeed derives the generator seed of graph i of the (nodes, paths) cell.
 // The derivation depends only on the sweep seed and the cell coordinates —
 // never on worker count, shard assignment or completion order — so a sweep is
@@ -488,8 +495,7 @@ func RunSweepShardStream(ctx context.Context, cfg SweepConfig, yield func(GraphR
 			fail(err)
 			return
 		}
-		r := rand.New(rand.NewSource(cellSeed(cfg.Seed, job.Nodes, job.Paths, job.Index)))
-		inst, err := cfg.Cache.Generate(gen.RandomConfig(r, job.Nodes, job.Paths))
+		inst, err := cfg.Cache.Generate(GraphConfig(cfg.Seed, job.Nodes, job.Paths, job.Index))
 		if err != nil {
 			fail(fmt.Errorf("expr: generating graph %d of cell %s: %w", job.Index, key, err))
 			return

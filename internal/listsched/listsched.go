@@ -347,8 +347,11 @@ func (sc *Scratch) ScheduleInto(dst *sched.PathSchedule, sub *cpg.Subgraph, a *a
 	}
 
 	// Priority values (smaller is picked first, matching the reference
-	// implementation's ascending sort of the ready list).
-	sc.cp = sub.CriticalPathLengthsInto(sc.cp, exec)
+	// implementation's ascending sort of the ready list). The fixed order
+	// never reads the critical paths.
+	if opt.Priority != PriorityFixedOrder {
+		sc.cp = sub.CriticalPathLengthsInto(sc.cp, exec)
+	}
 	for _, p := range active {
 		switch opt.Priority {
 		case PriorityFixedOrder:

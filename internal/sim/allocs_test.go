@@ -13,14 +13,15 @@ import (
 )
 
 // TestWorstCaseSubgraphsAllocs pins the allocations of re-enacting every
-// path with one worker: one Trace and its Activations per path, plus a fixed
-// overhead for the result and the worker's scratch, and nothing per
-// activation, whatever the size of the graph.
+// path with one worker: a fixed overhead for the result, the traces and the
+// worker's scratch, and nothing per path or per activation, whatever the size
+// of the graph. The bound holds when the scratch pool is empty too (a cold
+// scratch makes about 19 of them); a pool hit only lowers the count.
 func TestWorstCaseSubgraphsAllocs(t *testing.T) {
-	overhead := 14
+	limit := 24.0
 	if raceEnabled {
 		// The race runtime may allocate where a normal build does not.
-		overhead = 20
+		limit = 30
 	}
 	fig1G, fig1A, err := expr.Figure1()
 	if err != nil {
@@ -57,7 +58,7 @@ func TestWorstCaseSubgraphsAllocs(t *testing.T) {
 			}
 		})
 		t.Logf("%s: %.0f allocs for %d paths, %d activations", in.name, n, len(res.Subgraphs), activations)
-		if limit := float64(2*len(res.Subgraphs) + overhead); n > limit {
+		if n > limit {
 			t.Errorf("%s: WorstCaseSubgraphs allocates %.0f times for %d paths, want <= %.0f",
 				in.name, n, len(res.Subgraphs), limit)
 		}

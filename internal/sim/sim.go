@@ -18,8 +18,10 @@
 // time over all alternative paths. The per-path re-enactments are
 // independent, so WorstCaseSubgraphs fans them out over a bounded worker
 // pool and collects the traces in path order, reusing the active subgraphs
-// already built during path scheduling. Each worker keeps one scratch for
-// all its paths, so a re-enactment allocates only its Trace and Activations.
+// already built during path scheduling. Each worker takes one scratch from a
+// pool shared across calls and keeps it for all its paths; the activations
+// stay in the scratch, so a worst-case run allocates its traces once for all
+// paths and nothing per activation.
 //
 // A Trace lists its activations as a slice; a re-enactment looks them up
 // through the dense activity index of package sched and reports resource
@@ -35,6 +37,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/cond"
@@ -67,7 +70,8 @@ type Trace struct {
 	Label cond.Cube
 	// Activations lists every activated activity: the processes in the
 	// topological order of the path, then the condition broadcasts by
-	// condition.
+	// condition. Traces of Run and RunSubgraph carry them; those of
+	// WorstCase and WorstCaseSubgraphs leave them nil.
 	Activations []Activation
 	// Delay is the completion time of the path (activation time of the
 	// sink, i.e. the time the last active process terminates).
@@ -92,18 +96,26 @@ func Run(g *cpg.Graph, a *arch.Architecture, tbl *table.Table, path *cpg.Path) (
 // are safe.
 func RunSubgraph(sub *cpg.Subgraph, a *arch.Architecture, tbl *table.Table) (*Trace, error) {
 	var sc scratch
-	return sc.run(sub, a, tbl)
+	tr := new(Trace)
+	if err := sc.run(tr, sub, a, tbl); err != nil {
+		return nil, err
+	}
+	// The scratch is this call's own, so the trace takes its activations.
+	tr.Activations = sc.acts
+	return tr, nil
 }
 
 // scratch holds the buffers of one re-enactment, reused by the next: the
-// position index, the applicable table entries, the broadcast buses and the
-// resource slots with their counting sort. A re-enactment with a warm
-// scratch allocates only its Trace and Activations (and the text of any
-// violation). A scratch is not safe for concurrent use.
+// activations, the position index, the applicable table entries, the
+// broadcast buses and the resource slots with their counting sort. A
+// re-enactment with a warm scratch allocates only the text of any violation.
+// A scratch is not safe for concurrent use.
 type scratch struct {
+	// acts lists the activations of the last run.
+	acts []Activation
 	// pos maps the dense activity index to 1 + the position of the key's
-	// activation, 0 for an activity that was not activated; it is all zero
-	// between runs.
+	// activation in acts, 0 for an activity that was not activated; it is
+	// all zero between runs.
 	pos   []int32
 	app   []table.Entry
 	buses []arch.PEID
@@ -120,34 +132,37 @@ type scratch struct {
 type resourceSlot struct {
 	pe    arch.PEID
 	start int64
-	act   int // position in the trace's activations
+	act   int // position in the scratch's activations
 }
 
-// run is RunSubgraph reusing the scratch buffers.
-func (sc *scratch) run(sub *cpg.Subgraph, a *arch.Architecture, tbl *table.Table) (*Trace, error) {
+// scratchPool recycles the workers' scratches across WorstCaseSubgraphs
+// calls.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// run re-enacts one path into tr (its label, delay and violations), leaving
+// the activations in sc.acts.
+func (sc *scratch) run(tr *Trace, sub *cpg.Subgraph, a *arch.Architecture, tbl *table.Table) error {
 	if sub == nil || a == nil || tbl == nil {
-		return nil, errors.New("sim: nil argument")
+		return errors.New("sim: nil argument")
 	}
 	g := sub.G
 	label := sub.Label
 	active := sub.ActiveProcs()
 	decided := sub.DecidedConds()
 	np := g.NumProcs()
-	tr := &Trace{
-		Label:       label,
-		Activations: make([]Activation, 0, len(active)+len(decided)),
-	}
+	tr.Label = label
+	sc.acts = slices.Grow(sc.acts[:0], len(active)+len(decided))
 	if len(sc.pos) < sched.NumSlots(np) {
 		sc.pos = make([]int32, sched.NumSlots(np))
 	}
 	pos := sc.pos
 	activate := func(k sched.Key, start, end int64) {
-		tr.Activations = append(tr.Activations, Activation{Key: k, Start: start, End: end})
-		pos[k.Slot(np)] = int32(len(tr.Activations))
+		sc.acts = append(sc.acts, Activation{Key: k, Start: start, End: end})
+		pos[k.Slot(np)] = int32(len(sc.acts))
 	}
 	activation := func(k sched.Key) (Activation, bool) {
 		if i := pos[k.Slot(np)]; i != 0 {
-			return tr.Activations[i-1], true
+			return sc.acts[i-1], true
 		}
 		return Activation{}, false
 	}
@@ -281,8 +296,8 @@ func (sc *scratch) run(sub *cpg.Subgraph, a *arch.Architecture, tbl *table.Table
 	if sc.buses = a.AppendBroadcastBuses(sc.buses[:0]); len(sc.buses) == 1 {
 		bcastBus = sc.buses[0]
 	}
-	sc.slots = slices.Grow(sc.slots[:0], len(tr.Activations))
-	for i, act := range tr.Activations {
+	sc.slots = slices.Grow(sc.slots[:0], len(sc.acts))
+	for i, act := range sc.acts {
 		pe := bcastBus
 		if !act.Key.IsCond {
 			pe = g.Process(act.Key.Proc).PE
@@ -298,7 +313,7 @@ func (sc *scratch) run(sub *cpg.Subgraph, a *arch.Architecture, tbl *table.Table
 		group := sc.byPE[sc.groupStart[pe]:sc.groupStart[pe+1]]
 		slices.SortFunc(group, func(x, y resourceSlot) int { return cmp.Compare(x.start, y.start) })
 		for i := 1; i < len(group); i++ {
-			prev, cur := tr.Activations[group[i-1].act], tr.Activations[group[i].act]
+			prev, cur := sc.acts[group[i-1].act], sc.acts[group[i].act]
 			if prev.End > cur.Start {
 				addViolation(cur.Key, "overlaps %s on sequential element %s", prev.Key, peName(a, group[i].pe))
 			}
@@ -307,13 +322,13 @@ func (sc *scratch) run(sub *cpg.Subgraph, a *arch.Architecture, tbl *table.Table
 
 	// Delay: completion time of the last active process. Clear the
 	// position index for the next run on the way.
-	for _, act := range tr.Activations {
+	for _, act := range sc.acts {
 		if !act.Key.IsCond && act.End > tr.Delay {
 			tr.Delay = act.End
 		}
 		pos[act.Key.Slot(np)] = 0
 	}
-	return tr, nil
+	return nil
 }
 
 // groupByPE fills byPE and groupStart from slots with a counting sort over
@@ -370,14 +385,23 @@ func WorstCase(g *cpg.Graph, a *arch.Architecture, tbl *table.Table, paths []*cp
 // WorstCaseSubgraphs re-enacts every alternative path, given the prebuilt
 // active subgraphs, over a bounded worker pool (0 = GOMAXPROCS, 1 =
 // sequential). Traces, the worst-case delay and the violations are collected
-// in path order, so the result is identical for every worker count.
+// in path order, so the result is identical for every worker count. The
+// traces carry no activations.
 func WorstCaseSubgraphs(a *arch.Architecture, tbl *table.Table, subs []*cpg.Subgraph, workers int) (*Result, error) {
+	backing := make([]Trace, len(subs))
 	traces := make([]*Trace, len(subs))
 	errs := make([]error, len(subs))
-	scratches := make([]scratch, pool.Clamp(len(subs), workers))
+	scratches := make([]*scratch, pool.Clamp(len(subs), workers))
+	for w := range scratches {
+		scratches[w] = scratchPool.Get().(*scratch)
+	}
 	pool.ForEachIndexWorker(len(subs), workers, func(worker, i int) {
-		traces[i], errs[i] = scratches[worker].run(subs[i], a, tbl)
+		traces[i] = &backing[i]
+		errs[i] = scratches[worker].run(traces[i], subs[i], a, tbl)
 	})
+	for _, sc := range scratches {
+		scratchPool.Put(sc)
+	}
 	res := &Result{Traces: traces}
 	for i, tr := range traces {
 		if errs[i] != nil {
