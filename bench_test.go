@@ -349,10 +349,10 @@ func BenchmarkListschedInner(b *testing.B) {
 	}
 }
 
-// BenchmarkValidateParallel measures the validation stage — structural table
-// validation plus the per-path re-enactment of the simulator — over a growing
-// worker pool, reusing the subgraphs built during path scheduling exactly as
-// core.Schedule does.
+// BenchmarkValidateParallel measures the validation stage as core.Schedule
+// runs it — the row checks of the table, then the per-path re-enactment of
+// the simulator over a growing worker pool — reusing the subgraphs built
+// during path scheduling.
 func BenchmarkValidateParallel(b *testing.B) {
 	inst, err := gen.Generate(gen.Config{Seed: 42, Nodes: 120, TargetPaths: 32, Processors: 8, Hardware: 1, Buses: 4})
 	if err != nil {
@@ -362,15 +362,11 @@ func BenchmarkValidateParallel(b *testing.B) {
 	if err != nil {
 		b.Fatalf("Schedule: %v", err)
 	}
-	paths, err := inst.Graph.AlternativePaths(0)
-	if err != nil {
-		b.Fatalf("AlternativePaths: %v", err)
-	}
 	for _, w := range sweepWorkerCounts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if v := res.Table.ValidateParallel(inst.Graph, paths, w); len(v) != 0 {
+				if v := res.Table.Validate(inst.Graph); len(v) != 0 {
 					b.Fatalf("unexpected violations: %v", v)
 				}
 				simRes, err := sim.WorstCaseSubgraphs(inst.Arch, res.Table, res.Subgraphs, w)

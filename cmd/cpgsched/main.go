@@ -132,11 +132,8 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "deltaMax = %d (increase %.2f%%)\n", res.DeltaMax, res.IncreasePercent())
 	fmt.Fprintf(out, "deterministic = %v\n", res.Deterministic())
 	if !res.Deterministic() {
-		for _, v := range res.TableViolations {
-			fmt.Fprintf(out, "  table violation: %s\n", v)
-		}
-		for _, v := range res.SimViolations {
-			fmt.Fprintf(out, "  simulation violation: %s\n", v)
+		for _, v := range res.Violations {
+			fmt.Fprintf(out, "  violation: %s\n", v)
 		}
 	}
 	if *csvOut != "" {

@@ -99,8 +99,8 @@ func evalAll(t *testing.T, mode Mode, labels []string) map[string]int64 {
 			t.Fatalf("Evaluate(mode %d, %s): %v", mode, l, err)
 		}
 		if !ev.Result.Deterministic() {
-			t.Fatalf("mode %d on %s produced a non-deterministic table: %v %v",
-				mode, l, ev.Result.TableViolations, ev.Result.SimViolations)
+			t.Fatalf("mode %d on %s produced a non-deterministic table: %v",
+				mode, l, ev.Result.Violations)
 		}
 		out[l] = ev.Delay
 	}

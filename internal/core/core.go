@@ -234,12 +234,13 @@ type Result struct {
 	DeltaM int64
 	// DeltaMax is the worst-case delay of the generated table.
 	DeltaMax int64
-	// Violations collects the findings of the structural table validation
-	// and of the execution simulator; an empty slice means the table is
+	// Violations lists the findings of the one check of the table, each
+	// once: the row checks of table.Validate (requirements 1 and 2), then,
+	// path by path, those of the re-enactment in package sim (requirements
+	// 3 and 4, dependencies and overlaps). An empty list means the table is
 	// logically and temporally deterministic.
-	TableViolations []table.Violation
-	SimViolations   []sim.Violation
-	Stats           Stats
+	Violations []table.Violation
+	Stats      Stats
 }
 
 // IncreasePercent returns 100*(δmax-δM)/δM, the metric of Fig. 5.
@@ -251,9 +252,7 @@ func (r *Result) IncreasePercent() float64 {
 }
 
 // Deterministic reports whether no violation was found.
-func (r *Result) Deterministic() bool {
-	return len(r.TableViolations) == 0 && len(r.SimViolations) == 0
-}
+func (r *Result) Deterministic() bool { return len(r.Violations) == 0 }
 
 // RowName renders a row key with the process and condition names of the
 // graph, for use with table.RenderOptions.
@@ -437,9 +436,9 @@ func schedulePhased(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt
 		return nil, err
 	}
 
-	// Evaluate the table: structural validation and per-path re-enactment
-	// run on the same worker pool as the path scheduling, reusing the
-	// subgraphs built there instead of re-extracting them per path.
+	// Evaluate the table: the row checks, then the per-path re-enactment on
+	// the same worker pool as the path scheduling, reusing the subgraphs
+	// built there instead of re-extracting them per path.
 	res := &Result{
 		Graph:     g,
 		Arch:      a,
@@ -459,14 +458,14 @@ func schedulePhased(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt
 	}
 	//lint:allow nowallclock phase telemetry reported via Stats; never part of the table output or any hash
 	tValidate := time.Now()
-	res.TableViolations = m.tbl.ValidateParallel(g, paths, validateWorkers)
+	res.Violations = m.tbl.Validate(g)
 	simRes, err := sim.WorstCaseSubgraphs(a, m.tbl, subgraphs, validateWorkers)
 	if err != nil {
 		return nil, err
 	}
 	res.Stats.ValidationTime = time.Since(tValidate)
 	res.DeltaMax = simRes.DeltaMax
-	res.SimViolations = simRes.Violations
+	res.Violations = append(res.Violations, simRes.Violations...)
 	for i, p := range paths {
 		res.Paths = append(res.Paths, PathResult{
 			Label:        p.Label,

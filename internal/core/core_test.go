@@ -95,7 +95,7 @@ func TestScheduleDiamond(t *testing.T) {
 		t.Fatalf("paths = %d, want 2", len(res.Paths))
 	}
 	if !res.Deterministic() {
-		t.Fatalf("diamond table must be deterministic: %v %v", res.TableViolations, res.SimViolations)
+		t.Fatalf("diamond table must be deterministic: %v", res.Violations)
 	}
 	// Longest path: !C with 2+5+1 = 8; shortest: 2+3+1 = 6.
 	if res.DeltaM != 8 {
@@ -157,7 +157,7 @@ func TestScheduleCrossProblemDeterministic(t *testing.T) {
 		t.Fatalf("paths = %d, want 3 (C&K, C&!K, !C)", len(res.Paths))
 	}
 	if !res.Deterministic() {
-		t.Fatalf("table not deterministic:\ntable: %v\nsim: %v", res.TableViolations, res.SimViolations)
+		t.Fatalf("table not deterministic:\n%v", res.Violations)
 	}
 	if res.DeltaMax < res.DeltaM || res.DeltaM <= 0 {
 		t.Fatalf("delays inconsistent: δM=%d δmax=%d", res.DeltaM, res.DeltaMax)
@@ -207,7 +207,7 @@ func TestPathSelectionAblations(t *testing.T) {
 			t.Fatalf("Schedule(%v): %v", sel, err)
 		}
 		if !res.Deterministic() {
-			t.Fatalf("selection %v produced a non-deterministic table: %v %v", sel, res.TableViolations, res.SimViolations)
+			t.Fatalf("selection %v produced a non-deterministic table: %v", sel, res.Violations)
 		}
 		if res.DeltaMax < res.DeltaM {
 			t.Fatalf("selection %v: δmax < δM", sel)
@@ -275,7 +275,7 @@ func TestScheduleWithSpeedScaledProcessors(t *testing.T) {
 		t.Fatalf("Schedule: %v", err)
 	}
 	if !res.Deterministic() {
-		t.Fatalf("violations: %v %v", res.TableViolations, res.SimViolations)
+		t.Fatalf("violations: %v", res.Violations)
 	}
 	// Path !C keeps everything on the slow processor: 4 + 8 = 12.
 	// Path C sends data to the fast processor: 4 + 1 (comm) + 4 = 9 at
@@ -357,7 +357,7 @@ func TestScheduleWideProblem(t *testing.T) {
 			t.Fatalf("paths = %d, want 8", len(res.Paths))
 		}
 		if !res.Deterministic() {
-			t.Fatalf("%d processors: violations:\n%v\n%v", procs, res.TableViolations, res.SimViolations)
+			t.Fatalf("%d processors: violations:\n%v", procs, res.Violations)
 		}
 		if res.DeltaMax < res.DeltaM {
 			t.Fatalf("δmax < δM with %d processors", procs)

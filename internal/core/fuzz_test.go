@@ -58,15 +58,16 @@ func warmRoundTrip(t *testing.T, cfg gen.Config, strategy string, prev *Result) 
 }
 
 // FuzzMergeRequirements drives whole randomly generated problems through the
-// full pipeline — generation, per-path scheduling under every
-// strategy, schedule merging — and asserts the merged table always satisfies
-// the requirements of section 3 of the paper: requirements 1-3 via the
-// structural validator (table.Validate) and requirement 4 via the execution
-// simulator, both already folded into Result. This is the merger complement
-// of FuzzGenerateDeterminism and FuzzCube: whatever instance the fuzzer
-// invents and whichever strategy shaped the per-path schedules, the merge
-// must produce a logically and temporally deterministic table. Each result
-// also goes through checkReuseRule, the property of the merge's reuse rule.
+// full pipeline — generation, per-path scheduling under every strategy,
+// schedule merging — and asserts the merged table always satisfies the
+// requirements of section 3 of the paper: Result.Violations, the row checks
+// of table.Validate (requirements 1 and 2) and the re-enactment of package
+// sim (requirements 3 and 4, dependencies and overlaps), must be empty. This
+// is the merger complement of FuzzGenerateDeterminism and FuzzCube: whatever
+// instance the fuzzer invents and whichever strategy shaped the per-path
+// schedules, the merge must produce a logically and temporally deterministic
+// table. Each result also goes through checkReuseRule, the property of the
+// merge's reuse rule.
 // Run with `go test -fuzz FuzzMergeRequirements ./internal/core`.
 func FuzzMergeRequirements(f *testing.F) {
 	// Seed corpus drawn from the structural parameters of the gen configs
@@ -102,11 +103,8 @@ func FuzzMergeRequirements(f *testing.F) {
 			if err != nil {
 				t.Fatalf("Schedule(%+v, strategy=%s): %v", cfg, name, err)
 			}
-			if len(res.TableViolations) != 0 {
-				t.Fatalf("strategy %s on %+v: requirements 1-3 violated:\n%v", name, cfg, res.TableViolations)
-			}
-			if len(res.SimViolations) != 0 {
-				t.Fatalf("strategy %s on %+v: requirement 4 violated:\n%v", name, cfg, res.SimViolations)
+			if len(res.Violations) != 0 {
+				t.Fatalf("strategy %s on %+v: table violations:\n%v", name, cfg, res.Violations)
 			}
 			if res.DeltaMax < res.DeltaM {
 				t.Fatalf("strategy %s on %+v: δmax %d below δM %d", name, cfg, res.DeltaMax, res.DeltaM)

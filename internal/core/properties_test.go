@@ -37,7 +37,7 @@ func TestPropertyTablesDeterministicOnRandomGraphs(t *testing.T) {
 			t.Fatalf("Schedule(%+v): %v", cfg, err)
 		}
 		if !res.Deterministic() {
-			t.Fatalf("instance %d (seed %d) not deterministic:\n%v\n%v", i, cfg.Seed, res.TableViolations, res.SimViolations)
+			t.Fatalf("instance %d (seed %d) not deterministic:\n%v", i, cfg.Seed, res.Violations)
 		}
 		if res.DeltaMax < res.DeltaM {
 			t.Fatalf("instance %d: δmax < δM", i)
@@ -112,8 +112,8 @@ func TestBroadcastRowsComeAfterDeciders(t *testing.T) {
 			if !p.IsActive(cd.Decider) {
 				continue
 			}
-			bcast := res.Table.Applicable(sched.CondKey(cd.ID), p.Label)
-			dec := res.Table.Applicable(sched.ProcKey(cd.Decider), p.Label)
+			bcast := res.Table.AppendApplicable(nil, sched.CondKey(cd.ID), p.Label)
+			dec := res.Table.AppendApplicable(nil, sched.ProcKey(cd.Decider), p.Label)
 			if len(bcast) == 0 || len(dec) == 0 {
 				t.Fatalf("missing coverage for condition %s on path %v", cd.Name, p.Label)
 			}
@@ -141,7 +141,7 @@ func TestTableRowsCoverExactlyTheActiveProcesses(t *testing.T) {
 			if proc.IsDummy() {
 				continue
 			}
-			app := res.Table.Applicable(sched.ProcKey(proc.ID), p.Label)
+			app := res.Table.AppendApplicable(nil, sched.ProcKey(proc.ID), p.Label)
 			if p.IsActive(proc.ID) && len(app) == 0 {
 				t.Fatalf("active process %s has no activation time on %v", proc.Name, p.Label)
 			}

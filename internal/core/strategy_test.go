@@ -70,8 +70,8 @@ func TestStrategyDifferential(t *testing.T) {
 					t.Fatalf("instance %d strategy %s workers %d: %v", ci, name, w, err)
 				}
 				if !res.Deterministic() {
-					t.Fatalf("instance %d strategy %s: table not deterministic:\n%v\n%v",
-						ci, name, res.TableViolations, res.SimViolations)
+					t.Fatalf("instance %d strategy %s: table not deterministic:\n%v",
+						ci, name, res.Violations)
 				}
 				if wi == 0 {
 					text = renderTable(res)

@@ -63,7 +63,7 @@ func TestScheduleWarmByteIdentical(t *testing.T) {
 					warm.DeltaM, warm.DeltaMax, cold.DeltaM, cold.DeltaMax)
 			}
 			if !warm.Deterministic() {
-				t.Fatalf("warm result has violations: %v %v", warm.TableViolations, warm.SimViolations)
+				t.Fatalf("warm result has violations: %v", warm.Violations)
 			}
 		})
 	}

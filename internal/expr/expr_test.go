@@ -87,7 +87,7 @@ func TestRunFigure1(t *testing.T) {
 	}
 	res := r.Result
 	if !res.Deterministic() {
-		t.Fatalf("figure 1 table not deterministic: %v %v", res.TableViolations, res.SimViolations)
+		t.Fatalf("figure 1 table not deterministic: %v", res.Violations)
 	}
 	if len(r.PathDelays) != 6 {
 		t.Fatalf("path delays = %d, want 6", len(r.PathDelays))

@@ -72,7 +72,7 @@ func TestScheduleWarmStartTauEdit(t *testing.T) {
 		t.Fatalf("warm run should have reused at least one path schedule")
 	}
 	if !warm.Deterministic() {
-		t.Fatalf("warm result has violations: %v %v", warm.TableViolations, warm.SimViolations)
+		t.Fatalf("warm result has violations: %v", warm.Violations)
 	}
 	if st := svc.Stats(); st.WarmStarts != 1 {
 		t.Fatalf("WarmStarts = %d, want 1", st.WarmStarts)

@@ -2,17 +2,22 @@
 // a given combination of condition values it reads the schedule table,
 // activates every active process at the activation time found in the
 // applicable column and checks that the execution is deterministic and
-// feasible:
+// feasible. It is the only per-path check of a table (table.Validate checks
+// the rows), and it resolves each row once per path:
 //
-//   - every active process (and condition broadcast) has exactly one
-//     applicable activation time (requirements 2 and 3);
+//   - requirement 3 holds: every active process (and condition broadcast)
+//     has an applicable activation time, and all of them agree;
 //   - data dependencies are respected (a process starts only after all of its
-//     active predecessors terminated);
+//     active predecessors terminated, a broadcast after its disjunction
+//     process);
 //   - sequential resources (processors, buses, memories) never execute two
 //     activities at the same time;
 //   - requirement 4 holds: the column expression used to activate a process
 //     only contains condition values that are known, at the activation time,
-//     on the processing element executing it.
+//     on the processing element executing it. The column is the longest
+//     applicable one, found while resolving the row.
+//
+// Each finding is one table.Violation, reported once.
 //
 // The worst-case delay δmax of a schedule table is the largest completion
 // time over all alternative paths. The per-path re-enactments are
@@ -47,17 +52,6 @@ import (
 	"repro/internal/table"
 )
 
-// Violation describes one problem found while re-enacting a path.
-type Violation struct {
-	Path   cond.Cube
-	Key    sched.Key
-	Reason string
-}
-
-func (v Violation) String() string {
-	return fmt.Sprintf("path %s, %s: %s", v.Path, v.Key, v.Reason)
-}
-
 // Activation is one activity of a re-enactment: the process or broadcast
 // and the interval it executes in.
 type Activation struct {
@@ -71,12 +65,12 @@ type Trace struct {
 	// Activations lists every activated activity: the processes in the
 	// topological order of the path, then the condition broadcasts by
 	// condition. Traces of Run and RunSubgraph carry them; those of
-	// WorstCase and WorstCaseSubgraphs leave them nil.
+	// WorstCaseSubgraphs leave them nil.
 	Activations []Activation
 	// Delay is the completion time of the path (activation time of the
 	// sink, i.e. the time the last active process terminates).
 	Delay      int64
-	Violations []Violation
+	Violations []table.Violation
 }
 
 // OK reports whether the trace is free of violations.
@@ -106,13 +100,15 @@ func RunSubgraph(sub *cpg.Subgraph, a *arch.Architecture, tbl *table.Table) (*Tr
 }
 
 // scratch holds the buffers of one re-enactment, reused by the next: the
-// activations, the position index, the applicable table entries, the
-// broadcast buses and the resource slots with their counting sort. A
-// re-enactment with a warm scratch allocates only the text of any violation.
-// A scratch is not safe for concurrent use.
+// activations with their columns, the position index, the applicable table
+// entries, the broadcast buses and the resource slots with their counting
+// sort. A re-enactment with a warm scratch allocates only the text of any
+// violation. A scratch is not safe for concurrent use.
 type scratch struct {
-	// acts lists the activations of the last run.
+	// acts lists the activations of the last run, and cols the column each
+	// was resolved under, at the same positions.
 	acts []Activation
+	cols []cond.Cube
 	// pos maps the dense activity index to 1 + the position of the key's
 	// activation in acts, 0 for an activity that was not activated; it is
 	// all zero between runs.
@@ -152,12 +148,14 @@ func (sc *scratch) run(tr *Trace, sub *cpg.Subgraph, a *arch.Architecture, tbl *
 	np := g.NumProcs()
 	tr.Label = label
 	sc.acts = slices.Grow(sc.acts[:0], len(active)+len(decided))
+	sc.cols = slices.Grow(sc.cols[:0], len(active)+len(decided))
 	if len(sc.pos) < sched.NumSlots(np) {
 		sc.pos = make([]int32, sched.NumSlots(np))
 	}
 	pos := sc.pos
-	activate := func(k sched.Key, start, end int64) {
+	activate := func(k sched.Key, start, end int64, col cond.Cube) {
 		sc.acts = append(sc.acts, Activation{Key: k, Start: start, End: end})
+		sc.cols = append(sc.cols, col)
 		pos[k.Slot(np)] = int32(len(sc.acts))
 	}
 	activation := func(k sched.Key) (Activation, bool) {
@@ -167,26 +165,34 @@ func (sc *scratch) run(tr *Trace, sub *cpg.Subgraph, a *arch.Architecture, tbl *
 		return Activation{}, false
 	}
 
-	addViolation := func(k sched.Key, format string, args ...interface{}) {
-		tr.Violations = append(tr.Violations, Violation{Path: label, Key: k, Reason: fmt.Sprintf(format, args...)})
+	addViolation := func(kind table.Kind, k sched.Key, format string, args ...interface{}) {
+		tr.Violations = append(tr.Violations, table.PathViolation(g, kind, label, k, fmt.Sprintf(format, args...)))
 	}
 
-	// Resolve the activation time of a key from the table, collecting the
-	// applicable entries in the scratch buffer.
-	resolve := func(k sched.Key) (int64, bool) {
+	// resolve reads the row of k once: the activation time is the earliest
+	// applicable one, and the column is the longest applicable expression,
+	// the one requirement 4 checks. A row without an applicable time, or
+	// with applicable times that disagree, fails requirement 3.
+	resolve := func(k sched.Key) (int64, cond.Cube, bool) {
 		sc.app = tbl.AppendApplicable(sc.app[:0], k, label)
 		app := sc.app
 		if len(app) == 0 {
-			addViolation(k, "no applicable activation time (requirement 3)")
-			return 0, false
+			addViolation(table.Requirement3, k, "no applicable activation time")
+			return 0, cond.Cube{}, false
 		}
-		first := app[0]
+		// Rows are sorted by start time, so the applicable times agree iff
+		// the first and the last do.
+		first, last := app[0].Start, app[len(app)-1].Start
+		if first != last {
+			addViolation(table.Requirement3, k, "ambiguous activation times %d and %d", first, last)
+		}
+		col := app[0].Expr
 		for _, e := range app[1:] {
-			if e.Start != first.Start {
-				addViolation(k, "ambiguous activation times %d and %d (requirement 2)", first.Start, e.Start)
+			if e.Expr.Len() > col.Len() {
+				col = e.Expr
 			}
 		}
-		return first.Start, true
+		return first, col, true
 	}
 
 	// Activate processes.
@@ -196,11 +202,11 @@ func (sc *scratch) run(tr *Trace, sub *cpg.Subgraph, a *arch.Architecture, tbl *
 			continue
 		}
 		k := sched.ProcKey(p)
-		start, ok := resolve(k)
+		start, col, ok := resolve(k)
 		if !ok {
 			continue
 		}
-		activate(k, start, start+a.EffectiveExec(proc.Exec, proc.PE))
+		activate(k, start, start+a.EffectiveExec(proc.Exec, proc.PE), col)
 	}
 	// Activate condition broadcasts (when present in the table). A
 	// condition without a decider activation keeps deciderEnd 0; hasBcast
@@ -219,15 +225,16 @@ func (sc *scratch) run(tr *Trace, sub *cpg.Subgraph, a *arch.Architecture, tbl *
 			hasBcast |= 1 << uint(c)
 			continue
 		}
-		start, ok := resolve(k)
+		start, col, ok := resolve(k)
 		if !ok {
 			continue
 		}
-		activate(k, start, start+a.CondTime)
+		activate(k, start, start+a.CondTime, col)
 		broadcastEnd[c] = start + a.CondTime
 		hasBcast |= 1 << uint(c)
 		if start < deciderEnd[c] {
-			addViolation(k, "broadcast starts at %d before the disjunction process terminates at %d", start, deciderEnd[c])
+			addViolation(table.Dependency, k, "starts at %d before its disjunction process %s terminates at %d",
+				start, g.Process(def.Decider).Name, deciderEnd[c])
 		}
 	}
 
@@ -250,11 +257,11 @@ func (sc *scratch) run(tr *Trace, sub *cpg.Subgraph, a *arch.Architecture, tbl *
 			continue
 		}
 		k := sched.ProcKey(p)
-		act, ok := activation(k)
-		if !ok {
+		i := pos[k.Slot(np)]
+		if i == 0 {
 			continue
 		}
-		start := act.Start
+		start := sc.acts[i-1].Start
 		for _, q := range sub.Preds(p) {
 			if g.Process(q).IsDummy() {
 				continue
@@ -264,25 +271,17 @@ func (sc *scratch) run(tr *Trace, sub *cpg.Subgraph, a *arch.Architecture, tbl *
 				continue
 			}
 			if start < qAct.End {
-				addViolation(k, "starts at %d before predecessor %s terminates at %d", start, g.Process(q).Name, qAct.End)
+				addViolation(table.Dependency, k, "starts at %d before predecessor %s terminates at %d", start, g.Process(q).Name, qAct.End)
 			}
 		}
-		// Requirement 4: every condition of the applicable column must be
-		// known on the executing processing element at the start time.
-		sc.app = tbl.AppendApplicable(sc.app[:0], k, label)
-		if app := sc.app; len(app) > 0 {
-			expr := app[0].Expr
-			for _, e := range app {
-				if e.Expr.Len() > expr.Len() {
-					expr = e.Expr
-				}
-			}
-			for m := expr.Mask(); m != 0; m &= m - 1 {
-				x := cond.Cond(bits.TrailingZeros64(m))
-				if at := knownAt(x, proc.PE); start < at {
-					addViolation(k, "activation at %d uses condition %s which is known on %s only at %d (requirement 4)",
-						start, g.CondName(x), peName(a, proc.PE), at)
-				}
+		// Requirement 4: every condition of the column the activation was
+		// resolved under must be known on the executing processing element
+		// at the start time.
+		for m := sc.cols[i-1].Mask(); m != 0; m &= m - 1 {
+			x := cond.Cond(bits.TrailingZeros64(m))
+			if at := knownAt(x, proc.PE); start < at {
+				addViolation(table.Requirement4, k, "activation at %d uses condition %s which is known on %s only at %d",
+					start, g.CondName(x), peName(a, proc.PE), at)
 			}
 		}
 	}
@@ -315,7 +314,8 @@ func (sc *scratch) run(tr *Trace, sub *cpg.Subgraph, a *arch.Architecture, tbl *
 		for i := 1; i < len(group); i++ {
 			prev, cur := sc.acts[group[i-1].act], sc.acts[group[i].act]
 			if prev.End > cur.Start {
-				addViolation(cur.Key, "overlaps %s on sequential element %s", prev.Key, peName(a, group[i].pe))
+				addViolation(table.Overlap, cur.Key, "overlaps %s on sequential element %s",
+					table.ActivityName(g, prev.Key), peName(a, group[i].pe))
 			}
 		}
 	}
@@ -365,21 +365,8 @@ type Result struct {
 	Traces []*Trace
 	// DeltaMax is the worst-case delay over all paths.
 	DeltaMax int64
-	// Violations collects the violations of all traces.
-	Violations []Violation
-}
-
-// OK reports whether no path produced a violation.
-func (r *Result) OK() bool { return len(r.Violations) == 0 }
-
-// WorstCase re-enacts every alternative path sequentially and returns the
-// worst-case delay together with the per-path traces.
-func WorstCase(g *cpg.Graph, a *arch.Architecture, tbl *table.Table, paths []*cpg.Path) (*Result, error) {
-	subs := make([]*cpg.Subgraph, len(paths))
-	for i, p := range paths {
-		subs[i] = g.Subgraph(p)
-	}
-	return WorstCaseSubgraphs(a, tbl, subs, 1)
+	// Violations collects the violations of all traces, in path order.
+	Violations []table.Violation
 }
 
 // WorstCaseSubgraphs re-enacts every alternative path, given the prebuilt

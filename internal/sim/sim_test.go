@@ -146,16 +146,27 @@ func TestRunCleanExecution(t *testing.T) {
 	if _, ok := activation(trFalse, sched.ProcKey(ids["T"])); ok {
 		t.Fatalf("inactive process T must not be activated on path !C")
 	}
+	// The broadcast row has one unconditional time, which applies on both
+	// paths.
+	for _, tr := range []*Trace{trTrue, trFalse} {
+		if act, ok := activation(tr, sched.CondKey(c)); !ok || act.Start != 3 || act.End != 4 {
+			t.Fatalf("path %v: broadcast activation %+v, %v, want [3, 4)", tr.Label, act, ok)
+		}
+	}
 }
 
 func TestWorstCase(t *testing.T) {
 	g, a, ids, c, paths := fixture(t)
 	tbl := goodTable(g, ids, c)
-	res, err := WorstCase(g, a, tbl, paths)
-	if err != nil {
-		t.Fatalf("WorstCase: %v", err)
+	subs := make([]*cpg.Subgraph, len(paths))
+	for i, p := range paths {
+		subs[i] = g.Subgraph(p)
 	}
-	if !res.OK() {
+	res, err := WorstCaseSubgraphs(a, tbl, subs, 1)
+	if err != nil {
+		t.Fatalf("WorstCaseSubgraphs: %v", err)
+	}
+	if len(res.Violations) != 0 {
 		t.Fatalf("violations: %v", res.Violations)
 	}
 	if res.DeltaMax != 13 {
@@ -166,34 +177,40 @@ func TestWorstCase(t *testing.T) {
 	}
 }
 
+// TestMissingCoverageDetected leaves F, active only on path !C, without an
+// activation time there in two ways: without a row, and with its only entry
+// in column C, which never applies on !C. Either way path !C has exactly one
+// requirement-3 finding, and path C none.
 func TestMissingCoverageDetected(t *testing.T) {
 	g, a, ids, c, paths := fixture(t)
 	tbl := goodTable(g, ids, c)
-	// Build a table without an entry for F: path !C has no applicable time.
-	bad := table.New(g.NumProcs())
-	for _, k := range tbl.Keys() {
-		if k == sched.ProcKey(ids["F"]) {
-			continue
+	for _, dropRow := range []bool{true, false} {
+		bad := table.New(g.NumProcs())
+		for _, k := range tbl.KeysView() {
+			for _, e := range tbl.RowView(k) {
+				if k == sched.ProcKey(ids["F"]) {
+					if dropRow {
+						continue
+					}
+					e.Expr = cond.MustCube(cond.Lit{Cond: c, Val: true})
+				}
+				_ = bad.Place(k, e.Expr, e.Start)
+			}
 		}
-		for _, e := range tbl.Row(k) {
-			_ = bad.Place(k, e.Expr, e.Start)
+		for _, val := range []bool{true, false} {
+			tr, err := Run(g, a, bad, pathWith(t, paths, c, val))
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			var want []table.Violation
+			if !val {
+				want = []table.Violation{{Kind: table.Requirement3, Path: tr.Label, Key: sched.ProcKey(ids["F"]),
+					Text: "path !C, F: requirement 3: no applicable activation time"}}
+			}
+			if !slices.Equal(tr.Violations, want) {
+				t.Fatalf("row dropped %v, path %v: violations %v, want %v", dropRow, tr.Label, tr.Violations, want)
+			}
 		}
-	}
-	tr, err := Run(g, a, bad, pathWith(t, paths, c, false))
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if tr.OK() {
-		t.Fatalf("missing coverage must be reported")
-	}
-	found := false
-	for _, v := range tr.Violations {
-		if v.Key == sched.ProcKey(ids["F"]) {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("violation should mention the uncovered process: %v", tr.Violations)
 	}
 }
 
@@ -218,7 +235,7 @@ func TestDependencyViolationDetected(t *testing.T) {
 	}
 	found := false
 	for _, v := range tr.Violations {
-		if v.Key == sched.ProcKey(ids["J"]) {
+		if v.Key == sched.ProcKey(ids["J"]) && v.Kind == table.Dependency {
 			found = true
 		}
 	}
@@ -248,7 +265,7 @@ func TestRequirement4ViolationDetected(t *testing.T) {
 	}
 	req4 := false
 	for _, v := range tr.Violations {
-		if v.Key == sched.ProcKey(ids["T"]) {
+		if v.Key == sched.ProcKey(ids["T"]) && v.Kind == table.Requirement4 {
 			req4 = true
 		}
 	}
@@ -277,7 +294,7 @@ func TestResourceOverlapDetected(t *testing.T) {
 	}
 	overlap := false
 	for _, v := range tr.Violations {
-		if v.Key == sched.ProcKey(ids["F"]) {
+		if v.Key == sched.ProcKey(ids["F"]) && v.Kind == table.Overlap {
 			overlap = true
 		}
 	}
@@ -297,7 +314,7 @@ func TestAmbiguousActivationDetected(t *testing.T) {
 	}
 	ambiguous := false
 	for _, v := range tr.Violations {
-		if v.Key == sched.ProcKey(ids["D"]) {
+		if v.Key == sched.ProcKey(ids["D"]) && v.Kind == table.Requirement3 {
 			ambiguous = true
 		}
 	}

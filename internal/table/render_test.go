@@ -32,9 +32,6 @@ func renderReference(t *table.Table, opt table.RenderOptions) string {
 	rows := [][]string{header}
 	for _, k := range t.Keys() {
 		entries := t.Row(k)
-		if opt.SkipEmptyRows && len(entries) == 0 {
-			continue
-		}
 		row := make([]string, len(cols)+1)
 		row[0] = name(k)
 		for i, c := range cols {
@@ -103,8 +100,7 @@ func scheduled(t *testing.T, nodes, paths int, seed int64) (*table.Table, table.
 
 // TestRenderMatchesReference compares Render with the fmt rendering on
 // scheduled tables and on random tables whose names mix ASCII, multi-byte
-// runes and invalid UTF-8, with and without empty rows, default names and
-// SkipEmptyRows.
+// runes and invalid UTF-8, with and without default names.
 func TestRenderMatchesReference(t *testing.T) {
 	check := func(label string, tbl *table.Table, opt table.RenderOptions) {
 		t.Helper()
@@ -126,7 +122,6 @@ func TestRenderMatchesReference(t *testing.T) {
 			if r.Intn(4) == 0 {
 				key = sched.CondKey(cond.Cond(k))
 			}
-			tbl.EnsureRow(key)
 			for n := r.Intn(5); n > 0; n-- {
 				c := cond.True()
 				for x := 0; x < 3; x++ {
@@ -145,7 +140,7 @@ func TestRenderMatchesReference(t *testing.T) {
 		for x := cond.Cond(0); x < 3; x++ {
 			condNames[x] = pick(0)
 		}
-		opt := table.RenderOptions{SkipEmptyRows: r.Intn(2) == 0}
+		var opt table.RenderOptions
 		if r.Intn(3) > 0 {
 			opt.Namer = func(c cond.Cond) string { return condNames[c] }
 			opt.RowName = func(k sched.Key) string { return rowNames[k] }

@@ -6,9 +6,10 @@
 // column whose expression matches the condition values it currently knows.
 //
 // The package offers placement with conflict detection (requirement 2 of
-// section 3 of the paper), structural validation of requirements 1–3 (the
-// per-path part optionally fanned over a worker pool) and a text rendering in
-// the style of Table 1.
+// section 3 of the paper), the row checks of requirements 1 and 2, the one
+// violation type of every table check and a text rendering in the style of
+// Table 1. The per-path requirements are checked by the re-enactment of
+// package sim, the only per-path check of a table.
 //
 // Rows sit in a slice indexed by the dense activity index of package sched
 // (sched.Key.Slot) and keep their entries sorted by (activation time,
@@ -27,7 +28,6 @@ import (
 
 	"repro/internal/cond"
 	"repro/internal/cpg"
-	"repro/internal/pool"
 	"repro/internal/sched"
 )
 
@@ -45,7 +45,7 @@ type row struct {
 }
 
 // Table is a schedule table under construction or completed. Mutating methods
-// are not safe for concurrent use (the read-only validation fan-out is).
+// are not safe for concurrent use; concurrent readers are.
 type Table struct {
 	numProcs int
 	rows     []row       // by sched.Key.Slot
@@ -87,9 +87,6 @@ func (t *Table) RowView(k sched.Key) []Entry {
 	}
 	return nil
 }
-
-// NumRows returns the number of rows.
-func (t *Table) NumRows() int { return len(t.keys) }
 
 // NumEntries returns the total number of cells.
 func (t *Table) NumEntries() int {
@@ -148,25 +145,10 @@ func (c Conflict) Error() string {
 		c.Key, c.New.Start, c.New.Expr, c.Existing.Start, c.Existing.Expr)
 }
 
-// Lookup returns the entry of row k with exactly the given expression.
-func (t *Table) Lookup(k sched.Key, expr cond.Cube) (Entry, bool) {
-	for _, e := range t.RowView(k) {
-		if e.Expr == expr {
-			return e, true
-		}
-	}
-	return Entry{}, false
-}
-
-// Applicable returns the entries of row k whose expression is implied by the
-// given (full) condition assignment; these are the entries the run-time
-// scheduler would fire on that path.
-func (t *Table) Applicable(k sched.Key, label cond.Cube) []Entry {
-	return t.AppendApplicable(nil, k, label)
-}
-
-// AppendApplicable appends the applicable entries of row k to dst and returns
-// it, letting callers that resolve many keys reuse one buffer.
+// AppendApplicable appends to dst the entries of row k whose expression is
+// implied by the given (full) condition assignment, the entries the run-time
+// scheduler would fire on that path, and returns it. Callers that resolve
+// many keys reuse one buffer.
 func (t *Table) AppendApplicable(dst []Entry, k sched.Key, label cond.Cube) []Entry {
 	for _, e := range t.RowView(k) {
 		if label.Implies(e.Expr) {
@@ -219,45 +201,95 @@ func (t *Table) Place(k sched.Key, expr cond.Cube, start int64) error {
 	return nil
 }
 
-// EnsureRow creates an empty row for the key if it does not exist yet, so
-// that rendering lists every process even when (unusually) it has no entry.
-func (t *Table) EnsureRow(k sched.Key) { t.listedRow(k) }
+// Kind says which check a Violation fails.
+type Kind uint8
 
-// Violation is one validation finding.
+// The kinds of violation. Requirements 1 and 2 of section 3 of the paper are
+// properties of a row, checked by Validate. The others hold or fail on one
+// alternative path at a time and are checked by the re-enactment of package
+// sim.
+const (
+	// Requirement1: a column expression of a process row does not imply the
+	// process guard.
+	Requirement1 Kind = iota + 1
+	// Requirement2: two different activation times of a row have compatible
+	// column expressions.
+	Requirement2
+	// Requirement3: on a path, an active process or broadcast has no
+	// applicable activation time, or applicable times that disagree.
+	Requirement3
+	// Requirement4: a process is activated under a column naming a condition
+	// that its processing element does not know yet.
+	Requirement4
+	// Dependency: a process starts before an active predecessor terminates,
+	// or a broadcast before its disjunction process does.
+	Dependency
+	// Overlap: two activities overlap on a sequential processing element.
+	Overlap
+)
+
+var kindNames = [...]string{
+	Requirement1: "requirement 1",
+	Requirement2: "requirement 2",
+	Requirement3: "requirement 3",
+	Requirement4: "requirement 4",
+	Dependency:   "dependency",
+	Overlap:      "overlap",
+}
+
+func (k Kind) String() string { return kindNames[k] }
+
+// Violation is one finding of the checks of a table: a row check of Validate
+// or a per-path check of the re-enactment in package sim. Each finding is
+// reported once.
 type Violation struct {
-	Requirement int
-	Key         sched.Key
-	Detail      string
+	Kind Kind
+	// Path is the label of the alternative path a per-path finding is on;
+	// the row findings of requirements 1 and 2 leave it zero.
+	Path cond.Cube
+	Key  sched.Key
+	// Text renders the finding with the graph's condition and process names.
+	Text string
 }
 
-func (v Violation) String() string {
-	return fmt.Sprintf("requirement %d violated for %s: %s", v.Requirement, v.Key, v.Detail)
+func (v Violation) String() string { return v.Text }
+
+// PathViolation returns the finding of the given kind for activity k on the
+// alternative path labelled label; its text names both with the graph's
+// names, followed by the detail.
+func PathViolation(g *cpg.Graph, kind Kind, label cond.Cube, k sched.Key, detail string) Violation {
+	return Violation{Kind: kind, Path: label, Key: k,
+		Text: fmt.Sprintf("path %s, %s: %s: %s", label.Format(g.CondName), ActivityName(g, k), kind, detail)}
 }
 
-// Validate checks the structural requirements 1–3 of section 3 of the paper
-// against the graph and its alternative paths:
+// rowViolation returns the finding of the given kind for row k.
+func rowViolation(g *cpg.Graph, kind Kind, k sched.Key, detail string) Violation {
+	return Violation{Kind: kind, Key: k, Text: fmt.Sprintf("%s: %s: %s", ActivityName(g, k), kind, detail)}
+}
+
+// ActivityName names the activity of a row with the graph's names: a process
+// by its name, a condition broadcast as "broadcast" and the condition name.
+func ActivityName(g *cpg.Graph, k sched.Key) string {
+	if k.IsCond {
+		return "broadcast " + g.CondName(k.Cond)
+	}
+	return g.Process(k.Proc).Name
+}
+
+// Validate checks the row requirements of section 3 of the paper against the
+// graph:
 //
 //  1. every column expression of a process row implies the process guard;
 //  2. activation times are uniquely determined: two different activation
-//     times of the same row never have compatible column expressions;
-//  3. on every alternative path, every active process has at least one
-//     applicable activation time (coverage), and all applicable activation
-//     times agree.
+//     times of the same row never have compatible column expressions.
 //
-// Requirement 4 (activation depends only on condition values known on the
-// executing processing element at that moment) involves timing and is checked
-// by the execution simulator in package sim.
-func (t *Table) Validate(g *cpg.Graph, paths []*cpg.Path) []Violation {
-	return t.ValidateParallel(g, paths, 1)
-}
-
-// ValidateParallel is Validate with the per-path coverage check (requirement
-// 3) fanned out over a bounded worker pool. Violations are collected in path
-// order, so the result is identical for every worker count (0 = GOMAXPROCS,
-// 1 = sequential).
-func (t *Table) ValidateParallel(g *cpg.Graph, paths []*cpg.Path, workers int) []Violation {
+// Requirements 3 (on every alternative path, every active process has an
+// applicable activation time, and all of them agree) and 4 (activation
+// depends only on condition values known on the executing processing element
+// at that moment) hold or fail path by path; the re-enactment of package sim
+// checks them while it resolves each row on each path.
+func (t *Table) Validate(g *cpg.Graph) []Violation {
 	var out []Violation
-	// Requirement 1.
 	for _, k := range t.keys {
 		if k.IsCond {
 			continue
@@ -265,79 +297,31 @@ func (t *Table) ValidateParallel(g *cpg.Graph, paths []*cpg.Path, workers int) [
 		guard := g.Guard(k.Proc)
 		for _, e := range t.RowView(k) {
 			if !guard.ImpliedByCube(e.Expr) {
-				out = append(out, Violation{
-					Requirement: 1,
-					Key:         k,
-					Detail:      fmt.Sprintf("column %s does not imply guard %s", e.Expr.Format(g.CondName), guard.Format(g.CondName)),
-				})
+				out = append(out, rowViolation(g, Requirement1, k,
+					fmt.Sprintf("column %s does not imply guard %s", e.Expr.Format(g.CondName), guard.Format(g.CondName))))
 			}
 		}
 	}
-	// Requirement 2.
 	for _, k := range t.keys {
 		row := t.RowView(k)
 		for i := 0; i < len(row); i++ {
 			for j := i + 1; j < len(row); j++ {
 				if row[i].Start != row[j].Start && row[i].Expr.Compatible(row[j].Expr) {
-					out = append(out, Violation{
-						Requirement: 2,
-						Key:         k,
-						Detail: fmt.Sprintf("times %d (%s) and %d (%s) are not mutually exclusive",
-							row[i].Start, row[i].Expr.Format(g.CondName), row[j].Start, row[j].Expr.Format(g.CondName)),
-					})
+					out = append(out, rowViolation(g, Requirement2, k,
+						fmt.Sprintf("times %d (%s) and %d (%s) are not mutually exclusive",
+							row[i].Start, row[i].Expr.Format(g.CondName), row[j].Start, row[j].Expr.Format(g.CondName))))
 				}
 			}
 		}
 	}
-	// Requirement 3, one independent check per path.
-	perPath := make([][]Violation, len(paths))
-	pool.ForEachIndex(len(paths), workers, func(i int) {
-		perPath[i] = t.validatePath(g, paths[i])
-	})
-	for _, v := range perPath {
-		out = append(out, v...)
-	}
 	return out
 }
 
-// validatePath checks requirement 3 on one alternative path. It only reads
-// the table, so concurrent calls are safe.
-func (t *Table) validatePath(g *cpg.Graph, p *cpg.Path) []Violation {
-	var out []Violation
-	var app []Entry
-	for _, k := range t.keys {
-		var active bool
-		if k.IsCond {
-			def := g.Condition(k.Cond)
-			active = def != nil && p.IsActive(def.Decider)
-		} else {
-			active = p.IsActive(k.Proc) && !g.Process(k.Proc).IsDummy()
-		}
-		if !active {
-			continue
-		}
-		app = t.AppendApplicable(app[:0], k, p.Label)
-		if len(app) == 0 {
-			out = append(out, Violation{
-				Requirement: 3,
-				Key:         k,
-				Detail:      fmt.Sprintf("no activation time applies on path %s", p.Label.Format(g.CondName)),
-			})
-			continue
-		}
-		first := app[0].Start
-		for _, e := range app[1:] {
-			if e.Start != first {
-				out = append(out, Violation{
-					Requirement: 3,
-					Key:         k,
-					Detail:      fmt.Sprintf("ambiguous activation times on path %s", p.Label.Format(g.CondName)),
-				})
-				break
-			}
-		}
-	}
-	return out
+// ValidateParallel is Validate. The row checks need neither the paths nor a
+// worker pool, so both are ignored. It keeps its signature because the
+// benchmark module (perfbench) times it as its own layer.
+func (t *Table) ValidateParallel(g *cpg.Graph, _ []*cpg.Path, _ int) []Violation {
+	return t.Validate(g)
 }
 
 // RenderOptions controls the text rendering of a table.
@@ -346,8 +330,6 @@ type RenderOptions struct {
 	Namer cond.Namer
 	// RowName translates row keys to names; defaults to Key.String.
 	RowName func(sched.Key) string
-	// SkipEmptyRows drops rows without entries.
-	SkipEmptyRows bool
 }
 
 // Render produces a fixed-width text table in the style of Table 1 of the
@@ -387,17 +369,12 @@ func (t *Table) Render(opt RenderOptions) string {
 		extra += len(cell) - utf8.RuneCountInString(cell)
 	}
 	var digits [20]byte
-	lines := 2 // the heading and the rule
+	lines := 2 + len(t.keys) // the heading, the rule and one line per row
 	for _, k := range t.keys {
-		entries := t.RowView(k)
-		if opt.SkipEmptyRows && len(entries) == 0 {
-			continue
-		}
-		lines++
 		n := name(k)
 		widths[0] = max(widths[0], len(n))
 		extra += len(n) - utf8.RuneCountInString(n)
-		for _, e := range entries {
+		for _, e := range t.RowView(k) {
 			i := pos[e.Expr] + 1
 			widths[i] = max(widths[i], len(strconv.AppendInt(digits[:0], e.Start, 10)))
 		}
@@ -439,9 +416,6 @@ func (t *Table) Render(opt RenderOptions) string {
 	slot := make([]int, len(cols)) // 1 + index of the row's entry in each column, 0 if none
 	for _, k := range t.keys {
 		entries := t.RowView(k)
-		if opt.SkipEmptyRows && len(entries) == 0 {
-			continue
-		}
 		for j, e := range entries {
 			slot[pos[e.Expr]] = j + 1
 		}

@@ -24,15 +24,11 @@ func TestPlaceAndLookup(t *testing.T) {
 	if err := tbl.Place(k, cond.True(), 7); err == nil {
 		t.Fatalf("placing a different time under the same expression must fail")
 	}
-	e, ok := tbl.Lookup(k, cond.True())
-	if !ok || e.Start != 5 {
-		t.Fatalf("Lookup = %v,%v", e, ok)
+	if row := tbl.RowView(k); len(row) != 1 || row[0] != (Entry{Expr: cond.True(), Start: 5}) {
+		t.Fatalf("RowView = %v, want the one entry at 5 under true", row)
 	}
-	if _, ok := tbl.Lookup(k, cond.MustCube(lit(0, true))); ok {
-		t.Fatalf("Lookup with a different expression must fail")
-	}
-	if tbl.NumRows() != 1 || tbl.NumEntries() != 1 {
-		t.Fatalf("NumRows/NumEntries wrong: %d %d", tbl.NumRows(), tbl.NumEntries())
+	if len(tbl.KeysView()) != 1 || tbl.NumEntries() != 1 {
+		t.Fatalf("rows/entries wrong: %d %d", len(tbl.KeysView()), tbl.NumEntries())
 	}
 }
 
@@ -62,17 +58,17 @@ func TestApplicable(t *testing.T) {
 	mustPlace(t, tbl, k, d, 12)
 	mustPlace(t, tbl, k, dc.MustWith(2, false), 30)
 	full := cond.MustCube(lit(0, true), lit(1, true), lit(2, true))
-	app := tbl.Applicable(k, full)
+	app := tbl.AppendApplicable(nil, k, full)
 	if len(app) != 1 || app[0].Start != 12 {
-		t.Fatalf("Applicable = %v, want the D entry only", app)
+		t.Fatalf("AppendApplicable = %v, want the D entry only", app)
 	}
 	full2 := cond.MustCube(lit(0, true), lit(1, true), lit(2, false))
-	if got := tbl.Applicable(k, full2); len(got) != 2 {
-		t.Fatalf("Applicable under D&C&!K = %v, want both entries", got)
+	if got := tbl.AppendApplicable(app[:0], k, full2); len(got) != 2 {
+		t.Fatalf("AppendApplicable under D&C&!K = %v, want both entries", got)
 	}
 	notD := cond.MustCube(lit(0, false))
-	if got := tbl.Applicable(k, notD); len(got) != 0 {
-		t.Fatalf("Applicable under !D = %v, want none", got)
+	if got := tbl.AppendApplicable(nil, k, notD); len(got) != 0 {
+		t.Fatalf("AppendApplicable under !D = %v, want none", got)
 	}
 }
 
@@ -121,23 +117,20 @@ func TestColumnsDeduplicatedAndOrdered(t *testing.T) {
 	}
 }
 
-func TestEnsureRowAndKeys(t *testing.T) {
+func TestKeysInInsertionOrder(t *testing.T) {
 	tbl := New(16)
-	tbl.EnsureRow(sched.ProcKey(9))
-	tbl.EnsureRow(sched.ProcKey(9))
+	mustPlace(t, tbl, sched.ProcKey(9), cond.True(), 1)
+	mustPlace(t, tbl, sched.ProcKey(9), cond.MustCube(lit(0, true)), 1)
 	mustPlace(t, tbl, sched.CondKey(0), cond.True(), 4)
 	keys := tbl.Keys()
 	if len(keys) != 2 || keys[0] != sched.ProcKey(9) || keys[1] != sched.CondKey(0) {
 		t.Fatalf("Keys = %v", keys)
 	}
-	if len(tbl.Row(sched.ProcKey(9))) != 0 {
-		t.Fatalf("EnsureRow must create an empty row")
-	}
 }
 
 // validationFixture builds a finalized diamond graph (P1 decides C, P2 on the
-// true branch, P3 on the false branch, P4 joins) and its two paths.
-func validationFixture(t *testing.T) (*cpg.Graph, []*cpg.Path, map[string]cpg.ProcID, cond.Cond) {
+// true branch, P3 on the false branch, P4 joins).
+func validationFixture(t *testing.T) (*cpg.Graph, map[string]cpg.ProcID, cond.Cond) {
 	t.Helper()
 	a := arch.New()
 	pe := a.AddProcessor("pe1", 1)
@@ -155,11 +148,7 @@ func validationFixture(t *testing.T) (*cpg.Graph, []*cpg.Path, map[string]cpg.Pr
 	if err := g.Finalize(a); err != nil {
 		t.Fatalf("Finalize: %v", err)
 	}
-	paths, err := g.AlternativePaths(0)
-	if err != nil {
-		t.Fatalf("AlternativePaths: %v", err)
-	}
-	return g, paths, map[string]cpg.ProcID{"P1": p1, "P2": p2, "P3": p3, "P4": p4}, c
+	return g, map[string]cpg.ProcID{"P1": p1, "P2": p2, "P3": p3, "P4": p4}, c
 }
 
 func goodTable(t *testing.T, ids map[string]cpg.ProcID, c cond.Cond) *Table {
@@ -176,125 +165,41 @@ func goodTable(t *testing.T, ids map[string]cpg.ProcID, c cond.Cond) *Table {
 }
 
 func TestValidateCleanTable(t *testing.T) {
-	g, paths, ids, c := validationFixture(t)
+	g, ids, c := validationFixture(t)
 	tbl := goodTable(t, ids, c)
-	if v := tbl.Validate(g, paths); len(v) != 0 {
+	if v := tbl.Validate(g); len(v) != 0 {
 		t.Fatalf("clean table reported violations: %v", v)
 	}
 }
 
 func TestValidateRequirement1(t *testing.T) {
-	g, paths, ids, c := validationFixture(t)
+	g, ids, c := validationFixture(t)
 	tbl := goodTable(t, ids, c)
 	// P2's guard is C, but an activation time under "true" does not imply it.
 	mustPlace(t, tbl, sched.ProcKey(ids["P2"]), cond.True(), 2)
-	found := false
-	for _, v := range tbl.Validate(g, paths) {
-		if v.Requirement == 1 && v.Key == sched.ProcKey(ids["P2"]) {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("requirement 1 violation not detected")
+	v := tbl.Validate(g)
+	want := Violation{Kind: Requirement1, Key: sched.ProcKey(ids["P2"]),
+		Text: "P2: requirement 1: column true does not imply guard C"}
+	if len(v) != 1 || v[0] != want {
+		t.Fatalf("Validate = %v, want %v", v, want)
 	}
 }
 
 func TestValidateRequirement2(t *testing.T) {
-	g, paths, ids, c := validationFixture(t)
+	g, ids, c := validationFixture(t)
 	tbl := goodTable(t, ids, c)
 	// Two compatible columns with different activation times for P1.
 	mustPlace(t, tbl, sched.ProcKey(ids["P1"]), cond.MustCube(cond.Lit{Cond: c, Val: true}), 9)
-	found := false
-	for _, v := range tbl.Validate(g, paths) {
-		if v.Requirement == 2 && v.Key == sched.ProcKey(ids["P1"]) {
-			found = true
-		}
+	v := tbl.Validate(g)
+	want := Violation{Kind: Requirement2, Key: sched.ProcKey(ids["P1"]),
+		Text: "P1: requirement 2: times 0 (true) and 9 (C) are not mutually exclusive"}
+	if len(v) != 1 || v[0] != want {
+		t.Fatalf("Validate = %v, want %v", v, want)
 	}
-	if !found {
-		t.Fatalf("requirement 2 violation not detected")
-	}
-	if len(v0(tbl, g, paths)) == 0 {
-		t.Fatalf("violations should render")
-	}
-}
-
-func v0(tbl *Table, g *cpg.Graph, paths []*cpg.Path) []string {
-	var out []string
-	for _, v := range tbl.Validate(g, paths) {
-		out = append(out, v.String())
-	}
-	return out
-}
-
-func TestValidateRequirement3Coverage(t *testing.T) {
-	g, paths, ids, c := validationFixture(t)
-	tbl := goodTable(t, ids, c)
-	// Remove coverage for P3 by rebuilding the table without its entry.
-	tbl2 := New(16)
-	cTrue := cond.MustCube(cond.Lit{Cond: c, Val: true})
-	mustPlace(t, tbl2, sched.ProcKey(ids["P1"]), cond.True(), 0)
-	mustPlace(t, tbl2, sched.ProcKey(ids["P2"]), cTrue, 2)
-	mustPlace(t, tbl2, sched.ProcKey(ids["P3"]), cTrue, 2) // wrong column: never fires on !C
-	mustPlace(t, tbl2, sched.ProcKey(ids["P4"]), cond.True(), 6)
-	found := false
-	for _, v := range tbl2.Validate(g, paths) {
-		if v.Requirement == 3 && v.Key == sched.ProcKey(ids["P3"]) {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("requirement 3 (coverage) violation not detected")
-	}
-	_ = tbl
-}
-
-func TestValidateRequirement3Ambiguity(t *testing.T) {
-	g, paths, ids, c := validationFixture(t)
-	tbl := goodTable(t, ids, c)
-	// P4 gets a second, different activation time applicable on path C
-	// under an expression that is mutually exclusive per requirement 2?
-	// No: use an overlapping-but-different expression that still applies.
-	extra := cond.MustCube(cond.Lit{Cond: c, Val: true})
-	// Place under a column with one more (spurious) literal of another
-	// condition that does not exist on the paths, so requirement 2's
-	// compatibility check flags it and requirement 3 sees agreement issues.
-	_ = extra
-	mustPlace(t, tbl, sched.ProcKey(ids["P4"]), cond.True(), 9)
-	viol := tbl.Validate(g, paths)
-	req2 := 0
-	req3 := 0
-	for _, v := range viol {
-		if v.Key == sched.ProcKey(ids["P4"]) {
-			switch v.Requirement {
-			case 2:
-				req2++
-			case 3:
-				req3++
-			}
-		}
-	}
-	if req2 == 0 {
-		t.Fatalf("expected a requirement 2 violation for the ambiguous row, got %v", viol)
-	}
-	if req3 == 0 {
-		t.Fatalf("expected a requirement 3 ambiguity violation, got %v", viol)
-	}
-}
-
-func TestValidateCondRows(t *testing.T) {
-	g, paths, ids, c := validationFixture(t)
-	tbl := goodTable(t, ids, c)
-	// A broadcast row for C with a single unconditional activation time is
-	// fine on both paths.
-	mustPlace(t, tbl, sched.CondKey(c), cond.True(), 2)
-	if v := tbl.Validate(g, paths); len(v) != 0 {
-		t.Fatalf("broadcast row should validate: %v", v)
-	}
-	_ = ids
 }
 
 func TestRender(t *testing.T) {
-	g, _, ids, c := validationFixture(t)
+	g, ids, c := validationFixture(t)
 	tbl := goodTable(t, ids, c)
 	mustPlace(t, tbl, sched.CondKey(c), cond.True(), 2)
 	out := tbl.Render(RenderOptions{
@@ -312,7 +217,7 @@ func TestRender(t *testing.T) {
 		}
 	}
 	// Default options path.
-	out2 := tbl.Render(RenderOptions{SkipEmptyRows: true})
+	out2 := tbl.Render(RenderOptions{})
 	if !strings.Contains(out2, "proc(") {
 		t.Fatalf("default rendering unexpected:\n%s", out2)
 	}

@@ -412,10 +412,7 @@ func EncodeSolution(res *core.Result) *SolutionDoc {
 		Table:           EncodeTable(g, res.Table),
 		TableText:       res.Table.Render(table.RenderOptions{Namer: g.CondName, RowName: res.RowName}),
 	}
-	for _, v := range res.TableViolations {
-		d.Violations = append(d.Violations, v.String())
-	}
-	for _, v := range res.SimViolations {
+	for _, v := range res.Violations {
 		d.Violations = append(d.Violations, v.String())
 	}
 	for _, p := range res.Paths {

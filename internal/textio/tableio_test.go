@@ -2,12 +2,14 @@ package textio
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/sched"
+	"repro/internal/sim"
 )
 
 // figure1Result generates the schedule table of the worked example once.
@@ -43,22 +45,24 @@ func TestTableJSONRoundTrip(t *testing.T) {
 	if len(back.Columns()) != len(res.Table.Columns()) {
 		t.Fatalf("columns lost: %d vs %d", len(back.Columns()), len(res.Table.Columns()))
 	}
-	// Every entry of the original table must be present with the same time.
-	for _, k := range res.Table.Keys() {
-		for _, e := range res.Table.Row(k) {
-			got, ok := back.Lookup(k, e.Expr)
-			if !ok || got.Start != e.Start {
-				t.Fatalf("entry %v of %v lost or changed: %v %v", e, k, got, ok)
-			}
+	// Every row of the original table must come back with the same entries.
+	for _, k := range res.Table.KeysView() {
+		if got, want := back.RowView(k), res.Table.RowView(k); !slices.Equal(got, want) {
+			t.Fatalf("row %v changed: %v, want %v", k, got, want)
 		}
 	}
-	// The round-tripped table validates against the graph's paths.
-	paths, err := res.Graph.AlternativePaths(0)
-	if err != nil {
-		t.Fatalf("paths: %v", err)
-	}
-	if v := back.Validate(res.Graph, paths); len(v) != 0 {
+	// The round-tripped table passes the row checks and the re-enactment of
+	// every path, with the same worst-case delay.
+	if v := back.Validate(res.Graph); len(v) != 0 {
 		t.Fatalf("round-tripped table has violations: %v", v)
+	}
+	simRes, err := sim.WorstCaseSubgraphs(res.Arch, back, res.Subgraphs, 1)
+	if err != nil {
+		t.Fatalf("WorstCaseSubgraphs: %v", err)
+	}
+	if len(simRes.Violations) != 0 || simRes.DeltaMax != res.DeltaMax {
+		t.Fatalf("round-tripped table re-enacts with δmax %d and violations %v, want %d and none",
+			simRes.DeltaMax, simRes.Violations, res.DeltaMax)
 	}
 }
 
@@ -70,8 +74,8 @@ func TestTableCSV(t *testing.T) {
 	}
 	s := buf.String()
 	lines := strings.Split(strings.TrimSpace(s), "\n")
-	if len(lines) != res.Table.NumRows()+1 {
-		t.Fatalf("CSV has %d lines, want %d rows + header", len(lines), res.Table.NumRows())
+	if rows := len(res.Table.KeysView()); len(lines) != rows+1 {
+		t.Fatalf("CSV has %d lines, want %d rows + header", len(lines), rows)
 	}
 	if !strings.HasPrefix(lines[0], "process,true") {
 		t.Fatalf("CSV header unexpected: %q", lines[0])

@@ -38,7 +38,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		t.Fatalf("Schedule: %v", err)
 	}
 	if !res.Deterministic() {
-		t.Fatalf("quickstart table not deterministic: %v %v", res.TableViolations, res.SimViolations)
+		t.Fatalf("quickstart table not deterministic: %v", res.Violations)
 	}
 	if len(res.Paths) != 2 {
 		t.Fatalf("paths = %d, want 2", len(res.Paths))
@@ -146,8 +146,7 @@ func TestRandomInstancesProduceDeterministicTables(t *testing.T) {
 			t.Fatalf("instance %d: Schedule: %v", i, err)
 		}
 		if !res.Deterministic() {
-			t.Fatalf("instance %d (seed %d): violations:\ntable: %v\nsim: %v",
-				i, cfg.Seed, res.TableViolations, res.SimViolations)
+			t.Fatalf("instance %d (seed %d): violations:\n%v", i, cfg.Seed, res.Violations)
 		}
 		if res.DeltaMax < res.DeltaM {
 			t.Fatalf("instance %d: δmax %d < δM %d", i, res.DeltaMax, res.DeltaM)
