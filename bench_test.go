@@ -35,6 +35,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/atm"
 	"repro/internal/cond"
 	"repro/internal/core"
@@ -86,10 +87,7 @@ func BenchmarkFig2PathSchedules(b *testing.B) {
 	var deltaM int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, deltaM, err = listsched.ScheduleAllPaths(g, a, paths, listsched.Options{})
-		if err != nil {
-			b.Fatalf("ScheduleAllPaths: %v", err)
-		}
+		deltaM = schedulePaths(b, g, a, paths)
 	}
 	b.ReportMetric(float64(len(paths)), "paths")
 	b.ReportMetric(float64(deltaM), "deltaM")
@@ -339,7 +337,7 @@ func BenchmarkListschedInner(b *testing.B) {
 	for i, p := range paths {
 		subs[i] = inst.Graph.Subgraph(p)
 	}
-	sc := listsched.NewScratch()
+	sc := new(listsched.Scratch)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -395,11 +393,25 @@ func BenchmarkListSchedule120(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := listsched.ScheduleAllPaths(inst.Graph, inst.Arch, paths, listsched.Options{}); err != nil {
-			b.Fatalf("ScheduleAllPaths: %v", err)
-		}
+		schedulePaths(b, inst.Graph, inst.Arch, paths)
 	}
 	b.ReportMetric(float64(len(paths)), "paths")
+}
+
+// schedulePaths list-schedules every path with the critical-path priority on
+// one fresh scratch, extracting each path's subgraph, and returns δM, the
+// largest path delay.
+func schedulePaths(b *testing.B, g *cpg.Graph, a *arch.Architecture, paths []*cpg.Path) int64 {
+	var sc listsched.Scratch
+	var deltaM int64
+	for _, p := range paths {
+		ps, _, err := sc.Schedule(g.Subgraph(p), a, listsched.Options{})
+		if err != nil {
+			b.Fatalf("Schedule: %v", err)
+		}
+		deltaM = max(deltaM, ps.Delay)
+	}
+	return deltaM
 }
 
 // BenchmarkTable2OAM regenerates Table 2: the worst-case delay of the three
@@ -532,7 +544,7 @@ func BenchmarkTabuInner(b *testing.B) {
 	if !ok {
 		b.Fatalf("tabu strategy not found")
 	}
-	sc := listsched.NewScratch()
+	sc := new(listsched.Scratch)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -582,7 +594,6 @@ func BenchmarkCubeOps(b *testing.B) {
 	}
 	var boolSink bool
 	var intSink int
-	var keyBuf []byte
 	pair := func(i int) (cond.Cube, cond.Cube) {
 		return cubes[i%len(cubes)], cubes[(i*7+3)%len(cubes)]
 	}
@@ -614,14 +625,7 @@ func BenchmarkCubeOps(b *testing.B) {
 			intSink = x.Compare(y)
 		}
 	})
-	b.Run("AppendKey", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			x, _ := pair(i)
-			keyBuf = x.AppendKey(keyBuf[:0])
-		}
-	})
-	_, _, _ = boolSink, intSink, keyBuf
+	_, _ = boolSink, intSink
 }
 
 // BenchmarkWarmReschedule compares a cold reschedule of a τ-edited problem
@@ -682,9 +686,9 @@ func BenchmarkWarmReschedule(b *testing.B) {
 		var res *core.Result
 		for i := 0; i < b.N; i++ {
 			var err error
-			res, err = core.ScheduleWarm(ctx, prev, inst.Graph, inst.Arch, opt, []cpg.ProcID{dirty})
+			res, err = core.ScheduleWarmPhased(ctx, prev, inst.Graph, inst.Arch, opt, []cpg.ProcID{dirty}, nil)
 			if err != nil {
-				b.Fatalf("ScheduleWarm: %v", err)
+				b.Fatalf("ScheduleWarmPhased: %v", err)
 			}
 		}
 		b.ReportMetric(float64(len(paths)), "paths")

@@ -160,48 +160,33 @@ func (a *Architecture) Valid(id PEID) bool { return a.PE(id) != nil }
 // PEs returns all processing elements in identifier order.
 func (a *Architecture) PEs() []*PE { return append([]*PE(nil), a.pes...) }
 
-func (a *Architecture) byKind(kinds ...Kind) []PEID {
+// ComputePEs returns processors and ASICs (the elements ordinary processes
+// may be mapped to).
+func (a *Architecture) ComputePEs() []PEID {
 	var out []PEID
 	for _, pe := range a.pes {
-		for _, k := range kinds {
-			if pe.Kind == k {
-				out = append(out, pe.ID)
-				break
-			}
+		if pe.Kind == KindProcessor || pe.Kind == KindHardware {
+			out = append(out, pe.ID)
 		}
 	}
 	return out
 }
 
-// Processors returns the identifiers of all programmable processors.
-func (a *Architecture) Processors() []PEID { return a.byKind(KindProcessor) }
-
-// Hardware returns the identifiers of all ASICs.
-func (a *Architecture) Hardware() []PEID { return a.byKind(KindHardware) }
-
-// Buses returns the identifiers of all buses (excluding memories).
-func (a *Architecture) Buses() []PEID { return a.byKind(KindBus) }
-
-// Memories returns the identifiers of all memory modules.
-func (a *Architecture) Memories() []PEID { return a.byKind(KindMemory) }
-
-// ComputePEs returns processors and ASICs (the elements ordinary processes
-// may be mapped to).
-func (a *Architecture) ComputePEs() []PEID { return a.byKind(KindProcessor, KindHardware) }
-
-// TransferPEs returns buses and memories (the elements communication and
-// memory access processes may be mapped to).
-func (a *Architecture) TransferPEs() []PEID { return a.byKind(KindBus, KindMemory) }
-
-// NumComputePEs returns the number of processors and ASICs.
-func (a *Architecture) NumComputePEs() int {
-	n := 0
+// Broadcasts reports whether decided condition values are broadcast: there
+// is more than one processor or ASIC, and a bus connects all processors.
+// With a single computation element every condition is known where it is
+// decided, so nothing is broadcast. It does not allocate.
+func (a *Architecture) Broadcasts() bool {
+	compute, bus := 0, false
 	for _, pe := range a.pes {
-		if pe.Kind == KindProcessor || pe.Kind == KindHardware {
-			n++
+		switch {
+		case pe.Kind == KindProcessor || pe.Kind == KindHardware:
+			compute++
+		case pe.Kind == KindBus && pe.ConnectsAll:
+			bus = true
 		}
 	}
-	return n
+	return compute > 1 && bus
 }
 
 // BroadcastBuses returns the buses that connect all processors, ordered by
@@ -279,20 +264,10 @@ func (a *Architecture) Validate() error {
 			return fmt.Errorf("arch: processing element %q has non-positive speed", pe.Name)
 		}
 	}
-	if len(a.ComputePEs()) > 1 && len(a.BroadcastBuses()) == 0 {
+	if len(a.ComputePEs()) > 1 && !a.Broadcasts() {
 		return errors.New("arch: more than one computation element but no bus connecting all processors for condition broadcast")
 	}
 	return nil
-}
-
-// Clone returns a deep copy of the architecture.
-func (a *Architecture) Clone() *Architecture {
-	n := &Architecture{CondTime: a.CondTime}
-	for _, pe := range a.pes {
-		cp := *pe
-		n.pes = append(n.pes, &cp)
-	}
-	return n
 }
 
 // String summarises the architecture ("2 processors, 1 hardware, 1 bus, τ0=1").

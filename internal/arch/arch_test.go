@@ -46,23 +46,15 @@ func TestAddAndLookup(t *testing.T) {
 func TestKindGroups(t *testing.T) {
 	a := paperArch()
 	a.AddMemory("mem1")
-	if got := len(a.Processors()); got != 2 {
-		t.Fatalf("Processors = %d, want 2", got)
+	kinds := map[Kind]int{}
+	for _, pe := range a.PEs() {
+		kinds[pe.Kind]++
 	}
-	if got := len(a.Hardware()); got != 1 {
-		t.Fatalf("Hardware = %d, want 1", got)
+	if kinds[KindProcessor] != 2 || kinds[KindHardware] != 1 || kinds[KindBus] != 1 || kinds[KindMemory] != 1 {
+		t.Fatalf("PEs by kind = %v, want 2 processors, 1 hardware, 1 bus, 1 memory", kinds)
 	}
-	if got := len(a.Buses()); got != 1 {
-		t.Fatalf("Buses = %d, want 1", got)
-	}
-	if got := len(a.Memories()); got != 1 {
-		t.Fatalf("Memories = %d, want 1", got)
-	}
-	if got := len(a.ComputePEs()); got != 3 || a.NumComputePEs() != got {
-		t.Fatalf("ComputePEs = %d, NumComputePEs = %d, want 3", got, a.NumComputePEs())
-	}
-	if got := len(a.TransferPEs()); got != 2 {
-		t.Fatalf("TransferPEs = %d, want 2", got)
+	if got := len(a.ComputePEs()); got != 3 {
+		t.Fatalf("ComputePEs = %d, want 3", got)
 	}
 	if got := len(a.BroadcastBuses()); got != 1 {
 		t.Fatalf("BroadcastBuses = %d, want 1", got)
@@ -89,17 +81,45 @@ func TestBroadcastBusesExcludesLocalBusesAndMemories(t *testing.T) {
 	}
 }
 
+func TestBroadcasts(t *testing.T) {
+	if !paperArch().Broadcasts() {
+		t.Fatalf("two processors, an ASIC and an all-connecting bus broadcast")
+	}
+	single := New()
+	single.AddProcessor("only", 1)
+	single.AddBus("bus", true)
+	if single.Broadcasts() {
+		t.Fatalf("a single computation element knows every condition it decides")
+	}
+	local := New()
+	local.AddProcessor("p", 1)
+	local.AddHardware("h")
+	local.AddBus("local", false)
+	if local.Broadcasts() {
+		t.Fatalf("no all-connecting bus, no broadcast")
+	}
+	local.AddBus("global", true)
+	if !local.Broadcasts() {
+		t.Fatalf("a processor and an ASIC on an all-connecting bus broadcast")
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = local.Broadcasts() }); n != 0 {
+		t.Fatalf("Broadcasts allocates %v times, want 0", n)
+	}
+}
+
 func TestSequential(t *testing.T) {
 	a := paperArch()
 	mem := a.AddMemory("mem")
-	procs := a.Processors()
-	if !a.IsSequential(procs[0]) {
+	proc, _ := a.FindByName("pe1")
+	hw, _ := a.FindByName("pe3")
+	bus, _ := a.FindByName("pe4")
+	if !a.IsSequential(proc) {
 		t.Fatalf("processors are sequential")
 	}
-	if a.IsSequential(a.Hardware()[0]) {
+	if a.IsSequential(hw) {
 		t.Fatalf("hardware is not sequential")
 	}
-	if !a.IsSequential(a.Buses()[0]) {
+	if !a.IsSequential(bus) {
 		t.Fatalf("buses are sequential")
 	}
 	if !a.IsSequential(mem) {
@@ -170,22 +190,6 @@ func TestValidateFailures(t *testing.T) {
 	badTau.SetCondTime(0)
 	if err := badTau.Validate(); err == nil {
 		t.Fatalf("non-positive τ0 must fail validation")
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	a := paperArch()
-	b := a.Clone()
-	b.PE(0).Name = "renamed"
-	b.SetCondTime(7)
-	if a.PE(0).Name == "renamed" {
-		t.Fatalf("Clone shares PE storage")
-	}
-	if a.CondTime == 7 {
-		t.Fatalf("Clone shares CondTime")
-	}
-	if b.NumPEs() != a.NumPEs() {
-		t.Fatalf("Clone lost elements")
 	}
 }
 

@@ -66,9 +66,6 @@ func (l Lit) String() string {
 	return fmt.Sprintf("!c%d", int(l.Cond))
 }
 
-// Negate returns the literal with the opposite value.
-func (l Lit) Negate() Lit { return Lit{Cond: l.Cond, Val: !l.Val} }
-
 // Namer translates a condition identifier into a human readable name.
 // A nil Namer falls back to "c<id>".
 type Namer func(Cond) string
@@ -126,18 +123,6 @@ func MustCube(lits ...Lit) Cube {
 	}
 	return c
 }
-
-// CubeFromOwnedLits builds a cube from a caller-assembled literal slice.
-// Duplicate literals are compacted; the second return value is false when two
-// literals contradict.
-//
-// Historically the slice became the cube's backing storage ("owned"), which
-// left an aliasing hole: a later append or write through the caller's slice
-// silently mutated the supposedly immutable cube. The bitset representation
-// closes that hole structurally — the literals are folded into the masks and
-// the slice is never retained — so this is now just NewCube under a name kept
-// for hot-path callers.
-func CubeFromOwnedLits(lits []Lit) (Cube, bool) { return NewCube(lits...) }
 
 // IsTrue reports whether the cube is the empty conjunction.
 func (c Cube) IsTrue() bool { return c.pos|c.neg == 0 }
@@ -254,9 +239,6 @@ func (c Cube) Mask() uint64 { return c.pos | c.neg }
 // PosMask returns the conditions assigned true as a bitmask.
 func (c Cube) PosMask() uint64 { return c.pos }
 
-// NegMask returns the conditions assigned false as a bitmask.
-func (c Cube) NegMask() uint64 { return c.neg }
-
 // Conds returns the conditions mentioned by the cube in ascending order.
 func (c Cube) Conds() []Cond {
 	m := c.pos | c.neg
@@ -265,38 +247,6 @@ func (c Cube) Conds() []Cond {
 		out = append(out, Cond(bits.TrailingZeros64(m)))
 	}
 	return out
-}
-
-// Lits returns the literals of the cube ordered by condition. The returned
-// slice is freshly allocated on every call — writes to it can never reach the
-// cube. Hot paths should iterate Mask/PosMask instead and skip the
-// allocation.
-func (c Cube) Lits() []Lit { return c.AppendLits(nil) }
-
-// AppendLits appends the literals of the cube, ordered by condition, to dst
-// and returns the extended slice.
-func (c Cube) AppendLits(dst []Lit) []Lit {
-	for m := c.pos | c.neg; m != 0; m &= m - 1 {
-		x := Cond(bits.TrailingZeros64(m))
-		dst = append(dst, Lit{Cond: x, Val: c.pos&(uint64(1)<<uint(x)) != 0})
-	}
-	return dst
-}
-
-// Key returns a canonical string usable as a map key for the cube. Two cubes
-// have equal keys exactly when they are Equal. Prefer keying maps by the Cube
-// value itself (it is comparable); Key exists for contexts that need a string.
-func (c Cube) Key() string { return string(c.AppendKey(nil)) }
-
-// AppendKey appends the canonical key of the cube to dst and returns it. The
-// key is a fixed 16-byte big-endian encoding of the (pos, neg) masks, so keys
-// are integer-comparable and never allocate beyond the destination buffer.
-func (c Cube) AppendKey(dst []byte) []byte {
-	return append(dst,
-		byte(c.pos>>56), byte(c.pos>>48), byte(c.pos>>40), byte(c.pos>>32),
-		byte(c.pos>>24), byte(c.pos>>16), byte(c.pos>>8), byte(c.pos),
-		byte(c.neg>>56), byte(c.neg>>48), byte(c.neg>>40), byte(c.neg>>32),
-		byte(c.neg>>24), byte(c.neg>>16), byte(c.neg>>8), byte(c.neg))
 }
 
 // String renders the cube with default condition names ("true" for the empty

@@ -2,7 +2,6 @@ package cond
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -20,8 +19,8 @@ func TestTrueCube(t *testing.T) {
 	if got := c.String(); got != "true" {
 		t.Fatalf("True().String() = %q, want %q", got, "true")
 	}
-	if got := c.Key(); got != strings.Repeat("\x00", 16) {
-		t.Fatalf("True().Key() = %q, want 16 zero bytes", got)
+	if c != (Cube{}) {
+		t.Fatalf("True() = %#v, want the zero cube", c)
 	}
 }
 
@@ -137,11 +136,13 @@ func TestEqualAndKey(t *testing.T) {
 	if !a.Equal(b) {
 		t.Fatalf("cubes with same literals must be equal regardless of construction order")
 	}
-	if a.Key() != b.Key() {
-		t.Fatalf("keys differ: %q vs %q", a.Key(), b.Key())
+	// A cube is its own map key: equal cubes share an entry.
+	rows := map[Cube]int{a: 1}
+	if rows[b] != 1 {
+		t.Fatalf("equal cubes key different map entries")
 	}
 	c := MustCube(lit(0, true), lit(2, true))
-	if a.Equal(c) || a.Key() == c.Key() {
+	if a.Equal(c) || rows[c] != 0 {
 		t.Fatalf("cubes with different values must not be equal")
 	}
 }
@@ -172,18 +173,12 @@ func TestFormatWithNamer(t *testing.T) {
 	}
 }
 
-func TestLitsSortedAndNegate(t *testing.T) {
-	cube := MustCube(lit(3, false), lit(1, true))
-	ls := cube.Lits()
-	if len(ls) != 2 || ls[0].Cond != 1 || ls[1].Cond != 3 {
-		t.Fatalf("Lits not sorted: %v", ls)
+func TestLitString(t *testing.T) {
+	if got := lit(1, true).String(); got != "c1" {
+		t.Fatalf("Lit.String = %q, want c1", got)
 	}
-	neg := ls[0].Negate()
-	if neg.Cond != 1 || neg.Val {
-		t.Fatalf("Negate wrong: %v", neg)
-	}
-	if ls[1].String() != "!c3" || ls[0].String() != "c1" {
-		t.Fatalf("Lit.String wrong: %v %v", ls[0], ls[1])
+	if got := lit(3, false).String(); got != "!c3" {
+		t.Fatalf("Lit.String = %q, want !c3", got)
 	}
 }
 
@@ -203,14 +198,14 @@ func TestCompareOrdering(t *testing.T) {
 }
 
 func TestDNFBasics(t *testing.T) {
-	if !DNFTrue().IsTrue() || DNFTrue().IsFalse() {
+	if !DNFTrue().SatisfiedBy(True()) || DNFTrue().IsFalse() {
 		t.Fatalf("DNFTrue misclassified")
 	}
-	if !DNFFalse().IsFalse() || DNFFalse().IsTrue() {
+	if !DNFFalse().IsFalse() || DNFFalse().SatisfiedBy(True()) {
 		t.Fatalf("DNFFalse misclassified")
 	}
 	d := FromCube(MustCube(lit(0, true)))
-	if d.Len() != 1 || d.IsTrue() || d.IsFalse() {
+	if len(d.cubes) != 1 || d.SatisfiedBy(True()) || d.IsFalse() {
 		t.Fatalf("FromCube wrong: %v", d)
 	}
 	if got := DNFFalse().String(); got != "false" {
@@ -223,25 +218,25 @@ func TestDNFSimplifyComplementaryCubes(t *testing.T) {
 	q := MustCube(lit(0, true))
 	a := q.MustWith(1, true)
 	b := q.MustWith(1, false)
-	d := FromCubes(a, b)
-	if d.Len() != 1 {
+	d := simplified(a, b)
+	if len(d.cubes) != 1 {
 		t.Fatalf("simplify should merge complementary cubes, got %v", d)
 	}
-	if !d.Cubes()[0].Equal(q) {
-		t.Fatalf("merged cube = %v, want %v", d.Cubes()[0], q)
+	if !d.cubes[0].Equal(q) {
+		t.Fatalf("merged cube = %v, want %v", d.cubes[0], q)
 	}
 }
 
 func TestDNFSimplifySubsumption(t *testing.T) {
 	q := MustCube(lit(0, true))
 	qc := q.MustWith(1, true)
-	d := FromCubes(q, qc)
-	if d.Len() != 1 || !d.Cubes()[0].Equal(q) {
+	d := simplified(q, qc)
+	if len(d.cubes) != 1 || !d.cubes[0].Equal(q) {
 		t.Fatalf("q | q&C should simplify to q, got %v", d)
 	}
 	// Duplicates collapse.
-	d2 := FromCubes(q, q, q)
-	if d2.Len() != 1 {
+	d2 := simplified(q, q, q)
+	if len(d2.cubes) != 1 {
 		t.Fatalf("duplicate cubes should collapse, got %v", d2)
 	}
 }
@@ -249,8 +244,8 @@ func TestDNFSimplifySubsumption(t *testing.T) {
 func TestDNFSimplifyToTrue(t *testing.T) {
 	a := MustCube(lit(0, true))
 	b := MustCube(lit(0, false))
-	d := FromCubes(a, b)
-	if !d.IsTrue() {
+	d := simplified(a, b)
+	if !d.SatisfiedBy(True()) {
 		t.Fatalf("C | !C should simplify to true, got %v", d)
 	}
 }
@@ -259,24 +254,24 @@ func TestDNFOrAnd(t *testing.T) {
 	c := FromCube(MustCube(lit(1, true)))
 	k := FromCube(MustCube(lit(2, true)))
 	or := c.Or(k)
-	if or.Len() != 2 {
+	if len(or.cubes) != 2 {
 		t.Fatalf("C | K should have two cubes, got %v", or)
 	}
 	and := c.And(k)
-	if and.Len() != 1 || and.Cubes()[0].Len() != 2 {
+	if len(and.cubes) != 1 || and.cubes[0].Len() != 2 {
 		t.Fatalf("C & K should be one two-literal cube, got %v", and)
 	}
 	// (C | K) & !C  ==  K & !C  (the C cube drops out).
 	notC := FromCube(MustCube(lit(1, false)))
 	res := or.And(notC)
 	want := MustCube(lit(1, false), lit(2, true))
-	if res.Len() != 1 || !res.Cubes()[0].Equal(want) {
+	if len(res.cubes) != 1 || !res.cubes[0].Equal(want) {
 		t.Fatalf("(C|K)&!C = %v, want single cube %v", res, want)
 	}
 	if !DNFFalse().And(c).IsFalse() {
 		t.Fatalf("false & C should be false")
 	}
-	if !DNFTrue().And(c).Equivalent(c) {
+	if tc := DNFTrue().And(c); !tc.Implies(c) || !c.Implies(tc) {
 		t.Fatalf("true & C should be C")
 	}
 }
@@ -290,13 +285,6 @@ func TestDNFSatisfiedBy(t *testing.T) {
 	partial := MustCube(lit(0, true))
 	if guard.SatisfiedBy(partial) {
 		t.Fatalf("D&K must not be satisfied by D alone (K unknown)")
-	}
-	if guard.FalsifiedBy(partial) {
-		t.Fatalf("D&K is not falsified by D alone")
-	}
-	noK := MustCube(lit(0, true), lit(2, false))
-	if !guard.FalsifiedBy(noK) {
-		t.Fatalf("D&K should be falsified by D&!K")
 	}
 	if !DNFTrue().SatisfiedBy(True()) {
 		t.Fatalf("true guard is satisfied by the empty assignment")
@@ -319,11 +307,11 @@ func TestDNFImpliesAndEquivalent(t *testing.T) {
 		t.Fatalf("D should not imply D&C")
 	}
 	// D&C | D&!C is equivalent to D.
-	split := FromCubes(
+	split := simplified(
 		MustCube(lit(0, true), lit(1, true)),
 		MustCube(lit(0, true), lit(1, false)),
 	)
-	if !split.Equivalent(d) {
+	if !split.Implies(d) || !d.Implies(split) {
 		t.Fatalf("D&C | D&!C should be equivalent to D")
 	}
 	if !DNFFalse().Implies(d) {
@@ -334,26 +322,18 @@ func TestDNFImpliesAndEquivalent(t *testing.T) {
 	}
 }
 
-func TestDNFConds(t *testing.T) {
-	d := FromCubes(
-		MustCube(lit(3, true)),
-		MustCube(lit(1, false), lit(5, true)),
-	)
-	conds := d.Conds()
-	if len(conds) != 3 || conds[0] != 1 || conds[1] != 3 || conds[2] != 5 {
-		t.Fatalf("Conds = %v", conds)
-	}
-}
-
 func TestDNFFormat(t *testing.T) {
 	names := map[Cond]string{0: "D", 1: "C"}
 	n := func(c Cond) string { return names[c] }
-	d := FromCubes(MustCube(lit(0, true)), MustCube(lit(1, false)))
+	d := simplified(MustCube(lit(0, true)), MustCube(lit(1, false)))
 	got := d.Format(n)
 	if got != "D | !C" && got != "!C | D" {
 		t.Fatalf("Format = %q", got)
 	}
 }
+
+// simplified returns the simplified DNF over the given cubes.
+func simplified(cubes ...Cube) DNF { return DNF{cubes: cubes}.Simplify() }
 
 // randomCube builds a random cube over conditions [0, nConds) for property tests.
 func randomCube(r *rand.Rand, nConds int) Cube {

@@ -25,39 +25,14 @@ func DNFTrue() DNF { return DNF{cubes: []Cube{True()}} }
 // FromCube returns a DNF consisting of the single cube c.
 func FromCube(c Cube) DNF { return DNF{cubes: []Cube{c}} }
 
-// FromCubes returns a simplified DNF over the given cubes.
-func FromCubes(cubes ...Cube) DNF {
-	d := DNF{cubes: append([]Cube(nil), cubes...)}
-	return d.Simplify()
-}
-
 // IsFalse reports whether the DNF is the empty disjunction.
 func (d DNF) IsFalse() bool { return len(d.cubes) == 0 }
-
-// IsTrue reports whether the DNF contains the empty cube.
-func (d DNF) IsTrue() bool {
-	for _, c := range d.cubes {
-		if c.IsTrue() {
-			return true
-		}
-	}
-	return false
-}
-
-// Cubes returns a copy of the cubes of the DNF.
-func (d DNF) Cubes() []Cube { return append([]Cube(nil), d.cubes...) }
-
-// Len returns the number of cubes.
-func (d DNF) Len() int { return len(d.cubes) }
 
 // Or returns the disjunction of two DNFs, simplified.
 func (d DNF) Or(o DNF) DNF {
 	n := DNF{cubes: append(append([]Cube(nil), d.cubes...), o.cubes...)}
 	return n.Simplify()
 }
-
-// OrCube returns the disjunction of the DNF with a single cube, simplified.
-func (d DNF) OrCube(c Cube) DNF { return d.Or(FromCube(c)) }
 
 // And returns the conjunction of two DNFs, simplified. Unsatisfiable product
 // cubes are dropped.
@@ -75,15 +50,6 @@ func (d DNF) And(o DNF) DNF {
 
 // AndCube returns the conjunction of the DNF with a single cube.
 func (d DNF) AndCube(c Cube) DNF { return d.And(FromCube(c)) }
-
-// Conds returns the set of conditions mentioned anywhere in the DNF, sorted.
-func (d DNF) Conds() []Cond {
-	var m uint64
-	for _, c := range d.cubes {
-		m |= c.Mask()
-	}
-	return maskConds(m)
-}
 
 // maskConds expands a condition bitmask into the sorted condition slice.
 func maskConds(m uint64) []Cond {
@@ -105,20 +71,6 @@ func (d DNF) SatisfiedBy(assign Cube) bool {
 		}
 	}
 	return false
-}
-
-// FalsifiedBy reports whether the assignment makes the DNF definitely false:
-// every cube contains a literal contradicted by assign.
-func (d DNF) FalsifiedBy(assign Cube) bool {
-	if d.IsFalse() {
-		return true
-	}
-	for _, c := range d.cubes {
-		if assign.Compatible(c) {
-			return false
-		}
-	}
-	return true
 }
 
 // SatisfiedCube returns the first cube implied by assign, if any.
@@ -279,9 +231,6 @@ func cubeImpliesDNF(a Cube, o DNF) bool {
 	})
 	return ok
 }
-
-// Equivalent reports whether the two DNFs denote the same boolean function.
-func (d DNF) Equivalent(o DNF) bool { return d.Implies(o) && o.Implies(d) }
 
 // String renders the DNF with default condition names.
 func (d DNF) String() string { return d.Format(nil) }

@@ -184,7 +184,7 @@ type Stats struct {
 	Columns             int
 	Entries             int
 	// WarmReusedPaths counts the alternative paths whose optimal schedule
-	// was reused from a previous result by ScheduleWarm (0 on cold runs).
+	// was reused from a previous result by ScheduleWarmPhased (0 on cold runs).
 	WarmReusedPaths int
 	// Reschedules counts the adjustments of the merge (rule 3 after a
 	// back-step, and the readjustments after a resolved conflict), and

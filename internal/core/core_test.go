@@ -28,7 +28,7 @@ func archN(procs int, withHW bool) *arch.Architecture {
 func diamondProblem(t *testing.T) (*cpg.Graph, *arch.Architecture, cond.Cond) {
 	t.Helper()
 	a := archN(1, false)
-	pe := a.Processors()[0]
+	pe := a.ComputePEs()[0]
 	g := cpg.New("diamond")
 	p1 := g.AddProcess("P1", 2, pe)
 	p2 := g.AddProcess("P2", 3, pe)
@@ -50,9 +50,9 @@ func diamondProblem(t *testing.T) (*cpg.Graph, *arch.Architecture, cond.Cond) {
 func crossProblem(t *testing.T) (*cpg.Graph, *arch.Architecture) {
 	t.Helper()
 	a := archN(2, true)
-	pe1, pe2 := a.Processors()[0], a.Processors()[1]
-	hw := a.Hardware()[0]
-	bus := a.Buses()[0]
+	pe1, pe2 := a.ComputePEs()[0], a.ComputePEs()[1]
+	hw, _ := a.FindByName("hw")
+	bus := a.BroadcastBuses()[0]
 	g := cpg.New("cross")
 	d1 := g.AddProcess("D1", 3, pe1) // decides C
 	t1 := g.AddProcess("T1", 4, pe2) // C
@@ -264,7 +264,7 @@ func TestScheduleWithSpeedScaledProcessors(t *testing.T) {
 	c := g.AddCondition("C", d)
 	g.AddCondEdge(d, x, c, true)
 	g.AddCondEdge(d, y, c, false)
-	if _, err := cpg.InsertComms(g, a, cpg.UniformComms(1, a.Buses()[0])); err != nil {
+	if _, err := cpg.InsertComms(g, a, cpg.UniformComms(1, a.BroadcastBuses()[0])); err != nil {
 		t.Fatalf("InsertComms: %v", err)
 	}
 	if err := g.Finalize(a); err != nil {
@@ -299,7 +299,7 @@ func TestScheduleErrors(t *testing.T) {
 
 func TestScheduleFinalizesUnfinalizedGraph(t *testing.T) {
 	a := archN(1, false)
-	pe := a.Processors()[0]
+	pe := a.ComputePEs()[0]
 	g := cpg.New("auto-finalize")
 	p1 := g.AddProcess("A", 1, pe)
 	p2 := g.AddProcess("B", 2, pe)
@@ -318,9 +318,9 @@ func TestScheduleFinalizesUnfinalizedGraph(t *testing.T) {
 func wideProblem(t *testing.T, procs int) (*cpg.Graph, *arch.Architecture) {
 	t.Helper()
 	a := archN(procs, true)
-	pes := a.Processors()
-	hw := a.Hardware()[0]
-	bus := a.Buses()[0]
+	pes := a.ComputePEs()[:procs]
+	hw, _ := a.FindByName("hw")
+	bus := a.BroadcastBuses()[0]
 	g := cpg.New("wide")
 	prev := g.AddProcess("start", 2, pes[0])
 	execs := []int64{3, 7, 4, 9, 5, 6}

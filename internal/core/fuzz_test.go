@@ -42,9 +42,9 @@ func warmRoundTrip(t *testing.T, cfg gen.Config, strategy string, prev *Result) 
 	if err != nil {
 		t.Fatalf("cold Schedule (edited %+v): %v", cfg, err)
 	}
-	warm, err := ScheduleWarm(context.Background(), prev, inst.Graph, inst.Arch, opt, []cpg.ProcID{dirty})
+	warm, err := ScheduleWarmPhased(context.Background(), prev, inst.Graph, inst.Arch, opt, []cpg.ProcID{dirty}, nil)
 	if err != nil {
-		t.Fatalf("ScheduleWarm (%+v): %v", cfg, err)
+		t.Fatalf("ScheduleWarmPhased (%+v): %v", cfg, err)
 	}
 	ropt := table.RenderOptions{}
 	if got, want := warm.Table.Render(ropt), cold.Table.Render(ropt); got != want {

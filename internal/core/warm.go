@@ -23,9 +23,10 @@ type warmPlan struct {
 	dirty []cpg.ProcID
 }
 
-// ScheduleWarm is ScheduleContext warm-started from a previous result of the
-// same problem shape: prev must come from a run with an identical graph
-// structure, architecture and (deterministic) options, where only the
+// ScheduleWarmPhased is ScheduleContext warm-started from a previous result
+// of the same problem shape, reporting phase transitions to phases (which may
+// be nil) like SchedulePhased. prev must come from a run with an identical
+// graph structure, architecture and (deterministic) options, where only the
 // execution times of the processes listed in dirty differ. The optimal
 // schedules of the alternative paths on which no dirty process is active are
 // reused verbatim from prev — for those paths every input of the per-path
@@ -41,12 +42,6 @@ type warmPlan struct {
 // could schedule differently. Callers are responsible for only passing a prev
 // computed under the same Options — the service layer enforces this by
 // diffing the canonical problem documents.
-func ScheduleWarm(ctx context.Context, prev *Result, g *cpg.Graph, a *arch.Architecture, opt Options, dirty []cpg.ProcID) (*Result, error) {
-	return ScheduleWarmPhased(ctx, prev, g, a, opt, dirty, nil)
-}
-
-// ScheduleWarmPhased is ScheduleWarm reporting phase transitions to phases
-// (which may be nil), like SchedulePhased.
 func ScheduleWarmPhased(ctx context.Context, prev *Result, g *cpg.Graph, a *arch.Architecture, opt Options, dirty []cpg.ProcID, phases PhaseFunc) (*Result, error) {
 	return schedulePhased(ctx, g, a, opt, phases, &warmPlan{prev: prev, dirty: dirty})
 }

@@ -15,9 +15,9 @@ import (
 func render(r *Result) string { return r.Table.Render(table.RenderOptions{}) }
 
 // TestScheduleWarmByteIdentical pins the warm-start contract on the
-// three-path cross problem, for every strategy: after a τ edit to
-// a process active on only one path, ScheduleWarm must reuse the untouched
-// paths yet render the exact table a cold run of the edited problem renders.
+// three-path cross problem, for every strategy: after a τ edit to a process
+// active on only one path, ScheduleWarmPhased must reuse the untouched paths
+// yet render the exact table a cold run of the edited problem renders.
 func TestScheduleWarmByteIdentical(t *testing.T) {
 	for _, name := range listsched.StrategyNames() {
 		t.Run(name, func(t *testing.T) {
@@ -45,9 +45,9 @@ func TestScheduleWarmByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("cold Schedule (edited): %v", err)
 			}
-			warm, err := ScheduleWarm(context.Background(), prev, g2, a2, opt, []cpg.ProcID{id})
+			warm, err := ScheduleWarmPhased(context.Background(), prev, g2, a2, opt, []cpg.ProcID{id}, nil)
 			if err != nil {
-				t.Fatalf("ScheduleWarm: %v", err)
+				t.Fatalf("ScheduleWarmPhased: %v", err)
 			}
 			if warm.Stats.WarmReusedPaths == 0 {
 				t.Fatalf("warm run reused no paths; T2 is inactive on two of three")
@@ -69,9 +69,9 @@ func TestScheduleWarmByteIdentical(t *testing.T) {
 	}
 }
 
-// TestScheduleWarmFallsBackOnMismatchedPrev feeds ScheduleWarm a previous
-// result from a structurally different problem: the plan must detect the
-// mismatch, reuse nothing, and still deliver the cold result.
+// TestScheduleWarmFallsBackOnMismatchedPrev feeds ScheduleWarmPhased a
+// previous result from a structurally different problem: the plan must
+// detect the mismatch, reuse nothing, and still deliver the cold result.
 func TestScheduleWarmFallsBackOnMismatchedPrev(t *testing.T) {
 	gd, ad, _ := diamondProblem(t)
 	prev, err := Schedule(gd, ad, Options{Workers: 1})
@@ -83,9 +83,9 @@ func TestScheduleWarmFallsBackOnMismatchedPrev(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Schedule(cross): %v", err)
 	}
-	warm, err := ScheduleWarm(context.Background(), prev, g, a, Options{Workers: 1}, nil)
+	warm, err := ScheduleWarmPhased(context.Background(), prev, g, a, Options{Workers: 1}, nil, nil)
 	if err != nil {
-		t.Fatalf("ScheduleWarm: %v", err)
+		t.Fatalf("ScheduleWarmPhased: %v", err)
 	}
 	if warm.Stats.WarmReusedPaths != 0 {
 		t.Fatalf("mismatched prev must reuse nothing, reused %d paths", warm.Stats.WarmReusedPaths)
@@ -137,13 +137,13 @@ func TestScheduleWarmConcurrentSharedPrev(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[i], errs[i] = ScheduleWarm(context.Background(), prev, p.g, p.a, opt, []cpg.ProcID{p.id})
+			results[i], errs[i] = ScheduleWarmPhased(context.Background(), prev, p.g, p.a, opt, []cpg.ProcID{p.id}, nil)
 		}()
 	}
 	wg.Wait()
 	for i, warm := range results {
 		if errs[i] != nil {
-			t.Fatalf("ScheduleWarm %d: %v", i, errs[i])
+			t.Fatalf("ScheduleWarmPhased %d: %v", i, errs[i])
 		}
 		if warm.Stats.WarmReusedPaths == 0 {
 			t.Fatalf("warm run %d reused no paths", i)

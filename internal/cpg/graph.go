@@ -230,9 +230,6 @@ func (g *Graph) AddCondEdge(from, to ProcID, c cond.Cond, v bool) EdgeID {
 // communication processes).
 func (g *Graph) NumProcs() int { return len(g.procs) }
 
-// NumEdges returns the number of edges.
-func (g *Graph) NumEdges() int { return len(g.edges) }
-
 // NumConds returns the number of conditions.
 func (g *Graph) NumConds() int { return len(g.conds) }
 
@@ -301,17 +298,8 @@ func (g *Graph) CondName(c cond.Cond) string {
 	return fmt.Sprintf("c%d", int(c))
 }
 
-// Source returns the dummy source process identifier.
-func (g *Graph) Source() ProcID { return g.source }
-
 // Sink returns the dummy sink process identifier.
 func (g *Graph) Sink() ProcID { return g.sink }
-
-// OutEdges returns the identifiers of the edges leaving p.
-func (g *Graph) OutEdges(p ProcID) []EdgeID { return append([]EdgeID(nil), g.out[p]...) }
-
-// InEdges returns the identifiers of the edges entering p.
-func (g *Graph) InEdges(p ProcID) []EdgeID { return append([]EdgeID(nil), g.in[p]...) }
 
 // Succs returns the successor processes of p.
 func (g *Graph) Succs(p ProcID) []ProcID {
@@ -361,13 +349,6 @@ func (g *Graph) IsDisjunction(p ProcID) bool {
 func (g *Graph) IsConjunction(p ProcID) bool {
 	g.mustBeFinalized()
 	return g.conjunction[p]
-}
-
-// TopoOrder returns a topological order of all processes (source first, sink
-// last). The graph must be finalized.
-func (g *Graph) TopoOrder() []ProcID {
-	g.mustBeFinalized()
-	return append([]ProcID(nil), g.topo...)
 }
 
 func (g *Graph) mustBeFinalized() {
@@ -683,37 +664,4 @@ func (g *Graph) reachesAllFrom(start ProcID, forward bool) bool {
 		}
 	}
 	return true
-}
-
-// Clone returns a deep copy of the graph (finalized state included).
-func (g *Graph) Clone() *Graph {
-	n := &Graph{
-		name:      g.name,
-		source:    g.source,
-		sink:      g.sink,
-		finalized: g.finalized,
-	}
-	for _, p := range g.procs {
-		cp := *p
-		n.procs = append(n.procs, &cp)
-	}
-	for _, e := range g.edges {
-		ce := *e
-		n.edges = append(n.edges, &ce)
-	}
-	for _, c := range g.conds {
-		cc := *c
-		n.conds = append(n.conds, &cc)
-	}
-	n.out = make([][]EdgeID, len(g.out))
-	n.in = make([][]EdgeID, len(g.in))
-	for i := range g.out {
-		n.out[i] = append([]EdgeID(nil), g.out[i]...)
-		n.in[i] = append([]EdgeID(nil), g.in[i]...)
-	}
-	n.topo = append([]ProcID(nil), g.topo...)
-	n.guards = append([]cond.DNF(nil), g.guards...)
-	n.disjunction = append([]bool(nil), g.disjunction...)
-	n.conjunction = append([]bool(nil), g.conjunction...)
-	return n
 }

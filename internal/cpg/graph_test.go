@@ -8,6 +8,9 @@ import (
 	"repro/internal/cond"
 )
 
+// equivalent reports whether two DNFs denote the same boolean function.
+func equivalent(a, b cond.DNF) bool { return a.Implies(b) && b.Implies(a) }
+
 // testArch builds the small architecture used throughout the package tests:
 // two processors, one hardware element and one all-connecting bus.
 func testArch() *arch.Architecture {
@@ -31,7 +34,7 @@ func testArch() *arch.Architecture {
 func diamond(t *testing.T, a *arch.Architecture) (*Graph, map[string]ProcID, cond.Cond) {
 	t.Helper()
 	g := New("diamond")
-	pe1 := a.Processors()[0]
+	pe1 := a.ComputePEs()[0]
 	p1 := g.AddProcess("P1", 2, pe1)
 	p2 := g.AddProcess("P2", 3, pe1)
 	p3 := g.AddProcess("P3", 4, pe1)
@@ -59,10 +62,10 @@ func TestBuilderBasics(t *testing.T) {
 	if g.NumConds() != 1 {
 		t.Fatalf("NumConds = %d, want 1", g.NumConds())
 	}
-	if g.Source() == NoProc || g.Sink() == NoProc {
+	if g.source == NoProc || g.Sink() == NoProc {
 		t.Fatalf("source/sink not created")
 	}
-	if g.Process(g.Source()).Kind != KindSource || g.Process(g.Sink()).Kind != KindSink {
+	if g.Process(g.source).Kind != KindSource || g.Process(g.Sink()).Kind != KindSink {
 		t.Fatalf("source/sink kinds wrong")
 	}
 	if got, ok := g.FindByName("P3"); !ok || got != ids["P3"] {
@@ -83,22 +86,22 @@ func TestGuards(t *testing.T) {
 	a := testArch()
 	g, ids, c := diamond(t, a)
 	trueGuard := cond.DNFTrue()
-	if !g.Guard(ids["P1"]).Equivalent(trueGuard) {
+	if !equivalent(g.Guard(ids["P1"]), trueGuard) {
 		t.Fatalf("guard(P1) = %v, want true", g.Guard(ids["P1"]))
 	}
 	wantC := cond.FromCube(cond.MustCube(cond.Lit{Cond: c, Val: true}))
-	if !g.Guard(ids["P2"]).Equivalent(wantC) {
+	if !equivalent(g.Guard(ids["P2"]), wantC) {
 		t.Fatalf("guard(P2) = %v, want C", g.Guard(ids["P2"]))
 	}
 	wantNotC := cond.FromCube(cond.MustCube(cond.Lit{Cond: c, Val: false}))
-	if !g.Guard(ids["P3"]).Equivalent(wantNotC) {
+	if !equivalent(g.Guard(ids["P3"]), wantNotC) {
 		t.Fatalf("guard(P3) = %v, want !C", g.Guard(ids["P3"]))
 	}
 	// P4 joins C and !C, so its guard simplifies to true.
-	if !g.Guard(ids["P4"]).Equivalent(trueGuard) {
+	if !equivalent(g.Guard(ids["P4"]), trueGuard) {
 		t.Fatalf("guard(P4) = %v, want true", g.Guard(ids["P4"]))
 	}
-	if !g.Guard(g.Sink()).Equivalent(trueGuard) {
+	if !equivalent(g.Guard(g.Sink()), trueGuard) {
 		t.Fatalf("guard(sink) = %v, want true", g.Guard(g.Sink()))
 	}
 }
@@ -123,7 +126,7 @@ func TestClassification(t *testing.T) {
 func TestTopoOrder(t *testing.T) {
 	a := testArch()
 	g, _, _ := diamond(t, a)
-	order := g.TopoOrder()
+	order := g.topo
 	if len(order) != g.NumProcs() {
 		t.Fatalf("topo order covers %d of %d processes", len(order), g.NumProcs())
 	}
@@ -136,7 +139,7 @@ func TestTopoOrder(t *testing.T) {
 			t.Fatalf("edge %d->%d violates topological order", e.From, e.To)
 		}
 	}
-	if order[0] != g.Source() {
+	if order[0] != g.source {
 		t.Fatalf("source must come first in topological order")
 	}
 }
@@ -144,7 +147,7 @@ func TestTopoOrder(t *testing.T) {
 func TestCycleDetection(t *testing.T) {
 	a := testArch()
 	g := New("cycle")
-	pe := a.Processors()[0]
+	pe := a.ComputePEs()[0]
 	p1 := g.AddProcess("A", 1, pe)
 	p2 := g.AddProcess("B", 1, pe)
 	g.AddEdge(p1, p2)
@@ -157,7 +160,7 @@ func TestCycleDetection(t *testing.T) {
 func TestSelfLoopRejected(t *testing.T) {
 	a := testArch()
 	g := New("selfloop")
-	pe := a.Processors()[0]
+	pe := a.ComputePEs()[0]
 	p1 := g.AddProcess("A", 1, pe)
 	g.AddEdge(p1, p1)
 	if err := g.Finalize(a); err == nil {
@@ -167,7 +170,7 @@ func TestSelfLoopRejected(t *testing.T) {
 
 func TestValidateMappingErrors(t *testing.T) {
 	a := testArch()
-	bus := a.Buses()[0]
+	bus := a.BroadcastBuses()[0]
 
 	g := New("badmap")
 	g.AddProcess("A", 1, bus) // ordinary process on a bus
@@ -182,7 +185,7 @@ func TestValidateMappingErrors(t *testing.T) {
 	}
 
 	g3 := New("badcomm")
-	pe := a.Processors()[0]
+	pe := a.ComputePEs()[0]
 	x := g3.AddProcess("A", 1, pe)
 	y := g3.AddComm("c", 1, pe) // comm process on a processor
 	g3.AddEdge(x, y)
@@ -193,7 +196,7 @@ func TestValidateMappingErrors(t *testing.T) {
 
 func TestValidateCondEdgeMustLeaveDecider(t *testing.T) {
 	a := testArch()
-	pe := a.Processors()[0]
+	pe := a.ComputePEs()[0]
 	g := New("badcond")
 	p1 := g.AddProcess("P1", 1, pe)
 	p2 := g.AddProcess("P2", 1, pe)
@@ -208,7 +211,7 @@ func TestValidateCondEdgeMustLeaveDecider(t *testing.T) {
 
 func TestValidateUndeclaredCondition(t *testing.T) {
 	a := testArch()
-	pe := a.Processors()[0]
+	pe := a.ComputePEs()[0]
 	g := New("undeclared")
 	p1 := g.AddProcess("P1", 1, pe)
 	p2 := g.AddProcess("P2", 1, pe)
@@ -220,7 +223,7 @@ func TestValidateUndeclaredCondition(t *testing.T) {
 
 func TestValidateDummyDecider(t *testing.T) {
 	a := testArch()
-	pe := a.Processors()[0]
+	pe := a.ComputePEs()[0]
 	g := New("dummydecider")
 	src := g.AddSource("S")
 	p1 := g.AddProcess("P1", 1, pe)
@@ -231,20 +234,16 @@ func TestValidateDummyDecider(t *testing.T) {
 	}
 }
 
-func TestFinalizeIdempotentAndClone(t *testing.T) {
+func TestFinalizeIdempotent(t *testing.T) {
 	a := testArch()
 	g, _, _ := diamond(t, a)
+	procs, edges := g.NumProcs(), len(g.edges)
 	if err := g.Finalize(a); err != nil {
 		t.Fatalf("second Finalize should be a no-op: %v", err)
 	}
-	c := g.Clone()
-	if c.NumProcs() != g.NumProcs() || c.NumEdges() != g.NumEdges() || !c.Finalized() {
-		t.Fatalf("Clone lost structure")
-	}
-	// Mutating the clone must not affect the original.
-	c.Process(0).Name = "renamed"
-	if g.Process(0).Name == "renamed" {
-		t.Fatalf("Clone shares process storage")
+	if g.NumProcs() != procs || len(g.edges) != edges || !g.Finalized() {
+		t.Fatalf("second Finalize changed the graph: %d processes, %d edges, want %d, %d",
+			g.NumProcs(), len(g.edges), procs, edges)
 	}
 }
 
@@ -292,18 +291,18 @@ func TestAlternativePathsDiamond(t *testing.T) {
 		t.Fatalf("path !C: active set wrong")
 	}
 	for _, p := range paths {
-		if !p.IsActive(ids["P1"]) || !p.IsActive(ids["P4"]) || !p.IsActive(g.Source()) || !p.IsActive(g.Sink()) {
+		if !p.IsActive(ids["P1"]) || !p.IsActive(ids["P4"]) || !p.IsActive(g.source) || !p.IsActive(g.Sink()) {
 			t.Fatalf("always-active processes missing on %v", p.Label)
 		}
 	}
-	if paths[0].ActiveCount() != 5 {
-		t.Fatalf("path C active count = %d, want 5", paths[0].ActiveCount())
+	if n := g.Subgraph(paths[0]).NumActive(); n != 5 {
+		t.Fatalf("path C active count = %d, want 5", n)
 	}
 }
 
 func TestNestedConditionsPathCount(t *testing.T) {
 	a := testArch()
-	pe := a.Processors()[0]
+	pe := a.ComputePEs()[0]
 	g := New("nested")
 	p1 := g.AddProcess("P1", 1, pe)
 	p2 := g.AddProcess("P2", 1, pe) // active when C
@@ -341,7 +340,7 @@ func TestNestedConditionsPathCount(t *testing.T) {
 	if !g.IsConjunction(join) {
 		t.Fatalf("join must be a conjunction process")
 	}
-	if !g.Guard(join).Equivalent(cond.DNFTrue()) {
+	if !equivalent(g.Guard(join), cond.DNFTrue()) {
 		t.Fatalf("guard(join) = %v, want true", g.Guard(join))
 	}
 }
@@ -350,7 +349,7 @@ func TestSubgraphAdjacencyAndCriticalPath(t *testing.T) {
 	a := testArch()
 	g, ids, c := diamond(t, a)
 	label := cond.MustCube(cond.Lit{Cond: c, Val: true})
-	sub := g.SubgraphFor(label)
+	sub := g.Subgraph(g.PathFor(label))
 	if !sub.Active(ids["P2"]) || sub.Active(ids["P3"]) {
 		t.Fatalf("subgraph active set wrong")
 	}
@@ -369,7 +368,7 @@ func TestSubgraphAdjacencyAndCriticalPath(t *testing.T) {
 	if len(decided) != 1 || decided[0] != c {
 		t.Fatalf("DecidedConds = %v", decided)
 	}
-	cp := sub.CriticalPathLengths(func(p ProcID) int64 { return g.Process(p).Exec })
+	cp := sub.CriticalPathLengthsInto(nil, func(p ProcID) int64 { return g.Process(p).Exec })
 	// Critical path from P1: P1(2) + P2(3) + P4(1) = 6.
 	if cp[ids["P1"]] != 6 {
 		t.Fatalf("critical path of P1 = %d, want 6", cp[ids["P1"]])
@@ -377,8 +376,8 @@ func TestSubgraphAdjacencyAndCriticalPath(t *testing.T) {
 	if cp[ids["P4"]] != 1 {
 		t.Fatalf("critical path of P4 = %d, want 1", cp[ids["P4"]])
 	}
-	if cp[g.Source()] != 6 {
-		t.Fatalf("critical path of source = %d, want 6", cp[g.Source()])
+	if cp[g.source] != 6 {
+		t.Fatalf("critical path of source = %d, want 6", cp[g.source])
 	}
 }
 
@@ -396,7 +395,7 @@ func TestPathForPartialLabelLeavesGuardedProcessesInactive(t *testing.T) {
 
 func TestMaxPathsLimit(t *testing.T) {
 	a := testArch()
-	pe := a.Processors()[0]
+	pe := a.ComputePEs()[0]
 	g := New("wide")
 	prev := g.AddProcess("start", 1, pe)
 	// Five independent conditions in series: 32 alternative paths.
@@ -430,7 +429,7 @@ func TestMaxPathsLimit(t *testing.T) {
 
 func TestValidatePathsDetectsBlockedProcess(t *testing.T) {
 	a := testArch()
-	pe := a.Processors()[0]
+	pe := a.ComputePEs()[0]
 	g := New("blocked")
 	p1 := g.AddProcess("P1", 1, pe)
 	p2 := g.AddProcess("P2", 1, pe)
@@ -470,8 +469,8 @@ func TestValidatePathsDetectsBlockedProcess(t *testing.T) {
 
 func TestInsertComms(t *testing.T) {
 	a := testArch()
-	pe1, pe2 := a.Processors()[0], a.Processors()[1]
-	bus := a.Buses()[0]
+	pe1, pe2 := a.ComputePEs()[0], a.ComputePEs()[1]
+	bus := a.BroadcastBuses()[0]
 	g := New("comms")
 	p1 := g.AddProcess("P1", 2, pe1)
 	p2 := g.AddProcess("P2", 3, pe2) // cross-processor edge P1->P2
@@ -506,7 +505,7 @@ func TestInsertComms(t *testing.T) {
 	}
 	// The comm process must inherit the guard of the conditional data.
 	want := cond.FromCube(cond.MustCube(cond.Lit{Cond: c, Val: true}))
-	if !g.Guard(commID).Equivalent(want) {
+	if !equivalent(g.Guard(commID), want) {
 		t.Fatalf("guard(comm) = %v, want C", g.Guard(commID))
 	}
 	// P2 is now reached only through the comm process.

@@ -20,17 +20,6 @@ type Path struct {
 	Active []bool
 }
 
-// ActiveCount returns the number of active processes on the path.
-func (p *Path) ActiveCount() int {
-	n := 0
-	for _, a := range p.Active {
-		if a {
-			n++
-		}
-	}
-	return n
-}
-
 // IsActive reports whether process id executes on this path.
 func (p *Path) IsActive(id ProcID) bool {
 	return int(id) >= 0 && int(id) < len(p.Active) && p.Active[id]
@@ -105,11 +94,10 @@ func (g *Graph) PathFor(label cond.Cube) *Path {
 // inner loop never allocate, and a subgraph takes a fixed number of
 // allocations whatever the size of the graph.
 type Subgraph struct {
-	G          *Graph
-	Label      cond.Cube
-	active     []bool
-	activeEdge []bool
-	topo       []ProcID
+	G      *Graph
+	Label  cond.Cube
+	active []bool
+	topo   []ProcID
 	// adjOff has 2n+1 offsets into adj for a graph with n processes: the
 	// active predecessors of p are adj[adjOff[p]:adjOff[p+1]], its active
 	// successors adj[adjOff[n+p]:adjOff[n+p+1]].
@@ -125,7 +113,7 @@ func (g *Graph) Subgraph(p *Path) *Subgraph {
 	s := &Subgraph{G: g, Label: p.Label}
 	flags := make([]bool, n+len(g.edges))
 	s.active = flags[:n:n]
-	s.activeEdge = flags[n:]
+	activeEdge := flags[n:]
 	copy(s.active, p.Active)
 	activeEdges, activeProcs := 0, 0
 	for _, e := range g.edges {
@@ -138,7 +126,7 @@ func (g *Graph) Subgraph(p *Path) *Subgraph {
 				continue
 			}
 		}
-		s.activeEdge[e.ID] = true
+		activeEdge[e.ID] = true
 		activeEdges++
 	}
 	for _, a := range s.active {
@@ -159,7 +147,7 @@ func (g *Graph) Subgraph(p *Path) *Subgraph {
 	s.adjOff = make([]int32, 2*n+1)
 	for i := 0; i < n; i++ {
 		for _, eid := range g.in[i] {
-			if s.activeEdge[eid] {
+			if activeEdge[eid] {
 				back = append(back, g.edges[eid].From)
 			}
 		}
@@ -167,7 +155,7 @@ func (g *Graph) Subgraph(p *Path) *Subgraph {
 	}
 	for i := 0; i < n; i++ {
 		for _, eid := range g.out[i] {
-			if s.activeEdge[eid] {
+			if activeEdge[eid] {
 				back = append(back, g.edges[eid].To)
 			}
 		}
@@ -191,19 +179,9 @@ func (g *Graph) Subgraph(p *Path) *Subgraph {
 	return s
 }
 
-// SubgraphFor is shorthand for Subgraph(PathFor(label)).
-func (g *Graph) SubgraphFor(label cond.Cube) *Subgraph {
-	return g.Subgraph(g.PathFor(label))
-}
-
 // Active reports whether process id executes on this path.
 func (s *Subgraph) Active(id ProcID) bool {
 	return int(id) >= 0 && int(id) < len(s.active) && s.active[id]
-}
-
-// ActiveEdge reports whether edge id transmits on this path.
-func (s *Subgraph) ActiveEdge(id EdgeID) bool {
-	return int(id) >= 0 && int(id) < len(s.activeEdge) && s.activeEdge[id]
 }
 
 // ActiveProcs returns the active processes in topological order. The returned
@@ -233,16 +211,12 @@ func (s *Subgraph) Succs(p ProcID) []ProcID {
 // shared and must not be modified.
 func (s *Subgraph) DecidedConds() []cond.Cond { return s.decided }
 
-// CriticalPathLengths returns, for every process identifier (active or not),
-// the length of the longest chain of execution times from that process to the
-// sink within the subgraph; inactive processes keep zero. It is the priority
-// function used by the list scheduler.
-func (s *Subgraph) CriticalPathLengths(exec func(ProcID) int64) []int64 {
-	return s.CriticalPathLengthsInto(nil, exec)
-}
-
-// CriticalPathLengthsInto is CriticalPathLengths writing into dst (grown when
-// too small), so callers scheduling many paths can reuse one buffer.
+// CriticalPathLengthsInto writes into dst (grown when too small), for every
+// process identifier (active or not), the length of the longest chain of
+// execution times from that process to the sink within the subgraph;
+// inactive processes keep zero. It is the priority function used by the list
+// scheduler, and reusing dst lets callers scheduling many paths share one
+// buffer.
 func (s *Subgraph) CriticalPathLengthsInto(dst []int64, exec func(ProcID) int64) []int64 {
 	n := len(s.G.procs)
 	if cap(dst) < n {

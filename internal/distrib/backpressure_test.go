@@ -46,14 +46,12 @@ func TestHTTPBackendMapsShedsToBackpressure(t *testing.T) {
 		if bp.RetryAfter != 3*time.Second {
 			t.Errorf("status %d: RetryAfter = %v, want 3s", code, bp.RetryAfter)
 		}
-		if !IsBackpressure(err) {
-			t.Errorf("status %d: IsBackpressure = false", code)
-		}
 	}
 
 	status.Store(http.StatusInternalServerError)
 	_, err := b.RunShard(context.Background(), cfg)
-	if err == nil || IsBackpressure(err) {
+	var bp *BackpressureError
+	if err == nil || errors.As(err, &bp) {
 		t.Fatalf("500 must stay an ordinary failure, got %v", err)
 	}
 }

@@ -61,13 +61,6 @@ func (e *BackpressureError) Error() string {
 	return fmt.Sprintf("backend shed the request (HTTP %d, retry after %v): %s", e.Status, e.RetryAfter, e.Msg)
 }
 
-// IsBackpressure reports whether err (anywhere in its chain) is a
-// backpressure shed rather than a failure.
-func IsBackpressure(err error) bool {
-	var be *BackpressureError
-	return errors.As(err, &be)
-}
-
 // parseRetryAfter reads a Retry-After header value in either RFC 9110 form:
 // delay-seconds (what this repo's servers emit) or an HTTP-date (what
 // proxies and other servers may substitute). A date is converted to a delay

@@ -24,15 +24,15 @@ func zeroGraphTimes(sh *expr.ShardResult) *expr.ShardResult {
 // TestHTTPRunShardStreamMatchesInProcess pins the HTTP backend against the
 // production handler: every graph is yielded once, and the assembled shard
 // — streamed, or through RunShard without a callback — matches an
-// in-process expr.RunSweepShard byte for byte (timings aside).
+// in-process expr.RunSweepShardContext byte for byte (timings aside).
 func TestHTTPRunShardStreamMatchesInProcess(t *testing.T) {
 	ts := testBackendServer(t, 2)
 	b := HTTP{BaseURL: ts.URL}
 	cfg := expr.GoldenSweep()
 	cfg.ShardIndex, cfg.ShardCount = 1, 2
-	want, err := expr.RunSweepShard(cfg)
+	want, err := expr.RunSweepShardContext(context.Background(), cfg)
 	if err != nil {
-		t.Fatalf("RunSweepShard: %v", err)
+		t.Fatalf("RunSweepShardContext: %v", err)
 	}
 
 	var yields []expr.GraphResult

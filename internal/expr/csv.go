@@ -52,30 +52,3 @@ func WriteSweepCSV(w io.Writer, cells []Cell) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// WriteTable2CSV exports the OAM experiment as CSV, one line per mode and
-// architecture configuration.
-func WriteTable2CSV(w io.Writer, r *Table2Result) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"mode", "processes", "paths", "configuration", "worst_case_delay_ns", "mapping"}); err != nil {
-		return err
-	}
-	for _, row := range r.Rows {
-		for _, cfg := range r.Configs {
-			label := cfg.Label()
-			rec := []string{
-				fmt.Sprintf("%d", int(row.Mode)),
-				fmt.Sprintf("%d", row.Processes),
-				fmt.Sprintf("%d", row.Paths),
-				label,
-				fmt.Sprintf("%d", row.Delays[label]),
-				row.Mappings[label].String(),
-			}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}

@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/atm"
 )
 
 func TestWriteSweepCSV(t *testing.T) {
@@ -32,35 +30,5 @@ func TestWriteSweepCSV(t *testing.T) {
 	}
 	if !strings.Contains(lines[2], "120,32,4,1.2500") {
 		t.Fatalf("second data line unexpected: %q", lines[2])
-	}
-}
-
-func TestWriteTable2CSV(t *testing.T) {
-	r := &Table2Result{
-		Configs: []atm.ArchConfig{
-			{Processors: []atm.ProcessorType{atm.I486}, Memories: 1},
-			{Processors: []atm.ProcessorType{atm.Pentium, atm.Pentium}, Memories: 2},
-		},
-		Rows: []Table2Row{
-			{
-				Mode: atm.Mode2, Processes: 23, Paths: 3,
-				Delays:   map[string]int64{"1P/1M 486": 1680, "2P/2M 2xPentium": 1057},
-				Mappings: map[string]atm.Mapping{"1P/1M 486": atm.MapAllFirst, "2P/2M 2xPentium": atm.MapAllFirst},
-			},
-		},
-	}
-	var buf bytes.Buffer
-	if err := WriteTable2CSV(&buf, r); err != nil {
-		t.Fatalf("WriteTable2CSV: %v", err)
-	}
-	s := buf.String()
-	if !strings.Contains(s, "mode,processes,paths,configuration,worst_case_delay_ns,mapping") {
-		t.Fatalf("header missing:\n%s", s)
-	}
-	if !strings.Contains(s, "2,23,3,1P/1M 486,1680,all-on-first") {
-		t.Fatalf("data line missing:\n%s", s)
-	}
-	if !strings.Contains(s, "2P/2M 2xPentium,1057") {
-		t.Fatalf("second configuration missing:\n%s", s)
 	}
 }

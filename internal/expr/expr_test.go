@@ -47,11 +47,11 @@ func TestFigure1Structure(t *testing.T) {
 		}
 		return id
 	}
-	if !g.Guard(byName("P3")).IsTrue() {
-		t.Fatalf("guard(P3) = %v, want true", g.Guard(byName("P3")))
+	if got := g.Guard(byName("P3")).Format(g.CondName); got != "true" {
+		t.Fatalf("guard(P3) = %q, want true", got)
 	}
-	if !g.Guard(byName("P17")).IsTrue() {
-		t.Fatalf("guard(P17) = %v, want true", g.Guard(byName("P17")))
+	if got := g.Guard(byName("P17")).Format(g.CondName); got != "true" {
+		t.Fatalf("guard(P17) = %q, want true", got)
 	}
 	if got := g.Guard(byName("P5")).Format(g.CondName); got != "C" {
 		t.Fatalf("guard(P5) = %q, want C", got)

@@ -54,9 +54,9 @@ func TestMergeCellsShardEquivalence(t *testing.T) {
 				c := cfg
 				c.ShardIndex, c.ShardCount = i, count
 				c.Workers = workers
-				sh, err := RunSweepShard(c)
+				sh, err := RunSweepShardContext(context.Background(), c)
 				if err != nil {
-					t.Fatalf("RunSweepShard(%d/%d): %v", i, count, err)
+					t.Fatalf("RunSweepShardContext(%d/%d): %v", i, count, err)
 				}
 				if sh.ShardIndex != i || sh.ShardCount != count {
 					t.Fatalf("shard coordinates drifted: got %d/%d want %d/%d", sh.ShardIndex, sh.ShardCount, i, count)
@@ -105,9 +105,9 @@ func TestGoldenSweepCSV(t *testing.T) {
 		for i := 0; i < count; i++ {
 			c := cfg
 			c.ShardIndex, c.ShardCount = i, count
-			sh, err := RunSweepShard(c)
+			sh, err := RunSweepShardContext(context.Background(), c)
 			if err != nil {
-				t.Fatalf("RunSweepShard(%d/%d): %v", i, count, err)
+				t.Fatalf("RunSweepShardContext(%d/%d): %v", i, count, err)
 			}
 			shards = append(shards, sh)
 		}
@@ -146,9 +146,9 @@ func TestMergeCellsAccounting(t *testing.T) {
 func mustShard(t *testing.T, cfg SweepConfig, index, count int) *ShardResult {
 	t.Helper()
 	cfg.ShardIndex, cfg.ShardCount = index, count
-	sh, err := RunSweepShard(cfg)
+	sh, err := RunSweepShardContext(context.Background(), cfg)
 	if err != nil {
-		t.Fatalf("RunSweepShard(%d/%d): %v", index, count, err)
+		t.Fatalf("RunSweepShardContext(%d/%d): %v", index, count, err)
 	}
 	return sh
 }
@@ -160,7 +160,7 @@ func TestShardValidation(t *testing.T) {
 	for _, tc := range []struct{ index, count int }{{-1, 2}, {2, 2}, {5, 3}} {
 		c := cfg
 		c.ShardIndex, c.ShardCount = tc.index, tc.count
-		if _, err := RunSweepShard(c); err == nil {
+		if _, err := RunSweepShardContext(context.Background(), c); err == nil {
 			t.Errorf("shard %d/%d must be rejected", tc.index, tc.count)
 		}
 	}

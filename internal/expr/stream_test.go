@@ -26,9 +26,9 @@ func zeroShardTimes(sh *ShardResult) *ShardResult {
 func TestRunSweepShardStreamMatchesUnary(t *testing.T) {
 	cfg := GoldenSweep()
 	cfg.ShardIndex, cfg.ShardCount = 0, 2
-	want, err := RunSweepShard(cfg)
+	want, err := RunSweepShardContext(context.Background(), cfg)
 	if err != nil {
-		t.Fatalf("RunSweepShard: %v", err)
+		t.Fatalf("RunSweepShardContext: %v", err)
 	}
 	for _, workers := range []int{1, 4} {
 		c := cfg
@@ -83,9 +83,9 @@ func TestRunSweepShardStreamYieldError(t *testing.T) {
 func TestSkipResume(t *testing.T) {
 	cfg := GoldenSweep()
 	cfg.ShardIndex, cfg.ShardCount = 1, 2
-	full, err := RunSweepShard(cfg)
+	full, err := RunSweepShardContext(context.Background(), cfg)
 	if err != nil {
-		t.Fatalf("RunSweepShard: %v", err)
+		t.Fatalf("RunSweepShardContext: %v", err)
 	}
 	if len(full.Results) < 3 {
 		t.Fatalf("shard too small for the test: %d graphs", len(full.Results))
@@ -100,9 +100,9 @@ func TestSkipResume(t *testing.T) {
 	if want := len(full.Results) - k; resume.ShardSize() != want {
 		t.Fatalf("ShardSize with %d skipped = %d, want %d", k, resume.ShardSize(), want)
 	}
-	rest, err := RunSweepShard(resume)
+	rest, err := RunSweepShardContext(context.Background(), resume)
 	if err != nil {
-		t.Fatalf("RunSweepShard(resume): %v", err)
+		t.Fatalf("RunSweepShardContext(resume): %v", err)
 	}
 	if len(rest.Results) != len(full.Results)-k {
 		t.Fatalf("resume computed %d graphs, want %d", len(rest.Results), len(full.Results)-k)
@@ -130,7 +130,7 @@ func TestSkipValidation(t *testing.T) {
 
 	foreign := cfg
 	foreign.Skip = []GraphKey{{Nodes: 999, Paths: 10, Index: 0}}
-	if _, err := RunSweepShard(foreign); err == nil || !strings.Contains(err.Error(), "not a graph of shard") {
+	if _, err := RunSweepShardContext(context.Background(), foreign); err == nil || !strings.Contains(err.Error(), "not a graph of shard") {
 		t.Errorf("foreign skip entry: err = %v, want 'not a graph of shard'", err)
 	}
 
@@ -141,13 +141,13 @@ func TestSkipValidation(t *testing.T) {
 			break
 		}
 	}
-	if _, err := RunSweepShard(other); err == nil || !strings.Contains(err.Error(), "not a graph of shard") {
+	if _, err := RunSweepShardContext(context.Background(), other); err == nil || !strings.Contains(err.Error(), "not a graph of shard") {
 		t.Errorf("other-shard skip entry: err = %v, want 'not a graph of shard'", err)
 	}
 
 	dup := cfg
 	dup.Skip = []GraphKey{mine[0], mine[0]}
-	if _, err := RunSweepShard(dup); err == nil || !strings.Contains(err.Error(), "duplicate skip entry") {
+	if _, err := RunSweepShardContext(context.Background(), dup); err == nil || !strings.Contains(err.Error(), "duplicate skip entry") {
 		t.Errorf("duplicate skip entry: err = %v, want 'duplicate skip entry'", err)
 	}
 }
@@ -157,9 +157,9 @@ func TestSkipValidation(t *testing.T) {
 func TestAssembleShardResultAccounting(t *testing.T) {
 	cfg := GoldenSweep()
 	cfg.ShardIndex, cfg.ShardCount = 0, 2
-	full, err := RunSweepShard(cfg)
+	full, err := RunSweepShardContext(context.Background(), cfg)
 	if err != nil {
-		t.Fatalf("RunSweepShard: %v", err)
+		t.Fatalf("RunSweepShardContext: %v", err)
 	}
 	complete := map[GraphKey]GraphResult{}
 	for _, res := range full.Results {

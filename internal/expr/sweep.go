@@ -70,9 +70,9 @@ type SweepConfig struct {
 	// to shard shardOf(...) % ShardCount by a stable hash of its
 	// coordinates, so shards are balanced, seed-independent and identical
 	// on every machine. ShardCount == 0 (or 1) means the whole sweep;
-	// RunSweepShard executes exactly one shard and MergeCells recombines
-	// the partial results of all shards into the cells a single-process
-	// run produces, byte for byte.
+	// RunSweepShardContext executes exactly one shard and MergeCells
+	// recombines the partial results of all shards into the cells a
+	// single-process run produces, byte for byte.
 	ShardIndex int
 	ShardCount int
 	// Skip lists graphs of the selected shard that are NOT to be computed
@@ -428,12 +428,6 @@ func (c SweepConfig) ValidateShardResult(sh *ShardResult) error {
 	return nil
 }
 
-// RunSweepShard executes one shard of the sweep and returns the raw
-// per-graph results. See RunSweepShardContext.
-func RunSweepShard(cfg SweepConfig) (*ShardResult, error) {
-	return RunSweepShardContext(context.Background(), cfg)
-}
-
 // RunSweepShardContext generates and schedules the graphs of the config's
 // shard on cfg.Workers goroutines and returns their raw measurements in
 // canonical job order. Per-graph seeds depend only on cfg.Seed and the graph
@@ -599,12 +593,12 @@ func (c SweepConfig) AssembleShardResult(got map[GraphKey]GraphResult) (*ShardRe
 // returned cells (timing aside) are bit-identical for every worker count.
 //
 // RunSweep always executes the whole sweep: configs selecting a single shard
-// (ShardCount > 1) are rejected — run those through RunSweepShard and
-// recombine with MergeCells.
+// (ShardCount > 1) are rejected — run those through RunSweepShardContext
+// and recombine with MergeCells.
 func RunSweep(cfg SweepConfig) ([]Cell, error) {
 	cfg = cfg.Normalize()
 	if cfg.ShardCount > 1 {
-		return nil, fmt.Errorf("expr: RunSweep executes whole sweeps; use RunSweepShard for shard %d/%d and MergeCells to recombine",
+		return nil, fmt.Errorf("expr: RunSweep executes whole sweeps; use RunSweepShardContext for shard %d/%d and MergeCells to recombine",
 			cfg.ShardIndex, cfg.ShardCount)
 	}
 	shard, err := RunSweepShardContext(context.Background(), cfg)

@@ -83,9 +83,9 @@ func TestGenerateDeterministicForSameSeed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	if a.Graph.NumProcs() != b.Graph.NumProcs() || a.Graph.NumEdges() != b.Graph.NumEdges() {
+	if a.Graph.NumProcs() != b.Graph.NumProcs() || len(a.Graph.Edges()) != len(b.Graph.Edges()) {
 		t.Fatalf("same seed produced different graphs: %d/%d vs %d/%d",
-			a.Graph.NumProcs(), a.Graph.NumEdges(), b.Graph.NumProcs(), b.Graph.NumEdges())
+			a.Graph.NumProcs(), len(a.Graph.Edges()), b.Graph.NumProcs(), len(b.Graph.Edges()))
 	}
 	pa := a.Graph.Procs()
 	pb := b.Graph.Procs()
@@ -99,7 +99,7 @@ func TestGenerateDeterministicForSameSeed(t *testing.T) {
 func TestGenerateDifferentSeedsDiffer(t *testing.T) {
 	a, _ := Generate(Config{Seed: 1, Nodes: 60, TargetPaths: 12})
 	b, _ := Generate(Config{Seed: 2, Nodes: 60, TargetPaths: 12})
-	same := a.Graph.NumProcs() == b.Graph.NumProcs() && a.Graph.NumEdges() == b.Graph.NumEdges()
+	same := a.Graph.NumProcs() == b.Graph.NumProcs() && len(a.Graph.Edges()) == len(b.Graph.Edges())
 	if same {
 		// Even with the same sizes the execution times should differ.
 		diff := false
@@ -121,14 +121,12 @@ func TestArchitectureMatchesConfig(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	if got := len(inst.Arch.Processors()); got != 7 {
-		t.Fatalf("processors = %d, want 7", got)
+	kinds := map[arch.Kind]int{}
+	for _, pe := range inst.Arch.PEs() {
+		kinds[pe.Kind]++
 	}
-	if got := len(inst.Arch.Hardware()); got != 1 {
-		t.Fatalf("hardware = %d, want 1", got)
-	}
-	if got := len(inst.Arch.Buses()); got != 5 {
-		t.Fatalf("buses = %d, want 5", got)
+	if kinds[arch.KindProcessor] != 7 || kinds[arch.KindHardware] != 1 || kinds[arch.KindBus] != 5 {
+		t.Fatalf("PEs by kind = %v, want 7 processors, 1 hardware, 5 buses", kinds)
 	}
 	if got := len(inst.Arch.BroadcastBuses()); got != 1 {
 		t.Fatalf("exactly one broadcast bus expected, got %d", got)

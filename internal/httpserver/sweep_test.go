@@ -2,6 +2,7 @@ package httpserver
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"reflect"
@@ -22,16 +23,16 @@ func sweepRequestBody(t *testing.T, cfg expr.SweepConfig) []byte {
 
 // TestSweepEndpointMatchesInProcess pins the acceptance property of the
 // sweep endpoint: the NDJSON frames of a served shard reassemble into
-// exactly the per-graph results of an in-process expr.RunSweepShard
+// exactly the per-graph results of an in-process expr.RunSweepShardContext
 // (wall-clock timing aside).
 func TestSweepEndpointMatchesInProcess(t *testing.T) {
 	ts := testServer(t)
 	cfg := expr.GoldenSweep()
 	cfg.ShardIndex, cfg.ShardCount = 1, 2
 	body := sweepRequestBody(t, cfg)
-	want, err := expr.RunSweepShard(cfg)
+	want, err := expr.RunSweepShardContext(context.Background(), cfg)
 	if err != nil {
-		t.Fatalf("RunSweepShard: %v", err)
+		t.Fatalf("RunSweepShardContext: %v", err)
 	}
 
 	resp, out := postJSON(t, ts.URL+"/v1/sweep", body)

@@ -1,4 +1,4 @@
-// Package lint implements the project-specific static analyzers behind
+// Package lint implements the four project-specific static analyzers behind
 // cmd/cpglint. Each analyzer machine-enforces an invariant that earlier PRs
 // protected only by golden tests and review discipline:
 //
@@ -17,10 +17,6 @@
 //   - nowallclock: the deterministic core must not read wall-clock time, the
 //     global math/rand source, or the environment. Reproducibility means the
 //     same inputs give the same bytes on every machine, every run.
-//   - cubelits: no write through the result of Cube.Lits(). The method hands
-//     out a read-only snapshot of a cube's literals; under the retired
-//     slice-backed representation such writes corrupted shared cube storage,
-//     and under the bitset representation they are silently discarded.
 //
 // Findings can be suppressed with a directive comment on the offending line
 // or the line directly above it:
@@ -46,7 +42,7 @@ import (
 	"golang.org/x/tools/go/analysis/passes/lostcancel"
 )
 
-// Analyzers returns the full cpglint suite: the five project-specific
+// Analyzers returns the full cpglint suite: the four project-specific
 // analyzers plus the bundled standard passes (copylock, lostcancel,
 // loopclosure, atomic) and the sortslice port. nilness is deliberately
 // absent: it needs go/ssa, which the offline toolchain does not vendor.
@@ -56,7 +52,6 @@ func Analyzers() []*analysis.Analyzer {
 		StrictDecode,
 		CtxThread,
 		NoWallClock,
-		CubeLits,
 		SortSlice,
 		atomic.Analyzer,
 		copylock.Analyzer,

@@ -36,10 +36,6 @@ func TestSortSlice(t *testing.T) {
 	linttest.Run(t, filepath.Join("testdata", "src", "sortslice", "a"), SortSlice)
 }
 
-func TestCubeLits(t *testing.T) {
-	linttest.Run(t, filepath.Join("testdata", "src", "cubelits", "cond"), CubeLits)
-}
-
 func TestParseAllow(t *testing.T) {
 	cases := []struct {
 		text, analyzer, reason string
@@ -60,12 +56,11 @@ func TestParseAllow(t *testing.T) {
 	}
 }
 
-// TestAnalyzersComplete pins the suite shipped by cmd/cpglint: five custom
+// TestAnalyzersComplete pins the suite shipped by cmd/cpglint: four custom
 // analyzers, the sortslice port, and the four bundled standard passes.
 func TestAnalyzersComplete(t *testing.T) {
 	want := map[string]bool{
 		"detmap": true, "strictdecode": true, "ctxthread": true, "nowallclock": true,
-		"cubelits":  true,
 		"sortslice": true, "atomic": true, "copylocks": true, "loopclosure": true, "lostcancel": true,
 	}
 	got := Analyzers()

@@ -24,7 +24,7 @@ func TestScheduleAllocsRegression(t *testing.T) {
 		t.Fatalf("AlternativePaths: %v", err)
 	}
 	sub := g.Subgraph(paths[0])
-	sc := listsched.NewScratch()
+	sc := new(listsched.Scratch)
 	if _, _, err := sc.Schedule(sub, a, listsched.Options{}); err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -61,7 +61,7 @@ func TestScheduleAllocsRegression(t *testing.T) {
 	}
 
 	fresh := testing.AllocsPerRun(200, func() {
-		if _, _, err := listsched.Schedule(sub, a, listsched.Options{}); err != nil {
+		if _, _, err := new(listsched.Scratch).Schedule(sub, a, listsched.Options{}); err != nil {
 			t.Fatalf("Schedule: %v", err)
 		}
 	})
@@ -99,7 +99,7 @@ func TestScratchReuseAcrossShrinkingGraphs(t *testing.T) {
 		t.Fatalf("AlternativePaths(small): %v", err)
 	}
 
-	sc := listsched.NewScratch()
+	sc := new(listsched.Scratch)
 	for i := 0; i < 3; i++ {
 		for _, p := range bigPaths {
 			if _, _, err := sc.Schedule(big.Subgraph(p), bigArch, listsched.Options{}); err != nil {

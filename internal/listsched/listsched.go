@@ -167,11 +167,6 @@ type Diagnostics struct {
 	ResourceOverlaps []arch.PEID
 }
 
-// OK reports whether the run produced no diagnostics.
-func (d *Diagnostics) OK() bool {
-	return len(d.LockViolations) == 0 && len(d.ResourceOverlaps) == 0
-}
-
 // Scratch holds the dense per-process state, the ready heap and the sort keys
 // of one scheduling run. The buffers are reused across runs, so a caller
 // scheduling many paths allocates only the resulting PathSchedule per run,
@@ -199,9 +194,6 @@ type Scratch struct {
 	// keys holds the packed sort keys of the schedule being sealed.
 	keys []uint64
 }
-
-// NewScratch returns an empty scratch. Buffers grow on first use.
-func NewScratch() *Scratch { return &Scratch{} }
 
 // reset prepares the scratch for a graph with n processes on an architecture
 // with pes processing elements, clearing only what the previous run dirtied.
@@ -292,14 +284,6 @@ func (sc *Scratch) pop() cpg.ProcID {
 		i = smallest
 	}
 	return top
-}
-
-// Schedule builds a schedule for the active subgraph sub on architecture a.
-// It is shorthand for NewScratch().Schedule; callers scheduling many paths
-// should keep a Scratch per goroutine and reuse it.
-func Schedule(sub *cpg.Subgraph, a *arch.Architecture, opt Options) (*sched.PathSchedule, *Diagnostics, error) {
-	var sc Scratch
-	return sc.Schedule(sub, a, opt)
 }
 
 // Schedule builds a schedule for the active subgraph sub on architecture a,
@@ -393,7 +377,7 @@ func (sc *Scratch) ScheduleInto(dst *sched.PathSchedule, sub *cpg.Subgraph, a *a
 
 	sc.buses = a.AppendBroadcastBuses(sc.buses[:0])
 	broadcastBuses := sc.buses
-	needBroadcast := a.NumComputePEs() > 1 && len(broadcastBuses) > 0
+	needBroadcast := a.Broadcasts()
 
 	// guardCube[p] is the cube of the process guard satisfied by this path;
 	// the process may not start on its processing element before every
@@ -541,26 +525,4 @@ func (sc *Scratch) ScheduleInto(dst *sched.PathSchedule, sub *cpg.Subgraph, a *a
 		}
 	}
 	return ps, diag, nil
-}
-
-// ScheduleAllPaths schedules every alternative path of the graph with the
-// critical-path priority and returns the schedules in path order together
-// with δM, the largest of the individual path delays. A single scratch is
-// reused across the paths.
-func ScheduleAllPaths(g *cpg.Graph, a *arch.Architecture, paths []*cpg.Path, opt Options) ([]*sched.PathSchedule, int64, error) {
-	var deltaM int64
-	var sc Scratch
-	out := make([]*sched.PathSchedule, 0, len(paths))
-	for _, p := range paths {
-		sub := g.Subgraph(p)
-		ps, _, err := sc.Schedule(sub, a, opt)
-		if err != nil {
-			return nil, 0, fmt.Errorf("listsched: path %s: %w", p.Label, err)
-		}
-		if ps.Delay > deltaM {
-			deltaM = ps.Delay
-		}
-		out = append(out, ps)
-	}
-	return out, deltaM, nil
 }

@@ -40,8 +40,8 @@ func TestBroadcastPicksFirstAvailableBus(t *testing.T) {
 		t.Fatalf("Finalize: %v", err)
 	}
 	label := cond.MustCube(cond.Lit{Cond: c, Val: true})
-	ps, diag, err := Schedule(g.SubgraphFor(label), a, Options{})
-	if err != nil || !diag.OK() {
+	ps, diag, err := new(Scratch).Schedule(g.Subgraph(g.PathFor(label)), a, Options{})
+	if err != nil || !clean(diag) {
 		t.Fatalf("Schedule: %v %+v", err, diag)
 	}
 	ct, ok := ps.Cond(c)
@@ -73,15 +73,15 @@ func TestBroadcastPicksFirstAvailableBus(t *testing.T) {
 func TestLockedBroadcastRespected(t *testing.T) {
 	a := twoProcArch()
 	g, ids, c := condGraph(t, a, 2)
-	bus := a.Buses()[0]
+	bus := a.BroadcastBuses()[0]
 	label := cond.MustCube(cond.Lit{Cond: c, Val: true})
 	locked := NewLocks(g.NumProcs())
 	locked.Set(sched.CondKey(c), Lock{Start: 9, Bus: bus})
-	ps, diag, err := Schedule(g.SubgraphFor(label), a, Options{Locked: locked})
+	ps, diag, err := new(Scratch).Schedule(g.Subgraph(g.PathFor(label)), a, Options{Locked: locked})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
-	if !diag.OK() {
+	if !clean(diag) {
 		t.Fatalf("diagnostics: %+v", diag)
 	}
 	ct, _ := ps.Cond(c)
@@ -120,7 +120,7 @@ func TestMemoryModuleIsSequentialResource(t *testing.T) {
 		return g, a, []cpg.ProcID{mx, my}
 	}
 	g1, a1, acc1 := build(1)
-	ps1, _, err := Schedule(singlePath(t, g1), a1, Options{})
+	ps1, _, err := new(Scratch).Schedule(singlePath(t, g1), a1, Options{})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -131,7 +131,7 @@ func TestMemoryModuleIsSequentialResource(t *testing.T) {
 	}
 
 	g2, a2, acc2 := build(2)
-	ps2, _, err := Schedule(singlePath(t, g2), a2, Options{})
+	ps2, _, err := new(Scratch).Schedule(singlePath(t, g2), a2, Options{})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -150,7 +150,7 @@ func TestMemoryModuleIsSequentialResource(t *testing.T) {
 // occupy resources and do not break the schedule.
 func TestZeroExecutionTimeProcesses(t *testing.T) {
 	a := twoProcArch()
-	pe := a.Processors()[0]
+	pe := a.ComputePEs()[0]
 	g := cpg.New("zero")
 	x := g.AddProcess("X", 0, pe)
 	y := g.AddProcess("Y", 5, pe)
@@ -160,8 +160,8 @@ func TestZeroExecutionTimeProcesses(t *testing.T) {
 	if err := g.Finalize(a); err != nil {
 		t.Fatalf("Finalize: %v", err)
 	}
-	ps, diag, err := Schedule(singlePath(t, g), a, Options{})
-	if err != nil || !diag.OK() {
+	ps, diag, err := new(Scratch).Schedule(singlePath(t, g), a, Options{})
+	if err != nil || !clean(diag) {
 		t.Fatalf("Schedule: %v %+v", err, diag)
 	}
 	if ps.Delay != 5 {
@@ -177,7 +177,7 @@ func TestZeroExecutionTimeProcesses(t *testing.T) {
 // single processor: the makespan equals the sum of the execution times.
 func TestManyIndependentProcessesKeepProcessorBusy(t *testing.T) {
 	a := twoProcArch()
-	pe := a.Processors()[0]
+	pe := a.ComputePEs()[0]
 	g := cpg.New("busy")
 	var sum int64
 	for i := 0; i < 12; i++ {
@@ -188,7 +188,7 @@ func TestManyIndependentProcessesKeepProcessorBusy(t *testing.T) {
 	if err := g.Finalize(a); err != nil {
 		t.Fatalf("Finalize: %v", err)
 	}
-	ps, _, err := Schedule(singlePath(t, g), a, Options{})
+	ps, _, err := new(Scratch).Schedule(singlePath(t, g), a, Options{})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}

@@ -92,7 +92,7 @@ func referenceSchedule(sub *cpg.Subgraph, a *arch.Architecture, opt listsched.Op
 		return a.EffectiveExec(g.Process(p).Exec, g.Process(p).PE)
 	}
 
-	cp := sub.CriticalPathLengths(exec)
+	cp := sub.CriticalPathLengthsInto(nil, exec)
 	prio := func(p cpg.ProcID) float64 {
 		switch opt.Priority {
 		case listsched.PriorityFixedOrder:
@@ -237,8 +237,8 @@ func referenceSchedule(sub *cpg.Subgraph, a *arch.Architecture, opt listsched.Op
 			}
 		}
 		if proc.PE != arch.NoPE {
-			for _, l := range guardCube[p].Lits() {
-				if at, ok := ps.KnownTime(l.Cond, proc.PE); ok && at > est {
+			for _, c := range guardCube[p].Conds() {
+				if at, ok := ps.KnownTime(c, proc.PE); ok && at > est {
 					est = at
 				}
 			}
@@ -345,7 +345,7 @@ func compareGraph(t *testing.T, name string, g *cpg.Graph, a *arch.Architecture)
 	if err != nil {
 		t.Fatalf("%s: AlternativePaths: %v", name, err)
 	}
-	sc := listsched.NewScratch()
+	sc := new(listsched.Scratch)
 	for i, p := range paths {
 		sub := g.Subgraph(p)
 		optimal := compareRun(t, name, sub, a, sc, listsched.Options{Priority: listsched.PriorityCriticalPath})

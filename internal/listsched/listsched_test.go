@@ -11,6 +11,12 @@ import (
 
 // twoProcArch builds an architecture with two processors, one hardware
 // element and one all-connecting bus, τ0 = 1.
+// clean reports whether a run reported no lock violation and no resource
+// overlap.
+func clean(d *Diagnostics) bool {
+	return len(d.LockViolations) == 0 && len(d.ResourceOverlaps) == 0
+}
+
 func twoProcArch() *arch.Architecture {
 	a := arch.New()
 	a.AddProcessor("pe1", 1)
@@ -24,7 +30,7 @@ func twoProcArch() *arch.Architecture {
 // chainGraph builds A -> B -> C on a single processor.
 func chainGraph(t *testing.T, a *arch.Architecture) (*cpg.Graph, []cpg.ProcID) {
 	t.Helper()
-	pe := a.Processors()[0]
+	pe := a.ComputePEs()[0]
 	g := cpg.New("chain")
 	x := g.AddProcess("A", 3, pe)
 	y := g.AddProcess("B", 4, pe)
@@ -52,11 +58,11 @@ func singlePath(t *testing.T, g *cpg.Graph) *cpg.Subgraph {
 func TestChainSchedule(t *testing.T) {
 	a := twoProcArch()
 	g, ids := chainGraph(t, a)
-	ps, diag, err := Schedule(singlePath(t, g), a, Options{})
+	ps, diag, err := new(Scratch).Schedule(singlePath(t, g), a, Options{})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
-	if !diag.OK() {
+	if !clean(diag) {
 		t.Fatalf("diagnostics not clean: %+v", diag)
 	}
 	starts := []int64{0, 3, 7}
@@ -76,14 +82,14 @@ func TestChainSchedule(t *testing.T) {
 
 func TestParallelismAcrossProcessors(t *testing.T) {
 	a := twoProcArch()
-	pe1, pe2 := a.Processors()[0], a.Processors()[1]
+	pe1, pe2 := a.ComputePEs()[0], a.ComputePEs()[1]
 	g := cpg.New("par")
 	x := g.AddProcess("X", 5, pe1)
 	y := g.AddProcess("Y", 7, pe2)
 	if err := g.Finalize(a); err != nil {
 		t.Fatalf("Finalize: %v", err)
 	}
-	ps, _, err := Schedule(singlePath(t, g), a, Options{})
+	ps, _, err := new(Scratch).Schedule(singlePath(t, g), a, Options{})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -99,14 +105,14 @@ func TestParallelismAcrossProcessors(t *testing.T) {
 
 func TestSequentialProcessorExclusive(t *testing.T) {
 	a := twoProcArch()
-	pe1 := a.Processors()[0]
+	pe1 := a.ComputePEs()[0]
 	g := cpg.New("seq")
 	x := g.AddProcess("X", 5, pe1)
 	y := g.AddProcess("Y", 7, pe1)
 	if err := g.Finalize(a); err != nil {
 		t.Fatalf("Finalize: %v", err)
 	}
-	ps, _, err := Schedule(singlePath(t, g), a, Options{})
+	ps, _, err := new(Scratch).Schedule(singlePath(t, g), a, Options{})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -126,14 +132,14 @@ func TestSequentialProcessorExclusive(t *testing.T) {
 
 func TestHardwareRunsInParallel(t *testing.T) {
 	a := twoProcArch()
-	hw := a.Hardware()[0]
+	hw, _ := a.FindByName("hw")
 	g := cpg.New("hw")
 	g.AddProcess("X", 5, hw)
 	g.AddProcess("Y", 7, hw)
 	if err := g.Finalize(a); err != nil {
 		t.Fatalf("Finalize: %v", err)
 	}
-	ps, _, err := Schedule(singlePath(t, g), a, Options{})
+	ps, _, err := new(Scratch).Schedule(singlePath(t, g), a, Options{})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -144,8 +150,8 @@ func TestHardwareRunsInParallel(t *testing.T) {
 
 func TestCommunicationOnSharedBus(t *testing.T) {
 	a := twoProcArch()
-	pe1, pe2 := a.Processors()[0], a.Processors()[1]
-	bus := a.Buses()[0]
+	pe1, pe2 := a.ComputePEs()[0], a.ComputePEs()[1]
+	bus := a.BroadcastBuses()[0]
 	g := cpg.New("comm")
 	x := g.AddProcess("X", 2, pe1)
 	y := g.AddProcess("Y", 3, pe2)
@@ -159,8 +165,8 @@ func TestCommunicationOnSharedBus(t *testing.T) {
 	if err := g.Finalize(a); err != nil {
 		t.Fatalf("Finalize: %v", err)
 	}
-	ps, diag, err := Schedule(singlePath(t, g), a, Options{})
-	if err != nil || !diag.OK() {
+	ps, diag, err := new(Scratch).Schedule(singlePath(t, g), a, Options{})
+	if err != nil || !clean(diag) {
 		t.Fatalf("Schedule: %v %+v", err, diag)
 	}
 	// The two transfers share one bus, so they must not overlap.
@@ -200,8 +206,8 @@ func TestCommunicationOnSharedBus(t *testing.T) {
 //	  join J(pe2, 1) (conjunction)
 func condGraph(t *testing.T, a *arch.Architecture, commTime int64) (*cpg.Graph, map[string]cpg.ProcID, cond.Cond) {
 	t.Helper()
-	pe1, pe2 := a.Processors()[0], a.Processors()[1]
-	bus := a.Buses()[0]
+	pe1, pe2 := a.ComputePEs()[0], a.ComputePEs()[1]
+	bus := a.BroadcastBuses()[0]
 	g := cpg.New("cond")
 	d := g.AddProcess("D", 3, pe1)
 	tr := g.AddProcess("T", 4, pe2)
@@ -229,8 +235,8 @@ func TestConditionBroadcastScheduling(t *testing.T) {
 		t.Fatalf("AlternativePaths: %v", err)
 	}
 	for _, p := range paths {
-		ps, diag, err := Schedule(g.Subgraph(p), a, Options{})
-		if err != nil || !diag.OK() {
+		ps, diag, err := new(Scratch).Schedule(g.Subgraph(p), a, Options{})
+		if err != nil || !clean(diag) {
 			t.Fatalf("Schedule(%v): %v %+v", p.Label, err, diag)
 		}
 		ct, ok := ps.Cond(c)
@@ -249,7 +255,7 @@ func TestConditionBroadcastScheduling(t *testing.T) {
 		}
 		// The broadcast entry occupies the bus.
 		be, ok := ps.Entry(sched.CondKey(c))
-		if !ok || be.PE != a.Buses()[0] {
+		if !ok || be.PE != a.BroadcastBuses()[0] {
 			t.Fatalf("broadcast entry missing or on wrong bus: %v %v", be, ok)
 		}
 	}
@@ -264,8 +270,8 @@ func TestKnowledgeConstraintDelaysRemoteGuardedProcess(t *testing.T) {
 	// possibly queued behind the data transfer on the same bus). In every
 	// case T cannot start before the condition is known on pe2.
 	label := cond.MustCube(cond.Lit{Cond: c, Val: true})
-	ps, diag, err := Schedule(g.SubgraphFor(label), a, Options{})
-	if err != nil || !diag.OK() {
+	ps, diag, err := new(Scratch).Schedule(g.Subgraph(g.PathFor(label)), a, Options{})
+	if err != nil || !clean(diag) {
 		t.Fatalf("Schedule: %v %+v", err, diag)
 	}
 	tEntry, _ := ps.Entry(sched.ProcKey(ids["T"]))
@@ -279,7 +285,7 @@ func TestKnowledgeConstraintDelaysRemoteGuardedProcess(t *testing.T) {
 	// On the path !C the guarded process F runs on the same processor as
 	// the disjunction process and may start right after it.
 	labelF := cond.MustCube(cond.Lit{Cond: c, Val: false})
-	psF, _, err := Schedule(g.SubgraphFor(labelF), a, Options{})
+	psF, _, err := new(Scratch).Schedule(g.Subgraph(g.PathFor(labelF)), a, Options{})
 	if err != nil {
 		t.Fatalf("Schedule(!C): %v", err)
 	}
@@ -296,7 +302,7 @@ func TestDependenciesAlwaysRespected(t *testing.T) {
 	paths, _ := g.AlternativePaths(0)
 	for _, p := range paths {
 		sub := g.Subgraph(p)
-		ps, _, err := Schedule(sub, a, Options{})
+		ps, _, err := new(Scratch).Schedule(sub, a, Options{})
 		if err != nil {
 			t.Fatalf("Schedule: %v", err)
 		}
@@ -321,11 +327,11 @@ func TestLockedProcessRespected(t *testing.T) {
 	// Lock B at time 10 (later than its earliest start 3); C must follow.
 	locked := NewLocks(g.NumProcs())
 	locked.Set(sched.ProcKey(ids[1]), Lock{Start: 10})
-	ps, diag, err := Schedule(singlePath(t, g), a, Options{Locked: locked})
+	ps, diag, err := new(Scratch).Schedule(singlePath(t, g), a, Options{Locked: locked})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
-	if !diag.OK() {
+	if !clean(diag) {
 		t.Fatalf("unexpected diagnostics: %+v", diag)
 	}
 	b, _ := ps.Entry(sched.ProcKey(ids[1]))
@@ -347,7 +353,7 @@ func TestLockedViolationReported(t *testing.T) {
 	// Locking B before its predecessor ends is infeasible.
 	locked := NewLocks(g.NumProcs())
 	locked.Set(sched.ProcKey(ids[1]), Lock{Start: 1})
-	ps, diag, err := Schedule(singlePath(t, g), a, Options{Locked: locked})
+	ps, diag, err := new(Scratch).Schedule(singlePath(t, g), a, Options{Locked: locked})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -365,7 +371,7 @@ func TestLockedViolationReported(t *testing.T) {
 
 func TestUnlockedProcessesScheduleAroundLocks(t *testing.T) {
 	a := twoProcArch()
-	pe1 := a.Processors()[0]
+	pe1 := a.ComputePEs()[0]
 	g := cpg.New("around")
 	x := g.AddProcess("X", 2, pe1)
 	y := g.AddProcess("Y", 3, pe1)
@@ -375,7 +381,7 @@ func TestUnlockedProcessesScheduleAroundLocks(t *testing.T) {
 	// Lock Y to start at 1; X (unlocked, same processor) must not overlap it.
 	locked := NewLocks(g.NumProcs())
 	locked.Set(sched.ProcKey(y), Lock{Start: 1})
-	ps, _, err := Schedule(singlePath(t, g), a, Options{Locked: locked})
+	ps, _, err := new(Scratch).Schedule(singlePath(t, g), a, Options{Locked: locked})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -391,7 +397,7 @@ func TestUnlockedProcessesScheduleAroundLocks(t *testing.T) {
 
 func TestFixedOrderPriorityKeepsRelativeOrder(t *testing.T) {
 	a := twoProcArch()
-	pe1 := a.Processors()[0]
+	pe1 := a.ComputePEs()[0]
 	g := cpg.New("order")
 	x := g.AddProcess("X", 2, pe1)
 	y := g.AddProcess("Y", 2, pe1)
@@ -404,7 +410,7 @@ func TestFixedOrderPriorityKeepsRelativeOrder(t *testing.T) {
 	// The dummy source and sink have no value and follow in ProcID order.
 	order := make([]int64, max(x, y)+1)
 	order[y], order[x] = 0, 5
-	ps, _, err := Schedule(sub, a, Options{Priority: PriorityFixedOrder, Order: order})
+	ps, _, err := new(Scratch).Schedule(sub, a, Options{Priority: PriorityFixedOrder, Order: order})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -420,7 +426,7 @@ func TestFixedOrderPriorityKeepsRelativeOrder(t *testing.T) {
 // ProcID order and not by critical path.
 func TestFixedOrderWithoutValuesFollowsProcID(t *testing.T) {
 	a := twoProcArch()
-	pe1, pe2 := a.Processors()[0], a.Processors()[1]
+	pe1, pe2 := a.ComputePEs()[0], a.ComputePEs()[1]
 	g := cpg.New("unordered")
 	// Three processes compete for pe1. A(2)->B(9) has the longest remaining
 	// path, so the critical-path priority runs A first.
@@ -435,7 +441,7 @@ func TestFixedOrderWithoutValuesFollowsProcID(t *testing.T) {
 	sub := singlePath(t, g)
 	starts := func(order []int64) [3]int64 {
 		t.Helper()
-		ps, _, err := Schedule(sub, a, Options{Priority: PriorityFixedOrder, Order: order})
+		ps, _, err := new(Scratch).Schedule(sub, a, Options{Priority: PriorityFixedOrder, Order: order})
 		if err != nil {
 			t.Fatalf("Schedule: %v", err)
 		}
@@ -459,7 +465,7 @@ func TestFixedOrderWithoutValuesFollowsProcID(t *testing.T) {
 
 func TestCriticalPathPriorityPicksLongChainFirst(t *testing.T) {
 	a := twoProcArch()
-	pe1, pe2 := a.Processors()[0], a.Processors()[1]
+	pe1, pe2 := a.ComputePEs()[0], a.ComputePEs()[1]
 	g := cpg.New("cp")
 	// Two chains compete for pe1's first slot: A(2)->B(9) on pe2 and C(2).
 	// A has the longer remaining path and must be scheduled first.
@@ -470,7 +476,7 @@ func TestCriticalPathPriorityPicksLongChainFirst(t *testing.T) {
 	if err := g.Finalize(a); err != nil {
 		t.Fatalf("Finalize: %v", err)
 	}
-	ps, _, err := Schedule(singlePath(t, g), a, Options{Priority: PriorityCriticalPath})
+	ps, _, err := new(Scratch).Schedule(singlePath(t, g), a, Options{Priority: PriorityCriticalPath})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -495,44 +501,19 @@ func TestProcessorSpeedScaling(t *testing.T) {
 	if err := g.Finalize(a); err != nil {
 		t.Fatalf("Finalize: %v", err)
 	}
-	ps, _, err := Schedule(singlePath(t, g), a, Options{})
+	ps, _, err := new(Scratch).Schedule(singlePath(t, g), a, Options{})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
 	ex, _ := ps.Entry(sched.ProcKey(x))
 	ey, _ := ps.Entry(sched.ProcKey(y))
-	if ex.Duration() != 10 || ey.Duration() != 5 {
-		t.Fatalf("speed scaling wrong: slow=%d fast=%d", ex.Duration(), ey.Duration())
-	}
-}
-
-func TestScheduleAllPathsDeltaM(t *testing.T) {
-	a := twoProcArch()
-	g, _, _ := condGraph(t, a, 2)
-	paths, _ := g.AlternativePaths(0)
-	schedules, deltaM, err := ScheduleAllPaths(g, a, paths, Options{})
-	if err != nil {
-		t.Fatalf("ScheduleAllPaths: %v", err)
-	}
-	if len(schedules) != len(paths) {
-		t.Fatalf("got %d schedules for %d paths", len(schedules), len(paths))
-	}
-	var max int64
-	for _, s := range schedules {
-		if s.Delay > max {
-			max = s.Delay
-		}
-	}
-	if deltaM != max {
-		t.Fatalf("δM = %d, want %d", deltaM, max)
-	}
-	if deltaM <= 0 {
-		t.Fatalf("δM must be positive")
+	if ex.End-ex.Start != 10 || ey.End-ey.Start != 5 {
+		t.Fatalf("speed scaling wrong: slow=%d fast=%d", ex.End-ex.Start, ey.End-ey.Start)
 	}
 }
 
 func TestScheduleNilInputs(t *testing.T) {
-	if _, _, err := Schedule(nil, nil, Options{}); err == nil {
+	if _, _, err := new(Scratch).Schedule(nil, nil, Options{}); err == nil {
 		t.Fatalf("nil inputs must be rejected")
 	}
 }
@@ -551,7 +532,7 @@ func TestSingleProcessorNoBroadcastNeeded(t *testing.T) {
 		t.Fatalf("Finalize: %v", err)
 	}
 	label := cond.MustCube(cond.Lit{Cond: c, Val: true})
-	ps, _, err := Schedule(g.SubgraphFor(label), a, Options{})
+	ps, _, err := new(Scratch).Schedule(g.Subgraph(g.PathFor(label)), a, Options{})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}

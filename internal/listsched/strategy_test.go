@@ -56,27 +56,27 @@ func TestStrategiesProduceValidSchedules(t *testing.T) {
 			t.Fatalf("AlternativePaths: %v", err)
 		}
 		baseline := make([]int64, len(paths))
-		sc := NewScratch()
+		sc := new(Scratch)
 		for i, p := range paths {
 			ps, diag, err := sc.Schedule(inst.Graph.Subgraph(p), inst.Arch, Options{Priority: PriorityCriticalPath})
 			if err != nil {
 				t.Fatalf("baseline path %d: %v", i, err)
 			}
-			if !diag.OK() {
+			if !clean(diag) {
 				t.Fatalf("baseline path %d diagnostics: %+v", i, diag)
 			}
 			baseline[i] = ps.Delay
 		}
 		for _, name := range StrategyNames() {
 			strat, _ := LookupStrategy(name)
-			ssc := NewScratch()
+			ssc := new(Scratch)
 			for i, p := range paths {
 				sub := inst.Graph.Subgraph(p)
 				ps, diag, err := strat.SchedulePath(ssc, sub, inst.Arch, StrategyParams{})
 				if err != nil {
 					t.Fatalf("strategy %s path %d: %v", name, i, err)
 				}
-				if !diag.OK() {
+				if !clean(diag) {
 					t.Fatalf("strategy %s path %d diagnostics: %+v", name, i, diag)
 				}
 				for _, id := range sub.ActiveProcs() {
@@ -132,15 +132,15 @@ func broadcastBoundGraph(t *testing.T) (*cpg.Graph, *arch.Architecture, cond.Con
 // improves it to 21 by promoting D.
 func TestTabuBeatsCriticalPathOnBroadcastBoundGraph(t *testing.T) {
 	g, a, c := broadcastBoundGraph(t)
-	sub := g.SubgraphFor(cond.MustCube(cond.Lit{Cond: c, Val: true}))
+	sub := g.Subgraph(g.PathFor(cond.MustCube(cond.Lit{Cond: c, Val: true})))
 
-	cp, diag, err := Schedule(sub, a, Options{Priority: PriorityCriticalPath})
-	if err != nil || !diag.OK() {
+	cp, diag, err := new(Scratch).Schedule(sub, a, Options{Priority: PriorityCriticalPath})
+	if err != nil || !clean(diag) {
 		t.Fatalf("critical-path: %v %+v", err, diag)
 	}
 	tabu, _ := LookupStrategy("tabu")
-	tb, diag, err := tabu.SchedulePath(NewScratch(), sub, a, StrategyParams{})
-	if err != nil || !diag.OK() {
+	tb, diag, err := tabu.SchedulePath(new(Scratch), sub, a, StrategyParams{})
+	if err != nil || !clean(diag) {
 		t.Fatalf("tabu: %v %+v", err, diag)
 	}
 	if cp.Delay != 33 || tb.Delay != 21 {
@@ -160,11 +160,11 @@ func TestTabuDeterministic(t *testing.T) {
 	tabu, _ := LookupStrategy("tabu")
 	for i, p := range paths {
 		sub := inst.Graph.Subgraph(p)
-		first, _, err := tabu.SchedulePath(NewScratch(), sub, inst.Arch, StrategyParams{})
+		first, _, err := tabu.SchedulePath(new(Scratch), sub, inst.Arch, StrategyParams{})
 		if err != nil {
 			t.Fatalf("first run path %d: %v", i, err)
 		}
-		second, _, err := tabu.SchedulePath(NewScratch(), sub, inst.Arch, StrategyParams{})
+		second, _, err := tabu.SchedulePath(new(Scratch), sub, inst.Arch, StrategyParams{})
 		if err != nil {
 			t.Fatalf("second run path %d: %v", i, err)
 		}
@@ -183,13 +183,13 @@ func TestTabuParamBounds(t *testing.T) {
 		t.Fatalf("AlternativePaths: %v", err)
 	}
 	sub := inst.Graph.Subgraph(paths[0])
-	base, _, err := Schedule(sub, inst.Arch, Options{Priority: PriorityCriticalPath})
+	base, _, err := new(Scratch).Schedule(sub, inst.Arch, Options{Priority: PriorityCriticalPath})
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
 	tabu, _ := LookupStrategy("tabu")
 
-	off, _, err := tabu.SchedulePath(NewScratch(), sub, inst.Arch, StrategyParams{TabuIterations: -1})
+	off, _, err := tabu.SchedulePath(new(Scratch), sub, inst.Arch, StrategyParams{TabuIterations: -1})
 	if err != nil {
 		t.Fatalf("disabled tabu: %v", err)
 	}

@@ -108,12 +108,6 @@ func (g *Gauge) Inc() int64 { return g.v.Add(1) }
 // Dec subtracts one and returns the new value.
 func (g *Gauge) Dec() int64 { return g.v.Add(-1) }
 
-// Add adds n (negative allowed) and returns the new value.
-func (g *Gauge) Add(n int64) int64 { return g.v.Add(n) }
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
@@ -130,8 +124,7 @@ func DefLatencyBuckets() []float64 {
 // Histogram counts observations into cumulative buckets with fixed upper
 // bounds, Prometheus-style: an observation v lands in every bucket whose
 // bound is >= v (le is inclusive), plus the implicit +Inf bucket. Construct
-// with Registry.Histogram/HistogramVec; Observe is lock-free and
-// allocation-free.
+// with Registry.HistogramVec; Observe is lock-free and allocation-free.
 type Histogram struct {
 	bounds  []float64 // sorted upper bounds; +Inf implicit
 	buckets []atomic.Int64

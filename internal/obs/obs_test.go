@@ -26,10 +26,11 @@ func TestGoldenRender(t *testing.T) {
 	cv.With("/v1/schedule", "4xx").Inc()
 	cv.With("/metrics", "2xx").Add(3)
 
-	g := reg.Gauge("test_in_flight", "In-flight requests.")
-	g.Set(2)
+	g := reg.GaugeVec("test_in_flight", "In-flight requests.").With()
+	g.Inc()
+	g.Inc()
 
-	h := reg.Histogram("test_latency_seconds", "Request latency.", []float64{0.01, 0.1, 1})
+	h := reg.HistogramVec("test_latency_seconds", "Request latency.", []float64{0.01, 0.1, 1}).With()
 	start := clock.Now()
 	clock.Advance(50 * time.Millisecond)
 	h.Observe(clock.Now().Sub(start).Seconds())
@@ -84,7 +85,7 @@ func TestGoldenRender(t *testing.T) {
 // in +Inf.
 func TestHistogramBucketBoundaries(t *testing.T) {
 	reg := NewRegistry()
-	h := reg.Histogram("edge_seconds", "Bucket edges.", []float64{1, 2, 4})
+	h := reg.HistogramVec("edge_seconds", "Bucket edges.", []float64{1, 2, 4}).With()
 
 	for _, v := range []float64{0, 1, 1.0000001, 2, 4, 4.0000001, 1e12} {
 		h.Observe(v)
@@ -140,7 +141,7 @@ func TestConflictingRegistration(t *testing.T) {
 			t.Fatalf("re-registering dup_total as a gauge must panic")
 		}
 	}()
-	reg.Gauge("dup_total", "x")
+	reg.GaugeVec("dup_total", "x")
 }
 
 // TestIdempotentRegistration: registering the identical family twice returns
@@ -166,8 +167,8 @@ func TestIdempotentRegistration(t *testing.T) {
 func TestConcurrentInstruments(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("race_total", "x")
-	g := reg.Gauge("race_gauge", "x")
-	h := reg.Histogram("race_seconds", "x", []float64{0.5})
+	g := reg.GaugeVec("race_gauge", "x").With()
+	h := reg.HistogramVec("race_seconds", "x", []float64{0.5}).With()
 
 	const workers, perWorker = 8, 2000
 	var wg sync.WaitGroup
@@ -228,8 +229,8 @@ func TestHandler(t *testing.T) {
 func TestObserveAllocs(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.CounterVec("alloc_total", "x", "code").With("2xx")
-	g := reg.Gauge("alloc_gauge", "x")
-	h := reg.Histogram("alloc_seconds", "x", nil)
+	g := reg.GaugeVec("alloc_gauge", "x").With()
+	h := reg.HistogramVec("alloc_seconds", "x", nil).With()
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		g.Inc()

@@ -169,22 +169,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return f.childFor(nil, func() *child { return &child{counter: &Counter{}} }).counter
 }
 
-// Gauge registers (or fetches) an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.register(name, help, "gauge", nil)
-	return f.childFor(nil, func() *child { return &child{gauge: &Gauge{}} }).gauge
-}
-
-// Histogram registers (or fetches) an unlabeled histogram with the given
-// upper bounds (nil = DefLatencyBuckets).
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	if bounds == nil {
-		bounds = DefLatencyBuckets()
-	}
-	f := r.register(name, help, "histogram", nil)
-	return f.childFor(nil, func() *child { return &child{hist: newHistogram(bounds)} }).hist
-}
-
 // CounterFunc registers a counter whose value is computed at scrape time —
 // the bridge for pre-existing atomic counters (service.Stats) that should
 // not be double-counted into a second instrument.

@@ -102,7 +102,8 @@ func TestPackedSortMatchesComparator(t *testing.T) {
 		numProcs := 1 + r.Intn(200)
 		packed := NewPathSchedule(cond.True(), numProcs, 0, 0)
 		randomSchedule(packed, r, numProcs, 0, int64(1+r.Intn(40)))
-		byFunc := packed.Clone()
+		byFunc := *packed
+		byFunc.at, byFunc.entries, byFunc.conds = slices.Clone(packed.at), slices.Clone(packed.entries), slices.Clone(packed.conds)
 		if _, ok := packed.appendSortKeys(nil); !ok {
 			t.Fatalf("schedule %d: small starts must pack", i)
 		}

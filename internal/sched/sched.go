@@ -105,9 +105,6 @@ type Entry struct {
 	PE    arch.PEID
 }
 
-// Duration returns the execution time of the entry.
-func (e Entry) Duration() int64 { return e.End - e.Start }
-
 // CondTiming records when a condition value becomes available during one
 // path schedule: the moment the disjunction process terminates (on the
 // processing element that executed it) and the broadcast interval on the bus.
@@ -387,15 +384,6 @@ func (ps *PathSchedule) KnownTime(c cond.Cond, pe arch.PEID) (int64, bool) {
 		return ct.DecidedAt, true
 	}
 	return ct.BroadcastEnd, true
-}
-
-// Clone returns a deep copy of the schedule.
-func (ps *PathSchedule) Clone() *PathSchedule {
-	n := *ps
-	n.at = slices.Clone(ps.at)
-	n.entries = slices.Clone(ps.entries)
-	n.conds = slices.Clone(ps.conds)
-	return &n
 }
 
 // Gantt renders the schedule as a per-processing-element time chart, mainly

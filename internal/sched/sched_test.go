@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -35,13 +36,6 @@ func TestKeyBasics(t *testing.T) {
 	}
 	if ProcKey(5) != ProcKey(5) {
 		t.Fatalf("keys must be comparable")
-	}
-}
-
-func TestEntryDuration(t *testing.T) {
-	e := Entry{Key: ProcKey(1), Start: 4, End: 9}
-	if e.Duration() != 5 {
-		t.Fatalf("Duration = %d, want 5", e.Duration())
 	}
 }
 
@@ -141,22 +135,6 @@ func TestKnownAtWithoutBroadcast(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	ps := NewPathSchedule(cond.MustCube(cond.Lit{Cond: 0, Val: true}), 4, 0, 0)
-	ps.Set(Entry{Key: ProcKey(1), Start: 0, End: 2, PE: 0})
-	ps.SetCond(CondTiming{Cond: 0, Value: true, DecidedAt: 2, DeciderPE: 0, BroadcastStart: 2, BroadcastEnd: 3, Bus: 1})
-	ps.Delay = 17
-	cl := ps.Clone()
-	cl.Set(Entry{Key: ProcKey(1), Start: 5, End: 7, PE: 0})
-	cl.Delay = 3
-	if e, _ := ps.Entry(ProcKey(1)); e.Start != 0 || ps.Delay != 17 {
-		t.Fatalf("Clone shares storage with the original")
-	}
-	if cl.Label.Key() != ps.Label.Key() {
-		t.Fatalf("Clone must keep the label")
-	}
-}
-
 func TestGanttRendering(t *testing.T) {
 	a := arch.New()
 	pe1 := a.AddProcessor("pe1", 1)
@@ -183,26 +161,40 @@ func TestGanttRendering(t *testing.T) {
 	}
 }
 
+// freeAt reports whether [start, start+dur) overlaps no reservation of tl.
+// Zero-duration intervals are always free.
+func freeAt(tl *Timeline, start, dur int64) bool {
+	if dur <= 0 {
+		return true
+	}
+	for _, iv := range tl.busy {
+		if iv.Start < start+dur && iv.End > start {
+			return false
+		}
+	}
+	return true
+}
+
 func TestTimelineReserveAndFreeAt(t *testing.T) {
 	var tl Timeline
 	tl.Reserve(5, 3) // [5,8)
 	tl.Reserve(0, 2) // [0,2)
-	if tl.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", tl.Len())
+	if want := []Interval{{0, 2}, {5, 8}}; !slices.Equal(tl.busy, want) {
+		t.Fatalf("busy = %v, want %v", tl.busy, want)
 	}
-	if !tl.FreeAt(2, 3) {
+	if !freeAt(&tl, 2, 3) {
 		t.Fatalf("[2,5) should be free")
 	}
-	if tl.FreeAt(4, 2) {
+	if freeAt(&tl, 4, 2) {
 		t.Fatalf("[4,6) overlaps [5,8)")
 	}
-	if tl.FreeAt(7, 1) {
+	if freeAt(&tl, 7, 1) {
 		t.Fatalf("[7,8) overlaps [5,8)")
 	}
-	if !tl.FreeAt(8, 10) {
+	if !freeAt(&tl, 8, 10) {
 		t.Fatalf("[8,18) should be free")
 	}
-	if !tl.FreeAt(100, 0) {
+	if !freeAt(&tl, 100, 0) {
 		t.Fatalf("zero-duration intervals are always free")
 	}
 	if tl.Overlaps() {
@@ -237,12 +229,6 @@ func TestTimelineEarliestFit(t *testing.T) {
 	if got := tl.EarliestFit(1, 0); got != 1 {
 		t.Fatalf("EarliestFit with zero duration = %d, want 1", got)
 	}
-	if at, ok := tl.NextBusyAfter(6); !ok || at != 8 {
-		t.Fatalf("NextBusyAfter(6) = %d,%v", at, ok)
-	}
-	if _, ok := tl.NextBusyAfter(16); ok {
-		t.Fatalf("NextBusyAfter past the last reservation must report false")
-	}
 }
 
 func TestPropertyEarliestFitIsFreeAndMinimal(t *testing.T) {
@@ -264,12 +250,12 @@ func TestPropertyEarliestFitIsFreeAndMinimal(t *testing.T) {
 		if got < earliest {
 			return false
 		}
-		if !tl.FreeAt(got, dur) {
+		if !freeAt(&tl, got, dur) {
 			return false
 		}
 		// Minimality: no earlier feasible start.
 		for s := earliest; s < got; s++ {
-			if tl.FreeAt(s, dur) {
+			if freeAt(&tl, s, dur) {
 				return false
 			}
 		}
@@ -293,7 +279,7 @@ func TestPropertyReserveKeepsSortedWhenDisjoint(t *testing.T) {
 			tl.Reserve(at, dur)
 			at += dur
 		}
-		busy := tl.Busy()
+		busy := tl.busy
 		if len(busy) != len(starts) {
 			return false
 		}

@@ -49,8 +49,8 @@ func (t *Timeline) insertAt(idx int, iv Interval) {
 }
 
 // Reserve marks [start, start+dur) as busy. Zero-duration reservations are
-// ignored. Reserve does not check for overlaps; use FreeAt/EarliestFit to
-// find a conflict-free slot first (or ReserveEarliest, which does both).
+// ignored. Reserve does not check for overlaps; use EarliestFit to find a
+// conflict-free slot first (or ReserveEarliest, which does both).
 func (t *Timeline) Reserve(start, dur int64) {
 	if dur <= 0 {
 		return
@@ -58,30 +58,6 @@ func (t *Timeline) Reserve(start, dur int64) {
 	iv := Interval{Start: start, End: start + dur}
 	idx := sort.Search(len(t.busy), func(i int) bool { return t.busy[i].Start >= iv.Start })
 	t.insertAt(idx, iv)
-}
-
-// FreeAt reports whether [start, start+dur) does not overlap any reservation.
-// Zero-duration intervals are always free.
-func (t *Timeline) FreeAt(start, dur int64) bool {
-	if dur <= 0 {
-		return true
-	}
-	end := start + dur
-	if t.nonMonotone {
-		for _, iv := range t.busy {
-			if iv.Start >= end {
-				break
-			}
-			if iv.End > start {
-				return false
-			}
-		}
-		return true
-	}
-	// Ends are monotone: the only interval that can overlap is the first one
-	// ending after start.
-	i := sort.Search(len(t.busy), func(i int) bool { return t.busy[i].End > start })
-	return i == len(t.busy) || t.busy[i].Start >= end
 }
 
 // earliestFit returns the earliest feasible start >= earliest for an interval
@@ -135,22 +111,6 @@ func (t *Timeline) ReserveEarliest(earliest, dur int64) int64 {
 	t.insertAt(idx, Interval{Start: start, End: start + dur})
 	return start
 }
-
-// NextBusyAfter returns the start of the first reservation beginning at or
-// after the given time, and whether one exists.
-func (t *Timeline) NextBusyAfter(at int64) (int64, bool) {
-	i := sort.Search(len(t.busy), func(i int) bool { return t.busy[i].Start >= at })
-	if i == len(t.busy) {
-		return 0, false
-	}
-	return t.busy[i].Start, true
-}
-
-// Busy returns a copy of the busy intervals sorted by start time.
-func (t *Timeline) Busy() []Interval { return append([]Interval(nil), t.busy...) }
-
-// Len returns the number of reservations.
-func (t *Timeline) Len() int { return len(t.busy) }
 
 // Overlaps reports whether any two reservations overlap; a correct
 // non-preemptive schedule never lets this happen on a sequential resource.

@@ -19,7 +19,7 @@ func sweepConfig() expr.SweepConfig {
 
 // TestSweepShardMatchesInProcess pins the service path against the direct
 // expr run: the budgeted service execution returns the exact per-graph
-// results of expr.RunSweepShard.
+// results of expr.RunSweepShardContext.
 func TestSweepShardMatchesInProcess(t *testing.T) {
 	svc := mustNew(t, Config{Workers: 2})
 	cfg := sweepConfig()
@@ -27,9 +27,9 @@ func TestSweepShardMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SweepShard: %v", err)
 	}
-	want, err := expr.RunSweepShard(cfg)
+	want, err := expr.RunSweepShardContext(context.Background(), cfg)
 	if err != nil {
-		t.Fatalf("RunSweepShard: %v", err)
+		t.Fatalf("RunSweepShardContext: %v", err)
 	}
 	if !reflect.DeepEqual(zeroShardTimes(sol.Shard), zeroShardTimes(want)) {
 		t.Fatalf("service shard differs from in-process shard:\n%+v\nvs\n%+v", sol.Shard, want)

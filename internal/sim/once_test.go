@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/cond"
 	"repro/internal/core"
 	"repro/internal/cpg"
@@ -23,8 +24,8 @@ type pathKey struct {
 // every activity active on it, the pairs that fail requirement 3: no
 // applicable activation time ("no applicable"), or applicable times that
 // disagree ("ambiguous"). A broadcast is active where its disjunction
-// process is and the table has a row for it.
-func requirement3Oracle(g *cpg.Graph, tbl *table.Table, paths []*cpg.Path) map[pathKey]string {
+// process is, on an architecture that broadcasts.
+func requirement3Oracle(g *cpg.Graph, a *arch.Architecture, tbl *table.Table, paths []*cpg.Path) map[pathKey]string {
 	out := map[pathKey]string{}
 	for _, p := range paths {
 		var keys []sched.Key
@@ -34,7 +35,7 @@ func requirement3Oracle(g *cpg.Graph, tbl *table.Table, paths []*cpg.Path) map[p
 			}
 		}
 		for _, cd := range g.Conditions() {
-			if p.IsActive(cd.Decider) && len(tbl.RowView(sched.CondKey(cd.ID))) > 0 {
+			if p.IsActive(cd.Decider) && a.Broadcasts() {
 				keys = append(keys, sched.CondKey(cd.ID))
 			}
 		}
@@ -140,7 +141,7 @@ func TestEachFindingOnce(t *testing.T) {
 				t.Fatalf("%s: Place: %v", tc.name, err)
 			}
 		}
-		want := requirement3Oracle(g, tbl, paths)
+		want := requirement3Oracle(g, a, tbl, paths)
 		if (len(want) == 0) != (tc.name == "clean") {
 			t.Fatalf("%s: the oracle finds %d pairs", tc.name, len(want))
 		}
@@ -174,6 +175,80 @@ func TestEachFindingOnce(t *testing.T) {
 					tc.name, what, pk.path.Format(g.CondName), res.RowName(pk.key), got[pk])
 			}
 		}
+	}
+}
+
+// TestMissingBroadcastRows strips the broadcast rows from the Figure-1 table.
+// Its architecture broadcasts (two processors and an ASIC on a broadcast
+// bus), so each path then misses one activation per condition it decides:
+// exactly requirement3Oracle's 16 pairs, each reported once as requirement
+// 3. On a single processor nothing is broadcast, and the table the
+// scheduler makes there, which has no broadcast rows, re-enacts cleanly.
+func TestMissingBroadcastRows(t *testing.T) {
+	g, a, err := expr.Figure1()
+	if err != nil {
+		t.Fatalf("Figure1: %v", err)
+	}
+	res, err := core.Schedule(g, a, core.Options{Workers: 1})
+	if err != nil {
+		t.Fatalf("Schedule: %v", err)
+	}
+	tbl := table.New(g.NumProcs())
+	for _, k := range res.Table.KeysView() {
+		for _, e := range res.Table.RowView(k) {
+			if !k.IsCond {
+				if err := tbl.Place(k, e.Expr, e.Start); err != nil {
+					t.Fatalf("Place: %v", err)
+				}
+			}
+		}
+	}
+	paths, err := g.AlternativePaths(0)
+	if err != nil {
+		t.Fatalf("AlternativePaths: %v", err)
+	}
+	want := requirement3Oracle(g, a, tbl, paths)
+	if len(want) != 16 {
+		t.Fatalf("the oracle finds %d pairs, want 16", len(want))
+	}
+	simRes, err := sim.WorstCaseSubgraphs(a, tbl, res.Subgraphs, 1)
+	if err != nil {
+		t.Fatalf("WorstCaseSubgraphs: %v", err)
+	}
+	if len(simRes.Violations) != len(want) {
+		t.Errorf("%d findings, want %d: %v", len(simRes.Violations), len(want), simRes.Violations)
+	}
+	for _, v := range simRes.Violations {
+		pk := pathKey{v.Path, v.Key}
+		if v.Kind != table.Requirement3 || !v.Key.IsCond || want[pk] != "no applicable" {
+			t.Errorf("finding %q is not a missing broadcast", v)
+		}
+		delete(want, pk)
+	}
+
+	single := arch.New()
+	cpu := single.AddProcessor("cpu", 1)
+	single.AddBus("bus", true)
+	g1 := cpg.New("single")
+	d := g1.AddProcess("D", 2, cpu)
+	x := g1.AddProcess("X", 3, cpu)
+	y := g1.AddProcess("Y", 4, cpu)
+	c := g1.AddCondition("C", d)
+	g1.AddCondEdge(d, x, c, true)
+	g1.AddCondEdge(d, y, c, false)
+	res1, err := core.Schedule(g1, single, core.Options{Workers: 1})
+	if err != nil {
+		t.Fatalf("Schedule (one processor): %v", err)
+	}
+	if rows := res1.Table.RowView(sched.CondKey(c)); len(rows) != 0 {
+		t.Fatalf("one processor: broadcast row %v, want none", rows)
+	}
+	simRes1, err := sim.WorstCaseSubgraphs(single, res1.Table, res1.Subgraphs, 1)
+	if err != nil {
+		t.Fatalf("WorstCaseSubgraphs (one processor): %v", err)
+	}
+	if len(simRes1.Violations) != 0 || simRes1.DeltaMax != res1.DeltaMax {
+		t.Errorf("one processor: findings %v, δmax %d, want none and %d", simRes1.Violations, simRes1.DeltaMax, res1.DeltaMax)
 	}
 }
 

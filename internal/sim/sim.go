@@ -5,8 +5,10 @@
 // feasible. It is the only per-path check of a table (table.Validate checks
 // the rows), and it resolves each row once per path:
 //
-//   - requirement 3 holds: every active process (and condition broadcast)
-//     has an applicable activation time, and all of them agree;
+//   - requirement 3 holds: every active process, and on an architecture
+//     that broadcasts (arch.Architecture.Broadcasts) every decided
+//     condition's broadcast, has an applicable activation time, and all of
+//     them agree;
 //   - data dependencies are respected (a process starts only after all of its
 //     active predecessors terminated, a broadcast after its disjunction
 //     process);
@@ -72,9 +74,6 @@ type Trace struct {
 	Delay      int64
 	Violations []table.Violation
 }
-
-// OK reports whether the trace is free of violations.
-func (t *Trace) OK() bool { return len(t.Violations) == 0 }
 
 // Run re-enacts the execution selected by the given path.
 func Run(g *cpg.Graph, a *arch.Architecture, tbl *table.Table, path *cpg.Path) (*Trace, error) {
@@ -208,23 +207,26 @@ func (sc *scratch) run(tr *Trace, sub *cpg.Subgraph, a *arch.Architecture, tbl *
 		}
 		activate(k, start, start+a.EffectiveExec(proc.Exec, proc.PE), col)
 	}
-	// Activate condition broadcasts (when present in the table). A
-	// condition without a decider activation keeps deciderEnd 0; hasBcast
-	// marks the conditions with a broadcast end.
+	// Activate condition broadcasts. An architecture that broadcasts (the
+	// list scheduler's rule) needs a row for every decided condition, so a
+	// missing one fails requirement 3 in resolve; without broadcasts a
+	// condition is known everywhere when its decider ends. A condition
+	// without a decider activation keeps deciderEnd 0; hasBcast marks the
+	// conditions with a broadcast end.
 	var broadcastEnd, deciderEnd [cond.MaxConds]int64
 	var hasBcast uint64
+	broadcasts := a.Broadcasts()
 	for _, c := range decided {
 		def := g.Condition(c)
 		if act, ok := activation(sched.ProcKey(def.Decider)); ok {
 			deciderEnd[c] = act.End
 		}
-		k := sched.CondKey(c)
-		if len(tbl.RowView(k)) == 0 {
-			// Single-processor systems do not broadcast.
+		if !broadcasts {
 			broadcastEnd[c] = deciderEnd[c]
 			hasBcast |= 1 << uint(c)
 			continue
 		}
+		k := sched.CondKey(c)
 		start, col, ok := resolve(k)
 		if !ok {
 			continue

@@ -122,7 +122,7 @@ func TestRunCleanExecution(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if !trTrue.OK() {
+	if len(trTrue.Violations) != 0 {
 		t.Fatalf("unexpected violations on path C: %v", trTrue.Violations)
 	}
 	if trTrue.Delay != 13 {
@@ -136,7 +136,7 @@ func TestRunCleanExecution(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if !trFalse.OK() {
+	if len(trFalse.Violations) != 0 {
 		t.Fatalf("unexpected violations on path !C: %v", trFalse.Violations)
 	}
 	if trFalse.Delay != 6 {

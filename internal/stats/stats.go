@@ -1,12 +1,10 @@
 // Package stats provides the small set of statistics helpers used by the
-// experiment harness: means, fractions, percentiles and simple aggregation of
+// experiment harness: means, maxima, fractions and simple aggregation of
 // measurement series keyed by experiment cell.
 package stats
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"sync"
 )
 
@@ -20,15 +18,6 @@ func Mean(values []float64) float64 {
 		sum += v
 	}
 	return sum / float64(len(values))
-}
-
-// MeanInt returns the arithmetic mean of integer values as a float.
-func MeanInt(values []int64) float64 {
-	f := make([]float64, len(values))
-	for i, v := range values {
-		f[i] = float64(v)
-	}
-	return Mean(f)
 }
 
 // Fraction returns the fraction of values for which pred is true.
@@ -45,30 +34,6 @@ func Fraction(values []float64, pred func(float64) bool) float64 {
 	return float64(n) / float64(len(values))
 }
 
-// Percentile returns the p-th percentile (0..100) using nearest-rank on a
-// sorted copy of the input; it returns 0 for an empty slice.
-func Percentile(values []float64, p float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
-}
-
 // Max returns the maximum value (0 for an empty slice).
 func Max(values []float64) float64 {
 	if len(values) == 0 {
@@ -83,30 +48,15 @@ func Max(values []float64) float64 {
 	return m
 }
 
-// Min returns the minimum value (0 for an empty slice).
-func Min(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	m := values[0]
-	for _, v := range values[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
 // Series accumulates values grouped by a string key; it is used to aggregate
 // experiment measurements per (graph size, path count) cell. A Series is safe
 // for concurrent use, but note that insertion order (and therefore the order
-// of Keys and of the values within a group, which matters for bit-exact
-// floating-point aggregation) then depends on goroutine interleaving —
-// callers that need reproducible aggregates should collect per-worker results
-// first and Add them in a deterministic order.
+// of the values within a group, which matters for bit-exact floating-point
+// aggregation) then depends on goroutine interleaving — callers that need
+// reproducible aggregates should collect per-worker results first and Add
+// them in a deterministic order.
 type Series struct {
 	mu     sync.Mutex
-	keys   []string
 	values map[string][]float64
 }
 
@@ -119,17 +69,7 @@ func NewSeries() *Series {
 func (s *Series) Add(key string, v float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.values[key]; !ok {
-		s.keys = append(s.keys, key)
-	}
 	s.values[key] = append(s.values[key], v)
-}
-
-// Keys returns the group keys in insertion order.
-func (s *Series) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]string(nil), s.keys...)
 }
 
 // Values returns the values of a group.
@@ -144,13 +84,6 @@ func (s *Series) Mean(key string) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Mean(s.values[key])
-}
-
-// Count returns the number of values in a group.
-func (s *Series) Count(key string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.values[key])
 }
 
 // Key builds a canonical cell key from the graph size and path count.

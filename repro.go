@@ -234,9 +234,6 @@ func RenderDispatch(res *Result, tables []*DispatchTable) string {
 	return core.RenderDispatch(res, tables)
 }
 
-// Metrics summarises the structure of a conditional process graph.
-type Metrics = cpg.Metrics
-
 // WriteTableJSON exports a generated schedule table as JSON.
 func WriteTableJSON(w io.Writer, g *Graph, tbl *ScheduleTable) error {
 	return textio.WriteTableJSON(w, g, tbl)

@@ -67,7 +67,7 @@ func TestPublicAPISimulate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Simulate: %v", err)
 		}
-		if !tr.OK() {
+		if len(tr.Violations) != 0 {
 			t.Fatalf("violations on %v: %v", p.Label, tr.Violations)
 		}
 		if tr.Delay <= 0 || tr.Delay > res.DeltaMax {
