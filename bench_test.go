@@ -182,22 +182,45 @@ var sweepWorkerCounts = func() []int {
 	return out
 }()
 
+// sweepGraphs is the number of graphs of a normalized sweep config.
+func sweepGraphs(cfg expr.SweepConfig) int {
+	return len(cfg.Nodes) * len(cfg.Paths) * cfg.GraphsPerCell
+}
+
+// reportMemPerGraph reports what the b.N sweeps of the given number of graphs
+// since before allocated per graph (B/graph, the growth of
+// runtime.MemStats.TotalAlloc) and the garbage collections they ran per graph
+// (gc/graph, the growth of NumGC).
+func reportMemPerGraph(b *testing.B, before *runtime.MemStats, graphs int) {
+	var after runtime.MemStats
+	runtime.ReadMemStats(&after)
+	n := float64(b.N * graphs)
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/graph")
+	b.ReportMetric(float64(after.NumGC-before.NumGC)/n, "gc/graph")
+}
+
 // BenchmarkFig5Sweep runs the whole (reduced) Fig. 5 / Fig. 6 sweep through
 // expr.RunSweep with a growing number of workers; comparing the workers=1
 // sub-benchmark with the larger ones measures the multi-core speedup of the
 // concurrent execution engine on the paper's own workload. The reported
-// domain metrics are identical for every worker count by construction.
+// domain metrics are identical for every worker count by construction;
+// B/graph and gc/graph show the memory management the sweep costs.
 func BenchmarkFig5Sweep(b *testing.B) {
+	cfg := expr.SweepConfig{GraphsPerCell: 2, Seed: 1998}.Normalize()
 	for _, w := range sweepWorkerCounts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			cfg.Workers = w
 			var cells []expr.Cell
+			var before runtime.MemStats
+			runtime.ReadMemStats(&before)
 			for i := 0; i < b.N; i++ {
 				var err error
-				cells, err = expr.RunSweep(expr.SweepConfig{GraphsPerCell: 2, Seed: 1998, Workers: w})
+				cells, err = expr.RunSweep(cfg)
 				if err != nil {
 					b.Fatalf("RunSweep: %v", err)
 				}
 			}
+			reportMemPerGraph(b, &before, sweepGraphs(cfg))
 			var inc []float64
 			for _, c := range cells {
 				inc = append(inc, c.AvgIncreasePct)
@@ -213,14 +236,17 @@ func BenchmarkFig5Sweep(b *testing.B) {
 // itself runs on N workers (merge time is per-graph work, so it should stay
 // flat while wall-clock ns/op shrinks). It also reports, per graph, the
 // merge's reschedules and those among them that followed the path's optimal
-// schedule as it is (core.Stats.ReusedReschedules); both repeat exactly for
-// the seed.
+// schedule as it is (core.Stats.ReusedReschedules), which both repeat exactly
+// for the seed, and the sweep's B/graph and gc/graph as BenchmarkFig5Sweep
+// does.
 func BenchmarkFig6SweepMergeTime(b *testing.B) {
 	cfg := expr.SweepConfig{GraphsPerCell: 2, Seed: 1998}.Normalize()
 	for _, w := range sweepWorkerCounts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			cfg.Workers = w
 			var cells []expr.Cell
+			var before runtime.MemStats
+			runtime.ReadMemStats(&before)
 			for i := 0; i < b.N; i++ {
 				var err error
 				cells, err = expr.RunSweep(cfg)
@@ -229,6 +255,7 @@ func BenchmarkFig6SweepMergeTime(b *testing.B) {
 				}
 			}
 			b.StopTimer()
+			reportMemPerGraph(b, &before, sweepGraphs(cfg))
 			var mergeNs []float64
 			for _, c := range cells {
 				mergeNs = append(mergeNs, float64(c.AvgMergeTime))

@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/arch"
@@ -50,5 +52,57 @@ func TestScheduleAllocs(t *testing.T) {
 		if n > c.ceiling {
 			t.Errorf("core.Schedule(%s) allocates %.0f times per run, ceiling %.0f", c.name, n, c.ceiling)
 		}
+	}
+}
+
+// TestWorkspaceAllocs pins what a recycled core.Workspace allocates per graph
+// in the steady state of a sweep worker: after one warm-up pass over the 30
+// graphs of a reduced sweep, a second pass may allocate at most 40 KB and 250
+// times per graph (about 12 KB and 124 measured, against about 370 KB and
+// 860 for core.Schedule). What is left is the path enumeration, the
+// simulator's traces and the per-run closures; a buffer of the per-graph state
+// that stops being recycled shows up here first.
+func TestWorkspaceAllocs(t *testing.T) {
+	cfg := expr.SweepConfig{GraphsPerCell: 2, Seed: 1998}.Normalize()
+	var insts []*gen.Instance
+	for _, n := range cfg.Nodes {
+		for _, p := range cfg.Paths {
+			for i := 0; i < cfg.GraphsPerCell; i++ {
+				inst, err := gen.Generate(expr.GraphConfig(cfg.Seed, n, p, i))
+				if err != nil {
+					t.Fatalf("Generate: %v", err)
+				}
+				insts = append(insts, inst)
+			}
+		}
+	}
+	var ws core.Workspace
+	pass := func() {
+		for _, inst := range insts {
+			if _, err := ws.Schedule(context.Background(), inst.Graph, inst.Arch, core.Options{Workers: 1}); err != nil {
+				t.Fatalf("Workspace.Schedule: %v", err)
+			}
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	pass()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pass()
+	runtime.ReadMemStats(&after)
+	graphs := float64(len(insts))
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / graphs
+	allocs := float64(after.Mallocs-before.Mallocs) / graphs
+	maxBytes, maxAllocs := 40.0*1024, 250.0
+	if raceEnabled {
+		// The race runtime may allocate where a normal build does not; give
+		// it its own margin.
+		maxBytes *= 1.1
+		maxAllocs *= 1.1
+	}
+	t.Logf("%.1f KB and %.0f allocs per graph", bytes/1024, allocs)
+	if bytes > maxBytes || allocs > maxAllocs {
+		t.Errorf("a recycled workspace allocates %.1f KB and %.0f times per graph, ceilings %.0f KB and %.0f",
+			bytes/1024, allocs, maxBytes/1024, maxAllocs)
 	}
 }

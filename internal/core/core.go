@@ -32,9 +32,23 @@
 // Each schedule is walked once: the segments placed along one schedule
 // resume where the previous segment stopped, since the activities before
 // that point are already in the table.
+//
+// A Workspace holds the scheduling state of one graph and recycles it for
+// the next, so a caller scheduling graph after graph (each worker of a
+// sweep) stops allocating it per graph. A workspace belongs to one goroutine
+// at a time, and the Result its Schedule method returns stays valid only
+// until the next call on the same workspace, which overwrites the table,
+// schedules and subgraphs the Result points to. Schedule, ScheduleContext,
+// SchedulePhased and ScheduleWarmPhased run the same code on a fresh
+// workspace, so their results own their memory. A result that outlives the
+// next graph, such as one the scheduling service memoizes or warm-starts
+// from, must come from them: a recycled result would change under its
+// readers, and a fresh one keeps none of the workspace's merge buffers, lock
+// set or path records alive.
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -265,7 +279,6 @@ func (r *Result) RowName(k sched.Key) string {
 
 // pathInfo carries the per-path data used during merging.
 type pathInfo struct {
-	index   int
 	path    *cpg.Path
 	sub     *cpg.Subgraph
 	optimal *sched.PathSchedule
@@ -274,16 +287,18 @@ type pathInfo struct {
 	order []int64
 }
 
-// newPathInfo pairs a path with its optimal schedule and the fixed-order
-// priorities derived from it.
-func newPathInfo(i int, p *cpg.Path, sub *cpg.Subgraph, optimal *sched.PathSchedule) *pathInfo {
-	order := make([]int64, sub.G.NumProcs())
+// set pairs a path with its optimal schedule and the fixed-order priorities
+// derived from it, reusing the record's order buffer.
+func (pi *pathInfo) set(p *cpg.Path, sub *cpg.Subgraph, optimal *sched.PathSchedule) {
+	n := sub.G.NumProcs()
+	pi.order = slices.Grow(pi.order[:0], n)[:n]
+	clear(pi.order)
 	for _, e := range optimal.Entries() {
 		if !e.Key.IsCond {
-			order[e.Key.Proc] = e.Start
+			pi.order[e.Key.Proc] = e.Start
 		}
 	}
-	return &pathInfo{index: i, path: p, sub: sub, optimal: optimal, order: order}
+	pi.path, pi.sub, pi.optimal = p, sub, optimal
 }
 
 type merger struct {
@@ -292,7 +307,7 @@ type merger struct {
 	a     *arch.Architecture
 	opt   Options
 	tbl   *table.Table
-	paths []*pathInfo
+	paths []pathInfo
 	stats Stats
 	steps int
 	// bus0 is the architecture's first broadcast bus (NoPE when it has
@@ -312,6 +327,40 @@ type merger struct {
 	bufs  [2]*sched.PathSchedule
 	next  int
 	locks *listsched.Locks
+	// cols is numColumns' buffer.
+	cols []cond.Cube
+}
+
+// Workspace holds the scheduling state of one graph and reuses it for the
+// next: the active subgraphs and optimal schedules of the alternative paths,
+// the path records with their fixed-order priorities, the merge's reschedule
+// buffers and lock set, the schedule table and the Result with its slices
+// (see the package doc for who owns a workspace and how long its Result
+// lives). The zero value is ready to use. A workspace only ever recycles
+// objects it created itself: a strategy's schedules and the subgraphs and
+// schedules a warm start borrows from its previous result are read, never
+// written.
+type Workspace struct {
+	// subs and scheds are the subgraphs and optimal schedules the workspace
+	// built, by path index.
+	subs   []*cpg.Subgraph
+	scheds []*sched.PathSchedule
+	// m keeps the path records, the merge buffers, the lock set and the
+	// table across runs.
+	m merger
+	// scratches holds one list-scheduling scratch per path-phase worker; the
+	// first also serves the merge.
+	scratches []*listsched.Scratch
+	// res is the Result every run refills.
+	res *Result
+}
+
+// Schedule generates the schedule table for the graph on the given
+// architecture like ScheduleContext, reusing the workspace's state. The
+// Result, its table, schedules and subgraphs are overwritten by the next call
+// on the workspace.
+func (ws *Workspace) Schedule(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt Options) (*Result, error) {
+	return ws.schedule(ctx, g, a, opt, nil, nil)
 }
 
 // Schedule generates the schedule table for the graph on the given
@@ -353,16 +402,34 @@ func SchedulePhased(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt
 	return schedulePhased(ctx, g, a, opt, phases, nil)
 }
 
-// schedulePhased runs the full pipeline; warm (optional) allows reusing
-// per-path schedules from a previous result of the same problem shape.
+// schedulePhased runs the full pipeline on a fresh workspace; warm (optional)
+// allows reusing per-path schedules from a previous result of the same
+// problem shape.
 func schedulePhased(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt Options, phases PhaseFunc, warm *warmPlan) (*Result, error) {
+	ws := new(Workspace)
+	defer ws.putScratches()
+	return ws.schedule(ctx, g, a, opt, phases, warm)
+}
+
+// putScratches hands the workspace's list-scheduling scratches back to
+// scratchPool, for the next fresh workspace.
+func (ws *Workspace) putScratches() {
+	for _, sc := range ws.scratches {
+		scratchPool.Put(sc)
+	}
+	ws.scratches = nil
+}
+
+// schedule runs the full pipeline in the workspace.
+func (ws *Workspace) schedule(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt Options, phases PhaseFunc, warm *warmPlan) (*Result, error) {
 	if g == nil || a == nil {
 		return nil, errors.New("core: nil graph or architecture")
 	}
 	if opt.Workers < 0 {
 		return nil, fmt.Errorf("%w; got %d", ErrNegativeWorkers, opt.Workers)
 	}
-	if _, err := resolveStrategy(opt); err != nil {
+	strategy, err := resolveStrategy(opt)
+	if err != nil {
 		return nil, err
 	}
 	if err := a.Validate(); err != nil {
@@ -377,8 +444,7 @@ func schedulePhased(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt
 	if err != nil {
 		return nil, err
 	}
-	m := &merger{ctx: ctx, g: g, a: a, opt: opt, tbl: table.New(g.NumProcs())}
-	var deltaM int64
+	m := ws.reset(ctx, g, a, opt, len(paths))
 	var reuse []warmReuse
 	if warm != nil {
 		reuse = warm.plan(g, paths)
@@ -388,20 +454,29 @@ func schedulePhased(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt
 			}
 		}
 	}
+	for len(ws.scratches) < pool.Clamp(len(paths), opt.Workers) {
+		ws.scratches = append(ws.scratches, scratchPool.Get().(*listsched.Scratch))
+	}
 	//lint:allow nowallclock phase telemetry reported via Stats; never part of the table output or any hash
 	tPathSched := time.Now()
-	infos, err := schedulePaths(ctx, g, a, opt, paths, reuse)
-	if err != nil {
+	if err := ws.schedulePaths(ctx, strategy, paths, reuse); err != nil {
 		return nil, err
 	}
-	schedules := make([]*sched.PathSchedule, 0, len(paths))
-	subgraphs := make([]*cpg.Subgraph, 0, len(paths))
-	for _, pi := range infos {
-		m.paths = append(m.paths, pi)
-		schedules = append(schedules, pi.optimal)
-		subgraphs = append(subgraphs, pi.sub)
-		if pi.optimal.Delay > deltaM {
-			deltaM = pi.optimal.Delay
+	res := ws.res
+	*res = Result{
+		Graph:     g,
+		Arch:      a,
+		Table:     m.tbl,
+		Paths:     slices.Grow(res.Paths[:0], len(paths)),
+		Schedules: slices.Grow(res.Schedules[:0], len(paths)),
+		Subgraphs: slices.Grow(res.Subgraphs[:0], len(paths)),
+	}
+	for i := range m.paths {
+		pi := &m.paths[i]
+		res.Schedules = append(res.Schedules, pi.optimal)
+		res.Subgraphs = append(res.Subgraphs, pi.sub)
+		if pi.optimal.Delay > res.DeltaM {
+			res.DeltaM = pi.optimal.Delay
 		}
 	}
 	m.stats.Paths = len(paths)
@@ -417,19 +492,12 @@ func schedulePhased(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt
 	if start == nil {
 		return nil, errors.New("core: no alternative path found")
 	}
-	m.locks = listsched.NewLocks(g.NumProcs())
-	m.bus0 = arch.NoPE
-	if bb := a.BroadcastBuses(); len(bb) > 0 {
-		m.bus0 = bb[0]
-	}
-	m.scratch = scratchPool.Get().(*listsched.Scratch)
-	err = m.explore(start, start.optimal, m.locks, cond.True(), 0)
-	scratchPool.Put(m.scratch)
-	if err != nil {
+	m.scratch = ws.scratches[0]
+	if err := m.explore(start, start.optimal, m.locks, cond.True(), 0); err != nil {
 		return nil, err
 	}
 	m.stats.MergeTime = time.Since(tMerge)
-	m.stats.Columns = len(m.tbl.Columns())
+	m.stats.Columns = m.numColumns()
 	m.stats.Entries = m.tbl.NumEntries()
 
 	if err := ctx.Err(); err != nil {
@@ -439,15 +507,7 @@ func schedulePhased(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt
 	// Evaluate the table: the row checks, then the per-path re-enactment on
 	// the same worker pool as the path scheduling, reusing the subgraphs
 	// built there instead of re-extracting them per path.
-	res := &Result{
-		Graph:     g,
-		Arch:      a,
-		Table:     m.tbl,
-		Schedules: schedules,
-		Subgraphs: subgraphs,
-		DeltaM:    deltaM,
-		Stats:     m.stats,
-	}
+	res.Stats = m.stats
 	validateWorkers := opt.Workers
 	if phases != nil {
 		if w := phases(PhaseValidate, opt.Workers); w >= 1 {
@@ -459,7 +519,7 @@ func schedulePhased(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt
 	//lint:allow nowallclock phase telemetry reported via Stats; never part of the table output or any hash
 	tValidate := time.Now()
 	res.Violations = m.tbl.Validate(g)
-	simRes, err := sim.WorstCaseSubgraphs(a, m.tbl, subgraphs, validateWorkers)
+	simRes, err := sim.WorstCaseSubgraphs(a, m.tbl, res.Subgraphs, validateWorkers)
 	if err != nil {
 		return nil, err
 	}
@@ -469,46 +529,71 @@ func schedulePhased(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt
 	for i, p := range paths {
 		res.Paths = append(res.Paths, PathResult{
 			Label:        p.Label,
-			OptimalDelay: schedules[i].Delay,
+			OptimalDelay: res.Schedules[i].Delay,
 			TableDelay:   simRes.Traces[i].Delay,
 		})
 	}
 	return res, nil
 }
 
-// scratchPool recycles list-scheduling scratches across Schedule calls: the
-// per-worker scratches of the path phase and the merge's. A scratch keeps the
-// buffers of the largest graph it scheduled, and every run resets what it
-// reads.
+// reset prepares the workspace for a graph with the given number of
+// alternative paths and returns its merger, emptied for the run: the table
+// and the lock set are reset in place, and the path records, the merge
+// buffers and the slots keep their buffers.
+func (ws *Workspace) reset(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt Options, paths int) *merger {
+	m := &ws.m
+	*m = merger{ctx: ctx, g: g, a: a, opt: opt, tbl: m.tbl,
+		paths: slices.Grow(m.paths[:0], paths)[:paths], bufs: m.bufs, locks: m.locks, cols: m.cols, bus0: arch.NoPE}
+	if m.tbl == nil {
+		m.tbl = table.New(g.NumProcs())
+	} else {
+		m.tbl.Reset(g.NumProcs())
+	}
+	if m.locks == nil {
+		m.locks = listsched.NewLocks(g.NumProcs())
+	} else {
+		m.locks.Reset(g.NumProcs())
+	}
+	if bb := a.BroadcastBuses(); len(bb) > 0 {
+		m.bus0 = bb[0]
+	}
+	ws.subs = slices.Grow(ws.subs[:0], paths)[:paths]
+	ws.scheds = slices.Grow(ws.scheds[:0], paths)[:paths]
+	// A slot past this graph's paths keeps its buffers, but not the graph.
+	for _, sub := range ws.subs[paths:cap(ws.subs)] {
+		if sub != nil {
+			sub.G = nil
+		}
+	}
+	if ws.res == nil {
+		ws.res = new(Result)
+	}
+	return m
+}
+
+// scratchPool lends list-scheduling scratches to workspaces: one per worker
+// of the path phase, the first also serving the merge. A workspace keeps its
+// scratches; the fresh workspaces of Schedule and its variants hand theirs
+// back when the run ends. A scratch keeps the buffers of the largest graph it
+// scheduled, and every run resets what it reads.
 var scratchPool = sync.Pool{New: func() any { return new(listsched.Scratch) }}
 
-// schedulePaths produces the optimal schedule of every alternative path,
-// fanning the independent per-path strategy runs out over a bounded worker
-// pool — for the improvement strategies (tabu), the expensive per-path
-// iteration loops are exactly what rides the pool. The graph, architecture
-// and paths are only read, and every worker writes exclusively to its own
-// result slot, so the fan-out is race-free; results come back indexed by
-// path so the outcome is identical to the sequential loop regardless of
-// worker count or completion order.
-func schedulePaths(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt Options, paths []*cpg.Path, reuse []warmReuse) ([]*pathInfo, error) {
-	strategy, err := resolveStrategy(opt)
-	if err != nil {
-		return nil, err
-	}
-	infos := make([]*pathInfo, len(paths))
+// schedulePaths produces the optimal schedule of every alternative path into
+// the workspace's path records, fanning the independent per-path strategy
+// runs out over a bounded worker pool, one scratch per worker — for the
+// improvement strategies (tabu), the expensive per-path iteration loops are
+// exactly what rides the pool. The graph, architecture and paths are only
+// read, and every worker writes exclusively to its path's record and slots,
+// so the fan-out is race-free; results are indexed by path so the outcome is
+// identical to the sequential loop regardless of worker count or completion
+// order. The default scheduler writes into the workspace's subgraph and
+// schedule slots; a strategy returns schedules of its own, and a warm start
+// borrows the previous result's, which no slot ever holds.
+func (ws *Workspace) schedulePaths(ctx context.Context, strategy listsched.Strategy, paths []*cpg.Path, reuse []warmReuse) error {
+	m := &ws.m
+	g, a, opt := m.g, m.a, m.opt
 	errs := make([]error, len(paths))
 	var failed atomic.Bool
-	// Each worker owns one listsched.Scratch, so the many per-path runs
-	// reuse the same buffers instead of reallocating the scheduler state.
-	scratches := make([]*listsched.Scratch, pool.Clamp(len(paths), opt.Workers))
-	for w := range scratches {
-		scratches[w] = scratchPool.Get().(*listsched.Scratch)
-	}
-	defer func() {
-		for _, sc := range scratches {
-			scratchPool.Put(sc)
-		}
-	}()
 	pool.ForEachIndexWorker(len(paths), opt.Workers, func(worker, i int) {
 		if failed.Load() {
 			return // another path already failed; skip the remaining work
@@ -523,40 +608,70 @@ func schedulePaths(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt 
 			// Warm start: the previous run's schedule for this path is
 			// byte-identical to what a fresh run would produce, so skip the
 			// (dominant) per-path strategy run and the subgraph extraction.
-			infos[i] = newPathInfo(i, p, reuse[i].sub, reuse[i].optimal)
+			m.paths[i].set(p, reuse[i].sub, reuse[i].optimal)
 			return
 		}
-		sub := g.Subgraph(p)
+		sub := g.SubgraphInto(ws.subs[i], p)
+		ws.subs[i] = sub
 		var ps *sched.PathSchedule
 		var err error
 		if strategy != nil {
-			ps, _, err = strategy.SchedulePath(scratches[worker], sub, a, opt.StrategyParams)
+			ps, _, err = strategy.SchedulePath(ws.scratches[worker], sub, a, opt.StrategyParams)
 		} else {
-			ps, _, err = scratches[worker].Schedule(sub, a, listsched.Options{Priority: opt.PathPriority})
+			ps, _, err = ws.scratches[worker].ScheduleInto(ws.scheds[i], sub, a, listsched.Options{Priority: opt.PathPriority})
+			if err == nil {
+				ws.scheds[i] = ps
+			}
 		}
 		if err != nil {
 			errs[i] = fmt.Errorf("core: scheduling path %s: %w", p.Label.Format(g.CondName), err)
 			failed.Store(true)
 			return
 		}
-		infos[i] = newPathInfo(i, p, sub, ps)
+		m.paths[i].set(p, sub, ps)
 	})
 
 	// Report the lowest-indexed recorded error (later paths may have been
 	// skipped once the first failure was observed).
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return infos, nil
+	return nil
+}
+
+// numColumns returns the number of distinct column expressions of the table,
+// len(m.tbl.Columns()), collected in a sorted buffer the merger keeps.
+func (m *merger) numColumns() int {
+	cols := m.cols[:0]
+	for _, k := range m.tbl.KeysView() {
+		for _, e := range m.tbl.RowView(k) {
+			if i, found := slices.BinarySearchFunc(cols, e.Expr, compareMasks); !found {
+				cols = slices.Insert(cols, i, e.Expr)
+			}
+		}
+	}
+	m.cols = cols
+	return len(cols)
+}
+
+// compareMasks orders cubes by their condition mask, then their positive
+// mask: a total order (the two masks determine a cube) cheaper than
+// Cube.Compare.
+func compareMasks(a, b cond.Cube) int {
+	if c := cmp.Compare(a.Mask(), b.Mask()); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.PosMask(), b.PosMask())
 }
 
 // selectPath picks, among the paths reachable from the decision-tree node
 // described by decided, the one the merging follows next.
 func (m *merger) selectPath(decided cond.Cube) *pathInfo {
 	var best *pathInfo
-	for _, pi := range m.paths {
+	for i := range m.paths {
+		pi := &m.paths[i]
 		if !pi.path.Label.Implies(decided) {
 			continue
 		}
@@ -584,7 +699,7 @@ func (m *merger) selectPath(decided cond.Cube) *pathInfo {
 // values) keeps that activation time. It refills the merge's one lock set.
 func (m *merger) deriveLocks(pi *pathInfo, decided cond.Cube) *listsched.Locks {
 	locks := m.locks
-	locks.Reset()
+	locks.Reset(m.g.NumProcs())
 	for _, key := range m.tbl.KeysView() {
 		if key.IsCond {
 			def := m.g.Condition(key.Cond)

@@ -38,11 +38,12 @@ func checkReuseRule(t *testing.T, r *rand.Rand, res *Result, draws int, counts *
 	var sc listsched.Scratch
 	locks := listsched.NewLocks(g.NumProcs())
 	for i, sub := range res.Subgraphs {
-		pi := newPathInfo(i, nil, sub, res.Schedules[i])
+		pi := new(pathInfo)
+		pi.set(nil, sub, res.Schedules[i])
 		s := pi.optimal
 		label := s.Label.Format(g.CondName)
 		for d := 0; d < draws; d++ {
-			locks.Reset()
+			locks.Reset(g.NumProcs())
 			var onPath []sched.Key
 			for _, e := range s.Entries() {
 				if r.Intn(2) == 0 {

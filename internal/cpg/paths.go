@@ -29,14 +29,38 @@ func (p *Path) IsActive(id ProcID) bool {
 // deterministic order (depth-first over condition identifiers, true branch
 // first). maxPaths bounds the enumeration; pass 0 for DefaultMaxPaths.
 func (g *Graph) AlternativePaths(maxPaths int) ([]*Path, error) {
+	var labels []cond.Cube
+	if err := g.pathLabels(maxPaths, func(l cond.Cube) { labels = append(labels, l) }); err != nil {
+		return nil, err
+	}
+	paths := make([]*Path, 0, len(labels))
+	for _, l := range labels {
+		paths = append(paths, g.PathFor(l))
+	}
+	return paths, nil
+}
+
+// NumAlternativePaths returns the number of alternative paths
+// AlternativePaths enumerates, with the same bound and error, without
+// building their active sets.
+func (g *Graph) NumAlternativePaths(maxPaths int) (int, error) {
+	n := 0
+	err := g.pathLabels(maxPaths, func(cond.Cube) { n++ })
+	return n, err
+}
+
+// pathLabels calls visit with the label of every alternative path, in
+// enumeration order, and fails once there are more than maxPaths (0 means
+// DefaultMaxPaths).
+func (g *Graph) pathLabels(maxPaths int, visit func(cond.Cube)) error {
 	g.mustBeFinalized()
 	if maxPaths <= 0 {
 		maxPaths = DefaultMaxPaths
 	}
-	var labels []cond.Cube
+	count := 0
 	var rec func(assign cond.Cube) error
 	rec = func(assign cond.Cube) error {
-		if len(labels) > maxPaths {
+		if count > maxPaths {
 			return fmt.Errorf("cpg: more than %d alternative paths", maxPaths)
 		}
 		// Find the lowest-numbered condition whose disjunction process is
@@ -53,10 +77,11 @@ func (g *Graph) AlternativePaths(maxPaths int) ([]*Path, error) {
 			}
 		}
 		if next == cond.None {
-			labels = append(labels, assign)
-			if len(labels) > maxPaths {
+			count++
+			if count > maxPaths {
 				return fmt.Errorf("cpg: more than %d alternative paths", maxPaths)
 			}
+			visit(assign)
 			return nil
 		}
 		if err := rec(assign.MustWith(next, true)); err != nil {
@@ -64,14 +89,7 @@ func (g *Graph) AlternativePaths(maxPaths int) ([]*Path, error) {
 		}
 		return rec(assign.MustWith(next, false))
 	}
-	if err := rec(cond.True()); err != nil {
-		return nil, err
-	}
-	paths := make([]*Path, 0, len(labels))
-	for _, l := range labels {
-		paths = append(paths, g.PathFor(l))
-	}
-	return paths, nil
+	return rec(cond.True())
 }
 
 // PathFor returns the path (active process set) selected by the given full
@@ -92,7 +110,8 @@ func (g *Graph) PathFor(label cond.Cube) *Path {
 // array and one backing array hold the predecessors and then the successors
 // of every process, so the per-call accessors used inside the scheduler's
 // inner loop never allocate, and a subgraph takes a fixed number of
-// allocations whatever the size of the graph.
+// allocations whatever the size of the graph. SubgraphInto re-extracts into
+// the buffers of a subgraph its caller no longer reads.
 type Subgraph struct {
 	G      *Graph
 	Label  cond.Cube
@@ -104,17 +123,32 @@ type Subgraph struct {
 	adjOff  []int32
 	adj     []ProcID
 	decided []cond.Cond
+	// flags backs active and then the active-edge flags of the extraction;
+	// back backs topo and then adj.
+	flags []bool
+	back  []ProcID
 }
 
 // Subgraph extracts the active subgraph Gk for a path.
 func (g *Graph) Subgraph(p *Path) *Subgraph {
+	return g.SubgraphInto(nil, p)
+}
+
+// SubgraphInto is Subgraph writing into dst, reusing its buffers, and
+// returning it; a nil dst gets a new subgraph. dst may come from any graph.
+func (g *Graph) SubgraphInto(dst *Subgraph, p *Path) *Subgraph {
 	g.mustBeFinalized()
 	n := len(g.procs)
-	s := &Subgraph{G: g, Label: p.Label}
-	flags := make([]bool, n+len(g.edges))
-	s.active = flags[:n:n]
-	activeEdge := flags[n:]
+	s := dst
+	if s == nil {
+		s = new(Subgraph)
+	}
+	s.G, s.Label = g, p.Label
+	s.flags = resize(s.flags, n+len(g.edges))
+	s.active = s.flags[:n:n]
+	activeEdge := s.flags[n:]
 	copy(s.active, p.Active)
+	clear(activeEdge)
 	activeEdges, activeProcs := 0, 0
 	for _, e := range g.edges {
 		if !s.active[e.From] || !s.active[e.To] {
@@ -137,14 +171,15 @@ func (g *Graph) Subgraph(p *Path) *Subgraph {
 	// One backing array holds the topological order, then the predecessor
 	// and successor lists; the per-process ordering of the lists matches the
 	// edge insertion order of g.in / g.out.
-	back := make([]ProcID, 0, activeProcs+2*activeEdges)
+	back := resize(s.back, activeProcs+2*activeEdges)[:0]
 	for _, id := range g.topo {
 		if s.active[id] {
 			back = append(back, id)
 		}
 	}
 	s.topo = back[:activeProcs:activeProcs]
-	s.adjOff = make([]int32, 2*n+1)
+	s.adjOff = resize(s.adjOff, 2*n+1)
+	s.adjOff[0] = 0
 	for i := 0; i < n; i++ {
 		for _, eid := range g.in[i] {
 			if activeEdge[eid] {
@@ -161,6 +196,7 @@ func (g *Graph) Subgraph(p *Path) *Subgraph {
 		}
 		s.adjOff[n+i+1] = int32(len(back) - activeProcs)
 	}
+	s.back = back
 	s.adj = back[activeProcs:]
 	decided := 0
 	for _, cd := range g.conds {
@@ -168,15 +204,23 @@ func (g *Graph) Subgraph(p *Path) *Subgraph {
 			decided++
 		}
 	}
-	if decided > 0 {
-		s.decided = make([]cond.Cond, 0, decided)
-		for _, cd := range g.conds {
-			if s.active[cd.Decider] {
-				s.decided = append(s.decided, cd.ID)
-			}
+	s.decided = resize(s.decided, decided)[:0]
+	for _, cd := range g.conds {
+		if s.active[cd.Decider] {
+			s.decided = append(s.decided, cd.ID)
 		}
 	}
 	return s
+}
+
+// resize returns s with length n, reallocating when its capacity is short:
+// exactly for a new slice, with room to grow for a reused one. (slices.Grow
+// would allocate twice under the race detector.)
+func resize[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n, max(n, 2*cap(s)))
+	}
+	return s[:n]
 }
 
 // Active reports whether process id executes on this path.

@@ -475,7 +475,11 @@ func RunSweepShardStream(ctx context.Context, cfg SweepConfig, yield func(GraphR
 	var failed atomic.Bool
 	var mu sync.Mutex // serializes yield + Progress across workers
 	done := 0
-	runOne := func(j int) {
+	// Each worker schedules its graphs in its own workspace, which recycles
+	// one graph's scheduling state for the next: a graph's result is read
+	// into its GraphResult before the worker's next graph overwrites it.
+	workspaces := make([]core.Workspace, pool.Clamp(len(jobs), cfg.Workers))
+	runOne := func(ws *core.Workspace, j int) {
 		if failed.Load() {
 			return // a job already failed; drain the queue without working
 		}
@@ -494,7 +498,7 @@ func RunSweepShardStream(ctx context.Context, cfg SweepConfig, yield func(GraphR
 			fail(fmt.Errorf("expr: generating graph %d of cell %s: %w", job.Index, key, err))
 			return
 		}
-		res, err := core.ScheduleContext(ctx, inst.Graph, inst.Arch, opts)
+		res, err := ws.Schedule(ctx, inst.Graph, inst.Arch, opts)
 		if err != nil {
 			fail(fmt.Errorf("expr: scheduling graph %d of cell %s: %w", job.Index, key, err))
 			return
@@ -527,8 +531,8 @@ func RunSweepShardStream(ctx context.Context, cfg SweepConfig, yield func(GraphR
 		mu.Unlock()
 	}
 
-	pool.ForEachIndex(len(jobs), cfg.Workers, func(j int) {
-		runOne(j)
+	pool.ForEachIndexWorker(len(jobs), cfg.Workers, func(worker, j int) {
+		runOne(&workspaces[worker], j)
 		finishOne(j)
 	})
 

@@ -357,11 +357,11 @@ func (gen *generator) finish() error {
 	if err := gen.g.Finalize(gen.a); err != nil {
 		return err
 	}
-	paths, err := gen.g.AlternativePaths(0)
+	paths, err := gen.g.NumAlternativePaths(0)
 	if err != nil {
 		return err
 	}
-	if len(paths) != gen.cfg.TargetPaths {
+	if paths != gen.cfg.TargetPaths {
 		return errors.New("gen: generated graph has an unexpected number of alternative paths")
 	}
 	return nil

@@ -40,6 +40,7 @@ import (
 	"iter"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/cond"
@@ -110,12 +111,20 @@ type Locks struct {
 
 // NewLocks returns an empty lock set for a graph with numProcs processes.
 func NewLocks(numProcs int) *Locks {
-	n := sched.NumSlots(numProcs)
-	return &Locks{numProcs: numProcs, locks: make([]Lock, n), set: make([]uint64, (n+63)/64)}
+	l := new(Locks)
+	l.Reset(numProcs)
+	return l
 }
 
-// Reset unlocks every activity, keeping the set's buffers.
-func (l *Locks) Reset() { clear(l.set) }
+// Reset empties the set for a graph with numProcs processes, keeping its
+// buffers where they are large enough. The zero Locks is ready for Reset.
+func (l *Locks) Reset(numProcs int) {
+	n := sched.NumSlots(numProcs)
+	l.numProcs = numProcs
+	l.locks = slices.Grow(l.locks[:0], n)[:n]
+	l.set = slices.Grow(l.set[:0], (n+63)/64)[:(n+63)/64]
+	clear(l.set)
+}
 
 // Set locks the activity k, replacing any earlier lock of k.
 func (l *Locks) Set(k sched.Key, lock Lock) {

@@ -25,30 +25,30 @@ func locksOf(l *listsched.Locks) []listsched.Lock {
 }
 
 // TestLocksResetRefillEqualsFresh refills one lock set with a sequence of
-// random lock sets and checks every refill against a fresh set of the same
-// locks: the same locks in key order, and a miss for every key that only
-// the previous content locked.
+// random lock sets for graphs of different sizes and checks every refill
+// against a fresh set of the same locks: the same locks in key order, and a
+// miss for every key that only the previous content locked.
 func TestLocksResetRefillEqualsFresh(t *testing.T) {
-	const numProcs = 50
 	r := rand.New(rand.NewSource(3))
-	fill := func(l *listsched.Locks, r *rand.Rand) {
+	fill := func(l *listsched.Locks, numProcs int, r *rand.Rand) {
 		for s := 0; s < sched.NumSlots(numProcs); s++ {
 			if r.Intn(4) == 0 {
 				l.Set(sched.SlotKey(s, numProcs), listsched.Lock{Start: r.Int63n(100), Bus: arch.PEID(r.Intn(3))})
 			}
 		}
 	}
-	recycled := listsched.NewLocks(numProcs)
-	fill(recycled, rand.New(rand.NewSource(99)))
+	recycled := listsched.NewLocks(50)
+	fill(recycled, 50, rand.New(rand.NewSource(99)))
 	for i := 0; i < 50; i++ {
+		numProcs := []int{50, 20, 80}[i%3]
 		seed := r.Int63()
 		fresh := listsched.NewLocks(numProcs)
-		fill(fresh, rand.New(rand.NewSource(seed)))
-		recycled.Reset()
+		fill(fresh, numProcs, rand.New(rand.NewSource(seed)))
+		recycled.Reset(numProcs)
 		if n := len(locksOf(recycled)); n != 0 {
 			t.Fatalf("refill %d: Reset left %d locks", i, n)
 		}
-		fill(recycled, rand.New(rand.NewSource(seed)))
+		fill(recycled, numProcs, rand.New(rand.NewSource(seed)))
 		if got, want := locksOf(recycled), locksOf(fresh); !slices.Equal(got, want) {
 			t.Fatalf("refill %d: locks %v, want %v", i, got, want)
 		}

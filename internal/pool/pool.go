@@ -26,18 +26,13 @@ func Clamp(n, workers int) int {
 	return workers
 }
 
-// ForEachIndex calls fn(i) for every i in [0, n), fanning the calls over
-// Clamp(n, workers) goroutines; one worker means a plain sequential loop in
-// index order. It returns once every call has completed. fn must confine its
-// writes to per-index slots (or otherwise synchronize) for the fan-out to be
-// race-free.
-func ForEachIndex(n, workers int, fn func(i int)) {
-	ForEachIndexWorker(n, workers, func(_, i int) { fn(i) })
-}
-
-// ForEachIndexWorker is ForEachIndex passing the worker identifier
-// (0 <= worker < Clamp(n, workers)) to fn, so callers can maintain
-// per-worker scratch state sized with Clamp.
+// ForEachIndexWorker calls fn(worker, i) for every i in [0, n), fanning the
+// calls over Clamp(n, workers) goroutines; one worker means a plain
+// sequential loop in index order. The worker identifier (0 <= worker <
+// Clamp(n, workers)) lets callers keep per-worker scratch state sized with
+// Clamp. It returns once every call has completed. fn must confine its writes
+// to per-index slots and per-worker state (or otherwise synchronize) for the
+// fan-out to be race-free.
 func ForEachIndexWorker(n, workers int, fn func(worker, i int)) {
 	workers = Clamp(n, workers)
 	if workers <= 1 {

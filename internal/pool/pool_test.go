@@ -21,11 +21,11 @@ func TestClamp(t *testing.T) {
 	}
 }
 
-func TestForEachIndexCoversEveryIndexOnce(t *testing.T) {
+func TestForEachIndexWorkerCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 0} {
 		const n = 100
 		var hits [n]atomic.Int32
-		ForEachIndex(n, workers, func(i int) { hits[i].Add(1) })
+		ForEachIndexWorker(n, workers, func(_, i int) { hits[i].Add(1) })
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
 				t.Fatalf("workers=%d: index %d visited %d times", workers, i, got)
@@ -50,9 +50,14 @@ func TestForEachIndexWorkerIDsInRange(t *testing.T) {
 	}
 }
 
-func TestForEachIndexSequentialOrder(t *testing.T) {
+func TestForEachIndexWorkerSequentialOrder(t *testing.T) {
 	var order []int
-	ForEachIndex(10, 1, func(i int) { order = append(order, i) })
+	ForEachIndexWorker(10, 1, func(w, i int) {
+		if w != 0 {
+			t.Errorf("sequential loop ran on worker %d", w)
+		}
+		order = append(order, i)
+	})
 	for i, v := range order {
 		if i != v {
 			t.Fatalf("sequential order broken: %v", order)

@@ -57,6 +57,21 @@ func New(numProcs int) *Table {
 	return &Table{numProcs: numProcs, rows: make([]row, sched.NumSlots(numProcs))}
 }
 
+// Reset empties the table for a graph with numProcs processes, keeping the
+// rows' buffers for the next placements. Slices returned by the views of the
+// previous content are invalidated.
+func (t *Table) Reset(numProcs int) {
+	for _, k := range t.keys {
+		r := &t.rows[k.Slot(t.numProcs)]
+		r.entries, r.listed = r.entries[:0], false
+	}
+	t.keys = t.keys[:0]
+	// Every row of the backing array is empty and unlisted now, so the rows
+	// can be re-indexed for another process count.
+	t.numProcs = numProcs
+	t.rows = slices.Grow(t.rows[:0], sched.NumSlots(numProcs))[:sched.NumSlots(numProcs)]
+}
+
 // listedRow returns the row of k, listing it in insertion order if it is
 // new. k must be in the table's index.
 func (t *Table) listedRow(k sched.Key) *row {
