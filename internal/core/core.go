@@ -239,7 +239,8 @@ type Result struct {
 	// Subgraphs are the active subgraphs of the alternative paths (same
 	// order as Paths), built once during path scheduling and reused by the
 	// validation and simulation stages; callers re-enacting paths against
-	// the table can reuse them too.
+	// the table can reuse them too. The scheduling service drops them from
+	// the results it keeps (Graph.Subgraph rebuilds one from its path).
 	Subgraphs []*cpg.Subgraph
 	// DeltaM is the largest delay among the per-path schedules in
 	// Schedules. Those come from the list scheduler (or the selected
@@ -337,9 +338,8 @@ type merger struct {
 // buffers and lock set, the schedule table and the Result with its slices
 // (see the package doc for who owns a workspace and how long its Result
 // lives). The zero value is ready to use. A workspace only ever recycles
-// objects it created itself: a strategy's schedules and the subgraphs and
-// schedules a warm start borrows from its previous result are read, never
-// written.
+// objects it created itself: a strategy's schedules and the schedules a warm
+// start borrows from its previous result are read, never written.
 type Workspace struct {
 	// subs and scheds are the subgraphs and optimal schedules the workspace
 	// built, by path index.
@@ -445,11 +445,11 @@ func (ws *Workspace) schedule(ctx context.Context, g *cpg.Graph, a *arch.Archite
 		return nil, err
 	}
 	m := ws.reset(ctx, g, a, opt, len(paths))
-	var reuse []warmReuse
+	var reuse []*sched.PathSchedule
 	if warm != nil {
 		reuse = warm.plan(g, paths)
-		for _, r := range reuse {
-			if r.optimal != nil {
+		for _, ps := range reuse {
+			if ps != nil {
 				m.stats.WarmReusedPaths++
 			}
 		}
@@ -586,10 +586,11 @@ var scratchPool = sync.Pool{New: func() any { return new(listsched.Scratch) }}
 // read, and every worker writes exclusively to its path's record and slots,
 // so the fan-out is race-free; results are indexed by path so the outcome is
 // identical to the sequential loop regardless of worker count or completion
-// order. The default scheduler writes into the workspace's subgraph and
-// schedule slots; a strategy returns schedules of its own, and a warm start
-// borrows the previous result's, which no slot ever holds.
-func (ws *Workspace) schedulePaths(ctx context.Context, strategy listsched.Strategy, paths []*cpg.Path, reuse []warmReuse) error {
+// order. Every path's subgraph is extracted into the workspace's subgraph
+// slot. The default scheduler writes into the workspace's schedule slots; a
+// strategy returns schedules of its own, and a warm start borrows the
+// previous result's (reuse, by path index), which no slot ever holds.
+func (ws *Workspace) schedulePaths(ctx context.Context, strategy listsched.Strategy, paths []*cpg.Path, reuse []*sched.PathSchedule) error {
 	m := &ws.m
 	g, a, opt := m.g, m.a, m.opt
 	errs := make([]error, len(paths))
@@ -604,15 +605,15 @@ func (ws *Workspace) schedulePaths(ctx context.Context, strategy listsched.Strat
 			return
 		}
 		p := paths[i]
-		if reuse != nil && reuse[i].optimal != nil {
-			// Warm start: the previous run's schedule for this path is
-			// byte-identical to what a fresh run would produce, so skip the
-			// (dominant) per-path strategy run and the subgraph extraction.
-			m.paths[i].set(p, reuse[i].sub, reuse[i].optimal)
-			return
-		}
 		sub := g.SubgraphInto(ws.subs[i], p)
 		ws.subs[i] = sub
+		if reuse != nil && reuse[i] != nil {
+			// Warm start: the previous run's schedule for this path is
+			// byte-identical to what a fresh run would produce, so skip the
+			// (dominant) per-path strategy run.
+			m.paths[i].set(p, sub, reuse[i])
+			return
+		}
 		var ps *sched.PathSchedule
 		var err error
 		if strategy != nil {

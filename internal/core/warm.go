@@ -8,14 +8,6 @@ import (
 	"repro/internal/sched"
 )
 
-// warmReuse marks one alternative path of a warm run as reusable: its optimal
-// schedule and active subgraph are taken verbatim from the previous result
-// instead of being recomputed.
-type warmReuse struct {
-	optimal *sched.PathSchedule
-	sub     *cpg.Subgraph
-}
-
 // warmPlan carries a previous result plus the set of processes whose
 // execution time changed, into the scheduling pipeline.
 type warmPlan struct {
@@ -31,9 +23,11 @@ type warmPlan struct {
 // schedules of the alternative paths on which no dirty process is active are
 // reused verbatim from prev — for those paths every input of the per-path
 // scheduler is unchanged, so a fresh run would reproduce them bit for bit —
-// and only the affected paths are rescheduled. The merge, validation and
-// worst-case simulation always run in full against the new graph, so the
-// result is byte-identical to a cold run.
+// and only the affected paths are rescheduled. Only prev's graph, path list
+// and schedules are read: its subgraphs may be gone (a memoized result drops
+// them), since every path's subgraph is extracted from the new graph. The
+// merge, validation and worst-case simulation always run in full against the
+// new graph, so the result is byte-identical to a cold run.
 //
 // The reuse plan is defensive: whenever prev does not line up with the new
 // graph (path count or labels differ, process or condition counts differ, or
@@ -41,14 +35,15 @@ type warmPlan struct {
 // cold. It never errors for a bad prev, and never reuses a path a cold run
 // could schedule differently. Callers are responsible for only passing a prev
 // computed under the same Options — the service layer enforces this by
-// diffing the canonical problem documents.
+// comparing the problems' shape hashes and graphs.
 func ScheduleWarmPhased(ctx context.Context, prev *Result, g *cpg.Graph, a *arch.Architecture, opt Options, dirty []cpg.ProcID, phases PhaseFunc) (*Result, error) {
 	return schedulePhased(ctx, g, a, opt, phases, &warmPlan{prev: prev, dirty: dirty})
 }
 
-// plan decides, per alternative path of the new graph, whether the previous
-// result's schedule can be reused. A nil return means no reuse at all (cold).
-func (w *warmPlan) plan(g *cpg.Graph, paths []*cpg.Path) []warmReuse {
+// plan returns, per alternative path of the new graph, the previous result's
+// optimal schedule when it can be reused, and nil when the path must be
+// scheduled. A nil return means no reuse at all (cold).
+func (w *warmPlan) plan(g *cpg.Graph, paths []*cpg.Path) []*sched.PathSchedule {
 	prev := w.prev
 	if prev == nil || prev.Graph == nil {
 		return nil
@@ -58,7 +53,7 @@ func (w *warmPlan) plan(g *cpg.Graph, paths []*cpg.Path) []warmReuse {
 	if prev.Graph.NumProcs() != g.NumProcs() || prev.Graph.NumConds() != g.NumConds() {
 		return nil
 	}
-	if len(prev.Paths) != len(paths) || len(prev.Schedules) != len(paths) || len(prev.Subgraphs) != len(paths) {
+	if len(prev.Paths) != len(paths) || len(prev.Schedules) != len(paths) {
 		return nil
 	}
 	for i, p := range paths {
@@ -66,11 +61,8 @@ func (w *warmPlan) plan(g *cpg.Graph, paths []*cpg.Path) []warmReuse {
 			return nil
 		}
 	}
-	reuse := make([]warmReuse, len(paths))
+	reuse := make([]*sched.PathSchedule, len(paths))
 	for i, p := range paths {
-		if prev.Schedules[i] == nil || prev.Subgraphs[i] == nil {
-			continue
-		}
 		affected := false
 		for _, d := range w.dirty {
 			if p.IsActive(d) {
@@ -78,14 +70,12 @@ func (w *warmPlan) plan(g *cpg.Graph, paths []*cpg.Path) []warmReuse {
 				break
 			}
 		}
-		if affected {
-			continue
+		if !affected {
+			// No dirty process is active on this path: the subgraph the
+			// per-path scheduler would see is identical to the previous
+			// run's, so its schedule carries over unchanged.
+			reuse[i] = prev.Schedules[i]
 		}
-		// No dirty process is active on this path: the subgraph the per-path
-		// scheduler would see is identical to the previous run's, so both the
-		// schedule and the previous subgraph (which only exposes active
-		// processes) carry over unchanged.
-		reuse[i] = warmReuse{optimal: prev.Schedules[i], sub: prev.Subgraphs[i]}
 	}
 	return reuse
 }

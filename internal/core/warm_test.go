@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 
@@ -17,7 +18,10 @@ func render(r *Result) string { return r.Table.Render(table.RenderOptions{}) }
 // TestScheduleWarmByteIdentical pins the warm-start contract on the
 // three-path cross problem, for every strategy: after a τ edit to a process
 // active on only one path, ScheduleWarmPhased must reuse the untouched paths
-// yet render the exact table a cold run of the edited problem renders.
+// yet render the exact table a cold run of the edited problem renders. It
+// must do the same from the previous result without its subgraphs, the way
+// the scheduling service keeps it: reuse the same paths, and re-enact
+// subgraphs of the new graph.
 func TestScheduleWarmByteIdentical(t *testing.T) {
 	for _, name := range listsched.StrategyNames() {
 		t.Run(name, func(t *testing.T) {
@@ -31,6 +35,8 @@ func TestScheduleWarmByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("cold Schedule: %v", err)
 			}
+			slim := *prev
+			slim.Subgraphs = nil
 
 			// T2 is active only on the C&K path; edit its execution time on an
 			// independently built instance of the same problem.
@@ -45,25 +51,40 @@ func TestScheduleWarmByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("cold Schedule (edited): %v", err)
 			}
-			warm, err := ScheduleWarmPhased(context.Background(), prev, g2, a2, opt, []cpg.ProcID{id}, nil)
-			if err != nil {
-				t.Fatalf("ScheduleWarmPhased: %v", err)
-			}
-			if warm.Stats.WarmReusedPaths == 0 {
-				t.Fatalf("warm run reused no paths; T2 is inactive on two of three")
-			}
-			if warm.Stats.WarmReusedPaths >= len(warm.Paths) {
-				t.Fatalf("warm run reused all %d paths; the dirty one must be rescheduled", len(warm.Paths))
-			}
-			if got, want := render(warm), render(cold); got != want {
-				t.Fatalf("warm table differs from cold:\nwarm:\n%s\ncold:\n%s", got, want)
-			}
-			if warm.DeltaM != cold.DeltaM || warm.DeltaMax != cold.DeltaMax {
-				t.Fatalf("delays differ: warm (%d,%d) cold (%d,%d)",
-					warm.DeltaM, warm.DeltaMax, cold.DeltaM, cold.DeltaMax)
-			}
-			if !warm.Deterministic() {
-				t.Fatalf("warm result has violations: %v", warm.Violations)
+			var reused []bool // by path, of the warm start from the full result
+			for _, from := range []*Result{prev, &slim} {
+				warm, err := ScheduleWarmPhased(context.Background(), from, g2, a2, opt, []cpg.ProcID{id}, nil)
+				if err != nil {
+					t.Fatalf("ScheduleWarmPhased (%d prev subgraphs): %v", len(from.Subgraphs), err)
+				}
+				if warm.Stats.WarmReusedPaths == 0 {
+					t.Fatalf("warm run (%d prev subgraphs) reused no paths; T2 is inactive on two of three", len(from.Subgraphs))
+				}
+				if warm.Stats.WarmReusedPaths >= len(warm.Paths) {
+					t.Fatalf("warm run reused all %d paths; the dirty one must be rescheduled", len(warm.Paths))
+				}
+				if got, want := render(warm), render(cold); got != want {
+					t.Fatalf("warm table (%d prev subgraphs) differs from cold:\nwarm:\n%s\ncold:\n%s", len(from.Subgraphs), got, want)
+				}
+				if warm.DeltaM != cold.DeltaM || warm.DeltaMax != cold.DeltaMax {
+					t.Fatalf("delays differ: warm (%d,%d) cold (%d,%d)",
+						warm.DeltaM, warm.DeltaMax, cold.DeltaM, cold.DeltaMax)
+				}
+				if !warm.Deterministic() {
+					t.Fatalf("warm result has violations: %v", warm.Violations)
+				}
+				got := make([]bool, len(warm.Schedules))
+				for i, ps := range warm.Schedules {
+					got[i] = ps == prev.Schedules[i]
+					if warm.Subgraphs[i].G != g2 {
+						t.Fatalf("path %d: the subgraph is not extracted from the new graph", i)
+					}
+				}
+				if reused == nil {
+					reused = got
+				} else if !slices.Equal(got, reused) {
+					t.Fatalf("reused paths %v without prev subgraphs, %v with them", got, reused)
+				}
 			}
 		})
 	}

@@ -33,7 +33,9 @@ const (
 // under the critical-path and tabu strategies at workers 1 and 2.
 // It hashes the /v1/schedule solution document (wall-clock timings zeroed,
 // cache block dropped), the /v1/simulate response and the optimal per-path
-// schedules, entries and condition timings, of the served result.
+// schedules, entries and condition timings, of the served result. Served
+// bodies must be compact JSON; the simulate response is hashed re-indented
+// (json.Encoder with SetIndent), the rendering the constants were taken on.
 func TestGridResponsesGolden(t *testing.T) {
 	type cell struct{ nodes, paths int }
 	var cells []cell
@@ -83,6 +85,7 @@ func TestGridResponsesGolden(t *testing.T) {
 				query := fmt.Sprintf("?strategy=%s&workers=%d", strategy, workers)
 				fmt.Fprintf(h, "%s %s\n", p.name, query)
 				sol := serveGrid(t, routes, "/v1/schedule"+query, p.body)
+				requireCompact(t, p.name, sol)
 				var doc textio.SolutionDoc
 				if err := json.Unmarshal(sol, &doc); err != nil {
 					t.Fatalf("%s: unmarshal solution: %v", p.name, err)
@@ -94,7 +97,7 @@ func TestGridResponsesGolden(t *testing.T) {
 					t.Fatalf("%s: marshal solution: %v", p.name, err)
 				}
 				h.Write(norm)
-				h.Write(serveGrid(t, routes, "/v1/simulate"+query, p.body))
+				h.Write(indentSimulate(t, p.name, serveGrid(t, routes, "/v1/simulate"+query, p.body)))
 				hashSchedules(t, h, srv, p.doc, strategy, workers)
 			}
 		}
@@ -113,6 +116,38 @@ func serveGrid(t *testing.T, routes http.Handler, target string, body []byte) []
 		t.Fatalf("POST %s: status %d: %s", target, rec.Code, rec.Body.Bytes())
 	}
 	return rec.Body.Bytes()
+}
+
+// requireCompact fails the test unless body is compact JSON: no whitespace
+// outside strings but the encoder's trailing newline.
+func requireCompact(t *testing.T, name string, body []byte) {
+	t.Helper()
+	var c bytes.Buffer
+	if err := json.Compact(&c, body); err != nil {
+		t.Fatalf("%s: compact: %v", name, err)
+	}
+	c.WriteByte('\n')
+	if !bytes.Equal(c.Bytes(), body) {
+		t.Fatalf("%s: the served body is not compact JSON: %.80q", name, body)
+	}
+}
+
+// indentSimulate decodes a /v1/simulate body and renders it the way a
+// json.Encoder with SetIndent("", "  ") does.
+func indentSimulate(t *testing.T, name string, body []byte) []byte {
+	t.Helper()
+	requireCompact(t, name, body)
+	var doc simulateDoc
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatalf("%s: unmarshal simulate: %v", name, err)
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(&doc); err != nil {
+		t.Fatalf("%s: encode simulate: %v", name, err)
+	}
+	return buf.Bytes()
 }
 
 // hashSchedules writes the optimal per-path schedules of the served result,

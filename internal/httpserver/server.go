@@ -425,7 +425,7 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, &doc)
 }
 
-// writeJSON renders v before it commits the status, so a value
+// writeJSON renders v as compact JSON before it commits the status, so a value
 // encoding/json rejects is answered with a 500 error envelope instead of an
 // empty or truncated body under the intended status, and the body goes out
 // in one write under a Content-Length taken from the rendering. The
@@ -637,23 +637,12 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g, a := sol.Graph, sol.Arch
-	selected := sol.Subgraphs
-	if spec := r.URL.Query().Get("cond"); spec != "" {
-		label, err := textio.ParseConds(g, spec)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		selected = nil
-		for _, sub := range sol.Subgraphs {
-			if sub.Label.Implies(label) {
-				selected = append(selected, sub)
-			}
-		}
-		if len(selected) == 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("no alternative path matches %q", spec))
-			return
-		}
+	// An empty ?cond= parses to the empty cube, which every path implies.
+	spec := r.URL.Query().Get("cond")
+	label, err := textio.ParseConds(g, spec)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
 	out := &simulateDoc{
 		Version:  textio.ProblemVersion,
@@ -661,13 +650,17 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		DeltaM:   sol.DeltaM,
 		DeltaMax: sol.DeltaMax,
 	}
-	for _, sub := range selected {
-		tr, err := sim.RunSubgraph(sub, a, sol.Table)
+	for _, p := range sol.Paths {
+		if !p.Label.Implies(label) {
+			continue
+		}
+		// The service keeps no subgraphs: build the selected path's.
+		tr, err := sim.RunSubgraph(g.Subgraph(g.PathFor(p.Label)), a, sol.Table)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, err)
 			return
 		}
-		td := traceDoc{Label: sub.Label.Format(g.CondName), Delay: tr.Delay}
+		td := traceDoc{Label: p.Label.Format(g.CondName), Delay: tr.Delay}
 		for _, v := range tr.Violations {
 			td.Violations = append(td.Violations, v.String())
 		}
@@ -683,6 +676,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		}
 		sortActivations(td.Activations)
 		out.Traces = append(out.Traces, td)
+	}
+	if len(out.Traces) == 0 {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("no alternative path matches %q", spec))
+		return
 	}
 	writeJSON(w, http.StatusOK, out)
 }

@@ -7,11 +7,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cpg"
 	"repro/internal/expr"
 	"repro/internal/service"
 	"repro/internal/table"
@@ -229,6 +232,102 @@ func TestSimulateEndpoint(t *testing.T) {
 	resp, body = postJSON(t, ts.URL+"/v1/simulate?cond=Z%3D1", doc)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown condition must yield 400, got %d: %s", resp.StatusCode, body)
+	}
+}
+
+// TestSimulateFromCachedResults pins /v1/simulate on the results the service
+// keeps, which hold no subgraphs: a memo hit, and a run warm-started from a
+// memoized result, answer with the bytes a cold server sends, with and
+// without ?cond=.
+func TestSimulateFromCachedResults(t *testing.T) {
+	base := figure1Doc(t)
+	doc, err := textio.ReadProblem(bytes.NewReader(base))
+	if err != nil {
+		t.Fatalf("ReadProblem: %v", err)
+	}
+	g, _, _, err := textio.DecodeProblem(doc)
+	if err != nil {
+		t.Fatalf("DecodeProblem: %v", err)
+	}
+	paths, err := g.AlternativePaths(0)
+	if err != nil {
+		t.Fatalf("AlternativePaths: %v", err)
+	}
+	// A τ edit of a process that some path does not run: the warm start
+	// reuses that path's schedule.
+	edited := *doc
+	edited.Processes = slices.Clone(doc.Processes)
+	for i, p := range edited.Processes {
+		id, _ := g.FindByName(p.Name)
+		if !slices.ContainsFunc(paths, func(path *cpg.Path) bool { return !path.IsActive(id) }) {
+			continue
+		}
+		edited.Processes[i].Exec += 3
+		break
+	}
+	var buf bytes.Buffer
+	if err := textio.WriteProblem(&buf, &edited); err != nil {
+		t.Fatalf("WriteProblem: %v", err)
+	}
+	editedBody := buf.Bytes()
+	newServer := func() (*Server, http.Handler) {
+		srv, err := NewServer(Options{Service: service.Config{Workers: 2}})
+		if err != nil {
+			t.Fatalf("NewServer: %v", err)
+		}
+		return srv, srv.Routes(nil)
+	}
+	for _, query := range []string{"", "?cond=C%3D1%2CD%3D0"} {
+		srv, routes := newServer()
+		serveGrid(t, routes, "/v1/schedule", base)
+		for _, tc := range []struct {
+			name string
+			body []byte
+		}{{"memo hit", base}, {"warm start", editedBody}} {
+			_, cold := newServer()
+			want := serveGrid(t, cold, "/v1/simulate"+query, tc.body)
+			if got := serveGrid(t, routes, "/v1/simulate"+query, tc.body); !bytes.Equal(got, want) {
+				t.Fatalf("%s, query %q: simulate answers\n%s\nwant, as a cold server answers,\n%s", tc.name, query, got, want)
+			}
+		}
+		if st := srv.Stats(); st.CacheHits != 1 || st.WarmStarts != 1 {
+			t.Fatalf("query %q: %d memo hits and %d warm starts, want 1 and 1", query, st.CacheHits, st.WarmStarts)
+		}
+	}
+}
+
+// TestSimulateConcurrentMemoHits re-enacts one memoized result from several
+// requests at once. Each builds its subgraphs from the shared graph, so
+// under -race this pins that nothing writes to the cached result.
+func TestSimulateConcurrentMemoHits(t *testing.T) {
+	doc := figure1Doc(t)
+	srv, err := NewServer(Options{Service: service.Config{Workers: 2}})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	routes := srv.Routes(nil)
+	queries := []string{"", "?cond=C%3D1%2CD%3D0"}
+	want := make([][]byte, len(queries))
+	for i, q := range queries {
+		want[i] = serveGrid(t, routes, "/v1/simulate"+q, doc)
+	}
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, q := range queries {
+				rec := httptest.NewRecorder()
+				routes.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/simulate"+q, bytes.NewReader(doc)))
+				if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want[i]) {
+					t.Errorf("request %d, query %q: status %d, and the body differs from the first answer", w, q, rec.Code)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := srv.Stats(); st.CacheHits != 9 {
+		t.Fatalf("%d memo hits, want 9", st.CacheHits)
 	}
 }
 

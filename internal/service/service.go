@@ -12,9 +12,19 @@
 //     hash (textio.ProblemHash), so repeated requests for the same problem —
 //     retries, ablation loops, design-space sweeps — are served without
 //     rescheduling, and an LRU of recent problems keyed by their structural
-//     shape, from which a τ-only edit is warm-started; and
+//     shape (textio.ProblemShapeHash), from which a τ-only edit is
+//     warm-started; and
 //   - context cancellation: a cancelled request aborts its path fan-out and
 //     merge promptly and releases its worker tokens.
+//
+// Both caches keep the same *core.Result of a solved problem, the one
+// Schedule returns, and keep of it only what is served or warm-started from:
+// the graph and architecture, the table, the path list, the optimal per-path
+// schedules (which only a warm start reads), the violations and the stats.
+// The result's Subgraphs are dropped before it is cached, so they are nil on
+// misses and hits alike; a caller re-enacting a path rebuilds its subgraph
+// with cpg.Graph.PathFor and Subgraph. A near-miss is diffed against the
+// cached graph itself, so the caches keep no problem document either.
 package service
 
 import (
@@ -65,7 +75,9 @@ type Config struct {
 }
 
 // Problem is one scheduling request: a mapped conditional process graph, the
-// target architecture and the scheduling options.
+// target architecture and the scheduling options. The service caches the
+// graph and architecture with the result, and diffs later problems against
+// the cached graph, so neither may change once the problem is submitted.
 type Problem struct {
 	Graph   *cpg.Graph
 	Arch    *arch.Architecture
@@ -81,7 +93,9 @@ func FromDoc(d *textio.ProblemDoc) (*Problem, error) {
 	return &Problem{Graph: g, Arch: a, Options: opts}, nil
 }
 
-// Solution is the outcome of one request.
+// Solution is the outcome of one request. Its Result is the one the caches
+// keep, shared by every request for the problem: it is read-only, and its
+// Subgraphs are nil.
 type Solution struct {
 	*core.Result
 	// ProblemHash is the content hash identifying the problem (the memo
@@ -120,22 +134,16 @@ type Stats struct {
 // Service generates schedule tables on behalf of concurrent callers. Create
 // one with New and share it; all methods are safe for concurrent use.
 type Service struct {
-	budget    int
-	tokens    chan struct{}
+	budget int
+	tokens chan struct{}
+	// cache is the memo, keyed by problem hash; warm holds the same results
+	// keyed by shape hash.
 	cache     *memo.LRU[*core.Result]
-	warm      *memo.LRU[*warmEntry]
+	warm      *memo.LRU[*core.Result]
 	warmMax   int // largest τ-only diff eligible for warm-start; < 0 disables
 	requests  atomic.Int64
 	warmHits  atomic.Int64
 	sweepReqs atomic.Int64
-}
-
-// warmEntry pairs a memoized result with the canonical document it was
-// computed from, keyed by the problem's shape hash. The doc is what a
-// near-miss request is diffed against to find the τ-dirty processes.
-type warmEntry struct {
-	doc *textio.ProblemDoc
-	res *core.Result
 }
 
 // New returns a Service with the given budget and memo capacity. A negative
@@ -164,7 +172,7 @@ func New(cfg Config) (*Service, error) {
 		budget:  budget,
 		tokens:  make(chan struct{}, budget),
 		cache:   memo.NewLRU[*core.Result](size),
-		warm:    memo.NewLRU[*warmEntry](size),
+		warm:    memo.NewLRU[*core.Result](size),
 		warmMax: warmMax,
 	}
 	for i := 0; i < budget; i++ {
@@ -231,9 +239,9 @@ func (s *Service) Schedule(ctx context.Context, p *Problem) (*Solution, error) {
 		if err != nil {
 			return nil, err
 		}
-		if entry, ok := s.warm.Get(shapeKey); ok {
-			if dirty, ok := diffTauOnly(entry.doc, doc, p.Graph, s.warmMax); ok {
-				warmPrev, warmDirty = entry.res, dirty
+		if prev, ok := s.warm.Get(shapeKey); ok {
+			if dirty, ok := diffTauOnly(prev.Graph, p.Graph, s.warmMax); ok {
+				warmPrev, warmDirty = prev, dirty
 			}
 		}
 	}
@@ -289,39 +297,36 @@ func (s *Service) Schedule(ctx context.Context, p *Problem) (*Solution, error) {
 	if warmStarted {
 		s.warmHits.Add(1)
 	}
+	// Only core's own validation reads the subgraphs, and they are more than
+	// a quarter of a result's memory: drop them before the result is shared.
+	res.Subgraphs = nil
 	s.cache.Add(hash, res)
 	if s.warmMax >= 0 {
-		s.warm.Add(shapeKey, &warmEntry{doc: doc, res: res})
+		s.warm.Add(shapeKey, res)
 	}
 	return &Solution{Result: res, ProblemHash: hash, Workers: granted, WarmStart: warmStarted}, nil
 }
 
-// diffTauOnly verifies that two same-shape problem documents differ only in
-// the execution times of at most maxDirty processes and returns those
-// processes' identifiers in g. The shape hash already pins everything except
-// τ times, but the check re-verifies the per-process identity defensively —
-// a false negative merely costs a cold run, a false positive would reuse a
+// diffTauOnly verifies that graph g of a problem with the same shape hash as
+// the one a cached result was computed from differs from that result's graph
+// prev only in the execution times of at most maxDirty processes, and returns
+// those processes' identifiers. The shape hash already pins everything except
+// τ times, but the check re-verifies each process's name, kind and mapping
+// defensively — a false negative (a graph not finalized yet lacks the dummy
+// processes prev has) merely costs a cold run, a false positive would reuse a
 // stale schedule.
-func diffTauOnly(prev, cur *textio.ProblemDoc, g *cpg.Graph, maxDirty int) ([]cpg.ProcID, bool) {
-	if prev == nil || cur == nil || len(prev.Processes) != len(cur.Processes) {
-		return nil, false
-	}
-	if len(prev.Elements) != len(cur.Elements) || len(prev.Conditions) != len(cur.Conditions) ||
-		len(prev.Edges) != len(cur.Edges) || prev.CondTime != cur.CondTime {
+func diffTauOnly(prev, g *cpg.Graph, maxDirty int) ([]cpg.ProcID, bool) {
+	if prev == nil || prev.NumProcs() != g.NumProcs() {
 		return nil, false
 	}
 	var dirty []cpg.ProcID
-	for i, p := range cur.Processes {
-		q := prev.Processes[i]
+	for id := range cpg.ProcID(g.NumProcs()) {
+		p, q := g.Process(id), prev.Process(id)
 		if q.Name != p.Name || q.Kind != p.Kind || q.PE != p.PE {
 			return nil, false
 		}
 		if q.Exec == p.Exec {
 			continue
-		}
-		id, ok := g.FindByName(p.Name)
-		if !ok {
-			return nil, false
 		}
 		dirty = append(dirty, id)
 		if len(dirty) > maxDirty {

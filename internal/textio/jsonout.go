@@ -8,8 +8,8 @@ import (
 	"sync"
 )
 
-// jsonBuffers is the pooled working memory of RenderJSON: the compact
-// encoding, the encoder writing it, and the indented document.
+// jsonBuffers is the pooled working memory of RenderJSON and writeIndented:
+// the compact encoding, the encoder writing it, and the indented document.
 type jsonBuffers struct {
 	compact  bytes.Buffer
 	enc      *json.Encoder
@@ -22,19 +22,35 @@ var jsonPool = sync.Pool{New: func() any {
 	return b
 }}
 
-// maxPooledJSON bounds the buffers RenderJSON keeps for reuse, so one
+// maxPooledJSON bounds the buffers the renderers keep for reuse, so one
 // outsized document does not stay pinned in the pool.
 const maxPooledJSON = 4 << 20
 
-// RenderJSON renders v as the indented JSON document every writer of this
-// package emits and passes it to emit. The bytes are identical to what a
+// RenderJSON renders v as compact JSON, the bytes a json.Encoder writes,
+// trailing newline included, and passes it to emit. It is the rendering of
+// the server's responses. The document lives in pooled memory and is valid
+// only until emit returns. An encoding error is returned before emit runs,
+// so the caller can still choose what to send instead.
+func RenderJSON(v any, emit func(doc []byte) error) error {
+	return renderJSON(v, false, emit)
+}
+
+// writeIndented writes v in one Write as indented JSON, the rendering every
+// document writer of this package shares. The bytes are identical to what a
 // json.Encoder with SetIndent("", "  ") writes, trailing newline included:
 // encoding/json encodes v compactly, then one pass adds the line breaks and
 // indentation json.Indent would add, without re-validating the encoder's
-// output. The document lives in pooled memory and is valid only until emit
-// returns. An encoding error is returned before emit runs, so the caller
-// can still choose what to send instead.
-func RenderJSON(v any, emit func(doc []byte) error) error {
+// output.
+func writeIndented(w io.Writer, v any) error {
+	return renderJSON(v, true, func(doc []byte) error {
+		_, err := w.Write(doc)
+		return err
+	})
+}
+
+// renderJSON encodes v into pooled buffers, indents it when asked, and
+// passes the document to emit.
+func renderJSON(v any, indent bool, emit func(doc []byte) error) error {
 	b := jsonPool.Get().(*jsonBuffers)
 	defer func() {
 		if b.compact.Cap() <= maxPooledJSON && cap(b.indented) <= maxPooledJSON {
@@ -45,17 +61,11 @@ func RenderJSON(v any, emit func(doc []byte) error) error {
 	if err := b.enc.Encode(v); err != nil {
 		return fmt.Errorf("textio: %w", err)
 	}
+	if !indent {
+		return emit(b.compact.Bytes())
+	}
 	b.indented = appendIndent(b.indented[:0], b.compact.Bytes())
 	return emit(b.indented)
-}
-
-// writeIndented writes v as indented JSON in one Write, the rendering
-// shared by every document writer.
-func writeIndented(w io.Writer, v any) error {
-	return RenderJSON(v, func(doc []byte) error {
-		_, err := w.Write(doc)
-		return err
-	})
 }
 
 // indentSpaces is a run of spaces appendNewline copies indentation from.

@@ -17,7 +17,7 @@ import (
 	"repro/internal/table"
 )
 
-// encoderJSON is the rendering RenderJSON replaces: a json.Encoder with
+// encoderJSON is the rendering writeIndented replaces: a json.Encoder with
 // SetIndent("", "  ").
 func encoderJSON(t testing.TB, v any) []byte {
 	t.Helper()
@@ -25,6 +25,17 @@ func encoderJSON(t testing.TB, v any) []byte {
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {
+		t.Fatalf("json.Encoder: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// compactJSON is the rendering RenderJSON replaces: a json.Encoder without
+// indentation.
+func compactJSON(t testing.TB, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
 		t.Fatalf("json.Encoder: %v", err)
 	}
 	return buf.Bytes()
@@ -156,7 +167,7 @@ func TestRenderJSONConcurrent(t *testing.T) {
 	}
 	want := make([][]byte, 4)
 	for w := range want {
-		want[w] = encoderJSON(t, doc{Worker: w, Values: []float64{float64(w), 0.5}})
+		want[w] = compactJSON(t, doc{Worker: w, Values: []float64{float64(w), 0.5}})
 	}
 	var wg sync.WaitGroup
 	for w := range want {
@@ -222,7 +233,8 @@ func TestSolutionCodecAllocs(t *testing.T) {
 }
 
 // FuzzIndentMatchesStdlib compares the one-pass indenter with json.Indent on
-// json.Marshal output, and RenderJSON with the json.Encoder it replaces. The
+// json.Marshal output, and writeIndented and RenderJSON with the json.Encoder
+// renderings they replace. The
 // fuzzed JSON text shapes the document; the fuzzed name lands in strings
 // and object keys unescaped, the way process and condition names from
 // request bodies reach solution documents. Run with
@@ -257,8 +269,13 @@ func FuzzIndentMatchesStdlib(f *testing.F) {
 			t.Fatalf("json.Indent: %v", err)
 		}
 		sameBytes(t, "appendIndent", appendIndent(nil, compact), want.Bytes())
+		var indented bytes.Buffer
+		if err := writeIndented(&indented, v); err != nil {
+			t.Fatalf("writeIndented: %v", err)
+		}
+		sameBytes(t, "writeIndented", indented.Bytes(), encoderJSON(t, v))
 		if err := RenderJSON(v, func(doc []byte) error {
-			sameBytes(t, "RenderJSON", doc, encoderJSON(t, v))
+			sameBytes(t, "RenderJSON", doc, compactJSON(t, v))
 			return nil
 		}); err != nil {
 			t.Fatalf("RenderJSON: %v", err)

@@ -40,7 +40,8 @@ for _ in $(seq 1 50); do
   fi
   sleep 0.1
 done
-curl -fsS "http://$ADDR/healthz" | grep -q '"status": "ok"'
+curl -fsS "http://$ADDR/healthz" |
+  python3 -c 'import json,sys; sys.exit(0 if json.load(sys.stdin)["status"] == "ok" else "healthz status is not ok")'
 
 curl -fsS -X POST --data-binary @testdata/figure1_v1.json \
   "http://$ADDR/v1/schedule" > "$OUT/sol1.json"

@@ -34,7 +34,8 @@ for ADDR in "$ADDR_A" "$ADDR_B"; do
     fi
     sleep 0.1
   done
-  curl -fsS "http://$ADDR/healthz" | grep -q '"status": "ok"'
+  curl -fsS "http://$ADDR/healthz" |
+    python3 -c 'import json,sys; sys.exit(0 if json.load(sys.stdin)["status"] == "ok" else "healthz status is not ok")'
 done
 
 SWEEP_FLAGS=(-exp sweep -nodes 60,80 -paths 10,12 -graphs 3 -seed 7 -zero-times -progress=false)
