@@ -18,29 +18,27 @@
 // default (-workers N bounds it; the figures printed on stdout are
 // byte-identical for every worker count), and progress is reported on stderr
 // (-progress=false silences it; a coordinated sweep reports failed attempts,
-// retries, evictions and re-admissions there either way).
+// retries and evictions there either way).
 //
 // The sweep can also run distributed. The coordinator mode splits it into
 // -shards N shard jobs (stable per-graph assignment), fans them concurrently
-// over the -remote cpgserve servers (comma-separated base URLs; without
-// -remote the shards execute in this process under one shared worker
-// budget), retries failed shards with bounded exponential backoff on the
-// live backends, steals the slowest in-flight shard for idle backends (first
-// finisher wins), verifies coverage and merges the partial results — the
-// merged figures and CSV are byte-identical to a single-process run with the
-// same seed (wall-clock columns aside; -zero-times zeroes them for diffing).
-// -probe-interval D probes every backend's /healthz periodically, evicting
-// dead backends from dispatch and re-admitting them when they recover;
-// Backends stream their shards graph by graph as NDJSON frames (POST
-// /v1/sweep), so a backend dying mid-shard costs only the unreceived graphs
-// on retry; -journal DIR spools every shard in that same frame format as it
-// arrives, so a killed coordinator, restarted with the same flags,
-// re-dispatches only the missing graphs. For offline sharding, -shard i/N
-// runs one shard and writes its frame stream to stdout, and -merge
-// a.ndjson,b.ndjson,... recombines saved shards. -metrics-addr ADDR serves
-// the coordinator's counters (shard attempts, retries, backpressure sheds,
-// steals, evictions, ...) as a Prometheus GET /metrics endpoint for the
-// duration of the run, so a long sweep is scrapeable from outside.
+// over the -remote cpgserve servers (comma-separated base URLs, one shard at
+// a time each; without -remote the shards execute in this process under one
+// shared worker budget), verifies coverage and merges the partial results —
+// the merged figures and CSV are byte-identical to a single-process run with
+// the same seed (wall-clock columns aside; -zero-times zeroes them for
+// diffing). Backends stream their shards as NDJSON frames (POST /v1/sweep). A
+// failed or timed-out attempt (-shard-timeout) costs its whole shard, which is
+// retried with bounded exponential backoff on the first idle backend; a
+// backend whose attempts fail three times in a row gets no further shards.
+// -journal DIR writes every completed shard in that same frame format, so a
+// killed coordinator, restarted with the same flags, re-runs only the shards
+// it had not finished. For offline sharding, -shard i/N runs one shard and
+// writes its frame stream to stdout, and -merge a.ndjson,b.ndjson,...
+// recombines saved shards. -metrics-addr ADDR serves the coordinator's
+// counters (shard attempts, retries, backpressure sheds, evictions, ...) as a
+// Prometheus GET /metrics endpoint for the duration of the run, so a long
+// sweep is scrapeable from outside.
 //
 // Experiments that share generated instances reuse them instead of
 // regenerating: fig1 and fig4 share one worked-example run, and the ablation
@@ -97,8 +95,7 @@ func run(args []string, out io.Writer) error {
 	shards := fs.Int("shards", 0, "split the sweep into N shards and run them through the coordinator (0 = single-process)")
 	remote := fs.String("remote", "", "comma-separated cpgserve base URLs executing sweep shards (empty = in-process)")
 	shardTimeout := fs.Duration("shard-timeout", distrib.DefaultShardTimeout, "per-attempt time limit of one shard on one backend before it fails over (negative = unbounded)")
-	journalDir := fs.String("journal", "", "spool sweep shards graph by graph to this directory and resume from it on restart (coordinator mode)")
-	probeInterval := fs.Duration("probe-interval", 0, "health-probe period of the coordinator's backend registry (0 = probe only via shard attempts)")
+	journalDir := fs.String("journal", "", "keep completed sweep shards in this directory and resume from it on restart (coordinator mode)")
 	metricsAddr := fs.String("metrics-addr", "", "serve the sweep coordinator's Prometheus metrics on this address (e.g. :9090) for the duration of the run")
 	shardSpec := fs.String("shard", "", "run only shard i/N of the sweep and write its NDJSON frame stream to stdout (offline sharding)")
 	mergeFiles := fs.String("merge", "", "merge saved shard streams (comma-separated files) instead of scheduling; renders only the sweep figures/CSV")
@@ -210,14 +207,13 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		cells, err := runSweepCells(cfg, sweepRunOpts{
-			mergeFiles:    *mergeFiles,
-			shards:        *shards,
-			remotes:       splitList(*remote),
-			shardTimeout:  *shardTimeout,
-			journalDir:    *journalDir,
-			probeInterval: *probeInterval,
-			progress:      *progress,
-			metrics:       serveSweepMetrics(*metricsAddr),
+			mergeFiles:   *mergeFiles,
+			shards:       *shards,
+			remotes:      splitList(*remote),
+			shardTimeout: *shardTimeout,
+			journalDir:   *journalDir,
+			progress:     *progress,
+			metrics:      serveSweepMetrics(*metricsAddr),
 		})
 		if err != nil {
 			return err
@@ -318,14 +314,13 @@ func splitList(s string) []string {
 // sweepRunOpts bundles the flags that select and shape a sweep run's
 // execution mode.
 type sweepRunOpts struct {
-	mergeFiles    string
-	shards        int
-	remotes       []string
-	shardTimeout  time.Duration
-	journalDir    string
-	probeInterval time.Duration
-	progress      bool
-	metrics       *distrib.Metrics // nil = unobserved
+	mergeFiles   string
+	shards       int
+	remotes      []string
+	shardTimeout time.Duration
+	journalDir   string
+	progress     bool
+	metrics      *distrib.Metrics // nil = unobserved
 }
 
 // serveSweepMetrics starts the -metrics-addr exposition endpoint and returns
@@ -370,13 +365,11 @@ func runSweepCells(cfg expr.SweepConfig, opts sweepRunOpts) ([]expr.Cell, error)
 }
 
 // runCoordinated fans the sweep's shards over the remote servers (or an
-// in-process service sharing one worker budget) and merges the results. The
-// backends are registered in a health-tracked registry — optionally probed
-// periodically via /healthz — failed shards retry with backoff on the live
-// members, idle backends steal the slowest in-flight shard, and with
-// -journal every shard is spooled graph by graph so a restarted run
-// re-dispatches only the missing graphs. Ctrl-C cancels the in-flight shard
-// requests promptly (the journal keeps what arrived).
+// in-process service sharing one worker budget) and merges the results.
+// Failed shards retry whole with backoff on the backends not evicted, and
+// with -journal every completed shard is kept so a restarted run re-runs
+// only the unfinished ones. Ctrl-C cancels the in-flight shard requests
+// promptly (the journal keeps the shards already completed).
 func runCoordinated(cfg expr.SweepConfig, opts sweepRunOpts) ([]expr.Cell, error) {
 	var backends []distrib.Backend
 	for _, u := range opts.remotes {
@@ -395,8 +388,8 @@ func runCoordinated(cfg expr.SweepConfig, opts sweepRunOpts) ([]expr.Cell, error
 	if shards < 1 {
 		shards = max(1, len(backends))
 	}
-	// Faults (failures, retries, evictions, re-admissions) always reach
-	// stderr; -progress gates only the progress lines.
+	// Faults (failures, retries, evictions) always reach stderr; -progress
+	// gates only the progress lines.
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(stderr, "sweep: "+format+"\n", args...)
 	}
@@ -404,21 +397,12 @@ func runCoordinated(cfg expr.SweepConfig, opts sweepRunOpts) ([]expr.Cell, error
 	if opts.progress {
 		progressf = logf
 	}
-	reg := distrib.NewRegistry()
-	reg.ProbeInterval = opts.probeInterval
-	reg.Log = logf
-	reg.Metrics = opts.metrics
-	for _, b := range backends {
-		if err := reg.Register(b); err != nil {
-			return nil, err
-		}
-	}
 	// Per-graph progress would interleave across concurrent shards; the
 	// coordinator reports per-shard completions instead.
 	cfg.Progress = nil
 	co := &distrib.Coordinator{
 		Shards:       shards,
-		Registry:     reg,
+		Backends:     backends,
 		ShardTimeout: opts.shardTimeout,
 		Log:          logf,
 		Progress:     progressf,
@@ -433,11 +417,6 @@ func runCoordinated(cfg expr.SweepConfig, opts sweepRunOpts) ([]expr.Cell, error
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	if opts.probeInterval > 0 {
-		probeCtx, stopProbes := context.WithCancel(ctx)
-		defer stopProbes()
-		go reg.RunProbes(probeCtx)
-	}
 	return co.Run(ctx, cfg)
 }
 

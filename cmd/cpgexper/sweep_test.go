@@ -96,7 +96,7 @@ func TestSweepCSVGoldenHTTP(t *testing.T) {
 
 // TestShardTransportFrames pins the one sweep transport at the frame level:
 // shard 0/2 of the golden sweep written by -shard 0/2, served by POST
-// /v1/sweep and spooled by a coordinator's -journal is one frame stream —
+// /v1/sweep and written by a coordinator's -journal is one frame stream —
 // byte-identical header and summary lines, and the same graph frames once
 // the wall-clock fields are zeroed (graphs arrive in completion order, so
 // they are compared as a sorted set).

@@ -66,9 +66,9 @@ func main() {
 	go func() {
 		defer close(drained)
 		<-ctx.Done()
-		// Advertise "draining" on /healthz for the shutdown window, so a
-		// probing sweep registry stops dispatching here instead of seeing a
-		// hard disappearance mid-shard.
+		// Shed new work with 503 for the shutdown window: a sweep
+		// coordinator retries a shed shard without evicting this backend,
+		// and /healthz reports "draining".
 		srv.SetDraining(true)
 		logger.Print("draining: finishing in-flight requests")
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -96,28 +96,21 @@ func TestParseRetryAfter(t *testing.T) {
 }
 
 // TestShedsDoNotCountTowardEviction pins the eviction exemption directly on
-// the run loop: a fleet with FailAfter=1 and a backend that sheds every
-// first attempt would lose the backend instantly if sheds counted as
-// failures — instead the shard retries on the same backend and succeeds.
+// the run loop: the only backend sheds its first evictAfter attempts in a
+// row, which would evict it if sheds counted as failures — instead the shard
+// retries on the same backend and succeeds.
 func TestShedsDoNotCountTowardEviction(t *testing.T) {
-	reg := NewRegistry()
-	reg.FailAfter = 1
 	metrics := NewMetrics(obs.NewRegistry())
-	reg.Metrics = metrics
-
 	var calls atomic.Int64
 	b := &scriptedBackend{name: "sheddy", run: func(ctx context.Context, cfg expr.SweepConfig, yield func(expr.GraphResult) error) (*expr.ShardResult, error) {
-		if calls.Add(1) == 1 {
+		if calls.Add(1) <= evictAfter {
 			return nil, &BackpressureError{Status: 429, RetryAfter: time.Millisecond, Msg: "overloaded"}
 		}
 		return expr.RunSweepShardStream(ctx, cfg, yield)
 	}}
-	if err := reg.Register(b); err != nil {
-		t.Fatal(err)
-	}
 	co := &Coordinator{
 		Shards:         1,
-		Registry:       reg,
+		Backends:       []Backend{b},
 		Metrics:        metrics,
 		RetryBaseDelay: time.Millisecond,
 		RetryMaxDelay:  5 * time.Millisecond,
@@ -125,17 +118,14 @@ func TestShedsDoNotCountTowardEviction(t *testing.T) {
 	if _, err := co.Run(context.Background(), expr.GoldenSweep()); err != nil {
 		t.Fatalf("sweep failed; a shed must not evict the only backend: %v", err)
 	}
-	if got := reg.Members()[0].State; got != StateActive {
-		t.Errorf("backend state after shed = %s, want active", got)
-	}
-	if got := metrics.sheds.Value(); got != 1 {
-		t.Errorf("sheds counter = %d, want 1", got)
+	if got := metrics.sheds.Value(); got != evictAfter {
+		t.Errorf("sheds counter = %d, want %d", got, evictAfter)
 	}
 	if got := metrics.evictions.Value(); got != 0 {
 		t.Errorf("evictions counter = %d, want 0", got)
 	}
-	if got := metrics.retries.Value(); got != 1 {
-		t.Errorf("retries counter = %d, want 1", got)
+	if got := metrics.retries.Value(); got != evictAfter {
+		t.Errorf("retries counter = %d, want %d", got, evictAfter)
 	}
 }
 
@@ -184,10 +174,8 @@ func TestRetryAfterFloorsBackoff(t *testing.T) {
 // TestRetryAfterFloorIsCapped pins the cap on the Retry-After floor: a
 // backend sheds one shard with a delay-seconds hint far past any sane wait
 // while a second backend sits idle. A cooling shard has no attempt in
-// flight, so neither a steal nor stall detection can move it (stealing is
-// off so no steal races the shed), and nothing but the capped floor — one
-// attempt's time limit — lets the retry happen: the sweep must finish
-// promptly with the golden cells.
+// flight, so nothing but the capped floor — one attempt's time limit — lets
+// the retry happen: the sweep must finish promptly with the golden cells.
 func TestRetryAfterFloorIsCapped(t *testing.T) {
 	golden := goldenCSV(t)
 	var calls atomic.Int64
@@ -202,12 +190,11 @@ func TestRetryAfterFloorIsCapped(t *testing.T) {
 	}}
 	const limit = 300 * time.Millisecond
 	co := &Coordinator{
-		Shards:          3,
-		Backends:        []Backend{shedOnce, idle},
-		ShardTimeout:    limit,
-		RetryBaseDelay:  time.Millisecond,
-		RetryMaxDelay:   2 * time.Millisecond,
-		DisableStealing: true,
+		Shards:         3,
+		Backends:       []Backend{shedOnce, idle},
+		ShardTimeout:   limit,
+		RetryBaseDelay: time.Millisecond,
+		RetryMaxDelay:  2 * time.Millisecond,
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -249,26 +236,15 @@ func TestGoldenSweepAgainstOverloadedServer(t *testing.T) {
 		t.Fatalf("reference sweep: %v", err)
 	}
 
-	// Probe first so the registry learns the server's 4-worker capacity and
-	// the coordinator actually dispatches shards concurrently — that
-	// concurrency is what makes the 1-slot heavy class shed for real.
-	reg := NewRegistry()
+	// Two fleet members share the server, so the coordinator dispatches two
+	// shards to it at once — that concurrency is what makes the 1-slot heavy
+	// class shed for real.
 	metrics := NewMetrics(obs.NewRegistry())
-	reg.Metrics = metrics
-	if err := reg.Register(HTTP{BaseURL: ts.URL}); err != nil {
-		t.Fatal(err)
-	}
-	reg.ProbeOnce(context.Background())
-	if got := reg.Members()[0].Capacity; got != 4 {
-		t.Fatalf("probed capacity = %d, want 4", got)
-	}
-
 	var sheds atomic.Int64
 	co := &Coordinator{
-		Shards:          3,
-		Registry:        reg,
-		Metrics:         metrics,
-		DisableStealing: true, // steals would serialize through the 1 slot anyway
+		Shards:   3,
+		Backends: []Backend{named{HTTP{BaseURL: ts.URL}, "a"}, named{HTTP{BaseURL: ts.URL}, "b"}},
+		Metrics:  metrics,
 		Log: func(format string, args ...any) {
 			if strings.Contains(fmt.Sprintf(format, args...), "shed (backpressure)") {
 				sheds.Add(1)
@@ -298,7 +274,13 @@ func TestGoldenSweepAgainstOverloadedServer(t *testing.T) {
 	if metrics.evictions.Value() != 0 {
 		t.Errorf("evictions counter = %d, want 0 (sheds never evict)", metrics.evictions.Value())
 	}
-	if got := reg.Members()[0].State; got != StateActive {
-		t.Errorf("backend ended %s, want active", got)
-	}
 }
+
+// named gives an HTTP backend a fleet name of its own, so two members can
+// share one server.
+type named struct {
+	HTTP
+	name string
+}
+
+func (b named) Name() string { return b.name }

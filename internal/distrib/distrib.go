@@ -1,23 +1,20 @@
 // Package distrib coordinates a distributed Fig. 5/6 sweep: it partitions
 // the sweep into shards (the stable per-graph assignment of
-// expr.SweepConfig), fans the shards concurrently over a fleet of backends
-// — remote cpgserve instances via POST /v1/sweep, or in-process execution —
-// and merges the partial results into the exact cells a single-process run
-// produces, byte for byte.
+// expr.SweepConfig), fans the shards concurrently over a static fleet of
+// backends — remote cpgserve instances via POST /v1/sweep, or in-process
+// execution — and merges the partial results into the exact cells a
+// single-process run produces, byte for byte.
 //
 // Every backend streams its shard graph by graph, and the one shard format
 // is textio's NDJSON frame stream (header, graph frames, summary): it is the
 // body of a POST /v1/sweep response and the content of a journal file alike.
 //
-// The fleet is fault-tolerant: a Registry tracks backend liveness via
-// periodic /healthz probes (eviction after consecutive failures, re-admission
-// when a probe succeeds again, no new shards while a backend reports
-// draining), the Coordinator retries failed shards with bounded exponential
-// backoff across live backends — dispatching only the graphs no earlier
-// attempt delivered — and steals the slowest in-flight shard for idle
-// backends (first finisher wins), and a Journal spools every shard to disk as
-// it streams in, so an interrupted sweep resumes by re-dispatching only the
-// missing graphs.
+// A fault costs whole shards, never bytes of the result: the Coordinator
+// bounds each attempt by a time limit, retries a failed shard from the start
+// with bounded exponential backoff on the first idle backend, evicts a
+// backend after consecutive failed attempts, and with a Journal writes every
+// completed shard to disk, so a restarted sweep re-runs only the shards it
+// had not finished.
 package distrib
 
 import (
@@ -43,7 +40,7 @@ import (
 // BackpressureError reports a shard attempt shed by the backend's admission
 // control (HTTP 429 overloaded, 503 draining) rather than failed. The
 // coordinator retries it with its usual bounded backoff — honouring
-// RetryAfter as a floor — but does NOT count it toward the registry's
+// RetryAfter as a floor — but does NOT count it toward the backend's
 // consecutive-failure eviction: a backend saying "not right now" is
 // healthier than one saying nothing.
 type BackpressureError struct {
@@ -116,7 +113,7 @@ func readErrorBody(r io.Reader) string {
 // misbehaving server cannot pin the coordinator) before it is closed. Go's
 // transport only reuses a keep-alive connection whose body was read to EOF;
 // closing early tears the connection down and forces a fresh dial on the
-// next request — measurable churn across a long sweep's probes and retries.
+// next request — measurable churn across a long sweep's retries.
 func drainBody(r io.Reader) {
 	_, _ = io.Copy(io.Discard, io.LimitReader(r, 1<<20))
 }
@@ -150,10 +147,7 @@ var defaultClient = &http.Client{
 	},
 }
 
-// Backend executes one shard of a sweep, streaming it graph by graph. The
-// coordinator journals and merges each graph as it arrives, so when a backend
-// dies mid-shard only the unreceived graphs are re-dispatched (via
-// SweepConfig.Skip).
+// Backend executes one shard of a sweep, streaming it graph by graph.
 type Backend interface {
 	// Name identifies the backend in error messages and logs.
 	Name() string
@@ -162,24 +156,6 @@ type Backend interface {
 	// and returns the assembled shard result. A yield error aborts the run.
 	// Implementations must honour ctx cancellation.
 	RunShardStream(ctx context.Context, cfg expr.SweepConfig, yield func(expr.GraphResult) error) (*expr.ShardResult, error)
-}
-
-// ProbeInfo is what a health probe learns about a backend.
-type ProbeInfo struct {
-	// Capacity is the backend's advertised worker budget (0 = unknown). The
-	// registry uses it to decide how many concurrent shards a backend can
-	// absorb before dispatch prefers an idler one.
-	Capacity int
-	// Draining reports a backend that still finishes in-flight shards but
-	// asks not to be offered new ones.
-	Draining bool
-}
-
-// HealthProber is implemented by backends that can report liveness and
-// capacity. The Registry probes it periodically; backends without it are
-// assumed alive with unknown capacity.
-type HealthProber interface {
-	Probe(ctx context.Context) (ProbeInfo, error)
 }
 
 // InProcess executes shards in this process. With a Service attached the
@@ -203,19 +179,6 @@ func (b InProcess) RunShardStream(ctx context.Context, cfg expr.SweepConfig, yie
 		return sol.Shard, nil
 	}
 	return expr.RunSweepShardStream(ctx, cfg, yield)
-}
-
-// Probe implements HealthProber: an in-process backend is alive by
-// definition and advertises its service's worker budget (zero without a
-// service — the registry treats that as capacity unknown).
-func (b InProcess) Probe(ctx context.Context) (ProbeInfo, error) {
-	if err := ctx.Err(); err != nil {
-		return ProbeInfo{}, err
-	}
-	if b.Service == nil {
-		return ProbeInfo{}, nil
-	}
-	return ProbeInfo{Capacity: b.Service.Stats().Workers}, nil
 }
 
 // HTTP executes shards on a remote cpgserve instance via POST /v1/sweep.
@@ -335,40 +298,4 @@ func (b HTTP) errorFor(resp *http.Response) error {
 		}
 	}
 	return fmt.Errorf("POST /v1/sweep: %s: %s", resp.Status, msg)
-}
-
-// Probe implements HealthProber via GET /healthz. The decode is deliberately
-// lenient — a probe must interoperate with newer servers whose health
-// document has grown fields, so unknown fields are ignored rather than
-// rejected.
-func (b HTTP) Probe(ctx context.Context) (ProbeInfo, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.baseURL()+"/healthz", nil)
-	if err != nil {
-		return ProbeInfo{}, err
-	}
-	resp, err := b.client().Do(req)
-	if err != nil {
-		return ProbeInfo{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return ProbeInfo{}, fmt.Errorf("GET /healthz: %s: %s", resp.Status, readErrorBody(resp.Body))
-	}
-	var doc struct {
-		Status  string `json:"status"`
-		Workers int    `json:"workers"`
-	}
-	//lint:allow strictdecode health probes tolerate newer servers: unknown /healthz fields must not evict a live backend
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&doc); err != nil {
-		return ProbeInfo{}, fmt.Errorf("GET /healthz: %w", err)
-	}
-	drainBody(resp.Body)
-	switch doc.Status {
-	case "ok":
-		return ProbeInfo{Capacity: doc.Workers}, nil
-	case "draining":
-		return ProbeInfo{Capacity: doc.Workers, Draining: true}, nil
-	default:
-		return ProbeInfo{}, fmt.Errorf("GET /healthz: status %q", doc.Status)
-	}
 }

@@ -5,9 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"regexp"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -198,10 +201,16 @@ func TestCoordinatorShardTimeoutFailover(t *testing.T) {
 	golden := goldenCSV(t)
 	hang := hangServer(t)
 	alive := testBackendServer(t, 2)
+	var timedOut atomic.Int32
 	co := &Coordinator{
 		Shards:       3,
 		Backends:     []Backend{HTTP{BaseURL: hang.URL}, HTTP{BaseURL: alive.URL}},
 		ShardTimeout: 250 * time.Millisecond,
+		Log: func(format string, args ...any) {
+			if strings.Contains(fmt.Sprintf(format, args...), "attempt timed out after 250ms") {
+				timedOut.Add(1)
+			}
+		},
 	}
 	cells, err := co.Run(context.Background(), expr.GoldenSweep())
 	if err != nil {
@@ -209,6 +218,108 @@ func TestCoordinatorShardTimeoutFailover(t *testing.T) {
 	}
 	if got := cellsCSV(t, cells); got != golden {
 		t.Errorf("CSV after hung-backend failover differs from golden:\n--- golden\n%s\n--- got\n%s", golden, got)
+	}
+	if timedOut.Load() == 0 {
+		t.Errorf("no attempt on the hung backend was reported as timed out")
+	}
+}
+
+// TestCoordinatorZeroBackends: once every backend is evicted nothing can run
+// the remaining shards; the sweep must fail loudly instead of waiting for a
+// backend that will never come back.
+func TestCoordinatorZeroBackends(t *testing.T) {
+	dead := &scriptedBackend{name: "dead", run: func(context.Context, expr.SweepConfig, func(expr.GraphResult) error) (*expr.ShardResult, error) {
+		return nil, errors.New("connection refused")
+	}}
+	co := &Coordinator{Shards: 2, Backends: []Backend{dead}, MaxAttempts: 10, RetryBaseDelay: time.Millisecond}
+	_, err := co.Run(context.Background(), expr.GoldenSweep())
+	if err == nil || !strings.Contains(err.Error(), "no live backends") {
+		t.Fatalf("Run with every backend evicted = %v, want 'no live backends'", err)
+	}
+}
+
+// TestCoordinatorDuplicateBackends: the fleet is checked before anything
+// runs. A backend listed twice (the same URL twice) is a configuration error,
+// not a bigger fleet.
+func TestCoordinatorDuplicateBackends(t *testing.T) {
+	for name, backends := range map[string][]Backend{
+		"same URL twice":   {HTTP{BaseURL: "http://a:1"}, HTTP{BaseURL: "http://a:1"}},
+		"in-process twice": {InProcess{}, InProcess{}},
+	} {
+		co := &Coordinator{Backends: backends}
+		if _, err := co.Run(context.Background(), expr.GoldenSweep()); err == nil || !strings.Contains(err.Error(), "listed twice") {
+			t.Errorf("%s: Run = %v, want 'listed twice'", name, err)
+		}
+	}
+}
+
+// TestCoordinatorFleetValidation: a nil backend and an empty name are
+// rejected along with duplicates, a duplicate rejects the whole list rather
+// than being dropped, and an empty list means one in-process backend.
+func TestCoordinatorFleetValidation(t *testing.T) {
+	for name, tc := range map[string]struct {
+		backends []Backend
+		want     string
+	}{
+		"nil backend":       {[]Backend{InProcess{}, nil}, "nil backend"},
+		"empty backend URL": {[]Backend{HTTP{}}, "must not be empty"},
+		"duplicate URL":     {[]Backend{HTTP{BaseURL: "http://a:1"}, InProcess{}, HTTP{BaseURL: "http://a:1"}}, "listed twice"},
+	} {
+		if _, err := (&Coordinator{Backends: tc.backends}).fleet(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: fleet = %v, want %q", name, err, tc.want)
+		}
+	}
+	fleet, err := (&Coordinator{Backends: []Backend{HTTP{BaseURL: "http://a:1"}, InProcess{}}}).fleet()
+	if err != nil || len(fleet) != 2 {
+		t.Fatalf("fleet of one HTTP and one in-process backend = %d members, %v; want 2, nil", len(fleet), err)
+	}
+	fleet, err = (&Coordinator{}).fleet()
+	if err != nil || len(fleet) != 1 || fleet[0].name != (InProcess{}).Name() {
+		t.Fatalf("default fleet = %+v, %v; want one in-process backend", fleet, err)
+	}
+}
+
+// TestCoordinatorRejectsForeignSweepHash: a confused or stale server whose
+// response carries a different sweep hash must be rejected before its cells
+// can reach the merge.
+func TestCoordinatorRejectsForeignSweepHash(t *testing.T) {
+	inner := testBackendServer(t, 1)
+	// A mangling proxy: forwards to the real handler, then rewrites the
+	// stream header's sweepHash — exactly what a server answering for some
+	// other sweep would look like.
+	sweepHash := regexp.MustCompile(`"sweepHash":"[0-9a-f]+"`)
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		req, err := http.NewRequestWithContext(r.Context(), r.Method, inner.URL+r.URL.Path, r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
+		w.WriteHeader(resp.StatusCode)
+		w.Write(sweepHash.ReplaceAll(data, []byte(`"sweepHash":"`+strings.Repeat("0", 16)+`"`)))
+	}))
+	t.Cleanup(proxy.Close)
+
+	co := &Coordinator{
+		Shards:         2,
+		Backends:       []Backend{HTTP{BaseURL: proxy.URL}},
+		MaxAttempts:    2,
+		RetryBaseDelay: time.Millisecond,
+	}
+	_, err := co.Run(context.Background(), expr.GoldenSweep())
+	if err == nil || !strings.Contains(err.Error(), "response rejected") {
+		t.Fatalf("Run against hash-mangling server = %v, want 'response rejected'", err)
 	}
 }
 

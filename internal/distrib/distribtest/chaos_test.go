@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,8 +16,7 @@ import (
 
 	"repro/internal/distrib"
 	"repro/internal/expr"
-
-	"fmt"
+	"repro/internal/obs"
 )
 
 func goldenCSV(t *testing.T) string {
@@ -36,7 +38,7 @@ func cellsCSV(t *testing.T, cells []expr.Cell) string {
 }
 
 // logRec collects coordinator log lines so scenarios can assert on the
-// documented markers ("stolen", "retrying", "journal: reusing", ...).
+// documented markers ("retrying", "evicting", "journal: reusing", ...).
 type logRec struct {
 	mu    sync.Mutex
 	lines []string
@@ -63,6 +65,26 @@ func (l *logRec) all() string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return strings.Join(l.lines, "\n")
+}
+
+// counter reads one unlabeled counter from the registry's exposition.
+func counter(t *testing.T, reg *obs.Registry, name string) int64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WriteText(&buf); err != nil {
+		t.Fatalf("WriteText: %v", err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("%s is not exposed:\n%s", name, buf.String())
+	return 0
 }
 
 // fastRetries makes retry pacing negligible so churn tests stay fast; the
@@ -108,105 +130,14 @@ func TestGoldenBackendKilledMidShard(t *testing.T) {
 	if dying.TotalCompletions() != 0 {
 		t.Errorf("dying backend delivered %d shards; scripted to deliver none", dying.TotalCompletions())
 	}
+	if got := dying.TotalAttempts(); got > 3 {
+		t.Errorf("dying backend got %d attempts; it is evicted after 3 consecutive failures", got)
+	}
 	if healthy.TotalCompletions() < 4 {
 		t.Errorf("healthy backend delivered %d shards, want all 4", healthy.TotalCompletions())
 	}
 	if !rec.contains("retrying") {
 		t.Errorf("expected a retry off the dying backend in the log:\n%s", rec.all())
-	}
-}
-
-// TestGoldenBackendJoinsMidSweep: the sweep starts with one backend that
-// wedges after its first shard; a second backend registered mid-sweep picks
-// up the remaining shards (including stealing the wedged one) and the CSV is
-// still golden.
-func TestGoldenBackendJoinsMidSweep(t *testing.T) {
-	golden := goldenCSV(t)
-	gate := NewGate()
-	t.Cleanup(gate.Release)
-	a := &Backend{BackendName: "a", Decide: func(shard, attempt int) Action {
-		if shard == 0 {
-			return Action{} // first shard is fine; everything after wedges
-		}
-		return Action{Gate: gate}
-	}}
-	b := &Backend{BackendName: "b"}
-
-	reg := distrib.NewRegistry()
-	if err := reg.Register(a); err != nil {
-		t.Fatal(err)
-	}
-	rec := &logRec{}
-	var join sync.Once
-	co := fastRetries(&distrib.Coordinator{
-		Shards:   4,
-		Registry: reg,
-		Log: func(format string, args ...any) {
-			line := fmt.Sprintf(format, args...)
-			rec.logf("%s", line)
-			// The moment a finishes its first shard, the fleet grows: b
-			// joins mid-sweep through the registry.
-			if strings.Contains(line, "done on a (") {
-				join.Do(func() {
-					if err := reg.Register(b); err != nil {
-						t.Errorf("mid-sweep Register: %v", err)
-					}
-				})
-			}
-		},
-	})
-	cells, err := co.Run(context.Background(), expr.GoldenSweep())
-	if err != nil {
-		t.Fatalf("sweep with a backend joining mid-sweep: %v\nlog:\n%s", err, rec.all())
-	}
-	if got := cellsCSV(t, cells); got != golden {
-		t.Errorf("CSV differs from golden:\n--- golden\n%s\n--- got\n%s", golden, got)
-	}
-	if a.Completions(0) != 1 {
-		t.Errorf("backend a delivered shard 0 %d times, want 1", a.Completions(0))
-	}
-	if b.TotalCompletions() < 3 {
-		t.Errorf("late-joining backend delivered %d shards, want the remaining 3", b.TotalCompletions())
-	}
-}
-
-// TestGoldenShardStolenFromSlowBackend: with shard timeouts disabled, the
-// only way a wedged backend's shard can finish is work-stealing — the idle
-// survivor re-runs it, the first finisher wins, and the CSV is golden.
-func TestGoldenShardStolenFromSlowBackend(t *testing.T) {
-	golden := goldenCSV(t)
-	gate := NewGate()
-	t.Cleanup(gate.Release)
-	slow := &Backend{BackendName: "slow", Decide: func(shard, attempt int) Action {
-		if shard == 0 {
-			return Action{Gate: gate} // wedged until test cleanup
-		}
-		return Action{}
-	}}
-	fast := &Backend{BackendName: "fast"}
-
-	rec := &logRec{}
-	co := fastRetries(&distrib.Coordinator{
-		Shards:       2,
-		Backends:     []distrib.Backend{slow, fast},
-		ShardTimeout: -1, // no timeout: only stealing can rescue shard 0
-		Log:          rec.logf,
-	})
-	cells, err := co.Run(context.Background(), expr.GoldenSweep())
-	if err != nil {
-		t.Fatalf("sweep with a wedged backend: %v\nlog:\n%s", err, rec.all())
-	}
-	if got := cellsCSV(t, cells); got != golden {
-		t.Errorf("CSV differs from golden:\n--- golden\n%s\n--- got\n%s", golden, got)
-	}
-	if !rec.contains("stolen") {
-		t.Errorf("expected a steal in the log:\n%s", rec.all())
-	}
-	if fast.Completions(0) != 1 {
-		t.Errorf("fast backend delivered the stolen shard %d times, want 1", fast.Completions(0))
-	}
-	if slow.TotalCompletions() != 0 {
-		t.Errorf("wedged backend delivered %d shards, want 0", slow.TotalCompletions())
 	}
 }
 
@@ -281,7 +212,9 @@ func TestGoldenJournalResume(t *testing.T) {
 
 // TestGoldenFlakyBackendBackoff: a single backend whose every shard fails
 // once and then succeeds exercises the bounded-backoff retry path end to
-// end; the retry count is exact and the CSV is golden.
+// end; the retry count is exact and the CSV is golden. Two shards keep the
+// backend's failure streak at two, below the eviction threshold of three:
+// the third attempt is the first retry, and it succeeds.
 func TestGoldenFlakyBackendBackoff(t *testing.T) {
 	golden := goldenCSV(t)
 	flaky := &Backend{BackendName: "flaky", Decide: func(shard, attempt int) Action {
@@ -290,16 +223,8 @@ func TestGoldenFlakyBackendBackoff(t *testing.T) {
 		}
 		return Action{}
 	}}
-	reg := distrib.NewRegistry()
-	// A lone flaky backend would hit the consecutive-failure eviction
-	// threshold before its first success; a real deployment would keep a
-	// second backend, here we raise the threshold instead.
-	reg.FailAfter = 100
-	if err := reg.Register(flaky); err != nil {
-		t.Fatal(err)
-	}
 	rec := &logRec{}
-	co := fastRetries(&distrib.Coordinator{Shards: 3, Registry: reg, Log: rec.logf})
+	co := fastRetries(&distrib.Coordinator{Shards: 2, Backends: []distrib.Backend{flaky}, Log: rec.logf})
 	cells, err := co.Run(context.Background(), expr.GoldenSweep())
 	if err != nil {
 		t.Fatalf("sweep on flaky backend: %v\nlog:\n%s", err, rec.all())
@@ -307,89 +232,23 @@ func TestGoldenFlakyBackendBackoff(t *testing.T) {
 	if got := cellsCSV(t, cells); got != golden {
 		t.Errorf("CSV differs from golden:\n--- golden\n%s\n--- got\n%s", golden, got)
 	}
-	if got := flaky.TotalAttempts(); got != 6 {
-		t.Errorf("flaky backend saw %d attempts, want exactly 6 (one failure + one success per shard)", got)
+	if got := flaky.TotalAttempts(); got != 4 {
+		t.Errorf("flaky backend saw %d attempts, want exactly 4 (one failure + one success per shard)", got)
 	}
-	if got := flaky.TotalCompletions(); got != 3 {
-		t.Errorf("flaky backend delivered %d shards, want 3", got)
+	if got := flaky.TotalCompletions(); got != 2 {
+		t.Errorf("flaky backend delivered %d shards, want 2", got)
 	}
 	if !rec.contains("retrying") {
 		t.Errorf("expected backoff retries in the log:\n%s", rec.all())
 	}
 }
 
-// TestRegistryProbesScriptedFleet drives Registry.ProbeOnce against scripted
-// probes: consecutive probe failures evict a backend, a healthy probe
-// re-admits it and refreshes its capacity, and a probe-reported drain parks
-// it without counting as a failure.
-func TestRegistryProbesScriptedFleet(t *testing.T) {
-	good := &Backend{BackendName: "good"}
-	good.SetProbe(4, false, nil)
-	bad := &Backend{BackendName: "bad"}
-	bad.SetProbe(2, false, nil)
-
-	reg := distrib.NewRegistry()
-	for _, b := range []*Backend{good, bad} {
-		if err := reg.Register(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ctx := context.Background()
-	state := func(name string) distrib.MemberInfo {
-		t.Helper()
-		for _, m := range reg.Members() {
-			if m.Name == name {
-				return m
-			}
-		}
-		t.Fatalf("backend %s not in registry", name)
-		return distrib.MemberInfo{}
-	}
-
-	reg.ProbeOnce(ctx)
-	if got := state("good"); got.State != distrib.StateActive || got.Capacity != 4 {
-		t.Fatalf("good after probe: %+v, want active with capacity 4", got)
-	}
-
-	bad.SetProbe(0, false, errors.New("probe: connection refused"))
-	for i := 0; i < distrib.DefaultFailAfter; i++ {
-		reg.ProbeOnce(ctx)
-	}
-	if got := state("bad"); got.State != distrib.StateDown {
-		t.Fatalf("bad after %d failed probes: %+v, want down", distrib.DefaultFailAfter, got)
-	}
-	if got := state("good"); got.State != distrib.StateActive {
-		t.Fatalf("good must stay active while bad is evicted: %+v", got)
-	}
-
-	bad.SetProbe(3, false, nil)
-	reg.ProbeOnce(ctx)
-	if got := state("bad"); got.State != distrib.StateActive || got.Capacity != 3 {
-		t.Fatalf("bad after recovery probe: %+v, want re-admitted with capacity 3", got)
-	}
-
-	good.SetProbe(4, true, nil)
-	reg.ProbeOnce(ctx)
-	if got := state("good"); got.State != distrib.StateDraining {
-		t.Fatalf("good after drain probe: %+v, want draining", got)
-	}
-	if got := state("good"); got.Failures != 0 {
-		t.Fatalf("draining is not a failure: %+v", got)
-	}
-	good.SetProbe(4, false, nil)
-	reg.ProbeOnce(ctx)
-	if got := state("good"); got.State != distrib.StateActive {
-		t.Fatalf("good after drain lifted: %+v, want active", got)
-	}
-}
-
 // TestGoldenSweepUnderShedding: one backend sheds (HTTP-429-style
-// backpressure) the first attempt of every shard while a registry with a
-// hair-trigger eviction threshold watches. If sheds counted toward the
-// consecutive-failure eviction, the lone backend would be evicted on the
-// first shed and the sweep would stall; instead every shard is retried after
-// backoff on the same backend, the backend stays active, and the merged CSV
-// is byte-identical to the golden file.
+// backpressure) the first attempt of each of three shards — three sheds in a
+// row, as many as the eviction threshold. If sheds counted toward the
+// consecutive-failure eviction, the lone backend would be evicted and the
+// sweep would stall; instead every shard is retried after backoff on the
+// same backend, and the merged CSV is byte-identical to the golden file.
 func TestGoldenSweepUnderShedding(t *testing.T) {
 	golden := goldenCSV(t)
 	shedding := &Backend{BackendName: "shedding", Decide: func(shard, attempt int) Action {
@@ -402,13 +261,14 @@ func TestGoldenSweepUnderShedding(t *testing.T) {
 		}
 		return Action{}
 	}}
-	reg := distrib.NewRegistry()
-	reg.FailAfter = 1 // any real failure evicts instantly — sheds must not
-	if err := reg.Register(shedding); err != nil {
-		t.Fatal(err)
-	}
+	reg := obs.NewRegistry()
 	rec := &logRec{}
-	co := fastRetries(&distrib.Coordinator{Shards: 3, Registry: reg, Log: rec.logf})
+	co := fastRetries(&distrib.Coordinator{
+		Shards:   3,
+		Backends: []distrib.Backend{shedding},
+		Metrics:  distrib.NewMetrics(reg),
+		Log:      rec.logf,
+	})
 	cells, err := co.Run(context.Background(), expr.GoldenSweep())
 	if err != nil {
 		t.Fatalf("sweep under shedding: %v\nlog:\n%s", err, rec.all())
@@ -416,8 +276,8 @@ func TestGoldenSweepUnderShedding(t *testing.T) {
 	if got := cellsCSV(t, cells); got != golden {
 		t.Errorf("CSV differs from golden:\n--- golden\n%s\n--- got\n%s", golden, got)
 	}
-	if got := reg.Members()[0].State; got != distrib.StateActive {
-		t.Errorf("shedding backend ended %s, want active (sheds must not evict)", got)
+	if got := counter(t, reg, "cpg_distrib_evictions_total"); got != 0 || rec.contains("evicting") {
+		t.Errorf("%d evictions; sheds must not evict:\n%s", got, rec.all())
 	}
 	if got := shedding.TotalAttempts(); got != 6 {
 		t.Errorf("shedding backend saw %d attempts, want exactly 6 (one shed + one success per shard)", got)
@@ -430,10 +290,10 @@ func TestGoldenSweepUnderShedding(t *testing.T) {
 	}
 }
 
-// TestGoldenStreamTornMidShard: a backend dies after delivering k
-// of its shard's n graph frames. The retry must carry a skip list of exactly
-// the k received graphs — so only the n−k unreceived ones are recomputed —
-// and the merged CSV is still byte-identical to the golden file.
+// TestGoldenStreamTornMidShard: a backend dies after delivering k of its
+// shard's n graph frames. The k graphs are discarded with the attempt: the
+// retry recomputes the whole shard, and the merged CSV is still
+// byte-identical to the golden file.
 func TestGoldenStreamTornMidShard(t *testing.T) {
 	golden := goldenCSV(t)
 	scfg := expr.GoldenSweep().Normalize()
@@ -466,77 +326,165 @@ func TestGoldenStreamTornMidShard(t *testing.T) {
 	if got := flaky.Attempts(0); got != 2 {
 		t.Errorf("shard 0 took %d attempts, want 2 (tear + resume)", got)
 	}
-	if got := flaky.SkipLens(0); len(got) != 2 || got[0] != 0 || got[1] != k {
-		t.Errorf("shard 0 skip lists per attempt = %v, want [0 %d] (only unreceived graphs re-dispatched)", got, k)
+	if got := flaky.GraphsStreamed(0); got != k+n {
+		t.Errorf("shard 0 streamed %d graph frames in total, want %d (%d before the tear + the whole shard again)", got, k+n, k)
 	}
-	if got := flaky.GraphsStreamed(0); got != n {
-		t.Errorf("shard 0 streamed %d graph frames in total, want exactly %d (%d before the tear + %d after)", got, n, k, n-k)
-	}
-	if !rec.contains("salvaged") {
-		t.Errorf("expected a salvage line in the log:\n%s", rec.all())
+	if !rec.contains("retrying") {
+		t.Errorf("expected a retry line in the log:\n%s", rec.all())
 	}
 }
 
-// TestGoldenStreamPartialSpoolResume: a backend tears its shard after k
-// frames and then the whole fleet dies, failing the sweep — but the
-// journal holds the k graphs in the shard's unfinished file. A restarted
-// coordinator with a fresh fleet must reload them, dispatch the shard with a
-// skip list of exactly k, and produce the golden CSV.
-func TestGoldenStreamPartialSpoolResume(t *testing.T) {
+// TestGoldenEachShardOnce: two healthy backends and two shards, the second
+// shard held until the first completes. The backend that finished first
+// stays idle: each shard has one attempt, and every graph is streamed once.
+func TestGoldenEachShardOnce(t *testing.T) {
 	golden := goldenCSV(t)
-	scfg := expr.GoldenSweep().Normalize()
-	scfg.ShardIndex, scfg.ShardCount = 0, 2
-	n := scfg.ShardSize()
-	k := n / 2
-	if k == 0 {
-		t.Fatalf("shard 0 too small for a mid-stream tear: %d graphs", n)
+	first := NewGate()
+	t.Cleanup(first.Release)
+	decide := func(shard, attempt int) Action {
+		if shard == 1 {
+			return Action{Gate: first}
+		}
+		return Action{}
 	}
+	a := &Backend{BackendName: "a", Decide: decide}
+	b := &Backend{BackendName: "b", Decide: decide}
+	reg := obs.NewRegistry()
+	rec := &logRec{}
+	co := &distrib.Coordinator{
+		Shards:   2,
+		Backends: []distrib.Backend{a, b},
+		Metrics:  distrib.NewMetrics(reg),
+		Log: func(format string, args ...any) {
+			rec.logf(format, args...)
+			if strings.HasPrefix(fmt.Sprintf(format, args...), "shard 0/2 done on ") {
+				first.Release()
+			}
+		},
+	}
+	cells, err := co.Run(context.Background(), expr.GoldenSweep())
+	if err != nil {
+		t.Fatalf("sweep: %v\nlog:\n%s", err, rec.all())
+	}
+	if got := cellsCSV(t, cells); got != golden {
+		t.Errorf("CSV differs from golden:\n--- golden\n%s\n--- got\n%s", golden, got)
+	}
+	if got := a.TotalAttempts() + b.TotalAttempts(); got != 2 {
+		t.Errorf("%d attempts for 2 shards, want 2:\n%s", got, rec.all())
+	}
+	if got := counter(t, reg, "cpg_distrib_attempts_total"); got != 2 {
+		t.Errorf("attempts counter = %d, want 2", got)
+	}
+	if got, want := counter(t, reg, "cpg_distrib_graphs_streamed_total"), int64(expr.GoldenSweep().ShardSize()); got != want {
+		t.Errorf("graphs streamed = %d, want the sweep's %d graphs once each", got, want)
+	}
+}
+
+// TestGoldenFailingBackendEvicted: a backend that fails every attempt gets
+// exactly three, then no further shard, and the sweep finishes on the other
+// backend. The healthy backend holds its first shard until the eviction, so
+// the failing one, idle first every time, meets the retries until then.
+func TestGoldenFailingBackendEvicted(t *testing.T) {
+	golden := goldenCSV(t)
+	evicted := NewGate()
+	t.Cleanup(evicted.Release)
+	bad := &Backend{BackendName: "bad", Decide: func(int, int) Action {
+		return Action{Kind: Fail, Err: errors.New("connection refused")}
+	}}
+	good := &Backend{BackendName: "good", Decide: func(int, int) Action {
+		return Action{Gate: evicted}
+	}}
+	reg := obs.NewRegistry()
+	rec := &logRec{}
+	co := fastRetries(&distrib.Coordinator{
+		Shards:   4,
+		Backends: []distrib.Backend{bad, good},
+		Metrics:  distrib.NewMetrics(reg),
+		Log: func(format string, args ...any) {
+			rec.logf(format, args...)
+			if strings.HasPrefix(fmt.Sprintf(format, args...), "evicting backend bad") {
+				evicted.Release()
+			}
+		},
+	})
+	cells, err := co.Run(context.Background(), expr.GoldenSweep())
+	if err != nil {
+		t.Fatalf("sweep: %v\nlog:\n%s", err, rec.all())
+	}
+	if got := cellsCSV(t, cells); got != golden {
+		t.Errorf("CSV differs from golden:\n--- golden\n%s\n--- got\n%s", golden, got)
+	}
+	if got := bad.TotalAttempts(); got != 3 {
+		t.Errorf("failing backend got %d attempts, want exactly 3:\n%s", got, rec.all())
+	}
+	if got := good.TotalCompletions(); got != 4 {
+		t.Errorf("healthy backend delivered %d shards, want all 4", got)
+	}
+	if got := counter(t, reg, "cpg_distrib_evictions_total"); got != 1 || !rec.contains("evicting backend bad after 3 consecutive failed attempts") {
+		t.Errorf("%d evictions, want 1 with its log line:\n%s", got, rec.all())
+	}
+}
+
+// TestGoldenTornJournalFileRedispatched: a coordinator killed while writing
+// a shard's journal file leaves the file torn — here its header and first
+// two graph frames. The restarted coordinator reuses the complete shard,
+// re-runs the torn one whole and rewrites its file complete, so a third run
+// needs no backend at all.
+func TestGoldenTornJournalFileRedispatched(t *testing.T) {
+	golden := goldenCSV(t)
 	dir := t.TempDir()
-	journal, err := distrib.OpenJournal(dir)
+	jr, err := distrib.OpenJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	doomed := &Backend{BackendName: "doomed", Decide: func(shard, attempt int) Action {
-		if shard == 0 && attempt == 0 {
-			return Action{Kind: Die, AfterGraphs: k, Err: errors.New("connection reset mid-stream")}
-		}
-		return Action{Kind: Fail, Err: errors.New("connection refused (process gone)")}
-	}}
-	rec1 := &logRec{}
-	co1 := fastRetries(&distrib.Coordinator{
-		Shards:      2,
-		Backends:    []distrib.Backend{doomed},
-		MaxAttempts: 2,
-		Journal:     journal,
-		Log:         rec1.logf,
-	})
-	if _, err := co1.Run(context.Background(), expr.GoldenSweep()); err == nil {
-		t.Fatalf("first run must fail (fleet scripted to die)\nlog:\n%s", rec1.all())
+	run := func(b *Backend, rec *logRec) ([]expr.Cell, error) {
+		co := fastRetries(&distrib.Coordinator{Shards: 2, Backends: []distrib.Backend{b}, Journal: jr, Log: rec.logf})
+		return co.Run(context.Background(), expr.GoldenSweep())
+	}
+	if _, err := run(&Backend{BackendName: "first"}, &logRec{}); err != nil {
+		t.Fatalf("run 1: %v", err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*", "shard-00001-of-00002.ndjson"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("journal holds %v (%v), want one file for shard 1/2", files, err)
+	}
+	data, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	if len(lines) < 5 {
+		t.Fatalf("shard 1/2 file too short to tear: %q", data)
+	}
+	if err := os.WriteFile(files[0], []byte(strings.Join(lines[:3], "")), 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	healthy := &Backend{BackendName: "healthy"}
-	rec2 := &logRec{}
-	co2 := fastRetries(&distrib.Coordinator{
-		Shards:   2,
-		Backends: []distrib.Backend{healthy},
-		Journal:  journal,
-		Log:      rec2.logf,
-	})
-	cells, err := co2.Run(context.Background(), expr.GoldenSweep())
+	rec := &logRec{}
+	cells, err := run(healthy, rec)
 	if err != nil {
-		t.Fatalf("resumed sweep: %v\nlog:\n%s", err, rec2.all())
+		t.Fatalf("resumed sweep: %v\nlog:\n%s", err, rec.all())
 	}
 	if got := cellsCSV(t, cells); got != golden {
 		t.Errorf("CSV after resume differs from golden:\n--- golden\n%s\n--- got\n%s", golden, got)
 	}
-	if !rec2.contains("partial spools") {
-		t.Errorf("expected a partial-spool reuse line in the log:\n%s", rec2.all())
+	if !rec.contains("journal: reusing 1/2") {
+		t.Errorf("expected the resume to reuse the complete shard:\n%s", rec.all())
 	}
-	if got := healthy.SkipLens(0); len(got) != 1 || got[0] != k {
-		t.Errorf("resumed shard 0 skip lists = %v, want [%d] (spooled graphs must not be recomputed)", got, k)
+	scfg := expr.GoldenSweep()
+	scfg.ShardIndex, scfg.ShardCount = 1, 2
+	if healthy.Attempts(0) != 0 || healthy.Attempts(1) != 1 || healthy.GraphsStreamed(1) != scfg.ShardSize() {
+		t.Errorf("resume attempts %d and %d, shard 1 streamed %d graphs; want 0, 1 and the whole shard's %d",
+			healthy.Attempts(0), healthy.Attempts(1), healthy.GraphsStreamed(1), scfg.ShardSize())
 	}
-	if got := healthy.GraphsStreamed(0); got != n-k {
-		t.Errorf("resumed shard 0 streamed %d graphs, want %d (the unreceived remainder)", got, n-k)
+
+	refuse := &Backend{BackendName: "refuse", Decide: func(int, int) Action { return Action{Kind: Fail} }}
+	cells, err = run(refuse, &logRec{})
+	if err != nil || refuse.TotalAttempts() != 0 {
+		t.Fatalf("third run: %v after %d attempts; the rewritten journal must hold both shards", err, refuse.TotalAttempts())
+	}
+	if got := cellsCSV(t, cells); got != golden {
+		t.Errorf("CSV from the journal alone differs from golden:\n--- golden\n%s\n--- got\n%s", golden, got)
 	}
 }

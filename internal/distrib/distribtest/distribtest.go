@@ -1,8 +1,8 @@
 // Package distribtest is a deterministic fault-injection harness for the
 // distributed sweep: scripted in-process backends whose per-attempt fate —
 // run, fail, hang on a gate, or die mid-shard — is decided by the test, so
-// churn scenarios (backends dying, joining late, being stolen from,
-// coordinators restarting) replay exactly, with no wall-clock coupling. The
+// fault scenarios (backends dying, wedging, shedding, coordinators
+// restarting) replay exactly, with no wall-clock coupling. The
 // computation itself is real (an in-process backend, with or without a
 // shared service), so golden tests over these backends pin the merged CSV
 // byte-for-byte under every scenario.
@@ -78,8 +78,8 @@ type Action struct {
 // exactly which backend ran (or was denied) which shard. All methods are
 // safe for concurrent use.
 type Backend struct {
-	// BackendName is the registry/dispatch name (required, must be unique
-	// in a fleet).
+	// BackendName is the dispatch name (required, must be unique in a
+	// fleet).
 	BackendName string
 	// Service, when non-nil, runs shards under a shared service (worker
 	// budget); otherwise shards run via expr directly.
@@ -87,15 +87,11 @@ type Backend struct {
 	// Decide picks the action of attempt number attempt (0-based, counted
 	// per shard on this backend). Nil means every attempt Runs.
 	Decide func(shard, attempt int) Action
-	// Capacity and draining state reported by Probe (see SetProbe).
+
 	mu          sync.Mutex
 	attempts    map[int]int
 	completions map[int]int
 	graphs      map[int]int
-	skips       map[int][]int
-	probeErr    error
-	capacity    int
-	draining    bool
 }
 
 // Name implements distrib.Backend.
@@ -136,17 +132,6 @@ func (b *Backend) GraphsStreamed(shard int) int {
 	return b.graphs[shard]
 }
 
-// SkipLens reports, per attempt in dispatch order, how many graphs the
-// coordinator asked this backend to skip for the shard — the direct
-// observable for "only the unreceived graphs were re-dispatched".
-func (b *Backend) SkipLens(shard int) []int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]int, len(b.skips[shard]))
-	copy(out, b.skips[shard])
-	return out
-}
-
 // TotalCompletions reports the delivered shard runs across all shards.
 func (b *Backend) TotalCompletions() int {
 	b.mu.Lock()
@@ -158,29 +143,8 @@ func (b *Backend) TotalCompletions() int {
 	return n
 }
 
-// SetProbe scripts the outcome of health probes: advertised capacity, drain
-// state, or a probe failure.
-func (b *Backend) SetProbe(capacity int, draining bool, err error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.capacity, b.draining, b.probeErr = capacity, draining, err
-}
-
-// Probe implements distrib.HealthProber with the scripted state.
-func (b *Backend) Probe(ctx context.Context) (distrib.ProbeInfo, error) {
-	if err := ctx.Err(); err != nil {
-		return distrib.ProbeInfo{}, err
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.probeErr != nil {
-		return distrib.ProbeInfo{}, b.probeErr
-	}
-	return distrib.ProbeInfo{Capacity: b.capacity, Draining: b.draining}, nil
-}
-
-// begin records one attempt (and its skip-list size) and resolves its
-// scripted action, waiting on the action's gate.
+// begin records one attempt and resolves its scripted action, waiting on the
+// action's gate.
 func (b *Backend) begin(ctx context.Context, cfg expr.SweepConfig) (Action, int, error) {
 	shard := cfg.ShardIndex
 	b.mu.Lock()
@@ -188,11 +152,9 @@ func (b *Backend) begin(ctx context.Context, cfg expr.SweepConfig) (Action, int,
 		b.attempts = make(map[int]int)
 		b.completions = make(map[int]int)
 		b.graphs = make(map[int]int)
-		b.skips = make(map[int][]int)
 	}
 	attempt := b.attempts[shard]
 	b.attempts[shard]++
-	b.skips[shard] = append(b.skips[shard], len(cfg.Skip))
 	b.mu.Unlock()
 
 	var act Action

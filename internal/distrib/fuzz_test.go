@@ -14,16 +14,25 @@ import (
 )
 
 // FuzzJournalSpool damages a real journal file in the ways a crash or a
-// stray writer can, and pins how Load answers: an unterminated tail is
-// dropped (and the shard still resumes to completion), a newline-terminated
-// line that is not JSON, a foreign sweep hash or wrong shard coordinates
-// fail loudly, arbitrary bytes never panic and never load as a shard that
-// does not cover exactly its graphs, and an undamaged file yields exactly
-// the shard, or the graphs, that were spooled. Run with
-// `go test -fuzz FuzzJournalSpool ./internal/distrib`.
+// stray writer can, and pins how the shard loader answers: a file cut short,
+// with or without an unterminated tail, is an unfinished shard; a
+// newline-terminated line that is not JSON, a foreign sweep hash or wrong
+// shard coordinates fail loudly; arbitrary bytes never panic and never load
+// as a shard that does not cover exactly its graphs; and an undamaged file
+// yields exactly the shard that was written. The file is written once
+// through the journal and damaged in memory, so the target runs at parser
+// speed. Run with `go test -fuzz FuzzJournalSpool ./internal/distrib`.
 func FuzzJournalSpool(f *testing.F) {
 	hash, cfg, sh := journalFixture(f, 0, 4)
-	sweep := expr.GoldenSweep()
+	j, err := OpenJournal(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	journalShard(f, j, hash, cfg, sh)
+	clean, err := os.ReadFile(shardPath(j, hash, cfg))
+	if err != nil {
+		f.Fatal(err)
+	}
 	n := len(sh.Results)
 	f.Add(uint8(n+1), []byte(`{"frame":"graph","graph":{"nod`), uint8(0))
 	f.Add(uint8(1), []byte(`{"frame":"graph","graph":{"nod`), uint8(0))
@@ -33,87 +42,45 @@ func FuzzJournalSpool(f *testing.F) {
 	f.Add(uint8(n+1), []byte{}, uint8(3))
 	f.Add(uint8(1), []byte(`{"frame":"header","header":{"version":"v1","shardIndex":0,"shardCount":4,"graphs":1}}`+"\n"), uint8(4))
 	f.Fuzz(func(t *testing.T, keep uint8, data []byte, mode uint8) {
-		j, err := OpenJournal(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		k := int(keep) % (n + 2) // k == n+1: the shard completed
-		var complete *expr.ShardResult
-		if k > n {
-			k, complete = n, sh
-		}
-		spool(t, j, hash, cfg, sh.Results[:k], complete)
-		path := shardPath(j, hash, cfg)
-		clean, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		write := func(content []byte) {
-			if err := os.WriteFile(path, content, 0o644); err != nil {
-				t.Fatal(err)
+		// prefix is the header line and the first k lines after it: k <= n
+		// graph frames, or with k == n+1 the whole file.
+		k := int(keep) % (n + 2)
+		lines := bytes.SplitAfter(clean, []byte("\n"))
+		prefix := bytes.Join(lines[:1+k], nil)
+		load := func(what string, content []byte, want *expr.ShardResult) {
+			got, err := readShard(content, hash, cfg)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: readShard = %v, %v; want %v", what, got, err, want)
 			}
 		}
-		// intact asserts that Load sees exactly what was spooled.
-		intact := func(what string) {
-			done, partial, err := j.Load(hash, sweep, 4)
-			if err != nil {
-				t.Fatalf("%s: Load: %v", what, err)
-			}
-			wantDone, wantPartial := map[int]*expr.ShardResult{}, map[int][]expr.GraphResult{}
-			if complete != nil {
-				wantDone[0] = sh
-			} else if k > 0 {
-				wantPartial[0] = sh.Results[:k]
-			}
-			if !reflect.DeepEqual(done, wantDone) || !reflect.DeepEqual(partial, wantPartial) {
-				t.Fatalf("%s: Load = %v, %v; want %v, %v", what, done, partial, wantDone, wantPartial)
-			}
-		}
-		loud := func(what string) {
-			if _, _, err := j.Load(hash, sweep, 4); err == nil {
-				t.Fatalf("%s must fail Load loudly", what)
+		loud := func(what string, content []byte) {
+			if _, err := readShard(content, hash, cfg); err == nil {
+				t.Fatalf("%s must fail loudly", what)
 			}
 		}
 		line := append(bytes.ReplaceAll(data, []byte("\n"), nil), '\n')
 		switch mode % 5 {
-		case 0: // a torn, unterminated tail is dropped, and the shard resumes
-			write(append(clean, line[:len(line)-1]...))
-			intact("torn tail")
-			if complete == nil {
-				spool(t, j, hash, cfg, nil, sh)
-				complete = sh
-				intact("resumed torn spool")
-			}
-		case 1: // a newline-terminated line that is not JSON is damage
-			if !json.Valid(line) {
-				write(append(clean, line...))
-				loud(fmt.Sprintf("terminated garbage %q", line))
-			}
-		case 2: // a header for another sweep
-			write(retitle(t, clean, fmt.Sprintf("%x", sha256.Sum256(data)), 0, 4, cfg.ShardSize()))
-			loud("a foreign sweep hash")
-		case 3: // a header for other shard coordinates
-			write(retitle(t, clean, hash, 1+int(mode/5)%3, 4, cfg.ShardSize()))
-			loud("wrong shard coordinates")
-		case 4: // arbitrary bytes never panic nor load as a wrong shard
-			write(data)
-			done, partial, err := j.Load(hash, sweep, 4)
-			if err != nil {
+		case 0: // a file cut short is an unfinished shard
+			if k > n {
+				load("an intact file", prefix, sh)
 				return
 			}
-			if done[0] != nil {
-				if verr := cfg.ValidateShardResult(done[0]); verr != nil {
-					t.Fatalf("arbitrary bytes loaded as an invalid shard: %v", verr)
-				}
+			load("a torn file", append(prefix, line[:len(line)-1]...), nil)
+		case 1: // a newline-terminated line that is not JSON is damage
+			if !json.Valid(line) {
+				loud(fmt.Sprintf("terminated garbage %q", line), append(prefix, line...))
 			}
-			keys := make([]expr.GraphKey, 0, len(partial[0]))
-			for _, g := range partial[0] {
-				keys = append(keys, g.Key())
+		case 2: // a header for another sweep
+			loud("a foreign sweep hash", retitle(t, clean, fmt.Sprintf("%x", sha256.Sum256(data)), 0, 4, cfg.ShardSize()))
+		case 3: // a header for other shard coordinates
+			loud("wrong shard coordinates", retitle(t, clean, hash, 1+int(mode/5)%3, 4, cfg.ShardSize()))
+		case 4: // arbitrary bytes never panic nor load as a wrong shard
+			got, err := readShard(data, hash, cfg)
+			if err != nil || got == nil {
+				return
 			}
-			scfg := cfg
-			scfg.Skip = keys
-			if verr := scfg.ValidateSkip(); verr != nil {
-				t.Fatalf("arbitrary bytes loaded foreign or duplicate graphs: %v", verr)
+			if verr := cfg.ValidateShardResult(got); verr != nil {
+				t.Fatalf("arbitrary bytes loaded as an invalid shard: %v", verr)
 			}
 		}
 	})

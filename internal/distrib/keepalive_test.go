@@ -29,22 +29,16 @@ func countingClient(dials *atomic.Int64) *http.Client {
 	}
 }
 
-// TestHTTPBackendReusesConnection pins the keep-alive fix: N health probes
-// and sweep attempts — successes and error envelopes alike — against the
-// real production handler must share a single dialed connection, because
-// every path now drains the response body to EOF before closing it.
+// TestHTTPBackendReusesConnection pins the keep-alive fix: sweep attempts —
+// successes and error envelopes alike — against the real production handler
+// must share a single dialed connection, because every path drains the
+// response body to EOF before closing it.
 func TestHTTPBackendReusesConnection(t *testing.T) {
 	ts := testBackendServer(t, 2)
 
 	var dials atomic.Int64
 	b := HTTP{BaseURL: ts.URL, Client: countingClient(&dials)}
 	ctx := context.Background()
-
-	for i := 0; i < 5; i++ {
-		if _, err := b.Probe(ctx); err != nil {
-			t.Fatalf("Probe %d: %v", i, err)
-		}
-	}
 	cfg := expr.GoldenSweep()
 	cfg.ShardCount = 4
 	if _, err := b.RunShard(ctx, cfg); err != nil {
@@ -64,7 +58,7 @@ func TestHTTPBackendReusesConnection(t *testing.T) {
 		t.Fatal("invalid streamed shard must fail")
 	}
 	if got := dials.Load(); got != 1 {
-		t.Fatalf("probes and attempts dialed %d connections, want 1 (body not drained before close?)", got)
+		t.Fatalf("attempts dialed %d connections, want 1 (body not drained before close?)", got)
 	}
 }
 

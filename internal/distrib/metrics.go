@@ -7,73 +7,48 @@ import (
 )
 
 // Metrics is the distributed layer's instrument set, resolved once against a
-// registry with NewMetrics and attached to a Coordinator and/or Registry. A
-// nil *Metrics is valid everywhere and records nothing, so instrumentation
-// stays strictly opt-in — distrib has no global state and unit tests pay
-// nothing.
+// registry with NewMetrics and attached to a Coordinator. A nil *Metrics is
+// valid everywhere and records nothing, so instrumentation stays strictly
+// opt-in — distrib has no global state and unit tests pay nothing.
 //
 // Families (all counters):
 //
-//	cpg_distrib_attempts_total        shard attempts dispatched (incl. steals)
+//	cpg_distrib_attempts_total        shard attempts dispatched
 //	cpg_distrib_retries_total         failed attempts scheduled for retry
 //	cpg_distrib_backoff_wait_ms_total cumulative scheduled backoff, milliseconds
 //	cpg_distrib_sheds_total           attempts shed by backend admission control
-//	cpg_distrib_steals_total          speculative re-dispatches of slow shards
-//	cpg_distrib_duplicates_total      duplicate completions discarded after a steal
+//	cpg_distrib_evictions_total       backends evicted after consecutive failures
 //	cpg_distrib_journal_reused_total  shards reused from the journal instead of re-run
 //	cpg_distrib_graphs_streamed_total graphs received over streaming shard attempts
-//	cpg_distrib_partial_reused_total  graphs reused from partial spools instead of re-run
-//	cpg_distrib_probe_failures_total  failed health probes
-//	cpg_distrib_evictions_total       backends evicted after consecutive failures
-//	cpg_distrib_readmissions_total    evicted backends re-admitted
-//	cpg_distrib_drains_total          backends whose probe reported draining
 type Metrics struct {
 	attempts      *obs.Counter
 	retries       *obs.Counter
 	backoffMs     *obs.Counter
 	sheds         *obs.Counter
-	steals        *obs.Counter
-	duplicates    *obs.Counter
+	evictions     *obs.Counter
 	journalReused *obs.Counter
 	graphsStream  *obs.Counter
-	partialReused *obs.Counter
-	probeFailures *obs.Counter
-	evictions     *obs.Counter
-	readmissions  *obs.Counter
-	drains        *obs.Counter
 }
 
 // NewMetrics registers the distrib families on reg and returns the handle to
-// attach to Coordinator.Metrics and Registry.Metrics. Registering twice on
-// one registry is fine (the registry's idempotence rule).
+// attach to Coordinator.Metrics. Registering twice on one registry is fine
+// (the registry's idempotence rule).
 func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
 		attempts: reg.Counter("cpg_distrib_attempts_total",
-			"Shard attempts dispatched to backends, including steals."),
+			"Shard attempts dispatched to backends."),
 		retries: reg.Counter("cpg_distrib_retries_total",
 			"Failed shard attempts scheduled for a backoff retry."),
 		backoffMs: reg.Counter("cpg_distrib_backoff_wait_ms_total",
 			"Cumulative retry backoff scheduled, in milliseconds."),
 		sheds: reg.Counter("cpg_distrib_sheds_total",
 			"Shard attempts shed by backend admission control (HTTP 429/503); retried without counting toward eviction."),
-		steals: reg.Counter("cpg_distrib_steals_total",
-			"Speculative re-dispatches of the slowest in-flight shard to an idle backend."),
-		duplicates: reg.Counter("cpg_distrib_duplicates_total",
-			"Duplicate shard completions discarded after a lost steal race."),
+		evictions: reg.Counter("cpg_distrib_evictions_total",
+			"Backends evicted from dispatch after consecutive failed attempts."),
 		journalReused: reg.Counter("cpg_distrib_journal_reused_total",
 			"Shards reused from the journal instead of re-dispatched."),
 		graphsStream: reg.Counter("cpg_distrib_graphs_streamed_total",
 			"Graphs received incrementally over streaming shard attempts."),
-		partialReused: reg.Counter("cpg_distrib_partial_reused_total",
-			"Graphs reused from partial journal spools instead of re-dispatched."),
-		probeFailures: reg.Counter("cpg_distrib_probe_failures_total",
-			"Failed backend health probes."),
-		evictions: reg.Counter("cpg_distrib_evictions_total",
-			"Backends evicted from dispatch after consecutive failures."),
-		readmissions: reg.Counter("cpg_distrib_readmissions_total",
-			"Evicted backends re-admitted after a successful probe or attempt."),
-		drains: reg.Counter("cpg_distrib_drains_total",
-			"Backends whose health probe reported them draining."),
 	}
 }
 
@@ -100,15 +75,9 @@ func (m *Metrics) shed() {
 	}
 }
 
-func (m *Metrics) steal() {
+func (m *Metrics) eviction() {
 	if m != nil {
-		m.steals.Inc()
-	}
-}
-
-func (m *Metrics) duplicate() {
-	if m != nil {
-		m.duplicates.Inc()
+		m.evictions.Inc()
 	}
 }
 
@@ -121,35 +90,5 @@ func (m *Metrics) journalReuse(n int) {
 func (m *Metrics) graphStreamed() {
 	if m != nil {
 		m.graphsStream.Inc()
-	}
-}
-
-func (m *Metrics) partialReuse(n int) {
-	if m != nil {
-		m.partialReused.Add(int64(n))
-	}
-}
-
-func (m *Metrics) probeFailure() {
-	if m != nil {
-		m.probeFailures.Inc()
-	}
-}
-
-func (m *Metrics) eviction() {
-	if m != nil {
-		m.evictions.Inc()
-	}
-}
-
-func (m *Metrics) readmission() {
-	if m != nil {
-		m.readmissions.Inc()
-	}
-}
-
-func (m *Metrics) drain() {
-	if m != nil {
-		m.drains.Inc()
 	}
 }

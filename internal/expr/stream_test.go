@@ -76,82 +76,6 @@ func TestRunSweepShardStreamYieldError(t *testing.T) {
 	}
 }
 
-// TestSkipResume is the partial-redispatch contract behind streaming fault
-// tolerance: computing k graphs, then re-running the shard with those k in
-// Skip, covers exactly the remaining graphs — and the union reassembles into
-// the very ShardResult a from-scratch run returns.
-func TestSkipResume(t *testing.T) {
-	cfg := GoldenSweep()
-	cfg.ShardIndex, cfg.ShardCount = 1, 2
-	full, err := RunSweepShardContext(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("RunSweepShardContext: %v", err)
-	}
-	if len(full.Results) < 3 {
-		t.Fatalf("shard too small for the test: %d graphs", len(full.Results))
-	}
-	k := len(full.Results) / 2
-	got := map[GraphKey]GraphResult{}
-	resume := cfg
-	for _, res := range full.Results[:k] {
-		got[res.Key()] = res
-		resume.Skip = append(resume.Skip, res.Key())
-	}
-	if want := len(full.Results) - k; resume.ShardSize() != want {
-		t.Fatalf("ShardSize with %d skipped = %d, want %d", k, resume.ShardSize(), want)
-	}
-	rest, err := RunSweepShardContext(context.Background(), resume)
-	if err != nil {
-		t.Fatalf("RunSweepShardContext(resume): %v", err)
-	}
-	if len(rest.Results) != len(full.Results)-k {
-		t.Fatalf("resume computed %d graphs, want %d", len(rest.Results), len(full.Results)-k)
-	}
-	for _, res := range rest.Results {
-		if _, dup := got[res.Key()]; dup {
-			t.Fatalf("resume recomputed already-received graph %+v", res.Key())
-		}
-		got[res.Key()] = res
-	}
-	asm, err := cfg.AssembleShardResult(got)
-	if err != nil {
-		t.Fatalf("AssembleShardResult: %v", err)
-	}
-	if !reflect.DeepEqual(zeroShardTimes(asm), zeroShardTimes(full)) {
-		t.Fatal("union of received + resumed graphs differs from the from-scratch shard")
-	}
-}
-
-// TestSkipValidation pins the loud rejection of malformed skip lists.
-func TestSkipValidation(t *testing.T) {
-	cfg := GoldenSweep()
-	cfg.ShardIndex, cfg.ShardCount = 0, 2
-	mine := cfg.ShardGraphs()
-
-	foreign := cfg
-	foreign.Skip = []GraphKey{{Nodes: 999, Paths: 10, Index: 0}}
-	if _, err := RunSweepShardContext(context.Background(), foreign); err == nil || !strings.Contains(err.Error(), "not a graph of shard") {
-		t.Errorf("foreign skip entry: err = %v, want 'not a graph of shard'", err)
-	}
-
-	other := cfg
-	for _, j := range GoldenSweep().allJobs() {
-		if shardOf(j.Nodes, j.Paths, j.Index, 2) == 1 {
-			other.Skip = []GraphKey{j}
-			break
-		}
-	}
-	if _, err := RunSweepShardContext(context.Background(), other); err == nil || !strings.Contains(err.Error(), "not a graph of shard") {
-		t.Errorf("other-shard skip entry: err = %v, want 'not a graph of shard'", err)
-	}
-
-	dup := cfg
-	dup.Skip = []GraphKey{mine[0], mine[0]}
-	if _, err := RunSweepShardContext(context.Background(), dup); err == nil || !strings.Contains(err.Error(), "duplicate skip entry") {
-		t.Errorf("duplicate skip entry: err = %v, want 'duplicate skip entry'", err)
-	}
-}
-
 // TestAssembleShardResultAccounting pins the strict coverage of assembly:
 // gaps, foreign extras and mis-filed entries are all loud errors.
 func TestAssembleShardResultAccounting(t *testing.T) {
@@ -197,29 +121,5 @@ func TestAssembleShardResultAccounting(t *testing.T) {
 	misfiled[wrongKey] = wrong
 	if _, err := cfg.AssembleShardResult(misfiled); err == nil || !strings.Contains(err.Error(), "carries coordinates") {
 		t.Errorf("misfiled entry: err = %v, want 'carries coordinates'", err)
-	}
-}
-
-// TestCompareGraphKeys pins the canonical ordering used everywhere a skip
-// list or key set is serialized.
-func TestCompareGraphKeys(t *testing.T) {
-	a := GraphKey{Nodes: 60, Paths: 10, Index: 1}
-	cases := []struct {
-		b    GraphKey
-		sign int
-	}{
-		{GraphKey{Nodes: 60, Paths: 10, Index: 1}, 0},
-		{GraphKey{Nodes: 80, Paths: 10, Index: 1}, -1},
-		{GraphKey{Nodes: 60, Paths: 12, Index: 0}, -1},
-		{GraphKey{Nodes: 60, Paths: 10, Index: 0}, 1},
-	}
-	for _, tc := range cases {
-		got := CompareGraphKeys(a, tc.b)
-		switch {
-		case tc.sign == 0 && got != 0,
-			tc.sign < 0 && got >= 0,
-			tc.sign > 0 && got <= 0:
-			t.Errorf("CompareGraphKeys(%+v, %+v) = %d, want sign %d", a, tc.b, got, tc.sign)
-		}
 	}
 }

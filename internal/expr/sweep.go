@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -75,14 +74,6 @@ type SweepConfig struct {
 	// single-process run produces, byte for byte.
 	ShardIndex int
 	ShardCount int
-	// Skip lists graphs of the selected shard that are NOT to be computed
-	// (and not to be covered by the shard's result): a streaming coordinator
-	// that already received k of the shard's graphs before the backend died
-	// re-dispatches the shard with those k listed here, so only the
-	// unreceived remainder is recomputed. Every entry must belong to the
-	// shard; Skip never changes per-graph results (seeds depend only on the
-	// coordinates), so it is excluded from the sweep content hash.
-	Skip []GraphKey
 }
 
 // Normalize fills defaults. It is idempotent: normalizing a normalized
@@ -103,12 +94,6 @@ func (c SweepConfig) Normalize() SweepConfig {
 	}
 	if c.ShardCount <= 0 {
 		c.ShardCount = 1
-	}
-	if len(c.Skip) > 0 {
-		// Canonical (sorted) skip order, so encoding a normalized config is
-		// deterministic regardless of the order graphs were received in.
-		c.Skip = slices.Clone(c.Skip)
-		slices.SortFunc(c.Skip, CompareGraphKeys)
 	}
 	return c
 }
@@ -241,26 +226,13 @@ func shardOf(nodes, paths, index, count int) int {
 }
 
 // GraphKey identifies one graph of a sweep by its cell coordinates. It is
-// the unit of streaming, skipping and partial-result accounting: per-graph
-// seeds depend only on the key (and the sweep seed), so a graph recomputed
-// anywhere under any parallelism produces the same GraphResult.
+// the unit of streaming and coverage accounting: per-graph seeds depend only
+// on the key (and the sweep seed), so a graph recomputed anywhere under any
+// parallelism produces the same GraphResult.
 type GraphKey struct {
 	Nodes int
 	Paths int
 	Index int
-}
-
-// CompareGraphKeys orders keys canonically: nodes-major, then paths, then
-// index — the aggregation order of the sweep.
-func CompareGraphKeys(a, b GraphKey) int {
-	switch {
-	case a.Nodes != b.Nodes:
-		return a.Nodes - b.Nodes
-	case a.Paths != b.Paths:
-		return a.Paths - b.Paths
-	default:
-		return a.Index - b.Index
-	}
 }
 
 // Key returns the graph's cell coordinates.
@@ -284,69 +256,31 @@ func (c SweepConfig) allJobs() []GraphKey {
 	return jobs
 }
 
-// shardJobs enumerates the graphs assigned to the config's shard — minus any
-// skipped ones — in canonical order.
+// shardJobs enumerates the graphs assigned to the config's shard in
+// canonical order.
 func (c SweepConfig) shardJobs() []GraphKey {
 	jobs := c.allJobs()
-	if c.ShardCount > 1 {
-		var mine []GraphKey
-		for _, j := range jobs {
-			if shardOf(j.Nodes, j.Paths, j.Index, c.ShardCount) == c.ShardIndex {
-				mine = append(mine, j)
-			}
-		}
-		jobs = mine
-	}
-	if len(c.Skip) == 0 {
+	if c.ShardCount <= 1 {
 		return jobs
 	}
-	skip := make(map[GraphKey]bool, len(c.Skip))
-	for _, k := range c.Skip {
-		skip[k] = true
-	}
-	kept := jobs[:0]
+	var mine []GraphKey
 	for _, j := range jobs {
-		if !skip[j] {
-			kept = append(kept, j)
+		if shardOf(j.Nodes, j.Paths, j.Index, c.ShardCount) == c.ShardIndex {
+			mine = append(mine, j)
 		}
 	}
-	return kept
+	return mine
 }
 
-// ValidateSkip checks the Skip list (after Normalize): every entry must be a
-// graph the stable assignment puts in the config's shard, with no duplicates.
-// A foreign or duplicated skip entry means the coordinator and backend would
-// disagree about the shard's coverage, so it is rejected up front.
-func (c SweepConfig) ValidateSkip() error {
-	if len(c.Skip) == 0 {
-		return nil
-	}
-	seen := make(map[GraphKey]bool, len(c.Skip))
-	for _, k := range c.Skip {
-		if seen[k] {
-			return fmt.Errorf("expr: duplicate skip entry (%d nodes, %d paths, index %d)", k.Nodes, k.Paths, k.Index)
-		}
-		seen[k] = true
-		inGrid := slices.Contains(c.Nodes, k.Nodes) && slices.Contains(c.Paths, k.Paths) &&
-			k.Index >= 0 && k.Index < c.GraphsPerCell
-		if !inGrid || shardOf(k.Nodes, k.Paths, k.Index, c.ShardCount) != c.ShardIndex {
-			return fmt.Errorf("expr: skip entry (%d nodes, %d paths, index %d) is not a graph of shard %d/%d",
-				k.Nodes, k.Paths, k.Index, c.ShardIndex, c.ShardCount)
-		}
-	}
-	return nil
-}
-
-// ShardSize reports how many graphs of the sweep the config's shard covers
-// (skipped graphs excluded) — the useful upper bound on the shard's
-// scheduling parallelism.
+// ShardSize reports how many graphs of the sweep the config's shard covers —
+// the useful upper bound on the shard's scheduling parallelism.
 func (c SweepConfig) ShardSize() int {
 	return len(c.Normalize().shardJobs())
 }
 
 // ShardGraphs returns the canonical-order keys of the graphs the config's
-// shard covers (skipped graphs excluded) — the coverage a shard result must
-// account for, graph by graph.
+// shard covers — the coverage a shard result must account for, graph by
+// graph.
 func (c SweepConfig) ShardGraphs() []GraphKey {
 	return c.Normalize().shardJobs()
 }
@@ -400,9 +334,6 @@ func (c SweepConfig) ValidateShardResult(sh *ShardResult) error {
 	if err := c.validateGrid(); err != nil {
 		return err
 	}
-	if err := c.ValidateSkip(); err != nil {
-		return err
-	}
 	if sh.ShardIndex != c.ShardIndex || sh.ShardCount != c.ShardCount {
 		return fmt.Errorf("expr: shard result claims shard %d/%d; want %d/%d",
 			sh.ShardIndex, sh.ShardCount, c.ShardIndex, c.ShardCount)
@@ -454,9 +385,6 @@ func RunSweepShardStream(ctx context.Context, cfg SweepConfig, yield func(GraphR
 		return nil, err
 	}
 	if err := cfg.validateGrid(); err != nil {
-		return nil, err
-	}
-	if err := cfg.ValidateSkip(); err != nil {
 		return nil, err
 	}
 	jobs := cfg.shardJobs()
@@ -550,9 +478,9 @@ func RunSweepShardStream(ctx context.Context, cfg SweepConfig, yield func(GraphR
 }
 
 // AssembleShardResult builds the ShardResult of the config's shard from
-// per-graph results received out of order (a streamed shard, or partials
-// replayed from a journal). The map must cover exactly the shard's graphs
-// (after Skip); gaps and foreign entries are errors, so a torn stream cannot
+// per-graph results received out of order (a streamed shard, or a journal
+// file). The map must cover exactly the shard's graphs; gaps and foreign
+// entries are errors, so a torn stream cannot
 // masquerade as a complete shard. The entries are laid out in canonical job
 // order — the same result a unary RunSweepShardContext returns — by walking
 // the ordered job list and looking each key up, never by ranging over the
@@ -563,9 +491,6 @@ func (c SweepConfig) AssembleShardResult(got map[GraphKey]GraphResult) (*ShardRe
 		return nil, err
 	}
 	if err := c.validateGrid(); err != nil {
-		return nil, err
-	}
-	if err := c.ValidateSkip(); err != nil {
 		return nil, err
 	}
 	jobs := c.shardJobs()
@@ -583,7 +508,7 @@ func (c SweepConfig) AssembleShardResult(got map[GraphKey]GraphResult) (*ShardRe
 		results = append(results, res)
 	}
 	if len(got) > len(jobs) {
-		return nil, fmt.Errorf("expr: assembling shard %d/%d: %d results for %d graphs — foreign or skipped graphs present",
+		return nil, fmt.Errorf("expr: assembling shard %d/%d: %d results for %d graphs — foreign graphs present",
 			c.ShardIndex, c.ShardCount, len(got), len(jobs))
 	}
 	return &ShardResult{ShardIndex: c.ShardIndex, ShardCount: c.ShardCount, Results: results}, nil

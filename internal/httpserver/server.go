@@ -21,9 +21,9 @@
 //	POST /v1/drain                stop admitting schedulable work: new
 //	                              schedule/simulate/sweep requests are shed
 //	                              with 503 + Retry-After while in-flight ones
-//	                              finish, and /healthz advertises "draining"
-//	                              so registries stop dispatching here;
-//	                              &resume=1 reverts
+//	                              finish, and /healthz advertises "draining";
+//	                              sweep coordinators retry the 503 sheds
+//	                              later; &resume=1 reverts
 //	GET  /metrics                 Prometheus text exposition of the request,
 //	                              admission, service and cache metrics
 //	GET  /healthz                 liveness plus service counters ("draining"
@@ -589,9 +589,11 @@ type drainDoc struct {
 
 // handleDrain switches the server into (or with ?resume=1, out of) drain
 // mode: in-flight requests are still served, new schedulable work is shed
-// with 503 + Retry-After, and /healthz advertises "draining", so a probing
-// registry stops offering this backend new shards while it finishes what it
-// has. Observability endpoints keep working throughout.
+// with 503 + Retry-After, and /healthz advertises "draining". A sweep
+// coordinator meets a draining backend only through those 503 sheds: it
+// retries the shard after the Retry-After, on whichever backend is idle
+// first, without counting the shed toward eviction. Observability endpoints
+// keep working throughout.
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	resume := r.URL.Query().Get("resume") != ""
 	s.draining.Store(!resume)
@@ -603,8 +605,9 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 }
 
 // SetDraining flips the server's drain flag programmatically — what cpgserve
-// does on SIGINT/SIGTERM so probing registries see "draining" during the
-// graceful-shutdown window instead of a hard disappearance.
+// does on SIGINT/SIGTERM, so new requests during the graceful-shutdown window
+// get a 503 shed, which a sweep coordinator retries, instead of a refused
+// connection.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
 // activationDoc is one activated activity of a simulated trace.

@@ -7,52 +7,20 @@ import (
 	"testing"
 
 	"repro/internal/expr"
-	"repro/internal/textio"
 )
 
-// postStream POSTs a sweep request and returns the raw response without
-// draining it, so tests can read the NDJSON frames.
-func postStream(t *testing.T, url string, body []byte) *http.Response {
-	t.Helper()
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST %s: %v", url, err)
-	}
-	return resp
-}
-
-// TestSweepStreamEndpointSkip pins that a skip list travels through the
-// streamed endpoint: only the unreceived graphs are announced and served —
-// the property the coordinator's torn-stream resume relies on.
+// TestSweepStreamEndpointSkip pins that the request carries no skip list: a
+// coordinator that still asks the server to skip graphs it holds gets a 400
+// envelope before any frame, never a silently whole or short shard.
 func TestSweepStreamEndpointSkip(t *testing.T) {
 	ts := testServer(t)
-	cfg := expr.GoldenSweep()
-	cfg.ShardCount = 2
-	mine := cfg.Normalize().ShardGraphs()
-	if len(mine) < 2 {
-		t.Fatalf("test shard too small: %d graphs", len(mine))
+	doc := `{"version":"v1","nodes":[60],"paths":[10],"graphsPerCell":1,"seed":7,"shardIndex":0,"shardCount":1,"skip":[{"nodes":60,"paths":10,"index":0}]}`
+	resp, out := postJSON(t, ts.URL+"/v1/sweep", []byte(doc))
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(out, []byte(`unknown field \"skip\"`)) {
+		t.Fatalf("skip document = %d %s, want a 400 naming the unknown field", resp.StatusCode, out)
 	}
-	cfg.Skip = mine[:1]
-
-	resp := postStream(t, ts.URL+"/v1/sweep", sweepRequestBody(t, cfg))
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stream status %d", resp.StatusCode)
-	}
-	served := map[expr.GraphKey]bool{}
-	header, _, err := textio.ReadSweepStream(resp.Body, func(g expr.GraphResult) error {
-		served[g.Key()] = true
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("ReadSweepStream: %v", err)
-	}
-	if header.Graphs != len(mine)-1 || len(served) != len(mine)-1 {
-		t.Fatalf("skip stream announced %d / served %d graphs, want %d",
-			header.Graphs, len(served), len(mine)-1)
-	}
-	if served[mine[0]] {
-		t.Fatalf("skipped graph %+v was streamed anyway", mine[0])
+	if bytes.Contains(out, []byte(`"frame"`)) {
+		t.Fatalf("want an error envelope and no frame: %s", out)
 	}
 }
 

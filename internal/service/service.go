@@ -382,9 +382,6 @@ func (s *Service) SweepShard(ctx context.Context, cfg expr.SweepConfig, yield fu
 	if err := cfg.ValidateShard(); err != nil {
 		return nil, err
 	}
-	if err := cfg.ValidateSkip(); err != nil {
-		return nil, err
-	}
 	s.sweepReqs.Add(1)
 	want := cfg.Workers
 	if want <= 0 || want > s.budget {

@@ -52,7 +52,7 @@ type GraphResultDoc struct {
 
 // StreamHeaderDoc opens a sweep stream: the version, the sweep content hash,
 // the shard coordinates and the number of graph frames the stream will carry
-// (the shard's coverage after any skip list).
+// (the shard's coverage).
 type StreamHeaderDoc struct {
 	Version    string `json:"version"`
 	SweepHash  string `json:"sweepHash,omitempty"`
@@ -168,13 +168,6 @@ type SweepStreamWriter struct {
 // caller flushes w between frames when streaming over HTTP.
 func NewSweepStreamWriter(w io.Writer) *SweepStreamWriter {
 	return &SweepStreamWriter{w: w}
-}
-
-// ResumeSweepStreamWriter continues a stream of which w already holds the
-// header and the given number of graph frames (a journal file reopened by a
-// restarted coordinator); the summary it writes counts those frames too.
-func ResumeSweepStreamWriter(w io.Writer, graphs int) *SweepStreamWriter {
-	return &SweepStreamWriter{w: w, opened: true, graphs: graphs}
 }
 
 func (sw *SweepStreamWriter) emit(d *GraphResultDoc) error {
@@ -358,8 +351,8 @@ func (sr *SweepStreamReader) Next() (expr.GraphResult, error) {
 
 // ReadSweepStream consumes a whole sweep stream, calling onGraph for every
 // graph frame, and returns the header and summary on a clean close. Any torn
-// or malformed stream returns the graphs received so far alongside the
-// error, so a coordinator can journal the partial coverage before retrying.
+// or malformed stream returns the header, if it was read, alongside the
+// error.
 func ReadSweepStream(r io.Reader, onGraph func(expr.GraphResult) error) (*StreamHeaderDoc, *StreamSummaryDoc, error) {
 	sr, err := NewSweepStreamReader(r)
 	if err != nil {

@@ -196,53 +196,30 @@ func TestFrameLineRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSweepRequestSkipRoundTrip pins the skip list on the wire: canonical
-// order, lossless round-trip, hash-invariant, and foreign entries rejected.
-func TestSweepRequestSkipRoundTrip(t *testing.T) {
-	cfg := testSweepConfig()
-	mine := cfg.ShardGraphs()
-	if len(mine) < 2 {
-		t.Fatalf("test shard too small: %d graphs", len(mine))
-	}
-	// Deliberately unsorted: Normalize canonicalizes before encoding.
-	cfg.Skip = []expr.GraphKey{mine[1], mine[0]}
-	doc := EncodeSweepRequest(cfg)
-	if len(doc.Skip) != 2 || expr.GraphKey(doc.Skip[0]) != mine[0] {
-		t.Fatalf("skip not canonicalized on the wire: %+v", doc.Skip)
-	}
+// TestSweepRequestRejectsSkip: the request document carries no skip list.
+// A sender that still lists graphs to skip gets the strict decoder's
+// unknown-field error, never a silently whole or silently short shard.
+func TestSweepRequestRejectsSkip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteSweepRequest(&buf, doc); err != nil {
+	if err := WriteSweepRequest(&buf, EncodeSweepRequest(testSweepConfig())); err != nil {
 		t.Fatalf("WriteSweepRequest: %v", err)
 	}
-	_, decoded, err := ReadSweepRequest(&buf)
-	if err != nil {
-		t.Fatalf("ReadSweepRequest: %v", err)
+	doc := strings.Replace(buf.String(), `"version": "v1",`, `"version": "v1", "skip": [{"nodes": 40, "paths": 10, "index": 0}],`, 1)
+	if doc == buf.String() {
+		t.Fatalf("no version field to anchor the skip list in:\n%s", doc)
 	}
-	if !reflect.DeepEqual(decoded.Skip, []expr.GraphKey{mine[0], mine[1]}) {
-		t.Fatalf("skip drifted through the wire: %+v", decoded.Skip)
+	if _, _, err := ReadSweepRequest(strings.NewReader(doc)); err == nil || !strings.Contains(err.Error(), `unknown field "skip"`) {
+		t.Fatalf("ReadSweepRequest with a skip list = %v, want an unknown-field error", err)
 	}
+}
 
-	base, err := SweepHash(EncodeSweepRequest(testSweepConfig()))
-	if err != nil {
-		t.Fatalf("SweepHash: %v", err)
-	}
-	skipped, err := SweepHash(doc)
-	if err != nil {
-		t.Fatalf("SweepHash(skip): %v", err)
-	}
-	if base != skipped {
-		t.Error("skip list must not change the sweep content hash")
-	}
-
-	foreign := testSweepConfig()
-	foreign.Skip = []expr.GraphKey{{Nodes: 999, Paths: 10, Index: 0}}
-	fdoc := EncodeSweepRequest(foreign)
-	var fbuf bytes.Buffer
-	if err := WriteSweepRequest(&fbuf, fdoc); err != nil {
-		t.Fatalf("WriteSweepRequest(foreign): %v", err)
-	}
-	if _, _, err := ReadSweepRequest(&fbuf); err == nil {
-		t.Error("foreign skip entry must be rejected at the wire")
+// TestGoldenSweepHash pins the content hash of expr.GoldenSweep: it names the
+// sweep's journal directory and opens every shard stream, so a change to it
+// orphans every journal and shard file written before.
+func TestGoldenSweepHash(t *testing.T) {
+	const want = "b5b99c7f014c4abaa61a54218232a21cda2ab3770c86f7505b770d002b008816"
+	if got, err := SweepHash(EncodeSweepRequest(expr.GoldenSweep())); err != nil || got != want {
+		t.Fatalf("SweepHash(GoldenSweep) = %s, %v; want %s", got, err, want)
 	}
 }
 

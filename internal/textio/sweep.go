@@ -36,42 +36,6 @@ type SweepRequestDoc struct {
 	// the content hash.
 	Workers int         `json:"workers,omitempty"`
 	Options *OptionsDoc `json:"options,omitempty"`
-	// Skip lists graphs of the shard already received by a streaming
-	// coordinator, in canonical (sorted) order: the server computes and
-	// covers only the remainder. Like the shard coordinates it never
-	// changes per-graph results, so it is excluded from the content hash.
-	Skip []GraphKeyDoc `json:"skip,omitempty"`
-}
-
-// GraphKeyDoc is the wire form of one graph's cell coordinates.
-type GraphKeyDoc struct {
-	Nodes int `json:"nodes"`
-	Paths int `json:"paths"`
-	Index int `json:"index"`
-}
-
-// encodeGraphKeys renders cell coordinates in document form.
-func encodeGraphKeys(keys []expr.GraphKey) []GraphKeyDoc {
-	if len(keys) == 0 {
-		return nil
-	}
-	docs := make([]GraphKeyDoc, len(keys))
-	for i, k := range keys {
-		docs[i] = GraphKeyDoc(k)
-	}
-	return docs
-}
-
-// decodeGraphKeys rebuilds cell coordinates from their document form.
-func decodeGraphKeys(docs []GraphKeyDoc) []expr.GraphKey {
-	if len(docs) == 0 {
-		return nil
-	}
-	keys := make([]expr.GraphKey, len(docs))
-	for i, d := range docs {
-		keys[i] = expr.GraphKey(d)
-	}
-	return keys
 }
 
 // EncodeSweepRequest renders a sweep configuration in document form. The
@@ -94,7 +58,6 @@ func EncodeSweepRequest(cfg expr.SweepConfig) *SweepRequestDoc {
 		ShardCount:    cfg.ShardCount,
 		Workers:       cfg.Workers,
 		Options:       EncodeOptions(cfg.Options),
-		Skip:          encodeGraphKeys(cfg.Skip),
 	}
 }
 
@@ -164,13 +127,6 @@ func DecodeSweepRequest(d *SweepRequestDoc) (expr.SweepConfig, error) {
 		Options:       opts,
 		ShardIndex:    d.ShardIndex,
 		ShardCount:    d.ShardCount,
-		Skip:          decodeGraphKeys(d.Skip),
-	}
-	// A skip entry outside the shard means the sender and this server would
-	// disagree about the shard's coverage; reject it at the wire like the
-	// other malformed parameters.
-	if err := cfg.Normalize().ValidateSkip(); err != nil {
-		return cfg, fmt.Errorf("textio: %w", err)
 	}
 	return cfg, nil
 }
@@ -198,8 +154,8 @@ func WriteSweepRequest(w io.Writer, d *SweepRequestDoc) error {
 
 // SweepHash returns the content hash identifying the sweep a request belongs
 // to: the sha256 of the canonical JSON encoding with the execution knobs —
-// Workers, options.workers, the shard coordinates and the skip list —
-// cleared, because none of them change the per-graph results. Every shard of
+// Workers, options.workers and the shard coordinates — cleared, because
+// none of them change the per-graph results. Every shard of
 // one sweep therefore shares one hash: it opens every shard stream, names
 // the sweep's journal directory and lets -merge reject a shard of another
 // sweep.
@@ -208,7 +164,6 @@ func SweepHash(d *SweepRequestDoc) (string, error) {
 	c.Workers = 0
 	c.ShardIndex = 0
 	c.ShardCount = 0
-	c.Skip = nil
 	if c.Options != nil {
 		o := *c.Options
 		o.Workers = 0

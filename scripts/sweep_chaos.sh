@@ -1,47 +1,44 @@
 #!/usr/bin/env bash
 # Chaos smoke for the fault-tolerant sweep fleet, end to end over real
-# processes:
+# processes. A fault may cost whole shards, never a byte of the CSV:
 #
 #   1. Backend churn: hard-kill one of two cpgserve backends, launch the
 #      golden mini-sweep against both once its port refuses, and restart it
 #      after the launch. The coordinator must log the failed attempts on the
 #      dead backend and their retries, and the merged CSV must still be
-#      byte-identical to testdata/sweep_golden.csv (retry + health probes
-#      carry the sweep). The mini-sweep takes tens of milliseconds, so the
-#      backend is killed before the launch: a kill after it would land once
-#      the sweep is over and test nothing.
+#      byte-identical to testdata/sweep_golden.csv. The mini-sweep takes tens
+#      of milliseconds, so the backend is killed before the launch: a kill
+#      after it would land once the sweep is over and test nothing.
 #   2. Coordinator restart: run the sweep with a journal, then replay a
 #      coordinator that was killed mid-sweep by deleting two shard files
 #      and rerunning the same command — the restart must report reusing the
 #      journaled shards, re-dispatch only the missing ones, and reproduce
 #      the golden CSV.
-#   3. Kill mid-stream: replay a coordinator killed while a shard's graph
-#      stream was still in flight — the shard's journal file holds only the
-#      header and the graphs streamed before the kill (the first lines of a
-#      real POST /v1/sweep response, so the journal format is pinned to the
-#      wire format). The restart must report reusing those streamed graphs,
-#      re-dispatch only the remainder, and reproduce the golden CSV.
-#   4. Probe re-admission: run the paper's full 1080-graph sweep, which
-#      lasts seconds, with a 50 ms probe interval and one backend dead at
-#      the launch. The coordinator must evict it, and once it is restarted
-#      a health probe must re-admit it before the sweep ends; the CSV must
-#      equal the same sweep run in-process. The mini-sweep of phase 1 ends
-#      before any probe could run, so only this phase drives the probe
-#      path over real processes.
+#   3. Torn journal file: replay a coordinator killed while writing a shard's
+#      journal file — the file holds only the header and the first graph
+#      frames (the first lines of a real POST /v1/sweep response, so the
+#      journal format is pinned to the wire format). The restart must reuse
+#      the 3 complete shards, re-run the torn one whole, rewrite its file
+#      complete, and reproduce the golden CSV.
+#   4. Stalled backend: SIGSTOP one backend, so it accepts connections but
+#      never answers, and run the sweep with -shard-timeout 2s. The attempt
+#      on the stopped backend must time out and its shard be retried, and
+#      the CSV must be golden.
 #
-# The deterministic versions of these scenarios (plus work-stealing and
-# late-joining backends) live in internal/distrib/distribtest; this script
-# checks that the same guarantees hold over real sockets and processes.
+# The deterministic versions of these scenarios live in
+# internal/distrib/distribtest; this script checks that the same guarantees
+# hold over real sockets and processes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 ADDR_A="127.0.0.1:${CPGCHAOS_PORT_A:-8380}"
 ADDR_B="127.0.0.1:${CPGCHAOS_PORT_B:-8381}"
 # One temp root holds the binaries, the outputs and the journal; the EXIT
-# trap stops the servers, waits until they have exited and removes the root.
+# trap stops the servers (continuing a stopped one, which would otherwise
+# never act on the signal), waits until they have exited and removes the root.
 TMP="$(mktemp -d)"
 PIDS=()
-trap 'kill "${PIDS[@]}" 2>/dev/null || true; wait "${PIDS[@]}" 2>/dev/null || true; rm -rf "$TMP"' EXIT
+trap 'kill "${PIDS[@]}" 2>/dev/null || true; kill -CONT "${PIDS[@]}" 2>/dev/null || true; wait "${PIDS[@]}" 2>/dev/null || true; rm -rf "$TMP"' EXIT
 BIN="$TMP/bin"
 OUT="$TMP/out"
 JDIR="$TMP/journal"
@@ -89,7 +86,7 @@ kill -9 "$PID" # B, with no drain: simulate a crashed process
 wait_refused "$ADDR_B"
 
 "$BIN/cpgexper" "${SWEEP_FLAGS[@]}" -shards 6 \
-  -remote "http://$ADDR_A,http://$ADDR_B" -probe-interval 100ms \
+  -remote "http://$ADDR_A,http://$ADDR_B" \
   > "$OUT/churn.csv" 2> "$OUT/churn.log" &
 EXPER=$!
 # B comes back once an attempt on it has failed: restarted any sooner, it
@@ -139,72 +136,66 @@ diff -u testdata/sweep_golden.csv "$OUT/resumed.csv" || {
   exit 1
 }
 
-# --- Phase 3: coordinator killed mid-stream; resume from a partial file. ---
+# --- Phase 3: coordinator killed mid-write; a torn file is re-run whole. ---
 # After phase 2 the journal again holds all 4 shard files. Fabricate a
-# coordinator that died while shard 1's stream was in flight: its journal
-# file keeps only the header and the first 2 graph frames. Those lines are
-# the first 3 lines of the backend's real POST /v1/sweep response, so this
-# also pins that the journal format and the wire format stay identical.
+# coordinator that died while writing shard 1's file: it keeps only the
+# header and the first 2 graph frames. Those lines are the first 3 lines of
+# the backend's real POST /v1/sweep response, so this also pins that the
+# journal format and the wire format stay identical.
 curl -fsS -X POST -H 'Content-Type: application/json' \
   -d '{"version":"v1","nodes":[60,80],"paths":[10,12],"graphsPerCell":3,"seed":7,"shardIndex":1,"shardCount":4}' \
   "http://$ADDR_A/v1/sweep" > "$OUT/shard1.ndjson"
-[ "$(grep -c '"frame":"graph"' "$OUT/shard1.ndjson")" -gt 2 ] || {
+GRAPHS="$(head -1 "$OUT/shard1.ndjson" | grep -o '"graphs":[0-9]*' | cut -d: -f2)"
+[ "${GRAPHS:-0}" -gt 2 ] || {
   echo "chaos smoke FAILED: shard 1/4 stream too short to tear meaningfully" >&2
   cat "$OUT/shard1.ndjson" >&2
   exit 1
 }
 HASHDIRS=("$JDIR"/*/)
-HASHDIR="${HASHDIRS[0]}"
-head -3 "$OUT/shard1.ndjson" > "$HASHDIR/shard-00001-of-00004.ndjson"
+SHARD1="${HASHDIRS[0]}shard-00001-of-00004.ndjson"
+head -3 "$OUT/shard1.ndjson" > "$SHARD1"
 "$BIN/cpgexper" "${SWEEP_FLAGS[@]}" -shards 4 -remote "http://$ADDR_A" \
-  -journal "$JDIR" > "$OUT/partial.csv" 2> "$OUT/partial.log"
-grep -q "journal: reusing 3/4" "$OUT/partial.log" || {
-  echo "chaos smoke FAILED: coordinator did not reuse the 3 intact shards" >&2
-  sed 's/^/  coordinator: /' "$OUT/partial.log" >&2
-  exit 1
-}
-grep -q "journal: reusing 2 streamed graphs from partial spools" "$OUT/partial.log" || {
-  echo "chaos smoke FAILED: coordinator did not resume shard 1 from its partial spool" >&2
-  sed 's/^/  coordinator: /' "$OUT/partial.log" >&2
-  exit 1
-}
-diff -u testdata/sweep_golden.csv "$OUT/partial.csv" || {
-  echo "chaos smoke FAILED: CSV after a mid-stream kill differs from golden" >&2
-  exit 1
-}
-
-# --- Phase 4: evicted backend re-admitted by a health probe. ---------------
-FULL_FLAGS=(-exp sweep -full -seed 7 -zero-times)
-"$BIN/cpgexper" "${FULL_FLAGS[@]}" > "$OUT/full-inproc.csv" 2> /dev/null
-kill -9 "$PID_B"
-{ wait "$PID_B" || true; } 2>/dev/null
-wait_refused "$ADDR_B"
-"$BIN/cpgexper" "${FULL_FLAGS[@]}" -shards 8 \
-  -remote "http://$ADDR_A,http://$ADDR_B" -probe-interval 50ms \
-  > "$OUT/readmit.csv" 2> "$OUT/readmit.log" &
-EXPER=$!
-# Restart B only once it is evicted: a probe can re-admit only a member
-# that is down.
-for _ in $(seq 1 100); do
-  grep -qsF "evicting backend http://$ADDR_B" "$OUT/readmit.log" && break
-  sleep 0.05
-done
-start_backend "$ADDR_B"
-if ! wait "$EXPER"; then
-  echo "chaos smoke FAILED: full sweep did not survive a backend eviction+restart" >&2
-  sed 's/^/  coordinator: /' "$OUT/readmit.log" >&2
-  exit 1
-fi
-diff -u "$OUT/full-inproc.csv" "$OUT/readmit.csv" || {
-  echo "chaos smoke FAILED: CSV after eviction and re-admission differs from the in-process sweep" >&2
-  exit 1
-}
-for WANT in "evicting backend http://$ADDR_B" "re-admitting backend http://$ADDR_B (probe ok)"; do
-  grep -qF "$WANT" "$OUT/readmit.log" || {
-    echo "chaos smoke FAILED: coordinator log lacks \"$WANT\"" >&2
-    sed 's/^/  coordinator: /' "$OUT/readmit.log" >&2
+  -journal "$JDIR" > "$OUT/torn.csv" 2> "$OUT/torn.log"
+for WANT in "journal: reusing 3/4" "shard 1/4 done on http://$ADDR_A ($GRAPHS graphs)"; do
+  grep -qF "$WANT" "$OUT/torn.log" || {
+    echo "chaos smoke FAILED: coordinator log lacks \"$WANT\": the torn shard was not re-run whole" >&2
+    sed 's/^/  coordinator: /' "$OUT/torn.log" >&2
     exit 1
   }
 done
+if grep -q "partial" "$OUT/torn.log"; then
+  echo "chaos smoke FAILED: coordinator reused graphs of a torn journal file" >&2
+  sed 's/^/  coordinator: /' "$OUT/torn.log" >&2
+  exit 1
+fi
+tail -1 "$SHARD1" | grep -qF '"frame":"summary"' || {
+  echo "chaos smoke FAILED: the torn journal file was not rewritten complete" >&2
+  exit 1
+}
+diff -u testdata/sweep_golden.csv "$OUT/torn.csv" || {
+  echo "chaos smoke FAILED: CSV after a torn journal file differs from golden" >&2
+  exit 1
+}
 
-echo "chaos smoke OK: golden CSV survives a backend kill+restart mid-sweep, a coordinator restart from the journal, and a mid-stream kill resumed from a partial journal file; a probe re-admits an evicted backend during the full sweep"
+# --- Phase 4: a stalled backend costs one attempt time limit. --------------
+kill -STOP "$PID_B"
+"$BIN/cpgexper" "${SWEEP_FLAGS[@]}" -shards 6 -shard-timeout 2s \
+  -remote "http://$ADDR_A,http://$ADDR_B" > "$OUT/stall.csv" 2> "$OUT/stall.log" || {
+  echo "chaos smoke FAILED: sweep did not survive a stalled backend" >&2
+  sed 's/^/  coordinator: /' "$OUT/stall.log" >&2
+  exit 1
+}
+kill -CONT "$PID_B"
+for WANT in "failed on http://$ADDR_B" "attempt timed out after 2s" "retrying in"; do
+  grep -qF "$WANT" "$OUT/stall.log" || {
+    echo "chaos smoke FAILED: coordinator log lacks \"$WANT\": no attempt timed out on the stalled backend" >&2
+    sed 's/^/  coordinator: /' "$OUT/stall.log" >&2
+    exit 1
+  }
+done
+diff -u testdata/sweep_golden.csv "$OUT/stall.csv" || {
+  echo "chaos smoke FAILED: CSV after a stalled backend differs from golden" >&2
+  exit 1
+}
+
+echo "chaos smoke OK: golden CSV survives a backend kill+restart mid-sweep, a coordinator restart from the journal, a torn journal file re-run whole, and a stalled backend timed out"
