@@ -24,6 +24,10 @@
 //	BenchmarkTabuInner           — one tabu improvement run per path.
 //	BenchmarkSolutionCodec       — encoding and writing the v1 solution
 //	                               document of a 120-node, 32-path result.
+//	BenchmarkGenerate            — generating and finalizing sweep graphs,
+//	                               one sub-benchmark per graph size.
+//	BenchmarkDecodeProblem       — decoding grid problem documents into
+//	                               finalized graphs, as every request does.
 package repro
 
 import (
@@ -346,6 +350,63 @@ func BenchmarkSolutionCodec(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(buf.Len())/1024, "response-KB")
+}
+
+// BenchmarkGenerate measures gen.Generate on the graphs of the paper's sweep
+// (seed 1998), one sub-benchmark per graph size cycling over the first 4
+// graphs of each path count: building the graph, inserting communication
+// processes and finalizing it (guards, topological order, classification,
+// validation). One op is one graph.
+func BenchmarkGenerate(b *testing.B) {
+	cfg := expr.PaperSweep()
+	for _, n := range cfg.Nodes {
+		var cfgs []gen.Config
+		for _, p := range cfg.Paths {
+			for i := 0; i < 4; i++ {
+				cfgs = append(cfgs, expr.GraphConfig(cfg.Seed, n, p, i))
+			}
+		}
+		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := gen.Generate(cfgs[i%len(cfgs)]); err != nil {
+					b.Fatalf("Generate: %v", err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDecodeProblem measures decoding a problem document into a
+// finalized graph and architecture (service.FromDoc, through its
+// ProblemFromDoc facade), the first step of every /v1/schedule request. The
+// documents are the grid problems of seeds 1 to 4, one sub-benchmark per
+// graph size cycling over every path count. One op is one document.
+func BenchmarkDecodeProblem(b *testing.B) {
+	docs := map[int][]*ProblemDoc{}
+	nodes := []int{60, 80, 120}
+	for s := int64(1); s <= 4; s++ {
+		r := rand.New(rand.NewSource(s))
+		for _, n := range nodes {
+			for _, p := range []int{10, 12, 18, 24, 32} {
+				inst, err := gen.Generate(gen.RandomConfig(r, n, p))
+				if err != nil {
+					b.Fatalf("Generate: %v", err)
+				}
+				docs[n] = append(docs[n], textio.EncodeProblem(inst.Graph, inst.Arch, core.Options{}))
+			}
+		}
+	}
+	for _, n := range nodes {
+		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ProblemFromDoc(docs[n][i%len(docs[n])]); err != nil {
+					b.Fatalf("ProblemFromDoc: %v", err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkListschedInner measures one run of the heap-based list scheduler

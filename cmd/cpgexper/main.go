@@ -40,10 +40,9 @@
 // Prometheus GET /metrics endpoint for the duration of the run, so a long
 // sweep is scrapeable from outside.
 //
-// Experiments that share generated instances reuse them instead of
-// regenerating: fig1 and fig4 share one worked-example run, and the ablation
-// sweeps route all graph generation through one content-hash instance cache,
-// so the second and third policy run schedule the exact graphs of the first.
+// fig1 and fig4 share one worked-example run. The ablation sweeps generate
+// their graphs afresh, from the same seeds, so every row schedules the same
+// graphs.
 package main
 
 import (
@@ -61,7 +60,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/distrib"
 	"repro/internal/expr"
-	"repro/internal/gen"
 	"repro/internal/listsched"
 	"repro/internal/obs"
 	"repro/internal/service"
@@ -128,11 +126,7 @@ func run(args []string, out io.Writer) error {
 	want := func(name string) bool { return *exp == "all" || *exp == name }
 	ran := false
 
-	// Experiments sharing a generated instance reuse it: fig1 and fig4 run
-	// the worked example once, and the ablation routes all three sweeps
-	// through one instance cache (attached in runAblation — a single-pass
-	// fig5/fig6 sweep never re-reads an instance, so caching there would
-	// only pin every generated graph in memory).
+	// fig1 and fig4 run the worked example once.
 	var fig1Result *expr.Figure1Result
 	figure1 := func() (*expr.Figure1Result, error) {
 		if fig1Result != nil {
@@ -517,19 +511,9 @@ func writeCellsCSV(out io.Writer, path string, cells []expr.Cell) error {
 }
 
 // runAblation reruns the Fig. 5 sweep under every path-selection policy and
-// then under every scheduling strategy. All the sweeps share one
-// instance cache sized to hold the whole sweep (an undersized LRU would
-// evict every entry before the next re-scan gets back to it), so the graphs
-// are generated once and only the scheduling differs — the cache hit counts
-// printed on stderr make the reuse observable.
+// then under every scheduling strategy. Every sweep generates the same graphs
+// from the same seeds, so only the scheduling differs between the rows.
 func runAblation(out io.Writer, sweepConfig func(core.Options) expr.SweepConfig) error {
-	norm := sweepConfig(core.Options{}).Normalize()
-	cache := gen.NewCache(len(norm.Nodes) * len(norm.Paths) * norm.GraphsPerCell)
-	runCells := func(opts core.Options) ([]expr.Cell, error) {
-		cfg := sweepConfig(opts)
-		cfg.Cache = cache
-		return expr.RunSweep(cfg)
-	}
 	printLine := func(label string, cells []expr.Cell) {
 		// Every cell holds the same number of graphs, so the mean of the
 		// per-cell averages is the per-graph average.
@@ -549,7 +533,7 @@ func runAblation(out io.Writer, sweepConfig func(core.Options) expr.SweepConfig)
 	var defaultCells []expr.Cell
 	fmt.Fprintln(out, "Ablation: average increase of δmax over δM (%) by path-selection policy")
 	for _, policy := range []core.PathSelection{core.SelectLargestDelay, core.SelectSmallestDelay, core.SelectFirst} {
-		cells, err := runCells(core.Options{PathSelection: policy})
+		cells, err := expr.RunSweep(sweepConfig(core.Options{PathSelection: policy}))
 		if err != nil {
 			return err
 		}
@@ -563,13 +547,11 @@ func runAblation(out io.Writer, sweepConfig func(core.Options) expr.SweepConfig)
 		cells := defaultCells
 		if name != listsched.DefaultStrategy {
 			var err error
-			if cells, err = runCells(core.Options{Strategy: name}); err != nil {
+			if cells, err = expr.RunSweep(sweepConfig(core.Options{Strategy: name})); err != nil {
 				return err
 			}
 		}
 		printLine(name, cells)
 	}
-	fmt.Fprintf(stderr, "instance cache: %d generated, %d reused across ablations\n",
-		cache.Misses(), cache.Hits())
 	return nil
 }

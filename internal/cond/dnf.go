@@ -2,7 +2,7 @@ package cond
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -11,16 +11,22 @@ import (
 // one of its cubes is implied by the path label.
 //
 // The zero value is the constant false (empty disjunction). Use DNFTrue for
-// the constant true. DNFs are immutable.
+// the constant true. DNFs are immutable, and every DNF the package returns is
+// simplified (see simplify). So an operation may return an operand, or share
+// its cubes, instead of copying them: no method writes a cube slice it did
+// not allocate.
 type DNF struct {
 	cubes []Cube
 }
+
+// trueCubes backs every DNFTrue.
+var trueCubes = []Cube{True()}
 
 // DNFFalse returns the constant false guard.
 func DNFFalse() DNF { return DNF{} }
 
 // DNFTrue returns the constant true guard (a single empty cube).
-func DNFTrue() DNF { return DNF{cubes: []Cube{True()}} }
+func DNFTrue() DNF { return DNF{cubes: trueCubes} }
 
 // FromCube returns a DNF consisting of the single cube c.
 func FromCube(c Cube) DNF { return DNF{cubes: []Cube{c}} }
@@ -28,36 +34,77 @@ func FromCube(c Cube) DNF { return DNF{cubes: []Cube{c}} }
 // IsFalse reports whether the DNF is the empty disjunction.
 func (d DNF) IsFalse() bool { return len(d.cubes) == 0 }
 
-// Or returns the disjunction of two DNFs, simplified.
+// Or returns the disjunction of two DNFs, simplified. When one operand is
+// true, or every cube of the other operand is one of its cubes, simplifying
+// their concatenation only drops the other operand's cubes and sorts, so the
+// result is that operand itself.
 func (d DNF) Or(o DNF) DNF {
-	n := DNF{cubes: append(append([]Cube(nil), d.cubes...), o.cubes...)}
-	return n.Simplify()
+	if d.isTrue() || hasAll(d.cubes, o.cubes) {
+		return d
+	}
+	if o.isTrue() || hasAll(o.cubes, d.cubes) {
+		return o
+	}
+	cubes := make([]Cube, 0, len(d.cubes)+len(o.cubes))
+	cubes = append(append(cubes, d.cubes...), o.cubes...)
+	return DNF{cubes: simplify(cubes)}
+}
+
+// hasAll reports whether every cube of sub is a cube of set.
+func hasAll(set, sub []Cube) bool {
+	for _, c := range sub {
+		if !slices.Contains(set, c) {
+			return false
+		}
+	}
+	return true
 }
 
 // And returns the conjunction of two DNFs, simplified. Unsatisfiable product
-// cubes are dropped.
+// cubes are dropped. When o is a single cube every cube of d implies, true
+// included, the products are d's cubes and the result is d itself. And never
+// returns o or shares its cubes.
 func (d DNF) And(o DNF) DNF {
+	if len(o.cubes) == 1 && allImply(d.cubes, o.cubes[0]) {
+		return d
+	}
 	var out []Cube
 	for _, a := range d.cubes {
 		for _, b := range o.cubes {
 			if p, ok := a.And(b); ok {
+				if out == nil {
+					out = make([]Cube, 0, len(d.cubes)*len(o.cubes))
+				}
 				out = append(out, p)
 			}
 		}
 	}
-	return DNF{cubes: out}.Simplify()
+	return DNF{cubes: simplify(out)}
+}
+
+// isTrue reports whether the DNF is the constant true, the only simplified
+// DNF holding the empty cube.
+func (d DNF) isTrue() bool { return len(d.cubes) == 1 && d.cubes[0].IsTrue() }
+
+// allImply reports whether every cube of cubes implies c.
+func allImply(cubes []Cube, c Cube) bool {
+	for _, a := range cubes {
+		if !a.Implies(c) {
+			return false
+		}
+	}
+	return true
 }
 
 // AndCube returns the conjunction of the DNF with a single cube.
 func (d DNF) AndCube(c Cube) DNF { return d.And(FromCube(c)) }
 
-// maskConds expands a condition bitmask into the sorted condition slice.
-func maskConds(m uint64) []Cond {
-	out := make([]Cond, 0, bits.OnesCount64(m))
+// appendConds appends the conditions of a bitmask to dst in ascending order.
+func appendConds(dst []Cond, m uint64) []Cond {
 	for ; m != 0; m &= m - 1 {
-		out = append(out, Cond(bits.TrailingZeros64(m)))
+		dst = append(dst, Cond(bits.TrailingZeros64(m)))
 	}
-	return out
+	return dst
 }
 
 // SatisfiedBy reports whether the (possibly partial) assignment assign makes
@@ -83,16 +130,17 @@ func (d DNF) SatisfiedCube(assign Cube) (Cube, bool) {
 	return Cube{}, false
 }
 
-// Simplify removes subsumed cubes and merges pairs of cubes that differ in
-// exactly one literal (the consensus rule restricted to adjacent cubes, which
-// is sufficient for the guards produced by conditional process graphs). The
-// result is logically equivalent to the input.
-func (d DNF) Simplify() DNF {
-	cubes := append([]Cube(nil), d.cubes...)
-	changed := true
-	for changed {
+// simplify simplifies a disjunction of cubes in place and returns it: it
+// merges pairs of cubes that differ in exactly one literal (the consensus
+// rule restricted to adjacent cubes, which is sufficient for the guards
+// produced by conditional process graphs), removes subsumed cubes until
+// neither applies, and sorts the rest. The result is logically equivalent to
+// the input, and simplifying it again changes nothing. The caller must own
+// cubes.
+func simplify(cubes []Cube) []Cube {
+	for changed := true; changed; {
 		changed = false
-		// Merge cubes differing in exactly one literal.
+		// Merge the first pair of cubes differing in at most one literal.
 	merge:
 		for i := 0; i < len(cubes); i++ {
 			for j := i + 1; j < len(cubes); j++ {
@@ -104,34 +152,41 @@ func (d DNF) Simplify() DNF {
 				}
 			}
 		}
-		// Drop cubes subsumed by another cube (a implies b means a is
-		// more specific; it is subsumed by b).
-		out := cubes[:0:0]
+		// Drop every cube that implies another, different cube (it is
+		// subsumed) or equals an earlier one. Checking a cube against the
+		// cubes kept so far and those not yet checked drops exactly these:
+		// of the cubes a dropped cube implies, the first occurrence of a
+		// most general one is kept.
+		kept := 0
 		for i, a := range cubes {
-			subsumed := false
-			for j, b := range cubes {
-				if i == j {
-					continue
-				}
-				if a.Implies(b) && !(b.Implies(a) && j > i) {
-					// a is subsumed by b; keep only the first of equal cubes.
-					if !a.Equal(b) || j < i {
-						subsumed = true
-						break
-					}
-				}
-			}
-			if !subsumed {
-				out = append(out, a)
+			if !subsumed(a, cubes[:kept], cubes[i+1:]) {
+				cubes[kept] = a
+				kept++
 			}
 		}
-		if len(out) != len(cubes) {
+		if kept != len(cubes) {
 			changed = true
 		}
-		cubes = out
+		cubes = cubes[:kept]
 	}
-	sort.Slice(cubes, func(i, j int) bool { return cubes[i].Compare(cubes[j]) < 0 })
-	return DNF{cubes: cubes}
+	slices.SortFunc(cubes, Cube.Compare)
+	return cubes
+}
+
+// subsumed reports whether cube a implies a cube of earlier, or a different
+// cube of later.
+func subsumed(a Cube, earlier, later []Cube) bool {
+	for _, b := range earlier {
+		if a.Implies(b) {
+			return true
+		}
+	}
+	for _, b := range later {
+		if a != b && a.Implies(b) {
+			return true
+		}
+	}
+	return false
 }
 
 // mergeAdjacent merges two cubes that mention exactly the same conditions and
@@ -216,7 +271,8 @@ func cubeImpliesDNF(a Cube, o DNF) bool {
 	if freeMask == 0 {
 		return false // a assigns everything o mentions, and no cube matched
 	}
-	free := maskConds(freeMask)
+	var buf [MaxConds]Cond
+	free := appendConds(buf[:0], freeMask)
 	ok := true
 	assignments(free, func(x Cube) bool {
 		full, compatible := a.And(x)

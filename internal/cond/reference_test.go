@@ -1,15 +1,19 @@
 package cond
 
 import (
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
 
-// This file carries a test-only copy of the sorted-literal-slice Cube
-// implementation that the bitset representation replaced, and a fuzzer that
-// drives both through the same operations. The reference is deliberately the
-// old production code (modulo renaming): any divergence the fuzzer finds is a
-// semantic regression of the bitset algebra, not a test artifact.
+// This file carries test-only copies of code that faster production code
+// replaced, and fuzzers that drive both through the same operations: the
+// sorted-literal-slice Cube implementation that the bitset representation
+// replaced, and the copying DNF operations that the in-place ones replaced.
+// The references are deliberately the old production code (modulo renaming):
+// any divergence the fuzzers find is a semantic regression of the new code,
+// not a test artifact.
 
 // refCube is the retired slice-backed cube: literals sorted by condition, at
 // most one per condition, empty slice meaning true.
@@ -263,6 +267,153 @@ func FuzzCubeBitsetEquivalence(f *testing.F) {
 		}
 		if got, want := a.Without(x).Format(nil), ra.without(x).format(); got != want {
 			t.Fatalf("Without(%v, %d) = %q, reference %q", la, x, got, want)
+		}
+	})
+}
+
+// refOr, refAnd, refAndCube and refSimplify are the retired DNF operations:
+// each copies its operands and simplifies the copy.
+func refOr(d, o DNF) DNF {
+	n := DNF{cubes: append(append([]Cube(nil), d.cubes...), o.cubes...)}
+	return refSimplify(n)
+}
+
+func refAnd(d, o DNF) DNF {
+	var out []Cube
+	for _, a := range d.cubes {
+		for _, b := range o.cubes {
+			if p, ok := a.And(b); ok {
+				out = append(out, p)
+			}
+		}
+	}
+	return refSimplify(DNF{cubes: out})
+}
+
+func refAndCube(d DNF, c Cube) DNF { return refAnd(d, FromCube(c)) }
+
+func refSimplify(d DNF) DNF {
+	cubes := append([]Cube(nil), d.cubes...)
+	changed := true
+	for changed {
+		changed = false
+		// Merge cubes differing in exactly one literal.
+	merge:
+		for i := 0; i < len(cubes); i++ {
+			for j := i + 1; j < len(cubes); j++ {
+				if m, ok := mergeAdjacent(cubes[i], cubes[j]); ok {
+					cubes[i] = m
+					cubes = append(cubes[:j], cubes[j+1:]...)
+					changed = true
+					break merge
+				}
+			}
+		}
+		// Drop cubes subsumed by another cube (a implies b means a is
+		// more specific; it is subsumed by b).
+		out := cubes[:0:0]
+		for i, a := range cubes {
+			subsumed := false
+			for j, b := range cubes {
+				if i == j {
+					continue
+				}
+				if a.Implies(b) && !(b.Implies(a) && j > i) {
+					// a is subsumed by b; keep only the first of equal cubes.
+					if !a.Equal(b) || j < i {
+						subsumed = true
+						break
+					}
+				}
+			}
+			if !subsumed {
+				out = append(out, a)
+			}
+		}
+		if len(out) != len(cubes) {
+			changed = true
+		}
+		cubes = out
+	}
+	sort.Slice(cubes, func(i, j int) bool { return cubes[i].Compare(cubes[j]) < 0 })
+	return DNF{cubes: cubes}
+}
+
+// cubesFromBytes decodes one cube per byte: the base-3 digits of b%243 say
+// whether each of conditions 0-4 is absent, true or false, so merges and
+// subsumptions between the cubes are frequent; a byte of 243 or more also
+// sets the top condition, to exercise the upper mask bits.
+func cubesFromBytes(data []byte) []Cube {
+	cubes := make([]Cube, 0, len(data))
+	for _, b := range data {
+		var c Cube
+		for x, v := Cond(0), int(b)%243; x < 5; x, v = x+1, v/3 {
+			switch v % 3 {
+			case 1:
+				c = c.MustWith(x, true)
+			case 2:
+				c = c.MustWith(x, false)
+			}
+		}
+		if b >= 243 {
+			c = c.MustWith(MaxConds-1, b&1 == 1)
+		}
+		cubes = append(cubes, c)
+	}
+	return cubes
+}
+
+// FuzzDNFMatchesReference drives decoded cube lists through the in-place
+// DNF operations and the retired copying ones, and demands the same cubes in
+// the same order from each: simplify on raw, unsimplified lists; Or, And and
+// AndCube on simplified operands, which are the only DNFs the package hands
+// out, including the constants and single cubes; and a fold of Or over
+// single cubes, the way guards accumulate. Simplifying a result again must
+// change nothing, and no operation may change its operands, since results
+// share their operands' cubes.
+func FuzzDNFMatchesReference(f *testing.F) {
+	f.Add([]byte{1, 2}, []byte{4}, uint8(3))
+	f.Add([]byte{0, 1, 2, 3, 4, 5}, []byte{9, 18, 27}, uint8(0))
+	f.Add([]byte{10, 11, 13, 10}, []byte{10, 11, 13}, uint8(40))
+	f.Add([]byte{}, []byte{250, 251, 7}, uint8(255))
+	f.Add([]byte{81, 162, 1, 2, 3}, []byte{0}, uint8(121))
+	f.Fuzz(func(t *testing.T, da, db []byte, dc uint8) {
+		rawA, rawB := cubesFromBytes(da), cubesFromBytes(db)
+		c := cubesFromBytes([]byte{dc})[0]
+		check := func(op string, got, want DNF) {
+			t.Helper()
+			if !slices.Equal(got.cubes, want.cubes) {
+				t.Fatalf("%s = %v, reference %v (a=%v b=%v c=%v)", op, got, want, rawA, rawB, c)
+			}
+			if again := simplify(slices.Clone(got.cubes)); !slices.Equal(again, got.cubes) {
+				t.Fatalf("%s = %v is not simplified: simplifying it gives %v", op, got, DNF{cubes: again})
+			}
+		}
+		for _, raw := range [][]Cube{rawA, rawB} {
+			check("simplify", DNF{cubes: simplify(slices.Clone(raw))}, refSimplify(DNF{cubes: raw}))
+		}
+
+		a, b := refSimplify(DNF{cubes: rawA}), refSimplify(DNF{cubes: rawB})
+		frozenA, frozenB := slices.Clone(a.cubes), slices.Clone(b.cubes)
+		operands := []struct {
+			name string
+			d    DNF
+		}{{"a", a}, {"b", b}, {"true", DNFTrue()}, {"false", DNFFalse()}, {"c", FromCube(c)}}
+		for _, x := range operands {
+			for _, y := range operands {
+				check(x.name+" | "+y.name, x.d.Or(y.d), refOr(x.d, y.d))
+				check(x.name+" & "+y.name, x.d.And(y.d), refAnd(x.d, y.d))
+			}
+			check(x.name+" & cube c", x.d.AndCube(c), refAndCube(x.d, c))
+		}
+		acc, ref := DNFFalse(), DNFFalse()
+		for _, cube := range append(slices.Clone(rawA), rawB...) {
+			acc, ref = acc.Or(FromCube(cube)), refOr(ref, FromCube(cube))
+			check("fold of |", acc, ref)
+		}
+		if !slices.Equal(a.cubes, frozenA) || !slices.Equal(b.cubes, frozenB) || !slices.Equal(DNFTrue().cubes, []Cube{True()}) {
+			t.Fatalf("an operation changed its operands: a %v → %v, b %v → %v, true → %v",
+				frozenA, a.cubes, frozenB, b.cubes, DNFTrue())
 		}
 	})
 }

@@ -41,27 +41,35 @@ func TestScheduleContextPreCancelled(t *testing.T) {
 // TestScheduleContextCancelPromptly pins the acceptance property of the
 // cancellation plumbing: aborting a large merge returns in well under the
 // uncancelled runtime, because the context is checked between back-steps.
+// The uncancelled run must take at least 10 ms for a tenth of it to be
+// measurable, so the graph doubles in size from 250 nodes until it does.
 func TestScheduleContextCancelPromptly(t *testing.T) {
-	inst, err := gen.Generate(gen.Config{Seed: 9, Nodes: 250, TargetPaths: 48, Processors: 6, Hardware: 1, Buses: 2})
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	// Measure the uncancelled runtime first (also warms every cache).
-	start := time.Now()
-	if _, err := ScheduleContext(context.Background(), inst.Graph, inst.Arch, Options{Workers: 1}); err != nil {
-		t.Fatalf("uncancelled run: %v", err)
-	}
-	full := time.Since(start)
-	if full < 10*time.Millisecond {
-		t.Skipf("uncancelled run too fast to measure cancellation (%v)", full)
+	var inst *gen.Instance
+	var full time.Duration
+	for nodes := 250; full < 10*time.Millisecond; nodes *= 2 {
+		if nodes > 4000 {
+			t.Fatalf("the uncancelled run of a %d-node graph takes only %v", nodes/2, full)
+		}
+		var err error
+		inst, err = gen.Generate(gen.Config{Seed: 9, Nodes: nodes, TargetPaths: 48, Processors: 6, Hardware: 1, Buses: 2})
+		if err != nil {
+			t.Fatalf("Generate(%d nodes): %v", nodes, err)
+		}
+		// Measure the uncancelled runtime (also warms every cache).
+		start := time.Now()
+		if _, err := ScheduleContext(context.Background(), inst.Graph, inst.Arch, Options{Workers: 1}); err != nil {
+			t.Fatalf("uncancelled run: %v", err)
+		}
+		full = time.Since(start)
+		t.Logf("%d nodes: the uncancelled run takes %v", nodes, full)
 	}
 
 	// Allow a few attempts: on a loaded 1-CPU CI runner a single back-step
 	// plus scheduler stalls can spuriously stretch one measurement.
 	for attempt := 1; ; attempt++ {
 		ctx, cancel := context.WithTimeout(context.Background(), full/10)
-		start = time.Now()
-		_, err = ScheduleContext(ctx, inst.Graph, inst.Arch, Options{Workers: 1})
+		start := time.Now()
+		_, err := ScheduleContext(ctx, inst.Graph, inst.Arch, Options{Workers: 1})
 		elapsed := time.Since(start)
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) {

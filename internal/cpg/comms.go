@@ -54,11 +54,12 @@ func InsertComms(g *Graph, a *arch.Architecture, plan CommPlanner) (int, error) 
 		return 0, fmt.Errorf("cpg: nil communication planner")
 	}
 	inserted := 0
-	removed := map[EdgeID]bool{}
-	// Snapshot the edge list: we modify the graph while iterating.
-	original := make([]*Edge, len(g.edges))
-	copy(original, g.edges)
-	for _, e := range original {
+	// removed marks the replaced edges among the original ones; the edges
+	// added here follow those.
+	n := len(g.edges)
+	var removed []bool
+	for i := range n {
+		e := g.edges[i]
 		from := g.Process(e.From)
 		to := g.Process(e.To)
 		if from.IsDummy() || to.IsDummy() {
@@ -82,7 +83,7 @@ func InsertComms(g *Graph, a *arch.Architecture, plan CommPlanner) (int, error) 
 		}
 		name := spec.Name
 		if name == "" {
-			name = fmt.Sprintf("c_%s_%s", from.Name, to.Name)
+			name = "c_" + from.Name + "_" + to.Name
 		}
 		comm := g.AddComm(name, spec.Time, spec.Bus)
 		// Redirect: from -> comm (keeping the condition), comm -> to.
@@ -92,7 +93,10 @@ func InsertComms(g *Graph, a *arch.Architecture, plan CommPlanner) (int, error) 
 			g.AddEdge(e.From, comm)
 		}
 		g.AddEdge(comm, e.To)
-		removed[e.ID] = true
+		if removed == nil {
+			removed = make([]bool, n)
+		}
+		removed[i] = true
 		inserted++
 	}
 	if inserted > 0 {
@@ -101,28 +105,19 @@ func InsertComms(g *Graph, a *arch.Architecture, plan CommPlanner) (int, error) 
 	return inserted, nil
 }
 
-// compactEdges drops the edges marked in removed, renumbers the remaining
-// edges and rebuilds the adjacency lists. It may only be used on a
+// compactEdges drops the edges whose identifiers removed marks, in place, and
+// renumbers the remaining edges in order. It may only be used on a
 // non-finalized graph (edge identifiers change).
-func (g *Graph) compactEdges(removed map[EdgeID]bool) {
-	kept := make([]*Edge, 0, len(g.edges))
-	for _, e := range g.edges {
-		if removed[e.ID] {
+func (g *Graph) compactEdges(removed []bool) {
+	kept := g.edges[:0]
+	for i, e := range g.edges {
+		if i < len(removed) && removed[i] {
 			continue
 		}
+		e.ID = EdgeID(len(kept))
 		kept = append(kept, e)
 	}
-	for i, e := range kept {
-		e.ID = EdgeID(i)
-	}
+	clear(g.edges[len(kept):])
 	g.edges = kept
-	for i := range g.out {
-		g.out[i] = nil
-		g.in[i] = nil
-	}
-	for _, e := range g.edges {
-		g.out[e.From] = append(g.out[e.From], e.ID)
-		g.in[e.To] = append(g.in[e.To], e.ID)
-	}
 	g.finalized = false
 }

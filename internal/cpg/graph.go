@@ -18,7 +18,8 @@ package cpg
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 
 	"repro/internal/arch"
 	"repro/internal/cond"
@@ -129,18 +130,45 @@ type Graph struct {
 	name  string
 	procs []*Process
 	edges []*Edge
-	out   [][]EdgeID
-	in    [][]EdgeID
 	conds []*CondDef
+	// freeProcs, freeEdges and freeConds are the unused rest of the chunks
+	// processes, edges and conditions are allocated from (see next).
+	freeProcs []Process
+	freeEdges []Edge
+	freeConds []CondDef
 
 	source ProcID
 	sink   ProcID
 
-	finalized   bool
+	finalized bool
+	// adjOff and adj are the adjacency Finalize lays out for n processes:
+	// the edges into p are adj[adjOff[p]:adjOff[p+1]] and the edges out of
+	// p adj[adjOff[n+p]:adjOff[n+p+1]], each list in identifier order.
+	adjOff      []int32
+	adj         []EdgeID
 	topo        []ProcID
 	guards      []cond.DNF
 	disjunction []bool
 	conjunction []bool
+}
+
+// next returns the first element of *free and removes it, first refilling
+// *free with a chunk of max(8, have) new elements when it is empty. With have
+// the number of elements handed out so far, n elements take O(log n)
+// allocations, and a returned pointer stays valid however many follow.
+func next[T any](free *[]T, have int) *T {
+	if len(*free) == 0 {
+		*free = make([]T, max(8, have))
+	}
+	p := &(*free)[0]
+	*free = (*free)[1:]
+	return p
+}
+
+// numbered returns prefix followed by the decimal digits of i.
+func numbered(prefix string, i int) string {
+	var buf [24]byte
+	return string(strconv.AppendInt(append(buf[:0], prefix...), int64(i), 10))
 }
 
 // New returns an empty graph with the given name.
@@ -157,11 +185,11 @@ func (g *Graph) Finalized() bool { return g.finalized }
 func (g *Graph) addProcess(name string, kind Kind, exec int64, pe arch.PEID) ProcID {
 	id := ProcID(len(g.procs))
 	if name == "" {
-		name = fmt.Sprintf("P%d", int(id))
+		name = numbered("P", int(id))
 	}
-	g.procs = append(g.procs, &Process{ID: id, Name: name, Kind: kind, Exec: exec, PE: pe})
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
+	p := next(&g.freeProcs, len(g.procs))
+	*p = Process{ID: id, Name: name, Kind: kind, Exec: exec, PE: pe}
+	g.procs = append(g.procs, p)
 	g.finalized = false
 	return id
 }
@@ -198,18 +226,23 @@ func (g *Graph) AddSink(name string) ProcID {
 func (g *Graph) AddCondition(name string, decider ProcID) cond.Cond {
 	id := cond.Cond(len(g.conds))
 	if name == "" {
-		name = fmt.Sprintf("c%d", int(id))
+		name = numbered("c", int(id))
 	}
-	g.conds = append(g.conds, &CondDef{ID: id, Name: name, Decider: decider})
+	cd := next(&g.freeConds, len(g.conds))
+	*cd = CondDef{ID: id, Name: name, Decider: decider}
+	g.conds = append(g.conds, cd)
 	g.finalized = false
 	return id
 }
 
 func (g *Graph) addEdge(from, to ProcID, hasCond bool, c cond.Cond, v bool) EdgeID {
+	if g.Process(from) == nil || g.Process(to) == nil {
+		panic(fmt.Sprintf("cpg: edge %d->%d of graph %q names a process it does not have", from, to, g.name))
+	}
 	id := EdgeID(len(g.edges))
-	g.edges = append(g.edges, &Edge{ID: id, From: from, To: to, HasCond: hasCond, Cond: c, CondVal: v})
-	g.out[from] = append(g.out[from], id)
-	g.in[to] = append(g.in[to], id)
+	e := next(&g.freeEdges, len(g.edges))
+	*e = Edge{ID: id, From: from, To: to, HasCond: hasCond, Cond: c, CondVal: v}
+	g.edges = append(g.edges, e)
 	g.finalized = false
 	return id
 }
@@ -301,22 +334,15 @@ func (g *Graph) CondName(c cond.Cond) string {
 // Sink returns the dummy sink process identifier.
 func (g *Graph) Sink() ProcID { return g.sink }
 
-// Succs returns the successor processes of p.
-func (g *Graph) Succs(p ProcID) []ProcID {
-	out := make([]ProcID, 0, len(g.out[p]))
-	for _, e := range g.out[p] {
-		out = append(out, g.edges[e].To)
-	}
-	return out
-}
+// inEdges returns the edges into p in identifier order. The graph must be
+// finalized; the slice is shared and must not be modified.
+func (g *Graph) inEdges(p ProcID) []EdgeID { return g.adj[g.adjOff[p]:g.adjOff[p+1]] }
 
-// Preds returns the predecessor processes of p.
-func (g *Graph) Preds(p ProcID) []ProcID {
-	out := make([]ProcID, 0, len(g.in[p]))
-	for _, e := range g.in[p] {
-		out = append(out, g.edges[e].From)
-	}
-	return out
+// outEdges returns the edges out of p in identifier order. The graph must be
+// finalized; the slice is shared and must not be modified.
+func (g *Graph) outEdges(p ProcID) []EdgeID {
+	n := ProcID(len(g.procs))
+	return g.adj[g.adjOff[n+p]:g.adjOff[n+p+1]]
 }
 
 // FindByName returns the process with the given name.
@@ -375,12 +401,13 @@ func (g *Graph) Finalize(a *arch.Architecture) error {
 	if err := g.ensurePolar(); err != nil {
 		return err
 	}
+	g.layOutAdjacency()
 	if err := g.computeTopo(); err != nil {
 		return err
 	}
-	g.computeGuards()
-	g.classify()
-	if err := g.validate(a); err != nil {
+	contrib := g.computeGuards()
+	g.classify(contrib)
+	if err := g.validate(a, contrib); err != nil {
 		return err
 	}
 	g.finalized = true
@@ -390,37 +417,38 @@ func (g *Graph) Finalize(a *arch.Architecture) error {
 // ensurePolar adds a dummy source connected to every process without
 // predecessors and a dummy sink fed by every process without successors.
 func (g *Graph) ensurePolar() error {
+	if len(g.procs) == 0 {
+		return errors.New("cpg: graph has no processes")
+	}
+	// Count every process's edges, with room for the two dummies, and keep
+	// the counts up to date as edges are added.
+	n := len(g.procs)
+	deg := make([]int32, 2*(n+2))
+	in, out := deg[:n+2], deg[n+2:]
+	for _, e := range g.edges {
+		out[e.From]++
+		in[e.To]++
+	}
+	link := func(from, to ProcID) {
+		g.AddEdge(from, to)
+		out[from]++
+		in[to]++
+	}
 	if g.source == NoProc {
-		roots := []ProcID{}
-		for _, p := range g.procs {
-			if p.Kind == KindSink {
-				continue
-			}
-			if len(g.in[p.ID]) == 0 {
-				roots = append(roots, p.ID)
-			}
-		}
-		if len(g.procs) == 0 {
-			return errors.New("cpg: graph has no processes")
-		}
 		src := g.AddSource("P0src")
-		for _, r := range roots {
-			g.AddEdge(src, r)
+		for _, p := range g.procs[:n] {
+			if p.Kind != KindSink && in[p.ID] == 0 {
+				link(src, p.ID)
+			}
 		}
 	}
 	if g.sink == NoProc {
-		leaves := []ProcID{}
-		for _, p := range g.procs {
-			if p.Kind == KindSource {
-				continue
-			}
-			if len(g.out[p.ID]) == 0 {
-				leaves = append(leaves, p.ID)
-			}
-		}
+		m := len(g.procs)
 		snk := g.AddSink("Psink")
-		for _, l := range leaves {
-			g.AddEdge(l, snk)
+		for _, p := range g.procs[:m] {
+			if p.Kind != KindSource && out[p.ID] == 0 {
+				link(p.ID, snk)
+			}
 		}
 	}
 	// A source added explicitly but left unconnected to the roots would
@@ -429,45 +457,73 @@ func (g *Graph) ensurePolar() error {
 		if p.ID == g.source || p.ID == g.sink {
 			continue
 		}
-		if len(g.in[p.ID]) == 0 {
-			g.AddEdge(g.source, p.ID)
+		if in[p.ID] == 0 {
+			link(g.source, p.ID)
 		}
-		if len(g.out[p.ID]) == 0 {
-			g.AddEdge(p.ID, g.sink)
+		if out[p.ID] == 0 {
+			link(p.ID, g.sink)
 		}
 	}
 	return nil
 }
 
+// layOutAdjacency lays out the edges into and out of every process in adj,
+// indexed by adjOff: a counting sort over the edges in identifier order, so
+// every list is in identifier order.
+func (g *Graph) layOutAdjacency() {
+	n := len(g.procs)
+	off := resize(g.adjOff, 2*n+1)
+	clear(off)
+	// Count the edges of every list, then turn the counts into start offsets.
+	for _, e := range g.edges {
+		off[e.To]++
+		off[n+int(e.From)]++
+	}
+	var sum int32
+	for i, c := range off[:2*n] {
+		off[i] = sum
+		sum += c
+	}
+	off[2*n] = sum
+	adj := resize(g.adj, int(sum))
+	for _, e := range g.edges {
+		adj[off[e.To]] = e.ID
+		off[e.To]++
+		adj[off[n+int(e.From)]] = e.ID
+		off[n+int(e.From)]++
+	}
+	// Each list's offset now points at its end, the start of the next
+	// list: shift the offsets back by one list.
+	copy(off[1:], off[:2*n])
+	off[0] = 0
+	g.adjOff, g.adj = off, adj
+}
+
 // computeTopo performs a Kahn topological sort, reporting an error on cycles.
+// It visits the processes ready to run in first-in first-out order, and the
+// processes made ready by one visit in identifier order.
 func (g *Graph) computeTopo() error {
 	n := len(g.procs)
-	indeg := make([]int, n)
-	for _, e := range g.edges {
-		indeg[e.To]++
-	}
-	queue := []ProcID{}
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, ProcID(i))
+	indeg := make([]int32, n)
+	order := make([]ProcID, 0, n)
+	for p := range ProcID(n) {
+		indeg[p] = int32(len(g.inEdges(p)))
+		if indeg[p] == 0 {
+			order = append(order, p)
 		}
 	}
-	sort.Slice(queue, func(i, j int) bool { return queue[i] < queue[j] })
-	order := make([]ProcID, 0, n)
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
-		order = append(order, p)
-		next := []ProcID{}
-		for _, e := range g.out[p] {
-			to := g.edges[e].To
+	// order is also the queue: order[head:] are the processes not yet
+	// visited.
+	for head := 0; head < len(order); head++ {
+		ready := len(order)
+		for _, eid := range g.outEdges(order[head]) {
+			to := g.edges[eid].To
 			indeg[to]--
 			if indeg[to] == 0 {
-				next = append(next, to)
+				order = append(order, to)
 			}
 		}
-		sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
-		queue = append(queue, next...)
+		slices.Sort(order[ready:])
 	}
 	if len(order) != n {
 		return errors.New("cpg: graph contains a cycle")
@@ -478,65 +534,60 @@ func (g *Graph) computeTopo() error {
 
 // computeGuards derives the guard of every process in topological order:
 // the guard of the source is true and the guard of a process is the
-// disjunction, over its incoming edges, of the predecessor guard conjoined
-// with the edge condition.
-func (g *Graph) computeGuards() {
-	n := len(g.procs)
-	g.guards = make([]cond.DNF, n)
-	for i := range g.guards {
-		g.guards[i] = cond.DNFFalse()
-	}
+// disjunction, over its incoming edges, of the edge's contribution: the
+// predecessor guard conjoined with the edge condition. It returns the
+// contribution of every edge, indexed by EdgeID. DNFs are immutable, so a
+// process with one simple incoming edge shares its predecessor's guard.
+func (g *Graph) computeGuards() []cond.DNF {
+	g.guards = make([]cond.DNF, len(g.procs))
+	contrib := make([]cond.DNF, len(g.edges))
 	for _, p := range g.topo {
-		if len(g.in[p]) == 0 {
+		in := g.inEdges(p)
+		if len(in) == 0 {
 			g.guards[p] = cond.DNFTrue()
 			continue
 		}
 		acc := cond.DNFFalse()
-		for _, eid := range g.in[p] {
+		for _, eid := range in {
 			e := g.edges[eid]
-			contrib := g.guards[e.From]
+			c := g.guards[e.From]
 			if e.HasCond {
-				contrib = contrib.AndCube(cond.MustCube(e.Lit()))
+				c = c.AndCube(cond.MustCube(e.Lit()))
 			}
-			acc = acc.Or(contrib)
+			contrib[eid] = c
+			acc = acc.Or(c)
 		}
 		g.guards[p] = acc
 	}
+	return contrib
 }
 
 // classify marks disjunction processes (conditional output edges) and
 // conjunction processes (some incoming contribution is not implied by the
 // node guard, i.e. alternative paths meet here).
-func (g *Graph) classify() {
+func (g *Graph) classify(contrib []cond.DNF) {
 	n := len(g.procs)
-	g.disjunction = make([]bool, n)
-	g.conjunction = make([]bool, n)
-	for _, p := range g.procs {
-		for _, eid := range g.out[p.ID] {
+	flags := make([]bool, 2*n)
+	g.disjunction, g.conjunction = flags[:n:n], flags[n:]
+	for p := range ProcID(n) {
+		for _, eid := range g.outEdges(p) {
 			if g.edges[eid].HasCond {
-				g.disjunction[p.ID] = true
+				g.disjunction[p] = true
 				break
 			}
 		}
-		if len(g.in[p.ID]) == 0 {
-			continue
-		}
-		for _, eid := range g.in[p.ID] {
-			e := g.edges[eid]
-			contrib := g.guards[e.From]
-			if e.HasCond {
-				contrib = contrib.AndCube(cond.MustCube(e.Lit()))
-			}
-			if !g.guards[p.ID].Implies(contrib) {
-				g.conjunction[p.ID] = true
+		for _, eid := range g.inEdges(p) {
+			if !g.guards[p].Implies(contrib[eid]) {
+				g.conjunction[p] = true
 				break
 			}
 		}
 	}
 }
 
-// validate checks the model restrictions of section 2 of the paper.
-func (g *Graph) validate(a *arch.Architecture) error {
+// validate checks the model restrictions of section 2 of the paper, given
+// the contribution of every edge to its target's guard.
+func (g *Graph) validate(a *arch.Architecture, contrib []cond.DNF) error {
 	if g.source == NoProc || g.sink == NoProc {
 		return errors.New("cpg: graph is not polar (missing source or sink)")
 	}
@@ -602,10 +653,11 @@ func (g *Graph) validate(a *arch.Architecture) error {
 	// The source must reach everything and everything must reach the sink
 	// (polarity); guaranteed by ensurePolar, but verify for explicitly
 	// provided sources/sinks.
-	if !g.reachesAllFrom(g.source, true) {
+	seen := make([]bool, len(g.procs))
+	if !g.reachesAll(true, seen) {
 		return errors.New("cpg: not every process is a successor of the source")
 	}
-	if !g.reachesAllFrom(g.sink, false) {
+	if !g.reachesAll(false, seen) {
 		return errors.New("cpg: not every process is a predecessor of the sink")
 	}
 	// Restriction: an edge eij into a non-conjunction process Pj requires
@@ -615,15 +667,10 @@ func (g *Graph) validate(a *arch.Architecture) error {
 		if g.conjunction[p.ID] {
 			continue
 		}
-		for _, eid := range g.in[p.ID] {
-			e := g.edges[eid]
-			contrib := g.guards[e.From]
-			if e.HasCond {
-				contrib = contrib.AndCube(cond.MustCube(e.Lit()))
-			}
-			if !g.guards[p.ID].Implies(contrib) {
+		for _, eid := range g.inEdges(p.ID) {
+			if !g.guards[p.ID].Implies(contrib[eid]) {
 				return fmt.Errorf("cpg: guard of %s does not imply the guard of its predecessor %s (non-conjunction process would block)",
-					g.procs[p.ID].Name, g.procs[e.From].Name)
+					g.procs[p.ID].Name, g.procs[g.edges[eid].From].Name)
 			}
 		}
 	}
@@ -636,31 +683,33 @@ func (g *Graph) validate(a *arch.Architecture) error {
 	return nil
 }
 
-// reachesAllFrom checks that every process is reachable from start following
-// edges forward (forward=true) or backward (forward=false).
-func (g *Graph) reachesAllFrom(start ProcID, forward bool) bool {
-	seen := make([]bool, len(g.procs))
-	stack := []ProcID{start}
-	seen[start] = true
-	for len(stack) > 0 {
-		p := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		var next []ProcID
-		if forward {
-			next = g.Succs(p)
-		} else {
-			next = g.Preds(p)
-		}
-		for _, q := range next {
-			if !seen[q] {
-				seen[q] = true
-				stack = append(stack, q)
+// reachesAll reports whether every process is a successor of the source
+// (forward) or a predecessor of the sink (!forward), using seen as scratch.
+// It walks the topological order, forward or backward, so every process is
+// reached, if at all, before it is visited.
+func (g *Graph) reachesAll(forward bool, seen []bool) bool {
+	clear(seen)
+	n := len(g.topo)
+	if forward {
+		seen[g.source] = true
+		for _, p := range g.topo {
+			if !seen[p] {
+				return false
+			}
+			for _, eid := range g.outEdges(p) {
+				seen[g.edges[eid].To] = true
 			}
 		}
+		return true
 	}
-	for _, s := range seen {
-		if !s {
+	seen[g.sink] = true
+	for i := n - 1; i >= 0; i-- {
+		p := g.topo[i]
+		if !seen[p] {
 			return false
+		}
+		for _, eid := range g.inEdges(p) {
+			seen[g.edges[eid].From] = true
 		}
 	}
 	return true

@@ -509,9 +509,8 @@ func TestInsertComms(t *testing.T) {
 		t.Fatalf("guard(comm) = %v, want C", g.Guard(commID))
 	}
 	// P2 is now reached only through the comm process.
-	preds := g.Preds(p2)
-	if len(preds) != 1 || preds[0] != commID {
-		t.Fatalf("preds(P2) = %v, want [comm]", preds)
+	if in := g.inEdges(p2); len(in) != 1 || g.Edge(in[0]).From != commID {
+		t.Fatalf("edges into P2 = %v, want one from the comm process", in)
 	}
 	// The same-processor edge is untouched.
 	foundDirect := false

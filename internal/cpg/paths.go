@@ -170,7 +170,7 @@ func (g *Graph) SubgraphInto(dst *Subgraph, p *Path) *Subgraph {
 	}
 	// One backing array holds the topological order, then the predecessor
 	// and successor lists; the per-process ordering of the lists matches the
-	// edge insertion order of g.in / g.out.
+	// edge identifier order of g.inEdges / g.outEdges.
 	back := resize(s.back, activeProcs+2*activeEdges)[:0]
 	for _, id := range g.topo {
 		if s.active[id] {
@@ -181,7 +181,7 @@ func (g *Graph) SubgraphInto(dst *Subgraph, p *Path) *Subgraph {
 	s.adjOff = resize(s.adjOff, 2*n+1)
 	s.adjOff[0] = 0
 	for i := 0; i < n; i++ {
-		for _, eid := range g.in[i] {
+		for _, eid := range g.inEdges(ProcID(i)) {
 			if activeEdge[eid] {
 				back = append(back, g.edges[eid].From)
 			}
@@ -189,7 +189,7 @@ func (g *Graph) SubgraphInto(dst *Subgraph, p *Path) *Subgraph {
 		s.adjOff[i+1] = int32(len(back) - activeProcs)
 	}
 	for i := 0; i < n; i++ {
-		for _, eid := range g.out[i] {
+		for _, eid := range g.outEdges(ProcID(i)) {
 			if activeEdge[eid] {
 				back = append(back, g.edges[eid].To)
 			}
@@ -303,7 +303,7 @@ func (g *Graph) ValidatePaths(maxPaths int) ([]*Path, error) {
 				return paths, fmt.Errorf("cpg: process %s is active on path %s but has no active predecessor (it would block)",
 					g.procs[id].Name, p.Label.Format(g.CondName))
 			}
-			if !g.conjunction[id] && len(preds) != len(g.in[id]) {
+			if !g.conjunction[id] && len(preds) != len(g.inEdges(id)) {
 				return paths, fmt.Errorf("cpg: non-conjunction process %s has an inactive predecessor on path %s",
 					g.procs[id].Name, p.Label.Format(g.CondName))
 			}

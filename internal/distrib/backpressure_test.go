@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -227,7 +228,17 @@ func TestGoldenSweepAgainstOverloadedServer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}
-	ts := httptest.NewServer(srv.Routes(nil))
+	// A shard of the golden sweep can finish before the concurrent
+	// dispatch arrives, and then nothing is shed. So every response holds
+	// its writes, and with them the heavy slot, until the server has
+	// answered some request 429, or for the first 10 s.
+	gate := &shedGate{open: make(chan struct{})}
+	timer := time.AfterFunc(10*time.Second, gate.release)
+	t.Cleanup(func() { timer.Stop() })
+	routes := srv.Routes(nil)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		routes.ServeHTTP(gatedWriter{w, gate}, r)
+	}))
 	t.Cleanup(ts.Close)
 
 	cfg := expr.GoldenSweep()
@@ -275,6 +286,35 @@ func TestGoldenSweepAgainstOverloadedServer(t *testing.T) {
 		t.Errorf("evictions counter = %d, want 0 (sheds never evict)", metrics.evictions.Value())
 	}
 }
+
+// shedGate holds response writes until it is released.
+type shedGate struct {
+	once sync.Once
+	open chan struct{}
+}
+
+func (g *shedGate) release() { g.once.Do(func() { close(g.open) }) }
+
+// gatedWriter holds every write until its gate is released, and releases the
+// gate when it writes a 429 status.
+type gatedWriter struct {
+	http.ResponseWriter
+	gate *shedGate
+}
+
+func (w gatedWriter) WriteHeader(code int) {
+	if code == http.StatusTooManyRequests {
+		w.gate.release()
+	}
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w gatedWriter) Write(b []byte) (int, error) {
+	<-w.gate.open
+	return w.ResponseWriter.Write(b)
+}
+
+func (w gatedWriter) Flush() { w.ResponseWriter.(http.Flusher).Flush() }
 
 // named gives an HTTP backend a fleet name of its own, so two members can
 // share one server.

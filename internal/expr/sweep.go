@@ -60,10 +60,6 @@ type SweepConfig struct {
 	Progress func(done, total int)
 	// Options are passed to the table generation.
 	Options core.Options
-	// Cache, when non-nil, memoizes generated instances by configuration
-	// content hash, so repeated sweeps with the same Seed (e.g. ablations
-	// over Options) reuse the generated graphs instead of rebuilding them.
-	Cache *gen.Cache
 	// ShardIndex and ShardCount select one shard of the sweep for
 	// distributed execution: every (nodes, paths, index) graph is assigned
 	// to shard shardOf(...) % ShardCount by a stable hash of its
@@ -421,7 +417,7 @@ func RunSweepShardStream(ctx context.Context, cfg SweepConfig, yield func(GraphR
 			fail(err)
 			return
 		}
-		inst, err := cfg.Cache.Generate(GraphConfig(cfg.Seed, job.Nodes, job.Paths, job.Index))
+		inst, err := gen.Generate(GraphConfig(cfg.Seed, job.Nodes, job.Paths, job.Index))
 		if err != nil {
 			fail(fmt.Errorf("expr: generating graph %d of cell %s: %w", job.Index, key, err))
 			return

@@ -14,8 +14,8 @@ import (
 
 // FuzzGenerateDeterminism pins the reproducibility invariant of the
 // generator: the same configuration must always build the same instance —
-// the property the sweep's per-cell seeding, the instance cache and the
-// experiment regeneration all rely on. Run with
+// the property the sweep's per-cell seeding, its shards and the experiment
+// regeneration all rely on. Run with
 // `go test -fuzz FuzzGenerateDeterminism ./internal/gen`.
 func FuzzGenerateDeterminism(f *testing.F) {
 	f.Add(int64(1), uint8(60), uint8(10))

@@ -314,7 +314,9 @@ func (gen *generator) buildGraph() error {
 	// count is reached: either split an existing edge (lengthening a path)
 	// or add a parallel process between the endpoints of an existing edge
 	// (adding parallelism). Both preserve guards and path counts.
-	for gen.g.NumOrdinary() < gen.cfg.Nodes {
+	// Every process so far is ordinary: communication processes and the
+	// dummies come later.
+	for gen.g.NumProcs() < gen.cfg.Nodes {
 		if len(gen.edges) == 0 {
 			gen.chain(cur, 1)
 			continue

@@ -189,7 +189,12 @@ func TestCommunicationOnSharedBus(t *testing.T) {
 	// Each communication starts after its producer terminates.
 	exEnd, _ := ps.Entry(sched.ProcKey(x))
 	for _, c := range comm {
-		producer := g.Preds(c.Key.Proc)[0]
+		producer := cpg.NoProc
+		for _, e := range g.Edges() {
+			if e.To == c.Key.Proc {
+				producer = e.From
+			}
+		}
 		pe, _ := ps.Entry(sched.ProcKey(producer))
 		if c.Start < pe.End {
 			t.Fatalf("communication starts before its producer finishes")

@@ -61,3 +61,45 @@ func TestMemoRetainedHeap(t *testing.T) {
 		t.Errorf("a memoized grid result keeps %.0f KB alive, ceiling %d KB", kb, ceilingKB)
 	}
 }
+
+// TestDecodeProblemAllocs pins the allocations of decoding one problem
+// document into a finalized graph, as every /v1/schedule request does: the
+// grid problem of seed 9 with 120 nodes and 12 paths (166 processes, 253
+// edges, 5 conditions): 89 measured. Building and finalizing the graph
+// allocates per graph, not per process, edge or guard.
+func TestDecodeProblemAllocs(t *testing.T) {
+	ceiling := 95.0
+	if raceEnabled {
+		// The race runtime may allocate where a normal build does not.
+		ceiling *= 1.1
+	}
+	var doc *textio.ProblemDoc
+	r := rand.New(rand.NewSource(9))
+	for _, nodes := range []int{60, 80, 120} {
+		for _, paths := range []int{10, 12, 18, 24, 32} {
+			cfg := gen.RandomConfig(r, nodes, paths)
+			if nodes != 120 || paths != 12 {
+				continue
+			}
+			inst, err := gen.Generate(cfg)
+			if err != nil {
+				t.Fatalf("Generate: %v", err)
+			}
+			doc = textio.EncodeProblem(inst.Graph, inst.Arch, core.Options{})
+		}
+	}
+	prob, err := FromDoc(doc)
+	if err != nil {
+		t.Fatalf("FromDoc: %v", err)
+	}
+	n := testing.AllocsPerRun(50, func() {
+		if _, err := FromDoc(doc); err != nil {
+			t.Fatalf("FromDoc: %v", err)
+		}
+	})
+	g := prob.Graph
+	t.Logf("FromDoc: %.0f allocs, %d processes, %d edges, %d conditions", n, g.NumProcs(), len(g.Edges()), g.NumConds())
+	if n > ceiling {
+		t.Errorf("FromDoc allocates %.0f times, ceiling %.0f", n, ceiling)
+	}
+}

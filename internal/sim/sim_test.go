@@ -52,18 +52,19 @@ func fixture(t *testing.T) (*cpg.Graph, *arch.Architecture, map[string]cpg.ProcI
 		t.Fatalf("expected 2 paths, got %d", len(paths))
 	}
 	ids := map[string]cpg.ProcID{"D": d, "T": tr, "F": f, "J": j}
+	// Name the comm processes by their neighbours: each has one edge in and
+	// one edge out.
+	pred, succ := map[cpg.ProcID]cpg.ProcID{}, map[cpg.ProcID]cpg.ProcID{}
+	for _, e := range g.Edges() {
+		pred[e.To], succ[e.From] = e.From, e.To
+	}
 	for _, p := range g.Procs() {
 		if p.Kind == cpg.KindComm {
-			// name the comm processes by their neighbours
-			preds := g.Preds(p.ID)
-			succs := g.Succs(p.ID)
-			if len(preds) == 1 && len(succs) == 1 {
-				if preds[0] == d && succs[0] == tr {
-					ids["cDT"] = p.ID
-				}
-				if preds[0] == tr && succs[0] == j {
-					ids["cTJ"] = p.ID
-				}
+			if pred[p.ID] == d && succ[p.ID] == tr {
+				ids["cDT"] = p.ID
+			}
+			if pred[p.ID] == tr && succ[p.ID] == j {
+				ids["cTJ"] = p.ID
 			}
 		}
 	}
