@@ -431,31 +431,28 @@ func writeShardPartial(out io.Writer, cfg expr.SweepConfig, spec string) error {
 	if err != nil {
 		return err
 	}
-	sw := textio.NewSweepStreamWriter(out)
-	if err := sw.Header(hash, i, n, cfg.ShardSize()); err != nil {
+	return textio.WriteShard(out, hash, cfg, func(yield func(expr.GraphResult) error) error {
+		_, err := expr.RunSweepShardStream(context.Background(), cfg, yield)
 		return err
-	}
-	if _, err := expr.RunSweepShardStream(context.Background(), cfg, sw.Graph); err != nil {
-		return err
-	}
-	return sw.Summary()
+	})
 }
 
-// mergePartialFiles reads saved shard streams through the strict stream
-// reader and merges them into cells, verifying that every stream is whole
-// and belongs to the configured sweep (content hash), and that together
-// they cover it exactly.
+// mergePartialFiles reads saved shard streams through textio.ReadShard,
+// which refuses a torn stream and one of another sweep (content hash) and
+// checks every graph against the shard its header names, and merges them
+// into cells; MergeCells then checks that together they cover the sweep
+// exactly once.
 func mergePartialFiles(cfg expr.SweepConfig, files []string) ([]expr.Cell, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("-merge needs at least one shard file")
 	}
-	wantHash, err := textio.SweepHash(textio.EncodeSweepRequest(cfg))
+	hash, err := textio.SweepHash(textio.EncodeSweepRequest(cfg))
 	if err != nil {
 		return nil, err
 	}
 	var shardResults []*expr.ShardResult
 	for _, name := range files {
-		sh, err := readShardFile(cfg, wantHash, name)
+		sh, err := readShardFile(cfg, hash, name)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
@@ -465,32 +462,14 @@ func mergePartialFiles(cfg expr.SweepConfig, files []string) ([]expr.Cell, error
 }
 
 // readShardFile reads one saved shard stream of the sweep whose content
-// hash is wantHash.
-func readShardFile(cfg expr.SweepConfig, wantHash, name string) (*expr.ShardResult, error) {
+// hash is hash.
+func readShardFile(cfg expr.SweepConfig, hash, name string) (*expr.ShardResult, error) {
 	f, err := os.Open(name)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	got := make(map[expr.GraphKey]expr.GraphResult)
-	h, _, err := textio.ReadSweepStream(f, func(g expr.GraphResult) error {
-		got[g.Key()] = g
-		return nil
-	})
-	switch {
-	// Coordinate overlap alone cannot tell a shard of a different seed or
-	// options apart, so an absent hash is as unmergeable as a mismatched
-	// one: silently wrong figures are worse than an error.
-	case h != nil && h.SweepHash == "":
-		return nil, fmt.Errorf("shard stream carries no sweepHash; cannot verify it belongs to this sweep")
-	case h != nil && h.SweepHash != wantHash:
-		return nil, fmt.Errorf("shard stream belongs to a different sweep (hash %s, want %s — check -nodes/-paths/-graphs/-seed)",
-			h.SweepHash, wantHash)
-	case err != nil:
-		return nil, err
-	}
-	cfg.ShardIndex, cfg.ShardCount = h.ShardIndex, h.ShardCount
-	return cfg.AssembleShardResult(got)
+	return textio.ReadShard(f, hash, cfg, nil)
 }
 
 // writeCellsCSV writes the sweep CSV to a file, or to the command output for

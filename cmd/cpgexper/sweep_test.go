@@ -212,7 +212,11 @@ func TestSweepOfflineShardMerge(t *testing.T) {
 	if err := run([]string{"-nodes", "60,80", "-paths", "10,12", "-graphs", "3", "-seed", "7", "-progress=false", "-shard", "0/2"}, &solo); err != nil {
 		t.Fatalf("run(-shard with default -exp): %v", err)
 	}
-	if _, _, err := textio.ReadSweepStream(&solo, nil); err != nil {
+	sweepHash, err := textio.SweepHash(textio.EncodeSweepRequest(expr.GoldenSweep()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := textio.ReadShard(&solo, sweepHash, expr.GoldenSweep(), nil); err != nil {
 		t.Errorf("-shard stdout must be a bare shard frame stream: %v", err)
 	}
 

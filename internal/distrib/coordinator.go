@@ -316,8 +316,10 @@ func (r *sweepRun) shardCfg(shard int) expr.SweepConfig {
 	return scfg
 }
 
-// attempt runs one shard on one backend (bounded by the shard timeout),
-// validates the result and reports the outcome to the run loop.
+// attempt runs one shard on one backend (bounded by the shard timeout) and
+// reports the outcome to the run loop. The result needs no second check: an
+// HTTP backend's shard passed textio.ReadShard and its coordinate check, and
+// an in-process shard is computed here.
 func (r *sweepRun) attempt(shard, m int, b Backend, scfg expr.SweepConfig) {
 	actx, cancel := r.runCtx, context.CancelFunc(func() {})
 	if r.timeout > 0 {
@@ -331,11 +333,6 @@ func (r *sweepRun) attempt(shard, m int, b Backend, scfg expr.SweepConfig) {
 		err = fmt.Errorf("attempt timed out after %v: %w", r.timeout, err)
 	}
 	cancel()
-	if err == nil {
-		if verr := scfg.ValidateShardResult(sh); verr != nil {
-			sh, err = nil, fmt.Errorf("invalid shard result: %w", verr)
-		}
-	}
 	select {
 	case r.resCh <- attemptOutcome{shard: shard, member: m, sh: sh, err: err}:
 	case <-r.quit:

@@ -7,7 +7,11 @@
 //
 // Every backend streams its shard graph by graph, and the one shard format
 // is textio's NDJSON frame stream (header, graph frames, summary): it is the
-// body of a POST /v1/sweep response and the content of a journal file alike.
+// body of a POST /v1/sweep response and the content of a journal file alike,
+// written by textio.WriteShard and read by textio.ReadShard. The reader makes
+// every check of a shard's bytes; the HTTP backend and the journal then only
+// compare the shard coordinates they expect, and the coordinator takes the
+// result as it comes.
 //
 // A fault costs whole shards, never bytes of the result: the Coordinator
 // bounds each attempt by a time limit, retries a failed shard from the start
@@ -213,11 +217,10 @@ func (b HTTP) baseURL() string {
 }
 
 // RunShardStream implements Backend over POST /v1/sweep: it posts the strict
-// v1 sweep request document and reads the NDJSON frame stream back. The
-// header's sweep hash and shard coordinates are verified before the first
-// graph is yielded — a misconfigured proxy or a stale server answering for a
-// different sweep is rejected before anything it says can be journaled —
-// and the strict stream reader turns a torn stream into a loud error.
+// v1 sweep request document and reads the NDJSON frame stream back through
+// textio.ReadShard, which checks the sweep hash at the header and every graph
+// before it is yielded, and turns a torn stream into a loud error. A stream
+// for another shard of the sweep is rejected once it has been read.
 func (b HTTP) RunShardStream(ctx context.Context, cfg expr.SweepConfig, yield func(expr.GraphResult) error) (*expr.ShardResult, error) {
 	cfg = cfg.Normalize()
 	reqDoc := textio.EncodeSweepRequest(cfg)
@@ -242,39 +245,13 @@ func (b HTTP) RunShardStream(ctx context.Context, cfg expr.SweepConfig, yield fu
 	if resp.StatusCode != http.StatusOK {
 		return nil, b.errorFor(resp)
 	}
-	sr, err := textio.NewSweepStreamReader(resp.Body)
+	sh, err := textio.ReadShard(resp.Body, wantHash, cfg, yield)
 	if err != nil {
 		return nil, err
 	}
-	h := sr.Header()
-	if h.SweepHash != wantHash {
-		return nil, fmt.Errorf("server returned sweep %s for requested sweep %s (shard %d/%d): response rejected",
-			h.SweepHash, wantHash, cfg.ShardIndex, cfg.ShardCount)
-	}
-	if h.ShardIndex != cfg.ShardIndex || h.ShardCount != cfg.ShardCount {
+	if sh.ShardIndex != cfg.ShardIndex || sh.ShardCount != cfg.ShardCount {
 		return nil, fmt.Errorf("server returned shard %d/%d for requested shard %d/%d",
-			h.ShardIndex, h.ShardCount, cfg.ShardIndex, cfg.ShardCount)
-	}
-	got := make(map[expr.GraphKey]expr.GraphResult, h.Graphs)
-	for {
-		g, err := sr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		got[g.Key()] = g
-		if yield != nil {
-			if err := yield(g); err != nil {
-				return nil, err
-			}
-		}
-	}
-	drainBody(resp.Body)
-	sh, err := cfg.AssembleShardResult(got)
-	if err != nil {
-		return nil, fmt.Errorf("streamed shard %d/%d: %w", cfg.ShardIndex, cfg.ShardCount, err)
+			sh.ShardIndex, sh.ShardCount, cfg.ShardIndex, cfg.ShardCount)
 	}
 	return sh, nil
 }

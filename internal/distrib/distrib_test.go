@@ -318,8 +318,8 @@ func TestCoordinatorRejectsForeignSweepHash(t *testing.T) {
 		RetryBaseDelay: time.Millisecond,
 	}
 	_, err := co.Run(context.Background(), expr.GoldenSweep())
-	if err == nil || !strings.Contains(err.Error(), "response rejected") {
-		t.Fatalf("Run against hash-mangling server = %v, want 'response rejected'", err)
+	if err == nil || !strings.Contains(err.Error(), "another sweep") {
+		t.Fatalf("Run against hash-mangling server = %v, want 'another sweep'", err)
 	}
 }
 

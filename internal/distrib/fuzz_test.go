@@ -17,8 +17,8 @@ import (
 // stray writer can, and pins how the shard loader answers: a file cut short,
 // with or without an unterminated tail, is an unfinished shard; a
 // newline-terminated line that is not JSON, a foreign sweep hash or wrong
-// shard coordinates fail loudly; arbitrary bytes never panic and never load
-// as a shard that does not cover exactly its graphs; and an undamaged file
+// shard coordinates fail loudly; arbitrary bytes never panic and load, if at
+// all, as exactly the shard's graphs in canonical order; and an undamaged file
 // yields exactly the shard that was written. The file is written once
 // through the journal and damaged in memory, so the target runs at parser
 // speed. Run with `go test -fuzz FuzzJournalSpool ./internal/distrib`.
@@ -79,8 +79,14 @@ func FuzzJournalSpool(f *testing.F) {
 			if err != nil || got == nil {
 				return
 			}
-			if verr := cfg.ValidateShardResult(got); verr != nil {
-				t.Fatalf("arbitrary bytes loaded as an invalid shard: %v", verr)
+			keys := cfg.ShardGraphs()
+			if got.ShardIndex != cfg.ShardIndex || got.ShardCount != cfg.ShardCount || len(got.Results) != len(keys) {
+				t.Fatalf("arbitrary bytes loaded as shard %d/%d of %d graphs", got.ShardIndex, got.ShardCount, len(got.Results))
+			}
+			for i, g := range got.Results {
+				if g.Key() != keys[i] {
+					t.Fatalf("arbitrary bytes loaded graph %+v as result %d, want %+v", g.Key(), i, keys[i])
+				}
 			}
 		}
 	})
@@ -90,10 +96,12 @@ func FuzzJournalSpool(f *testing.F) {
 // given sweep hash, shard coordinates and graph count.
 func retitle(t *testing.T, file []byte, hash string, index, count, graphs int) []byte {
 	t.Helper()
-	var head bytes.Buffer
-	if err := textio.NewSweepStreamWriter(&head).Header(hash, index, count, graphs); err != nil {
+	head, err := json.Marshal(&textio.GraphResultDoc{Frame: textio.FrameHeader, Header: &textio.StreamHeaderDoc{
+		Version: textio.ProblemVersion, SweepHash: hash, ShardIndex: index, ShardCount: count, Graphs: graphs,
+	}})
+	if err != nil {
 		t.Fatal(err)
 	}
 	_, rest, _ := bytes.Cut(file, []byte("\n"))
-	return append(head.Bytes(), rest...)
+	return append(append(head, '\n'), rest...)
 }

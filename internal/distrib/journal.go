@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -29,11 +28,13 @@ import (
 // count or backend fleet still finds its shards, while any change to the
 // sweep itself lands in a fresh directory.
 //
-// A file that ends before its summary frame (a crash mid-write) is an
-// unfinished shard: the shard is re-run whole and its file rewritten. Any
-// other damage — a line that is not a frame, a foreign sweep hash, wrong
-// shard coordinates, a graph outside the shard or listed twice — fails
-// loudly: a corrupt journal must not silently recompute.
+// A file is read by textio.ReadShard, the reader of server responses and
+// -merge inputs. One that ends before its summary frame (a crash mid-write)
+// is an unfinished shard: the shard is re-run whole and its file rewritten.
+// Any other damage — a line that is not a frame, a foreign sweep hash, a
+// graph count that is not the shard's size, a graph outside the shard or
+// listed twice, wrong shard coordinates — fails loudly: a corrupt journal
+// must not silently recompute.
 type Journal struct {
 	root string
 }
@@ -92,53 +93,21 @@ func (j *Journal) Load(hash string, cfg expr.SweepConfig, count int) ([]*expr.Sh
 	return done, nil
 }
 
-// readShard parses one shard file through the strict stream reader,
-// requiring the header to name the sweep hash, cfg's shard coordinates and
-// its graph count, and every graph frame to carry a distinct graph of the
-// shard. A file that ends before its summary frame is an unfinished shard:
-// nil, not an error.
+// readShard parses one shard file through textio.ReadShard and requires its
+// header to name cfg's shard coordinates. A file that ends before its summary
+// frame is an unfinished shard: nil, not an error.
 func readShard(data []byte, hash string, cfg expr.SweepConfig) (*expr.ShardResult, error) {
-	if len(data) == 0 {
+	sh, err := textio.ReadShard(bytes.NewReader(data), hash, cfg, nil)
+	switch {
+	case errors.Is(err, textio.ErrTornStream):
 		return nil, nil
-	}
-	sr, err := textio.NewSweepStreamReader(bytes.NewReader(data))
-	if errors.Is(err, textio.ErrTornStream) {
-		return nil, nil
-	}
-	if err != nil {
+	case err != nil:
 		return nil, err
+	case sh.ShardIndex != cfg.ShardIndex || sh.ShardCount != cfg.ShardCount:
+		return nil, fmt.Errorf("carries shard %d/%d, expected %d/%d",
+			sh.ShardIndex, sh.ShardCount, cfg.ShardIndex, cfg.ShardCount)
 	}
-	h := sr.Header()
-	if h.SweepHash != hash {
-		return nil, fmt.Errorf("carries sweep %s, expected %s", h.SweepHash, hash)
-	}
-	want := cfg.ShardGraphs()
-	if h.ShardIndex != cfg.ShardIndex || h.ShardCount != cfg.ShardCount || h.Graphs != len(want) {
-		return nil, fmt.Errorf("carries shard %d/%d of %d graphs, expected %d/%d of %d",
-			h.ShardIndex, h.ShardCount, h.Graphs, cfg.ShardIndex, cfg.ShardCount, len(want))
-	}
-	pending := make(map[expr.GraphKey]bool, len(want))
-	for _, k := range want {
-		pending[k] = true
-	}
-	got := make(map[expr.GraphKey]expr.GraphResult, len(want))
-	for {
-		g, err := sr.Next()
-		switch {
-		case err == io.EOF:
-			return cfg.AssembleShardResult(got)
-		case errors.Is(err, textio.ErrTornStream):
-			return nil, nil
-		case err != nil:
-			return nil, fmt.Errorf("graph %d: %w", len(got), err)
-		}
-		if !pending[g.Key()] {
-			return nil, fmt.Errorf("graph %d (%d nodes, %d paths, index %d) is outside the shard or listed twice",
-				len(got), g.Nodes, g.Paths, g.Index)
-		}
-		delete(pending, g.Key())
-		got[g.Key()] = g
-	}
+	return sh, nil
 }
 
 // write journals a completed shard: it writes the shard's whole frame stream
@@ -146,16 +115,14 @@ func readShard(data []byte, hash string, cfg expr.SweepConfig) (*expr.ShardResul
 // counts as journaled once write returns nil.
 func (j *Journal) write(hash string, cfg expr.SweepConfig, sh *expr.ShardResult) error {
 	var buf bytes.Buffer
-	sw := textio.NewSweepStreamWriter(&buf)
-	err := sw.Header(hash, cfg.ShardIndex, cfg.ShardCount, len(sh.Results))
-	for _, g := range sh.Results {
-		if err == nil {
-			err = sw.Graph(g)
+	err := textio.WriteShard(&buf, hash, cfg, func(yield func(expr.GraphResult) error) error {
+		for _, g := range sh.Results {
+			if err := yield(g); err != nil {
+				return err
+			}
 		}
-	}
-	if err == nil {
-		err = sw.Summary()
-	}
+		return nil
+	})
 	if err == nil {
 		err = os.MkdirAll(j.dir(hash), 0o755)
 	}

@@ -109,18 +109,25 @@ func TestJournalRejectsCorruptSpool(t *testing.T) {
 	header += "\n"
 	graph, _, _ := strings.Cut(rest, "\n")
 	graph += "\n"
+	_, cfg1, sh1 := journalFixture(t, 1, 2)
+	journalShard(t, jr, hash, cfg1, sh1)
+	other, err := os.ReadFile(shardPath(jr, hash, cfg1))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for name, tc := range map[string]struct{ content, want string }{
-		"terminated garbage":  {header + "{\n", "graph 0"},
-		"foreign sweep hash":  {strings.Replace(string(clean), hash, strings.Repeat("0", len(hash)), 1), "carries sweep"},
-		"wrong coordinates":   {strings.Replace(string(clean), `"shardIndex":0`, `"shardIndex":1`, 1), "carries shard"},
-		"wrong graph count":   {strings.Replace(header, `"graphs":`, `"graphs":1`, 1), "carries shard"},
-		"graph listed twice":  {header + graph + graph, "listed twice"},
+		"terminated garbage":  {header + "{\n", "unexpected EOF"},
+		"foreign sweep hash":  {strings.Replace(string(clean), hash, strings.Repeat("0", len(hash)), 1), "another sweep"},
+		"wrong coordinates":   {strings.Replace(string(clean), `"shardIndex":0`, `"shardIndex":1`, 1), "outside shard 1/2"},
+		"another shard":       {string(other), "carries shard 1/2, expected 0/2"},
+		"wrong graph count":   {strings.Replace(header, `"graphs":`, `"graphs":1`, 1), "announces"},
+		"graph listed twice":  {header + graph + graph, "repeats graph"},
 		"second header":       {header + header, "unexpected"},
 		"no header first":     {graph, "starts with"},
 		"bytes after summary": {string(clean) + graph, "continues after its summary"},
 		"foreign graph": {header + strings.Replace(graph, `"index":`, `"index":9`, 1),
-			"outside the shard"},
+			"outside shard 0/2"},
 	} {
 		if err := os.WriteFile(path, []byte(tc.content), 0o644); err != nil {
 			t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -20,9 +19,9 @@ func zeroShardTimes(sh *ShardResult) *ShardResult {
 }
 
 // TestRunSweepShardStreamMatchesUnary pins the streaming contract: the yields
-// of a streamed shard are exactly the entries of its final ShardResult, and a
-// result assembled from the yields alone is identical to the unary one — for
-// sequential and parallel workers.
+// of a streamed shard are exactly the entries of its final ShardResult, each
+// once, and that result is identical to the unary one — for sequential and
+// parallel workers.
 func TestRunSweepShardStreamMatchesUnary(t *testing.T) {
 	cfg := GoldenSweep()
 	cfg.ShardIndex, cfg.ShardCount = 0, 2
@@ -47,12 +46,13 @@ func TestRunSweepShardStreamMatchesUnary(t *testing.T) {
 		if !reflect.DeepEqual(zeroShardTimes(sh), zeroShardTimes(want)) {
 			t.Errorf("workers=%d: streamed ShardResult differs from unary", workers)
 		}
-		asm, err := cfg.AssembleShardResult(got)
-		if err != nil {
-			t.Fatalf("workers=%d: AssembleShardResult: %v", workers, err)
+		if len(got) != len(sh.Results) {
+			t.Errorf("workers=%d: %d graphs yielded, shard has %d", workers, len(got), len(sh.Results))
 		}
-		if !reflect.DeepEqual(zeroShardTimes(asm), zeroShardTimes(sh)) {
-			t.Errorf("workers=%d: assembled-from-yields result differs from streamed", workers)
+		for _, res := range sh.Results {
+			if got[res.Key()] != res {
+				t.Errorf("workers=%d: graph %+v yielded as %+v", workers, res, got[res.Key()])
+			}
 		}
 	}
 }
@@ -73,53 +73,5 @@ func TestRunSweepShardStreamYieldError(t *testing.T) {
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("RunSweepShardStream error = %v, want wrapped %v", err, boom)
-	}
-}
-
-// TestAssembleShardResultAccounting pins the strict coverage of assembly:
-// gaps, foreign extras and mis-filed entries are all loud errors.
-func TestAssembleShardResultAccounting(t *testing.T) {
-	cfg := GoldenSweep()
-	cfg.ShardIndex, cfg.ShardCount = 0, 2
-	full, err := RunSweepShardContext(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("RunSweepShardContext: %v", err)
-	}
-	complete := map[GraphKey]GraphResult{}
-	for _, res := range full.Results {
-		complete[res.Key()] = res
-	}
-
-	gap := map[GraphKey]GraphResult{}
-	for k, v := range complete {
-		gap[k] = v
-	}
-	for k := range gap {
-		delete(gap, k)
-		break
-	}
-	if _, err := cfg.AssembleShardResult(gap); err == nil || !strings.Contains(err.Error(), "missing") {
-		t.Errorf("gap: err = %v, want 'missing'", err)
-	}
-
-	extra := map[GraphKey]GraphResult{}
-	for k, v := range complete {
-		extra[k] = v
-	}
-	extra[GraphKey{Nodes: 999, Paths: 10, Index: 0}] = GraphResult{Nodes: 999, Paths: 10}
-	if _, err := cfg.AssembleShardResult(extra); err == nil || !strings.Contains(err.Error(), "foreign") {
-		t.Errorf("foreign extra: err = %v, want 'foreign'", err)
-	}
-
-	misfiled := map[GraphKey]GraphResult{}
-	for k, v := range complete {
-		misfiled[k] = v
-	}
-	wrongKey := full.Results[0].Key()
-	wrong := full.Results[0]
-	wrong.Index += 7
-	misfiled[wrongKey] = wrong
-	if _, err := cfg.AssembleShardResult(misfiled); err == nil || !strings.Contains(err.Error(), "carries coordinates") {
-		t.Errorf("misfiled entry: err = %v, want 'carries coordinates'", err)
 	}
 }

@@ -275,7 +275,7 @@ func (c SweepConfig) ShardSize() int {
 }
 
 // ShardGraphs returns the canonical-order keys of the graphs the config's
-// shard covers — the coverage a shard result must account for, graph by
+// shard covers — the coverage a shard stream must account for, graph by
 // graph.
 func (c SweepConfig) ShardGraphs() []GraphKey {
 	return c.Normalize().shardJobs()
@@ -284,20 +284,21 @@ func (c SweepConfig) ShardGraphs() []GraphKey {
 // GraphResult is the raw measurement of one scheduled graph of the sweep,
 // keyed by its (Nodes, Paths, Index) coordinates. Shards exchange these —
 // not aggregated cells — so the coordinator can re-aggregate in canonical
-// job order and reproduce a single-process run bit for bit.
+// job order and reproduce a single-process run bit for bit. The JSON tags
+// are the graph frame of textio's shard stream.
 type GraphResult struct {
-	Nodes int
-	Paths int
-	Index int
+	Nodes int `json:"nodes"`
+	Paths int `json:"paths"`
+	Index int `json:"index"`
 	// IncreasePct is 100*(δmax-δM)/δM of the graph.
-	IncreasePct float64
+	IncreasePct float64 `json:"increasePct"`
 	// MergeNs and PathSchedNs are the wall-clock merge and path-scheduling
 	// times (run-dependent; zero them for byte-identity comparisons).
-	MergeNs     float64
-	PathSchedNs float64
+	MergeNs     float64 `json:"mergeNs"`
+	PathSchedNs float64 `json:"pathSchedNs"`
 	// Violation reports a graph whose table failed validation (expected
 	// false everywhere).
-	Violation bool
+	Violation bool `json:"violation,omitempty"`
 }
 
 // ShardResult carries the partial results of one shard of a sweep, with the
@@ -309,50 +310,6 @@ type ShardResult struct {
 	// Results holds one entry per graph of the shard, in canonical job
 	// order.
 	Results []GraphResult
-}
-
-// ValidateShardResult checks a shard result against the config's shard
-// coordinates: the result must claim the same (ShardIndex, ShardCount) and
-// cover exactly the graphs the stable shard assignment puts in that shard —
-// no foreign graphs, no duplicates, no gaps. A coordinator runs every result
-// received from a backend (or reloaded from a journal) through this check
-// before accepting it, so a truncated, foreign or corrupted partial result is
-// rejected at the source instead of surfacing later as a MergeCells coverage
-// error attributed to the wrong shard.
-func (c SweepConfig) ValidateShardResult(sh *ShardResult) error {
-	c = c.Normalize()
-	if sh == nil {
-		return fmt.Errorf("expr: nil shard result")
-	}
-	if err := c.ValidateShard(); err != nil {
-		return err
-	}
-	if err := c.validateGrid(); err != nil {
-		return err
-	}
-	if sh.ShardIndex != c.ShardIndex || sh.ShardCount != c.ShardCount {
-		return fmt.Errorf("expr: shard result claims shard %d/%d; want %d/%d",
-			sh.ShardIndex, sh.ShardCount, c.ShardIndex, c.ShardCount)
-	}
-	jobs := c.shardJobs()
-	missing := make(map[GraphKey]bool, len(jobs))
-	for _, j := range jobs {
-		missing[j] = true
-	}
-	for i := range sh.Results {
-		res := &sh.Results[i]
-		j := res.Key()
-		if !missing[j] {
-			return fmt.Errorf("expr: shard %d/%d result covers graph (%d nodes, %d paths, index %d) outside the shard, or twice",
-				c.ShardIndex, c.ShardCount, res.Nodes, res.Paths, res.Index)
-		}
-		delete(missing, j)
-	}
-	if len(missing) > 0 {
-		return fmt.Errorf("expr: shard %d/%d result covers %d of %d graphs",
-			c.ShardIndex, c.ShardCount, len(jobs)-len(missing), len(jobs))
-	}
-	return nil
 }
 
 // RunSweepShardContext generates and schedules the graphs of the config's
@@ -471,43 +428,6 @@ func RunSweepShardStream(ctx context.Context, cfg SweepConfig, yield func(GraphR
 		}
 	}
 	return &ShardResult{ShardIndex: cfg.ShardIndex, ShardCount: cfg.ShardCount, Results: results}, nil
-}
-
-// AssembleShardResult builds the ShardResult of the config's shard from
-// per-graph results received out of order (a streamed shard, or a journal
-// file). The map must cover exactly the shard's graphs; gaps and foreign
-// entries are errors, so a torn stream cannot
-// masquerade as a complete shard. The entries are laid out in canonical job
-// order — the same result a unary RunSweepShardContext returns — by walking
-// the ordered job list and looking each key up, never by ranging over the
-// map, so assembly is deterministic.
-func (c SweepConfig) AssembleShardResult(got map[GraphKey]GraphResult) (*ShardResult, error) {
-	c = c.Normalize()
-	if err := c.ValidateShard(); err != nil {
-		return nil, err
-	}
-	if err := c.validateGrid(); err != nil {
-		return nil, err
-	}
-	jobs := c.shardJobs()
-	results := make([]GraphResult, 0, len(jobs))
-	for _, j := range jobs {
-		res, ok := got[j]
-		if !ok {
-			return nil, fmt.Errorf("expr: assembling shard %d/%d: %d of %d graphs received, missing (%d nodes, %d paths, index %d)",
-				c.ShardIndex, c.ShardCount, len(got), len(jobs), j.Nodes, j.Paths, j.Index)
-		}
-		if res.Key() != j {
-			return nil, fmt.Errorf("expr: assembling shard %d/%d: result filed under (%d nodes, %d paths, index %d) carries coordinates (%d nodes, %d paths, index %d)",
-				c.ShardIndex, c.ShardCount, j.Nodes, j.Paths, j.Index, res.Nodes, res.Paths, res.Index)
-		}
-		results = append(results, res)
-	}
-	if len(got) > len(jobs) {
-		return nil, fmt.Errorf("expr: assembling shard %d/%d: %d results for %d graphs — foreign graphs present",
-			c.ShardIndex, c.ShardCount, len(got), len(jobs))
-	}
-	return &ShardResult{ShardIndex: c.ShardIndex, ShardCount: c.ShardCount, Results: results}, nil
 }
 
 // RunSweep generates the graphs of the sweep, produces a schedule table for

@@ -240,18 +240,15 @@ func TestOverloadShedding(t *testing.T) {
 	}
 }
 
-// TestDrainShedding pins the drain semantics: after POST /v1/drain, work
-// endpoints shed with 503 + the drain Retry-After while /metrics and
-// /healthz keep answering; ?resume=1 restores admission.
+// TestDrainShedding pins the drain semantics: once SetDraining (what
+// cpgserve does on SIGTERM), work endpoints shed with 503 + the drain
+// Retry-After while /metrics and /healthz keep answering; SetDraining(false)
+// restores admission.
 func TestDrainShedding(t *testing.T) {
-	_, ts, _ := metricsServer(t, Options{DrainRetryAfter: 9 * time.Second})
+	srv, ts, _ := metricsServer(t, Options{DrainRetryAfter: 9 * time.Second})
+	srv.SetDraining(true)
 
-	resp, body := postJSON(t, ts.URL+"/v1/drain", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("drain status %d: %s", resp.StatusCode, body)
-	}
-
-	resp, body = postJSON(t, ts.URL+"/v1/schedule", figure1Doc(t))
+	resp, body := postJSON(t, ts.URL+"/v1/schedule", figure1Doc(t))
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining schedule status = %d, want 503; body %s", resp.StatusCode, body)
 	}
@@ -286,10 +283,7 @@ func TestDrainShedding(t *testing.T) {
 		t.Fatalf("draining /healthz = %d %s", hresp.StatusCode, hbody)
 	}
 
-	resp, _ = postJSON(t, ts.URL+"/v1/drain?resume=1", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("resume status %d", resp.StatusCode)
-	}
+	srv.SetDraining(false)
 	resp, body = postJSON(t, ts.URL+"/v1/schedule", figure1Doc(t))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-resume schedule status = %d: %s", resp.StatusCode, body)

@@ -14,20 +14,14 @@
 //	POST /v1/simulate?cond=C=1    schedule, then re-enact the matching
 //	                              alternative paths against the table
 //	POST /v1/sweep?workers=N      execute one shard of a Fig. 5/6 sweep and
-//	                              stream its raw per-graph results as NDJSON
-//	                              frames (header, one frame per completed
-//	                              graph, trailing summary) so coordinators
-//	                              can journal and merge graph by graph
-//	POST /v1/drain                stop admitting schedulable work: new
-//	                              schedule/simulate/sweep requests are shed
-//	                              with 503 + Retry-After while in-flight ones
-//	                              finish, and /healthz advertises "draining";
-//	                              sweep coordinators retry the 503 sheds
-//	                              later; &resume=1 reverts
+//	                              stream its raw per-graph results through
+//	                              textio.WriteShard (header, one graph frame
+//	                              per completed graph, trailing summary), the
+//	                              frame stream textio.ReadShard checks
 //	GET  /metrics                 Prometheus text exposition of the request,
 //	                              admission, service and cache metrics
 //	GET  /healthz                 liveness plus service counters ("draining"
-//	                              after POST /v1/drain)
+//	                              once SetDraining, on SIGTERM in cpgserve)
 //
 // Every error is reported as a JSON envelope {"error":{"status":...,
 // "message":...}}. The per-request ?workers= limit is clamped by the global
@@ -40,10 +34,10 @@
 // bounded concurrency and a live in-flight gauge. A request over the bound
 // is shed immediately with 429, a Retry-After hint and the JSON error
 // envelope, instead of stacking goroutines behind the worker-token budget
-// until the client times out; during a drain window both classes shed with
-// 503 so a loaded-or-leaving backend is distinguishable from a dead one.
-// Observability endpoints (/metrics, /healthz, /v1/drain) are never shed —
-// an overloaded server must stay diagnosable.
+// until the client times out; during a drain window (SetDraining) both
+// classes shed with 503 so a loaded-or-leaving backend is distinguishable
+// from a dead one. Observability endpoints (/metrics, /healthz) are never
+// shed — an overloaded server must stay diagnosable.
 package httpserver
 
 import (
@@ -237,7 +231,6 @@ func (s *Server) Routes(logger *log.Logger) http.Handler {
 	mux.Handle("POST /v1/schedule", s.instrument("/v1/schedule", s.light, s.handleSchedule))
 	mux.Handle("POST /v1/simulate", s.instrument("/v1/simulate", s.light, s.handleSimulate))
 	mux.Handle("POST /v1/sweep", s.instrument("/v1/sweep", s.heavy, s.handleSweep))
-	mux.Handle("POST /v1/drain", s.instrument("/v1/drain", nil, s.handleDrain))
 	mux.Handle("GET /healthz", s.instrument("/healthz", nil, s.handleHealthz))
 	mux.Handle("GET /metrics", s.instrument("/metrics", nil, obs.Handler(s.metrics).ServeHTTP))
 	if logger == nil {
@@ -521,14 +514,13 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSweep executes one shard of a Fig. 5/6 sweep under the service's
-// global worker budget and streams the raw per-graph results as an NDJSON
-// frame stream (header, one graph frame per completed graph, trailing
-// summary), so a coordinator can journal each graph as it arrives and merge
-// shards from many servers into the exact cells of a single-process run.
-// Request errors get the usual envelope; once the 200 and the header frame
-// are committed, a failure travels in-band as an error frame — the strict
-// stream reader turns a missing or mismatched summary into a loud
-// torn-stream error, never a silently short shard.
+// global worker budget and streams the raw per-graph results through
+// textio.WriteShard (header, one graph frame per completed graph, trailing
+// summary), so a coordinator can merge shards from many servers into the
+// exact cells of a single-process run. Request errors get the usual
+// envelope; once the 200 and the header frame are committed, a failure
+// travels in-band as an error frame — the strict reader turns a missing or
+// mismatched summary into a loud error, never a silently short shard.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	_, cfg, err := textio.ReadSweepRequest(http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err != nil {
@@ -541,7 +533,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	} else if ok {
 		cfg.Workers = n
 	}
-	fl, ok := w.(http.Flusher)
+	_, ok := w.(http.Flusher)
 	if sw, isSW := w.(*statusWriter); isSW && !sw.flushable() {
 		ok = false
 	}
@@ -549,9 +541,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotImplemented, errors.New("streaming requires a flushable connection"))
 		return
 	}
-	// The stream header needs the sweep hash and the shard's coverage before
-	// the first graph completes, so derive both from the normalized config.
-	cfg = cfg.Normalize()
+	// The stream header needs the sweep hash before the first graph
+	// completes.
 	hash, err := textio.SweepHash(textio.EncodeSweepRequest(cfg))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
@@ -559,49 +550,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	out := textio.NewSweepStreamWriter(w)
-	if err := out.Header(hash, cfg.ShardIndex, cfg.ShardCount, cfg.ShardSize()); err != nil {
-		return
-	}
-	fl.Flush()
-	_, err = s.svc.SweepShard(r.Context(), cfg, func(g expr.GraphResult) error {
-		if err := out.Graph(g); err != nil {
-			return err
-		}
-		fl.Flush()
-		return nil
+	// The 200 is committed: WriteShard reports a failure in-band, and there
+	// is nobody else to report it to.
+	_ = textio.WriteShard(w, hash, cfg, func(yield func(expr.GraphResult) error) error {
+		_, err := s.svc.SweepShard(r.Context(), cfg, yield)
+		return err
 	})
-	if err != nil {
-		// The 200 is committed; report in-band (best effort — the client may
-		// be the reason we failed).
-		out.Error(err.Error())
-		fl.Flush()
-		return
-	}
-	out.Summary()
-	fl.Flush()
-}
-
-// drainDoc is the response of POST /v1/drain.
-type drainDoc struct {
-	Status string `json:"status"`
-}
-
-// handleDrain switches the server into (or with ?resume=1, out of) drain
-// mode: in-flight requests are still served, new schedulable work is shed
-// with 503 + Retry-After, and /healthz advertises "draining". A sweep
-// coordinator meets a draining backend only through those 503 sheds: it
-// retries the shard after the Retry-After, on whichever backend is idle
-// first, without counting the shed toward eviction. Observability endpoints
-// keep working throughout.
-func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
-	resume := r.URL.Query().Get("resume") != ""
-	s.draining.Store(!resume)
-	doc := &drainDoc{Status: "draining"}
-	if resume {
-		doc.Status = "ok"
-	}
-	writeJSON(w, http.StatusOK, doc)
 }
 
 // SetDraining flips the server's drain flag programmatically — what cpgserve

@@ -350,47 +350,6 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// TestDrainEndpoint: POST /v1/drain flips /healthz to "draining" (what the
-// sweep registry's prober watches), and ?resume=1 flips it back.
-func TestDrainEndpoint(t *testing.T) {
-	ts := testServer(t)
-	health := func() string {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/healthz")
-		if err != nil {
-			t.Fatalf("GET /healthz: %v", err)
-		}
-		defer resp.Body.Close()
-		var doc healthDoc
-		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-			t.Fatalf("decode healthz: %v", err)
-		}
-		return doc.Status
-	}
-	if got := health(); got != "ok" {
-		t.Fatalf("initial health = %q", got)
-	}
-	resp, body := postJSON(t, ts.URL+"/v1/drain", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("drain status %d: %s", resp.StatusCode, body)
-	}
-	var dd struct {
-		Status string `json:"status"`
-	}
-	if err := json.Unmarshal(body, &dd); err != nil || dd.Status != "draining" {
-		t.Fatalf("drain response = %s (%v), want status draining", body, err)
-	}
-	if got := health(); got != "draining" {
-		t.Fatalf("health after drain = %q, want draining", got)
-	}
-	if resp, body := postJSON(t, ts.URL+"/v1/drain?resume=1", nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("resume status %d: %s", resp.StatusCode, body)
-	}
-	if got := health(); got != "ok" {
-		t.Fatalf("health after resume = %q, want ok", got)
-	}
-}
-
 // TestScheduleEndpointStrategyParam pins the per-request strategy override:
 // an unknown strategy, in ?strategy= or in the document's options, is
 // rejected with a 400 JSON error envelope listing the known strategies

@@ -22,9 +22,9 @@ func sweepRequestBody(t *testing.T, cfg expr.SweepConfig) []byte {
 }
 
 // TestSweepEndpointMatchesInProcess pins the acceptance property of the
-// sweep endpoint: the NDJSON frames of a served shard reassemble into
-// exactly the per-graph results of an in-process expr.RunSweepShardContext
-// (wall-clock timing aside).
+// sweep endpoint: the NDJSON frames of a served shard read back, through
+// textio.ReadShard, as exactly the per-graph results of an in-process
+// expr.RunSweepShardContext (wall-clock timing aside).
 func TestSweepEndpointMatchesInProcess(t *testing.T) {
 	ts := testServer(t)
 	cfg := expr.GoldenSweep()
@@ -42,25 +42,17 @@ func TestSweepEndpointMatchesInProcess(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Fatalf("Content-Type = %q, want application/x-ndjson", ct)
 	}
-	got := map[expr.GraphKey]expr.GraphResult{}
-	header, summary, err := textio.ReadSweepStream(bytes.NewReader(out), func(g expr.GraphResult) error {
-		got[g.Key()] = g
-		return nil
-	})
+	hash, err := textio.SweepHash(textio.EncodeSweepRequest(cfg))
 	if err != nil {
-		t.Fatalf("ReadSweepStream: %v", err)
+		t.Fatalf("SweepHash: %v", err)
 	}
-	if header.ShardIndex != cfg.ShardIndex || header.ShardCount != cfg.ShardCount {
+	got, err := textio.ReadShard(bytes.NewReader(out), hash, cfg, nil)
+	if err != nil {
+		t.Fatalf("ReadShard: %v", err)
+	}
+	if got.ShardIndex != cfg.ShardIndex || got.ShardCount != cfg.ShardCount {
 		t.Fatalf("stream header coords %d/%d, want %d/%d",
-			header.ShardIndex, header.ShardCount, cfg.ShardIndex, cfg.ShardCount)
-	}
-	if header.Graphs != len(want.Results) || summary.Graphs != len(want.Results) {
-		t.Fatalf("stream announced %d / summarized %d graphs, want %d",
-			header.Graphs, summary.Graphs, len(want.Results))
-	}
-	asm, err := cfg.Normalize().AssembleShardResult(got)
-	if err != nil {
-		t.Fatalf("AssembleShardResult: %v", err)
+			got.ShardIndex, got.ShardCount, cfg.ShardIndex, cfg.ShardCount)
 	}
 	zero := func(sh *expr.ShardResult) *expr.ShardResult {
 		c := *sh
@@ -71,8 +63,8 @@ func TestSweepEndpointMatchesInProcess(t *testing.T) {
 		}
 		return &c
 	}
-	if !reflect.DeepEqual(zero(asm), zero(want)) {
-		t.Fatalf("served shard differs from in-process shard:\n%+v\nvs\n%+v", asm, want)
+	if !reflect.DeepEqual(zero(got), zero(want)) {
+		t.Fatalf("served shard differs from in-process shard:\n%+v\nvs\n%+v", got, want)
 	}
 }
 

@@ -3,14 +3,13 @@ package service
 import (
 	"context"
 	"errors"
-	"reflect"
 	"testing"
 
 	"repro/internal/expr"
 )
 
 // TestSweepShardStreamMatchesUnary pins the service streaming contract: the
-// yields of a streamed shard reassemble into the returned shard result.
+// yields of a streamed shard are the returned shard result, each graph once.
 func TestSweepShardStreamMatchesUnary(t *testing.T) {
 	svc := mustNew(t, Config{Workers: 2})
 	cfg := sweepConfig()
@@ -26,12 +25,13 @@ func TestSweepShardStreamMatchesUnary(t *testing.T) {
 	for _, g := range streamed {
 		got[g.Key()] = g
 	}
-	asm, err := cfg.AssembleShardResult(got)
-	if err != nil {
-		t.Fatalf("AssembleShardResult: %v", err)
+	if len(got) != len(streamed) || len(got) != len(sol.Shard.Results) {
+		t.Fatalf("%d yields of %d distinct graphs for a shard of %d", len(streamed), len(got), len(sol.Shard.Results))
 	}
-	if !reflect.DeepEqual(zeroShardTimes(asm), zeroShardTimes(sol.Shard)) {
-		t.Fatal("streamed graphs differ from the returned shard result")
+	for _, res := range sol.Shard.Results {
+		if got[res.Key()] != res {
+			t.Fatalf("streamed graph %+v differs from the returned %+v", got[res.Key()], res)
+		}
 	}
 }
 

@@ -2,9 +2,11 @@ package textio
 
 import (
 	"bytes"
-	"io"
+	"fmt"
 	"os"
 	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/expr"
@@ -87,69 +89,61 @@ func FuzzReadProblem(f *testing.F) {
 	})
 }
 
-// FuzzReadSweepStream throws arbitrary bytes at the strict sweep stream
-// reader: it must never panic, io.EOF must come only after a summary whose
-// count matches both the header and the graph frames received, and whatever
-// the reader accepted must round-trip through the writer. Run with
-// `go test -fuzz FuzzReadSweepStream ./internal/textio`.
+// FuzzReadSweepStream throws arbitrary bytes at ReadShard, the one reader of
+// sweep shard streams, starting from a real shard (shard 0/2 of the golden
+// sweep): it must never panic, and whatever it accepts must be exactly the
+// graphs of the shard its header names, each yielded once, returned in
+// canonical order, and written back through WriteShard to the same shard.
+// Run with `go test -fuzz FuzzReadSweepStream ./internal/textio`.
 func FuzzReadSweepStream(f *testing.F) {
-	head := `{"frame":"header","header":{"version":"v1","sweepHash":"h","shardIndex":0,"shardCount":1,"graphs":1}}` + "\n"
-	graph := `{"frame":"graph","graph":{"nodes":40,"paths":10,"index":0,"increasePct":1.5,"mergeNs":2,"pathSchedNs":3}}` + "\n"
-	summary := `{"frame":"summary","summary":{"graphs":1}}` + "\n"
-	f.Add([]byte(head + graph + summary))
-	f.Add([]byte(head + graph))
-	f.Add([]byte(head + graph + summary[:10]))
-	f.Add([]byte(head + graph + summary + graph))
+	fx := goldenShard(f)
+	ls := lines(fx.stream)
+	n := len(fx.shard.Results)
+	head, graphs := ls[0], strings.Join(ls[1:n+1], "")
+	// The repeated-graph stream: header and summary agree on one graph more
+	// than the shard has, and the extra frame repeats the first graph.
+	repeated := strings.Replace(head, fmt.Sprintf(`"graphs":%d`, n), fmt.Sprintf(`"graphs":%d`, n+1), 1) +
+		graphs + regexp.MustCompile(`"increasePct":[^,]+`).ReplaceAllString(ls[1], `"increasePct":999`) + summaryLine(n+1)
+	f.Add(fx.stream)
+	f.Add([]byte(repeated))
+	f.Add([]byte(head + graphs))
+	f.Add([]byte(head + graphs + summaryLine(n)[:10]))
+	f.Add([]byte(head + graphs + summaryLine(n) + ls[1]))
 	f.Add([]byte(head + `{"frame":"error","error":{"message":"x"}}` + "\n"))
 	f.Add([]byte(``))
+	f.Add([]byte(head + ls[1] + ls[1] + strings.Join(ls[3:], "")))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sr, err := NewSweepStreamReader(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		h := sr.Header()
-		var graphs []expr.GraphResult
-		for {
-			g, err := sr.Next()
-			if err == io.EOF {
-				sum := sr.Summary()
-				if sum == nil || sum.Graphs != h.Graphs || sum.Graphs != len(graphs) {
-					t.Fatalf("clean end with summary %+v after %d graph frames, header announced %d", sum, len(graphs), h.Graphs)
-				}
-				break
-			}
-			if err != nil {
-				if sr.Summary() != nil {
-					t.Fatalf("failed stream exposes a summary: %v", err)
-				}
-				break
-			}
-			graphs = append(graphs, g)
-		}
-		var buf bytes.Buffer
-		sw := NewSweepStreamWriter(&buf)
-		if err := sw.Header(h.SweepHash, h.ShardIndex, h.ShardCount, len(graphs)); err != nil {
-			t.Fatalf("Header: %v", err)
-		}
-		for _, g := range graphs {
-			if err := sw.Graph(g); err != nil {
-				t.Fatalf("Graph: %v", err)
-			}
-		}
-		if err := sw.Summary(); err != nil {
-			t.Fatalf("Summary: %v", err)
-		}
-		var again []expr.GraphResult
-		h2, sum2, err := ReadSweepStream(&buf, func(g expr.GraphResult) error {
-			again = append(again, g)
+		var yields []expr.GraphResult
+		sh, err := ReadShard(bytes.NewReader(data), fx.hash, fx.cfg, func(g expr.GraphResult) error {
+			yields = append(yields, g)
 			return nil
 		})
 		if err != nil {
-			t.Fatalf("writer output rejected: %v", err)
+			return
 		}
-		if h2.SweepHash != h.SweepHash || h2.ShardIndex != h.ShardIndex || h2.ShardCount != h.ShardCount ||
-			sum2.Graphs != len(graphs) || !reflect.DeepEqual(again, graphs) {
-			t.Fatalf("stream drifted through write/read: %+v %+v, %d vs %d graphs", h2, sum2, len(again), len(graphs))
+		cfg := fx.cfg
+		cfg.ShardIndex, cfg.ShardCount = sh.ShardIndex, sh.ShardCount
+		keys := cfg.ShardGraphs()
+		if len(sh.Results) != len(keys) || len(yields) != len(keys) {
+			t.Fatalf("accepted %d results and %d yields for shard %d/%d of %d graphs",
+				len(sh.Results), len(yields), sh.ShardIndex, sh.ShardCount, len(keys))
+		}
+		yielded := make(map[expr.GraphKey]expr.GraphResult, len(yields))
+		for _, g := range yields {
+			yielded[g.Key()] = g
+		}
+		for i, g := range sh.Results {
+			if g.Key() != keys[i] || yielded[g.Key()] != g {
+				t.Fatalf("result %d is graph %+v, want %+v, yielded once", i, g.Key(), keys[i])
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteShard(&buf, fx.hash, cfg, yieldAll(sh.Results)); err != nil {
+			t.Fatalf("WriteShard: %v", err)
+		}
+		again, err := ReadShard(&buf, fx.hash, fx.cfg, nil)
+		if err != nil || !reflect.DeepEqual(again, sh) {
+			t.Fatalf("shard drifted through WriteShard and ReadShard: %v", err)
 		}
 	})
 }

@@ -8,18 +8,16 @@ package textio
 // line:
 //
 //	{"frame":"header","header":{...}}    exactly once, first
-//	{"frame":"graph","graph":{...}}      once per completed graph
+//	{"frame":"graph","graph":{...}}      once per graph of the shard
 //	{"frame":"summary","summary":{...}}  exactly once, last
 //	{"frame":"error","error":{...}}      instead of further frames on failure
 //
-// The header carries the sweep hash, the shard coordinates and the expected
+// The header carries the sweep hash, the shard coordinates and the shard's
 // graph count; the trailing summary repeats the count of graph frames
-// actually sent. Decoding is strict line by line (every line must hold
-// exactly one frame; unknown fields, trailing data and unknown frame kinds
-// are rejected) and coverage is accounted frame by frame: a stream that ends
-// without a summary, or whose summary disagrees with the frames before it,
-// is a torn stream and fails loudly — a reader can trust that io.EOF from
-// Next means the shard arrived whole.
+// actually sent. WriteShard is the one writer and ReadShard the one reader:
+// every check of a shard's bytes is made in ReadShard, where the bytes enter
+// the program, so a server response, a journal file and a -merge input are
+// held to the same rules.
 
 import (
 	"bufio"
@@ -40,19 +38,22 @@ const (
 	FrameError   = "error"
 )
 
-// GraphResultDoc is one frame of a streamed sweep shard: a tagged union
-// whose Frame field selects exactly one of the payload pointers.
+// GraphResultDoc is one frame of a sweep shard stream: a tagged union whose
+// Frame field selects exactly one of the payload pointers. A graph frame
+// carries the raw measurement of one graph; its floats round-trip exactly
+// through JSON (shortest-representation encoding), which is what lets a
+// coordinator reproduce the single-process aggregation bit for bit.
 type GraphResultDoc struct {
 	Frame   string            `json:"frame"`
 	Header  *StreamHeaderDoc  `json:"header,omitempty"`
-	Graph   *SweepGraphDoc    `json:"graph,omitempty"`
+	Graph   *expr.GraphResult `json:"graph,omitempty"`
 	Summary *StreamSummaryDoc `json:"summary,omitempty"`
 	Error   *StreamErrorDoc   `json:"error,omitempty"`
 }
 
 // StreamHeaderDoc opens a sweep stream: the version, the sweep content hash,
 // the shard coordinates and the number of graph frames the stream will carry
-// (the shard's coverage).
+// (the shard's size).
 type StreamHeaderDoc struct {
 	Version    string `json:"version"`
 	SweepHash  string `json:"sweepHash,omitempty"`
@@ -62,57 +63,194 @@ type StreamHeaderDoc struct {
 }
 
 // StreamSummaryDoc closes a sweep stream. Graphs must equal both the
-// header's announced count and the number of graph frames actually sent —
-// any disagreement marks the stream torn.
+// header's announced count and the number of graph frames actually sent.
 type StreamSummaryDoc struct {
 	Graphs int `json:"graphs"`
 }
 
-// StreamErrorDoc aborts a sweep stream: the server failed after the 200
-// header was committed, so the failure travels in-band.
+// StreamErrorDoc aborts a sweep stream: the writer failed after the header
+// was committed, so the failure travels in-band.
 type StreamErrorDoc struct {
 	Message string `json:"message"`
 }
 
-// EncodeGraphResult renders one graph measurement in document form.
-func EncodeGraphResult(g expr.GraphResult) *SweepGraphDoc {
-	return &SweepGraphDoc{
-		Nodes:       g.Nodes,
-		Paths:       g.Paths,
-		Index:       g.Index,
-		IncreasePct: g.IncreasePct,
-		MergeNs:     g.MergeNs,
-		PathSchedNs: g.PathSchedNs,
-		Violation:   g.Violation,
+// WriteShard writes the frame stream of cfg's shard of the sweep whose
+// content hash is hash: the header, one graph frame per graph that run
+// passes to yield, then the summary — or, when run fails, an error frame
+// carrying its message. run must not call yield concurrently. Every frame is
+// one Write of one whole line, so a crash mid-write tears at most the last
+// line of a file, and w is flushed after each frame when it has a Flush
+// method (an HTTP response). A failed write makes yield, and WriteShard,
+// return the write error.
+func WriteShard(w io.Writer, hash string, cfg expr.SweepConfig, run func(yield func(expr.GraphResult) error) error) error {
+	cfg = cfg.Normalize()
+	fl, _ := w.(interface{ Flush() })
+	emit := func(d *GraphResultDoc) error {
+		line, err := json.Marshal(d)
+		if err != nil {
+			return fmt.Errorf("textio: %w", err)
+		}
+		if _, err := w.Write(append(line, '\n')); err != nil {
+			return fmt.Errorf("textio: %w", err)
+		}
+		if fl != nil {
+			fl.Flush()
+		}
+		return nil
 	}
-}
-
-// DecodeGraphResult rebuilds a graph measurement from its document form.
-func DecodeGraphResult(d *SweepGraphDoc) expr.GraphResult {
-	return expr.GraphResult{
-		Nodes:       d.Nodes,
-		Paths:       d.Paths,
-		Index:       d.Index,
-		IncreasePct: d.IncreasePct,
-		MergeNs:     d.MergeNs,
-		PathSchedNs: d.PathSchedNs,
-		Violation:   d.Violation,
+	if err := emit(&GraphResultDoc{Frame: FrameHeader, Header: &StreamHeaderDoc{
+		Version:    ProblemVersion,
+		SweepHash:  hash,
+		ShardIndex: cfg.ShardIndex,
+		ShardCount: cfg.ShardCount,
+		Graphs:     cfg.ShardSize(),
+	}}); err != nil {
+		return err
 	}
-}
-
-// marshalFrame renders one frame as a single NDJSON line (compact JSON plus
-// a trailing newline), the unit SweepStreamWriter writes.
-func marshalFrame(d *GraphResultDoc) ([]byte, error) {
-	b, err := json.Marshal(d)
+	graphs := 0
+	err := run(func(g expr.GraphResult) error {
+		if err := emit(&GraphResultDoc{Frame: FrameGraph, Graph: &g}); err != nil {
+			return err
+		}
+		graphs++
+		return nil
+	})
 	if err != nil {
+		// Best effort: the reader may be the reason run failed.
+		_ = emit(&GraphResultDoc{Frame: FrameError, Error: &StreamErrorDoc{Message: err.Error()}})
+		return err
+	}
+	return emit(&GraphResultDoc{Frame: FrameSummary, Summary: &StreamSummaryDoc{Graphs: graphs}})
+}
+
+// ErrTornStream marks a sweep stream that ended before its summary frame:
+// a connection cut mid-shard, or the journal file of an unfinished shard.
+var ErrTornStream = errors.New("textio: torn sweep stream")
+
+// maxFrameLine bounds one frame line. A graph frame takes about 150 bytes,
+// so only a runaway error message or a hostile peer comes near it.
+const maxFrameLine = 64 << 10
+
+// ReadShard reads one shard of sweep, the sweep whose content hash is hash,
+// from its frame stream and returns it with its results in canonical order.
+// It checks:
+//   - at the header, the version and the sweep hash, and that the graph
+//     count is the size of the shard the header names (sweep's own shard
+//     coordinates are ignored);
+//   - that every graph frame carries a distinct graph of that shard, before
+//     yield (when non-nil) sees it;
+//   - that the summary closes the stream with the count of graphs received,
+//     and nothing follows it.
+//
+// A stream that ends before its summary frame returns an error wrapping
+// ErrTornStream; an error frame returns the writer's message; any other
+// damage is a plain error. The header's shard coordinates come back in the
+// result, for the caller to compare with the ones it expects.
+func ReadShard(r io.Reader, hash string, sweep expr.SweepConfig, yield func(expr.GraphResult) error) (*expr.ShardResult, error) {
+	br := bufio.NewReaderSize(r, maxFrameLine)
+	d, err := nextFrame(br)
+	if err == io.EOF {
+		return nil, fmt.Errorf("%w: EOF before the header frame", ErrTornStream)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if d.Frame != FrameHeader {
+		return nil, fmt.Errorf("textio: sweep stream starts with a %q frame; want %q", d.Frame, FrameHeader)
+	}
+	h := d.Header
+	switch {
+	case h.Version != ProblemVersion:
+		return nil, fmt.Errorf("textio: unsupported sweep stream version %q (this build understands %q)", h.Version, ProblemVersion)
+	// Coordinate overlap alone cannot tell a shard of another seed or other
+	// options apart, so a stream without a hash is as foreign as one with
+	// another hash.
+	case h.SweepHash == "":
+		return nil, fmt.Errorf("textio: sweep stream carries no sweepHash; cannot verify it belongs to sweep %s", hash)
+	case h.SweepHash != hash:
+		return nil, fmt.Errorf("textio: sweep stream belongs to another sweep (hash %s, want %s)", h.SweepHash, hash)
+	case h.ShardCount < 1 || h.ShardIndex < 0 || h.ShardIndex >= h.ShardCount:
+		return nil, fmt.Errorf("textio: sweep stream header claims shard %d/%d", h.ShardIndex, h.ShardCount)
+	}
+	sweep.ShardIndex, sweep.ShardCount = h.ShardIndex, h.ShardCount
+	keys := sweep.ShardGraphs()
+	if h.Graphs != len(keys) {
+		return nil, fmt.Errorf("textio: sweep stream header announces %d graphs; shard %d/%d has %d",
+			h.Graphs, h.ShardIndex, h.ShardCount, len(keys))
+	}
+	slot := make(map[expr.GraphKey]int, len(keys))
+	for i, k := range keys {
+		slot[k] = i
+	}
+	sh := &expr.ShardResult{ShardIndex: h.ShardIndex, ShardCount: h.ShardCount, Results: make([]expr.GraphResult, len(keys))}
+	seen := make([]bool, len(keys))
+	received := 0
+	for {
+		d, err := nextFrame(br)
+		if err == io.EOF {
+			return nil, fmt.Errorf("%w: EOF after %d of %d graphs without a summary frame", ErrTornStream, received, h.Graphs)
+		}
+		if err != nil {
+			return nil, err
+		}
+		switch d.Frame {
+		case FrameGraph:
+			g := *d.Graph
+			i, ok := slot[g.Key()]
+			switch {
+			case !ok:
+				return nil, fmt.Errorf("textio: sweep stream graph (%d nodes, %d paths, index %d) is outside shard %d/%d",
+					g.Nodes, g.Paths, g.Index, h.ShardIndex, h.ShardCount)
+			case seen[i]:
+				return nil, fmt.Errorf("textio: sweep stream repeats graph (%d nodes, %d paths, index %d)", g.Nodes, g.Paths, g.Index)
+			}
+			seen[i] = true
+			sh.Results[i] = g
+			received++
+			if yield != nil {
+				if err := yield(g); err != nil {
+					return nil, err
+				}
+			}
+		case FrameSummary:
+			if d.Summary.Graphs != received || received != h.Graphs {
+				return nil, fmt.Errorf("textio: sweep stream summary claims %d graphs, header announced %d, received %d",
+					d.Summary.Graphs, h.Graphs, received)
+			}
+			if _, err := br.ReadByte(); err == nil {
+				return nil, fmt.Errorf("textio: sweep stream continues after its summary frame")
+			} else if err != io.EOF {
+				return nil, fmt.Errorf("textio: %w", err)
+			}
+			return sh, nil
+		case FrameError:
+			return nil, fmt.Errorf("textio: sweep stream aborted by its writer: %s", d.Error.Message)
+		default:
+			return nil, fmt.Errorf("textio: unexpected %q frame mid-stream", d.Frame)
+		}
+	}
+}
+
+// nextFrame reads one line and decodes it as a frame; io.EOF passes through
+// untouched at a line boundary, so callers can tell a clean end from a torn
+// or malformed line.
+func nextFrame(br *bufio.Reader) (*GraphResultDoc, error) {
+	line, err := br.ReadSlice('\n')
+	switch {
+	case err == io.EOF && len(line) == 0:
+		return nil, io.EOF
+	case err == io.EOF:
+		return nil, fmt.Errorf("%w: unterminated final line", ErrTornStream)
+	case err == bufio.ErrBufferFull:
+		return nil, fmt.Errorf("textio: sweep stream frame longer than %d bytes", maxFrameLine)
+	case err != nil:
 		return nil, fmt.Errorf("textio: %w", err)
 	}
-	return append(b, '\n'), nil
+	return unmarshalFrame(line)
 }
 
-// unmarshalFrame parses one NDJSON line back into a frame, strictly
-// (unknown fields, trailing data and malformed unions rejected) — the unit
-// SweepStreamReader reads.
+// unmarshalFrame parses one NDJSON line into a frame, strictly: unknown
+// fields, trailing data and malformed unions are rejected.
 func unmarshalFrame(line []byte) (*GraphResultDoc, error) {
 	var d GraphResultDoc
 	if err := readStrict(bytes.NewReader(line), &d); err != nil {
@@ -150,226 +288,4 @@ func validateFrame(d *GraphResultDoc) error {
 		return fmt.Errorf("textio: malformed %q sweep stream frame: exactly the matching payload must be present", d.Frame)
 	}
 	return nil
-}
-
-// SweepStreamWriter emits the frames of one sweep shard stream in order.
-// It enforces the protocol shape (header first, exactly one terminal frame)
-// and counts graph frames so the summary cannot disagree with the stream.
-// Every frame is one Write of one whole line, so a crash mid-write can tear
-// at most the last line of a file.
-type SweepStreamWriter struct {
-	w      io.Writer
-	opened bool
-	closed bool
-	graphs int
-}
-
-// NewSweepStreamWriter returns a writer emitting NDJSON frames to w. The
-// caller flushes w between frames when streaming over HTTP.
-func NewSweepStreamWriter(w io.Writer) *SweepStreamWriter {
-	return &SweepStreamWriter{w: w}
-}
-
-func (sw *SweepStreamWriter) emit(d *GraphResultDoc) error {
-	if sw.closed {
-		return fmt.Errorf("textio: sweep stream already closed by a summary or error frame")
-	}
-	line, err := marshalFrame(d)
-	if err != nil {
-		return err
-	}
-	if _, err := sw.w.Write(line); err != nil {
-		return fmt.Errorf("textio: %w", err)
-	}
-	return nil
-}
-
-// Header opens the stream: hash and shard coordinates of the request,
-// and the number of graph frames to follow.
-func (sw *SweepStreamWriter) Header(hash string, shardIndex, shardCount, graphs int) error {
-	if sw.opened {
-		return fmt.Errorf("textio: sweep stream header already written")
-	}
-	err := sw.emit(&GraphResultDoc{Frame: FrameHeader, Header: &StreamHeaderDoc{
-		Version:    ProblemVersion,
-		SweepHash:  hash,
-		ShardIndex: shardIndex,
-		ShardCount: shardCount,
-		Graphs:     graphs,
-	}})
-	sw.opened = err == nil
-	return err
-}
-
-// Graph emits one completed graph.
-func (sw *SweepStreamWriter) Graph(g expr.GraphResult) error {
-	if !sw.opened {
-		return fmt.Errorf("textio: sweep stream graph frame before header")
-	}
-	if err := sw.emit(&GraphResultDoc{Frame: FrameGraph, Graph: EncodeGraphResult(g)}); err != nil {
-		return err
-	}
-	sw.graphs++
-	return nil
-}
-
-// Summary closes the stream, asserting the count of graph frames sent.
-func (sw *SweepStreamWriter) Summary() error {
-	if !sw.opened {
-		return fmt.Errorf("textio: sweep stream summary before header")
-	}
-	err := sw.emit(&GraphResultDoc{Frame: FrameSummary, Summary: &StreamSummaryDoc{Graphs: sw.graphs}})
-	sw.closed = err == nil
-	return err
-}
-
-// Error closes the stream with an in-band failure.
-func (sw *SweepStreamWriter) Error(msg string) error {
-	if !sw.opened {
-		return fmt.Errorf("textio: sweep stream error frame before header")
-	}
-	err := sw.emit(&GraphResultDoc{Frame: FrameError, Error: &StreamErrorDoc{Message: msg}})
-	sw.closed = err == nil
-	return err
-}
-
-// ErrTornStream marks a sweep stream that ended before its summary frame:
-// a connection cut mid-shard, or the journal file of an unfinished shard.
-var ErrTornStream = errors.New("textio: torn sweep stream")
-
-// maxFrameLine bounds one frame line. A graph frame takes about 150 bytes,
-// so only a runaway error message or a hostile peer comes near it.
-const maxFrameLine = 64 << 10
-
-// SweepStreamReader consumes the frames of one sweep shard stream,
-// validating the protocol shape and the coverage accounting as it goes.
-type SweepStreamReader struct {
-	br      *bufio.Reader
-	header  *StreamHeaderDoc
-	summary *StreamSummaryDoc
-	graphs  int
-	done    bool
-}
-
-// NewSweepStreamReader reads and validates the header frame of a sweep
-// stream from r.
-func NewSweepStreamReader(r io.Reader) (*SweepStreamReader, error) {
-	sr := &SweepStreamReader{br: bufio.NewReaderSize(r, maxFrameLine)}
-	d, err := sr.nextFrame()
-	if err != nil {
-		if err == io.EOF {
-			return nil, fmt.Errorf("textio: empty sweep stream: EOF before header frame")
-		}
-		return nil, err
-	}
-	if d.Frame != FrameHeader {
-		return nil, fmt.Errorf("textio: sweep stream starts with a %q frame; want %q", d.Frame, FrameHeader)
-	}
-	h := d.Header
-	if h.Version != ProblemVersion {
-		return nil, fmt.Errorf("textio: unsupported sweep stream version %q (this build understands %q)", h.Version, ProblemVersion)
-	}
-	if h.ShardCount < 1 || h.ShardIndex < 0 || h.ShardIndex >= h.ShardCount {
-		return nil, fmt.Errorf("textio: sweep stream header claims shard %d/%d", h.ShardIndex, h.ShardCount)
-	}
-	if h.Graphs < 0 {
-		return nil, fmt.Errorf("textio: sweep stream header announces %d graphs", h.Graphs)
-	}
-	sr.header = h
-	return sr, nil
-}
-
-// nextFrame reads one line and decodes it as a frame; io.EOF passes through
-// untouched at a line boundary, so callers can tell a clean end from a torn
-// or malformed line.
-func (sr *SweepStreamReader) nextFrame() (*GraphResultDoc, error) {
-	line, err := sr.br.ReadSlice('\n')
-	switch {
-	case err == io.EOF && len(line) == 0:
-		return nil, io.EOF
-	case err == io.EOF:
-		return nil, fmt.Errorf("%w: unterminated final line", ErrTornStream)
-	case err == bufio.ErrBufferFull:
-		return nil, fmt.Errorf("textio: sweep stream frame longer than %d bytes", maxFrameLine)
-	case err != nil:
-		return nil, fmt.Errorf("textio: %w", err)
-	}
-	return unmarshalFrame(line)
-}
-
-// Header returns the validated header frame.
-func (sr *SweepStreamReader) Header() *StreamHeaderDoc { return sr.header }
-
-// Summary returns the summary frame, non-nil only after Next reported a
-// clean end of stream.
-func (sr *SweepStreamReader) Summary() *StreamSummaryDoc { return sr.summary }
-
-// Next returns the next graph of the stream. It returns io.EOF exactly when
-// the stream closed cleanly: summary frame present, its count matching both
-// the header's announcement and the graph frames received, and nothing
-// after it. Every torn or malformed stream — EOF without a summary, a
-// count mismatch, frames after the summary — is a loud non-EOF error, and
-// an error frame surfaces as an error carrying the remote message.
-func (sr *SweepStreamReader) Next() (expr.GraphResult, error) {
-	var zero expr.GraphResult
-	if sr.done {
-		return zero, io.EOF
-	}
-	d, err := sr.nextFrame()
-	if err == io.EOF {
-		return zero, fmt.Errorf("%w: EOF after %d of %d graphs without a summary frame",
-			ErrTornStream, sr.graphs, sr.header.Graphs)
-	}
-	if err != nil {
-		return zero, err
-	}
-	switch d.Frame {
-	case FrameGraph:
-		if sr.graphs++; sr.graphs > sr.header.Graphs {
-			return zero, fmt.Errorf("textio: sweep stream carries more than the %d announced graphs", sr.header.Graphs)
-		}
-		return DecodeGraphResult(d.Graph), nil
-	case FrameSummary:
-		if d.Summary.Graphs != sr.graphs || sr.graphs != sr.header.Graphs {
-			return zero, fmt.Errorf("textio: torn sweep stream: summary claims %d graphs, header announced %d, received %d",
-				d.Summary.Graphs, sr.header.Graphs, sr.graphs)
-		}
-		if _, err := sr.br.ReadByte(); err == nil {
-			return zero, fmt.Errorf("textio: sweep stream continues after its summary frame")
-		} else if err != io.EOF {
-			return zero, fmt.Errorf("textio: %w", err)
-		}
-		sr.summary = d.Summary
-		sr.done = true
-		return zero, io.EOF
-	case FrameError:
-		return zero, fmt.Errorf("textio: sweep stream aborted by server: %s", d.Error.Message)
-	default:
-		return zero, fmt.Errorf("textio: unexpected %q frame mid-stream", d.Frame)
-	}
-}
-
-// ReadSweepStream consumes a whole sweep stream, calling onGraph for every
-// graph frame, and returns the header and summary on a clean close. Any torn
-// or malformed stream returns the header, if it was read, alongside the
-// error.
-func ReadSweepStream(r io.Reader, onGraph func(expr.GraphResult) error) (*StreamHeaderDoc, *StreamSummaryDoc, error) {
-	sr, err := NewSweepStreamReader(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	for {
-		g, err := sr.Next()
-		if err == io.EOF {
-			return sr.Header(), sr.Summary(), nil
-		}
-		if err != nil {
-			return sr.Header(), nil, err
-		}
-		if onGraph != nil {
-			if err := onGraph(g); err != nil {
-				return sr.Header(), nil, err
-			}
-		}
-	}
 }

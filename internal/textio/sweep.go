@@ -1,10 +1,10 @@
 package textio
 
-// This file defines the versioned v1 sweep documents of the distributed
-// Fig. 5 / Fig. 6 experiment. A SweepRequestDoc asks a server for one shard
-// of a sweep; the shard's raw per-graph measurements (SweepGraphDoc) travel
-// back in the NDJSON frame stream of stream.go, so the coordinator can merge
-// them into the exact cells of a single-process run. Like the problem
+// This file defines the versioned v1 sweep request document of the
+// distributed Fig. 5 / Fig. 6 experiment. A SweepRequestDoc asks a server for
+// one shard of a sweep; the shard's raw per-graph measurements travel back in
+// the NDJSON frame stream of stream.go, so the coordinator can merge them
+// into the exact cells of a single-process run. Like the problem
 // documents, decoding is strict (unknown fields, unsupported versions,
 // out-of-range shard coordinates and malformed parameters are rejected) and
 // the encoding is lossless: the wire always carries the fully normalized
@@ -170,18 +170,4 @@ func SweepHash(d *SweepRequestDoc) (string, error) {
 		c.Options = &o
 	}
 	return memo.HashJSON(&c)
-}
-
-// SweepGraphDoc is the raw measurement of one scheduled graph of a shard.
-// The float fields round-trip exactly through JSON (shortest-representation
-// encoding), which is what lets a coordinator reproduce the single-process
-// aggregation bit for bit.
-type SweepGraphDoc struct {
-	Nodes       int     `json:"nodes"`
-	Paths       int     `json:"paths"`
-	Index       int     `json:"index"`
-	IncreasePct float64 `json:"increasePct"`
-	MergeNs     float64 `json:"mergeNs"`
-	PathSchedNs float64 `json:"pathSchedNs"`
-	Violation   bool    `json:"violation,omitempty"`
 }

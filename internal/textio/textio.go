@@ -1,7 +1,9 @@
 // Package textio serializes conditional process graphs and architectures to
 // the versioned v1 JSON document format (used by the command line tools and
 // the scheduling server) and exports graphs to Graphviz DOT for visual
-// inspection.
+// inspection. It also holds the shard codec of the distributed sweep:
+// WriteShard writes a shard's NDJSON frame stream and ReadShard reads and
+// checks it, for server responses, journal files and -merge inputs alike.
 package textio
 
 import (
