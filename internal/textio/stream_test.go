@@ -153,6 +153,113 @@ type flushCounter struct {
 
 func (w *flushCounter) Flush() { w.flushes++ }
 
+// TestSweepStreamWriterShape pins the writer-side shape of a stream: the
+// header comes first and announces the shard's size whatever run yields, and
+// the summary counts the graphs actually written, so a short run's stream is
+// refused rather than read as whole. A failed write ends the stream: a failed
+// header never starts run, a failed graph write is yield's error, and
+// nothing is written after it.
+func TestSweepStreamWriterShape(t *testing.T) {
+	fx := goldenShard(t)
+	n := len(fx.shard.Results)
+	head := lines(fx.stream)[0]
+	for _, k := range []int{0, n - 1} {
+		var buf bytes.Buffer
+		if err := WriteShard(&buf, fx.hash, fx.cfg, yieldAll(fx.shard.Results[:k])); err != nil {
+			t.Fatalf("WriteShard of %d graphs: %v", k, err)
+		}
+		ls := lines(buf.Bytes())
+		if len(ls) != k+2 || ls[0] != head || ls[k+1] != summaryLine(k) {
+			t.Fatalf("run of %d graphs wrote:\n%s", k, buf.Bytes())
+		}
+		if _, err := ReadShard(&buf, fx.hash, fx.cfg, nil); err == nil || !strings.Contains(err.Error(), "summary claims") {
+			t.Errorf("ReadShard of a run of %d graphs = %v, want a summary mismatch", k, err)
+		}
+	}
+
+	w := &failingWriter{writes: 0}
+	err := WriteShard(w, fx.hash, fx.cfg, func(func(expr.GraphResult) error) error {
+		t.Error("run started after the header write failed")
+		return nil
+	})
+	if !errors.Is(err, errDiskFull) || w.Len() != 0 {
+		t.Fatalf("WriteShard with a failing header write = %v, wrote %q", err, w.String())
+	}
+
+	w = &failingWriter{writes: 2}
+	var yieldErrs []error
+	err = WriteShard(w, fx.hash, fx.cfg, func(yield func(expr.GraphResult) error) error {
+		for _, g := range fx.shard.Results {
+			if err := yield(g); err != nil {
+				yieldErrs = append(yieldErrs, err)
+				return err
+			}
+			yieldErrs = append(yieldErrs, nil)
+		}
+		return nil
+	})
+	if !errors.Is(err, errDiskFull) || len(yieldErrs) != 2 || yieldErrs[0] != nil || !errors.Is(yieldErrs[1], errDiskFull) {
+		t.Fatalf("WriteShard with a failing graph write = %v, yields returned %v", err, yieldErrs)
+	}
+	if want := strings.Join(lines(fx.stream)[:2], ""); w.String() != want {
+		t.Fatalf("WriteShard wrote after a failed write:\n%s", w.String())
+	}
+}
+
+var errDiskFull = errors.New("disk full")
+
+// failingWriter accepts the given number of writes, then fails every one.
+type failingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if w.writes == 0 {
+		return 0, errDiskFull
+	}
+	w.writes--
+	return w.Buffer.Write(p)
+}
+
+// TestSweepStreamReadSweepStream pins ReadShard's yield loop: yield sees
+// every graph in stream order, and on the error path it has seen exactly the
+// graphs before the failure — a failing yield stops the read with yield's
+// own error, and a stream aborted midway still yields the graphs before its
+// error frame. A failed read never returns a shard.
+func TestSweepStreamReadSweepStream(t *testing.T) {
+	fx := goldenShard(t)
+	var got []expr.GraphResult
+	collect := func(g expr.GraphResult) error {
+		got = append(got, g)
+		return nil
+	}
+	sh, err := ReadShard(bytes.NewReader(fx.stream), fx.hash, fx.cfg, collect)
+	if err != nil || !reflect.DeepEqual(got, fx.shard.Results) || !reflect.DeepEqual(sh, fx.shard) {
+		t.Fatalf("ReadShard = %v; yields or shard drifted from the stream", err)
+	}
+
+	boom := errors.New("consumer went away")
+	yields := 0
+	sh, err = ReadShard(bytes.NewReader(fx.stream), fx.hash, fx.cfg, func(expr.GraphResult) error {
+		yields++
+		if yields == 2 {
+			return boom
+		}
+		return nil
+	})
+	if !errors.Is(err, boom) || sh != nil || yields != 2 {
+		t.Fatalf("ReadShard with a failing yield = %v, %v after %d yields; want yield's error after 2", sh, err, yields)
+	}
+
+	got = nil
+	aborted := strings.Join(lines(fx.stream)[:3], "") + `{"frame":"error","error":{"message":"backend on fire"}}` + "\n"
+	sh, err = ReadShard(strings.NewReader(aborted), fx.hash, fx.cfg, collect)
+	if err == nil || sh != nil || !reflect.DeepEqual(got, fx.shard.Results[:2]) {
+		t.Fatalf("ReadShard of a stream aborted after 2 graphs = %v, %v; yielded %d graphs", sh, err, len(got))
+	}
+}
+
 // TestSweepStreamTorn pins the loud failure on every truncation point: a
 // stream cut anywhere — mid-line or between frames, before the header
 // included — never reads as complete and wraps ErrTornStream, and the graphs
