@@ -47,13 +47,14 @@ import (
 	"repro/internal/expr"
 	"repro/internal/gen"
 	"repro/internal/listsched"
+	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/textio"
 )
 
 // mustFigure1 builds the worked example once per benchmark.
-func mustFigure1(b *testing.B) (*Graph, *Architecture) {
+func mustFigure1(b *testing.B) (*cpg.Graph, *arch.Architecture) {
 	b.Helper()
 	g, a, err := expr.Figure1()
 	if err != nil {
@@ -378,12 +379,12 @@ func BenchmarkGenerate(b *testing.B) {
 }
 
 // BenchmarkDecodeProblem measures decoding a problem document into a
-// finalized graph and architecture (service.FromDoc, through its
-// ProblemFromDoc facade), the first step of every /v1/schedule request. The
-// documents are the grid problems of seeds 1 to 4, one sub-benchmark per
-// graph size cycling over every path count. One op is one document.
+// finalized graph and architecture (service.FromDoc), the first step of
+// every /v1/schedule request. The documents are the grid problems of seeds
+// 1 to 4, one sub-benchmark per graph size cycling over every path count.
+// One op is one document.
 func BenchmarkDecodeProblem(b *testing.B) {
-	docs := map[int][]*ProblemDoc{}
+	docs := map[int][]*textio.ProblemDoc{}
 	nodes := []int{60, 80, 120}
 	for s := int64(1); s <= 4; s++ {
 		r := rand.New(rand.NewSource(s))
@@ -401,8 +402,8 @@ func BenchmarkDecodeProblem(b *testing.B) {
 		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := ProblemFromDoc(docs[n][i%len(docs[n])]); err != nil {
-					b.Fatalf("ProblemFromDoc: %v", err)
+				if _, err := service.FromDoc(docs[n][i%len(docs[n])]); err != nil {
+					b.Fatalf("FromDoc: %v", err)
 				}
 			}
 		})

@@ -102,17 +102,10 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// An explicit `-seed 0` means the literal zero seed (the ZeroSeed
-	// sentinel), not "unset"; the sentinel value itself is reserved.
-	seedSet := false
-	fs.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "seed" })
-	if seedSet {
-		switch *seed {
-		case 0:
-			*seed = expr.ZeroSeed
-		case expr.ZeroSeed:
-			return fmt.Errorf("-seed %d is reserved (use 0 for the literal zero seed)", *seed)
-		}
+	// A zero seed would normalize to the default: refuse it rather than run
+	// another sweep than the one asked for.
+	if *seed == 0 {
+		return fmt.Errorf("-seed must be nonzero (the default is %d)", expr.DefaultSeed)
 	}
 	var baseOpts core.Options
 	if *strategy != "" {

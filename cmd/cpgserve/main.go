@@ -12,7 +12,7 @@
 // The handlers live in internal/httpserver (see its package documentation
 // for the endpoint list, the /metrics exposition and the admission-control
 // conventions); this command only adds flags, logging and graceful shutdown.
-// -limit-light bounds concurrent schedule/simulate requests and
+// -limit-light bounds concurrent schedule requests and
 // -limit-heavy concurrent sweep shards; requests over a bound are shed with
 // 429 + Retry-After (0 = budget-derived defaults, negative = unlimited).
 package main
@@ -38,7 +38,7 @@ func main() {
 	workers := fs.Int("workers", 0, "global worker budget shared by all requests (0 = all CPUs)")
 	cache := fs.Int("cache", service.DefaultCacheSize, "capacity of the solved-problem memo and of the warm-start cache (negative disables both)")
 	maxBody := fs.Int64("max-body", 8<<20, "maximum request body size in bytes")
-	limitLight := fs.Int("limit-light", 0, "max concurrent schedule/simulate requests before shedding 429 (0 = budget-derived default, negative = unlimited)")
+	limitLight := fs.Int("limit-light", 0, "max concurrent schedule requests before shedding 429 (0 = budget-derived default, negative = unlimited)")
 	limitHeavy := fs.Int("limit-heavy", 0, "max concurrent sweep shards before shedding 429 (0 = budget-derived default, negative = unlimited)")
 	fs.Parse(os.Args[1:])
 

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/expr"
 	"repro/internal/gen"
 	"repro/internal/table"
 )
@@ -46,7 +47,7 @@ func scheduleFingerprint(res *core.Result) string {
 // from the seed implementation. Set UPDATE_GOLDEN=1 to regenerate — but only
 // after convincing yourself the schedule change is intentional.
 func TestFigure1EquivalentToSeed(t *testing.T) {
-	g, a, err := Figure1()
+	g, a, err := expr.Figure1()
 	if err != nil {
 		t.Fatalf("Figure1: %v", err)
 	}

@@ -15,10 +15,11 @@ import (
 	"log"
 	"time"
 
-	"repro"
 	"repro/internal/atm"
 	"repro/internal/core"
 	"repro/internal/expr"
+	"repro/internal/service"
+	"repro/internal/textio"
 )
 
 func main() {
@@ -60,12 +61,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	doc := repro.EncodeProblem(g, a, repro.Options{})
-	req, err := repro.ProblemFromDoc(doc)
+	doc := textio.EncodeProblem(g, a, core.Options{})
+	req, err := service.FromDoc(doc)
 	if err != nil {
 		log.Fatal(err)
 	}
-	svc, err := repro.NewService(repro.ServiceConfig{})
+	svc, err := service.New(service.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

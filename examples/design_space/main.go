@@ -20,7 +20,8 @@ import (
 	"os"
 	"text/tabwriter"
 
-	"repro"
+	"repro/internal/gen"
+	"repro/internal/service"
 )
 
 func main() {
@@ -33,12 +34,12 @@ func main() {
 
 	type variant struct{ processors, buses int }
 	var variants []variant
-	var problems []*repro.Problem
+	var problems []*service.Problem
 	for _, processors := range []int{1, 2, 3, 4, 6} {
 		for _, buses := range []int{1, 2} {
 			// The same seed keeps the application identical; only the
 			// architecture (and therefore the random mapping) changes.
-			inst, err := repro.Generate(repro.GenConfig{
+			inst, err := gen.Generate(gen.Config{
 				Seed:        seed,
 				Nodes:       nodes,
 				TargetPaths: paths,
@@ -50,11 +51,11 @@ func main() {
 				log.Fatal(err)
 			}
 			variants = append(variants, variant{processors, buses})
-			problems = append(problems, &repro.Problem{Graph: inst.Graph, Arch: inst.Arch})
+			problems = append(problems, &service.Problem{Graph: inst.Graph, Arch: inst.Arch})
 		}
 	}
 
-	svc, err := repro.NewService(repro.ServiceConfig{})
+	svc, err := service.New(service.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Figure 1 worked example: reconstructs the conditional process graph of
 // Fig. 1 of the paper (17 processes on two processors and one ASIC, three
-// conditions C, D, K), schedules it through the public service API and
+// conditions C, D, K), schedules it through the scheduling service and
 // prints the analogues of Fig. 2 (path delays) and Table 1 (schedule table),
 // all read from the versioned solution document — the same JSON a cpgserve
 // server would return for the same problem.
@@ -16,27 +16,30 @@ import (
 	"log"
 	"sort"
 
-	"repro"
+	"repro/internal/core"
+	"repro/internal/expr"
+	"repro/internal/service"
+	"repro/internal/textio"
 )
 
 func main() {
-	g, a, err := repro.Figure1()
+	g, a, err := expr.Figure1()
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Bundle the worked example into a v1 problem document — the format
 	// cpgsched reads and cpgserve accepts over HTTP — and schedule it.
-	prob := repro.EncodeProblem(g, a, repro.Options{})
-	hash, err := repro.ProblemHash(prob)
+	prob := textio.EncodeProblem(g, a, core.Options{})
+	hash, err := textio.ProblemHash(prob)
 	if err != nil {
 		log.Fatal(err)
 	}
-	req, err := repro.ProblemFromDoc(prob)
+	req, err := service.FromDoc(prob)
 	if err != nil {
 		log.Fatal(err)
 	}
-	svc, err := repro.NewService(repro.ServiceConfig{})
+	svc, err := service.New(service.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +47,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	doc := repro.EncodeSolution(sol.Result)
+	doc := textio.EncodeSolution(sol.Result)
 
 	fmt.Println("Worked example (Fig. 1 of the paper)")
 	fmt.Printf("problem document: version %s, content hash %.12s…\n\n", prob.Version, hash)

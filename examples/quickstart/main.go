@@ -12,13 +12,17 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
+	"repro/internal/arch"
+	"repro/internal/cpg"
+	"repro/internal/service"
+	"repro/internal/sim"
+	"repro/internal/table"
 )
 
 func main() {
 	// Architecture: two programmable processors and one shared bus that
 	// connects them (condition values are broadcast on it, τ0 = 1).
-	a := repro.NewArchitecture()
+	a := arch.New()
 	cpu1 := a.AddProcessor("cpu1", 1)
 	cpu2 := a.AddProcessor("cpu2", 1)
 	bus := a.AddBus("bus", true)
@@ -28,7 +32,7 @@ func main() {
 	// needs the expensive filter X (condition C true, off-loaded to cpu2)
 	// or the cheap fallback Y (condition C false, kept on cpu1). Both
 	// variants feed the actuator step Z.
-	g := repro.NewGraph("quickstart")
+	g := cpg.New("quickstart")
 	d := g.AddProcess("D", 4, cpu1)
 	x := g.AddProcess("X", 9, cpu2)
 	y := g.AddProcess("Y", 3, cpu1)
@@ -41,19 +45,19 @@ func main() {
 
 	// Insert communication processes on every edge that crosses processor
 	// boundaries (here: D->X and X->Z), each taking 2 time units on the bus.
-	if _, err := repro.InsertComms(g, a, repro.UniformComms(2, bus)); err != nil {
+	if _, err := cpg.InsertComms(g, a, cpg.UniformComms(2, bus)); err != nil {
 		log.Fatal(err)
 	}
 
 	// Generate the schedule table that minimises the worst-case delay. The
 	// service front end adds cancellation, a shared worker budget and a
-	// solved-problem memo on top of repro.Schedule; one service instance
+	// solved-problem memo on top of core.Schedule; one service instance
 	// would normally be shared by the whole program.
-	svc, err := repro.NewService(repro.ServiceConfig{})
+	svc, err := service.New(service.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	sol, err := svc.Schedule(context.Background(), &repro.Problem{Graph: g, Arch: a})
+	sol, err := svc.Schedule(context.Background(), &service.Problem{Graph: g, Arch: a})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,7 +72,7 @@ func main() {
 		res.DeltaMax, res.DeltaM)
 
 	fmt.Println("schedule table (one row per process, one column per condition context):")
-	fmt.Print(res.Table.Render(repro.RenderOptions{Namer: g.CondName, RowName: res.RowName}))
+	fmt.Print(res.Table.Render(table.RenderOptions{Namer: g.CondName, RowName: res.RowName}))
 
 	// Re-enact the execution for each combination of condition values and
 	// confirm the run-time behaviour matches the table.
@@ -78,7 +82,7 @@ func main() {
 	}
 	fmt.Println("\nsimulated executions:")
 	for _, p := range paths {
-		tr, err := repro.Simulate(g, a, res.Table, p)
+		tr, err := sim.Run(g, a, res.Table, p)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -88,7 +92,7 @@ func main() {
 
 	// Asking the service again for the same problem is answered from its
 	// memo: the content hash of the problem document identifies the run.
-	again, err := svc.Schedule(context.Background(), &repro.Problem{Graph: g, Arch: a})
+	again, err := svc.Schedule(context.Background(), &service.Problem{Graph: g, Arch: a})
 	if err != nil {
 		log.Fatal(err)
 	}

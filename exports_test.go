@@ -34,11 +34,11 @@ var exemptPackages = map[string]bool{
 }
 
 // TestInternalExportsHaveCallers type-checks every non-test package of the
-// tree (cmd/, examples/, scripts/, the root package and the perfbench
-// module included) and fails on an exported function or method of an
-// internal/ package that no non-test code references: code only tests call
-// is either deleted, moved into the test that needs it, or kept on
-// keepExports with the client that keeps it. Methods on unexported types
+// tree (cmd/, examples/, scripts/ and the perfbench module included) and
+// fails on an exported function or method of an internal/ package that no
+// non-test code references: code only tests call is either deleted, moved
+// into the test that needs it, or kept on keepExports with the client that
+// keeps it. Methods on unexported types
 // are out of scope, and a function's references to itself do not count. A
 // method that implements an interface method counts as referenced when the
 // interface's method is: a call through one of the tree's interfaces, or

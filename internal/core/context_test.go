@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -23,6 +24,42 @@ func TestNegativeWorkersRejected(t *testing.T) {
 		if _, err := Schedule(inst.Graph, inst.Arch, Options{Workers: w}); err != nil {
 			t.Fatalf("Workers=%d: %v", w, err)
 		}
+	}
+}
+
+// gridProblem generates the (nodes, paths) problem of seed s of the grid
+// scan: one source per seed, drawn for nodes 60, 80 and 120 and, inside
+// that, paths 10, 12, 18, 24 and 32, in that order.
+func gridProblem(t *testing.T, s int64, nodes, paths int) *gen.Instance {
+	t.Helper()
+	r := rand.New(rand.NewSource(s))
+	for _, n := range []int{60, 80, 120} {
+		for _, p := range []int{10, 12, 18, 24, 32} {
+			cfg := gen.RandomConfig(r, n, p)
+			if n != nodes || p != paths {
+				continue
+			}
+			inst, err := gen.Generate(cfg)
+			if err != nil {
+				t.Fatalf("Generate: %v", err)
+			}
+			return inst
+		}
+	}
+	t.Fatalf("the grid has no cell of %d nodes and %d paths", nodes, paths)
+	return nil
+}
+
+// TestMergeNotConvergedIsTyped pins the typed failure of a merge that runs to
+// its safety bound: grid seed 159, 80 nodes and 10 paths, under
+// ConflictDelayToLatest. The paper's rule schedules the same problem.
+func TestMergeNotConvergedIsTyped(t *testing.T) {
+	inst := gridProblem(t, 159, 80, 10)
+	if _, err := Schedule(inst.Graph, inst.Arch, Options{Workers: 1, ConflictPolicy: ConflictDelayToLatest}); !errors.Is(err, ErrNotConverged) {
+		t.Fatalf("a merge that reaches its safety bound must fail with ErrNotConverged; got %v", err)
+	}
+	if _, err := Schedule(inst.Graph, inst.Arch, Options{Workers: 1}); err != nil {
+		t.Fatalf("under Theorem 2: %v", err)
 	}
 }
 

@@ -171,6 +171,10 @@ var ErrNegativeWorkers = errors.New("core: Options.Workers must be >= 0 (0 = GOM
 // scheduling strategy.
 var ErrUnknownStrategy = errors.New("core: unknown scheduling strategy")
 
+// ErrNotConverged is returned by Schedule when the merge reaches its safety
+// bound of 10000*(paths+1) steps before it has walked the decision tree.
+var ErrNotConverged = errors.New("core: merging did not converge (safety bound exceeded)")
+
 // resolveStrategy maps Options.Strategy to a strategy; empty
 // selects the legacy PathPriority-driven scheduler (nil strategy).
 func resolveStrategy(opt Options) (listsched.Strategy, error) {
@@ -823,7 +827,7 @@ func (m *merger) explore(pi *pathInfo, cur *sched.PathSchedule, fixed *listsched
 	for {
 		m.steps++
 		if m.steps > 10000*(len(m.paths)+1) {
-			return errors.New("core: merging did not converge (safety bound exceeded)")
+			return ErrNotConverged
 		}
 		// The merge is sequential and a single back-step can reschedule a
 		// whole path, so this per-step check is what makes cancellation of

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -184,26 +185,24 @@ func TestShardValidation(t *testing.T) {
 	}
 }
 
-// TestSeedSentinel pins the seed normalization contract: 0 means "unset" and
-// becomes DefaultSeed, the ZeroSeed sentinel survives Normalize (idempotent)
-// and resolves to the literal seed 0 at derivation time — so a deliberate
-// zero seed is reachable and every layer agrees on what it means.
+// TestSeedSentinel pins the seed normalization contract: 0 is the "unset"
+// sentinel and becomes DefaultSeed, every other seed (negative ones and
+// math.MinInt64 included) is kept, and Normalize is idempotent.
 func TestSeedSentinel(t *testing.T) {
 	if got := (SweepConfig{}).Normalize().Seed; got != DefaultSeed {
 		t.Errorf("Normalize(Seed=0).Seed = %d, want DefaultSeed %d", got, DefaultSeed)
 	}
-	once := SweepConfig{Seed: ZeroSeed}.Normalize()
-	if once.Seed != ZeroSeed {
-		t.Errorf("Normalize must preserve the ZeroSeed sentinel; got %d", once.Seed)
+	for _, seed := range []int64{1, -1, DefaultSeed, math.MinInt64, math.MaxInt64} {
+		once := SweepConfig{Seed: seed}.Normalize()
+		if once.Seed != seed {
+			t.Errorf("Normalize(Seed=%d).Seed = %d", seed, once.Seed)
+		}
+		if twice := once.Normalize(); twice.Seed != once.Seed {
+			t.Errorf("Normalize not idempotent on seed %d: %d then %d", seed, once.Seed, twice.Seed)
+		}
 	}
-	if twice := once.Normalize(); twice.Seed != once.Seed {
-		t.Errorf("Normalize not idempotent on ZeroSeed: %d then %d", once.Seed, twice.Seed)
-	}
-	if cellSeed(ZeroSeed, 60, 10, 0) != cellSeed(0, 60, 10, 0) {
-		t.Errorf("ZeroSeed must derive the same cell seeds as the literal seed 0")
-	}
-	if cellSeed(ZeroSeed, 60, 10, 0) == cellSeed(DefaultSeed, 60, 10, 0) {
-		t.Errorf("ZeroSeed must not collide with DefaultSeed derivation")
+	if cellSeed(math.MinInt64, 60, 10, 0) == cellSeed(DefaultSeed, 60, 10, 0) {
+		t.Errorf("seed math.MinInt64 must not collide with DefaultSeed derivation")
 	}
 }
 

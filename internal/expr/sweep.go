@@ -3,7 +3,6 @@ package expr
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -17,19 +16,9 @@ import (
 )
 
 // DefaultSeed is the sweep seed substituted by Normalize when SweepConfig.Seed
-// is zero (the zero value of an unset config).
+// is zero (the zero value of an unset config). Zero is therefore never a
+// sweep seed: the wire document and cpgexper's -seed refuse it.
 const DefaultSeed = 1998
-
-// ZeroSeed is the sentinel requesting a literal zero sweep seed. A plain
-// Seed == 0 means "unset" and normalizes to DefaultSeed, which would make a
-// deliberate zero seed unreachable — and worse, would let a shard coordinator
-// and a sweep server silently disagree about which seed a document carrying 0
-// means. The sentinel survives Normalize unchanged (Normalize is idempotent)
-// and is resolved to the literal seed 0 only at the point of seed derivation,
-// so every layer — config, wire document, shard worker — agrees. The value
-// math.MinInt64 is therefore reserved and cannot be used as a real sweep
-// seed (the strict decoders reject it on the wire).
-const ZeroSeed = math.MinInt64
 
 // SweepConfig parameterises the synthetic-graph experiment behind Fig. 5 and
 // Fig. 6 of the paper. The paper uses 1080 graphs: 360 per graph size (60, 80
@@ -73,8 +62,7 @@ type SweepConfig struct {
 }
 
 // Normalize fills defaults. It is idempotent: normalizing a normalized
-// config changes nothing (in particular the ZeroSeed sentinel is preserved,
-// not re-interpreted as "unset").
+// config changes nothing.
 func (c SweepConfig) Normalize() SweepConfig {
 	if len(c.Nodes) == 0 {
 		c.Nodes = []int{60, 80, 120}
@@ -193,13 +181,8 @@ func GraphConfig(seed int64, nodes, paths, i int) gen.Config {
 // cellSeed derives the generator seed of graph i of the (nodes, paths) cell.
 // The derivation depends only on the sweep seed and the cell coordinates —
 // never on worker count, shard assignment or completion order — so a sweep is
-// reproducible cell-by-cell under any parallelism on any machine. The
-// ZeroSeed sentinel resolves to the literal seed 0 here, at the single point
-// of use, so every layer above can pass it around without special cases.
+// reproducible cell-by-cell under any parallelism on any machine.
 func cellSeed(seed int64, nodes, paths, i int) int64 {
-	if seed == ZeroSeed {
-		seed = 0
-	}
 	h := splitmix64(uint64(seed))
 	h = splitmix64(h ^ uint64(nodes))
 	h = splitmix64(h ^ uint64(paths))
@@ -369,19 +352,18 @@ func RunSweepShardStream(ctx context.Context, cfg SweepConfig, yield func(GraphR
 			failed.Store(true)
 		}
 		job := jobs[j]
-		key := stats.Key(job.Nodes, job.Paths)
 		if err := ctx.Err(); err != nil {
 			fail(err)
 			return
 		}
 		inst, err := gen.Generate(GraphConfig(cfg.Seed, job.Nodes, job.Paths, job.Index))
 		if err != nil {
-			fail(fmt.Errorf("expr: generating graph %d of cell %s: %w", job.Index, key, err))
+			fail(fmt.Errorf("expr: generating graph %d of cell n%d/p%d: %w", job.Index, job.Nodes, job.Paths, err))
 			return
 		}
 		res, err := ws.Schedule(ctx, inst.Graph, inst.Arch, opts)
 		if err != nil {
-			fail(fmt.Errorf("expr: scheduling graph %d of cell %s: %w", job.Index, key, err))
+			fail(fmt.Errorf("expr: scheduling graph %d of cell n%d/p%d: %w", job.Index, job.Nodes, job.Paths, err))
 			return
 		}
 		results[j] = GraphResult{
@@ -398,7 +380,7 @@ func RunSweepShardStream(ctx context.Context, cfg SweepConfig, yield func(GraphR
 			err := yield(results[j])
 			mu.Unlock()
 			if err != nil {
-				fail(fmt.Errorf("expr: streaming graph %d of cell %s: %w", job.Index, key, err))
+				fail(fmt.Errorf("expr: streaming graph %d of cell n%d/p%d: %w", job.Index, job.Nodes, job.Paths, err))
 			}
 		}
 	}
@@ -502,40 +484,25 @@ func MergeCells(cfg SweepConfig, shards []*ShardResult) ([]Cell, error) {
 
 	// Aggregate in canonical job order: float sums are order-sensitive, so
 	// this keeps the cells bit-identical regardless of shard layout and of
-	// which worker finished first.
-	increase := stats.NewSeries()
-	mergeTime := stats.NewSeries()
-	pathTime := stats.NewSeries()
-	violations := map[string]int{}
-	counts := map[string]int{}
-	for _, res := range results {
-		key := stats.Key(res.Nodes, res.Paths)
-		increase.Add(key, res.IncreasePct)
-		mergeTime.Add(key, res.MergeNs)
-		pathTime.Add(key, res.PathSchedNs)
-		counts[key]++
-		if res.Violation {
-			violations[key]++
+	// which worker finished first. In that order each cell is a contiguous
+	// run of GraphsPerCell results.
+	n := cfg.GraphsPerCell
+	cells := make([]Cell, 0, len(results)/n)
+	increase, mergeNs, pathNs := make([]float64, n), make([]float64, n), make([]float64, n)
+	for start := 0; start < len(results); start += n {
+		c := Cell{Nodes: results[start].Nodes, Paths: results[start].Paths, Graphs: n}
+		for i, res := range results[start : start+n] {
+			increase[i], mergeNs[i], pathNs[i] = res.IncreasePct, res.MergeNs, res.PathSchedNs
+			if res.Violation {
+				c.Violations++
+			}
 		}
-	}
-
-	var cells []Cell
-	for _, nodes := range cfg.Nodes {
-		for _, paths := range cfg.Paths {
-			key := stats.Key(nodes, paths)
-			vals := increase.Values(key)
-			cells = append(cells, Cell{
-				Nodes:            nodes,
-				Paths:            paths,
-				Graphs:           counts[key],
-				AvgIncreasePct:   stats.Mean(vals),
-				MaxIncreasePct:   stats.Max(vals),
-				ZeroFraction:     stats.Fraction(vals, func(v float64) bool { return v == 0 }),
-				AvgMergeTime:     time.Duration(mergeTime.Mean(key)),
-				AvgPathSchedTime: time.Duration(pathTime.Mean(key)),
-				Violations:       violations[key],
-			})
-		}
+		c.AvgIncreasePct = stats.Mean(increase)
+		c.MaxIncreasePct = stats.Max(increase)
+		c.ZeroFraction = stats.Fraction(increase, func(v float64) bool { return v == 0 })
+		c.AvgMergeTime = time.Duration(stats.Mean(mergeNs))
+		c.AvgPathSchedTime = time.Duration(stats.Mean(pathNs))
+		cells = append(cells, c)
 	}
 	return cells, nil
 }
@@ -575,7 +542,7 @@ func renderSweep(cells []Cell, title string, format func(Cell) string, extra fun
 	pathSet := []int{}
 	seenN := map[int]bool{}
 	seenP := map[int]bool{}
-	byKey := map[string]Cell{}
+	byKey := map[[2]int]Cell{} // by (nodes, paths)
 	for _, c := range cells {
 		if !seenN[c.Nodes] {
 			seenN[c.Nodes] = true
@@ -585,7 +552,7 @@ func renderSweep(cells []Cell, title string, format func(Cell) string, extra fun
 			seenP[c.Paths] = true
 			pathSet = append(pathSet, c.Paths)
 		}
-		byKey[stats.Key(c.Nodes, c.Paths)] = c
+		byKey[[2]int{c.Nodes, c.Paths}] = c
 	}
 	var b strings.Builder
 	b.WriteString(title)
@@ -602,7 +569,7 @@ func renderSweep(cells []Cell, title string, format func(Cell) string, extra fun
 		fmt.Fprintf(&b, "%-18d", p)
 		var row []Cell
 		for _, n := range nodeSet {
-			c := byKey[stats.Key(n, p)]
+			c := byKey[[2]int{n, p}]
 			row = append(row, c)
 			fmt.Fprintf(&b, " %14s", format(c))
 		}

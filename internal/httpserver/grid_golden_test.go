@@ -20,22 +20,21 @@ import (
 )
 
 // Golden sha256 over the responses of the paper's grid (see
-// TestGridResponsesGolden). A change here means a /v1/schedule solution, a
-// /v1/simulate trace or a per-path schedule of some grid problem changed.
+// TestGridResponsesGolden). A change here means a /v1/schedule solution or a
+// per-path schedule of some grid problem changed.
 const (
-	gridGoldenShort = "964c668edc75efa4c5fdffaa11d04faaa58ffe438b96c603f703eef202bc43f5" // 3 problems (-short)
-	gridGolden      = "9293ae7d940b95f3b5d552eaa1194324abf43e98589a379642a035ab02f221bc" // 45 problems
+	gridGoldenShort = "47ad0592120a12f8ce26fbdee7b930df26e54a2afdae9713d7094643c6a5f752" // 3 problems (-short)
+	gridGolden      = "1d53de09c5cae4aece3e3394ea084ff6fe5e4758e7b5cb19a05280db63fa74cb" // 45 problems
 )
 
 // TestGridResponsesGolden pins, byte for byte, what the server answers for
 // problems of the benchmark's sizes: nodes 60, 80 and 120 × paths 10, 12,
 // 18, 24 and 32, three seeds per cell (one seed of three cells under -short),
-// under the critical-path and tabu strategies at workers 1 and 2.
-// It hashes the /v1/schedule solution document (wall-clock timings zeroed,
-// cache block dropped), the /v1/simulate response and the optimal per-path
-// schedules, entries and condition timings, of the served result. Served
-// bodies must be compact JSON; the simulate response is hashed re-indented
-// (json.Encoder with SetIndent), the rendering the constants were taken on.
+// under the critical-path and tabu strategies at workers 1 and 2, each set
+// in the problem document's options. It hashes the /v1/schedule solution
+// document (wall-clock timings zeroed, cache block dropped) and the optimal
+// per-path schedules, entries and condition timings, of the served result.
+// Served bodies must be compact JSON.
 func TestGridResponsesGolden(t *testing.T) {
 	type cell struct{ nodes, paths int }
 	var cells []cell
@@ -51,8 +50,7 @@ func TestGridResponsesGolden(t *testing.T) {
 	}
 	type problem struct {
 		name string
-		doc  *textio.ProblemDoc
-		body []byte
+		inst *gen.Instance
 	}
 	var problems []problem
 	for _, c := range cells {
@@ -62,19 +60,14 @@ func TestGridResponsesGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Generate(%d nodes, %d paths, seed %d): %v", c.nodes, c.paths, seed, err)
 			}
-			doc := textio.EncodeProblem(inst.Graph, inst.Arch, core.Options{})
-			body, err := json.Marshal(doc)
-			if err != nil {
-				t.Fatalf("Marshal: %v", err)
-			}
-			problems = append(problems, problem{fmt.Sprintf("n%d-p%d-s%d", c.nodes, c.paths, seed), doc, body})
+			problems = append(problems, problem{fmt.Sprintf("n%d-p%d-s%d", c.nodes, c.paths, seed), inst})
 		}
 	}
 
 	h := sha256.New()
 	for _, workers := range []int{1, 2} {
-		// One server per worker count: the memo ignores ?workers=, so a
-		// shared server would answer the second count from its cache.
+		// One server per worker count: the memo ignores options.workers, so
+		// a shared server would answer the second count from its cache.
 		srv, err := NewServer(Options{Service: service.Config{Workers: 2, WarmMaxDirty: -1}})
 		if err != nil {
 			t.Fatalf("New: %v", err)
@@ -82,23 +75,26 @@ func TestGridResponsesGolden(t *testing.T) {
 		routes := srv.Routes(nil)
 		for _, strategy := range []string{"critical-path", "tabu"} {
 			for _, p := range problems {
-				query := fmt.Sprintf("?strategy=%s&workers=%d", strategy, workers)
-				fmt.Fprintf(h, "%s %s\n", p.name, query)
-				sol := serveGrid(t, routes, "/v1/schedule"+query, p.body)
+				doc := textio.EncodeProblem(p.inst.Graph, p.inst.Arch, core.Options{Strategy: strategy, Workers: workers})
+				body, err := json.Marshal(doc)
+				if err != nil {
+					t.Fatalf("Marshal: %v", err)
+				}
+				fmt.Fprintf(h, "%s strategy=%s workers=%d\n", p.name, strategy, workers)
+				sol := serveGrid(t, routes, "/v1/schedule", body)
 				requireCompact(t, p.name, sol)
-				var doc textio.SolutionDoc
-				if err := json.Unmarshal(sol, &doc); err != nil {
+				var out textio.SolutionDoc
+				if err := json.Unmarshal(sol, &out); err != nil {
 					t.Fatalf("%s: unmarshal solution: %v", p.name, err)
 				}
-				doc.Stats.PathSchedulingNs, doc.Stats.MergeNs, doc.Stats.ValidationNs = 0, 0, 0
-				doc.Cache = nil
-				norm, err := json.Marshal(&doc)
+				out.Stats.PathSchedulingNs, out.Stats.MergeNs, out.Stats.ValidationNs = 0, 0, 0
+				out.Cache = nil
+				norm, err := json.Marshal(&out)
 				if err != nil {
 					t.Fatalf("%s: marshal solution: %v", p.name, err)
 				}
 				h.Write(norm)
-				h.Write(indentSimulate(t, p.name, serveGrid(t, routes, "/v1/simulate"+query, p.body)))
-				hashSchedules(t, h, srv, p.doc, strategy, workers)
+				hashSchedules(t, h, srv, doc)
 			}
 		}
 	}
@@ -132,39 +128,20 @@ func requireCompact(t *testing.T, name string, body []byte) {
 	}
 }
 
-// indentSimulate decodes a /v1/simulate body and renders it the way a
-// json.Encoder with SetIndent("", "  ") does.
-func indentSimulate(t *testing.T, name string, body []byte) []byte {
-	t.Helper()
-	requireCompact(t, name, body)
-	var doc simulateDoc
-	if err := json.Unmarshal(body, &doc); err != nil {
-		t.Fatalf("%s: unmarshal simulate: %v", name, err)
-	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(&doc); err != nil {
-		t.Fatalf("%s: encode simulate: %v", name, err)
-	}
-	return buf.Bytes()
-}
-
 // hashSchedules writes the optimal per-path schedules of the served result,
 // which the server answers from its memo, into h.
-func hashSchedules(t *testing.T, h hash.Hash, srv *Server, doc *textio.ProblemDoc, strategy string, workers int) {
+func hashSchedules(t *testing.T, h hash.Hash, srv *Server, doc *textio.ProblemDoc) {
 	t.Helper()
 	prob, err := service.FromDoc(doc)
 	if err != nil {
 		t.Fatalf("FromDoc: %v", err)
 	}
-	prob.Options.Strategy, prob.Options.Workers = strategy, workers
 	sol, err := srv.svc.Schedule(context.Background(), prob)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
 	if !sol.CacheHit {
-		t.Fatalf("%s under %s: the per-path schedules were not the served ones (memo miss)", doc.Name, strategy)
+		t.Fatalf("%s under %s: the per-path schedules were not the served ones (memo miss)", doc.Name, doc.Options.Strategy)
 	}
 	for _, ps := range sol.Schedules {
 		fmt.Fprintf(h, "path %s delay %d\n", ps.Label, ps.Delay)

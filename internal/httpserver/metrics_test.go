@@ -182,10 +182,10 @@ func (s *slowBody) Read(p []byte) (int, error) {
 
 // TestOverloadShedding pins the admission gate: with a light-class bound of
 // 1, a request arriving while another is in flight is shed with 429, the
-// JSON error envelope, a Retry-After hint, a shed-counter increment — and
-// once everything finishes, the in-flight gauge is back to zero.
+// JSON error envelope, the DefaultRetryAfter hint, a shed-counter increment
+// — and once everything finishes, the in-flight gauge is back to zero.
 func TestOverloadShedding(t *testing.T) {
-	srv, ts, _ := metricsServer(t, Options{LightLimit: 1, RetryAfter: 7 * time.Second})
+	srv, ts, _ := metricsServer(t, Options{LightLimit: 1})
 
 	release := make(chan struct{})
 	done := make(chan struct{})
@@ -207,8 +207,8 @@ func TestOverloadShedding(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429; body %s", resp.StatusCode, body)
 	}
-	if got := resp.Header.Get("Retry-After"); got != "7" {
-		t.Errorf("Retry-After = %q, want \"7\"", got)
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", got)
 	}
 	var envelope struct {
 		Error struct {
@@ -241,19 +241,19 @@ func TestOverloadShedding(t *testing.T) {
 }
 
 // TestDrainShedding pins the drain semantics: once SetDraining (what
-// cpgserve does on SIGTERM), work endpoints shed with 503 + the drain
-// Retry-After while /metrics and /healthz keep answering; SetDraining(false)
-// restores admission.
+// cpgserve does on SIGTERM), work endpoints shed with 503 + the
+// DefaultDrainRetryAfter hint while /metrics and /healthz keep answering;
+// SetDraining(false) restores admission.
 func TestDrainShedding(t *testing.T) {
-	srv, ts, _ := metricsServer(t, Options{DrainRetryAfter: 9 * time.Second})
+	srv, ts, _ := metricsServer(t, Options{})
 	srv.SetDraining(true)
 
 	resp, body := postJSON(t, ts.URL+"/v1/schedule", figure1Doc(t))
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining schedule status = %d, want 503; body %s", resp.StatusCode, body)
 	}
-	if got := resp.Header.Get("Retry-After"); got != "9" {
-		t.Errorf("Retry-After = %q, want \"9\"", got)
+	if got := resp.Header.Get("Retry-After"); got != "5" {
+		t.Errorf("Retry-After = %q, want \"5\"", got)
 	}
 	resp, _ = postJSON(t, ts.URL+"/v1/sweep", []byte("{}"))
 	if resp.StatusCode != http.StatusServiceUnavailable {

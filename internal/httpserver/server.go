@@ -6,38 +6,37 @@
 //
 // Endpoints:
 //
-//	POST /v1/schedule?workers=N   schedule a problem document, return the
-//	                              solution document (cache-aware); an optional
-//	                              &strategy= overrides the document's per-path
-//	                              scheduling strategy (critical-path or
-//	                              tabu); unknown names get a 400 envelope
-//	POST /v1/simulate?cond=C=1    schedule, then re-enact the matching
-//	                              alternative paths against the table
-//	POST /v1/sweep?workers=N      execute one shard of a Fig. 5/6 sweep and
-//	                              stream its raw per-graph results through
-//	                              textio.WriteShard (header, one graph frame
-//	                              per completed graph, trailing summary), the
-//	                              frame stream textio.ReadShard checks
-//	GET  /metrics                 Prometheus text exposition of the request,
-//	                              admission, service and cache metrics
-//	GET  /healthz                 liveness plus service counters ("draining"
-//	                              once SetDraining, on SIGTERM in cpgserve)
+//	POST /v1/schedule   schedule a problem document, return the solution
+//	                    document (cache-aware)
+//	POST /v1/sweep      execute one shard of a Fig. 5/6 sweep and stream its
+//	                    raw per-graph results through textio.WriteShard
+//	                    (header, one graph frame per completed graph,
+//	                    trailing summary), the frame stream textio.ReadShard
+//	                    checks
+//	GET  /metrics       Prometheus text exposition of the request,
+//	                    admission, service and cache metrics
+//	GET  /healthz       liveness plus service counters ("draining" once
+//	                    SetDraining, on SIGTERM in cpgserve)
 //
-// Every error is reported as a JSON envelope {"error":{"status":...,
-// "message":...}}. The per-request ?workers= limit is clamped by the global
-// budget: concurrent requests share the budget's tokens in total.
+// The request document is the whole request: every option travels in it
+// (the problem's options, the sweep request's workers and options), and a
+// request that carries a query string is refused with a 400 naming the
+// document field to use. Every error is reported as a JSON envelope
+// {"error":{"status":...,"message":...}}. A document's workers are a wish
+// the global budget clamps: concurrent requests share the budget's tokens
+// in total.
 //
 // # Admission control
 //
-// Endpoints are grouped into two classes — "light" (schedule, simulate: one
-// problem each) and "heavy" (sweep: a whole shard of graphs) — each with a
-// bounded concurrency and a live in-flight gauge. A request over the bound
-// is shed immediately with 429, a Retry-After hint and the JSON error
-// envelope, instead of stacking goroutines behind the worker-token budget
-// until the client times out; during a drain window (SetDraining) both
-// classes shed with 503 so a loaded-or-leaving backend is distinguishable
-// from a dead one. Observability endpoints (/metrics, /healthz) are never
-// shed — an overloaded server must stay diagnosable.
+// Endpoints are grouped into two classes — "light" (schedule: one problem
+// each) and "heavy" (sweep: a whole shard of graphs) — each with a bounded
+// concurrency and a live in-flight gauge. A request over the bound is shed
+// immediately with 429, a Retry-After hint and the JSON error envelope,
+// instead of stacking goroutines behind the worker-token budget until the
+// client times out; during a drain window (SetDraining) both classes shed
+// with 503 so a loaded-or-leaving backend is distinguishable from a dead
+// one. Observability endpoints (/metrics, /healthz) are never shed — an
+// overloaded server must stay diagnosable.
 package httpserver
 
 import (
@@ -47,16 +46,15 @@ import (
 	"log"
 	"math"
 	"net/http"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/obs"
 	"repro/internal/service"
-	"repro/internal/sim"
 	"repro/internal/textio"
 )
 
@@ -71,7 +69,7 @@ const (
 	DefaultDrainRetryAfter = 5 * time.Second
 )
 
-// DefaultLightLimit is the light-class (schedule/simulate) concurrency bound
+// DefaultLightLimit is the light-class (schedule) concurrency bound
 // for a given worker budget: generous, because light requests queue briefly
 // on the token pool and memo hits bypass it entirely.
 func DefaultLightLimit(budget int) int { return max(32, 8*budget) }
@@ -87,21 +85,14 @@ type Options struct {
 	Service service.Config
 	// MaxBody bounds the accepted request body size in bytes (0 = 8 MiB).
 	MaxBody int64
-	// Metrics is the registry the server's instruments are registered on
-	// (nil = a fresh private registry, retrievable via MetricsRegistry).
-	Metrics *obs.Registry
 	// Clock is the latency-measurement time source (nil = obs.WallClock).
 	Clock obs.Clock
-	// LightLimit bounds concurrent schedule/simulate requests
+	// LightLimit bounds concurrent schedule requests
 	// (0 = DefaultLightLimit of the budget, negative = unlimited).
 	LightLimit int
 	// HeavyLimit bounds concurrent sweep-shard requests
 	// (0 = DefaultHeavyLimit of the budget, negative = unlimited).
 	HeavyLimit int
-	// RetryAfter and DrainRetryAfter are the Retry-After hints of 429
-	// overload and 503 drain sheds (0 = the defaults above).
-	RetryAfter      time.Duration
-	DrainRetryAfter time.Duration
 }
 
 // epClass is one admission class: endpoints sharing a concurrency bound, an
@@ -128,10 +119,13 @@ type Server struct {
 	heavy     *epClass
 	reqCodes  *obs.CounterVec
 	durations *obs.HistogramVec
-	// Pre-rendered Retry-After header values (whole seconds, rounded up).
-	retryAfterOverload string
-	retryAfterDrain    string
 }
+
+// The Retry-After header values of the two sheds.
+var (
+	retryAfterOverload = retryAfterSeconds(DefaultRetryAfter)
+	retryAfterDrain    = retryAfterSeconds(DefaultDrainRetryAfter)
+)
 
 // NewServer builds a Server from Options.
 func NewServer(opts Options) (*Server, error) {
@@ -147,25 +141,12 @@ func NewServer(opts Options) (*Server, error) {
 	if clock == nil {
 		clock = obs.WallClock{}
 	}
-	reg := opts.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	retryAfter := opts.RetryAfter
-	if retryAfter <= 0 {
-		retryAfter = DefaultRetryAfter
-	}
-	drainRetryAfter := opts.DrainRetryAfter
-	if drainRetryAfter <= 0 {
-		drainRetryAfter = DefaultDrainRetryAfter
-	}
+	reg := obs.NewRegistry()
 	s := &Server{
-		svc:                svc,
-		maxBody:            maxBody,
-		metrics:            reg,
-		clock:              clock,
-		retryAfterOverload: retryAfterSeconds(retryAfter),
-		retryAfterDrain:    retryAfterSeconds(drainRetryAfter),
+		svc:     svc,
+		maxBody: maxBody,
+		metrics: reg,
+		clock:   clock,
 	}
 	s.start = clock.Now()
 	budget := svc.Stats().Workers
@@ -229,7 +210,6 @@ func (s *Server) MetricsRegistry() *obs.Registry { return s.metrics }
 func (s *Server) Routes(logger *log.Logger) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("POST /v1/schedule", s.instrument("/v1/schedule", s.light, s.handleSchedule))
-	mux.Handle("POST /v1/simulate", s.instrument("/v1/simulate", s.light, s.handleSimulate))
 	mux.Handle("POST /v1/sweep", s.instrument("/v1/sweep", s.heavy, s.handleSweep))
 	mux.Handle("GET /healthz", s.instrument("/healthz", nil, s.handleHealthz))
 	mux.Handle("GET /metrics", s.instrument("/metrics", nil, obs.Handler(s.metrics).ServeHTTP))
@@ -355,7 +335,7 @@ func (e *endpoint) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
 			e.cls.shedDrain.Inc()
 			e.codes[http.StatusServiceUnavailable/100].Inc()
-			shed(w, http.StatusServiceUnavailable, s.retryAfterDrain,
+			shed(w, http.StatusServiceUnavailable, retryAfterDrain,
 				"server is draining: finishing in-flight work, not admitting new requests")
 			return
 		}
@@ -363,7 +343,7 @@ func (e *endpoint) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			e.cls.inflight.Dec()
 			e.cls.shedOverload.Inc()
 			e.codes[http.StatusTooManyRequests/100].Inc()
-			shed(w, http.StatusTooManyRequests, s.retryAfterOverload,
+			shed(w, http.StatusTooManyRequests, retryAfterOverload,
 				"server overloaded: endpoint-class concurrency bound reached, retry after the hinted delay")
 			return
 		}
@@ -403,10 +383,14 @@ func requestErrorStatus(err error) int {
 }
 
 // scheduleErrorStatus maps a failed service run to an HTTP status:
-// cancellations and deadlines become 408, everything else 500.
+// cancellations and deadlines become 408, a merge that reached its safety
+// bound 422 (the problem, not the server, is at fault), everything else 500.
 func scheduleErrorStatus(err error) int {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	switch {
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		return http.StatusRequestTimeout
+	case errors.Is(err, core.ErrNotConverged):
+		return http.StatusUnprocessableEntity
 	}
 	return http.StatusInternalServerError
 }
@@ -442,64 +426,26 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
-// workersParam parses the optional ?workers= per-request limit.
-func workersParam(r *http.Request) (int, bool, error) {
-	q := r.URL.Query().Get("workers")
-	if q == "" {
-		return 0, false, nil
+// handleSchedule answers a v1 problem document with its solution document.
+func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
+	if r.URL.RawQuery != "" {
+		writeError(w, http.StatusBadRequest, errors.New(
+			"/v1/schedule takes no query parameters: set options.workers and options.strategy in the problem document"))
+		return
 	}
-	n, err := strconv.Atoi(q)
-	if err != nil || n < 0 {
-		return 0, false, fmt.Errorf("malformed workers parameter %q (want a non-negative integer)", q)
-	}
-	return n, true, nil
-}
-
-// readProblem parses the request body as a strict v1 problem document and
-// applies the optional ?workers= per-request limit.
-func (s *Server) readProblem(w http.ResponseWriter, r *http.Request) (*service.Problem, error) {
 	doc, err := textio.ReadProblem(http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err != nil {
-		return nil, err
+		writeError(w, requestErrorStatus(err), err)
+		return
 	}
 	prob, err := service.FromDoc(doc)
 	if err != nil {
-		return nil, err
-	}
-	if n, ok, err := workersParam(r); err != nil {
-		return nil, err
-	} else if ok {
-		prob.Options.Workers = n
-	}
-	if q := r.URL.Query().Get("strategy"); q != "" {
-		name, err := textio.ParseStrategy(q)
-		if err != nil {
-			return nil, err
-		}
-		prob.Options.Strategy = name
-	}
-	return prob, nil
-}
-
-// schedule runs one problem through the service, translating context
-// cancellation and scheduling failures into HTTP errors.
-func (s *Server) schedule(w http.ResponseWriter, r *http.Request) (*service.Solution, bool) {
-	prob, err := s.readProblem(w, r)
-	if err != nil {
 		writeError(w, requestErrorStatus(err), err)
-		return nil, false
+		return
 	}
 	sol, err := s.svc.Schedule(r.Context(), prob)
 	if err != nil {
 		writeError(w, scheduleErrorStatus(err), err)
-		return nil, false
-	}
-	return sol, true
-}
-
-func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	sol, ok := s.schedule(w, r)
-	if !ok {
 		return
 	}
 	out := textio.EncodeSolution(sol.Result)
@@ -522,16 +468,15 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 // travels in-band as an error frame — the strict reader turns a missing or
 // mismatched summary into a loud error, never a silently short shard.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
+	if r.URL.RawQuery != "" {
+		writeError(w, http.StatusBadRequest, errors.New(
+			"/v1/sweep takes no query parameters: set workers and options.strategy in the sweep request"))
+		return
+	}
 	_, cfg, err := textio.ReadSweepRequest(http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err != nil {
 		writeError(w, requestErrorStatus(err), err)
 		return
-	}
-	if n, ok, err := workersParam(r); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	} else if ok {
-		cfg.Workers = n
 	}
 	_, ok := w.(http.Flusher)
 	if sw, isSW := w.(*statusWriter); isSW && !sw.flushable() {
@@ -563,101 +508,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // get a 503 shed, which a sweep coordinator retries, instead of a refused
 // connection.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
-
-// activationDoc is one activated activity of a simulated trace.
-type activationDoc struct {
-	Name  string `json:"name"`
-	Start int64  `json:"start"`
-	End   int64  `json:"end"`
-}
-
-// traceDoc is the re-enactment of one alternative path.
-type traceDoc struct {
-	Label       string          `json:"label"`
-	Delay       int64           `json:"delay"`
-	Violations  []string        `json:"violations,omitempty"`
-	Activations []activationDoc `json:"activations"`
-}
-
-// simulateDoc is the response of /v1/simulate.
-type simulateDoc struct {
-	Version  string     `json:"version"`
-	Name     string     `json:"name"`
-	DeltaM   int64      `json:"deltaM"`
-	DeltaMax int64      `json:"deltaMax"`
-	Traces   []traceDoc `json:"traces"`
-}
-
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	sol, ok := s.schedule(w, r)
-	if !ok {
-		return
-	}
-	g, a := sol.Graph, sol.Arch
-	// An empty ?cond= parses to the empty cube, which every path implies.
-	spec := r.URL.Query().Get("cond")
-	label, err := textio.ParseConds(g, spec)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	out := &simulateDoc{
-		Version:  textio.ProblemVersion,
-		Name:     g.Name(),
-		DeltaM:   sol.DeltaM,
-		DeltaMax: sol.DeltaMax,
-	}
-	for _, p := range sol.Paths {
-		if !p.Label.Implies(label) {
-			continue
-		}
-		// The service keeps no subgraphs: build the selected path's.
-		tr, err := sim.RunSubgraph(g.Subgraph(g.PathFor(p.Label)), a, sol.Table)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		td := traceDoc{Label: p.Label.Format(g.CondName), Delay: tr.Delay}
-		for _, v := range tr.Violations {
-			td.Violations = append(td.Violations, v.String())
-		}
-		for _, act := range tr.Activations {
-			k := act.Key
-			name := k.String()
-			if k.IsCond {
-				name = "broadcast " + g.CondName(k.Cond)
-			} else if p := g.Process(k.Proc); p != nil {
-				name = p.Name
-			}
-			td.Activations = append(td.Activations, activationDoc{Name: name, Start: act.Start, End: act.End})
-		}
-		sortActivations(td.Activations)
-		out.Traces = append(out.Traces, td)
-	}
-	if len(out.Traces) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("no alternative path matches %q", spec))
-		return
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func sortActivations(acts []activationDoc) {
-	slices.SortFunc(acts, func(a, b activationDoc) int {
-		if a.Start != b.Start {
-			if a.Start < b.Start {
-				return -1
-			}
-			return 1
-		}
-		switch {
-		case a.Name < b.Name:
-			return -1
-		case a.Name > b.Name:
-			return 1
-		}
-		return 0
-	})
-}
 
 // healthDoc is the /healthz response.
 type healthDoc struct {

@@ -4,18 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/cpg"
 	"repro/internal/expr"
+	"repro/internal/gen"
 	"repro/internal/service"
 	"repro/internal/table"
 	"repro/internal/textio"
@@ -140,23 +139,35 @@ func TestWriteJSONRenderFailure(t *testing.T) {
 	}
 }
 
+// withOptions returns the Figure 1 problem document with the given options.
+func withOptions(t *testing.T, opts textio.OptionsDoc) []byte {
+	t.Helper()
+	var doc textio.ProblemDoc
+	if err := json.Unmarshal(figure1Doc(t), &doc); err != nil {
+		t.Fatalf("unmarshal problem: %v", err)
+	}
+	doc.Options = &opts
+	body, err := json.Marshal(&doc)
+	if err != nil {
+		t.Fatalf("marshal problem: %v", err)
+	}
+	return body
+}
+
+// TestScheduleEndpointWorkersParam pins the per-request worker wish, which
+// travels in the document's options.workers: a valid count is scheduled, a
+// negative one gets a 400 envelope naming the field.
 func TestScheduleEndpointWorkersParam(t *testing.T) {
 	ts := testServer(t)
-	doc := figure1Doc(t)
-	resp, body := postJSON(t, ts.URL+"/v1/schedule?workers=1", doc)
+	resp, body := postJSON(t, ts.URL+"/v1/schedule", withOptions(t, textio.OptionsDoc{Workers: 1}))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	resp, body = postJSON(t, ts.URL+"/v1/schedule?workers=-1", doc)
+	resp, body = postJSON(t, ts.URL+"/v1/schedule", withOptions(t, textio.OptionsDoc{Workers: -1}))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("negative workers must yield 400, got %d: %s", resp.StatusCode, body)
 	}
-	var env struct {
-		Error struct {
-			Status  int    `json:"status"`
-			Message string `json:"message"`
-		} `json:"error"`
-	}
+	var env errorDoc
 	if err := json.Unmarshal(body, &env); err != nil {
 		t.Fatalf("error envelope not JSON: %v in %s", err, body)
 	}
@@ -195,142 +206,6 @@ func TestScheduleEndpointRejectsBadDocuments(t *testing.T) {
 	}
 }
 
-func TestSimulateEndpoint(t *testing.T) {
-	ts := testServer(t)
-	doc := figure1Doc(t)
-	resp, body := postJSON(t, ts.URL+"/v1/simulate", doc)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var sim simulateDoc
-	if err := json.Unmarshal(body, &sim); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if len(sim.Traces) != 6 {
-		t.Fatalf("figure 1 has 6 alternative paths, got %d traces", len(sim.Traces))
-	}
-	for _, tr := range sim.Traces {
-		if len(tr.Violations) != 0 {
-			t.Fatalf("unexpected violations on %s: %v", tr.Label, tr.Violations)
-		}
-		if len(tr.Activations) == 0 {
-			t.Fatalf("trace %s has no activations", tr.Label)
-		}
-	}
-
-	resp, body = postJSON(t, ts.URL+"/v1/simulate?cond=C%3D1%2CD%3D0", doc)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	if err := json.Unmarshal(body, &sim); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if len(sim.Traces) != 1 {
-		t.Fatalf("C=1,D=0 selects one path, got %d", len(sim.Traces))
-	}
-
-	resp, body = postJSON(t, ts.URL+"/v1/simulate?cond=Z%3D1", doc)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown condition must yield 400, got %d: %s", resp.StatusCode, body)
-	}
-}
-
-// TestSimulateFromCachedResults pins /v1/simulate on the results the service
-// keeps, which hold no subgraphs: a memo hit, and a run warm-started from a
-// memoized result, answer with the bytes a cold server sends, with and
-// without ?cond=.
-func TestSimulateFromCachedResults(t *testing.T) {
-	base := figure1Doc(t)
-	doc, err := textio.ReadProblem(bytes.NewReader(base))
-	if err != nil {
-		t.Fatalf("ReadProblem: %v", err)
-	}
-	g, _, _, err := textio.DecodeProblem(doc)
-	if err != nil {
-		t.Fatalf("DecodeProblem: %v", err)
-	}
-	paths, err := g.AlternativePaths(0)
-	if err != nil {
-		t.Fatalf("AlternativePaths: %v", err)
-	}
-	// A τ edit of a process that some path does not run: the warm start
-	// reuses that path's schedule.
-	edited := *doc
-	edited.Processes = slices.Clone(doc.Processes)
-	for i, p := range edited.Processes {
-		id, _ := g.FindByName(p.Name)
-		if !slices.ContainsFunc(paths, func(path *cpg.Path) bool { return !path.IsActive(id) }) {
-			continue
-		}
-		edited.Processes[i].Exec += 3
-		break
-	}
-	var buf bytes.Buffer
-	if err := textio.WriteProblem(&buf, &edited); err != nil {
-		t.Fatalf("WriteProblem: %v", err)
-	}
-	editedBody := buf.Bytes()
-	newServer := func() (*Server, http.Handler) {
-		srv, err := NewServer(Options{Service: service.Config{Workers: 2}})
-		if err != nil {
-			t.Fatalf("NewServer: %v", err)
-		}
-		return srv, srv.Routes(nil)
-	}
-	for _, query := range []string{"", "?cond=C%3D1%2CD%3D0"} {
-		srv, routes := newServer()
-		serveGrid(t, routes, "/v1/schedule", base)
-		for _, tc := range []struct {
-			name string
-			body []byte
-		}{{"memo hit", base}, {"warm start", editedBody}} {
-			_, cold := newServer()
-			want := serveGrid(t, cold, "/v1/simulate"+query, tc.body)
-			if got := serveGrid(t, routes, "/v1/simulate"+query, tc.body); !bytes.Equal(got, want) {
-				t.Fatalf("%s, query %q: simulate answers\n%s\nwant, as a cold server answers,\n%s", tc.name, query, got, want)
-			}
-		}
-		if st := srv.Stats(); st.CacheHits != 1 || st.WarmStarts != 1 {
-			t.Fatalf("query %q: %d memo hits and %d warm starts, want 1 and 1", query, st.CacheHits, st.WarmStarts)
-		}
-	}
-}
-
-// TestSimulateConcurrentMemoHits re-enacts one memoized result from several
-// requests at once. Each builds its subgraphs from the shared graph, so
-// under -race this pins that nothing writes to the cached result.
-func TestSimulateConcurrentMemoHits(t *testing.T) {
-	doc := figure1Doc(t)
-	srv, err := NewServer(Options{Service: service.Config{Workers: 2}})
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
-	}
-	routes := srv.Routes(nil)
-	queries := []string{"", "?cond=C%3D1%2CD%3D0"}
-	want := make([][]byte, len(queries))
-	for i, q := range queries {
-		want[i] = serveGrid(t, routes, "/v1/simulate"+q, doc)
-	}
-	var wg sync.WaitGroup
-	for w := range 4 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i, q := range queries {
-				rec := httptest.NewRecorder()
-				routes.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/simulate"+q, bytes.NewReader(doc)))
-				if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want[i]) {
-					t.Errorf("request %d, query %q: status %d, and the body differs from the first answer", w, q, rec.Code)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if st := srv.Stats(); st.CacheHits != 9 {
-		t.Fatalf("%d memo hits, want 9", st.CacheHits)
-	}
-}
-
 func TestHealthz(t *testing.T) {
 	ts := testServer(t)
 	resp, err := http.Get(ts.URL + "/healthz")
@@ -350,87 +225,125 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// TestScheduleEndpointStrategyParam pins the per-request strategy override:
-// an unknown strategy, in ?strategy= or in the document's options, is
+// TestScheduleEndpointStrategyParam pins the per-request strategy, which
+// travels in the document's options.strategy: an unknown strategy is
 // rejected with a 400 JSON error envelope listing the known strategies
 // before any scheduling work, and two requests for the same problem under
 // two different strategies are two independent memo entries (two misses,
 // two hashes — cached solutions never cross strategies).
 func TestScheduleEndpointStrategyParam(t *testing.T) {
 	ts := testServer(t)
-	doc := figure1Doc(t)
-
-	var withStrategy textio.ProblemDoc
-	if err := json.Unmarshal(doc, &withStrategy); err != nil {
-		t.Fatalf("unmarshal problem: %v", err)
-	}
-	withStrategy.Options = &textio.OptionsDoc{Strategy: "urgency"}
-	urgencyDoc, err := json.Marshal(&withStrategy)
-	if err != nil {
-		t.Fatalf("marshal problem: %v", err)
-	}
-	for _, bad := range []struct {
-		target string
-		body   []byte
-	}{
-		{"/v1/schedule?strategy=simulated-annealing", doc},
-		{"/v1/schedule?strategy=urgency", doc},
-		{"/v1/schedule", urgencyDoc},
-	} {
-		resp, body := postJSON(t, ts.URL+bad.target, bad.body)
+	for _, bad := range []string{"simulated-annealing", "urgency"} {
+		resp, body := postJSON(t, ts.URL+"/v1/schedule", withOptions(t, textio.OptionsDoc{Strategy: bad}))
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: unknown strategy must yield 400, got %d: %s", bad.target, resp.StatusCode, body)
+			t.Fatalf("%s: unknown strategy must yield 400, got %d: %s", bad, resp.StatusCode, body)
 		}
 		var envelope errorDoc
 		if err := json.Unmarshal(body, &envelope); err != nil {
-			t.Fatalf("%s: unknown strategy error is not a JSON envelope: %v: %s", bad.target, err, body)
+			t.Fatalf("%s: unknown strategy error is not a JSON envelope: %v: %s", bad, err, body)
 		}
 		if envelope.Error.Status != http.StatusBadRequest || !strings.Contains(envelope.Error.Message, "unknown scheduling strategy") ||
 			!strings.Contains(envelope.Error.Message, "critical-path, tabu") {
-			t.Fatalf("%s: unexpected error envelope: %+v", bad.target, envelope)
+			t.Fatalf("%s: unexpected error envelope: %+v", bad, envelope)
 		}
 	}
 
-	resp, body := postJSON(t, ts.URL+"/v1/schedule?strategy=critical-path", doc)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("strategy=critical-path: status %d: %s", resp.StatusCode, body)
+	schedule := func(strategy string) *textio.CacheDoc {
+		t.Helper()
+		resp, body := postJSON(t, ts.URL+"/v1/schedule", withOptions(t, textio.OptionsDoc{Strategy: strategy}))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("strategy %s: status %d: %s", strategy, resp.StatusCode, body)
+		}
+		var sol textio.SolutionDoc
+		if err := json.Unmarshal(body, &sol); err != nil {
+			t.Fatalf("unmarshal: %v", err)
+		}
+		if sol.Cache == nil {
+			t.Fatalf("strategy %s: the solution has no cache block", strategy)
+		}
+		return sol.Cache
 	}
-	var cp textio.SolutionDoc
-	if err := json.Unmarshal(body, &cp); err != nil {
-		t.Fatalf("unmarshal: %v", err)
+	cp := schedule("critical-path")
+	if cp.Hit {
+		t.Fatalf("first critical-path request must miss the cache: %+v", cp)
 	}
-	if cp.Cache == nil || cp.Cache.Hit {
-		t.Fatalf("first critical-path request must miss the cache: %+v", cp.Cache)
+	tabu := schedule("tabu")
+	if tabu.Hit {
+		t.Fatalf("same problem under another strategy must be a fresh memo miss: %+v", tabu)
 	}
-
-	resp, body = postJSON(t, ts.URL+"/v1/schedule?strategy=tabu", doc)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("strategy=tabu: status %d: %s", resp.StatusCode, body)
+	if tabu.Misses != 2 {
+		t.Fatalf("two strategies must be two memo misses, got %d", tabu.Misses)
 	}
-	var tabu textio.SolutionDoc
-	if err := json.Unmarshal(body, &tabu); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if tabu.Cache == nil || tabu.Cache.Hit {
-		t.Fatalf("same problem under another strategy must be a fresh memo miss: %+v", tabu.Cache)
-	}
-	if tabu.Cache.Misses != 2 {
-		t.Fatalf("two strategies must be two memo misses, got %d", tabu.Cache.Misses)
-	}
-	if tabu.Cache.ProblemHash == cp.Cache.ProblemHash {
+	if tabu.ProblemHash == cp.ProblemHash {
 		t.Fatalf("strategy must be part of the problem hash")
 	}
 	// Each strategy hits its own entry on repeat.
-	resp, body = postJSON(t, ts.URL+"/v1/schedule?strategy=critical-path", doc)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("repeat critical-path: status %d: %s", resp.StatusCode, body)
+	if again := schedule("critical-path"); !again.Hit {
+		t.Fatalf("repeated critical-path request must hit its memo entry: %+v", again)
 	}
-	var again textio.SolutionDoc
-	if err := json.Unmarshal(body, &again); err != nil {
-		t.Fatalf("unmarshal: %v", err)
+}
+
+// TestDocumentIsTheWholeRequest pins the one way in: /v1/simulate is gone
+// (404), and a /v1/schedule or /v1/sweep request that carries a query string
+// gets a 400 envelope naming the document field that carries the option,
+// before its body is read.
+func TestDocumentIsTheWholeRequest(t *testing.T) {
+	ts := testServer(t)
+	resp, body := postJSON(t, ts.URL+"/v1/simulate", figure1Doc(t))
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /v1/simulate: status %d, want 404: %s", resp.StatusCode, body)
 	}
-	if again.Cache == nil || !again.Cache.Hit {
-		t.Fatalf("repeated critical-path request must hit its memo entry: %+v", again.Cache)
+	for _, tc := range []struct {
+		target string
+		body   []byte
+		field  string
+	}{
+		{"/v1/schedule?strategy=tabu", figure1Doc(t), "options.strategy"},
+		{"/v1/schedule?workers=1", figure1Doc(t), "options.workers"},
+		{"/v1/sweep?workers=2", sweepRequestBody(t, expr.GoldenSweep()), "set workers"},
+	} {
+		resp, body := postJSON(t, ts.URL+tc.target, tc.body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400: %s", tc.target, resp.StatusCode, body)
+		}
+		var env errorDoc
+		if err := json.Unmarshal(body, &env); err != nil {
+			t.Fatalf("%s: error envelope not JSON: %v in %s", tc.target, err, body)
+		}
+		if env.Error.Status != http.StatusBadRequest || !strings.Contains(env.Error.Message, tc.field) {
+			t.Fatalf("%s: the error envelope does not name %q: %+v", tc.target, tc.field, env.Error)
+		}
+	}
+}
+
+// TestScheduleNotConvergedIs422 pins the status of a merge that runs to its
+// safety bound (grid seed 159, 80 nodes and 10 paths, under conflicts
+// "delay"): the problem, not the server, is at fault.
+func TestScheduleNotConvergedIs422(t *testing.T) {
+	// The grid draws each seed's configs from one source: 60 nodes under
+	// paths 10, 12, 18, 24 and 32, then 80 nodes under 10 paths.
+	r := rand.New(rand.NewSource(159))
+	for _, p := range []int{10, 12, 18, 24, 32} {
+		gen.RandomConfig(r, 60, p)
+	}
+	inst, err := gen.Generate(gen.RandomConfig(r, 80, 10))
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	body, err := json.Marshal(textio.EncodeProblem(inst.Graph, inst.Arch, core.Options{ConflictPolicy: core.ConflictDelayToLatest}))
+	if err != nil {
+		t.Fatalf("Marshal: %v", err)
+	}
+	resp, out := postJSON(t, testServer(t).URL+"/v1/schedule", body)
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422: %s", resp.StatusCode, out)
+	}
+	var env errorDoc
+	if err := json.Unmarshal(out, &env); err != nil {
+		t.Fatalf("error envelope not JSON: %v in %s", err, out)
+	}
+	if env.Error.Status != http.StatusUnprocessableEntity || !strings.Contains(env.Error.Message, "did not converge") {
+		t.Fatalf("error envelope unexpected: %+v", env.Error)
 	}
 }
 

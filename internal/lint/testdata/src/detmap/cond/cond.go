@@ -35,8 +35,8 @@ func SortedCollect(m map[string]int) []string {
 }
 
 // HelperSorted collects into a struct field and sorts through a package-local
-// sort-named helper — the shape the HTTP simulate handler uses for its
-// activation traces. Accepted.
+// sort-named helper — the shape a handler uses to sort a document's
+// entries. Accepted.
 func HelperSorted(m map[string]int) []string {
 	type doc struct{ names []string }
 	var d doc

@@ -10,7 +10,7 @@ import "repro/internal/obs"
 //
 // Families:
 //
-//	cpg_service_requests_total        schedule/simulate problems handled
+//	cpg_service_requests_total        schedule problems handled
 //	cpg_service_sweep_requests_total  sweep shards handled
 //	cpg_service_memo_hits_total       problem-memo hits (memo_misses_total, memo_entries likewise)
 //	cpg_service_warm_starts_total     runs warm-started from a near-miss memo entry
@@ -21,7 +21,7 @@ import "repro/internal/obs"
 // the registry's identical-registration rule.
 func (s *Service) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("cpg_service_requests_total",
-		"Schedule/simulate problems handled by the service.",
+		"Schedule problems handled by the service.",
 		s.requests.Load)
 	reg.CounterFunc("cpg_service_sweep_requests_total",
 		"Sweep shards handled by the service.",

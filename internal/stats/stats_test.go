@@ -37,22 +37,6 @@ func TestMax(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	s := NewSeries()
-	s.Add(Key(60, 10), 1)
-	s.Add(Key(60, 10), 3)
-	s.Add(Key(80, 10), 5)
-	if got := s.Values("n60/p10"); len(got) != 2 || got[0] != 1 || got[1] != 3 || !almost(s.Mean("n60/p10"), 2) {
-		t.Fatalf("group aggregation wrong: %v", got)
-	}
-	if got := s.Values("n80/p10"); len(got) != 1 || got[0] != 5 {
-		t.Fatalf("Values wrong: %v", got)
-	}
-	if len(s.Values("missing")) != 0 {
-		t.Fatalf("missing group must be empty")
-	}
-}
-
 func TestPropertyMeanBetweenMinAndMax(t *testing.T) {
 	f := func(raw []uint8) bool {
 		if len(raw) == 0 {

@@ -19,7 +19,7 @@ import (
 // `go test -fuzz FuzzReadSweepRequest ./internal/textio`.
 func FuzzReadSweepRequest(f *testing.F) {
 	f.Add([]byte(`{"version":"v1","nodes":[40,60],"paths":[10,12],"graphsPerCell":2,"seed":1998,"shardIndex":1,"shardCount":3}`))
-	f.Add([]byte(`{"version":"v1","nodes":[40],"paths":[10],"graphsPerCell":1,"seed":0,"shardIndex":0,"shardCount":1,"workers":4,"options":{"strategy":"tabu"}}`))
+	f.Add([]byte(`{"version":"v1","nodes":[40],"paths":[10],"graphsPerCell":1,"seed":-7,"shardIndex":0,"shardCount":1,"workers":4,"options":{"strategy":"tabu"}}`))
 	f.Add([]byte(`{"version":"v2"}`))
 	f.Add([]byte(`{"version":"v1","shardIndex":-1}`))
 	f.Add([]byte(`{`))

@@ -21,8 +21,8 @@ import (
 )
 
 // SweepRequestDoc is the versioned request for one shard of a sweep. Seed is
-// the literal sweep seed (the coordinator resolves the "unset" default before
-// encoding, and a wire seed of 0 means exactly zero — see expr.ZeroSeed).
+// the literal sweep seed: the coordinator resolves the "unset" default before
+// encoding, so a wire seed of 0 is refused.
 type SweepRequestDoc struct {
 	Version       string `json:"version"`
 	Nodes         []int  `json:"nodes"`
@@ -40,20 +40,16 @@ type SweepRequestDoc struct {
 
 // EncodeSweepRequest renders a sweep configuration in document form. The
 // config is normalized first, so the document always spells out the concrete
-// nodes, paths, graph count and seed (the ZeroSeed sentinel encodes as the
-// literal 0) — re-encoding a decoded request reproduces it byte for byte.
+// nodes, paths, graph count and seed — re-encoding a decoded request
+// reproduces it byte for byte.
 func EncodeSweepRequest(cfg expr.SweepConfig) *SweepRequestDoc {
 	cfg = cfg.Normalize()
-	seed := cfg.Seed
-	if seed == expr.ZeroSeed {
-		seed = 0
-	}
 	return &SweepRequestDoc{
 		Version:       ProblemVersion,
 		Nodes:         slices.Clone(cfg.Nodes),
 		Paths:         slices.Clone(cfg.Paths),
 		GraphsPerCell: cfg.GraphsPerCell,
-		Seed:          seed,
+		Seed:          cfg.Seed,
 		ShardIndex:    cfg.ShardIndex,
 		ShardCount:    cfg.ShardCount,
 		Workers:       cfg.Workers,
@@ -62,9 +58,8 @@ func EncodeSweepRequest(cfg expr.SweepConfig) *SweepRequestDoc {
 }
 
 // DecodeSweepRequest validates a sweep request document and converts it into
-// an expr.SweepConfig. A wire seed of 0 decodes to the expr.ZeroSeed sentinel
-// so a later Normalize cannot silently substitute the default seed — the
-// document is authoritative.
+// an expr.SweepConfig. A wire seed of 0 is refused: a later Normalize would
+// silently substitute the default seed, and the document is authoritative.
 func DecodeSweepRequest(d *SweepRequestDoc) (expr.SweepConfig, error) {
 	var cfg expr.SweepConfig
 	if d.Version != ProblemVersion {
@@ -96,6 +91,9 @@ func DecodeSweepRequest(d *SweepRequestDoc) (expr.SweepConfig, error) {
 	if d.GraphsPerCell <= 0 {
 		return cfg, fmt.Errorf("textio: sweep graphsPerCell must be > 0; got %d", d.GraphsPerCell)
 	}
+	if d.Seed == 0 {
+		return cfg, fmt.Errorf("textio: sweep seed must be nonzero (an unset seed encodes as the default %d)", expr.DefaultSeed)
+	}
 	if d.ShardCount < 1 {
 		return cfg, fmt.Errorf("textio: sweep shardCount must be >= 1; got %d", d.ShardCount)
 	}
@@ -109,20 +107,11 @@ func DecodeSweepRequest(d *SweepRequestDoc) (expr.SweepConfig, error) {
 	if err != nil {
 		return cfg, err
 	}
-	// The sentinel value itself is reserved: accepting it would silently
-	// alias the request to the seed-0 sweep.
-	if d.Seed == expr.ZeroSeed {
-		return cfg, fmt.Errorf("textio: sweep seed %d is reserved (use 0 for the literal zero seed)", d.Seed)
-	}
-	seed := d.Seed
-	if seed == 0 {
-		seed = expr.ZeroSeed
-	}
 	cfg = expr.SweepConfig{
 		Nodes:         slices.Clone(d.Nodes),
 		Paths:         slices.Clone(d.Paths),
 		GraphsPerCell: d.GraphsPerCell,
-		Seed:          seed,
+		Seed:          d.Seed,
 		Workers:       d.Workers,
 		Options:       opts,
 		ShardIndex:    d.ShardIndex,

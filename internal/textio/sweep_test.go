@@ -49,29 +49,19 @@ func TestSweepRequestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSweepRequestSeedZero pins the seed contract on the wire: a document
-// seed of 0 means the literal zero seed (decoded as the expr.ZeroSeed
-// sentinel, surviving Normalize), and a coordinator-side unset seed is
-// resolved to the default before it reaches the wire — the two ends can
-// never disagree.
+// TestSweepRequestSeedZero pins the seed contract on the wire: a
+// coordinator-side unset seed is resolved to the default before it reaches
+// the wire, so no encoder writes 0, and a document seed of 0 is refused
+// rather than read as the default — the two ends can never disagree.
 func TestSweepRequestSeedZero(t *testing.T) {
 	unset := EncodeSweepRequest(expr.SweepConfig{GraphsPerCell: 1})
 	if unset.Seed != expr.DefaultSeed {
 		t.Errorf("unset seed must encode as the default %d; got %d", expr.DefaultSeed, unset.Seed)
 	}
-	zero := EncodeSweepRequest(expr.SweepConfig{GraphsPerCell: 1, Seed: expr.ZeroSeed})
-	if zero.Seed != 0 {
-		t.Errorf("ZeroSeed must encode as the literal 0; got %d", zero.Seed)
-	}
-	cfg, err := DecodeSweepRequest(zero)
-	if err != nil {
-		t.Fatalf("DecodeSweepRequest: %v", err)
-	}
-	if cfg.Seed != expr.ZeroSeed {
-		t.Errorf("wire seed 0 must decode to the ZeroSeed sentinel; got %d", cfg.Seed)
-	}
-	if cfg.Normalize().Seed != expr.ZeroSeed {
-		t.Errorf("decoded zero seed must survive Normalize; got %d", cfg.Normalize().Seed)
+	zero := *unset
+	zero.Seed = 0
+	if _, err := DecodeSweepRequest(&zero); err == nil || !strings.Contains(err.Error(), "seed must be nonzero") {
+		t.Errorf("wire seed 0 must be refused; got %v", err)
 	}
 }
 
@@ -94,7 +84,7 @@ func TestSweepRequestRejects(t *testing.T) {
 		"trailing data":   `{"version":"v1","nodes":[40],"paths":[10],"graphsPerCell":1,"seed":1,"shardIndex":0,"shardCount":1} {}`,
 		"dup nodes":       `{"version":"v1","nodes":[40,40],"paths":[10],"graphsPerCell":1,"seed":1,"shardIndex":0,"shardCount":1}`,
 		"dup paths":       `{"version":"v1","nodes":[40],"paths":[10,10],"graphsPerCell":1,"seed":1,"shardIndex":0,"shardCount":1}`,
-		"reserved seed":   `{"version":"v1","nodes":[40],"paths":[10],"graphsPerCell":1,"seed":-9223372036854775808,"shardIndex":0,"shardCount":1}`,
+		"zero seed":       `{"version":"v1","nodes":[40],"paths":[10],"graphsPerCell":1,"seed":0,"shardIndex":0,"shardCount":1}`,
 	} {
 		if _, _, err := ReadSweepRequest(strings.NewReader(body)); err == nil {
 			t.Errorf("%s: must be rejected", name)

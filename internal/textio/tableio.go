@@ -2,12 +2,9 @@ package textio
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
-	"sort"
 	"strconv"
 
-	"repro/internal/cond"
 	"repro/internal/cpg"
 	"repro/internal/sched"
 	"repro/internal/table"
@@ -107,83 +104,4 @@ func WriteTableCSV(w io.Writer, g *cpg.Graph, tbl *table.Table) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadTableJSON parses a schedule table document exported by WriteTableJSON
-// and rebuilds the table against the given graph (process and condition
-// names must match).
-func ReadTableJSON(r io.Reader, g *cpg.Graph) (*table.Table, error) {
-	var doc TableDoc
-	if err := readStrict(r, &doc); err != nil {
-		return nil, err
-	}
-	// Look-up tables for names.
-	conds := map[string]cond.Cond{}
-	for _, cd := range g.Conditions() {
-		conds[cd.Name] = cd.ID
-	}
-	tbl := table.New(g.NumProcs())
-	for _, e := range doc.Entries {
-		expr, err := parseCube(e.When, conds)
-		if err != nil {
-			return nil, err
-		}
-		var key sched.Key
-		if e.Broadcast {
-			c, ok := conds[e.Row]
-			if !ok {
-				return nil, fmt.Errorf("textio: unknown condition %q in table document", e.Row)
-			}
-			key = sched.CondKey(c)
-		} else {
-			id, ok := g.FindByName(e.Row)
-			if !ok {
-				return nil, fmt.Errorf("textio: unknown process %q in table document", e.Row)
-			}
-			key = sched.ProcKey(id)
-		}
-		if err := tbl.Place(key, expr, e.Start); err != nil {
-			return nil, err
-		}
-	}
-	return tbl, nil
-}
-
-// parseCube parses an expression rendered by cond.Cube.Format ("true",
-// "D&!C") back into a cube using the graph's condition names.
-func parseCube(s string, conds map[string]cond.Cond) (cond.Cube, error) {
-	if s == "true" || s == "" {
-		return cond.True(), nil
-	}
-	cube := cond.True()
-	start := 0
-	parts := []string{}
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == '&' {
-			parts = append(parts, s[start:i])
-			start = i + 1
-		}
-	}
-	sort.Strings(parts)
-	for _, p := range parts {
-		if p == "" {
-			continue
-		}
-		val := true
-		name := p
-		if p[0] == '!' {
-			val = false
-			name = p[1:]
-		}
-		c, ok := conds[name]
-		if !ok {
-			return cond.Cube{}, fmt.Errorf("textio: unknown condition %q in expression %q", name, s)
-		}
-		var okc bool
-		cube, okc = cube.With(c, val)
-		if !okc {
-			return cond.Cube{}, fmt.Errorf("textio: contradictory expression %q", s)
-		}
-	}
-	return cube, nil
 }

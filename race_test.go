@@ -3,6 +3,9 @@ package repro
 import (
 	"sync"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/expr"
 )
 
 // TestConcurrentScheduleFigure1 schedules the worked example of the paper
@@ -12,12 +15,12 @@ import (
 // concurrent execution engine relies on being immutable after Finalize; all
 // goroutines must also agree on the resulting delays.
 func TestConcurrentScheduleFigure1(t *testing.T) {
-	g, a, err := Figure1()
+	g, a, err := expr.Figure1()
 	if err != nil {
 		t.Fatalf("Figure1: %v", err)
 	}
 	// Schedule once up front so the graph is finalized before the fan-out.
-	ref, err := Schedule(g, a, Options{})
+	ref, err := core.Schedule(g, a, core.Options{})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -31,7 +34,7 @@ func TestConcurrentScheduleFigure1(t *testing.T) {
 		go func(workers int) {
 			defer wg.Done()
 			for j := 0; j < iterations; j++ {
-				res, err := Schedule(g, a, Options{Workers: workers})
+				res, err := core.Schedule(g, a, core.Options{Workers: workers})
 				if err != nil {
 					errs <- err
 					return

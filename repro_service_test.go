@@ -4,43 +4,48 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/expr"
+	"repro/internal/service"
+	"repro/internal/textio"
 )
 
-// TestPublicServiceAPI exercises the public surface of the versioned
-// document model and the scheduling service end to end: encode the worked
-// example as a v1 document, schedule it through a service, compare against
-// the direct Schedule call, and confirm the memo hit on the second request.
+// TestPublicServiceAPI exercises the Go surface of the versioned document
+// model and the scheduling service end to end: encode the worked example as
+// a v1 document, schedule it through a service, compare against the direct
+// core.Schedule call, and confirm the memo hit on the second request.
 func TestPublicServiceAPI(t *testing.T) {
-	g, a, err := Figure1()
+	g, a, err := expr.Figure1()
 	if err != nil {
 		t.Fatalf("Figure1: %v", err)
 	}
-	doc := EncodeProblem(g, a, Options{})
-	if doc.Version != ProblemVersion {
+	doc := textio.EncodeProblem(g, a, core.Options{})
+	if doc.Version != textio.ProblemVersion {
 		t.Fatalf("document version %q", doc.Version)
 	}
-	hash, err := ProblemHash(doc)
+	hash, err := textio.ProblemHash(doc)
 	if err != nil || hash == "" {
 		t.Fatalf("ProblemHash: %q, %v", hash, err)
 	}
-	prob, err := ProblemFromDoc(doc)
+	prob, err := service.FromDoc(doc)
 	if err != nil {
-		t.Fatalf("ProblemFromDoc: %v", err)
+		t.Fatalf("FromDoc: %v", err)
 	}
 
-	svc, err := NewService(ServiceConfig{Workers: 2})
+	svc, err := service.New(service.Config{Workers: 2})
 	if err != nil {
-		t.Fatalf("NewService: %v", err)
+		t.Fatalf("service.New: %v", err)
 	}
 	sol, err := svc.Schedule(context.Background(), prob)
 	if err != nil {
 		t.Fatalf("Service.Schedule: %v", err)
 	}
-	want, err := Schedule(g, a, Options{})
+	want, err := core.Schedule(g, a, core.Options{})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
-	if EncodeSolution(sol.Result).TableText != EncodeSolution(want).TableText {
+	if textio.EncodeSolution(sol.Result).TableText != textio.EncodeSolution(want).TableText {
 		t.Fatalf("service and direct schedules differ")
 	}
 	if sol.ProblemHash != hash {
@@ -54,7 +59,7 @@ func TestPublicServiceAPI(t *testing.T) {
 		t.Fatalf("second request must be served from the memo")
 	}
 
-	if _, err := ScheduleContext(context.Background(), g, a, Options{Workers: -1}); !errors.Is(err, ErrNegativeWorkers) {
+	if _, err := core.ScheduleContext(context.Background(), g, a, core.Options{Workers: -1}); !errors.Is(err, core.ErrNegativeWorkers) {
 		t.Fatalf("negative workers must be rejected; got %v", err)
 	}
 }

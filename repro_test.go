@@ -6,26 +6,31 @@ import (
 	"strings"
 	"testing"
 
-	"repro"
+	"repro/internal/arch"
+	"repro/internal/core"
+	"repro/internal/cpg"
 	"repro/internal/gen"
+	"repro/internal/sim"
+	"repro/internal/table"
+	"repro/internal/textio"
 )
 
-// buildQuickstart builds the small example from the package documentation.
-func buildQuickstart(t *testing.T) (*repro.Graph, *repro.Architecture) {
+// buildQuickstart builds a small two-path example like examples/quickstart.
+func buildQuickstart(t *testing.T) (*cpg.Graph, *arch.Architecture) {
 	t.Helper()
-	a := repro.NewArchitecture()
+	a := arch.New()
 	cpu1 := a.AddProcessor("cpu1", 1)
 	cpu2 := a.AddProcessor("cpu2", 1)
 	bus := a.AddBus("bus", true)
 
-	g := repro.NewGraph("example")
+	g := cpg.New("example")
 	d := g.AddProcess("D", 4, cpu1)
 	x := g.AddProcess("X", 6, cpu2)
 	y := g.AddProcess("Y", 3, cpu1)
 	c := g.AddCondition("C", d)
 	g.AddCondEdge(d, x, c, true)
 	g.AddCondEdge(d, y, c, false)
-	if _, err := repro.InsertComms(g, a, repro.UniformComms(2, bus)); err != nil {
+	if _, err := cpg.InsertComms(g, a, cpg.UniformComms(2, bus)); err != nil {
 		t.Fatalf("InsertComms: %v", err)
 	}
 	return g, a
@@ -33,7 +38,7 @@ func buildQuickstart(t *testing.T) (*repro.Graph, *repro.Architecture) {
 
 func TestPublicAPIQuickstart(t *testing.T) {
 	g, a := buildQuickstart(t)
-	res, err := repro.Schedule(g, a, repro.Options{})
+	res, err := core.Schedule(g, a, core.Options{})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -46,7 +51,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if res.DeltaM <= 0 || res.DeltaMax < res.DeltaM {
 		t.Fatalf("delays inconsistent: %d %d", res.DeltaM, res.DeltaMax)
 	}
-	out := res.Table.Render(repro.RenderOptions{Namer: g.CondName, RowName: res.RowName})
+	out := res.Table.Render(table.RenderOptions{Namer: g.CondName, RowName: res.RowName})
 	if !strings.Contains(out, "D") || !strings.Contains(out, "true") {
 		t.Fatalf("rendering unexpected:\n%s", out)
 	}
@@ -54,7 +59,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 
 func TestPublicAPISimulate(t *testing.T) {
 	g, a := buildQuickstart(t)
-	res, err := repro.Schedule(g, a, repro.Options{})
+	res, err := core.Schedule(g, a, core.Options{})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -63,9 +68,9 @@ func TestPublicAPISimulate(t *testing.T) {
 		t.Fatalf("AlternativePaths: %v", err)
 	}
 	for _, p := range paths {
-		tr, err := repro.Simulate(g, a, res.Table, p)
+		tr, err := sim.Run(g, a, res.Table, p)
 		if err != nil {
-			t.Fatalf("Simulate: %v", err)
+			t.Fatalf("sim.Run: %v", err)
 		}
 		if len(tr.Violations) != 0 {
 			t.Fatalf("violations on %v: %v", p.Label, tr.Violations)
@@ -82,43 +87,26 @@ func TestPublicAPIJSONRoundTrip(t *testing.T) {
 		t.Fatalf("Finalize: %v", err)
 	}
 	var buf bytes.Buffer
-	if err := repro.WriteProblem(&buf, repro.EncodeProblem(g, a, repro.Options{})); err != nil {
+	if err := textio.WriteProblem(&buf, textio.EncodeProblem(g, a, core.Options{})); err != nil {
 		t.Fatalf("WriteProblem: %v", err)
 	}
-	doc, err := repro.ReadProblem(&buf)
+	doc, err := textio.ReadProblem(&buf)
 	if err != nil {
 		t.Fatalf("ReadProblem: %v", err)
 	}
-	g2, a2, opts, err := repro.DecodeProblem(doc)
+	g2, a2, opts, err := textio.DecodeProblem(doc)
 	if err != nil {
 		t.Fatalf("DecodeProblem: %v", err)
 	}
-	res, err := repro.Schedule(g2, a2, opts)
+	res, err := core.Schedule(g2, a2, opts)
 	if err != nil {
 		t.Fatalf("Schedule after round trip: %v", err)
 	}
 	if !res.Deterministic() {
 		t.Fatalf("round-tripped problem not deterministic")
 	}
-	if dot := repro.DOT(g2, a2); !strings.Contains(dot, "digraph") {
+	if dot := textio.DOT(g2, a2); !strings.Contains(dot, "digraph") {
 		t.Fatalf("DOT output unexpected")
-	}
-}
-
-func TestFigure1ThroughFacade(t *testing.T) {
-	g, a, err := repro.Figure1()
-	if err != nil {
-		t.Fatalf("Figure1: %v", err)
-	}
-	res, err := repro.Schedule(g, a, repro.Options{})
-	if err != nil {
-		t.Fatalf("Schedule: %v", err)
-	}
-	if len(res.Paths) != 6 {
-		t.Fatalf("figure 1 must have 6 alternative paths, got %d", len(res.Paths))
-	}
-	if !res.Deterministic() {
-		t.Fatalf("figure 1 table not deterministic")
 	}
 }
 
@@ -137,11 +125,11 @@ func TestRandomInstancesProduceDeterministicTables(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		cfg := gen.RandomConfig(r, nodeChoices[i%len(nodeChoices)], pathChoices[i%len(pathChoices)])
-		inst, err := repro.Generate(cfg)
+		inst, err := gen.Generate(cfg)
 		if err != nil {
 			t.Fatalf("instance %d: Generate: %v", i, err)
 		}
-		res, err := repro.Schedule(inst.Graph, inst.Arch, repro.Options{})
+		res, err := core.Schedule(inst.Graph, inst.Arch, core.Options{})
 		if err != nil {
 			t.Fatalf("instance %d: Schedule: %v", i, err)
 		}
@@ -171,15 +159,15 @@ func TestRandomInstancesProduceDeterministicTables(t *testing.T) {
 }
 
 func TestAblationPoliciesOnRandomInstance(t *testing.T) {
-	inst, err := repro.Generate(repro.GenConfig{Seed: 99, Nodes: 60, TargetPaths: 12, Processors: 3, Hardware: 1, Buses: 2})
+	inst, err := gen.Generate(gen.Config{Seed: 99, Nodes: 60, TargetPaths: 12, Processors: 3, Hardware: 1, Buses: 2})
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	base, err := repro.Schedule(inst.Graph, inst.Arch, repro.Options{PathSelection: repro.SelectLargestDelay})
+	base, err := core.Schedule(inst.Graph, inst.Arch, core.Options{PathSelection: core.SelectLargestDelay})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
-	worstFirst, err := repro.Schedule(inst.Graph, inst.Arch, repro.Options{PathSelection: repro.SelectSmallestDelay})
+	worstFirst, err := core.Schedule(inst.Graph, inst.Arch, core.Options{PathSelection: core.SelectSmallestDelay})
 	if err != nil {
 		t.Fatalf("Schedule(smallest): %v", err)
 	}
