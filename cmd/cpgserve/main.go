@@ -1,8 +1,8 @@
 // Command cpgserve is a long-running HTTP scheduling server: it accepts v1
 // problem documents and returns schedule tables, and executes shards of the
 // Fig. 5/6 experiment sweep on behalf of a distributed coordinator, sharing
-// one scheduling service (global worker budget, solved-problem memo and
-// warm-start cache) across all requests.
+// one scheduling service (global worker budget and solved-problem memo)
+// across all requests.
 //
 // Usage:
 //
@@ -36,7 +36,7 @@ func main() {
 	fs := flag.NewFlagSet("cpgserve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	workers := fs.Int("workers", 0, "global worker budget shared by all requests (0 = all CPUs)")
-	cache := fs.Int("cache", service.DefaultCacheSize, "capacity of the solved-problem memo and of the warm-start cache (negative disables both)")
+	cache := fs.Int("cache", service.DefaultCacheSize, "capacity of the solved-problem memo (negative disables it)")
 	maxBody := fs.Int64("max-body", 8<<20, "maximum request body size in bytes")
 	limitLight := fs.Int("limit-light", 0, "max concurrent schedule requests before shedding 429 (0 = budget-derived default, negative = unlimited)")
 	limitHeavy := fs.Int("limit-heavy", 0, "max concurrent sweep shards before shedding 429 (0 = budget-derived default, negative = unlimited)")

@@ -25,6 +25,9 @@ var keepExports = map[string]string{
 
 	// Oracles that more than one package's tests run on production graphs.
 	"repro/internal/cpg.Graph.ValidatePaths": "the structural check the gen, atm, expr and cpg tests run on every generated graph",
+
+	// Called only from the perfbench module's tests, which the scan skips.
+	"repro/internal/textio.ProblemShapeHash": "perfbench's tests: they check that its edits keep a problem's shape and that no two of its problems share one",
 }
 
 // exemptPackages are test-support packages: every caller is a test.

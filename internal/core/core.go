@@ -41,10 +41,10 @@
 // schedules and subgraphs the Result points to. Schedule, ScheduleContext,
 // SchedulePhased and ScheduleWarmPhased run the same code on a fresh
 // workspace, so their results own their memory. A result that outlives the
-// next graph, such as one the scheduling service memoizes or warm-starts
-// from, must come from them: a recycled result would change under its
-// readers, and a fresh one keeps none of the workspace's merge buffers, lock
-// set or path records alive.
+// next graph, such as one the scheduling service memoizes, must come from
+// them: a recycled result would change under its readers, and a fresh one
+// keeps none of the workspace's merge buffers, lock set or path records
+// alive.
 package core
 
 import (
@@ -239,6 +239,7 @@ type Result struct {
 	// Paths lists every alternative path with optimal and table delays.
 	Paths []PathResult
 	// Schedules are the optimal per-path schedules (same order as Paths).
+	// The scheduling service drops them from the results it keeps.
 	Schedules []*sched.PathSchedule
 	// Subgraphs are the active subgraphs of the alternative paths (same
 	// order as Paths), built once during path scheduling and reused by the

@@ -43,7 +43,9 @@ type DispatchTable struct {
 
 // Dispatch splits the schedule table of a result into per-processing-element
 // dispatch tables. Condition broadcasts are assigned to the bus recorded in
-// the optimal schedule of the first path that decides them.
+// the optimal schedule of the first path that decides them, so it needs the
+// result's Schedules: a result the scheduling service keeps has none, and a
+// caller that wants its dispatch tables runs core.Schedule itself.
 func Dispatch(res *Result) []*DispatchTable {
 	byPE := map[arch.PEID]*DispatchTable{}
 	get := func(pe arch.PEID) *DispatchTable {

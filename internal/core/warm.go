@@ -24,18 +24,19 @@ type warmPlan struct {
 // reused verbatim from prev — for those paths every input of the per-path
 // scheduler is unchanged, so a fresh run would reproduce them bit for bit —
 // and only the affected paths are rescheduled. Only prev's graph, path list
-// and schedules are read: its subgraphs may be gone (a memoized result drops
-// them), since every path's subgraph is extracted from the new graph. The
-// merge, validation and worst-case simulation always run in full against the
-// new graph, so the result is byte-identical to a cold run.
+// and schedules are read: its subgraphs may be gone, since every path's
+// subgraph is extracted from the new graph. The merge, validation and
+// worst-case simulation always run in full against the new graph, so the
+// result is byte-identical to a cold run.
 //
 // The reuse plan is defensive: whenever prev does not line up with the new
 // graph (path count or labels differ, process or condition counts differ, or
 // prev is incomplete), the run silently falls back to scheduling every path
 // cold. It never errors for a bad prev, and never reuses a path a cold run
 // could schedule differently. Callers are responsible for only passing a prev
-// computed under the same Options — the service layer enforces this by
-// comparing the problems' shape hashes and graphs.
+// computed under the same Options. The scheduling service does not warm-start:
+// its memoized results carry no Schedules, so a prev taken from one runs
+// cold. Outside tests, the benchmark's tracer is the only caller.
 func ScheduleWarmPhased(ctx context.Context, prev *Result, g *cpg.Graph, a *arch.Architecture, opt Options, dirty []cpg.ProcID, phases PhaseFunc) (*Result, error) {
 	return schedulePhased(ctx, g, a, opt, phases, &warmPlan{prev: prev, dirty: dirty})
 }

@@ -194,9 +194,6 @@ type HTTP struct {
 	// pooled client (bounded dial and response-header timeouts), never
 	// http.DefaultClient.
 	Client *http.Client
-	// Clock supplies "now" for converting HTTP-date Retry-After headers into
-	// delays. Nil means the wall clock; tests inject an obs.FakeClock.
-	Clock obs.Clock
 }
 
 // Name implements Backend.
@@ -243,7 +240,7 @@ func (b HTTP) RunShardStream(ctx context.Context, cfg expr.SweepConfig, yield fu
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, b.errorFor(resp)
+		return nil, errorFor(resp)
 	}
 	sh, err := textio.ReadShard(resp.Body, wantHash, cfg, yield)
 	if err != nil {
@@ -264,13 +261,14 @@ func (b HTTP) RunShard(ctx context.Context, cfg expr.SweepConfig) (*expr.ShardRe
 
 // errorFor turns a non-200 sweep response into the backend error for it —
 // a BackpressureError for admission sheds, a plain error otherwise — after
-// extracting the envelope message and draining the body for reuse.
-func (b HTTP) errorFor(resp *http.Response) error {
+// extracting the envelope message and draining the body for reuse. An
+// HTTP-date Retry-After is read against the wall clock.
+func errorFor(resp *http.Response) error {
 	msg := readErrorBody(resp.Body)
 	if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
 		return &BackpressureError{
 			Status:     resp.StatusCode,
-			RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After"), b.Clock),
+			RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After"), nil),
 			Msg:        msg,
 		}
 	}

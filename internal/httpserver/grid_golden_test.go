@@ -2,7 +2,6 @@ package httpserver
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -33,8 +32,9 @@ const (
 // under the critical-path and tabu strategies at workers 1 and 2, each set
 // in the problem document's options. It hashes the /v1/schedule solution
 // document (wall-clock timings zeroed, cache block dropped) and the optimal
-// per-path schedules, entries and condition timings, of the served result.
-// Served bodies must be compact JSON.
+// per-path schedules, entries and condition timings, of a core.Schedule run
+// of the same document, since the served result keeps no schedules. Served
+// bodies must be compact JSON.
 func TestGridResponsesGolden(t *testing.T) {
 	type cell struct{ nodes, paths int }
 	var cells []cell
@@ -68,7 +68,7 @@ func TestGridResponsesGolden(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		// One server per worker count: the memo ignores options.workers, so
 		// a shared server would answer the second count from its cache.
-		srv, err := NewServer(Options{Service: service.Config{Workers: 2, WarmMaxDirty: -1}})
+		srv, err := NewServer(Options{Service: service.Config{Workers: 2}})
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
@@ -94,7 +94,7 @@ func TestGridResponsesGolden(t *testing.T) {
 					t.Fatalf("%s: marshal solution: %v", p.name, err)
 				}
 				h.Write(norm)
-				hashSchedules(t, h, srv, doc)
+				hashSchedules(t, h, doc)
 			}
 		}
 	}
@@ -128,22 +128,19 @@ func requireCompact(t *testing.T, name string, body []byte) {
 	}
 }
 
-// hashSchedules writes the optimal per-path schedules of the served result,
-// which the server answers from its memo, into h.
-func hashSchedules(t *testing.T, h hash.Hash, srv *Server, doc *textio.ProblemDoc) {
+// hashSchedules writes the optimal per-path schedules of a fresh
+// core.Schedule run of doc into h.
+func hashSchedules(t *testing.T, h hash.Hash, doc *textio.ProblemDoc) {
 	t.Helper()
-	prob, err := service.FromDoc(doc)
+	g, a, opts, err := textio.DecodeProblem(doc)
 	if err != nil {
-		t.Fatalf("FromDoc: %v", err)
+		t.Fatalf("DecodeProblem: %v", err)
 	}
-	sol, err := srv.svc.Schedule(context.Background(), prob)
+	res, err := core.Schedule(g, a, opts)
 	if err != nil {
-		t.Fatalf("Schedule: %v", err)
+		t.Fatalf("%s under %s: Schedule: %v", doc.Name, doc.Options.Strategy, err)
 	}
-	if !sol.CacheHit {
-		t.Fatalf("%s under %s: the per-path schedules were not the served ones (memo miss)", doc.Name, doc.Options.Strategy)
-	}
-	for _, ps := range sol.Schedules {
+	for _, ps := range res.Schedules {
 		fmt.Fprintf(h, "path %s delay %d\n", ps.Label, ps.Delay)
 		for _, e := range ps.Entries() {
 			fmt.Fprintf(h, "%s %d %d %d\n", e.Key, e.Start, e.End, e.PE)

@@ -67,7 +67,6 @@ func TestMetricsGoldenFamilies(t *testing.T) {
 		"cpg_service_sweep_requests_total",
 		"cpg_service_memo_hits_total",
 		"cpg_service_memo_misses_total",
-		"cpg_service_warm_starts_total",
 		"cpg_service_memo_entries",
 		"cpg_service_worker_budget",
 		"cpg_service_workers_busy",

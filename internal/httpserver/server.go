@@ -105,8 +105,8 @@ type epClass struct {
 }
 
 // Server holds the shared state of the HTTP handlers: one scheduling service
-// (global worker budget, problem memo and warm-start cache) and the metrics
-// registry with the admission state.
+// (global worker budget and problem memo) and the metrics registry with the
+// admission state.
 type Server struct {
 	svc      *service.Service
 	maxBody  int64

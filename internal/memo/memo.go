@@ -1,14 +1,12 @@
-// Package memo provides the small caching building blocks shared by the
-// scheduling service and the experiment harness: a mutex-protected LRU map
-// keyed by content hashes, and a canonical-JSON content hash helper.
+// Package memo provides two small caching building blocks: a mutex-protected
+// LRU map keyed by content hashes, which the scheduling service's memo of
+// solved problems is (NewLRU), and a canonical-JSON content hash, which
+// textio's problem and sweep hashes are (HashJSON).
 //
-// The caches exist because the workloads of this repository are extremely
-// repetitive: ablation sweeps re-generate the same random instances under
-// different scheduling options, and a long-running scheduling server sees the
-// same problem documents over and over (health probes, retries, design-space
-// loops). Keying by content hash instead of identity makes the reuse visible
-// across requests, processes and sessions that rebuilt the same problem from
-// JSON.
+// A long-running scheduling server sees the same problem documents over and
+// over (retries, re-submissions, design-space loops). Keying by content hash
+// instead of identity makes the reuse visible across requests and clients
+// that rebuilt the same problem from JSON.
 package memo
 
 import (

@@ -14,14 +14,14 @@ import (
 // TestMemoRetainedHeap pins the heap a memoized result keeps alive on the
 // paper's grid: nodes 60, 80 and 120 × paths 10, 12, 18, 24 and 32, three
 // problems per cell, decoded from their documents as the server decodes a
-// request. The memo and the warm-start cache share each result, which keeps
-// the graph and architecture, the table, the path list and the per-path
-// schedules, but no subgraphs and no problem document.
+// request. The memo keeps each result with what /v1/schedule serves: the
+// graph and architecture, the table, the path list, the violations and the
+// stats, but no subgraphs, no per-path schedules and no problem document.
 func TestMemoRetainedHeap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's allocations would count as retained heap")
 	}
-	const ceilingKB = 250
+	const ceilingKB = 120
 	svc := mustNew(t, Config{Workers: 1})
 	heap := func() uint64 {
 		// The second collection empties the pools' victim caches.

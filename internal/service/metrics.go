@@ -13,7 +13,6 @@ import "repro/internal/obs"
 //	cpg_service_requests_total        schedule problems handled
 //	cpg_service_sweep_requests_total  sweep shards handled
 //	cpg_service_memo_hits_total       problem-memo hits (memo_misses_total, memo_entries likewise)
-//	cpg_service_warm_starts_total     runs warm-started from a near-miss memo entry
 //	cpg_service_worker_budget         the fixed global worker-token budget
 //	cpg_service_workers_busy          tokens currently lent out
 //
@@ -30,9 +29,6 @@ func (s *Service) RegisterMetrics(reg *obs.Registry) {
 		"Problem-memo hits.", s.cache.Hits)
 	reg.CounterFunc("cpg_service_memo_misses_total",
 		"Problem-memo misses.", s.cache.Misses)
-	reg.CounterFunc("cpg_service_warm_starts_total",
-		"Runs warm-started from a memoized near-miss result.",
-		s.warmHits.Load)
 	reg.GaugeFunc("cpg_service_memo_entries",
 		"Problems currently memoised.",
 		func() int64 { return int64(s.cache.Len()) })

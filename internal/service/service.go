@@ -8,23 +8,21 @@
 //     sweep shard — draws its goroutines from one token pool, so a burst of
 //     requests cannot oversubscribe the machine no matter what each request
 //     asks for (the budget overrides core.Options.Workers);
-//   - two caches over problems: an LRU memo keyed by the problem content
-//     hash (textio.ProblemHash), so repeated requests for the same problem —
-//     retries, ablation loops, design-space sweeps — are served without
-//     rescheduling, and an LRU of recent problems keyed by their structural
-//     shape (textio.ProblemShapeHash), from which a τ-only edit is
-//     warm-started; and
+//   - a memo: an LRU of solved problems keyed by the problem content hash
+//     (textio.ProblemHash), so repeated requests for the same problem —
+//     retries, re-submissions, design-space loops — are served without
+//     rescheduling; and
 //   - context cancellation: a cancelled request aborts its path fan-out and
 //     merge promptly and releases its worker tokens.
 //
-// Both caches keep the same *core.Result of a solved problem, the one
-// Schedule returns, and keep of it only what is served or warm-started from:
-// the graph and architecture, the table, the path list, the optimal per-path
-// schedules (which only a warm start reads), the violations and the stats.
-// The result's Subgraphs are dropped before it is cached, so they are nil on
-// misses and hits alike; a caller re-enacting a path rebuilds its subgraph
-// with cpg.Graph.PathFor and Subgraph. A near-miss is diffed against the
-// cached graph itself, so the caches keep no problem document either.
+// The memo keeps the *core.Result that Schedule returns, and of it only what
+// /v1/schedule serves: the graph and architecture, the table, the path list,
+// the violations and the stats. The result's Subgraphs and per-path Schedules
+// are dropped before it is cached, so they are nil on misses and hits alike:
+// a caller re-enacting a path rebuilds its subgraph with cpg.Graph.PathFor
+// and Subgraph, and one that needs the per-path schedules (core.Dispatch)
+// schedules the problem with core.Schedule. The memo keeps no problem
+// document either.
 package service
 
 import (
@@ -48,12 +46,6 @@ import (
 // Config.CacheSize is zero.
 const DefaultCacheSize = 256
 
-// DefaultWarmMaxDirty is the largest τ-only diff (number of processes with a
-// changed execution time) the service warm-starts from a memoized result when
-// Config.WarmMaxDirty is zero. Beyond it most paths are dirty anyway, so the
-// warm run would save little over a cold one.
-const DefaultWarmMaxDirty = 8
-
 // Config parameterises a Service.
 type Config struct {
 	// Workers is the global worker budget shared across every concurrent
@@ -62,22 +54,15 @@ type Config struct {
 	// many scheduling goroutines, and the grants of all in-flight requests
 	// never exceed it in total.
 	Workers int
-	// CacheSize is the capacity of the solved-problem memo and of the
-	// warm-start cache (0 = DefaultCacheSize, negative = both disabled).
+	// CacheSize is the capacity of the solved-problem memo
+	// (0 = DefaultCacheSize, negative = disabled).
 	CacheSize int
-	// WarmMaxDirty bounds the number of processes whose execution time may
-	// differ from a memoized problem for the service to warm-start the run
-	// from the cached result instead of scheduling every path cold
-	// (0 = DefaultWarmMaxDirty, negative = warm-start disabled). Only τ-time
-	// diffs ever warm-start; a diff touching conditions, edges, mappings,
-	// processing elements or options always runs cold.
-	WarmMaxDirty int
 }
 
 // Problem is one scheduling request: a mapped conditional process graph, the
 // target architecture and the scheduling options. The service caches the
-// graph and architecture with the result, and diffs later problems against
-// the cached graph, so neither may change once the problem is submitted.
+// graph and architecture with the result, so neither may change once the
+// problem is submitted.
 type Problem struct {
 	Graph   *cpg.Graph
 	Arch    *arch.Architecture
@@ -93,9 +78,9 @@ func FromDoc(d *textio.ProblemDoc) (*Problem, error) {
 	return &Problem{Graph: g, Arch: a, Options: opts}, nil
 }
 
-// Solution is the outcome of one request. Its Result is the one the caches
-// keep, shared by every request for the problem: it is read-only, and its
-// Subgraphs are nil.
+// Solution is the outcome of one request. Its Result is the one the memo
+// keeps, shared by every request for the problem: it is read-only, and its
+// Subgraphs and Schedules are nil.
 type Solution struct {
 	*core.Result
 	// ProblemHash is the content hash identifying the problem (the memo
@@ -104,10 +89,8 @@ type Solution struct {
 	// CacheHit reports whether the solution came from the memo instead of
 	// a fresh scheduling run.
 	CacheHit bool
-	// WarmStart reports whether the run was warm-started from a memoized
-	// near-miss result (same shape, τ-only diff), reusing the per-path
-	// schedules of the unaffected paths. Warm results are byte-identical to
-	// cold ones; the flag is observability, not semantics.
+	// WarmStart is always false: the service schedules every memo miss
+	// from scratch. The field stays for clients built against the flag.
 	WarmStart bool
 	// Workers is the number of worker tokens the request was granted
 	// (zero on cache hits).
@@ -123,8 +106,6 @@ type Stats struct {
 	CacheMisses int64
 	// CacheLen is the current number of memoized solutions.
 	CacheLen int
-	// WarmStarts counts runs warm-started from a memoized near-miss result.
-	WarmStarts int64
 	// SweepRequests counts SweepShard calls.
 	SweepRequests int64
 	// Workers is the global worker budget.
@@ -136,13 +117,9 @@ type Stats struct {
 type Service struct {
 	budget int
 	tokens chan struct{}
-	// cache is the memo, keyed by problem hash; warm holds the same results
-	// keyed by shape hash.
+	// cache is the memo, keyed by problem hash.
 	cache     *memo.LRU[*core.Result]
-	warm      *memo.LRU[*core.Result]
-	warmMax   int // largest τ-only diff eligible for warm-start; < 0 disables
 	requests  atomic.Int64
-	warmHits  atomic.Int64
 	sweepReqs atomic.Int64
 }
 
@@ -164,16 +141,10 @@ func New(cfg Config) (*Service, error) {
 	case size < 0:
 		size = 0
 	}
-	warmMax := cfg.WarmMaxDirty
-	if warmMax == 0 {
-		warmMax = DefaultWarmMaxDirty
-	}
 	s := &Service{
-		budget:  budget,
-		tokens:  make(chan struct{}, budget),
-		cache:   memo.NewLRU[*core.Result](size),
-		warm:    memo.NewLRU[*core.Result](size),
-		warmMax: warmMax,
+		budget: budget,
+		tokens: make(chan struct{}, budget),
+		cache:  memo.NewLRU[*core.Result](size),
 	}
 	for i := 0; i < budget; i++ {
 		s.tokens <- struct{}{}
@@ -188,7 +159,6 @@ func (s *Service) Stats() Stats {
 		CacheHits:     s.cache.Hits(),
 		CacheMisses:   s.cache.Misses(),
 		CacheLen:      s.cache.Len(),
-		WarmStarts:    s.warmHits.Load(),
 		SweepRequests: s.sweepReqs.Load(),
 		Workers:       s.budget,
 	}
@@ -225,25 +195,6 @@ func (s *Service) Schedule(ctx context.Context, p *Problem) (*Solution, error) {
 	}
 	if res, ok := s.cache.Get(hash); ok {
 		return &Solution{Result: res, ProblemHash: hash, CacheHit: true}, nil
-	}
-	// Exact miss: look for a near-miss to warm-start from — a memoized
-	// problem with the same structural shape whose diff is a τ-time edit of
-	// at most warmMax processes. Anything else (conditions, edges, mappings,
-	// elements, options) lands on a different shape hash or fails the diff
-	// and runs cold.
-	var warmPrev *core.Result
-	var warmDirty []cpg.ProcID
-	var shapeKey string
-	if s.warmMax >= 0 {
-		shapeKey, err = textio.ProblemShapeHash(doc)
-		if err != nil {
-			return nil, err
-		}
-		if prev, ok := s.warm.Get(shapeKey); ok {
-			if dirty, ok := diffTauOnly(prev.Graph, p.Graph, s.warmMax); ok {
-				warmPrev, warmDirty = prev, dirty
-			}
-		}
 	}
 	want := p.Options.Workers
 	if want <= 0 || want > s.budget {
@@ -284,56 +235,16 @@ func (s *Service) Schedule(ctx context.Context, p *Problem) (*Solution, error) {
 		}
 		return want
 	}
-	var res *core.Result
-	if warmPrev != nil {
-		res, err = core.ScheduleWarmPhased(ctx, warmPrev, p.Graph, p.Arch, opt, warmDirty, phase)
-	} else {
-		res, err = core.SchedulePhased(ctx, p.Graph, p.Arch, opt, phase)
-	}
+	res, err := core.SchedulePhased(ctx, p.Graph, p.Arch, opt, phase)
 	if err != nil {
 		return nil, err
 	}
-	warmStarted := warmPrev != nil && res.Stats.WarmReusedPaths > 0
-	if warmStarted {
-		s.warmHits.Add(1)
-	}
-	// Only core's own validation reads the subgraphs, and they are more than
-	// a quarter of a result's memory: drop them before the result is shared.
-	res.Subgraphs = nil
+	// Only core's own validation reads the subgraphs and the per-path
+	// schedules, and they are most of a result's memory: drop them before
+	// the result is shared.
+	res.Subgraphs, res.Schedules = nil, nil
 	s.cache.Add(hash, res)
-	if s.warmMax >= 0 {
-		s.warm.Add(shapeKey, res)
-	}
-	return &Solution{Result: res, ProblemHash: hash, Workers: granted, WarmStart: warmStarted}, nil
-}
-
-// diffTauOnly verifies that graph g of a problem with the same shape hash as
-// the one a cached result was computed from differs from that result's graph
-// prev only in the execution times of at most maxDirty processes, and returns
-// those processes' identifiers. The shape hash already pins everything except
-// τ times, but the check re-verifies each process's name, kind and mapping
-// defensively — a false negative (a graph not finalized yet lacks the dummy
-// processes prev has) merely costs a cold run, a false positive would reuse a
-// stale schedule.
-func diffTauOnly(prev, g *cpg.Graph, maxDirty int) ([]cpg.ProcID, bool) {
-	if prev == nil || prev.NumProcs() != g.NumProcs() {
-		return nil, false
-	}
-	var dirty []cpg.ProcID
-	for id := range cpg.ProcID(g.NumProcs()) {
-		p, q := g.Process(id), prev.Process(id)
-		if q.Name != p.Name || q.Kind != p.Kind || q.PE != p.PE {
-			return nil, false
-		}
-		if q.Exec == p.Exec {
-			continue
-		}
-		dirty = append(dirty, id)
-		if len(dirty) > maxDirty {
-			return nil, false
-		}
-	}
-	return dirty, true
+	return &Solution{Result: res, ProblemHash: hash, Workers: granted}, nil
 }
 
 // ScheduleBatch schedules every problem concurrently under the shared worker

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/cpg"
 	"repro/internal/expr"
 	"repro/internal/gen"
 	"repro/internal/textio"
@@ -45,6 +47,9 @@ func TestScheduleCacheHit(t *testing.T) {
 	if first.CacheHit {
 		t.Fatalf("first request must miss the cache")
 	}
+	if first.Subgraphs != nil || first.Schedules != nil {
+		t.Fatalf("a miss must serve the memoized result, without subgraphs or per-path schedules")
+	}
 	if first.Workers < 1 || first.Workers > 2 {
 		t.Fatalf("granted workers %d outside budget", first.Workers)
 	}
@@ -57,6 +62,9 @@ func TestScheduleCacheHit(t *testing.T) {
 	}
 	if second.Result != first.Result {
 		t.Fatalf("cache hit must return the memoized result")
+	}
+	if second.Subgraphs != nil || second.Schedules != nil {
+		t.Fatalf("a hit must serve the memoized result, without subgraphs or per-path schedules")
 	}
 	if second.ProblemHash != first.ProblemHash || second.ProblemHash == "" {
 		t.Fatalf("problem hashes differ: %q vs %q", first.ProblemHash, second.ProblemHash)
@@ -135,23 +143,48 @@ func TestScheduleStrategyKeysMemo(t *testing.T) {
 	}
 }
 
+// TestScheduleMatchesCore pins that the service serves what core.Schedule
+// computes, for Figure 1 and for a τ-only edit of it scheduled on the service
+// that has memoized the original.
 func TestScheduleMatchesCore(t *testing.T) {
-	prob := figure1Problem(t)
-	sol, err := mustNew(t, Config{}).Schedule(context.Background(), prob)
-	if err != nil {
-		t.Fatalf("Schedule: %v", err)
+	svc := mustNew(t, Config{})
+	edited := figure1Problem(t)
+	p14, ok := edited.Graph.FindByName("P14")
+	if !ok {
+		t.Fatalf("Figure 1 has no P14")
 	}
-	want, err := core.Schedule(prob.Graph, prob.Arch, core.Options{})
-	if err != nil {
-		t.Fatalf("core.Schedule: %v", err)
+	edited.Graph.Process(p14).Exec += 3
+	var tables []string
+	for _, tc := range []struct {
+		name string
+		prob *Problem
+	}{
+		{"Figure 1", figure1Problem(t)},
+		{"τ-only edit of the memoized Figure 1", edited},
+	} {
+		sol, err := svc.Schedule(context.Background(), tc.prob)
+		if err != nil {
+			t.Fatalf("%s: Schedule: %v", tc.name, err)
+		}
+		if sol.CacheHit {
+			t.Fatalf("%s: want a memo miss", tc.name)
+		}
+		want, err := core.Schedule(tc.prob.Graph, tc.prob.Arch, core.Options{})
+		if err != nil {
+			t.Fatalf("%s: core.Schedule: %v", tc.name, err)
+		}
+		got := textio.EncodeSolution(sol.Result)
+		ref := textio.EncodeSolution(want)
+		if got.TableText != ref.TableText {
+			t.Fatalf("%s: service table differs from core table:\n%s\nvs\n%s", tc.name, got.TableText, ref.TableText)
+		}
+		if got.DeltaM != ref.DeltaM || got.DeltaMax != ref.DeltaMax {
+			t.Fatalf("%s: delays differ: %d/%d vs %d/%d", tc.name, got.DeltaM, got.DeltaMax, ref.DeltaM, ref.DeltaMax)
+		}
+		tables = append(tables, got.TableText)
 	}
-	got := textio.EncodeSolution(sol.Result)
-	ref := textio.EncodeSolution(want)
-	if got.TableText != ref.TableText {
-		t.Fatalf("service table differs from core table:\n%s\nvs\n%s", got.TableText, ref.TableText)
-	}
-	if got.DeltaM != ref.DeltaM || got.DeltaMax != ref.DeltaMax {
-		t.Fatalf("delays differ: %d/%d vs %d/%d", got.DeltaM, got.DeltaMax, ref.DeltaM, ref.DeltaMax)
+	if tables[0] == tables[1] {
+		t.Fatalf("the τ edit must change the table, or the test cannot tell a stale memo entry from a fresh run")
 	}
 }
 
@@ -338,5 +371,33 @@ func TestFromDoc(t *testing.T) {
 	doc.Version = "v9"
 	if _, err := FromDoc(doc); err == nil {
 		t.Fatalf("unsupported version must be rejected")
+	}
+}
+
+// TestMaxUsefulWorkersBoundary pins the worker-wish cap at the bitset limit:
+// a graph declaring the maximal cond.MaxConds conditions must yield a large
+// positive cap, never a shifted-to-zero or negative one.
+func TestMaxUsefulWorkersBoundary(t *testing.T) {
+	a := arch.New()
+	cpu := a.AddProcessor("cpu", 1)
+	g := cpg.New("wide")
+	p1 := g.AddProcess("A", 2, cpu)
+	p2 := g.AddProcess("B", 3, cpu)
+	g.AddEdge(p1, p2)
+	for i := 0; i < 64; i++ {
+		g.AddCondition("", p1)
+	}
+	if err := g.Finalize(a); err != nil {
+		t.Fatalf("Finalize: %v", err)
+	}
+	if got := maxUsefulWorkers(g); got != 1<<30 {
+		t.Fatalf("maxUsefulWorkers(64 conds) = %d, want %d", got, 1<<30)
+	}
+	small, _, err := expr.Figure1()
+	if err != nil {
+		t.Fatalf("Figure1: %v", err)
+	}
+	if got, want := maxUsefulWorkers(small), 1<<small.NumConds(); got != want {
+		t.Fatalf("maxUsefulWorkers(Figure1) = %d, want %d", got, want)
 	}
 }
