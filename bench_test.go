@@ -22,8 +22,9 @@
 //	BenchmarkStrategies          — quality (δM, δmax) and speed per
 //	                               scheduling strategy.
 //	BenchmarkTabuInner           — one tabu improvement run per path.
-//	BenchmarkSolutionCodec       — encoding and writing the v1 solution
-//	                               document of a 120-node, 32-path result.
+//	BenchmarkSolutionCodec       — the v1 solution document of a 120-node,
+//	                               32-path result: the indented file and
+//	                               the served compact body.
 //	BenchmarkGenerate            — generating and finalizing sweep graphs,
 //	                               one sub-benchmark per graph size.
 //	BenchmarkDecodeProblem       — decoding grid problem documents into
@@ -327,11 +328,15 @@ func BenchmarkScheduleRunParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkSolutionCodec measures the solution codec of /v1/schedule on a
-// 120-node, 32-path result: textio.EncodeSolution (the table document and
-// the Table-1 text rendering) plus textio.WriteSolution (the indented JSON),
-// the work every response pays, memo hit or not. It reports the document
-// size as response-KB.
+// BenchmarkSolutionCodec measures the solution codec on a 120-node, 32-path
+// result, in two arms, each reporting the document size as response-KB:
+//
+//   - file: textio.EncodeSolution (the table document and the Table-1 text)
+//     plus textio.WriteSolution (the indented JSON), what cpgsched writes;
+//   - served: textio.AppendSolution, the compact body /v1/schedule sends,
+//     written straight from the result into a buffer the benchmark holds,
+//     so its B/op and allocs/op do not depend on what the collector drops
+//     from a pool and repeat from run to run.
 func BenchmarkSolutionCodec(b *testing.B) {
 	inst, err := gen.Generate(gen.Config{Seed: 42, Nodes: 120, TargetPaths: 32, Processors: 8, Hardware: 1, Buses: 4})
 	if err != nil {
@@ -341,16 +346,28 @@ func BenchmarkSolutionCodec(b *testing.B) {
 	if err != nil {
 		b.Fatalf("Schedule: %v", err)
 	}
-	var buf bytes.Buffer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := textio.WriteSolution(&buf, textio.EncodeSolution(res)); err != nil {
-			b.Fatalf("WriteSolution: %v", err)
+	b.Run("file", func(b *testing.B) {
+		var buf bytes.Buffer
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			if err := textio.WriteSolution(&buf, textio.EncodeSolution(res)); err != nil {
+				b.Fatalf("WriteSolution: %v", err)
+			}
 		}
-	}
-	b.ReportMetric(float64(buf.Len())/1024, "response-KB")
+		b.ReportMetric(float64(buf.Len())/1024, "response-KB")
+	})
+	b.Run("served", func(b *testing.B) {
+		cache := &textio.CacheDoc{Misses: 1, ProblemHash: "0123abcd"}
+		var buf []byte
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if buf, err = textio.AppendSolution(buf[:0], res, cache); err != nil {
+				b.Fatalf("AppendSolution: %v", err)
+			}
+		}
+		b.ReportMetric(float64(len(buf))/1024, "response-KB")
+	})
 }
 
 // BenchmarkGenerate measures gen.Generate on the graphs of the paper's sweep

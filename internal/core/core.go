@@ -34,17 +34,18 @@
 // that point are already in the table.
 //
 // A Workspace holds the scheduling state of one graph and recycles it for
-// the next, so a caller scheduling graph after graph (each worker of a
-// sweep) stops allocating it per graph. A workspace belongs to one goroutine
-// at a time, and the Result its Schedule method returns stays valid only
-// until the next call on the same workspace, which overwrites the table,
-// schedules and subgraphs the Result points to. Schedule, ScheduleContext,
-// SchedulePhased and ScheduleWarmPhased run the same code on a fresh
-// workspace, so their results own their memory. A result that outlives the
-// next graph, such as one the scheduling service memoizes, must come from
-// them: a recycled result would change under its readers, and a fresh one
-// keeps none of the workspace's merge buffers, lock set or path records
-// alive.
+// the next, so a caller scheduling graph after graph stops allocating it per
+// graph: each worker of a sweep keeps one, and the scheduling service lends
+// one from its pool to each memo miss. A workspace belongs to one goroutine
+// at a time, and the Result its Schedule and SchedulePhased methods return
+// stays valid only until the next call on the same workspace, which
+// overwrites the table, schedules and subgraphs the Result points to, even
+// when that call fails or is cancelled. A result that outlives the next run
+// is detached first (Result.Detach): the detached copy owns a compact copy
+// of the table, the path list and the violations, and keeps none of the
+// workspace's schedules, subgraphs, merge buffers, lock set or path records
+// alive. Schedule, ScheduleContext, SchedulePhased and ScheduleWarmPhased
+// run the same code on a fresh workspace, so their results own their memory.
 package core
 
 import (
@@ -274,6 +275,25 @@ func (r *Result) IncreasePercent() float64 {
 // Deterministic reports whether no violation was found.
 func (r *Result) Deterministic() bool { return len(r.Violations) == 0 }
 
+// Detach returns a compact copy of the result that shares no memory with
+// the workspace that produced it: a copy of the table sized to its cells, of
+// the path list and of the violations, with the delays and the stats, and
+// the caller's graph and architecture. The copy has no Schedules and no
+// Subgraphs. A result of a Workspace that must outlive the workspace's next
+// run, such as one the scheduling service memoizes, is detached first.
+func (r *Result) Detach() *Result {
+	return &Result{
+		Graph:      r.Graph,
+		Arch:       r.Arch,
+		Table:      r.Table.Clone(),
+		Paths:      slices.Clone(r.Paths),
+		DeltaM:     r.DeltaM,
+		DeltaMax:   r.DeltaMax,
+		Violations: slices.Clone(r.Violations),
+		Stats:      r.Stats,
+	}
+}
+
 // RowName renders a row key with the process and condition names of the
 // graph, for use with table.RenderOptions.
 func (r *Result) RowName(k sched.Key) string {
@@ -366,6 +386,13 @@ type Workspace struct {
 // on the workspace.
 func (ws *Workspace) Schedule(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt Options) (*Result, error) {
 	return ws.schedule(ctx, g, a, opt, nil, nil)
+}
+
+// SchedulePhased is Schedule reporting phase transitions to phases (which
+// may be nil), like the package-level SchedulePhased. A run that fails or is
+// cancelled leaves the workspace ready for the next.
+func (ws *Workspace) SchedulePhased(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt Options, phases PhaseFunc) (*Result, error) {
+	return ws.schedule(ctx, g, a, opt, phases, nil)
 }
 
 // Schedule generates the schedule table for the graph on the given

@@ -88,3 +88,40 @@ func BenchmarkMetricsScrape(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkScheduleMiss times /v1/schedule misses through the instrumented
+// handler, where the other benchmarks here time Figure-1 memo hits: two
+// problems of each of the grid's 15 cells (seeds 1 and 2), served in turn by
+// a two-worker server without a memo, so every request is scheduled, in a
+// pooled workspace, and its body written from the result.
+func BenchmarkScheduleMiss(b *testing.B) {
+	var bodies [][]byte
+	for _, nodes := range []int{60, 80, 120} {
+		for _, paths := range []int{10, 12, 18, 24, 32} {
+			bodies = append(bodies, gridBodies(b, nodes, paths, 2)...)
+		}
+	}
+	srv, err := NewServer(Options{Service: service.Config{Workers: 2, CacheSize: -1}})
+	if err != nil {
+		b.Fatalf("NewServer: %v", err)
+	}
+	h := srv.Routes(nil)
+	readers := make([]*bytes.Reader, len(bodies))
+	reqs := make([]*http.Request, len(bodies))
+	for i, body := range bodies {
+		readers[i] = bytes.NewReader(body)
+		reqs[i] = httptest.NewRequest(http.MethodPost, "/v1/schedule", readers[i])
+	}
+	w := &nopRecorder{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(bodies)
+		readers[k].Reset(bodies[k])
+		w.code = 0
+		h.ServeHTTP(w, reqs[k])
+		if w.code != http.StatusOK {
+			b.Fatalf("problem %d: status %d", k, w.code)
+		}
+	}
+}

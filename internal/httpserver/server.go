@@ -271,7 +271,7 @@ func (sw *statusWriter) reset(w http.ResponseWriter, e *endpoint, start time.Tim
 
 // finish records the request's duration and status class and frees its
 // class slot, once. The middleware calls it when the handler returns, and
-// writeJSON just before the write that completes a Content-Length body:
+// writeBody just before the write that completes a Content-Length body:
 // a client can read such a body to its end before the handler returns, and
 // must not see the server still counting the request as in flight.
 func (sw *statusWriter) finish() {
@@ -404,21 +404,11 @@ func writeError(w http.ResponseWriter, status int, err error) {
 
 // writeJSON renders v as compact JSON before it commits the status, so a value
 // encoding/json rejects is answered with a 500 error envelope instead of an
-// empty or truncated body under the intended status, and the body goes out
-// in one write under a Content-Length taken from the rendering. The
-// middleware finishes the request just before that write.
+// empty or truncated body under the intended status, and sends it with
+// writeBody.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	err := textio.RenderJSON(v, func(body []byte) error {
-		h := w.Header()
-		h.Set("Content-Type", "application/json")
-		h.Set("Content-Length", strconv.Itoa(len(body)))
-		w.WriteHeader(status)
-		if sw, ok := w.(*statusWriter); ok {
-			sw.finish()
-		}
-		// The status is sent: a failed write means the client has gone
-		// and there is nobody left to report it to.
-		_, _ = w.Write(body)
+		writeBody(w, status, body)
 		return nil
 	})
 	if err != nil {
@@ -426,7 +416,23 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
-// handleSchedule answers a v1 problem document with its solution document.
+// writeBody sends a rendered JSON body in one write, under a Content-Length
+// taken from it. The middleware finishes the request just before that write.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	if sw, ok := w.(*statusWriter); ok {
+		sw.finish()
+	}
+	// The status is sent: a failed write means the client has gone and
+	// there is nobody left to report it to.
+	_, _ = w.Write(body)
+}
+
+// handleSchedule answers a v1 problem document with its solution document,
+// written straight from the result by textio.RenderSolution.
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	if r.URL.RawQuery != "" {
 		writeError(w, http.StatusBadRequest, errors.New(
@@ -448,15 +454,20 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, scheduleErrorStatus(err), err)
 		return
 	}
-	out := textio.EncodeSolution(sol.Result)
 	st := s.svc.Stats()
-	out.Cache = &textio.CacheDoc{
+	cache := &textio.CacheDoc{
 		Hit:         sol.CacheHit,
 		Hits:        st.CacheHits,
 		Misses:      st.CacheMisses,
 		ProblemHash: sol.ProblemHash,
 	}
-	writeJSON(w, http.StatusOK, out)
+	err = textio.RenderSolution(sol.Result, cache, func(body []byte) error {
+		writeBody(w, http.StatusOK, body)
+		return nil
+	})
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("rendering the response: %w", err))
+	}
 }
 
 // handleSweep executes one shard of a Fig. 5/6 sweep under the service's

@@ -15,14 +15,22 @@
 //   - context cancellation: a cancelled request aborts its path fan-out and
 //     merge promptly and releases its worker tokens.
 //
-// The memo keeps the *core.Result that Schedule returns, and of it only what
-// /v1/schedule serves: the graph and architecture, the table, the path list,
-// the violations and the stats. The result's Subgraphs and per-path Schedules
-// are dropped before it is cached, so they are nil on misses and hits alike:
-// a caller re-enacting a path rebuilds its subgraph with cpg.Graph.PathFor
-// and Subgraph, and one that needs the per-path schedules (core.Dispatch)
-// schedules the problem with core.Schedule. The memo keeps no problem
-// document either.
+// Every memo miss schedules in a core.Workspace lent from the service's pool,
+// which recycles the subgraphs, schedules, merge buffers and table of one
+// problem for the next. A miss holds at least one worker token while it has
+// a workspace, so no more workspaces are in use than tokens. The pool is a
+// sync.Pool: the collector frees the workspaces that no miss has taken since
+// the collection before, so one of a large problem does not stay pinned.
+//
+// The memo keeps the *core.Result that Schedule returns: the workspace's
+// result detached (core.Result.Detach), which shares no memory with the
+// workspace and holds only what /v1/schedule serves: the graph and
+// architecture, a compact copy of the table, the path list, the violations
+// and the stats. Its Subgraphs and per-path Schedules are nil on misses and
+// hits alike: a caller re-enacting a path rebuilds its subgraph with
+// cpg.Graph.PathFor and Subgraph, and one that needs the per-path schedules
+// (core.Dispatch) schedules the problem with core.Schedule. The memo keeps no
+// problem document either.
 package service
 
 import (
@@ -118,9 +126,12 @@ type Service struct {
 	budget int
 	tokens chan struct{}
 	// cache is the memo, keyed by problem hash.
-	cache     *memo.LRU[*core.Result]
-	requests  atomic.Int64
-	sweepReqs atomic.Int64
+	cache *memo.LRU[*core.Result]
+	// workspaces holds the *core.Workspace of finished misses, for the
+	// next misses.
+	workspaces sync.Pool
+	requests   atomic.Int64
+	sweepReqs  atomic.Int64
 }
 
 // New returns a Service with the given budget and memo capacity. A negative
@@ -142,9 +153,10 @@ func New(cfg Config) (*Service, error) {
 		size = 0
 	}
 	s := &Service{
-		budget: budget,
-		tokens: make(chan struct{}, budget),
-		cache:  memo.NewLRU[*core.Result](size),
+		budget:     budget,
+		tokens:     make(chan struct{}, budget),
+		cache:      memo.NewLRU[*core.Result](size),
+		workspaces: sync.Pool{New: func() any { return new(core.Workspace) }},
 	}
 	for i := 0; i < budget; i++ {
 		s.tokens <- struct{}{}
@@ -235,14 +247,19 @@ func (s *Service) Schedule(ctx context.Context, p *Problem) (*Solution, error) {
 		}
 		return want
 	}
-	res, err := core.SchedulePhased(ctx, p.Graph, p.Arch, opt, phase)
+	ws := s.workspaces.Get().(*core.Workspace)
+	res, err := ws.SchedulePhased(ctx, p.Graph, p.Arch, opt, phase)
+	if err == nil {
+		// The next miss overwrites the workspace's result: keep a copy
+		// that shares nothing with it, and without the subgraphs and the
+		// per-path schedules, which only core's own validation reads.
+		res = res.Detach()
+	}
+	// A failed or cancelled run leaves the workspace ready for the next.
+	s.workspaces.Put(ws)
 	if err != nil {
 		return nil, err
 	}
-	// Only core's own validation reads the subgraphs and the per-path
-	// schedules, and they are most of a result's memory: drop them before
-	// the result is shared.
-	res.Subgraphs, res.Schedules = nil, nil
 	s.cache.Add(hash, res)
 	return &Solution{Result: res, ProblemHash: hash, Workers: granted}, nil
 }

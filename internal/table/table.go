@@ -23,8 +23,8 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"unicode/utf8"
+	"unsafe"
 
 	"repro/internal/cond"
 	"repro/internal/cpg"
@@ -70,6 +70,21 @@ func (t *Table) Reset(numProcs int) {
 	// can be re-indexed for another process count.
 	t.numProcs = numProcs
 	t.rows = slices.Grow(t.rows[:0], sched.NumSlots(numProcs))[:sched.NumSlots(numProcs)]
+}
+
+// Clone returns a copy of the table that shares no memory with it, sized to
+// its content: the rows' entries share one backing array of the table's
+// cells, with no spare capacity.
+func (t *Table) Clone() *Table {
+	c := &Table{numProcs: t.numProcs, rows: make([]row, len(t.rows)), keys: slices.Clone(t.keys)}
+	cells := make([]Entry, 0, t.NumEntries())
+	for _, k := range t.keys {
+		s := k.Slot(t.numProcs)
+		n := len(cells)
+		cells = append(cells, t.rows[s].entries...)
+		c.rows[s] = row{entries: cells[n:len(cells):len(cells)], listed: true}
+	}
+	return c
 }
 
 // listedRow returns the row of k, listing it in insertion order if it is
@@ -347,109 +362,154 @@ type RenderOptions struct {
 	RowName func(sched.Key) string
 }
 
-// Render produces a fixed-width text table in the style of Table 1 of the
-// paper: one column per expression, one row per process and per condition.
-//
-// It makes two passes over the table. The first measures the column widths
-// from the headings, the row names and the digit counts of the activation
-// times; the second writes every line into one builder, sized exactly unless
-// a width is above fmt's limit. Cells are padded exactly as fmt's "%-*s"
-// pads them, so the text stays byte-identical to the fmt rendering the
-// goldens were made with: widths are measured in bytes but padding counts
-// runes, so a non-ASCII name is over-padded, and a width above fmt's limit
-// of 10^6 writes "%!(BADWIDTH)" and the cell unpadded.
-func (t *Table) Render(opt RenderOptions) string {
-	name := opt.RowName
-	if name == nil {
-		name = sched.Key.String
-	}
-	cols, pos := t.ColumnIndex()
-	// The heading line, formatted once into one string: cell i of it is
+// Layout is the text layout of a table in the style of Table 1 of the
+// paper, measured once: the columns in Columns order with their headings,
+// and the width of every column of the text. Render writes it as a string;
+// AppendText appends it to a buffer, escaped for a format the text is
+// embedded in. The table must not change while its layout is in use.
+type Layout struct {
+	t *Table
+	// Cols are the column expressions in Columns order, and Pos the
+	// position of each expression in Cols.
+	Cols []cond.Cube
+	Pos  map[cond.Cube]int
+	name func(sched.Key) string
+	// head holds the heading cells, "process" first: cell i is
 	// head[ends[i]:ends[i+1]].
-	buf := append(make([]byte, 0, len("process")+16*len(cols)), "process"...)
-	ends := make([]int, 0, len(cols)+2)
-	ends = append(ends, 0, len(buf))
-	for _, c := range cols {
-		buf = c.AppendFormat(buf, opt.Namer)
-		ends = append(ends, len(buf))
-	}
-	head := string(buf)
+	head   string
+	ends   []int
+	widths []int
+	// lineLen is the length of the rule line; size is the length of the
+	// unescaped text, or -1 when a width is above fmt's limit, where the
+	// size is only known once written.
+	lineLen int
+	size    int
+}
 
-	// Pass 1: widths and the bytes that rune padding adds beyond them.
-	widths := make([]int, len(cols)+1)
+// Layout measures the text layout of the table: the column headings are
+// formatted with opt.Namer, and the widths come from the headings, the row
+// names and the digit counts of the activation times.
+func (t *Table) Layout(opt RenderOptions) *Layout {
+	l := &Layout{t: t, name: opt.RowName}
+	if l.name == nil {
+		l.name = sched.Key.String
+	}
+	l.Cols, l.Pos = t.ColumnIndex()
+	// The heading line, formatted once into one string.
+	buf := append(make([]byte, 0, len("process")+16*len(l.Cols)), "process"...)
+	l.ends = make([]int, 0, len(l.Cols)+2)
+	l.ends = append(l.ends, 0, len(buf))
+	for _, c := range l.Cols {
+		buf = c.AppendFormat(buf, opt.Namer)
+		l.ends = append(l.ends, len(buf))
+	}
+	l.head = string(buf)
+
+	// The widths, and the bytes that rune padding adds beyond them.
+	l.widths = make([]int, len(l.Cols)+1)
 	extra := 0
-	for i := range widths {
-		cell := head[ends[i]:ends[i+1]]
-		widths[i] = len(cell)
+	for i := range l.widths {
+		cell := l.cell(i)
+		l.widths[i] = len(cell)
 		extra += len(cell) - utf8.RuneCountInString(cell)
 	}
 	var digits [20]byte
-	lines := 2 + len(t.keys) // the heading, the rule and one line per row
 	for _, k := range t.keys {
-		n := name(k)
-		widths[0] = max(widths[0], len(n))
+		n := l.name(k)
+		l.widths[0] = max(l.widths[0], len(n))
 		extra += len(n) - utf8.RuneCountInString(n)
 		for _, e := range t.RowView(k) {
-			i := pos[e.Expr] + 1
-			widths[i] = max(widths[i], len(strconv.AppendInt(digits[:0], e.Start, 10)))
+			i := l.Pos[e.Expr] + 1
+			l.widths[i] = max(l.widths[i], len(strconv.AppendInt(digits[:0], e.Start, 10)))
 		}
 	}
-	lineLen := 3*len(cols) + 1
-	for _, w := range widths {
-		lineLen += w
+	l.lineLen = 3*len(l.Cols) + 1
+	for _, w := range l.widths {
+		l.lineLen += w
 	}
+	// The heading, the rule and one line per row. Above fmt's limit a
+	// column is not padded, so its width says nothing about the size.
+	l.size = -1
+	if slices.Max(l.widths) <= maxFmtWidth {
+		l.size = (2+len(t.keys))*l.lineLen + extra
+	}
+	return l
+}
 
-	// Pass 2, into a builder of the exact output size. Above fmt's limit a
-	// column is not padded, so its width says nothing about the size; there
-	// the builder grows with what is written instead.
-	var b strings.Builder
-	if slices.Max(widths) <= maxFmtWidth {
-		b.Grow(lines*lineLen + extra)
-	}
+// cell returns heading cell i: "process" for 0, the heading of column i-1
+// after it.
+func (l *Layout) cell(i int) string { return l.head[l.ends[i]:l.ends[i+1]] }
+
+// Heading returns the heading of column i: its expression formatted with
+// the layout's namer.
+func (l *Layout) Heading(i int) string { return l.cell(i + 1) }
+
+// AppendText appends the text of the table to dst, line by line, ending
+// every line with newline. Every name it writes, a heading or a row name,
+// goes through esc when esc is not nil; the padding, rules, separators and
+// activation times are ASCII digits, spaces and punctuation and go in as
+// they are. Cells are padded exactly as fmt's "%-*s" pads them, so the
+// unescaped text stays byte-identical to the fmt rendering the goldens were
+// made with: widths are measured in bytes but padding counts runes, so a
+// non-ASCII name is over-padded, and a width above fmt's limit of 10^6
+// writes "%!(BADWIDTH)" and the cell unpadded.
+func (l *Layout) AppendText(dst []byte, newline string, esc func(dst []byte, s string) []byte) []byte {
+	t, widths := l.t, l.widths
 	for i, w := range widths {
 		if i > 0 {
-			b.WriteString(" | ")
+			dst = append(dst, " | "...)
 		}
-		writeCell(&b, head[ends[i]:ends[i+1]], w)
+		dst = appendCell(dst, l.cell(i), w, esc)
 	}
-	b.WriteByte('\n')
-	writeRun(&b, dashes, lineLen-1)
-	b.WriteByte('\n')
+	dst = append(dst, newline...)
+	dst = appendRun(dst, dashes, l.lineLen-1)
+	dst = append(dst, newline...)
 	// Empty cells are copied from blank, the data cells of a row without
 	// entries: the cell of column i, its separator included, is
 	// blank[at[i]:at[i+1]].
-	var bb strings.Builder
-	bb.Grow(lineLen - widths[0] - 1)
-	at := make([]int, len(cols)+1)
+	blank := make([]byte, 0, l.lineLen-widths[0]-1)
+	at := make([]int, len(l.Cols)+1)
 	for i, w := range widths[1:] {
-		at[i] = bb.Len()
-		bb.WriteString(" | ")
-		writeCell(&bb, "", w)
+		at[i] = len(blank)
+		blank = appendCell(append(blank, " | "...), "", w, nil)
 	}
-	at[len(cols)] = bb.Len()
-	blank := bb.String()
-	slot := make([]int, len(cols)) // 1 + index of the row's entry in each column, 0 if none
+	at[len(l.Cols)] = len(blank)
+	slot := make([]int, len(l.Cols)) // 1 + index of the row's entry in each column, 0 if none
 	for _, k := range t.keys {
 		entries := t.RowView(k)
 		for j, e := range entries {
-			slot[pos[e.Expr]] = j + 1
+			slot[l.Pos[e.Expr]] = j + 1
 		}
-		writeCell(&b, name(k), widths[0])
+		dst = appendCell(dst, l.name(k), widths[0], esc)
 		done := 0
 		for i, s := range slot {
 			if s == 0 {
 				continue
 			}
 			slot[i] = 0
-			b.WriteString(blank[done:at[i]])
-			b.WriteString(" | ")
-			writeCell(&b, string(strconv.AppendInt(digits[:0], entries[s-1].Start, 10)), widths[i+1])
+			dst = append(append(dst, blank[done:at[i]]...), " | "...)
+			dst = appendTime(dst, entries[s-1].Start, widths[i+1])
 			done = at[i+1]
 		}
-		b.WriteString(blank[done:])
-		b.WriteByte('\n')
+		dst = append(append(dst, blank[done:]...), newline...)
 	}
-	return b.String()
+	return dst
+}
+
+// Render produces a fixed-width text table in the style of Table 1 of the
+// paper: one column per expression, one row per process and per condition.
+// It is the string form of the table's Layout, written into one buffer of
+// the exact size unless a width is above fmt's limit.
+func (t *Table) Render(opt RenderOptions) string {
+	l := t.Layout(opt)
+	var b []byte
+	if l.size >= 0 {
+		b = make([]byte, 0, l.size)
+	}
+	b = l.AppendText(b, "\n", nil)
+	// Nothing else refers to b, and it is never written again: the string
+	// takes its bytes without a copy, as strings.Builder's does.
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
 // maxFmtWidth is the largest width fmt accepts; beyond it fmt writes
@@ -459,15 +519,32 @@ const (
 	badWidth    = "%!(BADWIDTH)"
 )
 
-// writeCell writes cell left-aligned in a field of width w the way fmt's
-// "%-*s" does: padded to w runes.
-func writeCell(b *strings.Builder, cell string, w int) {
+// appendCell appends cell left-aligned in a field of width w the way fmt's
+// "%-*s" writes it: padded to w runes. The cell goes through esc when esc is
+// not nil.
+func appendCell(dst []byte, cell string, w int, esc func(dst []byte, s string) []byte) []byte {
 	if w > maxFmtWidth {
-		b.WriteString(badWidth)
+		dst = append(dst, badWidth...)
 		w = 0
 	}
-	b.WriteString(cell)
-	writeRun(b, spaces, w-utf8.RuneCountInString(cell))
+	if esc != nil {
+		dst = esc(dst, cell)
+	} else {
+		dst = append(dst, cell...)
+	}
+	return appendRun(dst, spaces, w-utf8.RuneCountInString(cell))
+}
+
+// appendTime appends an activation time as appendCell appends its decimal
+// digits.
+func appendTime(dst []byte, start int64, w int) []byte {
+	if w > maxFmtWidth {
+		dst = append(dst, badWidth...)
+		w = 0
+	}
+	n := len(dst)
+	dst = strconv.AppendInt(dst, start, 10)
+	return appendRun(dst, spaces, w-(len(dst)-n))
 }
 
 const (
@@ -475,13 +552,14 @@ const (
 	dashes = "--------------------------------"
 )
 
-// writeRun writes n bytes of run, a string of one repeated byte, or nothing
-// if n <= 0.
-func writeRun(b *strings.Builder, run string, n int) {
+// appendRun appends n bytes of run, a string of one repeated byte, or
+// nothing if n <= 0.
+func appendRun(dst []byte, run string, n int) []byte {
 	for ; n > len(run); n -= len(run) {
-		b.WriteString(run)
+		dst = append(dst, run...)
 	}
 	if n > 0 {
-		b.WriteString(run[:n])
+		dst = append(dst, run[:n]...)
 	}
+	return dst
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -77,21 +78,49 @@ func encodeTableReference(g *cpg.Graph, tbl *table.Table) *TableDoc {
 }
 
 // checkSolution asserts that the solution document of res, with the cache
-// block the server adds, is written byte-identically to encoding/json's
-// indented rendering, and that its table matches the reference encoding.
-func checkSolution(t *testing.T, label string, res *core.Result) {
+// block cache (nil for none), is written byte-identically to encoding/json's
+// renderings of EncodeSolution's document: the indented one by
+// WriteSolution, and the compact one by AppendSolution and RenderSolution,
+// the writer of /v1/schedule. It also checks the table against the
+// reference encoding.
+func checkSolution(t testing.TB, label string, res *core.Result, cache *CacheDoc) {
 	t.Helper()
 	if got, want := EncodeTable(res.Graph, res.Table), encodeTableReference(res.Graph, res.Table); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: EncodeTable differs from the per-entry encoding", label)
 	}
 	d := EncodeSolution(res)
-	d.Cache = &CacheDoc{Hit: true, Hits: 3, Misses: 1, ProblemHash: "0123abcd"}
+	d.Cache = cache
 	var got bytes.Buffer
 	if err := WriteSolution(&got, d); err != nil {
 		t.Fatalf("%s: WriteSolution: %v", label, err)
 	}
 	sameBytes(t, label, got.Bytes(), encoderJSON(t, d))
+	checkServed(t, label, res, cache, compactJSON(t, d))
 }
+
+// checkServed asserts that AppendSolution, after what the buffer already
+// holds, and RenderSolution write want.
+func checkServed(t testing.TB, label string, res *core.Result, cache *CacheDoc, want []byte) {
+	t.Helper()
+	const prefix = "held"
+	doc, err := AppendSolution([]byte(prefix), res, cache)
+	if err != nil {
+		t.Fatalf("%s: AppendSolution: %v", label, err)
+	}
+	if string(doc[:len(prefix)]) != prefix {
+		t.Fatalf("%s: AppendSolution overwrote the buffer's content", label)
+	}
+	sameBytes(t, label+" (AppendSolution)", doc[len(prefix):], want)
+	if err := RenderSolution(res, cache, func(doc []byte) error {
+		sameBytes(t, label+" (RenderSolution)", doc, want)
+		return nil
+	}); err != nil {
+		t.Fatalf("%s: RenderSolution: %v", label, err)
+	}
+}
+
+// testCache is the cache block the oracle tests add, as the server does.
+var testCache = &CacheDoc{Hit: true, Hits: 3, Misses: 1, ProblemHash: "0123abcd"}
 
 // hostileNames renames every process and condition of a problem document
 // with bytes encoding/json must escape: quotes, backslashes, control bytes,
@@ -120,13 +149,30 @@ func hostileNames(d *ProblemDoc) *ProblemDoc {
 }
 
 // TestWriteSolutionMatchesEncoder is the byte-identity oracle of the
-// solution codec: over the worked example, the worked example with hostile
-// names, and generated 60/80/120-node problems of 2-32 paths on three seeds,
-// WriteSolution writes exactly what json.Encoder with SetIndent("", "  ")
-// writes for the same document.
+// solution codec: WriteSolution writes exactly what json.Encoder with
+// SetIndent("", "  ") writes for EncodeSolution's document, and
+// AppendSolution and RenderSolution, which write /v1/schedule's bodies
+// straight from the result, exactly what a compact json.Encoder writes for
+// it. The corpus is the worked example, with and without the cache block,
+// with hostile names and with an empty table; generated 60/80/120-node
+// problems of 2-32 paths on three seeds; and grid seed 101's 80-node,
+// 10-path problem, whose table has two violations.
 func TestWriteSolutionMatchesEncoder(t *testing.T) {
 	fig := figure1Result(t)
-	checkSolution(t, "figure1", fig)
+	checkSolution(t, "figure1", fig, testCache)
+	checkSolution(t, "figure1 without a cache block", fig, nil)
+
+	empty := *fig
+	empty.Table = table.New(fig.Graph.NumProcs())
+	checkSolution(t, "figure1 with an empty table", &empty, testCache)
+	if err := RenderSolution(&empty, nil, func(doc []byte) error {
+		if !bytes.Contains(doc, []byte(`"columns":null,"entries":null`)) {
+			t.Errorf("an empty table's columns and entries are not null: %s", doc)
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("RenderSolution(empty table): %v", err)
+	}
 
 	g, a, opts, err := DecodeProblem(hostileNames(EncodeProblem(fig.Graph, fig.Arch, core.Options{})))
 	if err != nil {
@@ -136,7 +182,7 @@ func TestWriteSolutionMatchesEncoder(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Schedule(hostile names): %v", err)
 	}
-	checkSolution(t, "figure1 with hostile names", hostile)
+	checkSolution(t, "figure1 with hostile names", hostile, testCache)
 
 	for seed := int64(1); seed <= 3; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -150,10 +196,34 @@ func TestWriteSolutionMatchesEncoder(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Schedule: %v", err)
 				}
-				checkSolution(t, fmt.Sprintf("seed %d, %d nodes, %d paths", seed, nodes, paths), res)
+				checkSolution(t, fmt.Sprintf("seed %d, %d nodes, %d paths", seed, nodes, paths), res, testCache)
 			}
 		}
 	}
+
+	// The grid's draw order: for seed s, one rand source drawing the cells
+	// 60, 80 and 120 nodes by 10, 12, 18, 24 and 32 paths in turn.
+	r := rand.New(rand.NewSource(101))
+	var cfg gen.Config
+	for _, nodes := range []int{60, 80, 120} {
+		for _, paths := range []int{10, 12, 18, 24, 32} {
+			if c := gen.RandomConfig(r, nodes, paths); nodes == 80 && paths == 10 {
+				cfg = c
+			}
+		}
+	}
+	inst, err := gen.Generate(cfg)
+	if err != nil {
+		t.Fatalf("Generate(grid seed 101): %v", err)
+	}
+	res, err := core.Schedule(inst.Graph, inst.Arch, core.Options{Workers: 1})
+	if err != nil {
+		t.Fatalf("Schedule(grid seed 101): %v", err)
+	}
+	if len(res.Violations) != 2 {
+		t.Fatalf("grid seed 101, 80 nodes, 10 paths: %d violations, want 2", len(res.Violations))
+	}
+	checkSolution(t, "grid seed 101, 80 nodes, 10 paths", res, testCache)
 }
 
 // TestRenderJSONConcurrent renders documents from several goroutines at
@@ -230,6 +300,54 @@ func TestSolutionCodecAllocs(t *testing.T) {
 	if n > ceiling {
 		t.Errorf("EncodeSolution+WriteSolution(figure1) allocates %.0f times, ceiling %.0f", n, ceiling)
 	}
+}
+
+// FuzzServedSolutionMatchesStdlib renames every process and condition of
+// the worked example, and the problem, with fuzzed prefixes, schedules it,
+// and compares the served writer (AppendSolution and RenderSolution) with a
+// compact json.Encoder on EncodeSolution's document, whose cache block
+// carries the fuzzed process prefix as its problem hash. Run with
+// `go test -fuzz FuzzServedSolutionMatchesStdlib ./internal/textio`.
+func FuzzServedSolutionMatchesStdlib(f *testing.F) {
+	f.Add("", "")
+	f.Add("\"\\\x01\t\n\xff\u2028\u2029<>&", "</script>")
+	f.Add("\xed\xa0\x80\xc3(", "\x7f\x00")
+	f.Add("τ", "Ü&")
+	fig := figure1Result(f)
+	doc := EncodeProblem(fig.Graph, fig.Arch, core.Options{})
+	f.Fuzz(func(t *testing.T, proc, cond string) {
+		d := *doc
+		d.Name = proc + d.Name
+		d.Processes = slices.Clone(doc.Processes)
+		for i := range d.Processes {
+			d.Processes[i].Name = proc + d.Processes[i].Name
+		}
+		d.Conditions = slices.Clone(doc.Conditions)
+		for i := range d.Conditions {
+			d.Conditions[i].Name = cond + d.Conditions[i].Name
+			d.Conditions[i].Decider = proc + d.Conditions[i].Decider
+		}
+		d.Edges = slices.Clone(doc.Edges)
+		for i := range d.Edges {
+			e := &d.Edges[i]
+			e.From, e.To = proc+e.From, proc+e.To
+			if e.Condition != "" {
+				e.Condition = cond + e.Condition
+			}
+		}
+		g, a, opts, err := DecodeProblem(&d)
+		if err != nil {
+			return // a name over the limit
+		}
+		res, err := core.Schedule(g, a, opts)
+		if err != nil {
+			t.Fatalf("Schedule: %v", err)
+		}
+		cache := &CacheDoc{Misses: 1, ProblemHash: proc}
+		sol := EncodeSolution(res)
+		sol.Cache = cache
+		checkServed(t, "renamed figure1", res, cache, compactJSON(t, sol))
+	})
 }
 
 // FuzzIndentMatchesStdlib compares the one-pass indenter with json.Indent on

@@ -399,7 +399,9 @@ type SolutionDoc struct {
 	Cache     *CacheDoc        `json:"cache,omitempty"`
 }
 
-// EncodeSolution converts a scheduling result into its v1 document form.
+// EncodeSolution converts a scheduling result into its v1 document form,
+// the document WriteSolution writes to files. The server writes the same
+// document's compact JSON straight from the result (AppendSolution).
 func EncodeSolution(res *core.Result) *SolutionDoc {
 	g := res.Graph
 	d := &SolutionDoc{

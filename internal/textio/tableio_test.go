@@ -13,7 +13,7 @@ import (
 )
 
 // figure1Result generates the schedule table of the worked example once.
-func figure1Result(t *testing.T) *core.Result {
+func figure1Result(t testing.TB) *core.Result {
 	t.Helper()
 	g, a, err := expr.Figure1()
 	if err != nil {
