@@ -12,9 +12,11 @@
 // The handlers live in internal/httpserver (see its package documentation
 // for the endpoint list, the /metrics exposition and the admission-control
 // conventions); this command only adds flags, logging and graceful shutdown.
-// -limit-light bounds concurrent schedule requests and
-// -limit-heavy concurrent sweep shards; requests over a bound are shed with
-// 429 + Retry-After (0 = budget-derived defaults, negative = unlimited).
+// -workers is the number of worker tokens, one goroutine each: a schedule
+// miss holds one (a document's options.workers is ignored) and a sweep shard
+// up to its workers' worth. -limit-light bounds concurrent schedule requests
+// and -limit-heavy concurrent sweep shards; requests over a bound are shed
+// with 429 + Retry-After (0 = budget-derived defaults, negative = unlimited).
 package main
 
 import (
@@ -35,7 +37,7 @@ import (
 func main() {
 	fs := flag.NewFlagSet("cpgserve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	workers := fs.Int("workers", 0, "global worker budget shared by all requests (0 = all CPUs)")
+	workers := fs.Int("workers", 0, "global worker budget shared by all requests, one goroutine per token; a schedule miss takes one (0 = all CPUs)")
 	cache := fs.Int("cache", service.DefaultCacheSize, "capacity of the solved-problem memo (negative disables it)")
 	maxBody := fs.Int64("max-body", 8<<20, "maximum request body size in bytes")
 	limitLight := fs.Int("limit-light", 0, "max concurrent schedule requests before shedding 429 (0 = budget-derived default, negative = unlimited)")

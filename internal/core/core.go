@@ -37,15 +37,15 @@
 // the next, so a caller scheduling graph after graph stops allocating it per
 // graph: each worker of a sweep keeps one, and the scheduling service lends
 // one from its pool to each memo miss. A workspace belongs to one goroutine
-// at a time, and the Result its Schedule and SchedulePhased methods return
-// stays valid only until the next call on the same workspace, which
-// overwrites the table, schedules and subgraphs the Result points to, even
-// when that call fails or is cancelled. A result that outlives the next run
-// is detached first (Result.Detach): the detached copy owns a compact copy
-// of the table, the path list and the violations, and keeps none of the
-// workspace's schedules, subgraphs, merge buffers, lock set or path records
-// alive. Schedule, ScheduleContext, SchedulePhased and ScheduleWarmPhased
-// run the same code on a fresh workspace, so their results own their memory.
+// at a time, and the Result its Schedule method returns stays valid only
+// until the next call on the same workspace, which overwrites the table,
+// schedules and subgraphs the Result points to, even when that call fails or
+// is cancelled. A result that outlives the next run is detached first
+// (Result.Detach): the detached copy owns a compact copy of the table, the
+// path list and the violations, and keeps none of the workspace's schedules,
+// subgraphs, merge buffers, lock set or path records alive. Schedule,
+// ScheduleContext, SchedulePhased and ScheduleWarmPhased run the same code on
+// a fresh workspace, so their results own their memory.
 package core
 
 import (
@@ -158,10 +158,9 @@ type Options struct {
 	// results are collected in path enumeration order and the merging
 	// itself stays sequential.
 	//
-	// Callers going through a service.Service are subject to the service's
-	// global worker budget, which overrides this field: the service clamps
-	// Workers to the tokens it could actually acquire, so a per-call
-	// request never exceeds the budget shared across concurrent requests.
+	// The scheduling service and the sweep ignore this field: they spread
+	// their goroutines over problems and graphs, and schedule each one on a
+	// single goroutine.
 	Workers int
 }
 
@@ -383,16 +382,10 @@ type Workspace struct {
 // Schedule generates the schedule table for the graph on the given
 // architecture like ScheduleContext, reusing the workspace's state. The
 // Result, its table, schedules and subgraphs are overwritten by the next call
-// on the workspace.
+// on the workspace. A run that fails or is cancelled leaves the workspace
+// ready for the next.
 func (ws *Workspace) Schedule(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt Options) (*Result, error) {
 	return ws.schedule(ctx, g, a, opt, nil, nil)
-}
-
-// SchedulePhased is Schedule reporting phase transitions to phases (which
-// may be nil), like the package-level SchedulePhased. A run that fails or is
-// cancelled leaves the workspace ready for the next.
-func (ws *Workspace) SchedulePhased(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt Options, phases PhaseFunc) (*Result, error) {
-	return ws.schedule(ctx, g, a, opt, phases, nil)
 }
 
 // Schedule generates the schedule table for the graph on the given
@@ -415,9 +408,8 @@ const (
 // PhaseFunc observes the transitions between the phases of a run and bounds
 // the parallelism of the upcoming phase: it receives the phase name and the
 // worker count the phase would use, and returns the count the phase may
-// actually use (clamped to at least 1). The scheduling service uses it to
-// hand back unused worker-budget tokens during the sequential merge and to
-// reclaim what is free again for the validation fan-out.
+// actually use (clamped to at least 1). perfbench's tracer uses it to time
+// the path phase, the merge and the validation of one run apart.
 type PhaseFunc func(phase string, want int) int
 
 // ScheduleContext is Schedule with cancellation: the context is checked

@@ -34,8 +34,8 @@ func TestFinalizeConditionLimitBoundary(t *testing.T) {
 	if err := g.Finalize(a); err != nil {
 		t.Fatalf("Finalize with exactly %d conditions should succeed: %v", cond.MaxConds, err)
 	}
-	if got := g.CondMask(); got != ^uint64(0) {
-		t.Fatalf("CondMask with %d conditions = %#x, want all ones", cond.MaxConds, got)
+	if got := g.NumConds(); got != cond.MaxConds {
+		t.Fatalf("NumConds = %d, want %d", got, cond.MaxConds)
 	}
 
 	g2, a2 := chainWithConds(t, cond.MaxConds+1)
@@ -45,25 +45,5 @@ func TestFinalizeConditionLimitBoundary(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "bitset") {
 		t.Fatalf("limit error should name the bitset algebra, got: %v", err)
-	}
-}
-
-// TestCondMaskMatchesNumConds checks the mask population tracks the declared
-// condition count for ordinary sizes.
-func TestCondMaskMatchesNumConds(t *testing.T) {
-	for _, n := range []int{0, 1, 3, 10, 63, 64} {
-		g, a := chainWithConds(t, n)
-		if err := g.Finalize(a); err != nil {
-			t.Fatalf("Finalize(%d conds): %v", n, err)
-		}
-		want := uint64(0)
-		if n == 64 {
-			want = ^uint64(0)
-		} else {
-			want = (uint64(1) << uint(n)) - 1
-		}
-		if got := g.CondMask(); got != want {
-			t.Fatalf("CondMask(%d conds) = %#x, want %#x", n, got, want)
-		}
 	}
 }

@@ -266,18 +266,6 @@ func (g *Graph) NumProcs() int { return len(g.procs) }
 // NumConds returns the number of conditions.
 func (g *Graph) NumConds() int { return len(g.conds) }
 
-// CondMask returns the declared conditions as a bitmask (bit i set means
-// condition i exists). Finalize guarantees the count fits cond.MaxConds, so
-// the mask is exact for finalized graphs; before Finalize an oversized
-// declaration saturates to all ones rather than silently wrapping.
-func (g *Graph) CondMask() uint64 {
-	n := len(g.conds)
-	if n >= cond.MaxConds {
-		return ^uint64(0)
-	}
-	return (uint64(1) << uint(n)) - 1
-}
-
 // NumOrdinary returns the number of ordinary processes.
 func (g *Graph) NumOrdinary() int {
 	n := 0

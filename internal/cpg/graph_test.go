@@ -1,6 +1,7 @@
 package cpg
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -422,8 +423,11 @@ func TestMaxPathsLimit(t *testing.T) {
 	if len(paths) != 32 {
 		t.Fatalf("series of 5 conditions should yield 32 paths, got %d", len(paths))
 	}
-	if _, err := g.AlternativePaths(10); err == nil {
-		t.Fatalf("maxPaths limit should trigger an error")
+	if _, err := g.AlternativePaths(10); !errors.Is(err, ErrTooManyPaths) {
+		t.Fatalf("maxPaths limit should fail with ErrTooManyPaths; got %v", err)
+	}
+	if _, err := g.NumAlternativePaths(31); !errors.Is(err, ErrTooManyPaths) {
+		t.Fatalf("NumAlternativePaths over its bound should fail with ErrTooManyPaths; got %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package cpg
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/cond"
@@ -9,6 +10,10 @@ import (
 // DefaultMaxPaths bounds the number of alternative paths enumerated by
 // AlternativePaths; the experiments of the paper use at most 32.
 const DefaultMaxPaths = 4096
+
+// ErrTooManyPaths is returned by AlternativePaths and NumAlternativePaths for
+// a graph with more alternative paths than the bound.
+var ErrTooManyPaths = errors.New("cpg: too many alternative paths")
 
 // Path describes one alternative path through the graph: the label Lk (a full
 // assignment of the conditions decided on the path) and the set of active
@@ -61,7 +66,7 @@ func (g *Graph) pathLabels(maxPaths int, visit func(cond.Cube)) error {
 	var rec func(assign cond.Cube) error
 	rec = func(assign cond.Cube) error {
 		if count > maxPaths {
-			return fmt.Errorf("cpg: more than %d alternative paths", maxPaths)
+			return fmt.Errorf("%w: more than %d", ErrTooManyPaths, maxPaths)
 		}
 		// Find the lowest-numbered condition whose disjunction process is
 		// active under the current partial assignment and which is not yet
@@ -79,7 +84,7 @@ func (g *Graph) pathLabels(maxPaths int, visit func(cond.Cube)) error {
 		if next == cond.None {
 			count++
 			if count > maxPaths {
-				return fmt.Errorf("cpg: more than %d alternative paths", maxPaths)
+				return fmt.Errorf("%w: more than %d", ErrTooManyPaths, maxPaths)
 			}
 			visit(assign)
 			return nil

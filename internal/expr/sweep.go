@@ -47,7 +47,8 @@ type SweepConfig struct {
 	// the number of graphs done so far and the total. Calls are serialized
 	// but may come from worker goroutines.
 	Progress func(done, total int)
-	// Options are passed to the table generation.
+	// Options are passed to the table generation, except Workers: every
+	// graph is scheduled on one goroutine.
 	Options core.Options
 	// ShardIndex and ShardCount select one shard of the sweep for
 	// distributed execution: every (nodes, paths, index) graph is assigned
@@ -326,13 +327,10 @@ func RunSweepShardStream(ctx context.Context, cfg SweepConfig, yield func(GraphR
 	jobs := cfg.shardJobs()
 
 	// The sweep parallelises across graphs, so each graph's paths are
-	// scheduled on a single goroutine unless the caller explicitly asked
-	// for nested parallelism: this avoids oversubscription when the sweep
-	// fans out and keeps Workers=1 a true sequential baseline.
+	// scheduled on the goroutine that took the graph: cfg.Workers bounds the
+	// goroutines of the whole shard, and Workers=1 is a sequential run.
 	opts := cfg.Options
-	if opts.Workers == 0 {
-		opts.Workers = 1
-	}
+	opts.Workers = 1
 
 	results := make([]GraphResult, len(jobs))
 	errs := make([]error, len(jobs))

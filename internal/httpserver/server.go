@@ -22,9 +22,11 @@
 // (the problem's options, the sweep request's workers and options), and a
 // request that carries a query string is refused with a 400 naming the
 // document field to use. Every error is reported as a JSON envelope
-// {"error":{"status":...,"message":...}}. A document's workers are a wish
-// the global budget clamps: concurrent requests share the budget's tokens
-// in total.
+// {"error":{"status":...,"message":...}}. Concurrent requests share the
+// global worker budget: a /v1/schedule miss runs on one goroutine under one
+// token, whatever its options.workers says (a negative value is still a
+// 400), and a sweep request's workers are a wish the budget clamps, each
+// token scheduling one graph at a time.
 //
 // # Admission control
 //
@@ -52,6 +54,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/cpg"
 	"repro/internal/expr"
 	"repro/internal/obs"
 	"repro/internal/service"
@@ -383,13 +386,14 @@ func requestErrorStatus(err error) int {
 }
 
 // scheduleErrorStatus maps a failed service run to an HTTP status:
-// cancellations and deadlines become 408, a merge that reached its safety
-// bound 422 (the problem, not the server, is at fault), everything else 500.
+// cancellations and deadlines become 408, a problem with more alternative
+// paths than its bound or a merge that reached its safety bound 422 (the
+// problem, not the server, is at fault), everything else 500.
 func scheduleErrorStatus(err error) int {
 	switch {
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		return http.StatusRequestTimeout
-	case errors.Is(err, core.ErrNotConverged):
+	case errors.Is(err, cpg.ErrTooManyPaths) || errors.Is(err, core.ErrNotConverged):
 		return http.StatusUnprocessableEntity
 	}
 	return http.StatusInternalServerError

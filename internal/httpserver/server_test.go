@@ -154,9 +154,9 @@ func withOptions(t *testing.T, opts textio.OptionsDoc) []byte {
 	return body
 }
 
-// TestScheduleEndpointWorkersParam pins the per-request worker wish, which
-// travels in the document's options.workers: a valid count is scheduled, a
-// negative one gets a 400 envelope naming the field.
+// TestScheduleEndpointWorkersParam pins the document's options.workers on
+// the server, which runs every problem on one goroutine: a valid count is
+// scheduled, a negative one gets a 400 envelope naming the field.
 func TestScheduleEndpointWorkersParam(t *testing.T) {
 	ts := testServer(t)
 	resp, body := postJSON(t, ts.URL+"/v1/schedule", withOptions(t, textio.OptionsDoc{Workers: 1}))
@@ -343,6 +343,23 @@ func TestScheduleNotConvergedIs422(t *testing.T) {
 		t.Fatalf("error envelope not JSON: %v in %s", err, out)
 	}
 	if env.Error.Status != http.StatusUnprocessableEntity || !strings.Contains(env.Error.Message, "did not converge") {
+		t.Fatalf("error envelope unexpected: %+v", env.Error)
+	}
+}
+
+// TestScheduleTooManyPathsIs422 pins the status of a problem with more
+// alternative paths than its options.maxPaths: Figure 1 has six, and a bound
+// of one is the problem's fault, not the server's.
+func TestScheduleTooManyPathsIs422(t *testing.T) {
+	resp, out := postJSON(t, testServer(t).URL+"/v1/schedule", withOptions(t, textio.OptionsDoc{MaxPaths: 1}))
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422: %s", resp.StatusCode, out)
+	}
+	var env errorDoc
+	if err := json.Unmarshal(out, &env); err != nil {
+		t.Fatalf("error envelope not JSON: %v in %s", err, out)
+	}
+	if env.Error.Status != http.StatusUnprocessableEntity || !strings.Contains(env.Error.Message, "alternative paths") {
 		t.Fatalf("error envelope unexpected: %+v", env.Error)
 	}
 }

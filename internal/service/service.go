@@ -2,23 +2,26 @@
 // concurrency-aware service object: the shape needed by a scheduling server
 // that handles many independent requests.
 //
-// A Service adds three things on top of core.ScheduleContext:
+// A Service adds three things on top of core.Workspace:
 //
-//   - a global worker budget: every concurrent request — a problem or a
-//     sweep shard — draws its goroutines from one token pool, so a burst of
-//     requests cannot oversubscribe the machine no matter what each request
-//     asks for (the budget overrides core.Options.Workers);
+//   - a global worker budget: one pool of tokens, one per goroutine, that
+//     every concurrent request draws from, so a burst of requests cannot
+//     oversubscribe the machine. A memo miss runs on one goroutine under one
+//     token, whatever its core.Options.Workers asks for: one problem's table
+//     is a millisecond-scale job, so the budget is spread over concurrent
+//     requests, not over the paths of one. A sweep shard takes up to its
+//     workers' worth of free tokens and schedules one graph per token;
 //   - a memo: an LRU of solved problems keyed by the problem content hash
 //     (textio.ProblemHash), so repeated requests for the same problem —
 //     retries, re-submissions, design-space loops — are served without
 //     rescheduling; and
-//   - context cancellation: a cancelled request aborts its path fan-out and
-//     merge promptly and releases its worker tokens.
+//   - context cancellation: a cancelled request aborts its path scheduling
+//     and merge promptly and releases its worker tokens.
 //
 // Every memo miss schedules in a core.Workspace lent from the service's pool,
 // which recycles the subgraphs, schedules, merge buffers and table of one
-// problem for the next. A miss holds at least one worker token while it has
-// a workspace, so no more workspaces are in use than tokens. The pool is a
+// problem for the next. A miss holds its worker token while it has a
+// workspace, so no more workspaces are in use than tokens. The pool is a
 // sync.Pool: the collector frees the workspaces that no miss has taken since
 // the collection before, so one of a large problem does not stay pinned.
 //
@@ -37,7 +40,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -58,9 +60,9 @@ const DefaultCacheSize = 256
 type Config struct {
 	// Workers is the global worker budget shared across every concurrent
 	// request (0 = GOMAXPROCS; negative is rejected by New with
-	// core.ErrNegativeWorkers). A single request is granted at most this
-	// many scheduling goroutines, and the grants of all in-flight requests
-	// never exceed it in total.
+	// core.ErrNegativeWorkers). A memo miss holds one token and a sweep
+	// shard at most its workers' worth; the tokens of all in-flight
+	// requests never exceed the budget in total.
 	Workers int
 	// CacheSize is the capacity of the solved-problem memo
 	// (0 = DefaultCacheSize, negative = disabled).
@@ -100,9 +102,6 @@ type Solution struct {
 	// WarmStart is always false: the service schedules every memo miss
 	// from scratch. The field stays for clients built against the flag.
 	WarmStart bool
-	// Workers is the number of worker tokens the request was granted
-	// (zero on cache hits).
-	Workers int
 }
 
 // Stats is a snapshot of the service counters.
@@ -176,12 +175,11 @@ func (s *Service) Stats() Stats {
 	}
 }
 
-// Schedule generates (or recalls) the schedule table for one problem. The
-// request's core.Options.Workers is a wish, not a grant: the service clamps
-// it to the global budget and to the tokens actually free at admission, so
-// the budget is shared fairly across concurrent requests. Cancelling ctx
-// aborts the run promptly (between back-steps of the merge) and returns
-// ctx.Err().
+// Schedule generates (or recalls) the schedule table for one problem. A memo
+// miss waits for one worker token and runs on one goroutine, whatever the
+// problem's core.Options.Workers asks for (it must not be negative), so the
+// budget goes to concurrent requests. Cancelling ctx aborts the run promptly
+// (between back-steps of the merge) and returns ctx.Err().
 //
 // Identical problems (same content hash) are answered from the memo; two
 // concurrent first requests for the same problem may both compute, and the
@@ -208,47 +206,14 @@ func (s *Service) Schedule(ctx context.Context, p *Problem) (*Solution, error) {
 	if res, ok := s.cache.Get(hash); ok {
 		return &Solution{Result: res, ProblemHash: hash, CacheHit: true}, nil
 	}
-	want := p.Options.Workers
-	if want <= 0 || want > s.budget {
-		want = s.budget
-	}
-	// A problem with c conditions has at most 2^c alternative paths, and the
-	// fan-outs inside core clamp to the path count — tokens beyond that
-	// would sit idle while starving concurrent requests (batches would
-	// serialize), so don't grab them in the first place.
-	if lim := maxUsefulWorkers(p.Graph); want > lim {
-		want = lim
-	}
-	granted, err := s.acquire(ctx, want)
-	if err != nil {
+	if _, err := s.acquire(ctx, 1); err != nil {
 		return nil, err
 	}
-	// held tracks the tokens this request currently owns; the phase hook
-	// below adjusts it (on this goroutine) as the run's parallelism varies.
-	held := granted
-	defer func() { s.releaseTokens(held) }()
+	defer s.releaseTokens(1)
 	opt := p.Options
-	opt.Workers = granted
-	phase := func(phase string, want int) int {
-		switch phase {
-		case core.PhaseMerge:
-			// The merge is sequential: keep one token and hand the rest
-			// back so concurrent requests are not starved for the whole
-			// (often dominant) merge duration.
-			if held > 1 {
-				s.releaseTokens(held - 1)
-				held = 1
-			}
-			return 1
-		case core.PhaseValidate:
-			// Reclaim what is free again for the validation fan-out.
-			held += s.tryAcquireUpTo(granted - held)
-			return held
-		}
-		return want
-	}
+	opt.Workers = 1
 	ws := s.workspaces.Get().(*core.Workspace)
-	res, err := ws.SchedulePhased(ctx, p.Graph, p.Arch, opt, phase)
+	res, err := ws.Schedule(ctx, p.Graph, p.Arch, opt)
 	if err == nil {
 		// The next miss overwrites the workspace's result: keep a copy
 		// that shares nothing with it, and without the subgraphs and the
@@ -261,7 +226,7 @@ func (s *Service) Schedule(ctx context.Context, p *Problem) (*Solution, error) {
 		return nil, err
 	}
 	s.cache.Add(hash, res)
-	return &Solution{Result: res, ProblemHash: hash, Workers: granted}, nil
+	return &Solution{Result: res, ProblemHash: hash}, nil
 }
 
 // ScheduleBatch schedules every problem concurrently under the shared worker
@@ -298,10 +263,12 @@ type SweepSolution struct {
 
 // SweepShard executes one shard of a Fig. 5/6 sweep under the service's
 // global worker budget: the config's Workers field is a wish clamped to the
-// budget, to the tokens free at admission and to the shard's graph count.
-// It calls yield (when non-nil) once per completed graph, in completion
-// order; a yield error aborts the run and is returned. Cancelling ctx aborts
-// the shard run promptly and returns ctx.Err().
+// budget, to the tokens free at admission and to the shard's graph count,
+// and each token schedules one graph at a time on one goroutine, whatever
+// cfg.Options.Workers asks for. It calls yield (when non-nil) once per
+// completed graph, in completion order; a yield error aborts the run and is
+// returned. Cancelling ctx aborts the shard run promptly and returns
+// ctx.Err().
 func (s *Service) SweepShard(ctx context.Context, cfg expr.SweepConfig, yield func(expr.GraphResult) error) (*SweepSolution, error) {
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("%w; got %d", core.ErrNegativeWorkers, cfg.Workers)
@@ -334,52 +301,24 @@ func (s *Service) SweepShard(ctx context.Context, cfg expr.SweepConfig, yield fu
 	return &SweepSolution{Shard: sh, Workers: granted}, nil
 }
 
-// maxUsefulWorkers bounds the parallelism a problem can exploit: the path
-// fan-outs clamp to the number of alternative paths, which is at most
-// 2^conditions. The condition count is taken from the graph's condition
-// bitmask population, and the shift is clamped well below the mask width
-// (cond.MaxConds = 64), so a maximal graph yields a large finite cap instead
-// of a wrapped-to-zero (or negative) one.
-func maxUsefulWorkers(g *cpg.Graph) int {
-	conds := bits.OnesCount64(g.CondMask())
-	if conds >= 30 {
-		return 1 << 30
-	}
-	return 1 << conds
-}
-
 // acquire admits a request to the worker pool: it blocks (honouring ctx) for
-// the first token — every admitted request runs with at least one worker —
-// then opportunistically grabs free tokens up to the request's wish. want <=
-// 0 wishes for the full budget. The caller owns the granted tokens and must
-// return them with releaseTokens.
+// one token — every admitted request runs with at least one worker — then
+// takes free tokens without blocking until it holds want. The caller owns the
+// granted tokens and must return them with releaseTokens.
 func (s *Service) acquire(ctx context.Context, want int) (granted int, err error) {
-	if want <= 0 || want > s.budget {
-		want = s.budget
-	}
 	select {
 	case <-s.tokens:
-		granted = 1
 	case <-ctx.Done():
 		return 0, ctx.Err()
 	}
-	return granted + s.tryAcquireUpTo(want-granted), nil
-}
-
-// tryAcquireUpTo grabs up to n free tokens without blocking and returns how
-// many it got.
-func (s *Service) tryAcquireUpTo(n int) int {
-	got := 0
-	for got < n {
+	for granted = 1; granted < want; granted++ {
 		select {
 		case <-s.tokens:
-			got++
-			continue
 		default:
+			return granted, nil
 		}
-		break
 	}
-	return got
+	return granted, nil
 }
 
 // releaseTokens returns n tokens to the pool.

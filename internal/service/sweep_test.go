@@ -118,3 +118,23 @@ func TestSweepShardConcurrent(t *testing.T) {
 		t.Fatalf("concurrently sharded cells differ from single-process run")
 	}
 }
+
+// TestSweepGraphRunsOnOneGoroutine pins that a sweep shard holds the
+// service's budget: a shard granted one token schedules its graphs on one
+// goroutine, whatever its options.workers asks for.
+func TestSweepGraphRunsOnOneGoroutine(t *testing.T) {
+	svc := mustNew(t, Config{Workers: 1})
+	cfg := expr.SweepConfig{Nodes: []int{60}, Paths: []int{18}, GraphsPerCell: 3, Seed: 5,
+		Workers: 1, Options: core.Options{Workers: 8}}
+	callers, peak := peakCallers()
+	sol, err := svc.SweepShard(probeCtx{Context: context.Background(), probe: callers}, cfg, nil)
+	if err != nil {
+		t.Fatalf("SweepShard: %v", err)
+	}
+	if got := len(sol.Shard.Results); got != 3 {
+		t.Fatalf("shard covers %d graphs, want 3", got)
+	}
+	if got := peak(); got != 1 {
+		t.Fatalf("%d goroutines scheduled at once on a one-token service, want 1", got)
+	}
+}

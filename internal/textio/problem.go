@@ -56,8 +56,10 @@ type OptionsDoc struct {
 	TabuNeighbors  int `json:"tabuNeighbors,omitempty"`
 	// MaxPaths bounds the number of alternative paths (0 = default bound).
 	MaxPaths int `json:"maxPaths,omitempty"`
-	// Workers bounds the per-request scheduling parallelism. It is advisory
-	// under a service: the service's global worker budget overrides it.
+	// Workers bounds the goroutines scheduling the problem's paths
+	// (core.Options.Workers). cpgsched honours it; the scheduling service
+	// ignores it and runs each problem on one goroutine. It never changes the
+	// table, so ProblemHash clears it.
 	Workers int `json:"workers,omitempty"`
 }
 

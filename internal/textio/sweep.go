@@ -31,9 +31,9 @@ type SweepRequestDoc struct {
 	Seed          int64  `json:"seed"`
 	ShardIndex    int    `json:"shardIndex"`
 	ShardCount    int    `json:"shardCount"`
-	// Workers is the wished-for shard parallelism; it is advisory under a
-	// service (the global worker budget overrides it) and excluded from
-	// the content hash.
+	// Workers is the wished-for shard parallelism, in graphs scheduled at
+	// once; it is advisory under a service (the global worker budget
+	// clamps it) and excluded from the content hash.
 	Workers int         `json:"workers,omitempty"`
 	Options *OptionsDoc `json:"options,omitempty"`
 }

@@ -17,7 +17,7 @@
 #   - POST the Figure 1 document and require the golden table byte-identical
 #     even while the server is shedding heavy load.
 # After the sweep completes, the final scrape must show the shed counted and
-# the in-flight gauges back at zero.
+# the in-flight gauges and the lent worker tokens back at zero.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -209,6 +209,11 @@ grep -q 'cpg_http_in_flight{class="heavy"} 0' "$OUT/metrics_after.txt" || {
 }
 grep -q 'cpg_http_in_flight{class="light"} 0' "$OUT/metrics_after.txt" || {
   echo "serve smoke FAILED: light in-flight gauge did not return to 0" >&2
+  exit 1
+}
+# Every response is sent after its tokens are back, so none may be lent out.
+grep -qx 'cpg_service_workers_busy 0' "$OUT/metrics_after.txt" || {
+  echo "serve smoke FAILED: worker tokens still lent out after the requests finished" >&2
   exit 1
 }
 echo "serve smoke OK: sheds were 429 (never 5xx), gauges settled, sweep completed"
