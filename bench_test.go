@@ -33,7 +33,6 @@ package repro
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -453,11 +452,10 @@ func BenchmarkListschedInner(b *testing.B) {
 	}
 }
 
-// BenchmarkValidateParallel measures the validation stage as core.Schedule
-// runs it — the row checks of the table, then the per-path re-enactment of
-// the simulator over a growing worker pool — reusing the subgraphs built
-// during path scheduling.
-func BenchmarkValidateParallel(b *testing.B) {
+// BenchmarkValidate measures the validation stage as core.Schedule runs it:
+// the row checks of the table, then the re-enactment of every path on one
+// goroutine, reusing the subgraphs built during path scheduling.
+func BenchmarkValidate(b *testing.B) {
 	inst, err := gen.Generate(gen.Config{Seed: 42, Nodes: 120, TargetPaths: 32, Processors: 8, Hardware: 1, Buses: 4})
 	if err != nil {
 		b.Fatalf("Generate: %v", err)
@@ -466,22 +464,19 @@ func BenchmarkValidateParallel(b *testing.B) {
 	if err != nil {
 		b.Fatalf("Schedule: %v", err)
 	}
-	for _, w := range sweepWorkerCounts {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if v := res.Table.Validate(inst.Graph); len(v) != 0 {
-					b.Fatalf("unexpected violations: %v", v)
-				}
-				simRes, err := sim.WorstCaseSubgraphs(inst.Arch, res.Table, res.Subgraphs, w)
-				if err != nil {
-					b.Fatalf("WorstCaseSubgraphs: %v", err)
-				}
-				if simRes.DeltaMax != res.DeltaMax {
-					b.Fatalf("DeltaMax = %d, want %d", simRes.DeltaMax, res.DeltaMax)
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if v := res.Table.Validate(inst.Graph); len(v) != 0 {
+			b.Fatalf("unexpected violations: %v", v)
+		}
+		simRes, err := sim.WorstCaseSubgraphs(inst.Arch, res.Table, res.Subgraphs, 1)
+		if err != nil {
+			b.Fatalf("WorstCaseSubgraphs: %v", err)
+		}
+		if simRes.DeltaMax != res.DeltaMax {
+			b.Fatalf("DeltaMax = %d, want %d", simRes.DeltaMax, res.DeltaMax)
+		}
 	}
 }
 
@@ -732,72 +727,4 @@ func BenchmarkCubeOps(b *testing.B) {
 		}
 	})
 	_, _ = boolSink, intSink
-}
-
-// BenchmarkWarmReschedule compares a cold reschedule of a τ-edited problem
-// against a warm-started one that reuses the previous result's schedules for
-// every path the edit does not touch. The tabu strategy makes per-path
-// scheduling the dominant cost, which is exactly the work warm-starting
-// skips; the acceptance bar is warm beating cold by at least 2x ns/op.
-func BenchmarkWarmReschedule(b *testing.B) {
-	inst, err := gen.Generate(gen.Config{Seed: 11, Nodes: 90, TargetPaths: 16, Processors: 4, Hardware: 1, Buses: 2})
-	if err != nil {
-		b.Fatalf("Generate: %v", err)
-	}
-	opt := core.Options{
-		Strategy:       "tabu",
-		StrategyParams: listsched.StrategyParams{TabuIterations: 12, TabuNeighbors: 8},
-		Workers:        1,
-	}
-	prev, err := core.Schedule(inst.Graph, inst.Arch, opt)
-	if err != nil {
-		b.Fatalf("Schedule (prev): %v", err)
-	}
-	paths, err := inst.Graph.AlternativePaths(0)
-	if err != nil {
-		b.Fatalf("AlternativePaths: %v", err)
-	}
-	// τ-edit the ordinary process active on the fewest paths, so the warm run
-	// reschedules as little as a single-process timing tweak allows.
-	dirty, dirtyPaths := cpg.NoProc, len(paths)+1
-	for _, p := range inst.Graph.Procs() {
-		if p.IsDummy() || p.Kind != cpg.KindOrdinary {
-			continue
-		}
-		n := 0
-		for _, path := range paths {
-			if path.IsActive(p.ID) {
-				n++
-			}
-		}
-		if n < dirtyPaths {
-			dirty, dirtyPaths = p.ID, n
-		}
-	}
-	if dirty == cpg.NoProc {
-		b.Fatalf("no ordinary process in generated instance")
-	}
-	inst.Graph.Process(dirty).Exec += 3
-	ctx := context.Background()
-
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Schedule(inst.Graph, inst.Arch, opt); err != nil {
-				b.Fatalf("Schedule: %v", err)
-			}
-		}
-		b.ReportMetric(float64(len(paths)), "paths")
-	})
-	b.Run("warm", func(b *testing.B) {
-		var res *core.Result
-		for i := 0; i < b.N; i++ {
-			var err error
-			res, err = core.ScheduleWarmPhased(ctx, prev, inst.Graph, inst.Arch, opt, []cpg.ProcID{dirty}, nil)
-			if err != nil {
-				b.Fatalf("ScheduleWarmPhased: %v", err)
-			}
-		}
-		b.ReportMetric(float64(len(paths)), "paths")
-		b.ReportMetric(float64(res.Stats.WarmReusedPaths), "reused-paths")
-	})
 }

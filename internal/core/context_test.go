@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/gen"
+	"repro/internal/table"
 )
 
 func TestNegativeWorkersRejected(t *testing.T) {
@@ -132,34 +134,78 @@ func TestScheduleContextCancelPromptly(t *testing.T) {
 }
 
 // TestSchedulePhasedOrder pins the phase hook contract: merge is announced
-// exactly once after the path fan-out, validate exactly once before the
-// validation fan-out, and the worker bound returned for the validation
-// phase is honoured (the result stays identical for any bound).
+// exactly once after the path fan-out, then validate exactly once, each
+// offered 1, and what the hook returns changes nothing: a hook that returns 0
+// or 99 leaves the result as a run without a hook gives it.
 func TestSchedulePhasedOrder(t *testing.T) {
 	inst, err := gen.Generate(gen.Config{Seed: 3, Nodes: 30, TargetPaths: 4, Processors: 2, Hardware: 1, Buses: 1})
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	var phases []string
-	res, err := SchedulePhased(context.Background(), inst.Graph, inst.Arch, Options{Workers: 4},
-		func(phase string, want int) int {
-			phases = append(phases, phase)
-			if phase == PhaseValidate && want != 4 {
-				t.Errorf("validate phase offered %d workers, want 4", want)
-			}
-			return 1 // force sequential validation; result must not change
-		})
-	if err != nil {
-		t.Fatalf("SchedulePhased: %v", err)
-	}
-	if len(phases) != 2 || phases[0] != PhaseMerge || phases[1] != PhaseValidate {
-		t.Fatalf("phase order %v, want [merge validate]", phases)
-	}
-	ref, err := Schedule(inst.Graph, inst.Arch, Options{Workers: 1})
+	ref, err := Schedule(inst.Graph, inst.Arch, Options{Workers: 4})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
-	if res.DeltaM != ref.DeltaM || res.DeltaMax != ref.DeltaMax {
-		t.Fatalf("phased run changed the result: δ %d/%d vs %d/%d", res.DeltaM, res.DeltaMax, ref.DeltaM, ref.DeltaMax)
+	for _, ret := range []int{0, 99} {
+		var phases []string
+		res, err := SchedulePhased(context.Background(), inst.Graph, inst.Arch, Options{Workers: 4},
+			func(phase string, want int) int {
+				phases = append(phases, phase)
+				if want != 1 {
+					t.Errorf("phase %s offered %d workers, want 1", phase, want)
+				}
+				return ret
+			})
+		if err != nil {
+			t.Fatalf("SchedulePhased: %v", err)
+		}
+		if len(phases) != 2 || phases[0] != PhaseMerge || phases[1] != PhaseValidate {
+			t.Fatalf("phase order %v, want [merge validate]", phases)
+		}
+		checkSameResult(t, fmt.Sprintf("hook returning %d", ret), res, ref)
+	}
+}
+
+// TestScheduleWarmPhasedRunsCold checks that ScheduleWarmPhased is
+// SchedulePhased: handed a prev that carries every path's schedule and a
+// dirty list naming no process, it still schedules every path
+// (Stats.WarmReusedPaths is 0) and returns the table, δM and δmax a plain
+// run returns. The benchmark's tracer calls it with memoized results.
+func TestScheduleWarmPhasedRunsCold(t *testing.T) {
+	inst, err := gen.Generate(gen.Config{Seed: 3, Nodes: 30, TargetPaths: 4, Processors: 2, Hardware: 1, Buses: 1})
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	opt := Options{Workers: 1}
+	prev, err := Schedule(inst.Graph, inst.Arch, opt)
+	if err != nil {
+		t.Fatalf("Schedule: %v", err)
+	}
+	if len(prev.Schedules) != len(prev.Paths) || len(prev.Paths) < 2 {
+		t.Fatalf("prev carries %d schedules for %d paths, want one per path and at least 2", len(prev.Schedules), len(prev.Paths))
+	}
+	ref, err := SchedulePhased(context.Background(), inst.Graph, inst.Arch, opt, nil)
+	if err != nil {
+		t.Fatalf("SchedulePhased: %v", err)
+	}
+	res, err := ScheduleWarmPhased(context.Background(), prev, inst.Graph, inst.Arch, opt, nil, nil)
+	if err != nil {
+		t.Fatalf("ScheduleWarmPhased: %v", err)
+	}
+	if res.Stats.WarmReusedPaths != 0 {
+		t.Fatalf("ScheduleWarmPhased reused %d of %d paths, want 0", res.Stats.WarmReusedPaths, len(res.Paths))
+	}
+	checkSameResult(t, "ScheduleWarmPhased", res, ref)
+}
+
+// checkSameResult compares the rendered table, δM and δmax of got with want.
+func checkSameResult(t *testing.T, name string, got, want *Result) {
+	t.Helper()
+	if got.DeltaM != want.DeltaM || got.DeltaMax != want.DeltaMax {
+		t.Fatalf("%s: δM/δmax %d/%d, want %d/%d", name, got.DeltaM, got.DeltaMax, want.DeltaM, want.DeltaMax)
+	}
+	ropt := table.RenderOptions{Namer: want.Graph.CondName, RowName: want.RowName}
+	if g, w := got.Table.Render(ropt), want.Table.Render(ropt); g != w {
+		t.Fatalf("%s: table differs:\n%s\nwant:\n%s", name, g, w)
 	}
 }

@@ -44,8 +44,13 @@
 // (Result.Detach): the detached copy owns a compact copy of the table, the
 // path list and the violations, and keeps none of the workspace's schedules,
 // subgraphs, merge buffers, lock set or path records alive. Schedule,
-// ScheduleContext, SchedulePhased and ScheduleWarmPhased run the same code on
-// a fresh workspace, so their results own their memory.
+// ScheduleContext and SchedulePhased run the same code on a fresh workspace,
+// so their results own their memory.
+//
+// Every run is cold: it schedules every alternative path, merges the
+// schedules in one walk of the decision tree, then checks the table and
+// re-enacts every path on one goroutine. Only the path phase fans out, over
+// Options.Workers goroutines.
 package core
 
 import (
@@ -151,12 +156,11 @@ type Options struct {
 	// MaxPaths bounds the number of alternative paths (0 = default bound).
 	MaxPaths int
 	// Workers bounds the number of goroutines scheduling the alternative
-	// paths concurrently, and — after the merge — re-enacting and
-	// validating them (0 = GOMAXPROCS, 1 = sequential). Negative values
+	// paths concurrently (0 = GOMAXPROCS, 1 = sequential); the merge, the
+	// validation and the re-enactment run on one goroutine. Negative values
 	// are rejected by Schedule with an error; they are never treated as
 	// sequential. The result is identical for every worker count: per-path
-	// results are collected in path enumeration order and the merging
-	// itself stays sequential.
+	// results are collected in path enumeration order.
 	//
 	// The scheduling service and the sweep ignore this field: they spread
 	// their goroutines over problems and graphs, and schedule each one on a
@@ -201,8 +205,9 @@ type Stats struct {
 	LockViolations      int
 	Columns             int
 	Entries             int
-	// WarmReusedPaths counts the alternative paths whose optimal schedule
-	// was reused from a previous result by ScheduleWarmPhased (0 on cold runs).
+	// WarmReusedPaths is always 0: every run schedules every path. It stays
+	// only because the benchmark's tracer reads it; ROADMAP item 4's
+	// benchmark change deletes it.
 	WarmReusedPaths int
 	// Reschedules counts the adjustments of the merge (rule 3 after a
 	// back-step, and the readjustments after a resolved conflict), and
@@ -362,8 +367,7 @@ type merger struct {
 // buffers and lock set, the schedule table and the Result with its slices
 // (see the package doc for who owns a workspace and how long its Result
 // lives). The zero value is ready to use. A workspace only ever recycles
-// objects it created itself: a strategy's schedules and the schedules a warm
-// start borrows from its previous result are read, never written.
+// objects it created itself: a strategy's schedules are read, never written.
 type Workspace struct {
 	// subs and scheds are the subgraphs and optimal schedules the workspace
 	// built, by path index.
@@ -385,7 +389,7 @@ type Workspace struct {
 // on the workspace. A run that fails or is cancelled leaves the workspace
 // ready for the next.
 func (ws *Workspace) Schedule(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt Options) (*Result, error) {
-	return ws.schedule(ctx, g, a, opt, nil, nil)
+	return ws.schedule(ctx, g, a, opt, nil)
 }
 
 // Schedule generates the schedule table for the graph on the given
@@ -397,19 +401,18 @@ func Schedule(g *cpg.Graph, a *arch.Architecture, opt Options) (*Result, error) 
 
 // Phases reported to a PhaseFunc, in run order.
 const (
-	// PhaseMerge begins when the parallel path fan-out is done and the
-	// sequential merge starts.
+	// PhaseMerge begins when the path fan-out is done and the merge starts.
 	PhaseMerge = "merge"
-	// PhaseValidate begins when the merge is done and the parallel
-	// validation/re-enactment starts.
+	// PhaseValidate begins when the merge is done and the validation and
+	// re-enactment start.
 	PhaseValidate = "validate"
 )
 
-// PhaseFunc observes the transitions between the phases of a run and bounds
-// the parallelism of the upcoming phase: it receives the phase name and the
-// worker count the phase would use, and returns the count the phase may
-// actually use (clamped to at least 1). perfbench's tracer uses it to time
-// the path phase, the merge and the validation of one run apart.
+// PhaseFunc observes the transitions between the phases of a run: core calls
+// it with the phase name and 1, and ignores what it returns. perfbench's
+// tracer uses it to time the path phase, the merge and the validation of one
+// run apart. The integers stay only because the tracer compiles against this
+// shape; ROADMAP item 4's benchmark change drops them.
 type PhaseFunc func(phase string, want int) int
 
 // ScheduleContext is Schedule with cancellation: the context is checked
@@ -421,18 +424,18 @@ func ScheduleContext(ctx context.Context, g *cpg.Graph, a *arch.Architecture, op
 }
 
 // SchedulePhased is ScheduleContext reporting phase transitions to phases
-// (which may be nil).
+// (which may be nil). It runs on a fresh workspace.
 func SchedulePhased(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt Options, phases PhaseFunc) (*Result, error) {
-	return schedulePhased(ctx, g, a, opt, phases, nil)
-}
-
-// schedulePhased runs the full pipeline on a fresh workspace; warm (optional)
-// allows reusing per-path schedules from a previous result of the same
-// problem shape.
-func schedulePhased(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt Options, phases PhaseFunc, warm *warmPlan) (*Result, error) {
 	ws := new(Workspace)
 	defer ws.putScratches()
-	return ws.schedule(ctx, g, a, opt, phases, warm)
+	return ws.schedule(ctx, g, a, opt, phases)
+}
+
+// ScheduleWarmPhased is SchedulePhased: it reads neither prev nor dirty, and
+// every run schedules every path. It stays only because the benchmark's
+// tracer compiles against it; ROADMAP item 4's benchmark change deletes it.
+func ScheduleWarmPhased(ctx context.Context, prev *Result, g *cpg.Graph, a *arch.Architecture, opt Options, dirty []cpg.ProcID, phases PhaseFunc) (*Result, error) {
+	return SchedulePhased(ctx, g, a, opt, phases)
 }
 
 // putScratches hands the workspace's list-scheduling scratches back to
@@ -445,7 +448,7 @@ func (ws *Workspace) putScratches() {
 }
 
 // schedule runs the full pipeline in the workspace.
-func (ws *Workspace) schedule(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt Options, phases PhaseFunc, warm *warmPlan) (*Result, error) {
+func (ws *Workspace) schedule(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt Options, phases PhaseFunc) (*Result, error) {
 	if g == nil || a == nil {
 		return nil, errors.New("core: nil graph or architecture")
 	}
@@ -469,21 +472,12 @@ func (ws *Workspace) schedule(ctx context.Context, g *cpg.Graph, a *arch.Archite
 		return nil, err
 	}
 	m := ws.reset(ctx, g, a, opt, len(paths))
-	var reuse []*sched.PathSchedule
-	if warm != nil {
-		reuse = warm.plan(g, paths)
-		for _, ps := range reuse {
-			if ps != nil {
-				m.stats.WarmReusedPaths++
-			}
-		}
-	}
 	for len(ws.scratches) < pool.Clamp(len(paths), opt.Workers) {
 		ws.scratches = append(ws.scratches, scratchPool.Get().(*listsched.Scratch))
 	}
 	//lint:allow nowallclock phase telemetry reported via Stats; never part of the table output or any hash
 	tPathSched := time.Now()
-	if err := ws.schedulePaths(ctx, strategy, paths, reuse); err != nil {
+	if err := ws.schedulePaths(ctx, strategy, paths); err != nil {
 		return nil, err
 	}
 	res := ws.res
@@ -528,22 +522,17 @@ func (ws *Workspace) schedule(ctx context.Context, g *cpg.Graph, a *arch.Archite
 		return nil, err
 	}
 
-	// Evaluate the table: the row checks, then the per-path re-enactment on
-	// the same worker pool as the path scheduling, reusing the subgraphs
-	// built there instead of re-extracting them per path.
+	// Evaluate the table: the row checks, then the per-path re-enactment,
+	// reusing the subgraphs built during path scheduling instead of
+	// re-extracting them per path.
 	res.Stats = m.stats
-	validateWorkers := opt.Workers
 	if phases != nil {
-		if w := phases(PhaseValidate, opt.Workers); w >= 1 {
-			validateWorkers = w
-		} else {
-			validateWorkers = 1
-		}
+		phases(PhaseValidate, 1)
 	}
 	//lint:allow nowallclock phase telemetry reported via Stats; never part of the table output or any hash
 	tValidate := time.Now()
 	res.Violations = m.tbl.Validate(g)
-	simRes, err := sim.WorstCaseSubgraphs(a, m.tbl, res.Subgraphs, validateWorkers)
+	simRes, err := sim.WorstCaseSubgraphs(a, m.tbl, res.Subgraphs, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -602,19 +591,18 @@ func (ws *Workspace) reset(ctx context.Context, g *cpg.Graph, a *arch.Architectu
 // scheduled, and every run resets what it reads.
 var scratchPool = sync.Pool{New: func() any { return new(listsched.Scratch) }}
 
-// schedulePaths produces the optimal schedule of every alternative path into
-// the workspace's path records, fanning the independent per-path strategy
-// runs out over a bounded worker pool, one scratch per worker — for the
-// improvement strategies (tabu), the expensive per-path iteration loops are
-// exactly what rides the pool. The graph, architecture and paths are only
-// read, and every worker writes exclusively to its path's record and slots,
-// so the fan-out is race-free; results are indexed by path so the outcome is
-// identical to the sequential loop regardless of worker count or completion
-// order. Every path's subgraph is extracted into the workspace's subgraph
-// slot. The default scheduler writes into the workspace's schedule slots; a
-// strategy returns schedules of its own, and a warm start borrows the
-// previous result's (reuse, by path index), which no slot ever holds.
-func (ws *Workspace) schedulePaths(ctx context.Context, strategy listsched.Strategy, paths []*cpg.Path, reuse []*sched.PathSchedule) error {
+// schedulePaths schedules every alternative path into the workspace's path
+// records, fanning the independent per-path strategy runs out over a bounded
+// worker pool, one scratch per worker — for the improvement strategies
+// (tabu), the expensive per-path iteration loops are exactly what rides the
+// pool. The graph, architecture and paths are only read, and every worker
+// writes exclusively to its path's record and slots, so the fan-out is
+// race-free; results are indexed by path so the outcome is identical to the
+// sequential loop regardless of worker count or completion order. Every
+// path's subgraph is extracted into the workspace's subgraph slot. The
+// default scheduler writes into the workspace's schedule slots; a strategy
+// returns schedules of its own, which no slot ever holds.
+func (ws *Workspace) schedulePaths(ctx context.Context, strategy listsched.Strategy, paths []*cpg.Path) error {
 	m := &ws.m
 	g, a, opt := m.g, m.a, m.opt
 	errs := make([]error, len(paths))
@@ -631,13 +619,6 @@ func (ws *Workspace) schedulePaths(ctx context.Context, strategy listsched.Strat
 		p := paths[i]
 		sub := g.SubgraphInto(ws.subs[i], p)
 		ws.subs[i] = sub
-		if reuse != nil && reuse[i] != nil {
-			// Warm start: the previous run's schedule for this path is
-			// byte-identical to what a fresh run would produce, so skip the
-			// (dominant) per-path strategy run.
-			m.paths[i].set(p, sub, reuse[i])
-			return
-		}
 		var ps *sched.PathSchedule
 		var err error
 		if strategy != nil {

@@ -1,61 +1,12 @@
 package core
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
-	"repro/internal/cpg"
 	"repro/internal/gen"
 	"repro/internal/listsched"
-	"repro/internal/table"
 )
-
-// warmRoundTrip re-generates the same instance, bumps one process's execution
-// time, and checks that a warm-started run (reusing prev) renders the exact
-// table a cold run of the edited instance renders. This is the fuzz arm of
-// the warm-start byte-identity contract: whatever graph the fuzzer invents,
-// warm and cold must agree bit for bit.
-func warmRoundTrip(t *testing.T, cfg gen.Config, strategy string, prev *Result) {
-	t.Helper()
-	inst, err := gen.Generate(cfg) // deterministic: same cfg, same instance
-	if err != nil {
-		t.Fatalf("re-Generate(%+v): %v", cfg, err)
-	}
-	dirty := cpg.NoProc
-	for _, p := range inst.Graph.Procs() {
-		if !p.IsDummy() && p.Kind == cpg.KindOrdinary {
-			dirty = p.ID
-			p.Exec++
-			break
-		}
-	}
-	if dirty == cpg.NoProc {
-		return // degenerate instance with no ordinary process
-	}
-	opt := Options{
-		Strategy:       strategy,
-		StrategyParams: listsched.StrategyParams{TabuIterations: 4, TabuNeighbors: 4},
-		Workers:        1,
-	}
-	cold, err := Schedule(inst.Graph, inst.Arch, opt)
-	if err != nil {
-		t.Fatalf("cold Schedule (edited %+v): %v", cfg, err)
-	}
-	warm, err := ScheduleWarmPhased(context.Background(), prev, inst.Graph, inst.Arch, opt, []cpg.ProcID{dirty}, nil)
-	if err != nil {
-		t.Fatalf("ScheduleWarmPhased (%+v): %v", cfg, err)
-	}
-	ropt := table.RenderOptions{}
-	if got, want := warm.Table.Render(ropt), cold.Table.Render(ropt); got != want {
-		t.Fatalf("strategy %s on %+v: warm table differs from cold:\nwarm:\n%s\ncold:\n%s",
-			strategy, cfg, got, want)
-	}
-	if warm.DeltaM != cold.DeltaM || warm.DeltaMax != cold.DeltaMax {
-		t.Fatalf("strategy %s on %+v: delays differ: warm (%d,%d) cold (%d,%d)",
-			strategy, cfg, warm.DeltaM, warm.DeltaMax, cold.DeltaM, cold.DeltaMax)
-	}
-}
 
 // FuzzMergeRequirements drives whole randomly generated problems through the
 // full pipeline — generation, per-path scheduling under every strategy,
@@ -110,7 +61,6 @@ func FuzzMergeRequirements(f *testing.F) {
 				t.Fatalf("strategy %s on %+v: δmax %d below δM %d", name, cfg, res.DeltaMax, res.DeltaM)
 			}
 			checkReuseRule(t, rand.New(rand.NewSource(seed)), res, 2, &reuseCounts{})
-			warmRoundTrip(t, cfg, name, res)
 		}
 	})
 }

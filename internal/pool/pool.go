@@ -1,8 +1,8 @@
-// Package pool provides the bounded worker-pool fan-out shared by the
-// scheduling core, the validation stages and the experiment sweep: n
-// independent jobs indexed 0..n-1 are distributed over a fixed number of
-// goroutines, and every caller collects its results in index order
-// afterwards, which keeps the output deterministic for any worker count.
+// Package pool provides the bounded worker-pool fan-out shared by the path
+// phase of the scheduling core and the experiment sweep: n independent jobs
+// indexed 0..n-1 are distributed over a fixed number of goroutines, and every
+// caller collects its results in index order afterwards, which keeps the
+// output deterministic for any worker count.
 package pool
 
 import (

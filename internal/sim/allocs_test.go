@@ -13,10 +13,10 @@ import (
 )
 
 // TestWorstCaseSubgraphsAllocs pins the allocations of re-enacting every
-// path with one worker: a fixed overhead for the result, the traces and the
-// worker's scratch, and nothing per path or per activation, whatever the size
-// of the graph. The bound holds when the scratch pool is empty too (a cold
-// scratch makes about 19 of them); a pool hit only lowers the count.
+// path: a fixed overhead for the result, the traces and the scratch, and
+// nothing per path or per activation, whatever the size of the graph. The
+// bound holds when the scratch pool is empty too (a cold scratch makes about
+// 19 of them); a pool hit only lowers the count.
 func TestWorstCaseSubgraphsAllocs(t *testing.T) {
 	limit := 24.0
 	if raceEnabled {

@@ -22,13 +22,11 @@
 // Each finding is one table.Violation, reported once.
 //
 // The worst-case delay δmax of a schedule table is the largest completion
-// time over all alternative paths. The per-path re-enactments are
-// independent, so WorstCaseSubgraphs fans them out over a bounded worker
-// pool and collects the traces in path order, reusing the active subgraphs
-// already built during path scheduling. Each worker takes one scratch from a
-// pool shared across calls and keeps it for all its paths; the activations
-// stay in the scratch, so a worst-case run allocates its traces once for all
-// paths and nothing per activation.
+// time over all alternative paths. WorstCaseSubgraphs re-enacts the paths in
+// order on the calling goroutine, reusing the active subgraphs already built
+// during path scheduling and one scratch taken from a pool shared across
+// calls; the activations stay in the scratch, so a worst-case run allocates
+// its traces once for all paths and nothing per activation.
 //
 // A Trace lists its activations as a slice; a re-enactment looks them up
 // through the dense activity index of package sched and reports resource
@@ -49,7 +47,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/cond"
 	"repro/internal/cpg"
-	"repro/internal/pool"
 	"repro/internal/sched"
 	"repro/internal/table"
 )
@@ -130,8 +127,7 @@ type resourceSlot struct {
 	act   int // position in the scratch's activations
 }
 
-// scratchPool recycles the workers' scratches across WorstCaseSubgraphs
-// calls.
+// scratchPool recycles scratches across WorstCaseSubgraphs calls.
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // run re-enacts one path into tr (its label, delay and violations), leaving
@@ -372,30 +368,21 @@ type Result struct {
 }
 
 // WorstCaseSubgraphs re-enacts every alternative path, given the prebuilt
-// active subgraphs, over a bounded worker pool (0 = GOMAXPROCS, 1 =
-// sequential). Traces, the worst-case delay and the violations are collected
-// in path order, so the result is identical for every worker count. The
-// traces carry no activations.
-func WorstCaseSubgraphs(a *arch.Architecture, tbl *table.Table, subs []*cpg.Subgraph, workers int) (*Result, error) {
+// active subgraphs, in path order on the calling goroutine. The traces carry
+// no activations. The last parameter is not read; it stays only because the
+// benchmark's tracer compiles against this signature, and ROADMAP item 4's
+// benchmark change drops it.
+func WorstCaseSubgraphs(a *arch.Architecture, tbl *table.Table, subs []*cpg.Subgraph, _ int) (*Result, error) {
 	backing := make([]Trace, len(subs))
-	traces := make([]*Trace, len(subs))
-	errs := make([]error, len(subs))
-	scratches := make([]*scratch, pool.Clamp(len(subs), workers))
-	for w := range scratches {
-		scratches[w] = scratchPool.Get().(*scratch)
-	}
-	pool.ForEachIndexWorker(len(subs), workers, func(worker, i int) {
-		traces[i] = &backing[i]
-		errs[i] = scratches[worker].run(traces[i], subs[i], a, tbl)
-	})
-	for _, sc := range scratches {
-		scratchPool.Put(sc)
-	}
-	res := &Result{Traces: traces}
-	for i, tr := range traces {
-		if errs[i] != nil {
-			return nil, errs[i]
+	res := &Result{Traces: make([]*Trace, len(subs))}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	for i, sub := range subs {
+		tr := &backing[i]
+		if err := sc.run(tr, sub, a, tbl); err != nil {
+			return nil, err
 		}
+		res.Traces[i] = tr
 		if tr.Delay > res.DeltaMax {
 			res.DeltaMax = tr.Delay
 		}

@@ -327,11 +327,11 @@ func ProblemHash(d *ProblemDoc) (string, error) {
 // ProblemShapeHash returns the hash of the problem's structural shape: the
 // canonical document with options.workers cleared (like ProblemHash) and
 // additionally every process execution time zeroed. Two problems share a
-// shape hash exactly when they differ at most in τ times — the near-miss
-// core.ScheduleWarmPhased can start from. Conditions, edges, mappings,
-// processing elements, the broadcast time and every deterministic option all
-// stay in the hash. No serving code calls it: the benchmark's tests use it
-// to check that their edits are τ-only.
+// shape hash exactly when they differ at most in τ times. Conditions, edges,
+// mappings, processing elements, the broadcast time and every deterministic
+// option all stay in the hash. No serving code calls it: the benchmark's
+// tests use it to check that their edits are τ-only, and ROADMAP item 4's
+// benchmark change deletes it.
 func ProblemShapeHash(d *ProblemDoc) (string, error) {
 	c := *d
 	if c.Options != nil {

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Measure which serving code real traffic reaches: build coverage-instrumented
+# Measure which code real traffic reaches: build coverage-instrumented
 # binaries, drive them with the three perfbench workloads (seed 3) and the
-# three smoke scripts, merge the profiles and print every function of the
-# serving packages (distrib, service, httpserver, obs, textio, memo) that no
-# run reached. It measures and gates nothing, so it stays out of CI.
+# three smoke scripts, merge the profiles and print every function that no run
+# reached, in the serving packages (distrib, service, httpserver, obs, textio,
+# memo) and in the algorithm and the packages it builds on (cond, cpg,
+# listsched, core, sched, table, sim, arch, gen, expr, pool). It measures and
+# gates nothing, so it stays out of CI.
 #
 #   scripts/traffic_coverage.sh [SECONDS]   # seconds per workload, default 5
 #
@@ -32,9 +34,9 @@ for S in serve_smoke sweep_smoke sweep_chaos; do
   GOFLAGS="${COVER[*]}" "scripts/$S.sh" > "$OUT/$S.log" 2>&1
 done
 
-PKGS='^repro/internal/(distrib|service|httpserver|obs|textio|memo)/'
+PKGS='^repro/internal/(distrib|service|httpserver|obs|textio|memo|cond|cpg|listsched|core|sched|table|sim|arch|gen|expr|pool)/'
 go tool covdata textfmt -i="$GOCOVERDIR" -o "$OUT/profile.txt"
-grep -E "^mode:|$PKGS" "$OUT/profile.txt" > "$OUT/serving.txt"
-go tool cover -func="$OUT/serving.txt" | grep -E "$PKGS" > "$OUT/func.txt"
-echo "serving functions no run reached (of $(wc -l < "$OUT/func.txt")):"
+grep -E "^mode:|$PKGS" "$OUT/profile.txt" > "$OUT/packages.txt"
+go tool cover -func="$OUT/packages.txt" | grep -E "$PKGS" > "$OUT/func.txt"
+echo "functions no run reached (of $(wc -l < "$OUT/func.txt")):"
 awk '$NF == "0.0%" { sub(/^repro\/internal\//, "", $1); print "  " $1 " " $2 }' "$OUT/func.txt"
