@@ -29,6 +29,8 @@
 //	                               one sub-benchmark per graph size.
 //	BenchmarkDecodeProblem       — decoding grid problem documents into
 //	                               finalized graphs, as every request does.
+//	BenchmarkReadProblem         — reading, decoding and hashing the grid
+//	                               problems' request bodies.
 package repro
 
 import (
@@ -394,17 +396,17 @@ func BenchmarkGenerate(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeProblem measures decoding a problem document into a
-// finalized graph and architecture (service.FromDoc), the first step of
-// every /v1/schedule request. The documents are the grid problems of seeds
-// 1 to 4, one sub-benchmark per graph size cycling over every path count.
-// One op is one document.
-func BenchmarkDecodeProblem(b *testing.B) {
+// benchGridNodes are the graph sizes of the grid, one sub-benchmark each in
+// BenchmarkDecodeProblem and BenchmarkReadProblem.
+var benchGridNodes = []int{60, 80, 120}
+
+// gridProblemDocs returns the documents of the grid problems of seeds 1 to
+// 4 by graph size, each size's documents cycling over every path count.
+func gridProblemDocs(b *testing.B) map[int][]*textio.ProblemDoc {
 	docs := map[int][]*textio.ProblemDoc{}
-	nodes := []int{60, 80, 120}
 	for s := int64(1); s <= 4; s++ {
 		r := rand.New(rand.NewSource(s))
-		for _, n := range nodes {
+		for _, n := range benchGridNodes {
 			for _, p := range []int{10, 12, 18, 24, 32} {
 				inst, err := gen.Generate(gen.RandomConfig(r, n, p))
 				if err != nil {
@@ -414,12 +416,60 @@ func BenchmarkDecodeProblem(b *testing.B) {
 			}
 		}
 	}
-	for _, n := range nodes {
+	return docs
+}
+
+// BenchmarkDecodeProblem measures decoding a problem document into a
+// finalized graph and architecture (service.FromDoc), the step of every
+// /v1/schedule request after reading the body. The documents are the grid
+// problems of seeds 1 to 4, one sub-benchmark per graph size cycling over
+// every path count. One op is one document.
+func BenchmarkDecodeProblem(b *testing.B) {
+	docs := gridProblemDocs(b)
+	for _, n := range benchGridNodes {
 		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := service.FromDoc(docs[n][i%len(docs[n])]); err != nil {
 					b.Fatalf("FromDoc: %v", err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkReadProblem measures the request side of a /v1/schedule miss,
+// everything before the scheduling: reading the body (textio.ReadProblem),
+// decoding it (service.FromDoc) and hashing the problem as the service
+// keys its memo (textio.ProblemHash of the re-encoded problem). The bodies
+// are the grid problems of seeds 1 to 4 as perfbench sends them, indented
+// by textio.WriteProblem, one sub-benchmark per graph size cycling over
+// every path count. One op is one body.
+func BenchmarkReadProblem(b *testing.B) {
+	bodies := map[int][][]byte{}
+	for n, docs := range gridProblemDocs(b) {
+		for _, d := range docs {
+			var buf bytes.Buffer
+			if err := textio.WriteProblem(&buf, d); err != nil {
+				b.Fatalf("WriteProblem: %v", err)
+			}
+			bodies[n] = append(bodies[n], buf.Bytes())
+		}
+	}
+	for _, n := range benchGridNodes {
+		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				doc, err := textio.ReadProblem(bytes.NewReader(bodies[n][i%len(bodies[n])]))
+				if err != nil {
+					b.Fatalf("ReadProblem: %v", err)
+				}
+				prob, err := service.FromDoc(doc)
+				if err != nil {
+					b.Fatalf("FromDoc: %v", err)
+				}
+				if _, err := textio.ProblemHash(textio.EncodeProblem(prob.Graph, prob.Arch, prob.Options)); err != nil {
+					b.Fatalf("ProblemHash: %v", err)
 				}
 			}
 		})

@@ -364,6 +364,9 @@ func TestScheduleTooManyPathsIs422(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyGets413 posts bodies over a 64-byte limit: each gets a
+// 413, wherever in the body the document ends or fails to parse, since the
+// body is read to its end before it is parsed.
 func TestOversizedBodyGets413(t *testing.T) {
 	srv, err := NewServer(Options{Service: service.Config{Workers: 1}, MaxBody: 64})
 	if err != nil {
@@ -371,8 +374,17 @@ func TestOversizedBodyGets413(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Routes(nil))
 	t.Cleanup(ts.Close)
-	resp, body := postJSON(t, ts.URL+"/v1/schedule", figure1Doc(t))
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body must yield 413, got %d: %s", resp.StatusCode, body)
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"a document whose excess falls inside it", figure1Doc(t)},
+		{"200 bytes of invalid JSON", bytes.Repeat([]byte("x"), 200)},
+		{"a short document, then padding", append([]byte(`{"version": "v1"}`), bytes.Repeat([]byte(" "), 200)...)},
+	} {
+		resp, body := postJSON(t, ts.URL+"/v1/schedule", tc.body)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413: %s", tc.name, resp.StatusCode, body)
+		}
 	}
 }

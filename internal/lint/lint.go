@@ -10,7 +10,10 @@
 //   - strictdecode: every JSON decode in the document/transport packages must
 //     go through textio's readStrict helper, so unknown fields and trailing
 //     data are always rejected. A stray json.Unmarshal reintroduces lenient
-//     decoding that the versioned v1 API was built to forbid.
+//     decoding that the versioned v1 API was built to forbid. The problem
+//     reader's byte parser (textio's parsePlain) keeps the invariant: it
+//     builds no decoder, accepts only the exact keys of each document type,
+//     and passes every input it does not accept to readStrict.
 //   - ctxthread: exported functions in the long-running packages that spawn
 //     goroutines, or loop over context-aware work, must accept and propagate
 //     a context.Context. Dropping ctx makes cancellation dead-end mid-request.

@@ -14,7 +14,10 @@ const defaultStrictDecodePkgs = "textio,httpserver,distrib"
 // defaultStrictDecodeExcept are the functions allowed to construct decoders:
 // textio's readStrict, which sets DisallowUnknownFields and owns the
 // trailing-data check. It decodes whole documents and, line by line, the
-// frames of the NDJSON sweep stream.
+// frames of the NDJSON sweep stream. ReadProblem tries a byte parser first
+// (parsePlain), which needs no exception: it builds no decoder, accepts only
+// the exact keys of each document type with nothing after the document, and
+// passes every input it does not accept to readStrict.
 const defaultStrictDecodeExcept = "readStrict"
 
 var (

@@ -1,7 +1,9 @@
 // Package memo provides two small caching building blocks: a mutex-protected
 // LRU map keyed by content hashes, which the scheduling service's memo of
 // solved problems is (NewLRU), and a canonical-JSON content hash, which
-// textio's problem and sweep hashes are (HashJSON).
+// textio's sweep hash is (HashJSON). textio's problem hashes write the same
+// canonical bytes themselves, without reflection, so they equal HashJSON's
+// of the document with its workers cleared.
 //
 // A long-running scheduling server sees the same problem documents over and
 // over (retries, re-submissions, design-space loops). Keying by content hash

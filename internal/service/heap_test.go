@@ -65,10 +65,11 @@ func TestMemoRetainedHeap(t *testing.T) {
 // TestDecodeProblemAllocs pins the allocations of decoding one problem
 // document into a finalized graph, as every /v1/schedule request does: the
 // grid problem of seed 9 with 120 nodes and 12 paths (166 processes, 253
-// edges, 5 conditions): 89 measured. Building and finalizing the graph
-// allocates per graph, not per process, edge or guard.
+// edges, 5 conditions): 81 measured, 89 before the name maps were sized
+// from the document. Building and finalizing the graph allocates per
+// graph, not per process, edge or guard.
 func TestDecodeProblemAllocs(t *testing.T) {
-	ceiling := 95.0
+	ceiling := 85.0
 	if raceEnabled {
 		// The race runtime may allocate where a normal build does not.
 		ceiling *= 1.1

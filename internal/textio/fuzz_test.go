@@ -55,11 +55,14 @@ func FuzzReadSweepRequest(f *testing.F) {
 // FuzzReadProblem throws arbitrary bytes at the strict v1 reader: parsing
 // must never panic, and any input that survives ReadProblem+DecodeProblem
 // must re-encode to a document that decodes to the same model (idempotent
-// round-trip). Run with `go test -fuzz FuzzReadProblem ./internal/textio`.
+// round-trip). The seeds include an indented grid problem (60 nodes, 10
+// paths), whose arrays the byte parser walks. Run with
+// `go test -fuzz '^FuzzReadProblem$' ./internal/textio`.
 func FuzzReadProblem(f *testing.F) {
 	if golden, err := os.ReadFile("../../testdata/figure1_v1.json"); err == nil {
 		f.Add(golden)
 	}
+	f.Add(indented(f, gridDocs(f, 1)[0]))
 	f.Add([]byte(`{"version":"v1","name":"t","processingElements":[{"name":"cpu","kind":"processor"},{"name":"bus","kind":"bus","connectsAll":true}],"processes":[{"name":"A","exec":2,"pe":"cpu"}],"edges":[]}`))
 	f.Add([]byte(`{"version":"v1"}`))
 	f.Add([]byte(`{"version":"v2"}`))

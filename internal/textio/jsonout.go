@@ -147,8 +147,9 @@ func appendNewline(dst []byte, depth int) []byte {
 	return dst
 }
 
-// solutionPool holds the output buffers of RenderSolution.
-var solutionPool = sync.Pool{New: func() any { return new([]byte) }}
+// bufPool holds the output buffers of RenderSolution and of the problem
+// hashes.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // RenderSolution renders the solution document of res, with the cache block
 // cache (nil for none), as compact JSON and passes it to emit: the bytes
@@ -156,10 +157,10 @@ var solutionPool = sync.Pool{New: func() any { return new([]byte) }}
 // Like RenderJSON's, the document lives in pooled memory and is valid only
 // until emit returns, and an encoding error is returned before emit runs.
 func RenderSolution(res *core.Result, cache *CacheDoc, emit func(doc []byte) error) error {
-	b := solutionPool.Get().(*[]byte)
+	b := bufPool.Get().(*[]byte)
 	defer func() {
 		if cap(*b) <= maxPooledJSON {
-			solutionPool.Put(b)
+			bufPool.Put(b)
 		}
 	}()
 	doc, err := AppendSolution((*b)[:0], res, cache)

@@ -13,17 +13,20 @@ package textio
 // the same document (lossless round-trip).
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/cond"
 	"repro/internal/core"
 	"repro/internal/cpg"
 	"repro/internal/listsched"
-	"repro/internal/memo"
 	"repro/internal/table"
 )
 
@@ -256,8 +259,8 @@ func EncodeProblem(g *cpg.Graph, a *arch.Architecture, opts core.Options) *Probl
 // duplicate process names and cyclic graphs are rejected.
 func DecodeProblem(d *ProblemDoc) (*cpg.Graph, *arch.Architecture, core.Options, error) {
 	var zero core.Options
-	if d.Version != ProblemVersion {
-		return nil, nil, zero, fmt.Errorf("textio: unsupported problem version %q (this build understands %q)", d.Version, ProblemVersion)
+	if err := checkVersion(d); err != nil {
+		return nil, nil, zero, err
 	}
 	opts, err := DecodeOptions(d.Options)
 	if err != nil {
@@ -275,19 +278,48 @@ func WriteProblem(w io.Writer, d *ProblemDoc) error {
 	return writeIndented(w, d)
 }
 
-// ReadProblem parses a v1 problem document, rejecting unknown fields,
-// unsupported versions and trailing data after the document. It only
-// syntax-checks; pass the result to DecodeProblem for the semantic
-// validation and model rebuild.
+// ReadProblem reads a v1 problem document to its end and parses it,
+// rejecting unknown fields, unsupported versions and trailing data after
+// the document. It only syntax-checks; pass the result to DecodeProblem for
+// the semantic validation and model rebuild. A read error, such as the
+// *http.MaxBytesError of an over-limit request body, is returned wrapped
+// before any parsing. The body is read into pooled memory and parsed by
+// parsePlain when it is in the plain form the writers produce; any other
+// body goes to readStrict, so every input decodes, or fails with the same
+// error, as under encoding/json alone.
 func ReadProblem(r io.Reader) (*ProblemDoc, error) {
-	var d ProblemDoc
-	if err := readStrict(r, &d); err != nil {
+	b := bodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		if b.Cap() <= maxPooledJSON {
+			bodyPool.Put(b)
+		}
+	}()
+	b.Reset()
+	if _, err := b.ReadFrom(r); err != nil {
+		return nil, fmt.Errorf("textio: %w", err)
+	}
+	d := parsePlain(b.Bytes())
+	if d == nil {
+		d = new(ProblemDoc)
+		if err := readStrict(bytes.NewReader(b.Bytes()), d); err != nil {
+			return nil, err
+		}
+	}
+	if err := checkVersion(d); err != nil {
 		return nil, err
 	}
+	return d, nil
+}
+
+// bodyPool holds the buffers ReadProblem reads documents into.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// checkVersion rejects a document of another version than ProblemVersion.
+func checkVersion(d *ProblemDoc) error {
 	if d.Version != ProblemVersion {
-		return nil, fmt.Errorf("textio: unsupported problem version %q (this build understands %q)", d.Version, ProblemVersion)
+		return fmt.Errorf("textio: unsupported problem version %q (this build understands %q)", d.Version, ProblemVersion)
 	}
-	return &d, nil
+	return nil
 }
 
 // requireEOF rejects trailing data after a decoded document — otherwise two
@@ -313,15 +345,12 @@ func readStrict(r io.Reader, v any) error {
 // ProblemHash returns the content hash identifying a problem for caching:
 // the sha256 of the canonical JSON encoding with options.workers cleared,
 // because the worker count never changes the produced schedule table. Two
-// problems with the same hash produce byte-identical solutions.
+// problems with the same hash produce byte-identical solutions. The
+// canonical encoding is the bytes json.Marshal writes, written by
+// appendProblem into pooled memory: the hash equals memo.HashJSON's of the
+// document with its workers cleared.
 func ProblemHash(d *ProblemDoc) (string, error) {
-	c := *d
-	if c.Options != nil {
-		o := *c.Options
-		o.Workers = 0
-		c.Options = &o
-	}
-	return memo.HashJSON(&c)
+	return problemHash(d, false)
 }
 
 // ProblemShapeHash returns the hash of the problem's structural shape: the
@@ -333,19 +362,25 @@ func ProblemHash(d *ProblemDoc) (string, error) {
 // tests use it to check that their edits are τ-only, and ROADMAP item 4's
 // benchmark change deletes it.
 func ProblemShapeHash(d *ProblemDoc) (string, error) {
-	c := *d
-	if c.Options != nil {
-		o := *c.Options
-		o.Workers = 0
-		c.Options = &o
+	return problemHash(d, true)
+}
+
+// problemHash hashes the canonical document of d, without execution times
+// when shape is set.
+func problemHash(d *ProblemDoc, shape bool) (string, error) {
+	b := bufPool.Get().(*[]byte)
+	defer func() {
+		if cap(*b) <= maxPooledJSON {
+			bufPool.Put(b)
+		}
+	}()
+	doc, err := appendProblem((*b)[:0], d, shape)
+	*b = doc
+	if err != nil {
+		return "", fmt.Errorf("textio: %w", err)
 	}
-	procs := make([]ProcDoc, len(c.Processes))
-	for i, p := range c.Processes {
-		p.Exec = 0
-		procs[i] = p
-	}
-	c.Processes = procs
-	return memo.HashJSON(&c)
+	sum := sha256.Sum256(doc)
+	return hex.EncodeToString(sum[:]), nil
 }
 
 // SolutionPathDoc is the per-alternative-path part of a solution document.

@@ -4,6 +4,15 @@
 // inspection. It also holds the shard codec of the distributed sweep:
 // WriteShard writes a shard's NDJSON frame stream and ReadShard reads and
 // checks it, for server responses, journal files and -merge inputs alike.
+//
+// Every document is read strictly (readStrict: unknown fields and trailing
+// data are errors). The hot path of a /v1/schedule request runs without
+// reflection: ReadProblem parses a problem document in the plain form the
+// writers produce with a byte parser, and hands any other input to
+// readStrict; ProblemHash writes the canonical document into pooled memory
+// itself; and RenderSolution writes the response straight from the result.
+// Each is byte-for-byte what encoding/json gives, which the fuzz tests
+// check against encoding/json itself.
 package textio
 
 import (
@@ -127,7 +136,7 @@ func decodeGraph(doc *ProblemDoc) (*cpg.Graph, *arch.Architecture, error) {
 		}
 	}
 	g := cpg.New(doc.Name)
-	procIDs := map[string]cpg.ProcID{}
+	procIDs := make(map[string]cpg.ProcID, len(doc.Processes))
 	for _, p := range doc.Processes {
 		peID := arch.NoPE
 		if p.PE != "" {
@@ -157,7 +166,7 @@ func decodeGraph(doc *ProblemDoc) (*cpg.Graph, *arch.Architecture, error) {
 			procIDs[p.Name] = g.AddProcess(p.Name, p.Exec, peID)
 		}
 	}
-	condIDs := map[string]cond.Cond{}
+	condIDs := make(map[string]cond.Cond, len(doc.Conditions))
 	for _, cd := range doc.Conditions {
 		dec, ok := procIDs[cd.Decider]
 		if !ok {

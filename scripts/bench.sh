@@ -33,7 +33,7 @@ go"$want_go" | go"$want_go".*) ;;
   ;;
 esac
 
-BENCH="${BENCH:-BenchmarkTable1Figure1|BenchmarkFig6MergeTime|BenchmarkScheduleRunParallel|BenchmarkScheduleParallelPaths|BenchmarkListSchedule120|BenchmarkListschedInner|BenchmarkValidate|BenchmarkFig5Sweep|BenchmarkStrategies|BenchmarkTabuInner|BenchmarkScheduleUninstrumented|BenchmarkScheduleInstrumented|BenchmarkMiddlewareOnly|BenchmarkMetricsScrape|BenchmarkCubeOps|BenchmarkSolutionCodec|BenchmarkScheduleMiss|BenchmarkGenerate|BenchmarkDecodeProblem}"
+BENCH="${BENCH:-BenchmarkTable1Figure1|BenchmarkFig6MergeTime|BenchmarkScheduleRunParallel|BenchmarkScheduleParallelPaths|BenchmarkListSchedule120|BenchmarkListschedInner|BenchmarkValidate|BenchmarkFig5Sweep|BenchmarkStrategies|BenchmarkTabuInner|BenchmarkScheduleUninstrumented|BenchmarkScheduleInstrumented|BenchmarkMiddlewareOnly|BenchmarkMetricsScrape|BenchmarkCubeOps|BenchmarkSolutionCodec|BenchmarkScheduleMiss|BenchmarkGenerate|BenchmarkDecodeProblem|BenchmarkReadProblem}"
 BENCHTIME="${BENCHTIME:-1s}"
 NOTE="${NOTE:-}"
 
