@@ -147,14 +147,6 @@ func run(args []string, out io.Writer) error {
 		}
 		cfg.Workers = *workers
 		cfg.Options = opts
-		if *progress {
-			cfg.Progress = func(done, total int) {
-				fmt.Fprintf(stderr, "\rsweep: %d/%d graphs", done, total)
-				if done == total {
-					fmt.Fprintln(stderr)
-				}
-			}
-		}
 		return cfg, nil
 	}
 
@@ -166,7 +158,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		return writeShardPartial(out, cfg, *shardSpec)
+		return writeShardPartial(out, cfg, *shardSpec, *progress)
 	}
 
 	if *mergeFiles == "" && (want("fig1") || want("table1") || want("fig2")) {
@@ -236,11 +228,11 @@ func run(args []string, out io.Writer) error {
 		if _, err := sweepConfig(core.Options{}); err != nil {
 			return err
 		}
-		mk := func(opts core.Options) expr.SweepConfig {
+		sweep := func(opts core.Options) ([]expr.Cell, error) {
 			cfg, _ := sweepConfig(opts)
-			return cfg
+			return sweepCells(cfg, *progress)
 		}
-		if err := runAblation(out, mk); err != nil {
+		if err := runAblation(out, sweep); err != nil {
 			return err
 		}
 	}
@@ -348,7 +340,36 @@ func runSweepCells(cfg expr.SweepConfig, opts sweepRunOpts) ([]expr.Cell, error)
 	if opts.shards > 0 || len(opts.remotes) > 0 || opts.journalDir != "" {
 		return runCoordinated(cfg, opts)
 	}
-	return expr.RunSweep(cfg)
+	return sweepCells(cfg, opts.progress)
+}
+
+// sweepCells runs the whole sweep in this process and aggregates its cells,
+// reporting its progress from the shard stream's yield.
+func sweepCells(cfg expr.SweepConfig, progress bool) ([]expr.Cell, error) {
+	sh, err := expr.RunSweepShardStream(context.Background(), cfg, graphProgress(progress, cfg.ShardSize()))
+	if err != nil {
+		return nil, err
+	}
+	return expr.MergeCells(cfg, []*expr.ShardResult{sh})
+}
+
+// graphProgress returns a sweep yield that reports each of total graphs on
+// stderr as "sweep: k/N graphs", rewriting the line with a carriage return
+// and ending it after the last graph, or reports nothing when off. A sweep
+// serializes its yields, so the count needs no lock.
+func graphProgress(on bool, total int) func(expr.GraphResult) error {
+	done := 0
+	return func(expr.GraphResult) error {
+		if !on {
+			return nil
+		}
+		done++
+		fmt.Fprintf(stderr, "\rsweep: %d/%d graphs", done, total)
+		if done == total {
+			fmt.Fprintln(stderr)
+		}
+		return nil
+	}
 }
 
 // runCoordinated fans the sweep's shards over the remote servers (or an
@@ -376,7 +397,8 @@ func runCoordinated(cfg expr.SweepConfig, opts sweepRunOpts) ([]expr.Cell, error
 		shards = max(1, len(backends))
 	}
 	// Faults (failures, retries, evictions) always reach stderr; -progress
-	// gates only the progress lines.
+	// gates only the progress lines. Per-graph lines would interleave across
+	// concurrent shards, so the coordinator reports shard completions.
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(stderr, "sweep: "+format+"\n", args...)
 	}
@@ -384,9 +406,6 @@ func runCoordinated(cfg expr.SweepConfig, opts sweepRunOpts) ([]expr.Cell, error
 	if opts.progress {
 		progressf = logf
 	}
-	// Per-graph progress would interleave across concurrent shards; the
-	// coordinator reports per-shard completions instead.
-	cfg.Progress = nil
 	co := &distrib.Coordinator{
 		Shards:       shards,
 		Backends:     backends,
@@ -409,8 +428,8 @@ func runCoordinated(cfg expr.SweepConfig, opts sweepRunOpts) ([]expr.Cell, error
 
 // writeShardPartial runs one shard of the sweep (the "i/N" spec) and writes
 // its NDJSON frame stream, graph by graph as they complete, ready for a
-// later -merge.
-func writeShardPartial(out io.Writer, cfg expr.SweepConfig, spec string) error {
+// later -merge; progress goes to stderr after each graph's frame.
+func writeShardPartial(out io.Writer, cfg expr.SweepConfig, spec string, progress bool) error {
 	var i, n int
 	if _, err := fmt.Sscanf(spec, "%d/%d", &i, &n); err != nil || fmt.Sprintf("%d/%d", i, n) != spec {
 		return fmt.Errorf("malformed -shard %q (want i/N, e.g. 0/2)", spec)
@@ -424,8 +443,14 @@ func writeShardPartial(out io.Writer, cfg expr.SweepConfig, spec string) error {
 	if err != nil {
 		return err
 	}
+	report := graphProgress(progress, cfg.ShardSize())
 	return textio.WriteShard(out, hash, cfg, func(yield func(expr.GraphResult) error) error {
-		_, err := expr.RunSweepShardStream(context.Background(), cfg, yield)
+		_, err := expr.RunSweepShardStream(context.Background(), cfg, func(g expr.GraphResult) error {
+			if err := yield(g); err != nil {
+				return err
+			}
+			return report(g)
+		})
 		return err
 	})
 }
@@ -485,7 +510,7 @@ func writeCellsCSV(out io.Writer, path string, cells []expr.Cell) error {
 // runAblation reruns the Fig. 5 sweep under every path-selection policy and
 // then under every scheduling strategy. Every sweep generates the same graphs
 // from the same seeds, so only the scheduling differs between the rows.
-func runAblation(out io.Writer, sweepConfig func(core.Options) expr.SweepConfig) error {
+func runAblation(out io.Writer, sweep func(core.Options) ([]expr.Cell, error)) error {
 	printLine := func(label string, cells []expr.Cell) {
 		// Every cell holds the same number of graphs, so the mean of the
 		// per-cell averages is the per-graph average.
@@ -505,7 +530,7 @@ func runAblation(out io.Writer, sweepConfig func(core.Options) expr.SweepConfig)
 	var defaultCells []expr.Cell
 	fmt.Fprintln(out, "Ablation: average increase of δmax over δM (%) by path-selection policy")
 	for _, policy := range []core.PathSelection{core.SelectLargestDelay, core.SelectSmallestDelay, core.SelectFirst} {
-		cells, err := expr.RunSweep(sweepConfig(core.Options{PathSelection: policy}))
+		cells, err := sweep(core.Options{PathSelection: policy})
 		if err != nil {
 			return err
 		}
@@ -519,7 +544,7 @@ func runAblation(out io.Writer, sweepConfig func(core.Options) expr.SweepConfig)
 		cells := defaultCells
 		if name != listsched.DefaultStrategy {
 			var err error
-			if cells, err = expr.RunSweep(sweepConfig(core.Options{Strategy: name})); err != nil {
+			if cells, err = sweep(core.Options{Strategy: name}); err != nil {
 				return err
 			}
 		}

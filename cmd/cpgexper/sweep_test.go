@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -352,5 +353,50 @@ func TestMergeRunsExclusively(t *testing.T) {
 	}
 	if !strings.Contains(s, "Fig. 5") {
 		t.Errorf("-merge under -exp all must still render the sweep figures:\n%s", s)
+	}
+}
+
+// TestProgressFromYield pins where -progress comes from: the sweep's yield.
+// A plain sweep and an offline shard (-shard 0/2) write one "sweep: k/N
+// graphs" update per graph to stderr, k counting from 1 to N, and the line
+// ends after N/N. Stdout is the same as with -progress=false, the shard's
+// wall-clock fields aside (one worker keeps its frames in canonical order).
+func TestProgressFromYield(t *testing.T) {
+	update := regexp.MustCompile(`\rsweep: (\d+)/(\d+) graphs`)
+	for _, tc := range []struct {
+		name  string
+		extra []string
+	}{
+		{"plain", nil},
+		{"shard 0/2", []string{"-shard", "0/2"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := expr.GoldenSweep()
+			if tc.extra != nil {
+				cfg.ShardIndex, cfg.ShardCount = 0, 2
+			}
+			graphs := cfg.ShardSize()
+			args := goldenArgs(append([]string{"-workers", "1"}, tc.extra...)...)
+			quiet := runGolden(t, args)
+			var log lockedBuffer
+			stderr = &log
+			defer func() { stderr = os.Stderr }()
+			loud := runGolden(t, append(args, "-progress"))
+			if got, want := wallClockField.ReplaceAllString(loud, `"$1":0`), wallClockField.ReplaceAllString(quiet, `"$1":0`); got != want {
+				t.Errorf("stdout with -progress differs from -progress=false:\n%s\nvs\n%s", got, want)
+			}
+			updates := update.FindAllStringSubmatch(log.String(), -1)
+			if len(updates) != graphs {
+				t.Fatalf("%d progress updates for %d graphs:\n%q", len(updates), graphs, log.String())
+			}
+			for i, u := range updates {
+				if u[1] != strconv.Itoa(i+1) || u[2] != strconv.Itoa(graphs) {
+					t.Fatalf("update %d reads %q, want %d/%d", i, u[0], i+1, graphs)
+				}
+			}
+			if last := fmt.Sprintf("sweep: %d/%d graphs\n", graphs, graphs); !strings.Contains(log.String(), last) {
+				t.Errorf("the progress line does not end after %d/%d:\n%q", graphs, graphs, log.String())
+			}
+		})
 	}
 }

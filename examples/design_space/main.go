@@ -4,9 +4,8 @@
 // how the guaranteed worst-case delay δmax changes — the performance
 // estimation use-case motivated in the introduction of the paper.
 //
-// All architecture variants are scheduled in one ScheduleBatch call: the
-// service fans the independent problems out under its global worker budget
-// and returns the solutions in input order.
+// Each architecture variant is one problem for the scheduling service, which
+// schedules it under its global worker budget.
 //
 // Run with:
 //
@@ -32,9 +31,12 @@ func main() {
 	)
 	fmt.Printf("application: %d processes, %d alternative paths (seed %d)\n\n", nodes, paths, seed)
 
-	type variant struct{ processors, buses int }
-	var variants []variant
-	var problems []*service.Problem
+	svc, err := service.New(service.Config{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(w, "processors\tbuses\tδM\tδmax\tincrease\tmerge time")
 	for _, processors := range []int{1, 2, 3, 4, 6} {
 		for _, buses := range []int{1, 2} {
 			// The same seed keeps the application identical; only the
@@ -50,26 +52,13 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			variants = append(variants, variant{processors, buses})
-			problems = append(problems, &service.Problem{Graph: inst.Graph, Arch: inst.Arch})
+			sol, err := svc.Schedule(context.Background(), &service.Problem{Graph: inst.Graph, Arch: inst.Arch})
+			if err != nil {
+				log.Fatal(err)
+			}
+			fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%.2f%%\t%v\n",
+				processors, buses, sol.DeltaM, sol.DeltaMax, sol.IncreasePercent(), sol.Stats.MergeTime)
 		}
-	}
-
-	svc, err := service.New(service.Config{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	sols, err := svc.ScheduleBatch(context.Background(), problems)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "processors\tbuses\tδM\tδmax\tincrease\tmerge time")
-	for i, sol := range sols {
-		fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%.2f%%\t%v\n",
-			variants[i].processors, variants[i].buses,
-			sol.DeltaM, sol.DeltaMax, sol.IncreasePercent(), sol.Stats.MergeTime)
 	}
 	w.Flush()
 

@@ -35,17 +35,21 @@
 //
 // A Workspace holds the scheduling state of one graph and recycles it for
 // the next, so a caller scheduling graph after graph stops allocating it per
-// graph: each worker of a sweep keeps one, and the scheduling service lends
-// one from its pool to each memo miss. A workspace belongs to one goroutine
-// at a time, and the Result its Schedule method returns stays valid only
-// until the next call on the same workspace, which overwrites the table,
-// schedules and subgraphs the Result points to, even when that call fails or
-// is cancelled. A result that outlives the next run is detached first
-// (Result.Detach): the detached copy owns a compact copy of the table, the
-// path list and the violations, and keeps none of the workspace's schedules,
-// subgraphs, merge buffers, lock set or path records alive. Schedule,
-// ScheduleContext and SchedulePhased run the same code on a fresh workspace,
-// so their results own their memory.
+// graph. Lend lends workspaces from one pool: every graph of a sweep shard,
+// offline or on a server, and every memo miss of the scheduling service
+// borrows one. A workspace belongs to one goroutine at a time, and the Result
+// its Schedule method returns stays valid only until the next call on the
+// same workspace, which overwrites the table, schedules and subgraphs the
+// Result points to, even when that call fails or is cancelled. A lent
+// workspace goes back to the pool when the borrowing function returns, so
+// what the caller keeps is copied out inside it: the numbers of a sweep
+// graph, or a detached result (Result.Detach), which owns a compact copy of
+// the table, the path list and the violations, and keeps none of the
+// workspace's schedules, subgraphs, merge buffers, lock set or path records
+// alive. The pool is a sync.Pool: the collector frees the workspaces that no
+// caller has taken since the collection before, so one sized to a large
+// graph does not stay pinned. Schedule, ScheduleContext and SchedulePhased
+// run the same code on a fresh workspace, so their results own their memory.
 //
 // Every run is cold: it schedules every alternative path, merges the
 // schedules in one walk of the decision tree, then checks the table and
@@ -366,8 +370,9 @@ type merger struct {
 // the path records with their fixed-order priorities, the merge's reschedule
 // buffers and lock set, the schedule table and the Result with its slices
 // (see the package doc for who owns a workspace and how long its Result
-// lives). The zero value is ready to use. A workspace only ever recycles
-// objects it created itself: a strategy's schedules are read, never written.
+// lives). Lend lends recycled ones; the zero value is ready to use too. A
+// workspace only ever recycles objects it created itself: a strategy's
+// schedules are read, never written.
 type Workspace struct {
 	// subs and scheds are the subgraphs and optimal schedules the workspace
 	// built, by path index.
@@ -381,6 +386,19 @@ type Workspace struct {
 	scratches []*listsched.Scratch
 	// res is the Result every run refills.
 	res *Result
+}
+
+// workspaces holds the workspaces Lend takes back, for the next borrower.
+var workspaces = sync.Pool{New: func() any { return new(Workspace) }}
+
+// Lend calls fn with a workspace from core's pool and takes the workspace
+// back when fn returns: fn copies out whatever outlives it. A run that fails
+// or is cancelled leaves the workspace ready for the next borrower; one whose
+// fn panics is dropped.
+func Lend(fn func(*Workspace)) {
+	ws := workspaces.Get().(*Workspace)
+	fn(ws)
+	workspaces.Put(ws)
 }
 
 // Schedule generates the schedule table for the graph on the given

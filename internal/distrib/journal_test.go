@@ -23,9 +23,9 @@ func journalFixture(t testing.TB, index, count int) (string, expr.SweepConfig, *
 	if err != nil {
 		t.Fatalf("SweepHash: %v", err)
 	}
-	sh, err := expr.RunSweepShardContext(context.Background(), cfg)
+	sh, err := expr.RunSweepShardStream(context.Background(), cfg, nil)
 	if err != nil {
-		t.Fatalf("RunSweepShardContext: %v", err)
+		t.Fatalf("RunSweepShardStream: %v", err)
 	}
 	return hash, cfg, sh
 }

@@ -24,15 +24,15 @@ func zeroGraphTimes(sh *expr.ShardResult) *expr.ShardResult {
 // TestHTTPRunShardStreamMatchesInProcess pins the HTTP backend against the
 // production handler: every graph is yielded once, and the assembled shard
 // — streamed, or through RunShard without a callback — matches an
-// in-process expr.RunSweepShardContext byte for byte (timings aside).
+// in-process expr.RunSweepShardStream byte for byte (timings aside).
 func TestHTTPRunShardStreamMatchesInProcess(t *testing.T) {
 	ts := testBackendServer(t, 2)
 	b := HTTP{BaseURL: ts.URL}
 	cfg := expr.GoldenSweep()
 	cfg.ShardIndex, cfg.ShardCount = 1, 2
-	want, err := expr.RunSweepShardContext(context.Background(), cfg)
+	want, err := expr.RunSweepShardStream(context.Background(), cfg, nil)
 	if err != nil {
-		t.Fatalf("RunSweepShardContext: %v", err)
+		t.Fatalf("RunSweepShardStream: %v", err)
 	}
 
 	var yields []expr.GraphResult

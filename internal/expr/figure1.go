@@ -3,6 +3,12 @@
 // synthetic-graph sweep behind Fig. 5 and Fig. 6, and the ATM OAM study of
 // Table 2. Every experiment returns structured results plus a text rendering
 // in the style of the paper.
+//
+// Every sweep runs through RunSweepShardStream, one shard at a time, whole
+// sweeps included. Each of its graphs schedules in a workspace core.Lend
+// lends from core's one pool, whether the shard runs offline or on a
+// server, and its yield is the one per-graph callback: a server streams the
+// shard's frames from it and a command line reports progress from it.
 package expr
 
 import (

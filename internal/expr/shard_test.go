@@ -55,9 +55,9 @@ func TestMergeCellsShardEquivalence(t *testing.T) {
 				c := cfg
 				c.ShardIndex, c.ShardCount = i, count
 				c.Workers = workers
-				sh, err := RunSweepShardContext(context.Background(), c)
+				sh, err := RunSweepShardStream(context.Background(), c, nil)
 				if err != nil {
-					t.Fatalf("RunSweepShardContext(%d/%d): %v", i, count, err)
+					t.Fatalf("RunSweepShardStream(%d/%d): %v", i, count, err)
 				}
 				if sh.ShardIndex != i || sh.ShardCount != count {
 					t.Fatalf("shard coordinates drifted: got %d/%d want %d/%d", sh.ShardIndex, sh.ShardCount, i, count)
@@ -106,9 +106,9 @@ func TestGoldenSweepCSV(t *testing.T) {
 		for i := 0; i < count; i++ {
 			c := cfg
 			c.ShardIndex, c.ShardCount = i, count
-			sh, err := RunSweepShardContext(context.Background(), c)
+			sh, err := RunSweepShardStream(context.Background(), c, nil)
 			if err != nil {
-				t.Fatalf("RunSweepShardContext(%d/%d): %v", i, count, err)
+				t.Fatalf("RunSweepShardStream(%d/%d): %v", i, count, err)
 			}
 			shards = append(shards, sh)
 		}
@@ -147,9 +147,9 @@ func TestMergeCellsAccounting(t *testing.T) {
 func mustShard(t *testing.T, cfg SweepConfig, index, count int) *ShardResult {
 	t.Helper()
 	cfg.ShardIndex, cfg.ShardCount = index, count
-	sh, err := RunSweepShardContext(context.Background(), cfg)
+	sh, err := RunSweepShardStream(context.Background(), cfg, nil)
 	if err != nil {
-		t.Fatalf("RunSweepShardContext(%d/%d): %v", index, count, err)
+		t.Fatalf("RunSweepShardStream(%d/%d): %v", index, count, err)
 	}
 	return sh
 }
@@ -161,7 +161,7 @@ func TestShardValidation(t *testing.T) {
 	for _, tc := range []struct{ index, count int }{{-1, 2}, {2, 2}, {5, 3}} {
 		c := cfg
 		c.ShardIndex, c.ShardCount = tc.index, tc.count
-		if _, err := RunSweepShardContext(context.Background(), c); err == nil {
+		if _, err := RunSweepShardStream(context.Background(), c, nil); err == nil {
 			t.Errorf("shard %d/%d must be rejected", tc.index, tc.count)
 		}
 	}
@@ -213,7 +213,7 @@ func TestRunSweepShardCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	if _, err := RunSweepShardContext(ctx, cfg); !errors.Is(err, context.Canceled) {
+	if _, err := RunSweepShardStream(ctx, cfg, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled shard run must return context.Canceled; got %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {

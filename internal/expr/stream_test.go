@@ -20,14 +20,14 @@ func zeroShardTimes(sh *ShardResult) *ShardResult {
 
 // TestRunSweepShardStreamMatchesUnary pins the streaming contract: the yields
 // of a streamed shard are exactly the entries of its final ShardResult, each
-// once, and that result is identical to the unary one — for sequential and
-// parallel workers.
+// once, and that result is identical to the one a run without a yield
+// returns — for sequential and parallel workers.
 func TestRunSweepShardStreamMatchesUnary(t *testing.T) {
 	cfg := GoldenSweep()
 	cfg.ShardIndex, cfg.ShardCount = 0, 2
-	want, err := RunSweepShardContext(context.Background(), cfg)
+	want, err := RunSweepShardStream(context.Background(), cfg, nil)
 	if err != nil {
-		t.Fatalf("RunSweepShardContext: %v", err)
+		t.Fatalf("RunSweepShardStream: %v", err)
 	}
 	for _, workers := range []int{1, 4} {
 		c := cfg
@@ -44,7 +44,7 @@ func TestRunSweepShardStreamMatchesUnary(t *testing.T) {
 			t.Fatalf("workers=%d: RunSweepShardStream: %v", workers, err)
 		}
 		if !reflect.DeepEqual(zeroShardTimes(sh), zeroShardTimes(want)) {
-			t.Errorf("workers=%d: streamed ShardResult differs from unary", workers)
+			t.Errorf("workers=%d: streamed ShardResult differs from the one without a yield", workers)
 		}
 		if len(got) != len(sh.Results) {
 			t.Errorf("workers=%d: %d graphs yielded, shard has %d", workers, len(got), len(sh.Results))

@@ -43,10 +43,6 @@ type SweepConfig struct {
 	// Workers bounds the number of goroutines scheduling sweep graphs
 	// concurrently (0 = GOMAXPROCS, 1 = sequential).
 	Workers int
-	// Progress, when non-nil, is called after every scheduled graph with
-	// the number of graphs done so far and the total. Calls are serialized
-	// but may come from worker goroutines.
-	Progress func(done, total int)
 	// Options are passed to the table generation, except Workers: every
 	// graph is scheduled on one goroutine.
 	Options core.Options
@@ -55,7 +51,7 @@ type SweepConfig struct {
 	// to shard shardOf(...) % ShardCount by a stable hash of its
 	// coordinates, so shards are balanced, seed-independent and identical
 	// on every machine. ShardCount == 0 (or 1) means the whole sweep;
-	// RunSweepShardContext executes exactly one shard and MergeCells
+	// RunSweepShardStream executes exactly one shard and MergeCells
 	// recombines the partial results of all shards into the cells a
 	// single-process run produces, byte for byte.
 	ShardIndex int
@@ -296,26 +292,21 @@ type ShardResult struct {
 	Results []GraphResult
 }
 
-// RunSweepShardContext generates and schedules the graphs of the config's
+// RunSweepShardStream generates and schedules the graphs of the config's
 // shard on cfg.Workers goroutines and returns their raw measurements in
 // canonical job order. Per-graph seeds depend only on cfg.Seed and the graph
 // coordinates, so any partition of the sweep into shards — executed anywhere,
-// in any order — produces the same per-graph results. Cancelling ctx aborts
-// the shard promptly (between graphs and between merge back-steps of the
-// in-flight graphs) and returns ctx.Err().
-func RunSweepShardContext(ctx context.Context, cfg SweepConfig) (*ShardResult, error) {
-	return RunSweepShardStream(ctx, cfg, nil)
-}
-
-// RunSweepShardStream runs the config's shard like RunSweepShardContext and
-// additionally calls yield (when non-nil) once per graph as it completes, in
-// completion order. Yields are serialized (never concurrent) but may come
-// from worker goroutines; a graph is yielded before it counts toward
-// cfg.Progress. The yielded results are exactly the entries of the returned
-// ShardResult — a consumer that received every yield needs nothing from the
-// final result but its error. If yield returns an error the shard aborts
-// promptly and returns that error: a streaming server uses this to stop
-// computing when the client is gone.
+// in any order — produces the same per-graph results. It calls yield (when
+// non-nil) once per graph as it completes, in completion order: the one
+// per-graph callback, which a server streams frames from and a command line
+// reports progress from. Yields are serialized (never concurrent) but may
+// come from worker goroutines. The yielded results are exactly the entries
+// of the returned ShardResult — a consumer that received every yield needs
+// nothing from the final result but its error. If yield returns an error the
+// shard aborts promptly and returns that error: a streaming server uses this
+// to stop computing when the client is gone. Cancelling ctx aborts the shard
+// promptly (between graphs and between merge back-steps of the in-flight
+// graphs) and returns ctx.Err().
 func RunSweepShardStream(ctx context.Context, cfg SweepConfig, yield func(GraphResult) error) (*ShardResult, error) {
 	cfg = cfg.Normalize()
 	if err := cfg.ValidateShard(); err != nil {
@@ -335,13 +326,8 @@ func RunSweepShardStream(ctx context.Context, cfg SweepConfig, yield func(GraphR
 	results := make([]GraphResult, len(jobs))
 	errs := make([]error, len(jobs))
 	var failed atomic.Bool
-	var mu sync.Mutex // serializes yield + Progress across workers
-	done := 0
-	// Each worker schedules its graphs in its own workspace, which recycles
-	// one graph's scheduling state for the next: a graph's result is read
-	// into its GraphResult before the worker's next graph overwrites it.
-	workspaces := make([]core.Workspace, pool.Clamp(len(jobs), cfg.Workers))
-	runOne := func(ws *core.Workspace, j int) {
+	var mu sync.Mutex // serializes yield across workers
+	pool.ForEachIndexWorker(len(jobs), cfg.Workers, func(_, j int) {
 		if failed.Load() {
 			return // a job already failed; drain the queue without working
 		}
@@ -359,19 +345,26 @@ func RunSweepShardStream(ctx context.Context, cfg SweepConfig, yield func(GraphR
 			fail(fmt.Errorf("expr: generating graph %d of cell n%d/p%d: %w", job.Index, job.Nodes, job.Paths, err))
 			return
 		}
-		res, err := ws.Schedule(ctx, inst.Graph, inst.Arch, opts)
+		// Each graph schedules in a workspace core lends it, which recycles
+		// an earlier graph's scheduling state: the graph's numbers are read
+		// out before the workspace goes back.
+		core.Lend(func(ws *core.Workspace) {
+			var res *core.Result
+			if res, err = ws.Schedule(ctx, inst.Graph, inst.Arch, opts); err == nil {
+				results[j] = GraphResult{
+					Nodes:       job.Nodes,
+					Paths:       job.Paths,
+					Index:       job.Index,
+					IncreasePct: res.IncreasePercent(),
+					MergeNs:     float64(res.Stats.MergeTime),
+					PathSchedNs: float64(res.Stats.PathSchedulingTime),
+					Violation:   !res.Deterministic(),
+				}
+			}
+		})
 		if err != nil {
 			fail(fmt.Errorf("expr: scheduling graph %d of cell n%d/p%d: %w", job.Index, job.Nodes, job.Paths, err))
 			return
-		}
-		results[j] = GraphResult{
-			Nodes:       job.Nodes,
-			Paths:       job.Paths,
-			Index:       job.Index,
-			IncreasePct: res.IncreasePercent(),
-			MergeNs:     float64(res.Stats.MergeTime),
-			PathSchedNs: float64(res.Stats.PathSchedulingTime),
-			Violation:   !res.Deterministic(),
 		}
 		if yield != nil {
 			mu.Lock()
@@ -381,20 +374,6 @@ func RunSweepShardStream(ctx context.Context, cfg SweepConfig, yield func(GraphR
 				fail(fmt.Errorf("expr: streaming graph %d of cell n%d/p%d: %w", job.Index, job.Nodes, job.Paths, err))
 			}
 		}
-	}
-	finishOne := func(j int) {
-		if cfg.Progress == nil {
-			return
-		}
-		mu.Lock()
-		done++
-		cfg.Progress(done, len(jobs))
-		mu.Unlock()
-	}
-
-	pool.ForEachIndexWorker(len(jobs), cfg.Workers, func(worker, j int) {
-		runOne(&workspaces[worker], j)
-		finishOne(j)
 	})
 
 	for _, err := range errs {
@@ -418,15 +397,15 @@ func RunSweepShardStream(ctx context.Context, cfg SweepConfig, yield func(GraphR
 // returned cells (timing aside) are bit-identical for every worker count.
 //
 // RunSweep always executes the whole sweep: configs selecting a single shard
-// (ShardCount > 1) are rejected — run those through RunSweepShardContext
+// (ShardCount > 1) are rejected — run those through RunSweepShardStream
 // and recombine with MergeCells.
 func RunSweep(cfg SweepConfig) ([]Cell, error) {
 	cfg = cfg.Normalize()
 	if cfg.ShardCount > 1 {
-		return nil, fmt.Errorf("expr: RunSweep executes whole sweeps; use RunSweepShardContext for shard %d/%d and MergeCells to recombine",
+		return nil, fmt.Errorf("expr: RunSweep executes whole sweeps; use RunSweepShardStream for shard %d/%d and MergeCells to recombine",
 			cfg.ShardIndex, cfg.ShardCount)
 	}
-	shard, err := RunSweepShardContext(context.Background(), cfg)
+	shard, err := RunSweepShardStream(context.Background(), cfg, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package expr
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -55,39 +54,6 @@ func TestRunSweepDeterministicAcrossWorkers(t *testing.T) {
 // zeroTimes strips the wall-clock measurements from the cells so renderings
 // can be compared across runs.
 func zeroTimes(cells []Cell) []Cell { return ZeroTimes(cells) }
-
-// TestRunSweepProgress checks that the progress callback sees every graph
-// exactly once and a monotonically increasing done count.
-func TestRunSweepProgress(t *testing.T) {
-	var mu sync.Mutex
-	var calls []int
-	cfg := SweepConfig{
-		Nodes:         []int{40},
-		Paths:         []int{10},
-		GraphsPerCell: 4,
-		Seed:          7,
-		Workers:       4,
-		Progress: func(done, total int) {
-			mu.Lock()
-			defer mu.Unlock()
-			if total != 4 {
-				t.Errorf("Progress total = %d, want 4", total)
-			}
-			calls = append(calls, done)
-		},
-	}
-	if _, err := RunSweep(cfg); err != nil {
-		t.Fatalf("RunSweep: %v", err)
-	}
-	if len(calls) != 4 {
-		t.Fatalf("Progress called %d times, want 4", len(calls))
-	}
-	for i, d := range calls {
-		if d != i+1 {
-			t.Fatalf("Progress done sequence %v, want 1..4", calls)
-		}
-	}
-}
 
 // TestCellSeedStable pins the seed derivation: changing it would silently
 // change every published sweep figure, so treat it like a file format.

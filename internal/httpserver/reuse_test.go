@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -128,22 +129,33 @@ func TestScheduleAfterCancelledMiss(t *testing.T) {
 // TestMemoizedBodyUnchangedByReuse serves a problem, runs eleven other
 // problems through the one-worker server's pooled workspace, and serves the
 // first again from the memo: the body must be byte-identical up to the cache
-// block, since the memo keeps a detached copy of the result.
+// block, since the memo keeps a detached copy of the result and the decoded
+// problem copies its names out of the pooled body buffer. It runs on one P
+// with the collector off, so the pools hand back what they were given: the
+// next request reads its body into the buffer the first was read into, and
+// schedules in the workspace the first was scheduled in. The repeat spells
+// the problem indented, so reading it does not restore the first body's
+// bytes in that buffer.
 func TestMemoizedBodyUnchangedByReuse(t *testing.T) {
 	bodies := append(reuseProblems(t, 7000), reuseProblems(t, 8000)...)
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, bodies[0], "", "  "); err != nil {
+		t.Fatalf("Indent: %v", err)
+	}
 	oneProc(t)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	routes := newRoutes(t, service.Config{Workers: 1})
 	first := serveGrid(t, routes, "/v1/schedule", bodies[0])
 	for _, body := range bodies[1:] {
 		serveGrid(t, routes, "/v1/schedule", body)
 	}
-	again := serveGrid(t, routes, "/v1/schedule", bodies[0])
+	again := serveGrid(t, routes, "/v1/schedule", indented.Bytes())
 	if !bytes.Contains(again, []byte(`"cache":{"hit":true`)) {
 		t.Fatalf("the repeated request was not a memo hit: %.80q", again[bytes.LastIndex(again, []byte(`"cache"`)):])
 	}
 	cut := func(b []byte) []byte { return b[:bytes.LastIndex(b, []byte(`,"cache":{`))] }
 	if !bytes.Equal(cut(again), cut(first)) {
-		t.Fatalf("the memoized body changed after other problems ran through the pooled workspace")
+		t.Fatalf("the memoized body changed after other problems ran through the pooled workspace and body buffer")
 	}
 }
 

@@ -24,15 +24,15 @@ func sweepRequestBody(t *testing.T, cfg expr.SweepConfig) []byte {
 // TestSweepEndpointMatchesInProcess pins the acceptance property of the
 // sweep endpoint: the NDJSON frames of a served shard read back, through
 // textio.ReadShard, as exactly the per-graph results of an in-process
-// expr.RunSweepShardContext (wall-clock timing aside).
+// expr.RunSweepShardStream (wall-clock timing aside).
 func TestSweepEndpointMatchesInProcess(t *testing.T) {
 	ts := testServer(t)
 	cfg := expr.GoldenSweep()
 	cfg.ShardIndex, cfg.ShardCount = 1, 2
 	body := sweepRequestBody(t, cfg)
-	want, err := expr.RunSweepShardContext(context.Background(), cfg)
+	want, err := expr.RunSweepShardStream(context.Background(), cfg, nil)
 	if err != nil {
-		t.Fatalf("RunSweepShardContext: %v", err)
+		t.Fatalf("RunSweepShardStream: %v", err)
 	}
 
 	resp, out := postJSON(t, ts.URL+"/v1/sweep", body)

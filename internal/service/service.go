@@ -2,7 +2,7 @@
 // concurrency-aware service object: the shape needed by a scheduling server
 // that handles many independent requests.
 //
-// A Service adds three things on top of core.Workspace:
+// A Service adds three things on top of core's recycled workspaces:
 //
 //   - a global worker budget: one pool of tokens, one per goroutine, that
 //     every concurrent request draws from, so a burst of requests cannot
@@ -18,12 +18,11 @@
 //   - context cancellation: a cancelled request aborts its path scheduling
 //     and merge promptly and releases its worker tokens.
 //
-// Every memo miss schedules in a core.Workspace lent from the service's pool,
-// which recycles the subgraphs, schedules, merge buffers and table of one
-// problem for the next. A miss holds its worker token while it has a
-// workspace, so no more workspaces are in use than tokens. The pool is a
-// sync.Pool: the collector frees the workspaces that no miss has taken since
-// the collection before, so one of a large problem does not stay pinned.
+// Every memo miss, and every graph of a sweep shard, schedules in a
+// core.Workspace lent by core.Lend, which recycles the subgraphs, schedules,
+// merge buffers and table of one problem for the next. Misses and shard
+// graphs hold a worker token while they have a workspace, so no more
+// workspaces are in use than tokens.
 //
 // The memo keeps the *core.Result that Schedule returns: the workspace's
 // result detached (core.Result.Detach), which shares no memory with the
@@ -41,7 +40,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/arch"
@@ -106,7 +104,7 @@ type Solution struct {
 
 // Stats is a snapshot of the service counters.
 type Stats struct {
-	// Requests counts Schedule calls (batch items included).
+	// Requests counts Schedule calls.
 	Requests int64
 	// CacheHits and CacheMisses are the memo counters.
 	CacheHits   int64
@@ -125,12 +123,9 @@ type Service struct {
 	budget int
 	tokens chan struct{}
 	// cache is the memo, keyed by problem hash.
-	cache *memo.LRU[*core.Result]
-	// workspaces holds the *core.Workspace of finished misses, for the
-	// next misses.
-	workspaces sync.Pool
-	requests   atomic.Int64
-	sweepReqs  atomic.Int64
+	cache     *memo.LRU[*core.Result]
+	requests  atomic.Int64
+	sweepReqs atomic.Int64
 }
 
 // New returns a Service with the given budget and memo capacity. A negative
@@ -152,10 +147,9 @@ func New(cfg Config) (*Service, error) {
 		size = 0
 	}
 	s := &Service{
-		budget:     budget,
-		tokens:     make(chan struct{}, budget),
-		cache:      memo.NewLRU[*core.Result](size),
-		workspaces: sync.Pool{New: func() any { return new(core.Workspace) }},
+		budget: budget,
+		tokens: make(chan struct{}, budget),
+		cache:  memo.NewLRU[*core.Result](size),
 	}
 	for i := 0; i < budget; i++ {
 		s.tokens <- struct{}{}
@@ -212,45 +206,22 @@ func (s *Service) Schedule(ctx context.Context, p *Problem) (*Solution, error) {
 	defer s.releaseTokens(1)
 	opt := p.Options
 	opt.Workers = 1
-	ws := s.workspaces.Get().(*core.Workspace)
-	res, err := ws.Schedule(ctx, p.Graph, p.Arch, opt)
-	if err == nil {
-		// The next miss overwrites the workspace's result: keep a copy
-		// that shares nothing with it, and without the subgraphs and the
-		// per-path schedules, which only core's own validation reads.
-		res = res.Detach()
-	}
-	// A failed or cancelled run leaves the workspace ready for the next.
-	s.workspaces.Put(ws)
+	var res *core.Result
+	core.Lend(func(ws *core.Workspace) {
+		res, err = ws.Schedule(ctx, p.Graph, p.Arch, opt)
+		if err == nil {
+			// The next borrower overwrites the workspace's result: keep a
+			// copy that shares nothing with it, and without the subgraphs
+			// and the per-path schedules, which only core's own validation
+			// reads.
+			res = res.Detach()
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
 	s.cache.Add(hash, res)
 	return &Solution{Result: res, ProblemHash: hash}, nil
-}
-
-// ScheduleBatch schedules every problem concurrently under the shared worker
-// budget and returns the solutions in input order. Problems that fail leave
-// a nil slot; the joined error collects every failure (nil when all
-// succeeded). Cancelling ctx aborts the whole batch.
-func (s *Service) ScheduleBatch(ctx context.Context, problems []*Problem) ([]*Solution, error) {
-	sols := make([]*Solution, len(problems))
-	errs := make([]error, len(problems))
-	var wg sync.WaitGroup
-	for i, p := range problems {
-		wg.Add(1)
-		go func(i int, p *Problem) {
-			defer wg.Done()
-			sol, err := s.Schedule(ctx, p)
-			if err != nil {
-				errs[i] = fmt.Errorf("service: problem %d: %w", i, err)
-				return
-			}
-			sols[i] = sol
-		}(i, p)
-	}
-	wg.Wait()
-	return sols, errors.Join(errs...)
 }
 
 // SweepSolution is the outcome of one SweepShard request.

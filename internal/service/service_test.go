@@ -208,61 +208,6 @@ func TestScheduleCancelled(t *testing.T) {
 	}
 }
 
-func TestScheduleBatch(t *testing.T) {
-	svc := mustNew(t, Config{Workers: 3})
-	var problems []*Problem
-	for seed := int64(1); seed <= 4; seed++ {
-		inst, err := gen.Generate(gen.Config{Seed: seed, Nodes: 24, TargetPaths: 4, Processors: 2, Hardware: 1, Buses: 1})
-		if err != nil {
-			t.Fatalf("Generate: %v", err)
-		}
-		problems = append(problems, &Problem{Graph: inst.Graph, Arch: inst.Arch})
-	}
-	sols, err := svc.ScheduleBatch(context.Background(), problems)
-	if err != nil {
-		t.Fatalf("ScheduleBatch: %v", err)
-	}
-	if len(sols) != len(problems) {
-		t.Fatalf("got %d solutions for %d problems", len(sols), len(problems))
-	}
-	for i, sol := range sols {
-		if sol == nil || sol.Result == nil {
-			t.Fatalf("solution %d missing", i)
-		}
-		if sol.DeltaMax < sol.DeltaM {
-			t.Fatalf("solution %d: δmax %d < δM %d", i, sol.DeltaMax, sol.DeltaM)
-		}
-	}
-	// Re-running the batch is served entirely from the memo.
-	again, err := svc.ScheduleBatch(context.Background(), problems)
-	if err != nil {
-		t.Fatalf("ScheduleBatch: %v", err)
-	}
-	for i, sol := range again {
-		if !sol.CacheHit {
-			t.Fatalf("batch re-run item %d missed the cache", i)
-		}
-		if sol.Result != sols[i].Result {
-			t.Fatalf("batch re-run item %d returned a different result", i)
-		}
-	}
-
-	// A failing item reports its index without sinking the others.
-	bad := append(append([]*Problem{}, problems...), &Problem{})
-	sols, err = svc.ScheduleBatch(context.Background(), bad)
-	if err == nil {
-		t.Fatalf("batch with nil graph must fail")
-	}
-	if sols[len(sols)-1] != nil {
-		t.Fatalf("failed item must leave a nil slot")
-	}
-	for i := range problems {
-		if sols[i] == nil {
-			t.Fatalf("healthy item %d lost to the failing one", i)
-		}
-	}
-}
-
 // TestWorkerBudgetShared pins the budget semantics: every request returns
 // its token, a miss blocks while the budget is exhausted, and a blocked
 // admission honours cancellation.
@@ -383,11 +328,23 @@ func TestMissHoldsOneToken(t *testing.T) {
 
 	// Concurrent misses under one budget all complete and leave the pool
 	// whole.
-	if _, err := svc.ScheduleBatch(context.Background(), []*Problem{prob, prob, prob}); err != nil {
-		t.Fatalf("ScheduleBatch: %v", err)
+	errs := make([]error, 3)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = svc.Schedule(context.Background(), prob)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("concurrent miss %d: %v", i, err)
+		}
 	}
 	if free := len(svc.tokens); free != budget {
-		t.Fatalf("tokens leaked after batch: %d free of %d", free, budget)
+		t.Fatalf("tokens leaked after concurrent misses: %d free of %d", free, budget)
 	}
 }
 

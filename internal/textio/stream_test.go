@@ -31,7 +31,7 @@ var goldenFixture = sync.OnceValues(func() (*shardFixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh, err := expr.RunSweepShardContext(context.Background(), cfg)
+	sh, err := expr.RunSweepShardStream(context.Background(), cfg, nil)
 	if err != nil {
 		return nil, err
 	}
