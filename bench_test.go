@@ -276,7 +276,7 @@ func BenchmarkFig6SweepMergeTime(b *testing.B) {
 						if err != nil {
 							b.Fatalf("Generate: %v", err)
 						}
-						res, err := core.Schedule(inst.Graph, inst.Arch, core.Options{Workers: 1})
+						res, err := core.Schedule(inst.Graph, inst.Arch, core.Options{})
 						if err != nil {
 							b.Fatalf("Schedule: %v", err)
 						}
@@ -292,27 +292,9 @@ func BenchmarkFig6SweepMergeTime(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduleParallelPaths measures core.Schedule on a generated
-// many-path graph with per-path list scheduling fanned out over N workers.
-func BenchmarkScheduleParallelPaths(b *testing.B) {
-	inst, err := gen.Generate(gen.Config{Seed: 42, Nodes: 120, TargetPaths: 32, Processors: 8, Hardware: 1, Buses: 4})
-	if err != nil {
-		b.Fatalf("Generate: %v", err)
-	}
-	for _, w := range sweepWorkerCounts {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Schedule(inst.Graph, inst.Arch, core.Options{Workers: w}); err != nil {
-					b.Fatalf("Schedule: %v", err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkScheduleRunParallel drives independent core.Schedule calls from
-// GOMAXPROCS goroutines via b.RunParallel — the many-clients-one-engine shape
-// rather than the one-call-many-workers shape of the benchmarks above.
+// GOMAXPROCS goroutines via b.RunParallel: the many-clients-one-engine
+// shape, each call on its own goroutine.
 func BenchmarkScheduleRunParallel(b *testing.B) {
 	g, a := mustFigure1(b)
 	if _, err := core.Schedule(g, a, core.Options{}); err != nil {
@@ -321,7 +303,7 @@ func BenchmarkScheduleRunParallel(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := core.Schedule(g, a, core.Options{Workers: 1}); err != nil {
+			if _, err := core.Schedule(g, a, core.Options{}); err != nil {
 				b.Errorf("Schedule: %v", err)
 				return
 			}
@@ -343,7 +325,7 @@ func BenchmarkSolutionCodec(b *testing.B) {
 	if err != nil {
 		b.Fatalf("Generate: %v", err)
 	}
-	res, err := core.Schedule(inst.Graph, inst.Arch, core.Options{Workers: 1})
+	res, err := core.Schedule(inst.Graph, inst.Arch, core.Options{})
 	if err != nil {
 		b.Fatalf("Schedule: %v", err)
 	}
@@ -510,7 +492,7 @@ func BenchmarkValidate(b *testing.B) {
 	if err != nil {
 		b.Fatalf("Generate: %v", err)
 	}
-	res, err := core.Schedule(inst.Graph, inst.Arch, core.Options{Workers: 1})
+	res, err := core.Schedule(inst.Graph, inst.Arch, core.Options{})
 	if err != nil {
 		b.Fatalf("Schedule: %v", err)
 	}
@@ -663,7 +645,7 @@ func BenchmarkStrategies(b *testing.B) {
 			var res *core.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = core.Schedule(inst.Graph, inst.Arch, core.Options{Strategy: name, Workers: 1})
+				res, err = core.Schedule(inst.Graph, inst.Arch, core.Options{Strategy: name})
 				if err != nil {
 					b.Fatalf("Schedule: %v", err)
 				}

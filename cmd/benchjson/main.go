@@ -20,9 +20,11 @@
 //
 // With -prev <file>, the fresh results are additionally diffed against a
 // previous snapshot: every benchmark whose ns/op grew by more than
-// -regress-threshold (default 20%) is called out on stderr. The diff is
-// advisory — it never changes the exit code — so CI can surface creeping
-// slowdowns without flaking on noisy runners.
+// -regress-threshold (default 20%) is called out on stderr. Only recordings
+// of one host are compared: when the snapshot's cpu or GOMAXPROCS differs
+// from the fresh run's, one line names both and the ns/op comparison is
+// skipped. The diff is advisory — it never changes the exit code — so CI can
+// surface creeping slowdowns without flaking on noisy runners.
 package main
 
 import (
@@ -30,6 +32,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -119,7 +122,7 @@ func main() {
 	}
 
 	if *prev != "" {
-		diffAgainst(*prev, res, *threshold)
+		diffAgainst(os.Stderr, *prev, res, *threshold)
 	}
 
 	enc := json.NewEncoder(os.Stdout)
@@ -131,19 +134,25 @@ func main() {
 }
 
 // diffAgainst compares the fresh results against a previous snapshot and
-// warns on stderr about every benchmark whose ns/op grew by more than the
+// warns on w about every benchmark whose ns/op grew by more than the
 // threshold fraction. It is advisory by design — benchmark noise on shared CI
 // runners must not fail the build — so it never touches the exit code; an
-// unreadable previous file just notes that the comparison was skipped.
-func diffAgainst(path string, cur Results, threshold float64) {
+// unreadable previous file, or one recorded on another cpu or at another
+// GOMAXPROCS, just notes why the comparison was skipped.
+func diffAgainst(w io.Writer, path string, cur Results, threshold float64) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: skipping comparison: %v\n", err)
+		fmt.Fprintf(w, "benchjson: skipping comparison: %v\n", err)
 		return
 	}
 	var old Results
 	if err := json.Unmarshal(data, &old); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: skipping comparison: parsing %s: %v\n", path, err)
+		fmt.Fprintf(w, "benchjson: skipping comparison: parsing %s: %v\n", path, err)
+		return
+	}
+	if old.CPU != cur.CPU || old.GOMAXPROCS != cur.GOMAXPROCS {
+		fmt.Fprintf(w, "benchjson: skipping the ns/op comparison: %s was recorded on cpu %q at GOMAXPROCS %d, this run on cpu %q at GOMAXPROCS %d\n",
+			path, old.CPU, old.GOMAXPROCS, cur.CPU, cur.GOMAXPROCS)
 		return
 	}
 	prevNs := make(map[string]float64, len(old.Benchmarks))
@@ -165,12 +174,12 @@ func diffAgainst(path string, cur Results, threshold float64) {
 		change := (ns - oldNs) / oldNs
 		if change > threshold {
 			regressions++
-			fmt.Fprintf(os.Stderr, "benchjson: WARNING: %s regressed %.1f%% (%.0f -> %.0f ns/op) vs %s\n",
+			fmt.Fprintf(w, "benchjson: WARNING: %s regressed %.1f%% (%.0f -> %.0f ns/op) vs %s\n",
 				b.Name, change*100, oldNs, ns, path)
 		}
 	}
 	if regressions == 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: no ns/op regression beyond %.0f%% vs %s\n", threshold*100, path)
+		fmt.Fprintf(w, "benchjson: no ns/op regression beyond %.0f%% vs %s\n", threshold*100, path)
 	}
 }
 

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	cpgsched -in problem.json [-selection largest|smallest|first]
-//	         [-priority cp|order] [-conflicts move|delay] [-workers N]
+//	         [-priority cp|order] [-conflicts move|delay]
 //	         [-strategy critical-path|tabu] [-tabu-iters N]
 //	         [-gantt] [-dot out.dot] [-solution out.json] [-quiet]
 //
@@ -54,7 +54,6 @@ func run(args []string, out io.Writer) error {
 	csvOut := fs.String("csv", "", "write the schedule table as CSV to this file")
 	jsonOut := fs.String("table-json", "", "write the schedule table as JSON to this file")
 	solOut := fs.String("solution", "", "write the v1 solution document to this file")
-	workers := fs.Int("workers", 0, "worker goroutines for path scheduling (0 = all CPUs, 1 = sequential)")
 	quiet := fs.Bool("quiet", false, "print only the delays")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -103,9 +102,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if set["tabu-iters"] {
 		opts.StrategyParams.TabuIterations = *tabuIters
-	}
-	if set["workers"] {
-		opts.Workers = *workers
 	}
 
 	if *dot != "" {

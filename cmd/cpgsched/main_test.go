@@ -137,7 +137,7 @@ func TestScheduleCommandStrategyFlag(t *testing.T) {
 }
 
 func TestScheduleCommandV1DocumentOptions(t *testing.T) {
-	path := writeProblem(t, core.Options{PathSelection: core.SelectSmallestDelay, Workers: 1})
+	path := writeProblem(t, core.Options{PathSelection: core.SelectSmallestDelay})
 	var out bytes.Buffer
 	if err := run([]string{"-in", path}, &out); err != nil {
 		t.Fatalf("run: %v", err)
@@ -152,7 +152,7 @@ func TestScheduleCommandV1DocumentOptions(t *testing.T) {
 }
 
 func TestScheduleCommandSolutionOutput(t *testing.T) {
-	path := writeProblem(t, core.Options{PathSelection: core.SelectSmallestDelay, Workers: 1})
+	path := writeProblem(t, core.Options{PathSelection: core.SelectSmallestDelay})
 	sol := filepath.Join(t.TempDir(), "solution.json")
 	var out bytes.Buffer
 	if err := run([]string{"-in", path, "-quiet", "-solution", sol}, &out); err != nil {
@@ -168,13 +168,5 @@ func TestScheduleCommandSolutionOutput(t *testing.T) {
 	}
 	if doc.Version != textio.ProblemVersion || doc.TableText == "" || doc.DeltaMax < doc.DeltaM {
 		t.Fatalf("solution document unexpected: version %q, δ %d/%d", doc.Version, doc.DeltaM, doc.DeltaMax)
-	}
-}
-
-func TestScheduleCommandNegativeWorkers(t *testing.T) {
-	path := writeProblem(t, core.Options{})
-	var out bytes.Buffer
-	if err := run([]string{"-in", path, "-workers", "-1"}, &out); err == nil {
-		t.Fatalf("negative -workers must fail")
 	}
 }

@@ -13,8 +13,7 @@
 // for the endpoint list, the /metrics exposition and the admission-control
 // conventions); this command only adds flags, logging and graceful shutdown.
 // -workers is the number of worker tokens, one goroutine each: a schedule
-// miss holds one (a document's options.workers is ignored) and a sweep shard
-// up to its workers' worth. -limit-light bounds concurrent schedule requests
+// miss holds one and a sweep shard up to its workers' worth. -limit-light bounds concurrent schedule requests
 // and -limit-heavy concurrent sweep shards; requests over a bound are shed
 // with 429 + Retry-After (0 = budget-derived defaults, negative = unlimited).
 package main

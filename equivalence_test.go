@@ -52,25 +52,23 @@ func TestFigure1EquivalentToSeed(t *testing.T) {
 		t.Fatalf("Figure1: %v", err)
 	}
 	const goldenPath = "testdata/figure1_golden.txt"
-	for _, workers := range []int{1, 4} {
-		res, err := core.Schedule(g, a, core.Options{Workers: workers})
-		if err != nil {
-			t.Fatalf("Schedule(workers=%d): %v", workers, err)
+	res, err := core.Schedule(g, a, core.Options{})
+	if err != nil {
+		t.Fatalf("Schedule: %v", err)
+	}
+	got := scheduleFingerprint(res)
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
+			t.Fatalf("writing golden: %v", err)
 		}
-		got := scheduleFingerprint(res)
-		if os.Getenv("UPDATE_GOLDEN") != "" {
-			if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
-				t.Fatalf("writing golden: %v", err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(goldenPath)
-		if err != nil {
-			t.Fatalf("reading golden (run with UPDATE_GOLDEN=1 to create): %v", err)
-		}
-		if got != string(want) {
-			t.Errorf("Figure 1 fingerprint (workers=%d) differs from the seed implementation:\n--- got\n%s\n--- want\n%s", workers, got, want)
-		}
+		return
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("reading golden (run with UPDATE_GOLDEN=1 to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("Figure 1 fingerprint differs from the seed implementation:\n--- got\n%s\n--- want\n%s", got, want)
 	}
 }
 
@@ -86,7 +84,7 @@ func miniSweepFingerprint(t *testing.T, i int) string {
 	if err != nil {
 		t.Fatalf("Generate(%d): %v", i, err)
 	}
-	res, err := core.Schedule(inst.Graph, inst.Arch, core.Options{Workers: 1})
+	res, err := core.Schedule(inst.Graph, inst.Arch, core.Options{})
 	if err != nil {
 		t.Fatalf("Schedule(%d): %v", i, err)
 	}

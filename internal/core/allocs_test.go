@@ -13,13 +13,13 @@ import (
 	"repro/internal/gen"
 )
 
-// TestScheduleAllocs pins the allocations of one sequential core.Schedule
-// run: path scheduling, the merge, validation and simulation. An allocation
-// that creeps back into the dense schedule state (per-path schedules, the
-// merge's recycled schedules and lock set, subgraphs, table rows, traces)
-// shows up here first. The scratches come from pools shared across runs; the
-// ceilings hold when the pools are empty too (about 281 and 1,633
-// allocations), and a pool hit only lowers the count.
+// TestScheduleAllocs pins the allocations of one core.Schedule run: path
+// scheduling, the merge, validation and simulation. An allocation that
+// creeps back into the dense schedule state (per-path schedules, the merge's
+// recycled schedules and lock set, subgraphs, table rows, traces) shows up
+// here first. The scratches come from pools shared across runs: 206 and
+// 1,434 allocations measured with the pools warm, 253 and 1,545 with them
+// empty, so the ceilings hold either way.
 func TestScheduleAllocs(t *testing.T) {
 	fig1G, fig1A, err := expr.Figure1()
 	if err != nil {
@@ -44,7 +44,7 @@ func TestScheduleAllocs(t *testing.T) {
 			c.ceiling *= 1.1
 		}
 		n := testing.AllocsPerRun(20, func() {
-			if _, err := core.Schedule(c.g, c.a, core.Options{Workers: 1}); err != nil {
+			if _, err := core.Schedule(c.g, c.a, core.Options{}); err != nil {
 				t.Fatalf("Schedule: %v", err)
 			}
 		})
@@ -58,8 +58,8 @@ func TestScheduleAllocs(t *testing.T) {
 // TestWorkspaceAllocs pins what a recycled core.Workspace allocates per graph
 // in the steady state of a sweep worker: after one warm-up pass over the 30
 // graphs of a reduced sweep, a second pass may allocate at most 40 KB and 250
-// times per graph (about 12 KB and 124 measured, against about 370 KB and
-// 860 for core.Schedule). What is left is the path enumeration, the
+// times per graph (11.1 KB and 118 measured, against 364 KB and 854 for
+// core.Schedule). What is left is the path enumeration, the
 // simulator's traces and the per-run closures; a buffer of the per-graph state
 // that stops being recycled shows up here first.
 func TestWorkspaceAllocs(t *testing.T) {
@@ -79,7 +79,7 @@ func TestWorkspaceAllocs(t *testing.T) {
 	var ws core.Workspace
 	pass := func() {
 		for _, inst := range insts {
-			if _, err := ws.Schedule(context.Background(), inst.Graph, inst.Arch, core.Options{Workers: 1}); err != nil {
+			if _, err := ws.Schedule(context.Background(), inst.Graph, inst.Arch, core.Options{}); err != nil {
 				t.Fatalf("Workspace.Schedule: %v", err)
 			}
 		}

@@ -12,23 +12,6 @@ import (
 	"repro/internal/table"
 )
 
-func TestNegativeWorkersRejected(t *testing.T) {
-	inst, err := gen.Generate(gen.Config{Seed: 3, Nodes: 20, TargetPaths: 4, Processors: 2, Buses: 1})
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	_, err = Schedule(inst.Graph, inst.Arch, Options{Workers: -1})
-	if !errors.Is(err, ErrNegativeWorkers) {
-		t.Fatalf("Workers=-1 must be rejected with ErrNegativeWorkers; got %v", err)
-	}
-	// Workers = 0 (GOMAXPROCS) and 1 (sequential) both remain valid.
-	for _, w := range []int{0, 1} {
-		if _, err := Schedule(inst.Graph, inst.Arch, Options{Workers: w}); err != nil {
-			t.Fatalf("Workers=%d: %v", w, err)
-		}
-	}
-}
-
 // gridProblem generates the (nodes, paths) problem of seed s of the grid
 // scan: one source per seed, drawn for nodes 60, 80 and 120 and, inside
 // that, paths 10, 12, 18, 24 and 32, in that order.
@@ -57,10 +40,10 @@ func gridProblem(t *testing.T, s int64, nodes, paths int) *gen.Instance {
 // ConflictDelayToLatest. The paper's rule schedules the same problem.
 func TestMergeNotConvergedIsTyped(t *testing.T) {
 	inst := gridProblem(t, 159, 80, 10)
-	if _, err := Schedule(inst.Graph, inst.Arch, Options{Workers: 1, ConflictPolicy: ConflictDelayToLatest}); !errors.Is(err, ErrNotConverged) {
+	if _, err := Schedule(inst.Graph, inst.Arch, Options{ConflictPolicy: ConflictDelayToLatest}); !errors.Is(err, ErrNotConverged) {
 		t.Fatalf("a merge that reaches its safety bound must fail with ErrNotConverged; got %v", err)
 	}
-	if _, err := Schedule(inst.Graph, inst.Arch, Options{Workers: 1}); err != nil {
+	if _, err := Schedule(inst.Graph, inst.Arch, Options{}); err != nil {
 		t.Fatalf("under Theorem 2: %v", err)
 	}
 }
@@ -88,7 +71,7 @@ func TestScheduleContextCancelPromptly(t *testing.T) {
 	measure := func() time.Duration {
 		t.Helper()
 		start := time.Now()
-		if _, err := ScheduleContext(context.Background(), inst.Graph, inst.Arch, Options{Workers: 1}); err != nil {
+		if _, err := ScheduleContext(context.Background(), inst.Graph, inst.Arch, Options{}); err != nil {
 			t.Fatalf("uncancelled run: %v", err)
 		}
 		return time.Since(start)
@@ -115,7 +98,7 @@ func TestScheduleContextCancelPromptly(t *testing.T) {
 	for attempt := 1; ; attempt++ {
 		ctx, cancel := context.WithTimeout(context.Background(), full/10)
 		start := time.Now()
-		_, err := ScheduleContext(ctx, inst.Graph, inst.Arch, Options{Workers: 1})
+		_, err := ScheduleContext(ctx, inst.Graph, inst.Arch, Options{})
 		elapsed := time.Since(start)
 		cancel()
 		switch {
@@ -134,7 +117,7 @@ func TestScheduleContextCancelPromptly(t *testing.T) {
 }
 
 // TestSchedulePhasedOrder pins the phase hook contract: merge is announced
-// exactly once after the path fan-out, then validate exactly once, each
+// exactly once after the path phase, then validate exactly once, each
 // offered 1, and what the hook returns changes nothing: a hook that returns 0
 // or 99 leaves the result as a run without a hook gives it.
 func TestSchedulePhasedOrder(t *testing.T) {
@@ -142,17 +125,17 @@ func TestSchedulePhasedOrder(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	ref, err := Schedule(inst.Graph, inst.Arch, Options{Workers: 4})
+	ref, err := Schedule(inst.Graph, inst.Arch, Options{})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
 	for _, ret := range []int{0, 99} {
 		var phases []string
-		res, err := SchedulePhased(context.Background(), inst.Graph, inst.Arch, Options{Workers: 4},
+		res, err := SchedulePhased(context.Background(), inst.Graph, inst.Arch, Options{},
 			func(phase string, want int) int {
 				phases = append(phases, phase)
 				if want != 1 {
-					t.Errorf("phase %s offered %d workers, want 1", phase, want)
+					t.Errorf("phase %s offered %d, want 1", phase, want)
 				}
 				return ret
 			})
@@ -176,7 +159,7 @@ func TestScheduleWarmPhasedRunsCold(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	opt := Options{Workers: 1}
+	opt := Options{}
 	prev, err := Schedule(inst.Graph, inst.Arch, opt)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)

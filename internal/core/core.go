@@ -35,26 +35,27 @@
 //
 // A Workspace holds the scheduling state of one graph and recycles it for
 // the next, so a caller scheduling graph after graph stops allocating it per
-// graph. Lend lends workspaces from one pool: every graph of a sweep shard,
-// offline or on a server, and every memo miss of the scheduling service
-// borrows one. A workspace belongs to one goroutine at a time, and the Result
-// its Schedule method returns stays valid only until the next call on the
-// same workspace, which overwrites the table, schedules and subgraphs the
-// Result points to, even when that call fails or is cancelled. A lent
-// workspace goes back to the pool when the borrowing function returns, so
-// what the caller keeps is copied out inside it: the numbers of a sweep
-// graph, or a detached result (Result.Detach), which owns a compact copy of
-// the table, the path list and the violations, and keeps none of the
-// workspace's schedules, subgraphs, merge buffers, lock set or path records
-// alive. The pool is a sync.Pool: the collector frees the workspaces that no
-// caller has taken since the collection before, so one sized to a large
-// graph does not stay pinned. Schedule, ScheduleContext and SchedulePhased
-// run the same code on a fresh workspace, so their results own their memory.
+// graph. Lend lends workspaces from one pool: every memo miss of the
+// scheduling service borrows one, and so does every worker of a sweep shard,
+// offline or on a server, for all the graphs it schedules. A workspace
+// belongs to one goroutine at a time, and the Result its Schedule method
+// returns stays valid only until the next call on the same workspace, which
+// overwrites the table, schedules and subgraphs the Result points to, even
+// when that call fails or is cancelled. A lent workspace goes back to the
+// pool when the borrowing function returns, so what the caller keeps is
+// copied out inside it: the numbers of a sweep graph, or a detached result
+// (Result.Detach), which owns a compact copy of the table, the path list and
+// the violations, and keeps none of the workspace's schedules, subgraphs,
+// merge buffers, lock set or path records alive. The pool is a sync.Pool:
+// the collector frees the workspaces that no caller has taken since the
+// collection before, so one sized to a large graph does not stay pinned.
+// Schedule, ScheduleContext and SchedulePhased run the same code on a fresh
+// workspace, so their results own their memory.
 //
-// Every run is cold: it schedules every alternative path, merges the
-// schedules in one walk of the decision tree, then checks the table and
-// re-enacts every path on one goroutine. Only the path phase fans out, over
-// Options.Workers goroutines.
+// Every run is cold and runs on the calling goroutine: it schedules every
+// alternative path, merges the schedules in one walk of the decision tree,
+// then checks the table and re-enacts every path. Callers that want
+// parallelism run several problems at once, each in its own workspace.
 package core
 
 import (
@@ -67,14 +68,12 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/arch"
 	"repro/internal/cond"
 	"repro/internal/cpg"
 	"repro/internal/listsched"
-	"repro/internal/pool"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/table"
@@ -159,21 +158,11 @@ type Options struct {
 	ConflictPolicy ConflictPolicy
 	// MaxPaths bounds the number of alternative paths (0 = default bound).
 	MaxPaths int
-	// Workers bounds the number of goroutines scheduling the alternative
-	// paths concurrently (0 = GOMAXPROCS, 1 = sequential); the merge, the
-	// validation and the re-enactment run on one goroutine. Negative values
-	// are rejected by Schedule with an error; they are never treated as
-	// sequential. The result is identical for every worker count: per-path
-	// results are collected in path enumeration order.
-	//
-	// The scheduling service and the sweep ignore this field: they spread
-	// their goroutines over problems and graphs, and schedule each one on a
-	// single goroutine.
+	// Workers is read by no code of this module: every run schedules its
+	// paths on the calling goroutine. It stays only because the benchmark
+	// sets it; ROADMAP item 4's benchmark change deletes it.
 	Workers int
 }
-
-// ErrNegativeWorkers is returned by Schedule when Options.Workers < 0.
-var ErrNegativeWorkers = errors.New("core: Options.Workers must be >= 0 (0 = GOMAXPROCS)")
 
 // ErrUnknownStrategy is returned by Schedule when Options.Strategy names no
 // scheduling strategy.
@@ -347,7 +336,8 @@ type merger struct {
 	// bus0 is the architecture's first broadcast bus (NoPE when it has
 	// none), the bus a broadcast takes when every bus is free.
 	bus0 arch.PEID
-	// scratch is reused by every reschedule of the (sequential) merge.
+	// scratch is reused by every path of the path phase and every
+	// reschedule of the merge.
 	scratch *listsched.Scratch
 	// The merge has one live current schedule and one live lock set: a frame
 	// of explore never reads its cur or fixed again once its recursive call
@@ -378,12 +368,10 @@ type Workspace struct {
 	// built, by path index.
 	subs   []*cpg.Subgraph
 	scheds []*sched.PathSchedule
-	// m keeps the path records, the merge buffers, the lock set and the
-	// table across runs.
+	// m keeps the path records, the merge buffers, the lock set, the table
+	// and the list-scheduling scratch of the path phase and the merge across
+	// runs.
 	m merger
-	// scratches holds one list-scheduling scratch per path-phase worker; the
-	// first also serves the merge.
-	scratches []*listsched.Scratch
 	// res is the Result every run refills.
 	res *Result
 }
@@ -419,7 +407,7 @@ func Schedule(g *cpg.Graph, a *arch.Architecture, opt Options) (*Result, error) 
 
 // Phases reported to a PhaseFunc, in run order.
 const (
-	// PhaseMerge begins when the path fan-out is done and the merge starts.
+	// PhaseMerge begins when every path is scheduled and the merge starts.
 	PhaseMerge = "merge"
 	// PhaseValidate begins when the merge is done and the validation and
 	// re-enactment start.
@@ -434,9 +422,9 @@ const (
 type PhaseFunc func(phase string, want int) int
 
 // ScheduleContext is Schedule with cancellation: the context is checked
-// before every path-scheduling job of the fan-out and between the back-steps
-// of the merge loop, so a long merge aborts promptly (returning ctx.Err())
-// when the caller cancels or times out.
+// before every path is scheduled and between the back-steps of the merge
+// loop, so a long merge aborts promptly (returning ctx.Err()) when the
+// caller cancels or times out.
 func ScheduleContext(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt Options) (*Result, error) {
 	return SchedulePhased(ctx, g, a, opt, nil)
 }
@@ -444,8 +432,8 @@ func ScheduleContext(ctx context.Context, g *cpg.Graph, a *arch.Architecture, op
 // SchedulePhased is ScheduleContext reporting phase transitions to phases
 // (which may be nil). It runs on a fresh workspace.
 func SchedulePhased(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt Options, phases PhaseFunc) (*Result, error) {
-	ws := new(Workspace)
-	defer ws.putScratches()
+	ws := &Workspace{m: merger{scratch: scratchPool.Get().(*listsched.Scratch)}}
+	defer scratchPool.Put(ws.m.scratch)
 	return ws.schedule(ctx, g, a, opt, phases)
 }
 
@@ -456,22 +444,10 @@ func ScheduleWarmPhased(ctx context.Context, prev *Result, g *cpg.Graph, a *arch
 	return SchedulePhased(ctx, g, a, opt, phases)
 }
 
-// putScratches hands the workspace's list-scheduling scratches back to
-// scratchPool, for the next fresh workspace.
-func (ws *Workspace) putScratches() {
-	for _, sc := range ws.scratches {
-		scratchPool.Put(sc)
-	}
-	ws.scratches = nil
-}
-
 // schedule runs the full pipeline in the workspace.
 func (ws *Workspace) schedule(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt Options, phases PhaseFunc) (*Result, error) {
 	if g == nil || a == nil {
 		return nil, errors.New("core: nil graph or architecture")
-	}
-	if opt.Workers < 0 {
-		return nil, fmt.Errorf("%w; got %d", ErrNegativeWorkers, opt.Workers)
 	}
 	strategy, err := resolveStrategy(opt)
 	if err != nil {
@@ -490,9 +466,6 @@ func (ws *Workspace) schedule(ctx context.Context, g *cpg.Graph, a *arch.Archite
 		return nil, err
 	}
 	m := ws.reset(ctx, g, a, opt, len(paths))
-	for len(ws.scratches) < pool.Clamp(len(paths), opt.Workers) {
-		ws.scratches = append(ws.scratches, scratchPool.Get().(*listsched.Scratch))
-	}
 	//lint:allow nowallclock phase telemetry reported via Stats; never part of the table output or any hash
 	tPathSched := time.Now()
 	if err := ws.schedulePaths(ctx, strategy, paths); err != nil {
@@ -518,7 +491,7 @@ func (ws *Workspace) schedule(ctx context.Context, g *cpg.Graph, a *arch.Archite
 	m.stats.Paths = len(paths)
 	m.stats.PathSchedulingTime = time.Since(tPathSched)
 
-	// Merge (sequential: a single goroutine walks the decision tree).
+	// Merge: one walk of the decision tree.
 	if phases != nil {
 		phases(PhaseMerge, 1)
 	}
@@ -528,7 +501,6 @@ func (ws *Workspace) schedule(ctx context.Context, g *cpg.Graph, a *arch.Archite
 	if start == nil {
 		return nil, errors.New("core: no alternative path found")
 	}
-	m.scratch = ws.scratches[0]
 	if err := m.explore(start, start.optimal, m.locks, cond.True(), 0); err != nil {
 		return nil, err
 	}
@@ -573,8 +545,11 @@ func (ws *Workspace) schedule(ctx context.Context, g *cpg.Graph, a *arch.Archite
 // buffers and the slots keep their buffers.
 func (ws *Workspace) reset(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt Options, paths int) *merger {
 	m := &ws.m
-	*m = merger{ctx: ctx, g: g, a: a, opt: opt, tbl: m.tbl,
+	*m = merger{ctx: ctx, g: g, a: a, opt: opt, tbl: m.tbl, scratch: m.scratch,
 		paths: slices.Grow(m.paths[:0], paths)[:paths], bufs: m.bufs, locks: m.locks, cols: m.cols, bus0: arch.NoPE}
+	if m.scratch == nil {
+		m.scratch = new(listsched.Scratch)
+	}
 	if m.tbl == nil {
 		m.tbl = table.New(g.NumProcs())
 	} else {
@@ -602,65 +577,41 @@ func (ws *Workspace) reset(ctx context.Context, g *cpg.Graph, a *arch.Architectu
 	return m
 }
 
-// scratchPool lends list-scheduling scratches to workspaces: one per worker
-// of the path phase, the first also serving the merge. A workspace keeps its
-// scratches; the fresh workspaces of Schedule and its variants hand theirs
-// back when the run ends. A scratch keeps the buffers of the largest graph it
-// scheduled, and every run resets what it reads.
+// scratchPool lends list-scheduling scratches to the fresh workspaces of
+// Schedule and its variants, which hand theirs back when the run ends; a
+// recycled workspace keeps its own. A scratch keeps the buffers of the
+// largest graph it scheduled, and every run resets what it reads.
 var scratchPool = sync.Pool{New: func() any { return new(listsched.Scratch) }}
 
-// schedulePaths schedules every alternative path into the workspace's path
-// records, fanning the independent per-path strategy runs out over a bounded
-// worker pool, one scratch per worker — for the improvement strategies
-// (tabu), the expensive per-path iteration loops are exactly what rides the
-// pool. The graph, architecture and paths are only read, and every worker
-// writes exclusively to its path's record and slots, so the fan-out is
-// race-free; results are indexed by path so the outcome is identical to the
-// sequential loop regardless of worker count or completion order. Every
+// schedulePaths schedules every alternative path, in enumeration order, into
+// the workspace's path records with the workspace's one scratch. Every
 // path's subgraph is extracted into the workspace's subgraph slot. The
 // default scheduler writes into the workspace's schedule slots; a strategy
-// returns schedules of its own, which no slot ever holds.
+// returns schedules of its own, which no slot ever holds. The context is
+// checked before each path.
 func (ws *Workspace) schedulePaths(ctx context.Context, strategy listsched.Strategy, paths []*cpg.Path) error {
 	m := &ws.m
 	g, a, opt := m.g, m.a, m.opt
-	errs := make([]error, len(paths))
-	var failed atomic.Bool
-	pool.ForEachIndexWorker(len(paths), opt.Workers, func(worker, i int) {
-		if failed.Load() {
-			return // another path already failed; skip the remaining work
-		}
+	for i, p := range paths {
 		if err := ctx.Err(); err != nil {
-			errs[i] = err
-			failed.Store(true)
-			return
+			return err
 		}
-		p := paths[i]
 		sub := g.SubgraphInto(ws.subs[i], p)
 		ws.subs[i] = sub
 		var ps *sched.PathSchedule
 		var err error
 		if strategy != nil {
-			ps, _, err = strategy.SchedulePath(ws.scratches[worker], sub, a, opt.StrategyParams)
+			ps, _, err = strategy.SchedulePath(m.scratch, sub, a, opt.StrategyParams)
 		} else {
-			ps, _, err = ws.scratches[worker].ScheduleInto(ws.scheds[i], sub, a, listsched.Options{Priority: opt.PathPriority})
+			ps, _, err = m.scratch.ScheduleInto(ws.scheds[i], sub, a, listsched.Options{Priority: opt.PathPriority})
 			if err == nil {
 				ws.scheds[i] = ps
 			}
 		}
 		if err != nil {
-			errs[i] = fmt.Errorf("core: scheduling path %s: %w", p.Label.Format(g.CondName), err)
-			failed.Store(true)
-			return
+			return fmt.Errorf("core: scheduling path %s: %w", p.Label.Format(g.CondName), err)
 		}
 		m.paths[i].set(p, sub, ps)
-	})
-
-	// Report the lowest-indexed recorded error (later paths may have been
-	// skipped once the first failure was observed).
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -49,7 +49,6 @@ func FuzzMergeRequirements(f *testing.F) {
 				// Small bounds keep a tabu fuzz iteration cheap; the loop
 				// shape (promote, re-evaluate, accept best) is the same.
 				StrategyParams: listsched.StrategyParams{TabuIterations: 4, TabuNeighbors: 4},
-				Workers:        1,
 			})
 			if err != nil {
 				t.Fatalf("Schedule(%+v, strategy=%s): %v", cfg, name, err)

@@ -17,7 +17,7 @@ func TestPublishedSchedulesMatchFreshRuns(t *testing.T) {
 	for ci, cfg := range strategyCorpus {
 		inst := corpusInstance(t, cfg)
 		for _, name := range listsched.StrategyNames() {
-			res, err := Schedule(inst.Graph, inst.Arch, Options{Strategy: name, Workers: 1})
+			res, err := Schedule(inst.Graph, inst.Arch, Options{Strategy: name})
 			if err != nil {
 				t.Fatalf("instance %d strategy %s: %v", ci, name, err)
 			}

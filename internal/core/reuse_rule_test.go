@@ -60,9 +60,7 @@ func TestReuseRule(t *testing.T) {
 	var counts core.ReuseCounts
 	for pi, p := range problems {
 		for _, o := range reuseOptions {
-			opt := o.opt
-			opt.Workers = 1
-			res, err := core.Schedule(p.inst.Graph, p.inst.Arch, opt)
+			res, err := core.Schedule(p.inst.Graph, p.inst.Arch, o.opt)
 			if err != nil {
 				t.Fatalf("%s under %s: %v", p.name, o.name, err)
 			}

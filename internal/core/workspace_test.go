@@ -15,8 +15,8 @@ import (
 )
 
 // TestWorkspaceMatchesFreshSchedule schedules a shuffled sequence of graphs
-// through one workspace, at one and two workers, and compares every result
-// with a fresh core.Schedule of the same graph. The sequence holds Figure 1,
+// through one workspace and compares every result with a fresh core.Schedule
+// of the same graph. The sequence holds Figure 1,
 // a graph without conditions and grid graphs whose sizes go up and down, each
 // twice, plus two tabu runs, whose schedules the strategy allocates itself,
 // so the workspace recycles every buffer for larger and smaller graphs.
@@ -54,24 +54,19 @@ func TestWorkspaceMatchesFreshSchedule(t *testing.T) {
 		problem{name: problems[2].name + " tabu", g: problems[2].g, a: problems[2].a, opt: tabu})
 
 	r := rand.New(rand.NewSource(25))
-	for _, workers := range []int{1, 2} {
-		var ws core.Workspace
-		order := append(r.Perm(len(problems)), r.Perm(len(problems))...)
-		for _, i := range order {
-			p := problems[i]
-			opt := p.opt
-			opt.Workers = workers
-			want, err := core.Schedule(p.g, p.a, opt)
-			if err != nil {
-				t.Fatalf("%s: Schedule: %v", p.name, err)
-			}
-			got, err := ws.Schedule(context.Background(), p.g, p.a, opt)
-			if err != nil {
-				t.Fatalf("%s: Workspace.Schedule: %v", p.name, err)
-			}
-			if msg := diffResults(got, want); msg != "" {
-				t.Fatalf("workers=%d, %s: the workspace's result differs from a fresh Schedule: %s", workers, p.name, msg)
-			}
+	var ws core.Workspace
+	for _, i := range append(r.Perm(len(problems)), r.Perm(len(problems))...) {
+		p := problems[i]
+		want, err := core.Schedule(p.g, p.a, p.opt)
+		if err != nil {
+			t.Fatalf("%s: Schedule: %v", p.name, err)
+		}
+		got, err := ws.Schedule(context.Background(), p.g, p.a, p.opt)
+		if err != nil {
+			t.Fatalf("%s: Workspace.Schedule: %v", p.name, err)
+		}
+		if msg := diffResults(got, want); msg != "" {
+			t.Fatalf("%s: the workspace's result differs from a fresh Schedule: %s", p.name, msg)
 		}
 	}
 }

@@ -176,11 +176,7 @@ func (InProcess) Name() string { return "in-process" }
 // RunShardStream implements Backend.
 func (b InProcess) RunShardStream(ctx context.Context, cfg expr.SweepConfig, yield func(expr.GraphResult) error) (*expr.ShardResult, error) {
 	if b.Service != nil {
-		sol, err := b.Service.SweepShard(ctx, cfg, yield)
-		if err != nil {
-			return nil, err
-		}
-		return sol.Shard, nil
+		return b.Service.SweepShard(ctx, cfg, yield)
 	}
 	return expr.RunSweepShardStream(ctx, cfg, yield)
 }

@@ -5,10 +5,11 @@
 // in the style of the paper.
 //
 // Every sweep runs through RunSweepShardStream, one shard at a time, whole
-// sweeps included. Each of its graphs schedules in a workspace core.Lend
-// lends from core's one pool, whether the shard runs offline or on a
-// server, and its yield is the one per-graph callback: a server streams the
-// shard's frames from it and a command line reports progress from it.
+// sweeps included. Each of its workers schedules its graphs in one workspace
+// that core.Lend lends from core's one pool, whether the shard runs offline
+// or on a server, and its yield is the one per-graph callback: a server
+// streams the shard's frames from it and a command line reports progress
+// from it.
 package expr
 
 import (

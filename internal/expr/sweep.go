@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
-	"repro/internal/pool"
 	"repro/internal/stats"
 )
 
@@ -43,8 +43,7 @@ type SweepConfig struct {
 	// Workers bounds the number of goroutines scheduling sweep graphs
 	// concurrently (0 = GOMAXPROCS, 1 = sequential).
 	Workers int
-	// Options are passed to the table generation, except Workers: every
-	// graph is scheduled on one goroutine.
+	// Options are passed to the table generation of every graph.
 	Options core.Options
 	// ShardIndex and ShardCount select one shard of the sweep for
 	// distributed execution: every (nodes, paths, index) graph is assigned
@@ -296,17 +295,21 @@ type ShardResult struct {
 // shard on cfg.Workers goroutines and returns their raw measurements in
 // canonical job order. Per-graph seeds depend only on cfg.Seed and the graph
 // coordinates, so any partition of the sweep into shards — executed anywhere,
-// in any order — produces the same per-graph results. It calls yield (when
-// non-nil) once per graph as it completes, in completion order: the one
-// per-graph callback, which a server streams frames from and a command line
-// reports progress from. Yields are serialized (never concurrent) but may
-// come from worker goroutines. The yielded results are exactly the entries
-// of the returned ShardResult — a consumer that received every yield needs
-// nothing from the final result but its error. If yield returns an error the
-// shard aborts promptly and returns that error: a streaming server uses this
-// to stop computing when the client is gone. Cancelling ctx aborts the shard
-// promptly (between graphs and between merge back-steps of the in-flight
-// graphs) and returns ctx.Err().
+// in any order — produces the same per-graph results. Each worker borrows one
+// workspace from core.Lend for its whole share of the shard, so every graph
+// after its first recycles the scheduling state of the one before. It calls
+// yield (when non-nil) once per graph as it completes, in completion order:
+// the one per-graph callback, which a server streams frames from and a
+// command line reports progress from. Yields are serialized (never
+// concurrent) but come from worker goroutines. The yielded results are
+// exactly the entries of the returned ShardResult — a consumer that received
+// every yield needs nothing from the final result but its error. If yield
+// returns an error the shard aborts promptly and returns that error: a
+// streaming server uses this to stop computing when the client is gone.
+// Cancelling ctx aborts the shard promptly (between graphs and between merge
+// back-steps of the in-flight graphs) and returns ctx.Err(). After a failure
+// no further graph starts, and the failure of the lowest-indexed graph is
+// returned.
 func RunSweepShardStream(ctx context.Context, cfg SweepConfig, yield func(GraphResult) error) (*ShardResult, error) {
 	cfg = cfg.Normalize()
 	if err := cfg.ValidateShard(); err != nil {
@@ -316,65 +319,55 @@ func RunSweepShardStream(ctx context.Context, cfg SweepConfig, yield func(GraphR
 		return nil, err
 	}
 	jobs := cfg.shardJobs()
-
-	// The sweep parallelises across graphs, so each graph's paths are
-	// scheduled on the goroutine that took the graph: cfg.Workers bounds the
-	// goroutines of the whole shard, and Workers=1 is a sequential run.
-	opts := cfg.Options
-	opts.Workers = 1
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = max(min(workers, len(jobs)), 1)
 
 	results := make([]GraphResult, len(jobs))
 	errs := make([]error, len(jobs))
 	var failed atomic.Bool
 	var mu sync.Mutex // serializes yield across workers
-	pool.ForEachIndexWorker(len(jobs), cfg.Workers, func(_, j int) {
-		if failed.Load() {
-			return // a job already failed; drain the queue without working
-		}
-		fail := func(err error) {
-			errs[j] = err
-			failed.Store(true)
-		}
-		job := jobs[j]
-		if err := ctx.Err(); err != nil {
-			fail(err)
-			return
-		}
-		inst, err := gen.Generate(GraphConfig(cfg.Seed, job.Nodes, job.Paths, job.Index))
-		if err != nil {
-			fail(fmt.Errorf("expr: generating graph %d of cell n%d/p%d: %w", job.Index, job.Nodes, job.Paths, err))
-			return
-		}
-		// Each graph schedules in a workspace core lends it, which recycles
-		// an earlier graph's scheduling state: the graph's numbers are read
-		// out before the workspace goes back.
-		core.Lend(func(ws *core.Workspace) {
-			var res *core.Result
-			if res, err = ws.Schedule(ctx, inst.Graph, inst.Arch, opts); err == nil {
-				results[j] = GraphResult{
-					Nodes:       job.Nodes,
-					Paths:       job.Paths,
-					Index:       job.Index,
-					IncreasePct: res.IncreasePercent(),
-					MergeNs:     float64(res.Stats.MergeTime),
-					PathSchedNs: float64(res.Stats.PathSchedulingTime),
-					Violation:   !res.Deterministic(),
+	next := make(chan int)
+	// work runs one worker's share of the shard in the workspace it
+	// borrowed, taking graphs from next until the queue is closed.
+	work := func(ws *core.Workspace) {
+		for j := range next {
+			if failed.Load() {
+				continue // a job already failed; drain the queue without working
+			}
+			job := jobs[j]
+			err := ctx.Err()
+			if err == nil {
+				results[j], err = sweepGraph(ctx, ws, cfg, job)
+			}
+			if err == nil && yield != nil {
+				mu.Lock()
+				if err = yield(results[j]); err != nil {
+					err = fmt.Errorf("expr: streaming graph %d of cell n%d/p%d: %w", job.Index, job.Nodes, job.Paths, err)
 				}
+				mu.Unlock()
 			}
-		})
-		if err != nil {
-			fail(fmt.Errorf("expr: scheduling graph %d of cell n%d/p%d: %w", job.Index, job.Nodes, job.Paths, err))
-			return
-		}
-		if yield != nil {
-			mu.Lock()
-			err := yield(results[j])
-			mu.Unlock()
 			if err != nil {
-				fail(fmt.Errorf("expr: streaming graph %d of cell n%d/p%d: %w", job.Index, job.Nodes, job.Paths, err))
+				errs[j] = err
+				failed.Store(true)
 			}
 		}
-	})
+	}
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			core.Lend(work)
+		}()
+	}
+	for j := range jobs {
+		next <- j
+	}
+	close(next)
+	wg.Wait()
 
 	for _, err := range errs {
 		if err != nil {
@@ -387,6 +380,29 @@ func RunSweepShardStream(ctx context.Context, cfg SweepConfig, yield func(GraphR
 		}
 	}
 	return &ShardResult{ShardIndex: cfg.ShardIndex, ShardCount: cfg.ShardCount, Results: results}, nil
+}
+
+// sweepGraph generates the graph of job and schedules it in ws, reading the
+// graph's numbers out of the result before the workspace's next run
+// overwrites it.
+func sweepGraph(ctx context.Context, ws *core.Workspace, cfg SweepConfig, job GraphKey) (GraphResult, error) {
+	inst, err := gen.Generate(GraphConfig(cfg.Seed, job.Nodes, job.Paths, job.Index))
+	if err != nil {
+		return GraphResult{}, fmt.Errorf("expr: generating graph %d of cell n%d/p%d: %w", job.Index, job.Nodes, job.Paths, err)
+	}
+	res, err := ws.Schedule(ctx, inst.Graph, inst.Arch, cfg.Options)
+	if err != nil {
+		return GraphResult{}, fmt.Errorf("expr: scheduling graph %d of cell n%d/p%d: %w", job.Index, job.Nodes, job.Paths, err)
+	}
+	return GraphResult{
+		Nodes:       job.Nodes,
+		Paths:       job.Paths,
+		Index:       job.Index,
+		IncreasePct: res.IncreasePercent(),
+		MergeNs:     float64(res.Stats.MergeTime),
+		PathSchedNs: float64(res.Stats.PathSchedulingTime),
+		Violation:   !res.Deterministic(),
+	}, nil
 }
 
 // RunSweep generates the graphs of the sweep, produces a schedule table for

@@ -1,11 +1,6 @@
 package expr
 
-import (
-	"testing"
-
-	"repro/internal/core"
-	"repro/internal/table"
-)
+import "testing"
 
 // TestRunSweepDeterministicAcrossWorkers is the regression test for sweep
 // determinism: the same SweepConfig.Seed must produce byte-identical rendered
@@ -75,31 +70,5 @@ func TestCellSeedStable(t *testing.T) {
 			t.Errorf("cellSeed collision for %+v: %d", tc, s)
 		}
 		seen[s] = true
-	}
-}
-
-// TestScheduleWorkersEquivalent checks that core.Schedule returns the same
-// table and delays with sequential and parallel path scheduling.
-func TestScheduleWorkersEquivalent(t *testing.T) {
-	g, a, err := Figure1()
-	if err != nil {
-		t.Fatalf("Figure1: %v", err)
-	}
-	seq, err := core.Schedule(g, a, core.Options{Workers: 1})
-	if err != nil {
-		t.Fatalf("Schedule(workers=1): %v", err)
-	}
-	par, err := core.Schedule(g, a, core.Options{Workers: 8})
-	if err != nil {
-		t.Fatalf("Schedule(workers=8): %v", err)
-	}
-	if seq.DeltaM != par.DeltaM || seq.DeltaMax != par.DeltaMax {
-		t.Errorf("delays differ: workers=1 δM=%d δmax=%d, workers=8 δM=%d δmax=%d",
-			seq.DeltaM, seq.DeltaMax, par.DeltaM, par.DeltaMax)
-	}
-	rs := seq.Table.Render(table.RenderOptions{Namer: g.CondName, RowName: seq.RowName})
-	rp := par.Table.Render(table.RenderOptions{Namer: g.CondName, RowName: par.RowName})
-	if rs != rp {
-		t.Errorf("schedule tables differ:\n--- workers=1\n%s\n--- workers=8\n%s", rs, rp)
 	}
 }

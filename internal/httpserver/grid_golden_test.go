@@ -22,15 +22,15 @@ import (
 // TestGridResponsesGolden). A change here means a /v1/schedule solution or a
 // per-path schedule of some grid problem changed.
 const (
-	gridGoldenShort = "47ad0592120a12f8ce26fbdee7b930df26e54a2afdae9713d7094643c6a5f752" // 3 problems (-short)
-	gridGolden      = "1d53de09c5cae4aece3e3394ea084ff6fe5e4758e7b5cb19a05280db63fa74cb" // 45 problems
+	gridGoldenShort = "a786bef791f26ea3bccbc1fc9ee1ea72c703fba587a78bac2ad50c0b6dee98fa" // 3 problems (-short)
+	gridGolden      = "43350e6ec10c7d67ab6e07b8efb82e633974264f434f10591d9709ebe39be9e5" // 45 problems
 )
 
 // TestGridResponsesGolden pins, byte for byte, what the server answers for
 // problems of the benchmark's sizes: nodes 60, 80 and 120 × paths 10, 12,
 // 18, 24 and 32, three seeds per cell (one seed of three cells under -short),
-// under the critical-path and tabu strategies at workers 1 and 2, each set
-// in the problem document's options. It hashes the /v1/schedule solution
+// under the critical-path and tabu strategies, each set in the problem
+// document's options. It hashes the /v1/schedule solution
 // document (wall-clock timings zeroed, cache block dropped) and the optimal
 // per-path schedules, entries and condition timings, of a core.Schedule run
 // of the same document, since the served result keeps no schedules. Served
@@ -65,37 +65,33 @@ func TestGridResponsesGolden(t *testing.T) {
 	}
 
 	h := sha256.New()
-	for _, workers := range []int{1, 2} {
-		// One server per worker count: the memo ignores options.workers, so
-		// a shared server would answer the second count from its cache.
-		srv, err := NewServer(Options{Service: service.Config{Workers: 2}})
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		routes := srv.Routes(nil)
-		for _, strategy := range []string{"critical-path", "tabu"} {
-			for _, p := range problems {
-				doc := textio.EncodeProblem(p.inst.Graph, p.inst.Arch, core.Options{Strategy: strategy, Workers: workers})
-				body, err := json.Marshal(doc)
-				if err != nil {
-					t.Fatalf("Marshal: %v", err)
-				}
-				fmt.Fprintf(h, "%s strategy=%s workers=%d\n", p.name, strategy, workers)
-				sol := serveGrid(t, routes, "/v1/schedule", body)
-				requireCompact(t, p.name, sol)
-				var out textio.SolutionDoc
-				if err := json.Unmarshal(sol, &out); err != nil {
-					t.Fatalf("%s: unmarshal solution: %v", p.name, err)
-				}
-				out.Stats.PathSchedulingNs, out.Stats.MergeNs, out.Stats.ValidationNs = 0, 0, 0
-				out.Cache = nil
-				norm, err := json.Marshal(&out)
-				if err != nil {
-					t.Fatalf("%s: marshal solution: %v", p.name, err)
-				}
-				h.Write(norm)
-				hashSchedules(t, h, doc)
+	srv, err := NewServer(Options{Service: service.Config{Workers: 2}})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	routes := srv.Routes(nil)
+	for _, strategy := range []string{"critical-path", "tabu"} {
+		for _, p := range problems {
+			doc := textio.EncodeProblem(p.inst.Graph, p.inst.Arch, core.Options{Strategy: strategy})
+			body, err := json.Marshal(doc)
+			if err != nil {
+				t.Fatalf("Marshal: %v", err)
 			}
+			fmt.Fprintf(h, "%s strategy=%s\n", p.name, strategy)
+			sol := serveGrid(t, routes, "/v1/schedule", body)
+			requireCompact(t, p.name, sol)
+			var out textio.SolutionDoc
+			if err := json.Unmarshal(sol, &out); err != nil {
+				t.Fatalf("%s: unmarshal solution: %v", p.name, err)
+			}
+			out.Stats.PathSchedulingNs, out.Stats.MergeNs, out.Stats.ValidationNs = 0, 0, 0
+			out.Cache = nil
+			norm, err := json.Marshal(&out)
+			if err != nil {
+				t.Fatalf("%s: marshal solution: %v", p.name, err)
+			}
+			h.Write(norm)
+			hashSchedules(t, h, doc)
 		}
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {

@@ -24,9 +24,9 @@
 // document field to use. Every error is reported as a JSON envelope
 // {"error":{"status":...,"message":...}}. Concurrent requests share the
 // global worker budget: a /v1/schedule miss runs on one goroutine under one
-// token, whatever its options.workers says (a negative value is still a
-// 400), and a sweep request's workers are a wish the budget clamps, each
-// token scheduling one graph at a time.
+// token, and a sweep request's workers are a wish the budget clamps, each
+// token scheduling one graph at a time. A problem document has no worker
+// count: options that carry "workers" get strict decoding's 400.
 //
 // # Admission control
 //
@@ -440,7 +440,7 @@ func writeBody(w http.ResponseWriter, status int, body []byte) {
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	if r.URL.RawQuery != "" {
 		writeError(w, http.StatusBadRequest, errors.New(
-			"/v1/schedule takes no query parameters: set options.workers and options.strategy in the problem document"))
+			"/v1/schedule takes no query parameters: set options.strategy in the problem document"))
 		return
 	}
 	doc, err := textio.ReadProblem(http.MaxBytesReader(w, r.Body, s.maxBody))

@@ -154,25 +154,48 @@ func withOptions(t *testing.T, opts textio.OptionsDoc) []byte {
 	return body
 }
 
-// TestScheduleEndpointWorkersParam pins the document's options.workers on
-// the server, which runs every problem on one goroutine: a valid count is
-// scheduled, a negative one gets a 400 envelope naming the field.
-func TestScheduleEndpointWorkersParam(t *testing.T) {
+// TestWorkersOptionRefused pins that a problem document has no worker count:
+// a /v1/schedule body whose options carry "workers" gets a 400 envelope
+// naming the field, compact and indented alike (the byte parser declines
+// both, and encoding/json refuses both), and so does a /v1/sweep request
+// whose options carry it.
+func TestWorkersOptionRefused(t *testing.T) {
 	ts := testServer(t)
-	resp, body := postJSON(t, ts.URL+"/v1/schedule", withOptions(t, textio.OptionsDoc{Workers: 1}))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	withWorkers := func(compact []byte) []byte {
+		t.Helper()
+		out := bytes.Replace(compact, []byte(`"options":{`), []byte(`"options":{"workers":2,`), 1)
+		if bytes.Equal(out, compact) {
+			t.Fatalf("no options object in %.80q", compact)
+		}
+		return out
 	}
-	resp, body = postJSON(t, ts.URL+"/v1/schedule", withOptions(t, textio.OptionsDoc{Workers: -1}))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("negative workers must yield 400, got %d: %s", resp.StatusCode, body)
+	problem := withWorkers(withOptions(t, textio.OptionsDoc{Selection: "largest"}))
+	var indented, sweep bytes.Buffer
+	if err := json.Indent(&indented, problem, "", "  "); err != nil {
+		t.Fatalf("Indent: %v", err)
 	}
-	var env errorDoc
-	if err := json.Unmarshal(body, &env); err != nil {
-		t.Fatalf("error envelope not JSON: %v in %s", err, body)
+	if err := json.Compact(&sweep, sweepRequestBody(t, expr.GoldenSweep())); err != nil {
+		t.Fatalf("Compact: %v", err)
 	}
-	if env.Error.Status != http.StatusBadRequest || !strings.Contains(env.Error.Message, "workers") {
-		t.Fatalf("error envelope unexpected: %+v", env.Error)
+	for _, tc := range []struct {
+		name, target string
+		body         []byte
+	}{
+		{"compact problem", "/v1/schedule", problem},
+		{"indented problem", "/v1/schedule", indented.Bytes()},
+		{"sweep request", "/v1/sweep", withWorkers(sweep.Bytes())},
+	} {
+		resp, body := postJSON(t, ts.URL+tc.target, tc.body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400: %s", tc.name, resp.StatusCode, body)
+		}
+		var env errorDoc
+		if err := json.Unmarshal(body, &env); err != nil {
+			t.Fatalf("%s: error envelope not JSON: %v in %s", tc.name, err, body)
+		}
+		if env.Error.Status != http.StatusBadRequest || !strings.Contains(env.Error.Message, `"workers"`) {
+			t.Fatalf("%s: the error envelope does not name the field: %+v", tc.name, env.Error)
+		}
 	}
 }
 
@@ -298,8 +321,8 @@ func TestDocumentIsTheWholeRequest(t *testing.T) {
 		body   []byte
 		field  string
 	}{
-		{"/v1/schedule?strategy=tabu", figure1Doc(t), "options.strategy"},
-		{"/v1/schedule?workers=1", figure1Doc(t), "options.workers"},
+		{"/v1/schedule?strategy=tabu", figure1Doc(t), "set options.strategy in the problem document"},
+		{"/v1/schedule?workers=1", figure1Doc(t), "set options.strategy in the problem document"},
 		{"/v1/sweep?workers=2", sweepRequestBody(t, expr.GoldenSweep()), "set workers"},
 	} {
 		resp, body := postJSON(t, ts.URL+tc.target, tc.body)

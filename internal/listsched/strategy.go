@@ -59,9 +59,10 @@ type StrategyParams struct {
 	TabuNeighbors int
 }
 
-// Strategy produces the schedule of one alternative path. One Strategy
-// value is shared by every worker goroutine of a scheduling run, with
-// per-worker Scratch values carrying all mutable state.
+// Strategy produces the schedule of one alternative path. A Strategy value
+// holds no state: every scheduling run that selects it shares it, runs on
+// different goroutines included, and the run's Scratch carries all mutable
+// state.
 type Strategy interface {
 	// SchedulePath builds a schedule for the active subgraph sub on
 	// architecture a, reusing the scratch buffers.

@@ -7,9 +7,8 @@
 //   - a global worker budget: one pool of tokens, one per goroutine, that
 //     every concurrent request draws from, so a burst of requests cannot
 //     oversubscribe the machine. A memo miss runs on one goroutine under one
-//     token, whatever its core.Options.Workers asks for: one problem's table
-//     is a millisecond-scale job, so the budget is spread over concurrent
-//     requests, not over the paths of one. A sweep shard takes up to its
+//     token: one problem's table is a millisecond-scale job, so the budget is
+//     spread over concurrent requests. A sweep shard takes up to its
 //     workers' worth of free tokens and schedules one graph per token;
 //   - a memo: an LRU of solved problems keyed by the problem content hash
 //     (textio.ProblemHash), so repeated requests for the same problem —
@@ -18,10 +17,10 @@
 //   - context cancellation: a cancelled request aborts its path scheduling
 //     and merge promptly and releases its worker tokens.
 //
-// Every memo miss, and every graph of a sweep shard, schedules in a
+// Every memo miss, and every worker of a sweep shard, schedules in a
 // core.Workspace lent by core.Lend, which recycles the subgraphs, schedules,
 // merge buffers and table of one problem for the next. Misses and shard
-// graphs hold a worker token while they have a workspace, so no more
+// workers hold a worker token while they have a workspace, so no more
 // workspaces are in use than tokens.
 //
 // The memo keeps the *core.Result that Schedule returns: the workspace's
@@ -54,11 +53,15 @@ import (
 // Config.CacheSize is zero.
 const DefaultCacheSize = 256
 
+// ErrNegativeWorkers is returned for a negative worker count: the service's
+// budget (New) or a sweep request's workers (SweepShard).
+var ErrNegativeWorkers = errors.New("service: workers must be >= 0 (0 = GOMAXPROCS)")
+
 // Config parameterises a Service.
 type Config struct {
 	// Workers is the global worker budget shared across every concurrent
 	// request (0 = GOMAXPROCS; negative is rejected by New with
-	// core.ErrNegativeWorkers). A memo miss holds one token and a sweep
+	// ErrNegativeWorkers). A memo miss holds one token and a sweep
 	// shard at most its workers' worth; the tokens of all in-flight
 	// requests never exceed the budget in total.
 	Workers int
@@ -129,12 +132,11 @@ type Service struct {
 }
 
 // New returns a Service with the given budget and memo capacity. A negative
-// worker budget is rejected with core.ErrNegativeWorkers — the same
-// invariant core.Schedule enforces per call.
+// worker budget is rejected with ErrNegativeWorkers.
 func New(cfg Config) (*Service, error) {
 	budget := cfg.Workers
 	if budget < 0 {
-		return nil, fmt.Errorf("%w; got service budget %d", core.ErrNegativeWorkers, budget)
+		return nil, fmt.Errorf("%w; got service budget %d", ErrNegativeWorkers, budget)
 	}
 	if budget == 0 {
 		budget = runtime.GOMAXPROCS(0)
@@ -170,26 +172,21 @@ func (s *Service) Stats() Stats {
 }
 
 // Schedule generates (or recalls) the schedule table for one problem. A memo
-// miss waits for one worker token and runs on one goroutine, whatever the
-// problem's core.Options.Workers asks for (it must not be negative), so the
-// budget goes to concurrent requests. Cancelling ctx aborts the run promptly
+// miss waits for one worker token and runs on one goroutine, so the budget
+// goes to concurrent requests. Cancelling ctx aborts the run promptly
 // (between back-steps of the merge) and returns ctx.Err().
 //
 // Identical problems (same content hash) are answered from the memo; two
 // concurrent first requests for the same problem may both compute, and the
 // later one wins the memo slot — results are deterministic, so both are
 // correct and byte-identical. The memo key is the hash of the problem's
-// canonical v1 document with the worker count cleared, since workers never
-// change the produced table. Every result-shaping option — path selection,
+// canonical v1 document. Every result-shaping option — path selection,
 // conflict policy, scheduling priority and strategy with its tabu bounds —
 // is part of the document and therefore of the key, so solutions computed
 // under one strategy are never served for another.
 func (s *Service) Schedule(ctx context.Context, p *Problem) (*Solution, error) {
 	if p == nil || p.Graph == nil || p.Arch == nil {
 		return nil, errors.New("service: nil problem, graph or architecture")
-	}
-	if p.Options.Workers < 0 {
-		return nil, fmt.Errorf("%w; got %d", core.ErrNegativeWorkers, p.Options.Workers)
 	}
 	s.requests.Add(1)
 	doc := textio.EncodeProblem(p.Graph, p.Arch, p.Options)
@@ -204,11 +201,9 @@ func (s *Service) Schedule(ctx context.Context, p *Problem) (*Solution, error) {
 		return nil, err
 	}
 	defer s.releaseTokens(1)
-	opt := p.Options
-	opt.Workers = 1
 	var res *core.Result
 	core.Lend(func(ws *core.Workspace) {
-		res, err = ws.Schedule(ctx, p.Graph, p.Arch, opt)
+		res, err = ws.Schedule(ctx, p.Graph, p.Arch, p.Options)
 		if err == nil {
 			// The next borrower overwrites the workspace's result: keep a
 			// copy that shares nothing with it, and without the subgraphs
@@ -224,25 +219,17 @@ func (s *Service) Schedule(ctx context.Context, p *Problem) (*Solution, error) {
 	return &Solution{Result: res, ProblemHash: hash}, nil
 }
 
-// SweepSolution is the outcome of one SweepShard request.
-type SweepSolution struct {
-	// Shard holds the raw per-graph results of the executed shard.
-	Shard *expr.ShardResult
-	// Workers is the number of worker tokens the request was granted.
-	Workers int
-}
-
 // SweepShard executes one shard of a Fig. 5/6 sweep under the service's
-// global worker budget: the config's Workers field is a wish clamped to the
-// budget, to the tokens free at admission and to the shard's graph count,
-// and each token schedules one graph at a time on one goroutine, whatever
-// cfg.Options.Workers asks for. It calls yield (when non-nil) once per
+// global worker budget and returns its raw per-graph results: the config's
+// Workers field is a wish clamped to the budget, to the tokens free at
+// admission and to the shard's graph count, and each token schedules one
+// graph at a time on one goroutine. It calls yield (when non-nil) once per
 // completed graph, in completion order; a yield error aborts the run and is
 // returned. Cancelling ctx aborts the shard run promptly and returns
 // ctx.Err().
-func (s *Service) SweepShard(ctx context.Context, cfg expr.SweepConfig, yield func(expr.GraphResult) error) (*SweepSolution, error) {
+func (s *Service) SweepShard(ctx context.Context, cfg expr.SweepConfig, yield func(expr.GraphResult) error) (*expr.ShardResult, error) {
 	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("%w; got %d", core.ErrNegativeWorkers, cfg.Workers)
+		return nil, fmt.Errorf("%w; got %d", ErrNegativeWorkers, cfg.Workers)
 	}
 	cfg = cfg.Normalize()
 	if err := cfg.ValidateShard(); err != nil {
@@ -265,11 +252,7 @@ func (s *Service) SweepShard(ctx context.Context, cfg expr.SweepConfig, yield fu
 	}
 	defer s.releaseTokens(granted)
 	cfg.Workers = granted
-	sh, err := expr.RunSweepShardStream(ctx, cfg, yield)
-	if err != nil {
-		return nil, err
-	}
-	return &SweepSolution{Shard: sh, Workers: granted}, nil
+	return expr.RunSweepShardStream(ctx, cfg, yield)
 }
 
 // acquire admits a request to the worker pool: it blocks (honouring ctx) for

@@ -25,7 +25,7 @@ func mustNew(t *testing.T, cfg Config) *Service {
 }
 
 func TestNewNegativeBudget(t *testing.T) {
-	if _, err := New(Config{Workers: -1}); !errors.Is(err, core.ErrNegativeWorkers) {
+	if _, err := New(Config{Workers: -1}); !errors.Is(err, ErrNegativeWorkers) {
 		t.Fatalf("negative budget must be rejected with ErrNegativeWorkers; got %v", err)
 	}
 }
@@ -73,25 +73,14 @@ func TestScheduleCacheHit(t *testing.T) {
 		t.Fatalf("stats unexpected: %+v", st)
 	}
 
-	// A different worker count is still the same problem.
-	rebudget := *prob
-	rebudget.Options.Workers = 1
-	third, err := svc.Schedule(context.Background(), &rebudget)
-	if err != nil {
-		t.Fatalf("Schedule: %v", err)
-	}
-	if !third.CacheHit {
-		t.Fatalf("worker count must not change the cache key")
-	}
-
 	// Different scheduling options are a different problem.
 	ablate := *prob
 	ablate.Options.PathSelection = core.SelectFirst
-	fourth, err := svc.Schedule(context.Background(), &ablate)
+	third, err := svc.Schedule(context.Background(), &ablate)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
-	if fourth.CacheHit {
+	if third.CacheHit {
 		t.Fatalf("changed options must miss the cache")
 	}
 }
@@ -192,11 +181,6 @@ func TestScheduleValidation(t *testing.T) {
 	if _, err := svc.Schedule(context.Background(), nil); err == nil {
 		t.Fatalf("nil problem must be rejected")
 	}
-	prob := figure1Problem(t)
-	prob.Options.Workers = -3
-	if _, err := svc.Schedule(context.Background(), prob); !errors.Is(err, core.ErrNegativeWorkers) {
-		t.Fatalf("negative workers must be rejected with ErrNegativeWorkers; got %v", err)
-	}
 }
 
 func TestScheduleCancelled(t *testing.T) {
@@ -214,9 +198,7 @@ func TestScheduleCancelled(t *testing.T) {
 func TestWorkerBudgetShared(t *testing.T) {
 	svc := mustNew(t, Config{Workers: 2, CacheSize: -1}) // no cache: every request schedules
 	prob := figure1Problem(t)
-	wish := *prob
-	wish.Options.Workers = 64
-	if _, err := svc.Schedule(context.Background(), &wish); err != nil {
+	if _, err := svc.Schedule(context.Background(), prob); err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
 
@@ -233,7 +215,7 @@ func TestWorkerBudgetShared(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := svc.Schedule(context.Background(), &wish)
+		_, err := svc.Schedule(context.Background(), prob)
 		done <- err
 	}()
 	// A miss that ran without a token would finish well inside the wait.
@@ -255,7 +237,7 @@ func TestWorkerBudgetShared(t *testing.T) {
 	defer svc.releaseTokens(granted)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := svc.Schedule(ctx, &wish); !errors.Is(err, context.Canceled) {
+	if _, err := svc.Schedule(ctx, prob); !errors.Is(err, context.Canceled) {
 		t.Fatalf("blocked admission must honour cancellation; got %v", err)
 	}
 }
@@ -289,11 +271,10 @@ func peakCallers() (probe func(), peak func() int64) {
 	return probe, top.Load
 }
 
-// TestMissHoldsOneToken pins the one-token rule of Schedule: a lone miss
-// that asks for 64 workers on a four-token service holds exactly one token
-// from its path phase to the start of its validation and runs on one
-// goroutine, and every token is back in the pool after single and
-// overlapping misses.
+// TestMissHoldsOneToken pins the one-token rule of Schedule: a lone miss on
+// a four-token service holds exactly one token from its path phase to the
+// start of its validation and runs on one goroutine, and every token is back
+// in the pool after single and overlapping misses.
 func TestMissHoldsOneToken(t *testing.T) {
 	const budget = 4
 	svc := mustNew(t, Config{Workers: budget, CacheSize: -1})
@@ -301,7 +282,7 @@ func TestMissHoldsOneToken(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	prob := &Problem{Graph: inst.Graph, Arch: inst.Arch, Options: core.Options{Workers: 64}}
+	prob := &Problem{Graph: inst.Graph, Arch: inst.Arch}
 
 	var mu sync.Mutex
 	lo, hi, samples := budget, 0, 0

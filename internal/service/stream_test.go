@@ -14,7 +14,7 @@ func TestSweepShardStreamMatchesUnary(t *testing.T) {
 	svc := mustNew(t, Config{Workers: 2})
 	cfg := sweepConfig()
 	var streamed []expr.GraphResult
-	sol, err := svc.SweepShard(context.Background(), cfg, func(g expr.GraphResult) error {
+	sh, err := svc.SweepShard(context.Background(), cfg, func(g expr.GraphResult) error {
 		streamed = append(streamed, g)
 		return nil
 	})
@@ -25,10 +25,10 @@ func TestSweepShardStreamMatchesUnary(t *testing.T) {
 	for _, g := range streamed {
 		got[g.Key()] = g
 	}
-	if len(got) != len(streamed) || len(got) != len(sol.Shard.Results) {
-		t.Fatalf("%d yields of %d distinct graphs for a shard of %d", len(streamed), len(got), len(sol.Shard.Results))
+	if len(got) != len(streamed) || len(got) != len(sh.Results) {
+		t.Fatalf("%d yields of %d distinct graphs for a shard of %d", len(streamed), len(got), len(sh.Results))
 	}
-	for _, res := range sol.Shard.Results {
+	for _, res := range sh.Results {
 		if got[res.Key()] != res {
 			t.Fatalf("streamed graph %+v differs from the returned %+v", got[res.Key()], res)
 		}
@@ -50,11 +50,11 @@ func TestSweepShardStreamYieldError(t *testing.T) {
 	if busy := svc.budget - len(svc.tokens); busy != 0 {
 		t.Fatalf("%d worker tokens still lent out after the aborted stream", busy)
 	}
-	sol, err := svc.SweepShard(context.Background(), cfg, nil)
+	sh, err := svc.SweepShard(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatalf("SweepShard after aborted stream: %v", err)
 	}
-	if got, want := len(sol.Shard.Results), cfg.ShardSize(); got != want {
+	if got, want := len(sh.Results), cfg.ShardSize(); got != want {
 		t.Fatalf("shard after aborted stream covers %d graphs, want %d", got, want)
 	}
 }

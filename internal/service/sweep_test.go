@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/gen"
 )
@@ -26,7 +25,7 @@ func sweepConfig() expr.SweepConfig {
 func TestSweepShardMatchesInProcess(t *testing.T) {
 	svc := mustNew(t, Config{Workers: 2})
 	cfg := sweepConfig()
-	sol, err := svc.SweepShard(context.Background(), cfg, nil)
+	sh, err := svc.SweepShard(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatalf("SweepShard: %v", err)
 	}
@@ -34,11 +33,8 @@ func TestSweepShardMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunSweepShardStream: %v", err)
 	}
-	if !reflect.DeepEqual(zeroShardTimes(sol.Shard), zeroShardTimes(want)) {
-		t.Fatalf("service shard differs from in-process shard:\n%+v\nvs\n%+v", sol.Shard, want)
-	}
-	if sol.Workers < 1 || sol.Workers > 2 {
-		t.Fatalf("granted workers %d outside budget", sol.Workers)
+	if !reflect.DeepEqual(zeroShardTimes(sh), zeroShardTimes(want)) {
+		t.Fatalf("service shard differs from in-process shard:\n%+v\nvs\n%+v", sh, want)
 	}
 }
 
@@ -58,7 +54,7 @@ func TestSweepShardValidation(t *testing.T) {
 	svc := mustNew(t, Config{})
 	cfg := sweepConfig()
 	cfg.Workers = -1
-	if _, err := svc.SweepShard(context.Background(), cfg, nil); !errors.Is(err, core.ErrNegativeWorkers) {
+	if _, err := svc.SweepShard(context.Background(), cfg, nil); !errors.Is(err, ErrNegativeWorkers) {
 		t.Fatalf("negative workers must be rejected with ErrNegativeWorkers; got %v", err)
 	}
 	cfg = sweepConfig()
@@ -95,12 +91,7 @@ func TestSweepShardConcurrent(t *testing.T) {
 			defer wg.Done()
 			c := cfg
 			c.ShardIndex, c.ShardCount = i, count
-			sol, err := svc.SweepShard(context.Background(), c, nil)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			shards[i] = sol.Shard
+			shards[i], errs[i] = svc.SweepShard(context.Background(), c, nil)
 		}(i)
 	}
 	wg.Wait()
@@ -123,22 +114,27 @@ func TestSweepShardConcurrent(t *testing.T) {
 }
 
 // TestSweepGraphRunsOnOneGoroutine pins that a sweep shard holds the
-// service's budget: a shard granted one token schedules its graphs on one
-// goroutine, whatever its options.workers asks for.
+// service's budget and that each graph runs on one goroutine: a shard that
+// wishes for 8 workers schedules one graph at a time on a one-token service
+// and at most two at once on a two-token one, and gives every token back.
 func TestSweepGraphRunsOnOneGoroutine(t *testing.T) {
-	svc := mustNew(t, Config{Workers: 1})
-	cfg := expr.SweepConfig{Nodes: []int{60}, Paths: []int{18}, GraphsPerCell: 3, Seed: 5,
-		Workers: 1, Options: core.Options{Workers: 8}}
-	callers, peak := peakCallers()
-	sol, err := svc.SweepShard(probeCtx{Context: context.Background(), probe: callers}, cfg, nil)
-	if err != nil {
-		t.Fatalf("SweepShard: %v", err)
-	}
-	if got := len(sol.Shard.Results); got != 3 {
-		t.Fatalf("shard covers %d graphs, want 3", got)
-	}
-	if got := peak(); got != 1 {
-		t.Fatalf("%d goroutines scheduled at once on a one-token service, want 1", got)
+	for _, tokens := range []int{1, 2} {
+		svc := mustNew(t, Config{Workers: tokens})
+		cfg := expr.SweepConfig{Nodes: []int{60}, Paths: []int{18}, GraphsPerCell: 3, Seed: 5, Workers: 8}
+		callers, peak := peakCallers()
+		sh, err := svc.SweepShard(probeCtx{Context: context.Background(), probe: callers}, cfg, nil)
+		if err != nil {
+			t.Fatalf("SweepShard: %v", err)
+		}
+		if got := len(sh.Results); got != 3 {
+			t.Fatalf("shard covers %d graphs, want 3", got)
+		}
+		if got := peak(); got < 1 || got > int64(tokens) {
+			t.Fatalf("%d goroutines scheduled at once on a %d-token service, want 1 to %d", got, tokens, tokens)
+		}
+		if free := len(svc.tokens); free != tokens {
+			t.Fatalf("tokens leaked: %d free of %d after the shard", free, tokens)
+		}
 	}
 }
 

@@ -41,7 +41,7 @@ func TestWorstCaseSubgraphsAllocs(t *testing.T) {
 		insts = append(insts, instance{inst.Graph.Name(), inst.Graph, inst.Arch})
 	}
 	for _, in := range insts {
-		res, err := core.Schedule(in.g, in.a, core.Options{Workers: 1})
+		res, err := core.Schedule(in.g, in.a, core.Options{})
 		if err != nil {
 			t.Fatalf("%s: Schedule: %v", in.name, err)
 		}

@@ -67,7 +67,7 @@ func TestEachFindingOnce(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Figure1: %v", err)
 	}
-	res, err := core.Schedule(g, a, core.Options{Workers: 1})
+	res, err := core.Schedule(g, a, core.Options{})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -189,7 +189,7 @@ func TestMissingBroadcastRows(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Figure1: %v", err)
 	}
-	res, err := core.Schedule(g, a, core.Options{Workers: 1})
+	res, err := core.Schedule(g, a, core.Options{})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -236,7 +236,7 @@ func TestMissingBroadcastRows(t *testing.T) {
 	c := g1.AddCondition("C", d)
 	g1.AddCondEdge(d, x, c, true)
 	g1.AddCondEdge(d, y, c, false)
-	res1, err := core.Schedule(g1, single, core.Options{Workers: 1})
+	res1, err := core.Schedule(g1, single, core.Options{})
 	if err != nil {
 		t.Fatalf("Schedule (one processor): %v", err)
 	}

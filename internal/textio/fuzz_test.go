@@ -64,6 +64,7 @@ func FuzzReadProblem(f *testing.F) {
 	}
 	f.Add(indented(f, gridDocs(f, 1)[0]))
 	f.Add([]byte(`{"version":"v1","name":"t","processingElements":[{"name":"cpu","kind":"processor"},{"name":"bus","kind":"bus","connectsAll":true}],"processes":[{"name":"A","exec":2,"pe":"cpu"}],"edges":[]}`))
+	f.Add([]byte(`{"version":"v1","name":"t","processingElements":[{"name":"cpu","kind":"processor"}],"processes":[{"name":"A","exec":2,"pe":"cpu"}],"edges":[],"options":{"workers":2}}`))
 	f.Add([]byte(`{"version":"v1"}`))
 	f.Add([]byte(`{"version":"v2"}`))
 	f.Add([]byte(`{`))

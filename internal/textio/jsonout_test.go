@@ -216,7 +216,7 @@ func TestWriteSolutionMatchesEncoder(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate(grid seed 101): %v", err)
 	}
-	res, err := core.Schedule(inst.Graph, inst.Arch, core.Options{Workers: 1})
+	res, err := core.Schedule(inst.Graph, inst.Arch, core.Options{})
 	if err != nil {
 		t.Fatalf("Schedule(grid seed 101): %v", err)
 	}

@@ -20,7 +20,7 @@ var (
 	condKeys    = []string{"name", "decider"}
 	procKeys    = []string{"name", "kind", "exec", "pe"}
 	edgeKeys    = []string{"from", "to", "condition", "value"}
-	optionsKeys = []string{"selection", "priority", "conflicts", "strategy", "tabuIterations", "tabuNeighbors", "maxPaths", "workers"}
+	optionsKeys = []string{"selection", "priority", "conflicts", "strategy", "tabuIterations", "tabuNeighbors", "maxPaths"}
 )
 
 // parsePlain parses data as a problem document in plain form and returns
@@ -60,7 +60,7 @@ func parsePlain(data []byte) *ProblemDoc {
 			o := new(OptionsDoc)
 			d.Options = o
 			return p.object(optionsKeys, &o.Selection, &o.Priority, &o.Conflicts, &o.Strategy,
-				&o.TabuIterations, &o.TabuNeighbors, &o.MaxPaths, &o.Workers)
+				&o.TabuIterations, &o.TabuNeighbors, &o.MaxPaths)
 		})
 	if !ok || p.ws() != len(data) {
 		return nil
@@ -234,11 +234,10 @@ func (p *parser) digits() int {
 	return p.i - start
 }
 
-// appendProblem appends to dst the bytes json.Marshal writes for d with
-// options.workers cleared and, when shape is set, every execution time
-// cleared too: the canonical document of the problem hashes. Strings go
-// through appendString, and the one float through encoding/json, whose
-// error for a speed it refuses is returned.
+// appendProblem appends to dst the bytes json.Marshal writes for d, with
+// every execution time cleared when shape is set: the canonical document of
+// the problem hashes. Strings go through appendString, and the one float
+// through encoding/json, whose error for a speed it refuses is returned.
 func appendProblem(dst []byte, d *ProblemDoc, shape bool) ([]byte, error) {
 	var err error
 	dst = appendString(append(dst, `{"version":`...), d.Version)

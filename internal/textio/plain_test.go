@@ -29,17 +29,11 @@ func stdlibProblem(data []byte) (*ProblemDoc, error) {
 	return d, nil
 }
 
-// stdlibHash is the problem hash taken by encoding/json: memo.HashJSON of a
-// copy of d with the workers cleared and, for the shape hash, every
-// execution time too.
+// stdlibHash is the problem hash taken by encoding/json: memo.HashJSON of d
+// or, for the shape hash, of a copy of d with every execution time cleared.
 func stdlibHash(t testing.TB, d *ProblemDoc, shape bool) string {
 	t.Helper()
 	c := *d
-	if c.Options != nil {
-		o := *c.Options
-		o.Workers = 0
-		c.Options = &o
-	}
 	if shape {
 		c.Processes = slices.Clone(c.Processes)
 		for i := range c.Processes {
@@ -176,7 +170,7 @@ func TestReadProblemQuirks(t *testing.T) {
 		},
 		{
 			name: "null is a no-op",
-			body: `{"version":"v1","name":"x","name":null,"condTime":null,` + lists + `,"options":{"workers":null}}`,
+			body: `{"version":"v1","name":"x","name":null,"condTime":null,` + lists + `,"options":{"maxPaths":null}}`,
 			want: with(func(d *ProblemDoc) { d.Name = "x"; d.Options = &OptionsDoc{} }),
 		},
 		{
@@ -188,6 +182,11 @@ func TestReadProblemQuirks(t *testing.T) {
 			name:    "1.0 in an int field",
 			body:    `{"version":"v1","condTime":1.0,` + lists + `}`,
 			wantErr: "cannot unmarshal number 1.0 into Go struct field ProblemDoc.condTime of type int64",
+		},
+		{
+			name:    "a worker count is an unknown option",
+			body:    `{"version":"v1",` + lists + `,"options":{"workers":2}}`,
+			wantErr: `unknown field "workers"`,
 		},
 	}
 	for _, tc := range cases {
@@ -282,13 +281,14 @@ func FuzzReadProblemMatchesStdlib(f *testing.F) {
 	if err != nil {
 		f.Fatalf("reading golden: %v", err)
 	}
-	doc.Options.Strategy, doc.Options.TabuIterations, doc.Options.Workers = "tabu", -3, 2
+	doc.Options.Strategy, doc.Options.TabuIterations = "tabu", -3
 	compact, err := json.Marshal(doc)
 	if err != nil {
 		f.Fatalf("Marshal: %v", err)
 	}
 	f.Add(golden)
 	f.Add(compact)
+	f.Add(bytes.Replace(compact, []byte(`"options":{`), []byte(`"options":{"workers":2,`), 1))
 	f.Add([]byte(`{"version":"v1","processingElements":[{"name":"cpu","kind":"processor","speed":-1.25}],"conditions":[],"options":{}}`))
 	f.Add([]byte(`{"version":"v1","condTime":-0,"processes":[{"name":"A","exec":999999999999999999}],"edges":[{"from":"A","to":"A","condition":"c","value":false}]}`))
 	f.Add([]byte(`{"Version":"v1","options":{"selection":"first"},"options":{"workers":null}}`))

@@ -59,11 +59,6 @@ type OptionsDoc struct {
 	TabuNeighbors  int `json:"tabuNeighbors,omitempty"`
 	// MaxPaths bounds the number of alternative paths (0 = default bound).
 	MaxPaths int `json:"maxPaths,omitempty"`
-	// Workers bounds the goroutines scheduling the problem's paths
-	// (core.Options.Workers). cpgsched honours it; the scheduling service
-	// ignores it and runs each problem on one goroutine. It never changes the
-	// table, so ProblemHash clears it.
-	Workers int `json:"workers,omitempty"`
 }
 
 // EncodeOptions renders scheduling options in document form, always spelling
@@ -77,7 +72,6 @@ func EncodeOptions(o core.Options) *OptionsDoc {
 		TabuIterations: o.StrategyParams.TabuIterations,
 		TabuNeighbors:  o.StrategyParams.TabuNeighbors,
 		MaxPaths:       o.MaxPaths,
-		Workers:        o.Workers,
 	}
 }
 
@@ -151,7 +145,7 @@ func ParseStrategy(s string) (string, error) {
 
 // DecodeOptions converts an options document (nil selects every default)
 // into core.Options, validating the enumeration names and the strategy name
-// and rejecting negative MaxPaths and Workers. The tabu bounds pass through
+// and rejecting a negative MaxPaths. The tabu bounds pass through
 // verbatim (negative values carry the listsched.StrategyParams semantics),
 // so every encodable option value decodes back losslessly.
 func DecodeOptions(d *OptionsDoc) (core.Options, error) {
@@ -177,11 +171,7 @@ func DecodeOptions(d *OptionsDoc) (core.Options, error) {
 	if d.MaxPaths < 0 {
 		return o, fmt.Errorf("textio: options.maxPaths must be >= 0; got %d", d.MaxPaths)
 	}
-	if d.Workers < 0 {
-		return o, fmt.Errorf("textio: options.workers must be >= 0 (0 = all CPUs); got %d", d.Workers)
-	}
 	o.MaxPaths = d.MaxPaths
-	o.Workers = d.Workers
 	return o, nil
 }
 
@@ -343,22 +333,19 @@ func readStrict(r io.Reader, v any) error {
 }
 
 // ProblemHash returns the content hash identifying a problem for caching:
-// the sha256 of the canonical JSON encoding with options.workers cleared,
-// because the worker count never changes the produced schedule table. Two
-// problems with the same hash produce byte-identical solutions. The
-// canonical encoding is the bytes json.Marshal writes, written by
-// appendProblem into pooled memory: the hash equals memo.HashJSON's of the
-// document with its workers cleared.
+// the sha256 of the canonical JSON encoding. Two problems with the same hash
+// produce byte-identical solutions. The canonical encoding is the bytes
+// json.Marshal writes, written by appendProblem into pooled memory: the hash
+// equals memo.HashJSON's of the document.
 func ProblemHash(d *ProblemDoc) (string, error) {
 	return problemHash(d, false)
 }
 
 // ProblemShapeHash returns the hash of the problem's structural shape: the
-// canonical document with options.workers cleared (like ProblemHash) and
-// additionally every process execution time zeroed. Two problems share a
-// shape hash exactly when they differ at most in τ times. Conditions, edges,
-// mappings, processing elements, the broadcast time and every deterministic
-// option all stay in the hash. No serving code calls it: the benchmark's
+// canonical document of ProblemHash with every process execution time
+// zeroed. Two problems share a shape hash exactly when they differ at most
+// in τ times. Conditions, edges, mappings, processing elements, the
+// broadcast time and every deterministic option all stay in the hash. No serving code calls it: the benchmark's
 // tests use it to check that their edits are τ-only, and ROADMAP item 4's
 // benchmark change deletes it.
 func ProblemShapeHash(d *ProblemDoc) (string, error) {

@@ -189,11 +189,11 @@ func TestProblemDecodeErrors(t *testing.T) {
 			wantErr: "unknown path selection",
 		},
 		{
-			name: "negative workers",
+			name: "workers option",
 			mutate: func(s string) string {
-				return strings.Replace(s, `"selection": "largest-delay"`, `"selection": "largest-delay", "workers": -2`, 1)
+				return strings.Replace(s, `"selection": "largest-delay"`, `"selection": "largest-delay", "workers": 2`, 1)
 			},
-			wantErr: "workers must be >= 0",
+			wantErr: `unknown field "workers"`,
 		},
 		{
 			name: "unknown strategy",
@@ -220,7 +220,10 @@ func TestProblemDecodeErrors(t *testing.T) {
 	}
 }
 
-func TestProblemHashWorkersInsensitive(t *testing.T) {
+// TestProblemHashOptionSensitive checks that every result-shaping option is
+// part of the problem hash: path selection, priority, strategy and the tabu
+// bounds each change it.
+func TestProblemHashOptionSensitive(t *testing.T) {
 	g, a, err := expr.Figure1()
 	if err != nil {
 		t.Fatalf("Figure1: %v", err)
@@ -228,13 +231,6 @@ func TestProblemHashWorkersInsensitive(t *testing.T) {
 	h0, err := ProblemHash(EncodeProblem(g, a, core.Options{}))
 	if err != nil {
 		t.Fatalf("ProblemHash: %v", err)
-	}
-	h8, err := ProblemHash(EncodeProblem(g, a, core.Options{Workers: 8}))
-	if err != nil {
-		t.Fatalf("ProblemHash: %v", err)
-	}
-	if h0 != h8 {
-		t.Fatalf("worker count must not change the problem hash: %s vs %s", h0, h8)
 	}
 	hSel, err := ProblemHash(EncodeProblem(g, a, core.Options{PathSelection: core.SelectFirst}))
 	if err != nil {
@@ -265,14 +261,6 @@ func TestProblemHashWorkersInsensitive(t *testing.T) {
 	if hTabu == hStrat {
 		t.Fatalf("tabu bounds must change the problem hash")
 	}
-	// Hashing must not mutate the document.
-	doc := EncodeProblem(g, a, core.Options{Workers: 8})
-	if _, err := ProblemHash(doc); err != nil {
-		t.Fatalf("ProblemHash: %v", err)
-	}
-	if doc.Options.Workers != 8 {
-		t.Fatalf("ProblemHash mutated the document")
-	}
 }
 
 func TestParseStrategy(t *testing.T) {
@@ -294,7 +282,7 @@ func TestOptionsRoundTrip(t *testing.T) {
 	for _, sel := range []core.PathSelection{core.SelectLargestDelay, core.SelectSmallestDelay, core.SelectFirst} {
 		for _, prio := range []listsched.Priority{listsched.PriorityCriticalPath, listsched.PriorityFixedOrder} {
 			for _, conf := range []core.ConflictPolicy{core.ConflictMoveToExisting, core.ConflictDelayToLatest} {
-				in := core.Options{PathSelection: sel, PathPriority: prio, ConflictPolicy: conf, MaxPaths: 3, Workers: 2}
+				in := core.Options{PathSelection: sel, PathPriority: prio, ConflictPolicy: conf, MaxPaths: 3}
 				out, err := DecodeOptions(EncodeOptions(in))
 				if err != nil {
 					t.Fatalf("DecodeOptions(%+v): %v", in, err)

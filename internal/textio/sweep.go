@@ -143,20 +143,14 @@ func WriteSweepRequest(w io.Writer, d *SweepRequestDoc) error {
 
 // SweepHash returns the content hash identifying the sweep a request belongs
 // to: the sha256 of the canonical JSON encoding with the execution knobs —
-// Workers, options.workers and the shard coordinates — cleared, because
-// none of them change the per-graph results. Every shard of
-// one sweep therefore shares one hash: it opens every shard stream, names
-// the sweep's journal directory and lets -merge reject a shard of another
-// sweep.
+// Workers and the shard coordinates — cleared, because none of them change
+// the per-graph results. Every shard of one sweep therefore shares one hash:
+// it opens every shard stream, names the sweep's journal directory and lets
+// -merge reject a shard of another sweep.
 func SweepHash(d *SweepRequestDoc) (string, error) {
 	c := *d
 	c.Workers = 0
 	c.ShardIndex = 0
 	c.ShardCount = 0
-	if c.Options != nil {
-		o := *c.Options
-		o.Workers = 0
-		c.Options = &o
-	}
 	return memo.HashJSON(&c)
 }

@@ -110,7 +110,6 @@ func TestSweepHashExcludesExecutionKnobs(t *testing.T) {
 	same := base
 	same.ShardIndex, same.ShardCount = 0, 7
 	same.Workers = 16
-	same.Options.Workers = 5
 	if hash(same) != h0 {
 		t.Errorf("shard coordinates and workers must not change the sweep hash")
 	}

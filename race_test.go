@@ -9,10 +9,9 @@ import (
 )
 
 // TestConcurrentScheduleFigure1 schedules the worked example of the paper
-// from many goroutines sharing one graph and one architecture, with parallel
-// path scheduling enabled inside each call. Under `go test -race` this
-// exercises every read path of cpg, arch, listsched and core that the
-// concurrent execution engine relies on being immutable after Finalize; all
+// from many goroutines sharing one graph and one architecture. Under `go
+// test -race` this exercises every read path of cpg, arch, listsched and core
+// that concurrent callers rely on being immutable after Finalize; all
 // goroutines must also agree on the resulting delays.
 func TestConcurrentScheduleFigure1(t *testing.T) {
 	g, a, err := expr.Figure1()
@@ -31,21 +30,21 @@ func TestConcurrentScheduleFigure1(t *testing.T) {
 	errs := make(chan error, goroutines)
 	for i := 0; i < goroutines; i++ {
 		wg.Add(1)
-		go func(workers int) {
+		go func() {
 			defer wg.Done()
 			for j := 0; j < iterations; j++ {
-				res, err := core.Schedule(g, a, core.Options{Workers: workers})
+				res, err := core.Schedule(g, a, core.Options{})
 				if err != nil {
 					errs <- err
 					return
 				}
 				if res.DeltaM != ref.DeltaM || res.DeltaMax != ref.DeltaMax {
 					t.Errorf("goroutine %d: δM=%d δmax=%d, want δM=%d δmax=%d",
-						workers, res.DeltaM, res.DeltaMax, ref.DeltaM, ref.DeltaMax)
+						i, res.DeltaM, res.DeltaMax, ref.DeltaM, ref.DeltaMax)
 					return
 				}
 			}
-		}(1 + i%4)
+		}()
 	}
 	wg.Wait()
 	close(errs)

@@ -2,7 +2,6 @@ package repro
 
 import (
 	"context"
-	"errors"
 	"testing"
 
 	"repro/internal/core"
@@ -57,9 +56,5 @@ func TestPublicServiceAPI(t *testing.T) {
 	}
 	if !again.CacheHit {
 		t.Fatalf("second request must be served from the memo")
-	}
-
-	if _, err := core.ScheduleContext(context.Background(), g, a, core.Options{Workers: -1}); !errors.Is(err, core.ErrNegativeWorkers) {
-		t.Fatalf("negative workers must be rejected; got %v", err)
 	}
 }

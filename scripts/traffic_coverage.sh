@@ -4,7 +4,7 @@
 # three smoke scripts, merge the profiles and print every function that no run
 # reached, in the serving packages (distrib, service, httpserver, obs, textio,
 # memo) and in the algorithm and the packages it builds on (cond, cpg,
-# listsched, core, sched, table, sim, arch, gen, expr, pool). It measures and
+# listsched, core, sched, table, sim, arch, gen, expr). It measures and
 # gates nothing, so it stays out of CI.
 #
 #   scripts/traffic_coverage.sh [SECONDS]   # seconds per workload, default 5
@@ -34,7 +34,7 @@ for S in serve_smoke sweep_smoke sweep_chaos; do
   GOFLAGS="${COVER[*]}" "scripts/$S.sh" > "$OUT/$S.log" 2>&1
 done
 
-PKGS='^repro/internal/(distrib|service|httpserver|obs|textio|memo|cond|cpg|listsched|core|sched|table|sim|arch|gen|expr|pool)/'
+PKGS='^repro/internal/(distrib|service|httpserver|obs|textio|memo|cond|cpg|listsched|core|sched|table|sim|arch|gen|expr)/'
 go tool covdata textfmt -i="$GOCOVERDIR" -o "$OUT/profile.txt"
 grep -E "^mode:|$PKGS" "$OUT/profile.txt" > "$OUT/packages.txt"
 go tool cover -func="$OUT/packages.txt" | grep -E "$PKGS" > "$OUT/func.txt"
